@@ -33,7 +33,6 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
         &[
             "execute",
             "execute_program",
-            "execute_program_with_prologue",
             "accumulate_program",
             "execute_parallel",
             "execute_parallel_mode",

@@ -31,9 +31,10 @@ use wisegraph_kernels::micro::KernelProgram;
 use wisegraph_sim::PlacementKind;
 use wisegraph_tensor::Tensor;
 
-/// `S001`: the `devices`-way contiguous shard tiles the vertex space and
-/// the destination-filtered per-device plans cover `plan`'s edges exactly
-/// once with task slots preserved.
+/// `S001`: the `devices`-way vertex ownership the cluster executes under
+/// ([`ShardSpec::balanced`]) tiles the vertex space and the
+/// destination-filtered per-device plans cover `plan`'s edges exactly once
+/// with task slots preserved.
 pub fn verify_shard_coverage(
     g: &Graph,
     plan: &PartitionPlan,
@@ -49,7 +50,7 @@ pub fn verify_shard_coverage(
         return out;
     }
     let v = g.num_vertices();
-    let spec = ShardSpec::new(v, devices);
+    let spec = ShardSpec::balanced(g, devices);
     // The contiguous ranges must tile [0, v) in device order, and the
     // point lookup must agree with the range it falls in.
     let mut next = 0usize;
@@ -66,7 +67,8 @@ pub fn verify_shard_coverage(
             ));
         }
         next = r.end;
-        // Empty ranges (more devices than vertices) own nothing to probe.
+        // Empty ranges (more devices than vertices, or a hub holding
+        // several devices' share of the edges) own nothing to probe.
         for probe in [r.start, r.end.saturating_sub(1)] {
             if r.start < r.end && probe < v && spec.owner(probe as u32) != d {
                 out.push(Diagnostic::error(

@@ -36,10 +36,11 @@ pub struct PlacementChoice {
 }
 
 /// Prices every placement the compiled `program` can run and returns the
-/// cheapest, using the shared Figure-11 volume arithmetic with the
-/// per-device remote-unique source count of an even `devices`-way vertex
-/// shard. `f_in`/`f_out` are the layer's embedding widths; the
-/// accumulator width comes from the program itself.
+/// cheapest, using the shared Figure-11 volume arithmetic with the largest
+/// per-device remote-unique source count of the cluster's `devices`-way
+/// vertex ownership ([`ShardSpec::balanced`]). `f_in`/`f_out` are the
+/// layer's embedding widths; the accumulator width comes from the program
+/// itself.
 ///
 /// # Panics
 ///
@@ -53,9 +54,23 @@ pub fn select_placement(
     f_in: usize,
     f_out: usize,
 ) -> PlacementChoice {
+    let remote = ShardSpec::balanced(g, devices).max_remote_unique_src(g);
+    price_placements(program, g, globals, devices, remote, fabric, f_in, f_out)
+}
+
+/// [`select_placement`] given the halo size `remote`.
+#[allow(clippy::too_many_arguments)]
+fn price_placements(
+    program: &KernelProgram,
+    g: &Graph,
+    globals: &HashMap<String, Tensor>,
+    devices: usize,
+    remote: usize,
+    fabric: &Fabric,
+    f_in: usize,
+    f_out: usize,
+) -> PlacementChoice {
     let mut sp = span!("sharded.select_placement", devices = devices);
-    let spec = ShardSpec::new(g.num_vertices(), devices);
-    let remote = spec.max_remote_unique_src(g);
     let vols = PlacementVolumes::new(remote, g.num_vertices(), f_in, f_out, program.out_width);
     let compat = compatible_placements(program, g, globals);
     let candidates: Vec<(PlacementKind, f64)> = compat
@@ -131,11 +146,14 @@ pub fn execute_sharded_layer(
         layer = layer
     );
     let program = compile(dfg, g)?;
-    let choice = select_placement(
+    // The halo size comes from the shard state the cluster holds for this
+    // (graph, plan) — the same state the run below executes from.
+    let choice = price_placements(
         &program,
         g,
         globals,
         cluster.devices(),
+        cluster.max_remote_unique_src(g, plan),
         fabric,
         f_in,
         f_out,

@@ -1,75 +1,103 @@
 //! Vertex-range sharding for multi-device execution (paper §5.4).
 //!
-//! Devices own contiguous destination-vertex ranges — the same
-//! `ceil(|V| / D)` chunking the multi-device cost model's
-//! `max_remote_unique_src` assumes — so the owner of a vertex (and of its
-//! embedding row, and of its row in every reduction output) is a pure
-//! function of the vertex id. The graph *structure* is replicated on every
-//! device; only embeddings and reduction rows are partitioned. From the
-//! replicated structure each device derives, deterministically, both its
-//! own halo (the remote sources its edges gather from) and every peer's,
-//! which is what lets the push-style collectives in `kernels::cluster` run
-//! without a handshake round.
+//! Devices own contiguous destination-vertex ranges, so the owner of a
+//! vertex (and of its embedding row, and of its row in every reduction
+//! output) is a pure function of the vertex id and the shard boundaries.
+//! Vertex ownership comes from one rule, [`ShardSpec::balanced`]: a prefix
+//! sum over in-edges per destination, so every device's data-parallel plan
+//! holds about `|E| / D` edges however skewed the degree distribution is.
+//! The even split [`ShardSpec::new`] remains for index spaces without
+//! per-index work to balance (feature columns, source groups). The graph
+//! *structure* is replicated on every device; only embeddings and reduction
+//! rows are partitioned. From the replicated structure each device derives,
+//! deterministically, both its own halo (the remote sources its edges
+//! gather from) and every peer's, which is what lets the push-style
+//! collectives in `kernels::cluster` run without a handshake round.
 
 use crate::graph::Graph;
 use std::ops::Range;
 
-/// A contiguous vertex-range sharding over `num_shards` devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A contiguous sharding of an index range over `num_shards` devices:
+/// shard `d` owns `bounds[d]..bounds[d + 1]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    num_vertices: usize,
-    num_shards: usize,
-    chunk: usize,
+    /// `num_shards + 1` non-decreasing boundaries from 0 to the index count.
+    bounds: Vec<usize>,
 }
 
 impl ShardSpec {
-    /// Shards `num_vertices` vertices over `num_shards` devices in
-    /// contiguous ranges of `ceil(num_vertices / num_shards)`.
+    /// Shards `num_vertices` indices over `num_shards` devices in
+    /// contiguous ranges of `ceil(num_vertices / num_shards)` — the split
+    /// for feature columns and source groups, and the even-vertex baseline
+    /// the closed-form cost models assume.
     ///
     /// # Panics
     ///
     /// Panics if `num_shards == 0`.
     pub fn new(num_vertices: usize, num_shards: usize) -> Self {
         assert!(num_shards > 0, "need at least one shard");
-        Self {
-            num_vertices,
-            num_shards,
-            chunk: num_vertices.div_ceil(num_shards).max(1),
+        let chunk = num_vertices.div_ceil(num_shards).max(1);
+        let mut bounds: Vec<usize> =
+            (0..num_shards).map(|d| (d * chunk).min(num_vertices)).collect();
+        bounds.push(num_vertices);
+        Self { bounds }
+    }
+
+    /// The vertex ownership of `g` over `num_shards` devices: boundary `k`
+    /// is the first vertex at which the running in-edge count reaches
+    /// `k / num_shards` of `|E|`. Every shard's in-edge count is therefore
+    /// below `|E| / num_shards` plus the largest in-degree, and the ranges
+    /// stay contiguous, which is what keeps destination-filtered plans
+    /// slot-preserving. Shards may be empty (a hub vertex can hold several
+    /// shards' worth of edges; an edgeless graph goes to the last shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_shards == 0`.
+    pub fn balanced(g: &Graph, num_shards: usize) -> Self {
+        assert!(num_shards > 0, "need at least one shard");
+        let mut bounds = Vec::with_capacity(num_shards + 1);
+        bounds.push(0);
+        let mut before = 0usize; // in-edges of vertices below `v`
+        for (v, &deg) in g.in_degree().iter().enumerate() {
+            while bounds.len() < num_shards
+                && before * num_shards >= bounds.len() * g.num_edges()
+            {
+                bounds.push(v);
+            }
+            before += deg as usize;
         }
+        bounds.resize(num_shards, g.num_vertices());
+        bounds.push(g.num_vertices());
+        Self { bounds }
     }
 
     /// Number of shards (devices).
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.bounds.len() - 1
     }
 
     /// Total vertices being sharded.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.bounds[self.num_shards()]
     }
 
-    /// The shard owning vertex `v` — identical to the cost model's
-    /// `(v / chunk).min(d - 1)` convention, so predicted and executed
-    /// remote-unique volumes agree by construction.
+    /// The shard owning vertex `v`: the one whose range contains it.
     pub fn owner(&self, v: u32) -> usize {
-        (v as usize / self.chunk).min(self.num_shards - 1)
+        let inner = &self.bounds[1..self.num_shards()];
+        inner.partition_point(|&b| b <= v as usize)
     }
 
-    /// The contiguous vertex range shard `d` owns. Trailing shards may own
-    /// an empty range when `num_shards` exceeds the vertex count.
+    /// The contiguous vertex range shard `d` owns. Shards may own an empty
+    /// range (more shards than vertices, or a hub vertex spanning several
+    /// shards' worth of edges).
     ///
     /// # Panics
     ///
     /// Panics if `d >= num_shards`.
     pub fn owned_range(&self, d: usize) -> Range<usize> {
-        assert!(d < self.num_shards, "shard {d} out of range");
-        let start = (d * self.chunk).min(self.num_vertices);
-        let end = if d + 1 == self.num_shards {
-            self.num_vertices
-        } else {
-            ((d + 1) * self.chunk).min(self.num_vertices)
-        };
-        start..end
+        assert!(d < self.num_shards(), "shard {d} out of range");
+        self.bounds[d]..self.bounds[d + 1]
     }
 
     /// The sources shard `d`'s edges gather from that live on other
@@ -78,24 +106,18 @@ impl ShardSpec {
     /// owning their *destination*.
     pub fn remote_unique_src(&self, g: &Graph, d: usize) -> Vec<u32> {
         let own = self.owned_range(d);
-        let mut remote: Vec<u32> = g
-            .src()
-            .iter()
-            .zip(g.dst().iter())
-            .filter(|&(&s, &d_)| {
-                self.owner(d_) == d && !(own.start..own.end).contains(&(s as usize))
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        remote.sort_unstable();
-        remote.dedup();
-        remote
+        let mut seen = vec![false; g.num_vertices()];
+        for (&s, &t) in g.src().iter().zip(g.dst()) {
+            // Unconditional store: which edges cross is unpredictable.
+            seen[s as usize] |= own.contains(&(t as usize)) & !own.contains(&(s as usize));
+        }
+        (0..g.num_vertices() as u32).filter(|&s| seen[s as usize]).collect()
     }
 
     /// Largest remote-unique-source count over all shards — the quantity
     /// the all-to-all volume formulas charge for.
     pub fn max_remote_unique_src(&self, g: &Graph) -> usize {
-        (0..self.num_shards)
+        (0..self.num_shards())
             .map(|d| self.remote_unique_src(g, d).len())
             .max()
             .unwrap_or(0)
@@ -104,10 +126,11 @@ impl ShardSpec {
     /// Edge ids whose destination shard is `d` — the edge subset of `d`'s
     /// data-parallel plan.
     pub fn owned_dst_edges(&self, g: &Graph, d: usize) -> Vec<usize> {
+        let own = self.owned_range(d);
         g.dst()
             .iter()
             .enumerate()
-            .filter(|&(_, &v)| self.owner(v) == d)
+            .filter(|&(_, &v)| own.contains(&(v as usize)))
             .map(|(e, _)| e)
             .collect()
     }
@@ -120,7 +143,7 @@ impl ShardSpec {
 /// its float summation sequence — and therefore its output bits — do not
 /// change when the groups are re-distributed over a different number of
 /// devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SrcGroups {
     spec: ShardSpec,
 }
@@ -153,7 +176,7 @@ impl SrcGroups {
     }
 
     /// The groups device `d` of `devices` executes: a contiguous range of
-    /// group ids, assigned by the same chunking as vertex ownership.
+    /// group ids, split evenly.
     ///
     /// # Panics
     ///
@@ -197,9 +220,31 @@ mod tests {
     }
 
     #[test]
+    fn balanced_boundaries_follow_the_in_edge_prefix_sum() {
+        // In-degrees 0, 4, 1, 1, 0, 2 (8 edges): quarter marks fall inside
+        // vertex 1, so shards 1 and 2 of four start right after it.
+        let dst = vec![1, 1, 1, 1, 2, 3, 5, 5];
+        let g = Graph::untyped(6, vec![0; dst.len()], dst);
+        let ranges = |d: usize| -> Vec<Range<usize>> {
+            let s = ShardSpec::balanced(&g, d);
+            (0..d).map(|k| s.owned_range(k)).collect()
+        };
+        assert_eq!(ShardSpec::balanced(&g, 1).owned_range(0), 0..6);
+        assert_eq!(ranges(2), [0..2, 2..6]);
+        assert_eq!(ranges(4), [0..2, 2..2, 2..4, 4..6]);
+        let s = ShardSpec::balanced(&g, 4);
+        assert_eq!((0..6).map(|v| s.owner(v)).collect::<Vec<_>>(), [0, 0, 2, 2, 3, 3]);
+        // No edges: nothing to balance, the last shard owns every vertex.
+        let empty = Graph::untyped(3, vec![], vec![]);
+        let s = ShardSpec::balanced(&empty, 3);
+        assert_eq!(s.owned_range(2), 0..3);
+        assert_eq!(s.owner(1), 2);
+    }
+
+    #[test]
     fn halo_is_exactly_the_non_owned_sources() {
         let g = rmat(&RmatParams::standard(60, 400, 17));
-        let s = ShardSpec::new(g.num_vertices(), 4);
+        let s = ShardSpec::balanced(&g, 4);
         let mut total_edges = 0;
         for d in 0..4 {
             let own = s.owned_range(d);

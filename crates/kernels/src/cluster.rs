@@ -15,6 +15,19 @@
 //! they are bit-identical to the single-device engine at *any* device
 //! count.
 //!
+//! A device pays for its shard, not for the graph. What a device count
+//! derives from a (graph, plan) pair — ownership boundaries, per-device
+//! filtered plans, per-peer halo row lists, the dst-completeness verdict —
+//! is derived once and stays resident in the [`ClusterEngine`], validated
+//! on every call by a content fingerprint of the graph and plan (never by
+//! address), because a training loop presents the same pair every step.
+//! Vertex ownership is in-edge balanced ([`ShardSpec::balanced`]), so the
+//! per-task work of the halo schedules splits evenly however skewed the
+//! degrees are. And a device evaluates the epilogue for its owned rows
+//! only (every epilogue operation is row-independent, so each row's bits
+//! are what the full epilogue computes), which makes assembling the
+//! outputs a concatenation.
+//!
 //! The four placement schedules:
 //!
 //! - [`PlacementKind::DataParallel`] (Fig. 11b): each device owns a
@@ -23,7 +36,8 @@
 //!   dst-filtered plan. Bit-identical to single-device because the
 //!   filtered plan preserves task *slots* (identical chunk-to-worker
 //!   mapping) and scatter-adds to a row only ever come from that row's
-//!   own edges, in original order.
+//!   own edges, in original order — wherever the contiguous boundaries
+//!   fall.
 //! - [`PlacementKind::ProjectThenCommunicate`] (Fig. 11c): the
 //!   edge-independent prologue (projections) runs on each row's home
 //!   device, and only the *projected* halo rows travel — a win when the
@@ -47,14 +61,14 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    compile, eval_edge_independent_public, plan_is_dst_complete, prologue_name,
-    run_epilogue, summarize, CompileError, KernelProgram, MicroKernel,
+    compile, eval_prologue, plan_is_dst_complete, run_epilogue, run_epilogue_rows,
+    summarize, CompileError, KernelProgram, MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
-use wisegraph_dfg::Dfg;
+use std::sync::{Arc, Mutex, OnceLock};
+use wisegraph_dfg::{Dfg, Dim};
 use wisegraph_graph::{AttrKind, Graph, ShardSpec, SrcGroups};
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_obs::causal::{collective_id, CausalEdge, CausalLog, EndpointId};
@@ -615,12 +629,108 @@ fn slice_last_dim(t: &Tensor, cols: std::ops::Range<usize>) -> Tensor {
     Tensor::from_vec(data, &nd)
 }
 
+/// Running communication totals over a cluster's lifetime — what
+/// [`ClusterEngine::stats`] reports as `comm.*`, kept as sums so a
+/// long-lived cluster holds no per-message history.
+#[derive(Default)]
+struct CommTotals {
+    bytes: u64,
+    messages: u64,
+    by_collective: BTreeMap<&'static str, u64>,
+}
+
+/// Everything a device count derives from one (graph, plan) pair before
+/// any tensor is touched. A training loop presents the same pair on every
+/// call, so the cluster holds the last one derived and re-derives only
+/// when [`shard_fingerprint`] says the content changed.
+struct ShardState {
+    fingerprint: u64,
+    /// Vertex ownership ([`ShardSpec::balanced`]).
+    spec: ShardSpec,
+    /// Per device, the plan filtered to the edges whose destination it
+    /// owns (task slots preserved).
+    plans: Vec<PartitionPlan>,
+    /// Per device, the sorted remote sources its edges gather from: the
+    /// rows it receives in a halo exchange.
+    halos: Vec<Vec<u32>>,
+    /// [`plan_is_dst_complete`] of the unfiltered plan. (Filtering by
+    /// destination keeps every destination's in-edges together, so the
+    /// per-device plans of a dst-complete plan are dst-complete.)
+    dst_complete: bool,
+    /// Per canonical source group, the plan filtered to its edges; derived
+    /// on the first compute-then-reduce run.
+    group_plans: OnceLock<Vec<PartitionPlan>>,
+}
+
+impl ShardState {
+    fn derive(g: &Graph, plan: &PartitionPlan, devices: usize, fingerprint: u64) -> Self {
+        let spec = ShardSpec::balanced(g, devices);
+        let plans = (0..devices)
+            .map(|dev| {
+                let own = spec.owned_range(dev);
+                plan.filtered(g, |e| own.contains(&(g.dst()[e] as usize)))
+            })
+            .collect();
+        let halos = (0..devices).map(|dev| spec.remote_unique_src(g, dev)).collect();
+        Self {
+            fingerprint,
+            spec,
+            plans,
+            halos,
+            dst_complete: plan_is_dst_complete(g, plan),
+            group_plans: OnceLock::new(),
+        }
+    }
+
+    /// The rows `from` sends `to` in a halo exchange: the part of `to`'s
+    /// halo that `from` owns — one run of the sorted halo, because
+    /// ownership is contiguous.
+    fn send_rows(&self, from: usize, to: usize) -> &[u32] {
+        let own = self.spec.owned_range(from);
+        let halo = &self.halos[to];
+        let lo = halo.partition_point(|&r| (r as usize) < own.start);
+        let hi = halo.partition_point(|&r| (r as usize) < own.end);
+        &halo[lo..hi]
+    }
+}
+
+/// Content fingerprint of everything [`ShardState`] is derived from: the
+/// graph's vertex count and edge arrays and the plan's task edge lists.
+/// One allocation-free pass. Each word is mixed with a key unique to its
+/// position and the mixed words are summed, so the loop carries no
+/// multiply chain; the per-word mix is a bijection, so two inputs that
+/// differ in a single word never collide.
+fn shard_fingerprint(g: &Graph, plan: &PartitionPlan) -> u64 {
+    let (mut sum, mut key) = (0u64, 0u64);
+    let mut push = |x: u64| {
+        key = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let m = (x ^ key).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        sum = sum.wrapping_add(m ^ (m >> 32));
+    };
+    push(g.num_vertices() as u64);
+    push(g.num_edges() as u64);
+    for ((&s, &t), &ty) in g.src().iter().zip(g.dst()).zip(g.etype()) {
+        push(u64::from(s) << 32 | u64::from(t));
+        push(u64::from(ty));
+    }
+    for task in &plan.tasks {
+        push(task.edges.len() as u64);
+        for &e in &task.edges {
+            push(e as u64);
+        }
+    }
+    sum
+}
+
 /// A cluster of simulated devices, each a real [`Engine`] with its own
 /// worker threads, workspaces, and observability lanes.
 pub struct ClusterEngine {
     engines: Vec<Engine>,
     threads_per_device: usize,
-    log: Mutex<ExchangeLog>,
+    comm: Mutex<CommTotals>,
+    /// The shard state of the last (graph, plan) executed.
+    shard: Mutex<Option<Arc<ShardState>>>,
+    shard_rebuilds: AtomicU64,
     /// Layer tag stamped on phase spans/segments of subsequent runs.
     layer: AtomicU32,
 }
@@ -659,7 +769,9 @@ impl ClusterEngine {
         Self {
             engines,
             threads_per_device,
-            log: Mutex::new(ExchangeLog::default()),
+            comm: Mutex::new(CommTotals::default()),
+            shard: Mutex::new(None),
+            shard_rebuilds: AtomicU64::new(0),
             layer: AtomicU32::new(0),
         }
     }
@@ -687,8 +799,8 @@ impl ClusterEngine {
     }
 
     /// Merged cluster counters: every device engine's counters under a
-    /// `device.NN.` prefix, plus the cumulative `comm.*` totals derived
-    /// from the exchange log. The `comm.*` sums and every per-device
+    /// `device.NN.` prefix, plus the cumulative `comm.*` totals of every
+    /// run's exchange log. The `comm.*` sums and every per-device
     /// `kernel.*` total are [`Class::Work`]: pure functions of graph,
     /// schedule, and device count, independent of thread counts.
     pub fn stats(&self) -> Counters {
@@ -696,14 +808,43 @@ impl ClusterEngine {
         for (d, e) in self.engines.iter().enumerate() {
             c.merge_prefixed(&keys::device_prefix(d), &e.stats());
         }
-        let log = self.log.lock().expect("cluster log poisoned");
-        c.add(keys::COMM_BYTES_EXCHANGED, log.bytes_sent());
-        c.add(keys::COMM_MESSAGES, log.messages_sent());
-        for (coll, b) in log.bytes_by_collective() {
+        let comm = self.comm.lock().expect("cluster comm totals poisoned");
+        c.add(keys::COMM_BYTES_EXCHANGED, comm.bytes);
+        c.add(keys::COMM_MESSAGES, comm.messages);
+        for (&coll, &b) in &comm.by_collective {
             c.add(keys::comm_collective_bytes(coll), b);
         }
         c.record_max(keys::COMM_DEVICES, self.devices() as u64, Class::Resource);
+        c.add_class(
+            keys::CLUSTER_SHARD_REBUILDS,
+            self.shard_rebuilds.load(Ordering::Relaxed),
+            Class::Resource,
+        );
         c
+    }
+
+    /// The shard state for `(g, plan)` at this cluster's device count:
+    /// the resident one when its fingerprint matches, otherwise derived
+    /// now and held in its place.
+    fn shard_state(&self, g: &Graph, plan: &PartitionPlan) -> Arc<ShardState> {
+        let fingerprint = shard_fingerprint(g, plan);
+        let mut held = self.shard.lock().expect("cluster shard state poisoned");
+        if let Some(state) = held.as_ref().filter(|s| s.fingerprint == fingerprint) {
+            return Arc::clone(state);
+        }
+        let _sp = span!("cluster.shard.derive", devices = self.devices());
+        self.shard_rebuilds.fetch_add(1, Ordering::Relaxed);
+        let state = Arc::new(ShardState::derive(g, plan, self.devices(), fingerprint));
+        *held = Some(Arc::clone(&state));
+        state
+    }
+
+    /// Largest per-device halo (remote unique sources) of `(g, plan)`
+    /// under this cluster's vertex ownership — what placement selection
+    /// prices an all-to-all by — read from the resident shard state.
+    pub fn max_remote_unique_src(&self, g: &Graph, plan: &PartitionPlan) -> usize {
+        let shard = self.shard_state(g, plan);
+        shard.halos.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Compiles and executes a DFG under the given placement schedule.
@@ -755,39 +896,56 @@ impl ClusterEngine {
             tasks = plan.tasks.len()
         );
         placement_compatible(program, g, globals, placement).map_err(CompileError)?;
-        // The dst-complete precondition is verified on the driver so that
-        // no device can bail out while its peers are already blocked in a
-        // collective. (Per-device filtered plans of a dst-complete plan
-        // are dst-complete: filtering by destination keeps every
-        // destination's in-edges together.)
-        if program.requires_dst_complete
-            && self.engines[0].mode() != ExecMode::Sanitize
-            && !plan_is_dst_complete(g, plan)
-        {
-            return Err(CompileError(
-                "per-destination normalization requires a destination-complete plan"
-                    .into(),
-            ));
-        }
-        let (outputs, art) = match placement {
-            PlacementKind::DataParallel => {
-                self.run_halo_schedule(program, dfg, g, plan, globals, false)?
+        let (outputs, art) = if placement == PlacementKind::TensorParallel {
+            // Splits columns, not vertices: no shard state involved.
+            self.run_tensor_parallel(program, dfg, g, plan, globals)?
+        } else {
+            let shard = self.shard_state(g, plan);
+            // The dst-complete precondition is verified on the driver so
+            // that no device can bail out while its peers are already
+            // blocked in a collective.
+            if program.requires_dst_complete
+                && self.engines[0].mode() != ExecMode::Sanitize
+                && !shard.dst_complete
+            {
+                return Err(CompileError(
+                    "per-destination normalization requires a destination-complete plan"
+                        .into(),
+                ));
             }
-            PlacementKind::ProjectThenCommunicate => {
-                self.run_halo_schedule(program, dfg, g, plan, globals, true)?
+            // Devices return their owned rows only; rows need an owner.
+            if let Some(o) = dfg
+                .outputs()
+                .iter()
+                .find(|o| dfg.node(**o).shape.first() != Some(&Dim::Vertices))
+            {
+                return Err(CompileError(format!(
+                    "sharded execution requires vertex-rowed outputs, node {} is not",
+                    o.0
+                )));
             }
-            PlacementKind::ComputeThenReduce => {
-                self.run_compute_then_reduce(program, dfg, g, plan, globals)?
-            }
-            PlacementKind::TensorParallel => {
-                self.run_tensor_parallel(program, dfg, g, plan, globals)?
+            match placement {
+                PlacementKind::ComputeThenReduce => {
+                    self.run_compute_then_reduce(program, dfg, g, plan, globals, &shard)?
+                }
+                _ => self.run_halo_schedule(
+                    program,
+                    dfg,
+                    g,
+                    globals,
+                    &shard,
+                    placement == PlacementKind::ProjectThenCommunicate,
+                )?,
             }
         };
-        self.log
-            .lock()
-            .expect("cluster log poisoned")
-            .events
-            .extend(art.exchange.events.iter().cloned());
+        {
+            let mut comm = self.comm.lock().expect("cluster comm totals poisoned");
+            comm.bytes += art.exchange.bytes_sent();
+            comm.messages += art.exchange.messages_sent();
+            for (coll, b) in art.exchange.bytes_by_collective() {
+                *comm.by_collective.entry(coll).or_insert(0) += b;
+            }
+        }
         Ok(ClusterRun {
             outputs,
             exchange: art.exchange,
@@ -890,28 +1048,23 @@ impl ClusterEngine {
         Ok((outs, art))
     }
 
-    /// Data-parallel and project-then-communicate: both filter the plan
-    /// by destination ownership and halo-exchange rows in an all-to-all;
-    /// they differ in *what* travels — raw vertex-rowed globals before a
-    /// local prologue (data-parallel) versus locally projected prologue
-    /// tensors (project-then-communicate).
+    /// Data-parallel and project-then-communicate: both run the plan
+    /// filtered by destination ownership and halo-exchange rows in an
+    /// all-to-all; they differ in *what* travels — raw vertex-rowed
+    /// globals before a local prologue (data-parallel) versus prologue
+    /// tensors projected on their home device (project-then-communicate).
+    /// Either way a device finishes with the epilogue of its owned rows.
     fn run_halo_schedule(
         &self,
         program: &KernelProgram,
         dfg: &Dfg,
         g: &Graph,
-        plan: &PartitionPlan,
         globals: &HashMap<String, Tensor>,
+        shard: &ShardState,
         project_first: bool,
     ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
         let d = self.devices();
         let v = g.num_vertices();
-        let spec = ShardSpec::new(v, d);
-        let dplans: Vec<PartitionPlan> = (0..d)
-            .map(|dev| plan.filtered(g, |e| spec.owner(g.dst()[e]) == dev))
-            .collect();
-        let halos: Vec<Vec<u32>> =
-            (0..d).map(|dev| spec.remote_unique_src(g, dev)).collect();
         // The names whose halo rows travel. Data-parallel ships every
         // vertex-rowed *input* (remote × f_in); project-then-communicate
         // ships only the source-gathered tensors the per-task program
@@ -923,103 +1076,76 @@ impl ClusterEngine {
             vertex_rowed_names(globals, v)
         };
         let (outs, art) = self.run_devices(|dev, mb| {
-            let own = spec.owned_range(dev);
+            let own = shard.spec.owned_range(dev);
+            let engine = &self.engines[dev];
             let mut dglobals = masked_globals(globals, v, |r| own.contains(&r));
-            let mut prologue_map: HashMap<String, Tensor> = HashMap::new();
             if project_first {
-                prologue_map = mb.record_compute(
-                    &self.engines[dev],
+                let projected = mb.record_compute(
+                    engine,
                     || {
-                        let pre = eval_edge_independent_public(dfg, g, &dglobals);
-                        let mut m = HashMap::new();
-                        for id in &program.prologue {
-                            let t = pre.get(id).cloned().ok_or_else(|| {
-                                CompileError(format!(
-                                    "prologue node {} not evaluable",
-                                    id.0
-                                ))
-                            })?;
-                            if t.dims().first() != Some(&v) {
-                                return Err(CompileError(format!(
-                                    "project_then_communicate: prologue node {} is \
-                                     not vertex-rowed, its rows have no home device",
-                                    id.0
-                                )));
-                            }
-                            m.insert(prologue_name(*id), t);
+                        let m = eval_prologue(program, dfg, g, &dglobals)?;
+                        if let Some((name, _)) =
+                            m.iter().find(|(_, t)| t.dims().first() != Some(&v))
+                        {
+                            return Err(CompileError(format!(
+                                "project_then_communicate: prologue tensor {name} is \
+                                 not vertex-rowed, its rows have no home device"
+                            )));
                         }
                         Ok(m)
                     },
-                    |m| {
-                        program
-                            .prologue
-                            .iter()
-                            .map(|id| m[&prologue_name(*id)].numel() as u64)
-                            .sum()
-                    },
+                    |m| m.iter().map(|(_, t)| (t.numel() / v.max(1) * own.len()) as u64).sum(),
                 )?;
+                dglobals.extend(projected);
             }
             for name in &exchange_names {
-                let local = if let Some(t) = prologue_map.get(name) {
-                    t
-                } else {
-                    &dglobals[name]
-                };
+                let local = &dglobals[name];
                 let w = local.numel() / v.max(1);
                 let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
                     .map(|p| {
                         if p == dev {
                             return (Vec::new(), Vec::new());
                         }
-                        let rows: Vec<u32> = halos[p]
-                            .iter()
-                            .copied()
-                            .filter(|&r| own.contains(&(r as usize)))
-                            .collect();
-                        let payload = gather_payload(local, &rows, w);
-                        (rows, payload)
+                        let rows = shard.send_rows(dev, p);
+                        (rows.to_vec(), gather_payload(local, rows, w))
                     })
                     .collect();
                 let got = mb.exchange("all_to_all", outgoing);
-                let target = prologue_map
-                    .get_mut(name)
-                    .unwrap_or_else(|| dglobals.get_mut(name).expect("exchanged name"));
+                let target = dglobals.get_mut(name).expect("exchanged name");
                 for m in got {
                     scatter_payload(target, &m.rows, &m.payload, w);
                 }
             }
-            let engine = &self.engines[dev];
-            if project_first {
-                mb.record_compute(
-                    engine,
-                    || {
-                        engine.execute_program_with_prologue(
-                            program,
-                            dfg,
-                            g,
-                            &dplans[dev],
-                            &dglobals,
-                            &prologue_map,
-                        )
-                    },
-                    |_| 0,
-                )
-            } else {
-                mb.record_compute(
-                    engine,
-                    || engine.execute_program(program, dfg, g, &dplans[dev], &dglobals),
-                    |_| 0,
-                )
-            }
+            mb.record_compute(
+                engine,
+                || {
+                    if !project_first {
+                        // Local prologue over the rows held: owned and halo.
+                        let pre = eval_prologue(program, dfg, g, &dglobals)?;
+                        dglobals.extend(pre);
+                    }
+                    let acc = engine.reduce_tasks(program, g, &shard.plans[dev], &dglobals)?;
+                    Ok(run_epilogue_rows(
+                        dfg,
+                        g,
+                        &dglobals,
+                        program.reduce_node,
+                        take_rows(acc, &own),
+                        own.clone(),
+                    ))
+                },
+                |_| 0,
+            )
         })?;
-        Ok((merge_vertex_outputs(&spec, v, &outs)?, art))
+        Ok((concat_vertex_outputs(v, outs), art))
     }
 
     /// Compute-then-reduce: edges partition by source into the canonical
     /// fixed groups; each device accumulates its groups' partials, then a
     /// reduce-scatter delivers every owned row's per-group slices, summed
     /// in ascending global group order. The summation sequence depends
-    /// only on the group decomposition, never on the device count.
+    /// only on the group decomposition, never on the device count or on
+    /// where the ownership boundaries fall.
     fn run_compute_then_reduce(
         &self,
         program: &KernelProgram,
@@ -1027,13 +1153,19 @@ impl ClusterEngine {
         g: &Graph,
         plan: &PartitionPlan,
         globals: &HashMap<String, Tensor>,
+        shard: &ShardState,
     ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
         let d = self.devices();
         let v = g.num_vertices();
-        let spec = ShardSpec::new(v, d);
+        let spec = &shard.spec;
         let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
         let ngroups = groups.num_groups();
         let group_owner = ShardSpec::new(ngroups, d);
+        let group_plans = shard.group_plans.get_or_init(|| {
+            (0..ngroups)
+                .map(|grp| plan.filtered(g, |e| groups.group_of(g.src()[e]) == grp))
+                .collect()
+        });
         let w = program.out_width;
         let (outs, art) = self.run_devices(|dev, mb| {
             let own = spec.owned_range(dev);
@@ -1042,7 +1174,8 @@ impl ClusterEngine {
             // gathers are source-indexed — enforced by the compatibility
             // check) plus its owned rows (the epilogue may read them,
             // e.g. self-features). The two ranges need not align: group
-            // chunking is over CANONICAL, ownership over `d`.
+            // chunking is even over CANONICAL, ownership in-edge-balanced
+            // over `d`.
             let src_range = if my_groups.is_empty() {
                 0..0
             } else {
@@ -1056,19 +1189,22 @@ impl ClusterEngine {
             let partials: Vec<Tensor> = mb.record_compute(
                 &self.engines[dev],
                 || {
-                    let mut partials = Vec::with_capacity(my_groups.len());
-                    for grp in my_groups.clone() {
-                        let gp =
-                            plan.filtered(g, |e| groups.group_of(g.src()[e]) == grp);
-                        partials.push(self.engines[dev].accumulate_program(
-                            program, g, &gp, &dglobals,
-                        )?);
-                    }
-                    Ok(partials)
+                    my_groups
+                        .clone()
+                        .map(|grp| {
+                            self.engines[dev].accumulate_program(
+                                program,
+                                g,
+                                &group_plans[grp],
+                                &dglobals,
+                            )
+                        })
+                        .collect()
                 },
                 |_| 0,
             )?;
-            let mut acc = Tensor::zeros(&[v, w]);
+            // The owned rows of the reduction only.
+            let mut acc = Tensor::zeros(&[own.len(), w]);
             for grp in 0..ngroups {
                 let owner = group_owner.owner(grp as u32);
                 let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
@@ -1089,32 +1225,19 @@ impl ClusterEngine {
                 mb.record_compute(
                     &self.engines[dev],
                     || {
-                        if owner == dev {
-                            let part = &partials[grp - my_groups.start];
-                            for r in own.clone() {
-                                for (a, b) in
-                                    acc.row_mut(r).iter_mut().zip(part.row(r))
-                                {
-                                    *a += *b;
-                                }
-                            }
+                        let slice: &[f32] = if owner == dev {
+                            &partials[grp - my_groups.start].data()
+                                [own.start * w..own.end * w]
                         } else {
-                            let idx = if owner < dev { owner } else { owner - 1 };
-                            let m = &got[idx];
-                            assert_eq!(
-                                m.payload.len(),
-                                own.len() * w,
-                                "reduce-scatter slice width mismatch"
-                            );
-                            for (i, r) in own.clone().enumerate() {
-                                for (a, b) in acc
-                                    .row_mut(r)
-                                    .iter_mut()
-                                    .zip(&m.payload[i * w..(i + 1) * w])
-                                {
-                                    *a += *b;
-                                }
-                            }
+                            &got[if owner < dev { owner } else { owner - 1 }].payload
+                        };
+                        assert_eq!(
+                            slice.len(),
+                            own.len() * w,
+                            "reduce-scatter slice width mismatch"
+                        );
+                        for (a, b) in acc.data_mut().iter_mut().zip(slice) {
+                            *a += *b;
                         }
                         Ok(())
                     },
@@ -1123,11 +1246,20 @@ impl ClusterEngine {
             }
             mb.record_compute(
                 &self.engines[dev],
-                || Ok(run_epilogue(dfg, g, &dglobals, program.reduce_node, acc)),
+                || {
+                    Ok(run_epilogue_rows(
+                        dfg,
+                        g,
+                        &dglobals,
+                        program.reduce_node,
+                        acc,
+                        own.clone(),
+                    ))
+                },
                 |outs| outs.iter().map(|t| t.numel() as u64).sum(),
             )
         })?;
-        Ok((merge_vertex_outputs(&spec, v, &outs)?, art))
+        Ok((concat_vertex_outputs(v, outs), art))
     }
 
     /// Tensor parallelism: every device runs *all* edges on its column
@@ -1219,30 +1351,31 @@ impl ClusterEngine {
     }
 }
 
-/// Assembles full outputs from per-device row partitions: row `r` of every
-/// output comes from the device owning `r`.
-fn merge_vertex_outputs(
-    spec: &ShardSpec,
-    v: usize,
-    per_dev: &[Vec<Tensor>],
-) -> Result<Vec<Tensor>, CompileError> {
+/// The rows `rows` of `t`, reusing its buffer.
+fn take_rows(t: Tensor, rows: &std::ops::Range<usize>) -> Tensor {
+    let mut dims = t.dims().to_vec();
+    let w = t.numel() / dims[0].max(1);
+    dims[0] = rows.len();
+    let mut data = t.into_vec();
+    data.truncate(rows.end * w);
+    data.drain(..rows.start * w);
+    Tensor::from_vec(data, &dims)
+}
+
+/// Assembles full outputs from per-device owned rows: ownership ranges
+/// tile `[0, v)` in device order, so every output is the concatenation of
+/// the devices' row blocks.
+fn concat_vertex_outputs(v: usize, per_dev: Vec<Vec<Tensor>>) -> Vec<Tensor> {
     let n = per_dev.first().map_or(0, Vec::len);
     (0..n)
         .map(|i| {
-            let dims = per_dev[0][i].dims().to_vec();
-            if dims.first() != Some(&v) {
-                return Err(CompileError(
-                    "sharded execution requires vertex-rowed outputs".into(),
-                ));
+            let mut dims = per_dev[0][i].dims().to_vec();
+            dims[0] = v;
+            let mut data = Vec::with_capacity(dims.iter().product());
+            for outs in &per_dev {
+                data.extend_from_slice(outs[i].data());
             }
-            let w = per_dev[0][i].numel() / v.max(1);
-            let mut out = Tensor::zeros(&dims);
-            for (dev, outs) in per_dev.iter().enumerate() {
-                let r = spec.owned_range(dev);
-                out.data_mut()[r.start * w..r.end * w]
-                    .copy_from_slice(&outs[i].data()[r.start * w..r.end * w]);
-            }
-            Ok(out)
+            Tensor::from_vec(data, &dims)
         })
         .collect()
 }
@@ -1507,6 +1640,48 @@ mod tests {
             );
             assert!(report.straggler_ranking.len() == 3);
         }
+    }
+
+    #[test]
+    fn shard_state_is_rederived_only_when_graph_or_plan_content_changes() {
+        let (g, dfg, globals) = gcn_setup();
+        let plan = partition(&g, &PartitionTable::vertex_centric());
+        let cluster = ClusterEngine::new(2, 1);
+        let rebuilds = || cluster.stats().count(keys::CLUSTER_SHARD_REBUILDS);
+        let check = |g: &Graph, plan: &PartitionPlan, placement| {
+            let reference = execute_parallel(&dfg, g, plan, &globals, 1).unwrap();
+            let run = cluster.execute(&dfg, g, plan, &globals, placement).unwrap();
+            assert_eq!(reference[0].data(), run.outputs[0].data());
+        };
+        assert_eq!(rebuilds(), 0);
+        check(&g, &plan, PlacementKind::DataParallel);
+        assert_eq!(rebuilds(), 1);
+        // Same content — even from fresh allocations — derives nothing,
+        // whichever schedule asks.
+        check(&g.clone(), &plan.clone(), PlacementKind::DataParallel);
+        cluster
+            .execute(&dfg, &g, &plan, &globals, PlacementKind::ComputeThenReduce)
+            .unwrap();
+        check(&g, &plan, PlacementKind::TensorParallel);
+        assert_eq!(
+            cluster.max_remote_unique_src(&g, &plan),
+            ShardSpec::balanced(&g, 2).max_remote_unique_src(&g)
+        );
+        assert_eq!(rebuilds(), 1);
+        // One edge moved to another task: a different plan.
+        let mut moved = plan.clone();
+        let e = moved.tasks[0].edges.pop().expect("non-empty task");
+        moved.tasks[1].edges.push(e);
+        check(&g, &moved, PlacementKind::DataParallel);
+        assert_eq!(rebuilds(), 2);
+        check(&g, &moved, PlacementKind::DataParallel);
+        assert_eq!(rebuilds(), 2);
+        // One edge re-pointed: a different graph under the same plan.
+        let mut dst = g.dst().to_vec();
+        dst[0] = (dst[0] + 1) % g.num_vertices() as u32;
+        let repointed = Graph::untyped(g.num_vertices(), g.src().to_vec(), dst);
+        check(&repointed, &moved, PlacementKind::DataParallel);
+        assert_eq!(rebuilds(), 3);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 
 use crate::fused::{plan_fusion, run_task_fused, FusedPlan};
 use crate::micro::{
-    compile, eval_edge_independent_public as eval_edge_independent,
-    plan_is_dst_complete, prologue_name, run_epilogue, run_task, run_task_ws,
-    run_task_ws_shadow, CompileError, TaskWorkspace,
+    compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
+    run_task, run_task_ws, run_task_ws_shadow, CompileError, TaskWorkspace,
 };
 use crate::oppart::fusion_profitable;
 use std::collections::HashMap;
@@ -370,64 +369,7 @@ impl Engine {
         let mut all_globals = globals.clone();
         if !program.prologue.is_empty() {
             let _psp = span!("engine.prologue", nodes = program.prologue.len());
-            let pre = eval_edge_independent(dfg, g, globals);
-            for id in &program.prologue {
-                let v = pre.get(id).cloned().ok_or_else(|| {
-                    CompileError(format!("prologue node {} not evaluable", id.0))
-                })?;
-                all_globals.insert(prologue_name(*id), v);
-            }
-        }
-        let acc = self.reduce_tasks(program, g, plan, &all_globals)?;
-        Ok(run_epilogue(dfg, g, globals, program.reduce_node, acc))
-    }
-
-    /// Executes an already compiled program with the prologue tensors
-    /// supplied by the caller instead of evaluated locally — the
-    /// project-then-communicate schedule's entry point (Fig. 11c): each
-    /// device evaluates the edge-independent projections only for the
-    /// vertex rows it owns, exchanges the projected halo rows, and hands
-    /// the assembled tensors in here. Keys are [`prologue_name`] strings;
-    /// every prologue node of the program must be covered.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a prologue node is missing from `prologue`, or
-    /// the program needs a destination-complete plan and `plan` is not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn execute_program_with_prologue(
-        &self,
-        program: &crate::micro::KernelProgram,
-        dfg: &Dfg,
-        g: &Graph,
-        plan: &PartitionPlan,
-        globals: &HashMap<String, Tensor>,
-        prologue: &HashMap<String, Tensor>,
-    ) -> Result<Vec<Tensor>, CompileError> {
-        let _sp = span!(
-            "engine.execute.injected",
-            tasks = plan.tasks.len(),
-            prologue = program.prologue.len()
-        );
-        if program.requires_dst_complete
-            && self.mode != ExecMode::Sanitize
-            && !plan_is_dst_complete(g, plan)
-        {
-            return Err(CompileError(
-                "per-destination normalization requires a destination-complete plan"
-                    .into(),
-            ));
-        }
-        let mut all_globals = globals.clone();
-        for id in &program.prologue {
-            let name = prologue_name(*id);
-            let v = prologue.get(&name).cloned().ok_or_else(|| {
-                CompileError(format!("prologue node {} not supplied", id.0))
-            })?;
-            all_globals.insert(name, v);
+            all_globals.extend(eval_prologue(program, dfg, g, globals)?);
         }
         let acc = self.reduce_tasks(program, g, plan, &all_globals)?;
         Ok(run_epilogue(dfg, g, globals, program.reduce_node, acc))
@@ -484,8 +426,9 @@ impl Engine {
     /// The shared worker phase: distributes the plan's tasks over the
     /// worker slots, runs them under the engine's dispatch mode, checks
     /// shadows when sanitizing, and reduces the per-worker partials in
-    /// ascending slot order.
-    fn reduce_tasks(
+    /// ascending slot order. Checks no precondition of the plan: the
+    /// public entry points (and the cluster, once per shard) do.
+    pub(crate) fn reduce_tasks(
         &self,
         program: &crate::micro::KernelProgram,
         g: &Graph,
@@ -677,15 +620,7 @@ pub fn execute_parallel_alloc(
         ));
     }
     let mut all_globals = globals.clone();
-    if !program.prologue.is_empty() {
-        let pre = eval_edge_independent(dfg, g, globals);
-        for id in &program.prologue {
-            let v = pre.get(id).cloned().ok_or_else(|| {
-                CompileError(format!("prologue node {} not evaluable", id.0))
-            })?;
-            all_globals.insert(prologue_name(*id), v);
-        }
-    }
+    all_globals.extend(eval_prologue(&program, dfg, g, globals)?);
 
     let partials: Vec<Tensor> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunk_ranges(plan.tasks.len(), threads)

@@ -16,8 +16,9 @@
 //! composition analytically.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use wisegraph_dfg::interp::unique_and_map;
-use wisegraph_dfg::{Dfg, NodeId, OpKind};
+use wisegraph_dfg::{Dfg, Dim, NodeId, OpKind};
 use wisegraph_dfg::op::LEAKY_SLOPE;
 use wisegraph_graph::{AttrKind, Graph};
 use wisegraph_gtask::PartitionPlan;
@@ -979,10 +980,20 @@ pub(crate) fn exec_op(
                 {
                     let sc = reg_tensor(regs, *scores);
                     let segs = reg_stream(regs, *seg);
-                    let max_seg =
-                        segs.iter().copied().max().unwrap_or(0) as usize + 1;
+                    // Scratch spans the task's own segment window, not
+                    // the id space: a vertex-centric task touches a few
+                    // destinations out of |V|.
+                    let lo = segs.iter().copied().min().unwrap_or(0);
+                    let hi = segs.iter().copied().max().unwrap_or(0);
+                    let window = (hi - lo) as usize + 1;
+                    let mut maxv = ws.take(window);
+                    let mut denom = ws.take(window);
                     let mut buf = ws.take(segs.len());
-                    ops::segment_softmax_into(sc, segs, max_seg, &mut buf);
+                    ops::segment_softmax_window_into(
+                        sc, segs, lo, &mut maxv, &mut denom, &mut buf,
+                    );
+                    ws.give(maxv);
+                    ws.give(denom);
                     // max + exp + sum + divide passes, ~5 ops per element.
                     work.flops += 5 * segs.len() as u64;
                     t = Tensor::from_vec(buf, &[segs.len()]);
@@ -1174,6 +1185,85 @@ pub fn summarize(program: &KernelProgram) -> AccessSummary {
     s
 }
 
+/// The nodes `targets` depend on, walking inputs backwards but not past
+/// `stop` (whose value the caller already holds).
+fn ancestors_of(dfg: &Dfg, targets: &[NodeId], stop: Option<NodeId>) -> Vec<bool> {
+    let mut wanted = vec![false; dfg.len()];
+    for t in targets {
+        wanted[t.0] = true;
+    }
+    for (i, node) in dfg.nodes().iter().enumerate().rev() {
+        if wanted[i] && Some(NodeId(i)) != stop {
+            for p in &node.inputs {
+                wanted[p.0] = true;
+            }
+        }
+    }
+    wanted
+}
+
+/// Evaluates the `wanted` dense nodes in topological order into `values`,
+/// which the caller may pre-seed. Every value whose symbolic shape leads
+/// with `|V|` — vertex-rowed inputs, pre-seeded values, results — holds
+/// only vertex rows `rows`: each dense operation here computes an output
+/// row from the same row of its vertex-rowed operands alone, so a row's
+/// bits do not depend on which other rows are evaluated with it. A node
+/// whose operation is not dense or whose operands are unavailable is left
+/// out of `values`.
+fn eval_dense(
+    dfg: &Dfg,
+    g: &Graph,
+    globals: &HashMap<String, Tensor>,
+    wanted: &[bool],
+    rows: &Range<usize>,
+    values: &mut HashMap<NodeId, Tensor>,
+) {
+    let restricted = *rows != (0..g.num_vertices());
+    for (i, node) in dfg.nodes().iter().enumerate() {
+        let id = NodeId(i);
+        if !wanted[i] || values.contains_key(&id) {
+            continue;
+        }
+        if let OpKind::Input { name, .. } = &node.kind {
+            // Full-range evaluation reads inputs in place (`dense_input`).
+            if restricted && node.shape.first() == Some(&Dim::Vertices) {
+                let t = &globals[name];
+                let w = t.numel() / g.num_vertices();
+                let mut dims = t.dims().to_vec();
+                dims[0] = rows.len();
+                let data = t.data()[rows.start * w..rows.end * w].to_vec();
+                values.insert(id, Tensor::from_vec(data, &dims));
+            }
+            continue;
+        }
+        let ready = node.inputs.iter().all(|p| {
+            values.contains_key(p) || matches!(dfg.node(*p).kind, OpKind::Input { .. })
+        });
+        if !ready {
+            continue;
+        }
+        let arg = |k: usize| dense_input(dfg, globals, values, node.inputs[k]);
+        let v = match &node.kind {
+            OpKind::Linear => ops::matmul(arg(0), arg(1)),
+            OpKind::PairwiseLinear => pairwise(arg(0), arg(1)),
+            OpKind::Add => ops::add(arg(0), arg(1)),
+            OpKind::Mul => ops::mul(arg(0), arg(1)),
+            OpKind::Relu => ops::relu(arg(0)),
+            OpKind::LeakyRelu => ops::leaky_relu(arg(0), LEAKY_SLOPE),
+            OpKind::ScaleByDegreeInv => {
+                let scales: Vec<f32> = g.in_degree()[rows.clone()]
+                    .iter()
+                    .map(|&d| 1.0 / (d.max(1) as f32))
+                    .collect();
+                ops::scale_rows(arg(0), &Tensor::from_vec(scales, &[rows.len()]))
+            }
+            OpKind::ConcatCols => ops::concat_cols(arg(0), arg(1)),
+            _ => continue,
+        };
+        values.insert(id, v);
+    }
+}
+
 /// Evaluates the epilogue: the DFG nodes after (or independent of) the
 /// reduction, given the accumulated reduction value.
 ///
@@ -1189,68 +1279,64 @@ pub fn run_epilogue(
     reduce_node: NodeId,
     reduced: Tensor,
 ) -> Vec<Tensor> {
+    run_epilogue_rows(dfg, g, globals, reduce_node, reduced, 0..g.num_vertices())
+}
+
+/// [`run_epilogue`] for the vertex rows `rows` alone: `reduced` holds
+/// those rows of the accumulator and every vertex-rowed output comes back
+/// with those rows only — bit-identical to the same rows of the full
+/// epilogue. Only the nodes the outputs need downstream of the reduction
+/// are evaluated; what the prologue already computed for the per-task
+/// program is not computed again.
+///
+/// # Panics
+///
+/// See [`run_epilogue`].
+pub fn run_epilogue_rows(
+    dfg: &Dfg,
+    g: &Graph,
+    globals: &HashMap<String, Tensor>,
+    reduce_node: NodeId,
+    reduced: Tensor,
+    rows: Range<usize>,
+) -> Vec<Tensor> {
     let _sp = span!("kernel.epilogue");
     let mut values: HashMap<NodeId, Tensor> = HashMap::new();
     values.insert(reduce_node, reduced);
-    let live = dfg.live_set();
-    let edge_dep = edge_dependence(dfg);
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        let id = NodeId(i);
-        if !live[i] || values.contains_key(&id) || edge_dep[i] {
-            continue;
-        }
-        // Only evaluate nodes whose inputs are available (edge-independent
-        // sources or downstream of the reduction).
-        let ready = node
-            .inputs
-            .iter()
-            .all(|p| values.contains_key(p) || matches!(dfg.node(*p).kind, OpKind::Input { .. }));
-        if !ready && !matches!(node.kind, OpKind::Input { .. }) {
-            continue;
-        }
-        let arg = |k: usize| node.inputs[k];
-        let v = match &node.kind {
-            OpKind::Input { .. } => continue,
-            OpKind::Linear => ops::matmul(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Add => ops::add(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Mul => ops::mul(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Relu => ops::relu(dense_input(dfg, globals, &values, arg(0))),
-            OpKind::LeakyRelu => {
-                ops::leaky_relu(dense_input(dfg, globals, &values, arg(0)), LEAKY_SLOPE)
-            }
-            OpKind::ScaleByDegreeInv => {
-                let x = dense_input(dfg, globals, &values, arg(0));
-                let scales: Vec<f32> = g
-                    .in_degree()
-                    .iter()
-                    .map(|&d| 1.0 / (d.max(1) as f32))
-                    .collect();
-                ops::scale_rows(x, &Tensor::from_vec(scales, &[g.num_vertices()]))
-            }
-            OpKind::ConcatCols => ops::concat_cols(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::PairwiseLinear => pairwise(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            other => panic!("unsupported epilogue operation {other:?}"),
-        };
-        values.insert(id, v);
-    }
+    let wanted = ancestors_of(dfg, dfg.outputs(), Some(reduce_node));
+    eval_dense(dfg, g, globals, &wanted, &rows, &mut values);
     dfg.outputs()
         .iter()
         .map(|o| values.get(o).cloned().expect("output computed"))
+        .collect()
+}
+
+/// Evaluates the program's prologue — the edge-independent intermediates
+/// the per-task program gathers from (e.g. the pairwise table, hoisted
+/// projections) — as `(`[`prologue_name`]`, tensor)` pairs in
+/// `program.prologue` order.
+///
+/// # Errors
+///
+/// Fails if a prologue node is not evaluable from `globals` alone.
+pub fn eval_prologue(
+    program: &KernelProgram,
+    dfg: &Dfg,
+    g: &Graph,
+    globals: &HashMap<String, Tensor>,
+) -> Result<Vec<(String, Tensor)>, CompileError> {
+    let mut values = HashMap::new();
+    let wanted = ancestors_of(dfg, &program.prologue, None);
+    eval_dense(dfg, g, globals, &wanted, &(0..g.num_vertices()), &mut values);
+    program
+        .prologue
+        .iter()
+        .map(|id| {
+            let t = values.remove(id).ok_or_else(|| {
+                CompileError(format!("prologue node {} not evaluable", id.0))
+            })?;
+            Ok((prologue_name(*id), t))
+        })
         .collect()
 }
 
@@ -1274,21 +1360,8 @@ pub fn execute_by_plan(
                 .into(),
         ));
     }
-    // Prologue: precompute edge-independent intermediates the per-task
-    // program gathers from (e.g. the pairwise table, hoisted projections).
     let mut all_globals = globals.clone();
-    if !program.prologue.is_empty() {
-        let pre = eval_edge_independent(dfg, g, globals);
-        for id in &program.prologue {
-            let v = pre
-                .get(id)
-                .cloned()
-                .ok_or_else(|| {
-                    CompileError(format!("prologue node {} not evaluable", id.0))
-                })?;
-            all_globals.insert(prologue_name(*id), v);
-        }
-    }
+    all_globals.extend(eval_prologue(&program, dfg, g, globals)?);
     let mut acc = Tensor::zeros(&[program.out_rows, program.out_width]);
     let mut tws = TaskWorkspace::new();
     for task in &plan.tasks {
@@ -1298,88 +1371,34 @@ pub fn execute_by_plan(
 }
 
 /// Returns `true` when every destination's in-edges live in exactly one
-/// task of the plan.
+/// task of the plan. One pass: each destination is stamped with the first
+/// task that holds one of its in-edges.
 pub fn plan_is_dst_complete(g: &Graph, plan: &PartitionPlan) -> bool {
-    let mut pairs = 0usize;
-    let mut all: Vec<u32> = Vec::new();
-    for task in &plan.tasks {
-        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e]).collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        pairs += dsts.len();
-        all.extend(dsts);
+    let mut first_task = vec![u32::MAX; g.num_vertices()];
+    for (t, task) in plan.tasks.iter().enumerate() {
+        for &e in &task.edges {
+            let stamp = &mut first_task[g.dst()[e] as usize];
+            if *stamp == u32::MAX {
+                *stamp = t as u32;
+            } else if *stamp != t as u32 {
+                return false;
+            }
+        }
     }
-    all.sort_unstable();
-    all.dedup();
-    pairs == all.len()
+    true
 }
 
-/// Evaluates every edge-independent, live, dense node of the DFG once
-/// (the prologue of compiled execution).
+/// Evaluates every edge-independent, live, dense node of the DFG once.
 pub fn eval_edge_independent_public(
     dfg: &Dfg,
     g: &Graph,
     globals: &HashMap<String, Tensor>,
 ) -> HashMap<NodeId, Tensor> {
-    eval_edge_independent(dfg, g, globals)
-}
-
-fn eval_edge_independent(
-    dfg: &Dfg,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-) -> HashMap<NodeId, Tensor> {
-    // Reuse the epilogue evaluator with an unreachable seed node.
-    let mut values: HashMap<NodeId, Tensor> = HashMap::new();
-    let live = dfg.live_set();
     let edge_dep = edge_dependence(dfg);
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        let id = NodeId(i);
-        if !live[i] || edge_dep[i] {
-            continue;
-        }
-        let ready = node.inputs.iter().all(|p| {
-            values.contains_key(p)
-                || matches!(dfg.node(*p).kind, OpKind::Input { .. })
-        });
-        if !ready || matches!(node.kind, OpKind::Input { .. }) {
-            continue;
-        }
-        let arg = |k: usize| node.inputs[k];
-        let v = match &node.kind {
-            OpKind::Linear => ops::matmul(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::PairwiseLinear => pairwise(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Add => ops::add(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Mul => ops::mul(
-                dense_input(dfg, globals, &values, arg(0)),
-                dense_input(dfg, globals, &values, arg(1)),
-            ),
-            OpKind::Relu => ops::relu(dense_input(dfg, globals, &values, arg(0))),
-            OpKind::LeakyRelu => {
-                ops::leaky_relu(dense_input(dfg, globals, &values, arg(0)), LEAKY_SLOPE)
-            }
-            OpKind::ScaleByDegreeInv => {
-                let x = dense_input(dfg, globals, &values, arg(0));
-                let scales: Vec<f32> = g
-                    .in_degree()
-                    .iter()
-                    .map(|&d| 1.0 / (d.max(1) as f32))
-                    .collect();
-                ops::scale_rows(x, &Tensor::from_vec(scales, &[g.num_vertices()]))
-            }
-            _ => continue,
-        };
-        values.insert(id, v);
-    }
+    let wanted: Vec<bool> =
+        dfg.live_set().iter().zip(&edge_dep).map(|(&l, &e)| l && !e).collect();
+    let mut values = HashMap::new();
+    eval_dense(dfg, g, globals, &wanted, &(0..g.num_vertices()), &mut values);
     values
 }
 
@@ -1531,6 +1550,49 @@ mod tests {
         let bad = partition(&g, &PartitionTable::edge_batch(7));
         let err = execute_by_plan(&dfg, &g, &bad, &globals).unwrap_err();
         assert!(err.0.contains("destination-complete"), "{err}");
+    }
+
+    #[test]
+    fn row_range_epilogue_equals_the_full_epilogue_rows() {
+        let g = rmat(&RmatParams::standard(45, 320, 43).with_edge_types(2));
+        let (fi, fo) = (4, 3);
+        let mut globals = globals_for(&g, fi, fo);
+        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6));
+        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7));
+        let v = g.num_vertices();
+        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
+            let dfg = model.layer_dfg(fi, fo);
+            let program = compile(&dfg, &g).unwrap();
+            // Any accumulator will do: the epilogue is a function of it.
+            let acc = init::uniform_tensor(&[v, program.out_width], -1.0, 1.0, 8);
+            let full = run_epilogue(&dfg, &g, &globals, program.reduce_node, acc.clone());
+            for rows in [0..v, 0..0, 0..7, 7..31, 31..v] {
+                let w = program.out_width;
+                let part = Tensor::from_vec(
+                    acc.data()[rows.start * w..rows.end * w].to_vec(),
+                    &[rows.len(), w],
+                );
+                let got = run_epilogue_rows(
+                    &dfg,
+                    &g,
+                    &globals,
+                    program.reduce_node,
+                    part,
+                    rows.clone(),
+                );
+                assert_eq!(got.len(), full.len());
+                for (a, b) in full.iter().zip(&got) {
+                    let w = a.numel() / v;
+                    assert_eq!(b.dims()[0], rows.len(), "{}", model.name());
+                    assert_eq!(
+                        &a.data()[rows.start * w..rows.end * w],
+                        b.data(),
+                        "{} rows {rows:?}",
+                        model.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

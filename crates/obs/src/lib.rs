@@ -168,6 +168,11 @@ pub mod keys {
     /// Devices participating in cluster execution
     /// ([`Resource`](crate::Class::Resource), max).
     pub const COMM_DEVICES: &str = "comm.devices";
+    /// Times a cluster derived its shard state (ownership boundaries,
+    /// per-device plans, halos) because the (graph, plan) presented
+    /// differed from the one it held
+    /// ([`Resource`](crate::Class::Resource), sum).
+    pub const CLUSTER_SHARD_REBUILDS: &str = "cluster.shard.rebuilds";
     /// Bytes sent through one named collective
     /// ([`Work`](crate::Class::Work), sum).
     pub fn comm_collective_bytes(collective: &str) -> String {

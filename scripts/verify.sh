@@ -17,8 +17,11 @@
 # shared cost model's prediction), and the causal-trace determinism suite
 # (tests/causal_determinism.rs, DESIGN.md §14: merged causal edge lists
 # and Work-class critical-path reports bit-identical across runs, thread
-# counts, and 2/4/8 devices). After the tests, three gates run: clippy
-# with warnings denied,
+# counts, and 2/4/8 devices). After the tests, four gates run: clippy
+# with warnings denied, the benchmark's smoke pass (examples/perfbench
+# --smoke: every workload's calls into the library compile, run and pass
+# their output checks, so a library change cannot silently break
+# BENCHMARK.json),
 # wisegraph-lint (the pre-execution plan/DFG/kernel/instrumentation/
 # fusion verifier, DESIGN.md §8, including the O002 cluster-phase
 # coverage pass) over every built-in model × partition
@@ -40,6 +43,7 @@ cargo test --release -q --offline --test planning_cache
 cargo test --release -q --offline --test sharded_parity
 cargo test --release -q --offline --test causal_determinism
 cargo clippy --all-targets --offline --workspace -- -D warnings
+cargo run --release --offline --example perfbench -- --smoke
 cargo run --release --offline --bin wisegraph-lint
 lint_json="$(cargo run --release --offline --bin wisegraph-lint -- --json)"
 grep -q '"tool": "wisegraph-lint"' <<<"$lint_json"

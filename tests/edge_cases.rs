@@ -272,3 +272,79 @@ fn optimizer_is_deterministic() {
     assert_eq!(a.per_layer[0].op_partition, b.per_layer[0].op_partition);
     assert!((a.time_per_iter - b.time_per_iter).abs() < 1e-12);
 }
+
+/// Degenerate shards. In-edge-balanced boundaries make empty shards
+/// ordinary: a star's hub holds every device's share of the edges, a
+/// graph with few destinations leaves devices without an edge, and more
+/// devices than vertices leaves them without a row. Every compatible
+/// placement must still return the single engine's bits (compute-then-
+/// reduce: the same bits at every device count) and a conserved exchange.
+#[test]
+fn degenerate_shards_match_the_single_engine() {
+    use wisegraph::kernels::cluster::compatible_placements;
+    use wisegraph::kernels::engine::execute_parallel;
+    use wisegraph::kernels::micro::compile;
+    use wisegraph::kernels::ClusterEngine;
+    use wisegraph::sim::PlacementKind;
+
+    let n = 40u32;
+    let graphs = [
+        // Star: all edges into vertex 7.
+        ("star", Graph::untyped(n as usize, (0..n).collect(), vec![7; n as usize])),
+        // Two destinations at the far ends: every shard between them is
+        // edgeless.
+        (
+            "two_sinks",
+            Graph::untyped(
+                n as usize,
+                (0..n).collect(),
+                (0..n).map(|e| if e % 2 == 0 { 0 } else { n - 1 }).collect(),
+            ),
+        ),
+        // Fewer vertices than devices at 4, 8 and 16.
+        ("three_vertices", Graph::untyped(3, vec![0, 1, 2, 2], vec![1, 2, 0, 1])),
+    ];
+    // Widths that no vertex count above equals: the cluster tells
+    // vertex-rowed tensors from weights by their leading extent.
+    let (fi, fo) = (5, 4);
+    for (name, g) in &graphs {
+        let v = g.num_vertices();
+        let mut globals: HashMap<String, Tensor> = HashMap::new();
+        globals.insert("h".into(), init::uniform_tensor(&[v, fi], -1.0, 1.0, 61));
+        globals.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 62));
+        globals.insert("W".into(), init::uniform_tensor(&[1, fi, fo], -1.0, 1.0, 63));
+        globals.insert("w_self".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 64));
+        globals.insert("w_neigh".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 65));
+        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 66));
+        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 67));
+        let plan = partition(g, &PartitionTable::vertex_centric());
+        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
+            let dfg = model.layer_dfg(fi, fo);
+            let program = compile(&dfg, g).unwrap();
+            let reference = execute_parallel(&dfg, g, &plan, &globals, 2).unwrap();
+            for placement in compatible_placements(&program, g, &globals) {
+                let mut anchor: Option<Vec<Tensor>> = None;
+                for devices in [2usize, 4, 8, 16] {
+                    let ctx = format!(
+                        "{name} × {} × {} × {devices} devices",
+                        model.name(),
+                        placement.name()
+                    );
+                    let run = ClusterEngine::new(devices, 2)
+                        .execute(&dfg, g, &plan, &globals, placement)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert!(run.exchange.is_conserved(), "{ctx}: unbalanced exchange");
+                    let expect = if placement == PlacementKind::ComputeThenReduce {
+                        anchor.get_or_insert_with(|| run.outputs.clone())
+                    } else {
+                        &reference
+                    };
+                    for (a, b) in expect.iter().zip(run.outputs.iter()) {
+                        assert_eq!(a.dims(), b.dims(), "{ctx}");
+                        assert_eq!(a.data(), b.data(), "{ctx}: bits differ");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use wisegraph::dfg::interp::execute;
 use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
-use wisegraph::graph::{AttrKind, Graph};
+use wisegraph::graph::{AttrKind, Graph, ShardSpec};
 use wisegraph::analysis::prelude::verify_repair;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan, PartitionTable, Restriction};
 use wisegraph::kernels::engine::{execute_parallel_mode, ExecMode};
@@ -421,5 +421,37 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Vertex ownership (`ShardSpec::balanced`): the ranges tile `[0, V)`
+    /// in device order, `owner` agrees with `owned_range`, and no shard
+    /// holds more in-edges than the mean plus one vertex's worth.
+    fn balanced_boundaries_tile_and_bound_the_largest_shard(
+        g in arb_graph(120, 900),
+        devices in 1usize..20,
+    ) {
+        let spec = ShardSpec::balanced(&g, devices);
+        prop_assert_eq!(spec.num_shards(), devices);
+        let mut next = 0usize;
+        let mut largest = 0usize;
+        for d in 0..devices {
+            let r = spec.owned_range(d);
+            prop_assert_eq!(r.start, next, "device {} starts off the previous end", d);
+            prop_assert!(r.end >= r.start);
+            for v in r.clone() {
+                prop_assert_eq!(spec.owner(v as u32), d, "vertex {}", v);
+            }
+            let in_edges: usize = g.in_degree()[r.clone()].iter().map(|&x| x as usize).sum();
+            prop_assert_eq!(spec.owned_dst_edges(&g, d).len(), in_edges);
+            largest = largest.max(in_edges);
+            next = r.end;
+        }
+        prop_assert_eq!(next, g.num_vertices());
+        let max_deg = g.in_degree().iter().copied().max().unwrap_or(0) as usize;
+        prop_assert!(
+            largest * devices <= g.num_edges() + max_deg * devices,
+            "largest shard {} in-edges of {} over {} devices, max in-degree {}",
+            largest, g.num_edges(), devices, max_deg
+        );
     }
 }

@@ -186,7 +186,7 @@ fn predicted_placement_matches_executed_selection() {
             }
             let choice = select_placement(&program, &g, &globals, devices, fabric, fi, fo);
             // Independent recomputation from the shared module.
-            let remote = ShardSpec::new(g.num_vertices(), devices).max_remote_unique_src(&g);
+            let remote = ShardSpec::balanced(&g, devices).max_remote_unique_src(&g);
             let vols =
                 PlacementVolumes::new(remote, g.num_vertices(), fi, fo, program.out_width);
             let compat = compatible_placements(&program, &g, &globals);
