@@ -8,16 +8,16 @@
 //!    recount (`P002`);
 //! 3. no gTask is empty (`P003`);
 //! 4. the concatenated edge sequence is monotone in the partitioner's
-//!    sort-key order — `Min` attributes, then `Exact` attributes from the
-//!    tightest bound to the loosest, then the edge id (`P004`). The
-//!    engine's chunking inherits locality from exactly this order.
+//!    sort-key order — [`wisegraph_gtask::PartitionTable::sort_key_attrs`],
+//!    then the edge id (`P004`). The engine's chunking inherits locality
+//!    from exactly this order.
 //!
 //! Everything is recomputed from the graph; nothing recorded in the plan
 //! is trusted.
 
 use crate::{push_capped, Code, Diagnostic, Span};
 use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::PartitionPlan;
+use wisegraph_gtask::{PartitionPlan, StampSet};
 
 /// Statically verifies a partition plan against its graph and table.
 /// Returns all findings; an empty vector means the plan is provably legal.
@@ -71,6 +71,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
 
     // --- P002/P003: per-task restriction satisfaction ----------------
     let mut restr_diags = Vec::new();
+    let mut seen = StampSet::new();
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() {
             out.push(
@@ -87,7 +88,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
             continue;
         }
         for &(attr, k) in &exact {
-            let actual = recount_unique(g, &task.edges, attr);
+            let actual = recount_unique(g, &task.edges, attr, &mut seen);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(
@@ -137,11 +138,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
     // sort key. The key ends with the edge id, making the order total: any
     // regression is a definite violation, within a task or across a task
     // boundary.
-    let mut key_attrs: Vec<AttrKind> = Vec::new();
-    key_attrs.extend(&min_attrs);
-    let mut exact_sorted = exact.clone();
-    exact_sorted.sort_by_key(|&(_, k)| k);
-    key_attrs.extend(exact_sorted.iter().map(|&(a, _)| a));
+    let key_attrs = plan.table.sort_key_attrs();
     let key = |e: usize| -> Vec<u64> {
         let mut k: Vec<u64> = key_attrs.iter().map(|&a| g.edge_attr(a, e)).collect();
         k.push(e as u64);
@@ -186,12 +183,19 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
 }
 
 /// Independent unique-value recount over a task's edges (never trusts the
-/// recorded metadata).
-fn recount_unique(g: &Graph, edges: &[usize], attr: AttrKind) -> usize {
-    let mut vals: Vec<u64> = edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
-    vals.sort_unstable();
-    vals.dedup();
-    vals.len()
+/// recorded metadata) — the one recount `P002` and `C001` share. `seen` is
+/// scratch the caller keeps across tasks, so a whole-plan recount is O(E).
+pub(crate) fn recount_unique(
+    g: &Graph,
+    edges: &[usize],
+    attr: AttrKind,
+    seen: &mut StampSet,
+) -> usize {
+    seen.clear();
+    for &e in edges {
+        seen.insert(g.edge_attr(attr, e));
+    }
+    seen.len()
 }
 
 #[cfg(test)]

@@ -14,6 +14,12 @@
 //! 4. the verification verdict (clean / not clean) is identical to that
 //!    of `partition_edges(g, table, live)` run from scratch.
 //!
+//! All four are O(E) dense passes over edge ids — membership and coverage
+//! are arrays indexed by edge id, recounts use one epoch-stamped value set
+//! — so the guard costs about as much as the from-scratch partition of
+//! property 4, not a multiple of it, and runs inside every
+//! `DynamicPlanner::apply`.
+//!
 //! Global monotone task order (`P004`) is deliberately *not* required
 //! here: repair trades it for O(delta) work, and the engine does not
 //! depend on cross-task order for correctness — only the reducers'
@@ -24,13 +30,13 @@
 //! `tests/cache_roundtrip.rs`, so nobody can add a cached artifact whose
 //! serialization is not pinned byte-stable.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
+use crate::plan::recount_unique;
 use crate::{push_capped, Code, Diagnostic, Span};
 use wisegraph_cache::{hash_table, CachedArtifact};
 use wisegraph_graph::Graph;
-use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
+use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable, StampSet};
 
 /// Verifies that an incrementally repaired `plan` is equivalent, for
 /// execution purposes, to partitioning the `live` edge set from scratch
@@ -60,14 +66,13 @@ pub fn verify_repair(
         );
     }
 
-    let live_set: BTreeSet<usize> = live.iter().copied().collect();
+    let live_set = LiveSet::new(g.num_edges(), live);
     let own = subset_findings(g, table, &live_set, plan);
     let own_clean = own.is_empty();
     out.extend(own);
 
     // --- verdict parity with a from-scratch partition ----------------
-    let live_sorted: Vec<usize> = live_set.iter().copied().collect();
-    let scratch = partition_edges(g, table, &live_sorted);
+    let scratch = partition_edges(g, table, &live_set.ids);
     let scratch_findings = subset_findings(g, table, &live_set, &scratch);
     if scratch_findings.is_empty() != own_clean {
         out.push(
@@ -78,7 +83,7 @@ pub fn verify_repair(
                     "verification verdict diverges: the repaired plan has {} finding(s) \
                      but a from-scratch partition of the same {} live edges has {}",
                     if own_clean { 0 } else { 1 },
-                    live_set.len(),
+                    live_set.ids.len(),
                     scratch_findings.len()
                 ),
             )
@@ -92,6 +97,33 @@ pub fn verify_repair(
     out
 }
 
+/// The claimed live set as a set: membership dense over the graph's edge
+/// ids, plus the distinct claimed ids in ascending order — including ids
+/// the graph does not have, so they are still reported (as uncovered).
+struct LiveSet {
+    /// `member[e]` for every edge id `e` of the graph.
+    member: Vec<bool>,
+    ids: Vec<usize>,
+}
+
+impl LiveSet {
+    fn new(num_edges: usize, live: &[usize]) -> Self {
+        let mut member = vec![false; num_edges];
+        let mut out_of_range = Vec::new();
+        for &e in live {
+            match member.get_mut(e) {
+                Some(m) => *m = true,
+                None => out_of_range.push(e),
+            }
+        }
+        out_of_range.sort_unstable();
+        out_of_range.dedup();
+        let mut ids: Vec<usize> = (0..num_edges).filter(|&e| member[e]).collect();
+        ids.extend(out_of_range);
+        Self { member, ids }
+    }
+}
+
 /// The subset analogue of [`crate::plan::verify_plan`]: exact-once
 /// coverage of `live` (instead of all graph edges), `Exact` restriction
 /// recounts, and no empty tasks. Order checks are intentionally absent
@@ -99,7 +131,7 @@ pub fn verify_repair(
 fn subset_findings(
     g: &Graph,
     table: &PartitionTable,
-    live: &BTreeSet<usize>,
+    live: &LiveSet,
     plan: &PartitionPlan,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -107,7 +139,7 @@ fn subset_findings(
     let exact = table.exact_attrs();
 
     // Coverage over the live set.
-    let mut count: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut count = vec![0u32; num_edges];
     let mut task_in_range = vec![true; plan.tasks.len()];
     let mut cover_diags = Vec::new();
     for (ti, task) in plan.tasks.iter().enumerate() {
@@ -130,7 +162,7 @@ fn subset_findings(
                     Span::Task(ti),
                     format!("edge id {e} is out of range (the graph has {num_edges} edges)"),
                 ));
-            } else if !live.contains(&e) {
+            } else if !live.member[e] {
                 task_in_range[ti] = false;
                 cover_diags.push(Diagnostic::error(
                     Code::RepairDivergence,
@@ -138,12 +170,13 @@ fn subset_findings(
                     format!("edge {e} is in the repaired plan but not in the live set"),
                 ));
             } else {
-                *count.entry(e).or_insert(0) += 1;
+                count[e] += 1;
             }
         }
     }
-    for &e in live {
-        match count.get(&e).copied().unwrap_or(0) {
+    for &e in &live.ids {
+        // A claimed id the graph does not have is never covered.
+        match count.get(e).copied().unwrap_or(0) {
             0 => cover_diags.push(Diagnostic::error(
                 Code::RepairDivergence,
                 Span::Edge(e),
@@ -161,16 +194,13 @@ fn subset_findings(
 
     // Restriction satisfaction and recorded-count honesty.
     let mut restr_diags = Vec::new();
+    let mut seen = StampSet::new();
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() || !task_in_range[ti] {
             continue;
         }
         for &(attr, k) in &exact {
-            let mut vals: Vec<u64> =
-                task.edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            let actual = vals.len();
+            let actual = recount_unique(g, &task.edges, attr, &mut seen);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(

@@ -107,7 +107,7 @@ fn bench_aggregation(bench: &mut Bench) {
 }
 
 fn bench_partitioner(bench: &mut Bench) {
-    // The O(E log E) greedy partitioner itself (Table 3's overhead story).
+    // The greedy sort-and-scan partitioner itself (Table 3's overhead story).
     let g = rmat(&RmatParams::standard(20_000, 200_000, 29).with_edge_types(8));
     let mut group = bench.group("greedy_partitioner");
     group.sample_size(10);

@@ -12,50 +12,7 @@ use wisegraph_dfg::Dfg;
 use wisegraph_graph::Graph;
 use wisegraph_gtask::PartitionTable;
 
-/// Incremental FNV-1a 64-bit hasher.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The offset-basis state.
-    pub fn new() -> Self {
-        Self(FNV_OFFSET)
-    }
-
-    /// Folds bytes into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// Folds a `u64` (little-endian) into the digest.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `u32` (little-endian) into the digest.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub use wisegraph_graph::digest::Fnv64;
 
 /// Hash of a byte slice.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -64,31 +21,20 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Content hash of a graph: vertex/edge/type counts plus the full
-/// `src`/`dst`/`etype` arrays. Two graphs hash equally iff their topology
-/// arrays are identical.
+/// Content hash of a graph: [`Graph::content_key`] — vertex/edge/type
+/// counts, the full `src`/`dst`/`etype` arrays and, when present, the
+/// vertex types. The graph memoises it, so only the first lookup against a
+/// graph pays the O(E) fold.
 pub fn hash_graph(g: &Graph) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(g.num_vertices() as u64);
-    h.write_u64(g.num_edges() as u64);
-    h.write_u64(g.num_edge_types() as u64);
-    for &s in g.src() {
-        h.write_u32(s);
-    }
-    for &d in g.dst() {
-        h.write_u32(d);
-    }
-    for &t in g.etype() {
-        h.write_u32(t);
-    }
-    h.finish()
+    g.content_key()
 }
 
 /// Content hash of a graph restricted to a live edge subset: the delta
 /// path's graph component. Covers the counts plus, per live edge, its id
-/// and endpoints/type, so inserting or deleting an edge changes the hash
-/// (and therefore invalidates the old entries) while leaving unrelated
-/// live sets alone. `live` must be sorted ascending for a canonical
+/// and endpoints/type (plus the endpoints' vertex types when the graph
+/// carries them), so inserting or deleting an edge changes the hash (and
+/// therefore invalidates the old entries) while leaving unrelated live
+/// sets alone. `live` must be sorted ascending for a canonical
 /// digest — [`IncrementalPlan::live_edges`] returns it that way.
 ///
 /// [`IncrementalPlan::live_edges`]: wisegraph_gtask::IncrementalPlan::live_edges
@@ -102,6 +48,10 @@ pub fn hash_graph_edges(g: &Graph, live: &[usize]) -> u64 {
         h.write_u32(g.src()[e]);
         h.write_u32(g.dst()[e]);
         h.write_u32(g.etype()[e]);
+        if let Some(types) = g.vertex_types() {
+            h.write_u32(types[g.src()[e] as usize]);
+            h.write_u32(types[g.dst()[e] as usize]);
+        }
     }
     h.finish()
 }
@@ -123,12 +73,35 @@ mod tests {
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_graph::AttrKind;
 
+    /// The digest the cache computed itself before `Graph` memoised it:
+    /// keys of untyped graphs must not move.
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    fn graph_hash_of_an_untyped_graph_is_the_plain_fnv_fold() {
+        let g = rmat(&RmatParams::standard(64, 500, 11).with_edge_types(2));
+        let mut h = Fnv64::new();
+        h.write_u64(g.num_vertices() as u64);
+        h.write_u64(g.num_edges() as u64);
+        h.write_u64(g.num_edge_types() as u64);
+        for &x in g.src().iter().chain(g.dst()).chain(g.etype()) {
+            h.write_u32(x);
+        }
+        assert_eq!(hash_graph(&g), h.finish());
+    }
+
+    #[test]
+    fn vertex_types_are_part_of_both_graph_hashes() {
+        let g = rmat(&RmatParams::standard(64, 500, 14).with_edge_types(2));
+        let a = g
+            .clone()
+            .with_vertex_types((0..64).map(|v| v % 2).collect());
+        let b = g
+            .clone()
+            .with_vertex_types((0..64).map(|v| v % 3).collect());
+        assert_ne!(hash_graph(&a), hash_graph(&g));
+        assert_ne!(hash_graph(&a), hash_graph(&b));
+        let live: Vec<usize> = (0..g.num_edges()).step_by(2).collect();
+        assert_ne!(hash_graph_edges(&a, &live), hash_graph_edges(&g, &live));
+        assert_ne!(hash_graph_edges(&a, &live), hash_graph_edges(&b, &live));
     }
 
     #[test]

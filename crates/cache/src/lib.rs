@@ -2,12 +2,12 @@
 //! mechanically modeled on content-addressed build stores).
 //!
 //! Planning a layer costs three nontrivial stages — graph partitioning
-//! (O(E log E)), DFG transform-optimization, and micro-kernel compilation.
-//! All three are pure functions of content the workspace can hash
-//! deterministically: the graph topology (or its live edge subset), the
-//! partition table's restriction set, and the model DFG. This crate keys a
-//! byte store on exactly those hashes so a warm run skips all three stages
-//! and decodes the artifacts instead:
+//! (O(E) per key column), DFG transform-optimization, and micro-kernel
+//! compilation. All three are pure functions of content the workspace can
+//! hash deterministically: the graph topology (or its live edge subset),
+//! the partition table's restriction set, and the model DFG. This crate
+//! keys a byte store on exactly those hashes so a warm run skips all three
+//! stages and decodes the artifacts instead:
 //!
 //! - [`bytes`]: the byte-stable little-endian encoding layer;
 //! - [`artifact`]: canonical encode/decode for [`PartitionPlan`],

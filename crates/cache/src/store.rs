@@ -140,7 +140,12 @@ impl PlanCache {
         self.partition_under(gk, g, table, live)
     }
 
-    fn partition_under(
+    /// Cached partition of `live` filed under a graph key the caller
+    /// already holds — `wisegraph-core`'s delta driver keeps the key of its
+    /// current live set, so its lookups need not re-derive it from the
+    /// edges. `graph_key` must be what [`PlanCache::graph_key`] (all edges
+    /// live) or [`PlanCache::graph_edges_key`] would return for `live`.
+    pub fn partition_under(
         &mut self,
         graph_key: u64,
         g: &Graph,
@@ -315,6 +320,32 @@ mod tests {
         assert_ne!(a.num_tasks(), 0);
         assert_ne!(b.tasks, a.tasks);
         assert_ne!(c.tasks, a.tasks);
+    }
+
+    /// Two graphs that differ only in their vertex types must not share
+    /// entries: a table restricting a vertex-type attribute partitions
+    /// them differently.
+    #[test]
+    fn graphs_differing_only_in_vertex_types_do_not_share_plans() {
+        use wisegraph_graph::AttrKind;
+        let g = graph(49);
+        let n = g.num_vertices() as u32;
+        let halves = g.clone().with_vertex_types((0..n).map(|v| v % 2).collect());
+        let thirds = g.clone().with_vertex_types((0..n).map(|v| v % 3).collect());
+        let table = PartitionTable::new().exact(AttrKind::SrcVertexType, 1);
+        let mut cache = PlanCache::new();
+        let a = cache.partition_cached(&halves, &table);
+        let b = cache.partition_cached(&thirds, &table);
+        assert_eq!((cache.misses(), cache.hits()), (2, 0));
+        assert_eq!(a, partition(&halves, &table));
+        assert_eq!(b, partition(&thirds, &table));
+        assert_ne!(a.tasks, b.tasks);
+        // The same holds for live subsets on the delta path.
+        let live: Vec<usize> = (0..g.num_edges()).step_by(3).collect();
+        let a = cache.partition_edges_cached(&halves, &table, &live);
+        let b = cache.partition_edges_cached(&thirds, &table, &live);
+        assert_eq!((cache.misses(), cache.hits()), (4, 0));
+        assert_ne!(a.tasks, b.tasks);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! keeps them coherent:
 //!
 //! 1. an [`IncrementalPlan`] that repairs only the gTasks an edge
-//!    insert/delete stream touches (O(delta), not O(E log E));
+//!    insert/delete stream touches (O(delta), not a repartition);
 //! 2. a content-addressed [`PlanCache`] whose entries are keyed by the
 //!    live edge set's content hash, so a delta invalidates exactly the
 //!    entries of the *previous* live set — transformed DFGs and compiled
@@ -18,6 +18,13 @@
 //! The verified snapshot is then seeded back into the cache under the new
 //! live-set key, so the next [`DynamicPlanner::plan`] (and every engine
 //! run behind it) is a hit.
+//!
+//! Cost of one [`DynamicPlanner::apply`]: the O(delta) repair plus a
+//! handful of O(E) passes at memory speed — listing the live set (one scan
+//! of a dense index), the snapshot, the verifier (dense coverage arrays and
+//! a radix-sorted from-scratch partition), one content hash of the new live
+//! set and one encoding of the snapshot. The planner keeps that hash, so
+//! [`DynamicPlanner::plan`] looks its entry up without re-deriving it.
 
 use std::collections::HashMap;
 
@@ -135,7 +142,8 @@ impl DynamicPlanner {
     /// seeds the repaired snapshot).
     pub fn plan(&mut self, g: &Graph) -> PartitionPlan {
         let live = self.inc.live_edges();
-        self.cache.partition_edges_cached(g, self.inc.table(), &live)
+        self.cache
+            .partition_under(self.graph_key, g, self.inc.table(), &live)
     }
 
     /// Plans and executes `base_dfg` over the live edge set: cached

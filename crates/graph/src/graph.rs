@@ -1,6 +1,8 @@
 //! The core edge-list graph type with typed edge attributes.
 
 use crate::attr::AttrKind;
+use crate::digest::Fnv64;
+use std::sync::OnceLock;
 
 /// A directed graph in coordinate (edge-list) form with edge types.
 ///
@@ -20,6 +22,10 @@ pub struct Graph {
     vertex_type: Option<Vec<u32>>,
     in_degree: Vec<u32>,
     out_degree: Vec<u32>,
+    /// Memo of [`Graph::content_key`]. Sound because a graph is immutable
+    /// once built: the only builder that changes content on an existing
+    /// value, `with_vertex_types`, resets it.
+    content_key: OnceLock<u64>,
 }
 
 impl Graph {
@@ -59,6 +65,7 @@ impl Graph {
             vertex_type: None,
             in_degree,
             out_degree,
+            content_key: OnceLock::new(),
         }
     }
 
@@ -76,6 +83,7 @@ impl Graph {
     pub fn with_vertex_types(mut self, types: Vec<u32>) -> Self {
         assert_eq!(types.len(), self.num_vertices, "vertex type length");
         self.vertex_type = Some(types);
+        self.content_key = OnceLock::new();
         self
     }
 
@@ -119,6 +127,39 @@ impl Graph {
         &self.out_degree
     }
 
+    /// Vertex types, one per vertex, when attached.
+    pub fn vertex_types(&self) -> Option<&[u32]> {
+        self.vertex_type.as_deref()
+    }
+
+    /// Content digest of the graph, computed on first use and then read
+    /// from the graph: FNV-1a over the vertex/edge/type counts and the full
+    /// `src`/`dst`/`etype` arrays, then — only when vertex types are
+    /// attached — a marker and the type array (so an untyped graph keeps
+    /// the digest it always had). Two graphs share a key iff every
+    /// attribute a partition table can restrict on is identical. This is
+    /// the graph component of the planning cache's keys.
+    pub fn content_key(&self) -> u64 {
+        *self.content_key.get_or_init(|| {
+            let mut h = Fnv64::new();
+            h.write_u64(self.num_vertices as u64);
+            h.write_u64(self.num_edges() as u64);
+            h.write_u64(self.num_edge_types as u64);
+            for column in [&self.src, &self.dst, &self.etype] {
+                for &x in column {
+                    h.write_u32(x);
+                }
+            }
+            if let Some(types) = &self.vertex_type {
+                h.write(b"vertex-types");
+                for &t in types {
+                    h.write_u32(t);
+                }
+            }
+            h.finish()
+        })
+    }
+
     /// Returns the value of an edge attribute for edge `e`.
     ///
     /// This is the single accessor the partitioner uses: every attribute the
@@ -127,6 +168,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `e` is out of bounds.
+    #[inline]
     pub fn edge_attr(&self, kind: AttrKind, e: usize) -> u64 {
         match kind {
             AttrKind::EdgeId => e as u64,
@@ -264,6 +306,31 @@ mod tests {
         let g = g.with_vertex_types(vec![0, 1, 2, 3, 4]);
         assert_eq!(g.edge_attr(AttrKind::SrcVertexType, 4), 2);
         assert_eq!(g.edge_attr(AttrKind::DstVertexType, 4), 1);
+    }
+
+    #[test]
+    fn content_key_tracks_content_not_identity() {
+        let g = paper_graph();
+        assert_eq!(g.content_key(), paper_graph().content_key());
+        assert_eq!(g.content_key(), g.clone().content_key());
+        let perm: Vec<u32> = (0..5).rev().collect();
+        assert_ne!(g.content_key(), g.relabel(&perm).content_key());
+        // Attaching vertex types after the key was read must not serve the
+        // untyped memo; different types are different content.
+        let typed = g.clone().with_vertex_types(vec![0, 1, 0, 1, 0]);
+        assert_ne!(typed.content_key(), g.content_key());
+        assert_ne!(
+            typed.content_key(),
+            g.clone()
+                .with_vertex_types(vec![0, 1, 0, 1, 1])
+                .content_key()
+        );
+        assert_eq!(
+            typed.relabel(&perm).content_key(),
+            g.relabel(&perm)
+                .with_vertex_types(vec![0, 1, 0, 1, 0])
+                .content_key()
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!   `dst-id`, `edge-type`) and derived inherent attributes (degrees);
 //! - [`Csr`]: compressed sparse row adjacency for traversal and sampling;
 //! - [`attr`]: the typed edge-attribute vocabulary used by partition tables;
+//! - [`digest`]: the FNV-1a content-digest primitive behind
+//!   [`Graph::content_key`];
 //! - [`generate`]: RMAT-style power-law generators and labeled synthetic
 //!   datasets with learnable (homophilous) structure;
 //! - [`datasets`]: presets mirroring the paper's seven evaluation graphs
@@ -22,6 +24,7 @@
 pub mod attr;
 pub mod csr;
 pub mod datasets;
+pub mod digest;
 pub mod generate;
 pub mod graph;
 pub mod io;

@@ -12,12 +12,13 @@
 //! only, via [`partition_edges`] — once fragmentation degrades beyond a
 //! threshold. Per-update cost is O(candidate tasks) for inserts and
 //! O(task size · restrictions) for deletes, amortized far below the
-//! O(E log E) full partition.
+//! O(E · key columns) full partition.
 //!
-//! All internal indices are `BTreeMap`/`BTreeSet`, so the repair order —
-//! and therefore the repaired plan — is a deterministic function of the
-//! update sequence (the hermetic scanner forbids iteration over hash
-//! maps for exactly this reason).
+//! The candidate indices are `BTreeMap`/`BTreeSet` and the live-edge index
+//! is a dense array over edge ids, so the repair order — and therefore the
+//! repaired plan — is a deterministic function of the update sequence (the
+//! hermetic scanner forbids iteration over hash maps for exactly this
+//! reason), and listing the live set is one scan.
 
 use crate::partition::partition_edges;
 use crate::restriction::PartitionTable;
@@ -85,8 +86,11 @@ pub struct IncrementalPlan {
     /// with spare capacity on the looser attributes (spare-capacity
     /// admission). Entries are pruned lazily when tasks fill up.
     open_by_tight: BTreeMap<Vec<u64>, Vec<usize>>,
-    /// Live-edge index: edge id → slot of the task covering it.
-    task_of: BTreeMap<usize, usize>,
+    /// Live-edge index: edge id → slot of the task covering it, [`DEAD`]
+    /// for edges outside the live set. Grows to the largest id admitted.
+    task_of: Vec<u32>,
+    /// Number of non-[`DEAD`] entries of `task_of`.
+    live_edges: usize,
     /// Non-tombstone task count.
     live_tasks: usize,
     /// Edges admitted since the last full rebuild.
@@ -97,11 +101,22 @@ pub struct IncrementalPlan {
     tasks_at_rebuild: usize,
 }
 
+/// `task_of` sentinel: the edge is not live.
+const DEAD: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct TaskState {
     edges: Vec<usize>,
     /// Distinct values per `Exact` attribute.
     uniq: Vec<BTreeSet<u64>>,
+}
+
+/// A task slot index as stored in `task_of`.
+fn slot_id(ti: usize) -> u32 {
+    u32::try_from(ti)
+        .ok()
+        .filter(|&slot| slot != DEAD)
+        .expect("fewer than u32::MAX task slots")
 }
 
 impl IncrementalPlan {
@@ -120,7 +135,8 @@ impl IncrementalPlan {
             tasks: Vec::new(),
             by_key: BTreeMap::new(),
             open_by_tight: BTreeMap::new(),
-            task_of: BTreeMap::new(),
+            task_of: Vec::new(),
+            live_edges: 0,
             live_tasks: 0,
             inserted_since_rebuild: 0,
             removed_since_rebuild: 0,
@@ -160,6 +176,8 @@ impl IncrementalPlan {
         self.by_key.clear();
         self.open_by_tight.clear();
         self.task_of.clear();
+        self.task_of.resize(g.num_edges(), DEAD);
+        self.live_edges = 0;
         for (i, t) in self.tasks.iter().enumerate() {
             if let Some(first) = t.uniq.first() {
                 for &v in first {
@@ -167,8 +185,9 @@ impl IncrementalPlan {
                 }
             }
             for &e in &t.edges {
-                self.task_of.insert(e, i);
+                self.task_of[e] = slot_id(i);
             }
+            self.live_edges += t.edges.len();
             let has_spare = exact
                 .iter()
                 .enumerate()
@@ -209,7 +228,11 @@ impl IncrementalPlan {
     /// Panics if `e` is out of bounds for `g`.
     pub fn insert(&mut self, g: &Graph, e: usize) -> bool {
         assert!(e < g.num_edges(), "edge {e} out of bounds");
-        if self.task_of.contains_key(&e) {
+        if self.task_of.len() <= e {
+            // The universe graph grew since the plan was built.
+            self.task_of.resize(g.num_edges(), DEAD);
+        }
+        if self.task_of[e] != DEAD {
             return false;
         }
         let exact = self.exact_attrs();
@@ -260,7 +283,8 @@ impl IncrementalPlan {
                     list.retain(|&x| x != ti);
                 }
             }
-            self.task_of.insert(e, ti);
+            self.task_of[e] = slot_id(ti);
+            self.live_edges += 1;
             if was_tombstone {
                 self.live_tasks += 1;
             }
@@ -279,7 +303,8 @@ impl IncrementalPlan {
             self.by_key.entry(v0).or_default().push(ti);
         }
         self.open_by_tight.entry(tight).or_default().push(ti);
-        self.task_of.insert(e, ti);
+        self.task_of[e] = slot_id(ti);
+        self.live_edges += 1;
         self.live_tasks += 1;
         self.inserted_since_rebuild += 1;
         true
@@ -296,9 +321,11 @@ impl IncrementalPlan {
     /// change while the task is nonempty (every edge in it shares them), so
     /// the open-task key stays stable.
     pub fn remove(&mut self, g: &Graph, e: usize) -> bool {
-        let Some(ti) = self.task_of.remove(&e) else {
+        let Some(slot) = self.task_of.get_mut(e).filter(|slot| **slot != DEAD) else {
             return false;
         };
+        let ti = std::mem::replace(slot, DEAD) as usize;
+        self.live_edges -= 1;
         let exact = self.exact_attrs();
         let was_full = exact
             .iter()
@@ -382,34 +409,37 @@ impl IncrementalPlan {
 
     /// The live edge ids, ascending.
     pub fn live_edges(&self) -> Vec<usize> {
-        self.task_of.keys().copied().collect()
+        let mut live = Vec::with_capacity(self.live_edges);
+        live.extend((0..self.task_of.len()).filter(|&e| self.task_of[e] != DEAD));
+        live
     }
 
     /// Number of live edges.
     pub fn num_live_edges(&self) -> usize {
-        self.task_of.len()
+        self.live_edges
     }
 
     /// Fragmentation: current tasks relative to what a fresh partition of
     /// the same live edges would produce (1.0 = as good as fresh).
     pub fn fragmentation(&self, g: &Graph) -> f64 {
-        let live = self.live_edges();
-        let fresh = partition_edges(g, &self.table, &live).num_tasks().max(1);
-        self.live_tasks as f64 / fresh as f64
+        self.fragmentation_against(&partition_edges(g, &self.table, &self.live_edges()))
+    }
+
+    fn fragmentation_against(&self, fresh: &PartitionPlan) -> f64 {
+        self.live_tasks as f64 / fresh.num_tasks().max(1) as f64
     }
 
     /// Rebuilds from scratch over the live set when fragmentation exceeds
     /// `threshold` (e.g. 1.5 = 50% more tasks than a fresh partition).
-    /// Returns whether a rebuild happened.
+    /// Returns whether a rebuild happened. The fresh partition that measures
+    /// the fragmentation is the plan adopted.
     pub fn rebuild_if_fragmented(&mut self, g: &Graph, threshold: f64) -> bool {
-        if self.fragmentation(g) > threshold {
-            let live = self.live_edges();
-            let plan = partition_edges(g, &self.table, &live);
-            self.adopt(g, plan);
-            true
-        } else {
-            false
+        let fresh = partition_edges(g, &self.table, &self.live_edges());
+        let rebuild = self.fragmentation_against(&fresh) > threshold;
+        if rebuild {
+            self.adopt(g, fresh);
         }
+        rebuild
     }
 
     /// Snapshots the current live tasks as a [`PartitionPlan`], skipping

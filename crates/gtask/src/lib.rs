@@ -9,7 +9,10 @@
 //!   restrictions `uniq(attr) = k`, `uniq(attr) = min`, or unrestricted —
 //!   plus constructors for the classic plans of Figure 7 (vertex-centric,
 //!   edge-centric, 2-D, …) and the adaptive plan enumerator;
-//! - [`partition`]: the greedy sort-and-scan partitioner (O(E log E));
+//! - [`partition`]: the greedy sort-and-scan partitioner (radix sort plus
+//!   one stamped scan, O(E) per key column);
+//! - [`stamp`]: the epoch-stamped dense value set the scan and the plan
+//!   verifiers count distinct attribute values with;
 //! - [`task`]: the [`GTask`] type and its gTask-level data patterns
 //!   (duplicated data, batched data, changing data volume);
 //! - [`outlier`]: identification of underfill / overfill / frequent-value
@@ -19,10 +22,12 @@ pub mod incremental;
 pub mod outlier;
 pub mod partition;
 pub mod restriction;
+pub mod stamp;
 pub mod task;
 
 pub use outlier::{classify_outliers, OutlierKind};
 pub use incremental::{DeltaStats, GraphDelta, IncrementalPlan};
 pub use partition::{partition, partition_edges};
 pub use restriction::{PartitionTable, Restriction};
+pub use stamp::StampSet;
 pub use task::{DataPatterns, GTask, PartitionPlan};

@@ -7,23 +7,30 @@
 //! satisfied after adding the current edge, we stop the graph partition for
 //! the current gTask and start a new gTask."
 //!
-//! Sort-key order: `Min` attributes first (grouping similar values so their
-//! unique count per task stays small), then `Exact` attributes from the
-//! tightest bound to the loosest (so e.g. `uniq(edge-type)=1 &
-//! uniq(src-id)=K` groups by type before batching sources — otherwise every
-//! type change would cut a batch short), then the edge id for stability.
-//! The scan enforces only `Exact` bounds.
+//! The sort key is [`PartitionTable::sort_key_attrs`] followed by the edge
+//! id; the scan enforces only `Exact` bounds.
+//!
+//! Both halves run at memory speed. Every key attribute is extracted once
+//! per edge into a column; the order is then built by stable LSD counting
+//! passes, one column at a time from the edge id up to the leading key —
+//! O(E) per 16-bit digit of the column's largest value, with no limit on
+//! the number of columns and a pass skipped when its column is already in
+//! order (the edge-id pass always is for `partition` and for the ascending
+//! live sets of the delta path). The scan tracks each restricted
+//! attribute's distinct values in a [`StampSet`], so admitting an edge is a
+//! table lookup per restriction and closing a gTask is O(1).
 
-use crate::restriction::PartitionTable;
+use crate::restriction::{PartitionTable, Restriction};
+use crate::stamp::StampSet;
 use crate::task::{GTask, PartitionPlan};
-use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use wisegraph_graph::{AttrKind, Graph};
 
 /// Partitions the graph into gTasks according to the table.
 ///
-/// Complexity: one O(E log E) sort plus an O(E · R) scan where R is the
-/// number of `Exact` restrictions — the light-weight method the paper uses
-/// so plans can be regenerated per candidate table.
+/// Complexity: O(E · C) for the C-column radix sort plus an O(E · R) scan
+/// over the R restricted attributes — the light-weight method the paper
+/// uses so plans can be regenerated per candidate table.
 pub fn partition(g: &Graph, table: &PartitionTable) -> PartitionPlan {
     let all: Vec<usize> = (0..g.num_edges()).collect();
     partition_edges(g, table, &all)
@@ -36,89 +43,126 @@ pub fn partition(g: &Graph, table: &PartitionTable) -> PartitionPlan {
 /// set. This is the rebuild primitive of the incremental/delta path
 /// (`IncrementalPlan`) and the from-scratch reference the repair-equivalence
 /// pass (`C001`) compares against; `partition` is the whole-graph special
-/// case. Duplicate ids in `edges` produce duplicate coverage — callers pass
-/// a set.
+/// case. The result is a pure function of the edge *multiset*, independent
+/// of caller order; duplicate ids in `edges` produce duplicate coverage —
+/// callers pass a set.
 pub fn partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) -> PartitionPlan {
     let mut sp = wisegraph_obs::span!("gtask.partition", edges = edges.len());
-    let exact = table.exact_attrs();
-    let min_attrs = table.min_attrs();
+    // One column per restricted attribute, in sort-key order, indexed by
+    // position in `edges`.
+    let key_attrs = table.sort_key_attrs();
+    let cols: Vec<Vec<u64>> = key_attrs
+        .iter()
+        .map(|&attr| edges.iter().map(|&e| g.edge_attr(attr, e)).collect())
+        .collect();
 
-    // Sort keys: min attrs, then exact attrs tightest-bound first, then
-    // edge id.
-    let mut exact_sorted = exact.clone();
-    exact_sorted.sort_by_key(|&(_, k)| k);
-    let mut key_attrs: Vec<AttrKind> = Vec::new();
-    key_attrs.extend(&min_attrs);
-    key_attrs.extend(exact_sorted.iter().map(|&(a, _)| a));
-
-    // Always sort (even with no key attrs, by edge id) so the result is a
-    // pure function of the edge *set*, independent of caller order.
-    let mut order: Vec<usize> = edges.to_vec();
-    if key_attrs.is_empty() {
-        order.sort_unstable();
-    } else {
-        order.sort_by(|&a, &b| {
-            for &attr in &key_attrs {
-                let (va, vb) = (g.edge_attr(attr, a), g.edge_attr(attr, b));
-                if va != vb {
-                    return va.cmp(&vb);
-                }
-            }
-            a.cmp(&b)
-        });
+    // LSD: the least significant key (the edge id) first, the leading key
+    // last; every pass is stable, so earlier passes break later ties.
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    let mut scratch = vec![0; edges.len()];
+    sort_by_column(&mut order, &mut scratch, |i| edges[i] as u64);
+    for col in cols.iter().rev() {
+        sort_by_column(&mut order, &mut scratch, |i| col[i]);
     }
 
+    // Scan. `Min` attributes are tracked like `Exact` ones with no bound,
+    // which yields their achieved uniqueness for the task metadata.
+    let mut tracked: Vec<Tracked> = key_attrs
+        .iter()
+        .zip(&cols)
+        .map(|(&attr, values)| Tracked {
+            attr,
+            values,
+            bound: match table.restriction(attr) {
+                Restriction::Exact(k) => k,
+                Restriction::Min | Restriction::Free => u64::MAX,
+            },
+            seen: StampSet::new(),
+        })
+        .collect();
     let mut tasks: Vec<GTask> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    let mut seen: Vec<HashSet<u64>> = exact.iter().map(|_| HashSet::new()).collect();
-
-    let close = |current: &mut Vec<usize>,
-                 seen: &mut Vec<HashSet<u64>>,
-                 tasks: &mut Vec<GTask>| {
-        if current.is_empty() {
+    let mut close = |tracked: &mut [Tracked], range: Range<usize>| {
+        if range.is_empty() {
             return;
         }
-        let mut uniq = BTreeMap::new();
-        for (i, &(attr, _)) in exact.iter().enumerate() {
-            uniq.insert(attr, seen[i].len());
-        }
-        // Track min attrs' achieved uniqueness too (cheap: recompute).
-        for &attr in &min_attrs {
-            let mut vals: Vec<u64> =
-                current.iter().map(|&e| g.edge_attr(attr, e)).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            uniq.insert(attr, vals.len());
-        }
         tasks.push(GTask {
-            edges: std::mem::take(current),
-            uniq,
+            edges: order[range].iter().map(|&i| edges[i]).collect(),
+            uniq: tracked.iter().map(|t| (t.attr, t.seen.len())).collect(),
         });
-        for s in seen.iter_mut() {
-            s.clear();
+        for t in tracked.iter_mut() {
+            t.seen.clear();
         }
     };
-
-    for &e in &order {
-        // Would adding `e` violate any Exact bound?
-        let violates = exact.iter().enumerate().any(|(i, &(attr, k))| {
-            let v = g.edge_attr(attr, e);
-            !seen[i].contains(&v) && seen[i].len() as u64 + 1 > k
-        });
+    let mut start = 0;
+    for (at, &i) in order.iter().enumerate() {
+        // Would adding this edge violate any Exact bound?
+        let violates = tracked
+            .iter()
+            .any(|t| !t.seen.contains(t.values[i]) && t.seen.len() as u64 + 1 > t.bound);
         if violates {
-            close(&mut current, &mut seen, &mut tasks);
+            close(&mut tracked, start..at);
+            start = at;
         }
-        for (i, &(attr, _)) in exact.iter().enumerate() {
-            seen[i].insert(g.edge_attr(attr, e));
+        for t in tracked.iter_mut() {
+            t.seen.insert(t.values[i]);
         }
-        current.push(e);
     }
-    close(&mut current, &mut seen, &mut tasks);
+    close(&mut tracked, start..order.len());
 
     sp.arg("tasks", tasks.len());
     PartitionPlan {
         table: table.clone(),
         tasks,
+    }
+}
+
+/// One restricted attribute during the scan: its column, its bound, and the
+/// distinct values the open gTask holds.
+struct Tracked<'a> {
+    attr: AttrKind,
+    values: &'a [u64],
+    bound: u64,
+    seen: StampSet,
+}
+
+/// Stably sorts `order` — positions into a key column — by `key`, in LSD
+/// counting passes over 16-bit digits up to the column's actual maximum
+/// (the histogram of the top digit is sized by that maximum, so a column of
+/// edge types costs a handful of buckets, not 65 536). `scratch` is the
+/// ping-pong buffer, as long as `order`. A column already in order is left
+/// alone after one read.
+fn sort_by_column(order: &mut Vec<usize>, scratch: &mut Vec<usize>, key: impl Fn(usize) -> u64) {
+    const DIGIT_BITS: u32 = 16;
+    const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
+    let (mut max, mut prev, mut sorted) = (0, 0, true);
+    for &i in order.iter() {
+        let k = key(i);
+        sorted &= prev <= k;
+        prev = k;
+        max = max.max(k);
+    }
+    if sorted {
+        return;
+    }
+    let mut shift = 0;
+    while shift < u64::BITS && max >> shift > 0 {
+        let digit = |i: usize| ((key(i) >> shift) & DIGIT_MASK) as usize;
+        let buckets = (max >> shift).min(DIGIT_MASK) as usize + 1;
+        // next[d] = where the next element with digit d goes.
+        let mut next = vec![0usize; buckets + 1];
+        for &i in order.iter() {
+            next[digit(i) + 1] += 1;
+        }
+        for d in 0..buckets {
+            next[d + 1] += next[d];
+        }
+        for &i in order.iter() {
+            let d = digit(i);
+            scratch[next[d]] = i;
+            next[d] += 1;
+        }
+        std::mem::swap(order, scratch);
+        shift += DIGIT_BITS;
     }
 }
 

@@ -77,6 +77,21 @@ impl PartitionTable {
             .collect()
     }
 
+    /// The partitioner's sort-key order — the one statement of it: `Min`
+    /// attributes first (grouping similar values so their unique count per
+    /// task stays small), then `Exact` attributes from the tightest bound
+    /// to the loosest (so `uniq(edge-type)=1 & uniq(src-id)=K` groups by
+    /// type before batching sources — otherwise every type change would cut
+    /// a batch short), ties in canonical order. The edge id, which makes
+    /// the order total, follows implicitly as the last key.
+    pub fn sort_key_attrs(&self) -> Vec<AttrKind> {
+        let mut exact = self.exact_attrs();
+        exact.sort_by_key(|&(_, k)| k);
+        let mut key = self.min_attrs();
+        key.extend(exact.iter().map(|&(a, _)| a));
+        key
+    }
+
     /// All restricted attributes (exact or min).
     pub fn restricted_attrs(&self) -> Vec<AttrKind> {
         self.entries.keys().copied().collect()

@@ -1,0 +1,235 @@
+//! Partitioner equivalence: the radix-sorted `partition_edges` against the
+//! comparison-sort implementation it replaced.
+//!
+//! `oracle_partition_edges` below *is* the previous `partition_edges`
+//! (stable comparison sort whose comparator calls `edge_attr` per key per
+//! compare, one `HashSet` per `Exact` attribute), kept here verbatim as the
+//! reference. Every test asserts `PartitionPlan ==` and byte-equal
+//! `encode_plan` output, so plans and cache bytes are pinned to what the
+//! old code produced: for every `PartitionTable` constructor, `Min`
+//! tables, vertex-typed graphs, full graphs, live subsets, unsorted and
+//! duplicate-carrying edge lists, the empty edge set and an edgeless graph.
+
+use std::collections::{BTreeMap, HashSet};
+use wisegraph::cache::artifact::encode_plan;
+use wisegraph::graph::generate::{rmat, RmatParams};
+use wisegraph::graph::{AttrKind, Graph};
+use wisegraph::gtask::{partition, partition_edges, GTask, PartitionPlan, PartitionTable};
+use wisegraph_testkit::prelude::*;
+
+/// The comparison-sort partitioner as it stood before the radix rewrite.
+fn oracle_partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) -> PartitionPlan {
+    let exact = table.exact_attrs();
+    let min_attrs = table.min_attrs();
+
+    let mut exact_sorted = exact.clone();
+    exact_sorted.sort_by_key(|&(_, k)| k);
+    let mut key_attrs: Vec<AttrKind> = Vec::new();
+    key_attrs.extend(&min_attrs);
+    key_attrs.extend(exact_sorted.iter().map(|&(a, _)| a));
+
+    let mut order: Vec<usize> = edges.to_vec();
+    if key_attrs.is_empty() {
+        order.sort_unstable();
+    } else {
+        order.sort_by(|&a, &b| {
+            for &attr in &key_attrs {
+                let (va, vb) = (g.edge_attr(attr, a), g.edge_attr(attr, b));
+                if va != vb {
+                    return va.cmp(&vb);
+                }
+            }
+            a.cmp(&b)
+        });
+    }
+
+    let mut tasks: Vec<GTask> = Vec::new();
+    let mut current: Vec<usize> = Vec::new();
+    let mut seen: Vec<HashSet<u64>> = exact.iter().map(|_| HashSet::new()).collect();
+
+    let close = |current: &mut Vec<usize>, seen: &mut Vec<HashSet<u64>>, tasks: &mut Vec<GTask>| {
+        if current.is_empty() {
+            return;
+        }
+        let mut uniq = BTreeMap::new();
+        for (i, &(attr, _)) in exact.iter().enumerate() {
+            uniq.insert(attr, seen[i].len());
+        }
+        for &attr in &min_attrs {
+            let mut vals: Vec<u64> = current.iter().map(|&e| g.edge_attr(attr, e)).collect();
+            vals.sort_unstable();
+            vals.dedup();
+            uniq.insert(attr, vals.len());
+        }
+        tasks.push(GTask {
+            edges: std::mem::take(current),
+            uniq,
+        });
+        for s in seen.iter_mut() {
+            s.clear();
+        }
+    };
+
+    for &e in &order {
+        let violates = exact.iter().enumerate().any(|(i, &(attr, k))| {
+            let v = g.edge_attr(attr, e);
+            !seen[i].contains(&v) && seen[i].len() as u64 + 1 > k
+        });
+        if violates {
+            close(&mut current, &mut seen, &mut tasks);
+        }
+        for (i, &(attr, _)) in exact.iter().enumerate() {
+            seen[i].insert(g.edge_attr(attr, e));
+        }
+        current.push(e);
+    }
+    close(&mut current, &mut seen, &mut tasks);
+
+    PartitionPlan {
+        table: table.clone(),
+        tasks,
+    }
+}
+
+/// Every `PartitionTable` constructor, `Min` tables (one and two `Min`
+/// columns, `Min` on the edge id itself), vertex-type restrictions, and a
+/// three-column table whose `Exact` bounds tie (canonical `AttrKind` order
+/// must break the tie).
+fn tables(k: u64) -> Vec<PartitionTable> {
+    vec![
+        PartitionTable::new(),
+        PartitionTable::vertex_centric(),
+        PartitionTable::edge_centric(),
+        PartitionTable::two_d(k),
+        PartitionTable::dst_and_type(),
+        PartitionTable::dst_degree_grouped(),
+        PartitionTable::dst_batch_min_degree(k),
+        PartitionTable::src_batch_per_type(k),
+        PartitionTable::edge_batch(k),
+        PartitionTable::new().min(AttrKind::SrcId),
+        PartitionTable::new()
+            .min(AttrKind::SrcDegree)
+            .min(AttrKind::EdgeType)
+            .exact(AttrKind::DstId, k),
+        PartitionTable::new()
+            .min(AttrKind::EdgeId)
+            .exact(AttrKind::SrcId, k),
+        PartitionTable::new()
+            .exact(AttrKind::SrcVertexType, 1)
+            .exact(AttrKind::DstId, k),
+        PartitionTable::new()
+            .exact(AttrKind::DstVertexType, k)
+            .min(AttrKind::SrcVertexType),
+        PartitionTable::new()
+            .exact(AttrKind::EdgeType, k)
+            .exact(AttrKind::SrcId, k)
+            .exact(AttrKind::DstDegree, k),
+    ]
+}
+
+fn same_plan_and_bytes(g: &Graph, table: &PartitionTable, edges: &[usize]) -> Result<(), String> {
+    let got = partition_edges(g, table, edges);
+    let want = oracle_partition_edges(g, table, edges);
+    if got != want {
+        return Err(format!(
+            "[{table}] over {} edge ids: plans differ\n got  {:?}\n want {:?}",
+            edges.len(),
+            got.tasks,
+            want.tasks
+        ));
+    }
+    if encode_plan(&got) != encode_plan(&want) {
+        return Err(format!("[{table}]: equal plans encode to different bytes"));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random small graphs (optionally vertex-typed; the type codes are
+    /// sparse and wider than one radix digit, and a stamp table sized by
+    /// the type's `u32` range instead of the largest code would be 16 GiB)
+    /// × every table × five edge-list shapes.
+    fn radix_partitioner_matches_the_comparison_sort_oracle(
+        v in 1usize..40,
+        raw in prop::collection::vec((0u32..1000, 0u32..1000, 0u32..4), 0..200),
+        vertex_types in prop::collection::vec(0u32..1_000_000, 0..2),
+        picks in prop::collection::vec(0usize..10_000, 0..260),
+        k in 1u64..9,
+    ) {
+        let src: Vec<u32> = raw.iter().map(|&(s, _, _)| s % v as u32).collect();
+        let dst: Vec<u32> = raw.iter().map(|&(_, d, _)| d % v as u32).collect();
+        let etype: Vec<u32> = raw.iter().map(|&(_, _, t)| t).collect();
+        let mut g = Graph::new(v, 4, src, dst, etype);
+        if let Some(&salt) = vertex_types.first() {
+            let types = (0..v as u32).map(|i| (i % 3) * salt).collect();
+            g = g.with_vertex_types(types);
+        }
+        let e = g.num_edges();
+        let full: Vec<usize> = (0..e).collect();
+        // Unsorted and duplicate-carrying, exactly as drawn.
+        let raw_picks: Vec<usize> = if e == 0 {
+            Vec::new()
+        } else {
+            picks.iter().map(|&p| p % e).collect()
+        };
+        // A live subset the way `IncrementalPlan::live_edges` returns it.
+        let mut subset = raw_picks.clone();
+        subset.sort_unstable();
+        subset.dedup();
+        let reversed: Vec<usize> = (0..e).rev().collect();
+        for table in tables(k) {
+            for edges in [&full, &subset, &raw_picks, &reversed, &Vec::new()] {
+                if let Err(msg) = same_plan_and_bytes(&g, &table, edges) {
+                    return Err(TestCaseError(msg));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn whole_graph_entry_point_matches_the_oracle() {
+    let g = rmat(&RmatParams::standard(300, 5000, 71).with_edge_types(4));
+    let all: Vec<usize> = (0..g.num_edges()).collect();
+    for table in tables(8) {
+        assert_eq!(
+            partition(&g, &table),
+            oracle_partition_edges(&g, &table, &all),
+            "{table}"
+        );
+    }
+}
+
+#[test]
+fn edgeless_graph_and_empty_edge_set_yield_empty_plans() {
+    let lonely = Graph::untyped(1, vec![], vec![]);
+    let g = rmat(&RmatParams::standard(20, 100, 5).with_edge_types(2));
+    for table in tables(3) {
+        same_plan_and_bytes(&lonely, &table, &[]).unwrap();
+        assert_eq!(partition(&lonely, &table).num_tasks(), 0, "{table}");
+        same_plan_and_bytes(&g, &table, &[]).unwrap();
+    }
+}
+
+/// Vertex and edge ids beyond one 16-bit digit: every key column needs more
+/// than one radix pass, and so does the edge-id column of a shuffled list.
+#[test]
+fn ids_wider_than_one_radix_digit_match_the_oracle() {
+    let g = rmat(&RmatParams::standard(70_000, 90_000, 9).with_edge_types(3));
+    assert!(g.src().iter().chain(g.dst()).any(|&v| v > 0xFFFF));
+    let mut shuffled: Vec<usize> = (0..g.num_edges()).collect();
+    Rng::seed_from_u64(17).shuffle(&mut shuffled);
+    for table in [
+        PartitionTable::vertex_centric(),
+        PartitionTable::two_d(16),
+        PartitionTable::src_batch_per_type(64),
+        PartitionTable::edge_batch(64),
+        PartitionTable::dst_batch_min_degree(8),
+    ] {
+        same_plan_and_bytes(&g, &table, &shuffled).unwrap();
+        let ascending: Vec<usize> = (0..g.num_edges()).collect();
+        same_plan_and_bytes(&g, &table, &ascending).unwrap();
+    }
+}
