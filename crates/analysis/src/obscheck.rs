@@ -34,8 +34,6 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
             "execute",
             "execute_program",
             "accumulate_program",
-            "execute_parallel",
-            "execute_parallel_mode",
             "execute_parallel_alloc",
         ],
     ),
@@ -47,17 +45,7 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
         "crates/core/src/sharded.rs",
         &["select_placement", "execute_sharded"],
     ),
-    (
-        "crates/kernels/src/micro.rs",
-        &[
-            "run_task",
-            "run_task_ws",
-            "run_task_ws_shadow",
-            "run_epilogue",
-            "execute_by_plan",
-        ],
-    ),
-    ("crates/kernels/src/fused.rs", &["run_task_fused"]),
+    ("crates/kernels/src/micro.rs", &["run_task", "run_epilogue"]),
     (
         "crates/gtask/src/partition.rs",
         &["partition", "partition_edges"],

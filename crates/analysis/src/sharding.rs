@@ -170,11 +170,10 @@ pub fn verify_exchange(log: &ExchangeLog) -> Vec<Diagnostic> {
 /// must consult before committing devices to a collective schedule.
 pub fn verify_placement(
     program: &KernelProgram,
-    g: &Graph,
     globals: &HashMap<String, Tensor>,
     placement: PlacementKind,
 ) -> Vec<Diagnostic> {
-    match placement_compatible(program, g, globals, placement) {
+    match placement_compatible(program, globals, placement) {
         Ok(()) => Vec::new(),
         Err(why) => vec![Diagnostic::error(
             Code::PlacementIncompatible,
@@ -227,10 +226,10 @@ mod tests {
         globals.insert("w".to_string(), init::uniform_tensor(&[4, 3], -1.0, 1.0, 2));
         globals.insert("a_src".to_string(), init::uniform_tensor(&[3, 1], -1.0, 1.0, 3));
         globals.insert("a_dst".to_string(), init::uniform_tensor(&[3, 1], -1.0, 1.0, 4));
-        let ds = verify_placement(&program, &g, &globals, PlacementKind::TensorParallel);
+        let ds = verify_placement(&program, &globals, PlacementKind::TensorParallel);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].code.as_str(), "S003");
-        assert!(verify_placement(&program, &g, &globals, PlacementKind::DataParallel)
+        assert!(verify_placement(&program, &globals, PlacementKind::DataParallel)
             .is_empty());
     }
 

@@ -15,7 +15,7 @@
 //!   `hidden` is large relative to the feature dim (Figure 20).
 
 use crate::single::{layer_compute_time, LayerDims, TRAIN_FACTOR};
-use wisegraph_graph::Graph;
+use wisegraph_graph::{Graph, ShardSpec};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::{DeviceSpec, Fabric};
 
@@ -50,7 +50,7 @@ pub fn mgg_inference_time(
     stack: &MultiStack,
 ) -> f64 {
     let d = stack.fabric.num_devices as f64;
-    let remote = max_remote_unique_src(g, stack.fabric.num_devices) as f64;
+    let remote = remote_rows(g, stack.fabric.num_devices);
     let mut total = 0.0;
     for l in 0..dims.layers {
         let (fi, fo) = dims.layer_io(l);
@@ -63,26 +63,11 @@ pub fn mgg_inference_time(
     total
 }
 
-/// Partitions vertices into `devices` contiguous ranges and returns, for
-/// the bottleneck device, the number of *unique remote* source vertices its
-/// in-edges reference — the payload of the data-parallel all-to-all.
-pub fn max_remote_unique_src(g: &Graph, devices: usize) -> usize {
-    if devices <= 1 {
-        return 0;
-    }
-    let n = g.num_vertices();
-    let chunk = n.div_ceil(devices);
-    let dev_of = |v: u32| (v as usize / chunk).min(devices - 1);
-    let mut per_dev: Vec<std::collections::HashSet<u32>> =
-        vec![std::collections::HashSet::new(); devices];
-    for e in 0..g.num_edges() {
-        let (s, d) = (g.src()[e], g.dst()[e]);
-        let dd = dev_of(d);
-        if dev_of(s) != dd {
-            per_dev[dd].insert(s);
-        }
-    }
-    per_dev.into_iter().map(|s| s.len()).max().unwrap_or(0)
+/// The payload of the data-parallel all-to-all under the even vertex
+/// split every baseline assumes: the bottleneck device's count of *unique
+/// remote* source vertices.
+fn remote_rows(g: &Graph, devices: usize) -> f64 {
+    ShardSpec::new(g.num_vertices(), devices).max_remote_unique_src(g) as f64
 }
 
 /// The multi-GPU baseline systems of Table 2.
@@ -138,7 +123,7 @@ impl MultiGpuSystem {
         stack: &MultiStack,
     ) -> f64 {
         let d = stack.fabric.num_devices;
-        let remote = max_remote_unique_src(g, d) as f64;
+        let remote = remote_rows(g, d);
         let v = g.num_vertices() as f64;
         let mut total = 0.0;
         for l in 0..dims.layers {
@@ -201,7 +186,7 @@ impl MultiGpuSystem {
         stack: &MultiStack,
     ) -> f64 {
         let d = stack.fabric.num_devices;
-        let remote = max_remote_unique_src(g, d) as f64;
+        let remote = remote_rows(g, d);
         let v = g.num_vertices() as f64;
         let comp =
             layer_compute_time(g, ModelKind::Gcn, f_in, hidden, &stack.device) / d as f64;
@@ -225,14 +210,15 @@ mod tests {
     #[test]
     fn remote_unique_src_bounds() {
         let g = papers_like();
-        let r1 = max_remote_unique_src(&g, 1);
-        let r4 = max_remote_unique_src(&g, 4);
+        let remote = |d| ShardSpec::new(g.num_vertices(), d).max_remote_unique_src(&g);
+        let r1 = remote(1);
+        let r4 = remote(4);
         assert_eq!(r1, 0);
         assert!(r4 > 0);
         assert!(r4 <= g.num_vertices());
         // More devices → each chunk needs at least as many remote vertices
         // per chunk... but the per-device max payload is bounded by V.
-        let r8 = max_remote_unique_src(&g, 8);
+        let r8 = remote(8);
         assert!(r8 <= g.num_vertices());
     }
 
@@ -299,7 +285,7 @@ mod tests {
             classes: 172,
             layers: 3,
         };
-        let remote = max_remote_unique_src(&g, 4) as f64;
+        let remote = remote_rows(&g, 4);
         let comm0 = quad.fabric.all_to_all(remote * 128.0 * 4.0);
         let comp0 =
             layer_compute_time(&g, ModelKind::Gcn, 128, 32, &quad.device) / 4.0;

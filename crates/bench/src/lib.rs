@@ -79,21 +79,4 @@ mod tests {
         assert_eq!(fmt_ms(0.00893, false), "8.93");
         assert_eq!(fmt_ms(1.0, true), "OOM");
     }
-
-    /// The microkernels bench target runs only under `cargo bench`
-    /// (`test = false`); this smoke test keeps the testkit harness it
-    /// relies on exercised by tier-1 against a real kernel.
-    #[test]
-    fn testkit_bench_harness_measures_a_real_kernel() {
-        use wisegraph_graph::generate::{rmat, RmatParams};
-        use wisegraph_testkit::bench::{black_box, Bench};
-
-        let g = rmat(&RmatParams::standard(500, 4000, 1));
-        let mut b = Bench::new("smoke");
-        b.group("degree").sample_size(3).bench_function("in", || {
-            black_box(g.in_degree().iter().map(|&d| d as u64).sum::<u64>());
-        });
-        assert_eq!(b.results().len(), 1);
-        assert!(b.to_json().contains("\"group\": \"degree\""));
-    }
 }

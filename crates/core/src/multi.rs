@@ -7,96 +7,25 @@
 //! vertex or embedding dimension, communicate its output; otherwise its
 //! input.
 
-use std::sync::OnceLock;
-
-use wisegraph_baselines::multi::{max_remote_unique_src, MultiStack};
+use wisegraph_baselines::multi::MultiStack;
 use wisegraph_baselines::single::{layer_compute_time, LayerDims, TRAIN_FACTOR};
-use wisegraph_graph::Graph;
+use wisegraph_graph::{Graph, ShardSpec};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::{PlacementKind, PlacementVolumes};
 
-/// This repo's own interpreter-vs-fused executor timings, committed by the
-/// `testkit::bench` harness. The per-device compute gain is derived from
-/// these rather than hardcoded, so the cost model tracks what the
-/// executor actually achieves on this machine.
-const EXECUTOR_BENCH: &str = include_str!("../../../results/BENCH_executor.json");
-
-/// Paper fallbacks (§7.2): single-GPU speedups of ~2.6× for complex
-/// models and ~1.13× for simple ones. Used only if the committed bench
-/// file is missing the interp/fused timing pairs.
+/// The paper's single-GPU speedups over DGL-style kernels (§7.2): ~2.6×
+/// for complex models, ~1.13× for simple ones.
 const PAPER_SPEEDUP_COMPLEX: f64 = 2.6;
 const PAPER_SPEEDUP_SIMPLE: f64 = 1.13;
 
-/// Parses `(complex, simple)` fused-over-interp speedups out of the bench
-/// JSON: for every `(group, case)` with a `{case}_interp` counterpart the
-/// ratio `interp_median / fused_median` is one sample; samples geomean per
-/// model class (complex = rgcn + gat, simple = gcn + sage).
-fn parse_speedups(text: &str) -> Option<(f64, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    let mut medians = std::collections::BTreeMap::new();
-    for line in text.lines() {
-        if let (Some(g), Some(c), Some(m)) = (
-            field(line, "group"),
-            field(line, "case"),
-            field(line, "median_ns"),
-        ) {
-            if let Ok(ns) = m.parse::<f64>() {
-                medians.insert((g.to_string(), c.to_string()), ns);
-            }
-        }
-    }
-    let mut log_sum = [0.0f64; 2];
-    let mut count = [0usize; 2];
-    for ((group, case), interp_ns) in &medians {
-        let Some(base) = case.strip_suffix("_interp") else {
-            continue;
-        };
-        let Some(fused_ns) = medians.get(&(group.clone(), base.to_string())) else {
-            continue;
-        };
-        if *fused_ns <= 0.0 || *interp_ns <= 0.0 {
-            continue;
-        }
-        let class = match group.as_str() {
-            "rgcn" | "gat" => 0,
-            "gcn" | "sage" => 1,
-            _ => continue,
-        };
-        log_sum[class] += (interp_ns / fused_ns).ln();
-        count[class] += 1;
-    }
-    if count[0] == 0 || count[1] == 0 {
-        return None;
-    }
-    Some((
-        (log_sum[0] / count[0] as f64).exp(),
-        (log_sum[1] / count[1] as f64).exp(),
-    ))
-}
-
-/// `(complex, simple)` single-device speedups of the fused executor over
-/// the interpreter, measured from the committed bench results (paper
-/// constants as fallback).
-fn measured_speedups() -> (f64, f64) {
-    static SPEEDUPS: OnceLock<(f64, f64)> = OnceLock::new();
-    *SPEEDUPS.get_or_init(|| {
-        parse_speedups(EXECUTOR_BENCH)
-            .unwrap_or((PAPER_SPEEDUP_COMPLEX, PAPER_SPEEDUP_SIMPLE))
-    })
-}
-
 /// WiseGraph's per-device compute gain relative to the DGL-style kernels:
-/// the inverse of the measured single-device fused-executor speedup for
-/// the model's class.
+/// the inverse of the paper's single-device speedup for the model's class.
 fn compute_gain(model: ModelKind) -> f64 {
-    let (complex, simple) = measured_speedups();
-    1.0 / if model.is_complex() { complex } else { simple }
+    1.0 / if model.is_complex() {
+        PAPER_SPEEDUP_COMPLEX
+    } else {
+        PAPER_SPEEDUP_SIMPLE
+    }
 }
 
 /// Communication time for one layer under the best placement.
@@ -126,7 +55,9 @@ pub fn best_placement_comm(
     f_in: usize,
     f_out: usize,
 ) -> f64 {
-    let remote = max_remote_unique_src(g, stack.fabric.num_devices);
+    // The even vertex split the closed-form baselines assume too.
+    let remote = ShardSpec::new(g.num_vertices(), stack.fabric.num_devices)
+        .max_remote_unique_src(g);
     let vols = PlacementVolumes::new(remote, g.num_vertices(), f_in, f_out, f_in);
     vols.best(
         &[
@@ -178,21 +109,6 @@ mod tests {
     use wisegraph_graph::DatasetKind;
 
     #[test]
-    fn gains_derive_from_committed_executor_timings() {
-        // The committed bench file must actually parse — the paper
-        // constants are a fallback, not the normal path.
-        let (complex, simple) = parse_speedups(EXECUTOR_BENCH)
-            .expect("results/BENCH_executor.json has interp/fused pairs");
-        // Fused execution is a real speedup for both classes, and the
-        // complex models (batched typed matmuls fuse away more interpreter
-        // overhead) gain more than the simple ones — the shape §7.2 reports.
-        assert!(complex > 1.0 && simple > 1.0, "{complex} {simple}");
-        assert!(complex > simple, "{complex} vs {simple}");
-        assert!(compute_gain(ModelKind::Rgcn) < compute_gain(ModelKind::Gcn));
-        assert!((compute_gain(ModelKind::Gcn) - 1.0 / simple).abs() < 1e-12);
-    }
-
-    #[test]
     fn ours_beats_dgl_and_p3_across_hidden_dims() {
         // Figure 20: WiseGraph "consistently achieves the shortest
         // execution time" while DGL and P3 each lose in some regime.
@@ -218,7 +134,7 @@ mod tests {
         // projection (volume shrinks at the embedding dimension) wins —
         // and is far below the input-side volume.
         let comm_small_out = best_placement_comm(&g, &stack, 1024, 8);
-        let remote = max_remote_unique_src(&g, 4) as f64;
+        let remote = ShardSpec::new(g.num_vertices(), 4).max_remote_unique_src(&g) as f64;
         let projected = stack.fabric.all_to_all(remote * 8.0 * 4.0);
         let out_side = stack.fabric.reduce_scatter(g.num_vertices() as f64 * 8.0 * 4.0);
         assert!((comm_small_out - projected.min(out_side)).abs() <= f64::EPSILON);
@@ -226,7 +142,6 @@ mod tests {
         assert!(comm_small_out < in_side / 10.0);
         // Tiny input, huge output: input-side wins.
         let comm_small_in = best_placement_comm(&g, &stack, 8, 1024);
-        let remote = max_remote_unique_src(&g, 4) as f64;
         let in_side = stack.fabric.all_to_all(remote * 8.0 * 4.0);
         assert!((comm_small_in - in_side).abs() / in_side < 1e-9);
     }

@@ -61,14 +61,14 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    compile, eval_prologue, plan_is_dst_complete, run_epilogue, run_epilogue_rows,
-    summarize, CompileError, KernelProgram, MicroKernel,
+    compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
+    run_epilogue_rows, summarize, CompileError, KernelProgram, MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use wisegraph_dfg::{Dfg, Dim};
+use wisegraph_dfg::{Dfg, Dim, NodeId, OpKind};
 use wisegraph_graph::{AttrKind, Graph, ShardSpec, SrcGroups};
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_obs::causal::{collective_id, CausalEdge, CausalLog, EndpointId};
@@ -76,7 +76,7 @@ use wisegraph_obs::clock::Stopwatch;
 use wisegraph_obs::critical::{
     analyze, logical_cost, AttributionReport, DeviceTimeline, PhaseKind, Segment,
 };
-use wisegraph_obs::{keys, span, with_lane, Class, Counters};
+use wisegraph_obs::{keys, span, with_lane, Class, Counters, Session};
 use wisegraph_sim::PlacementKind;
 use wisegraph_tensor::Tensor;
 
@@ -402,11 +402,10 @@ impl ClusterRun {
 /// an incompatible request fails fast instead of wedging a collective.
 pub fn placement_compatible(
     program: &KernelProgram,
-    g: &Graph,
     globals: &HashMap<String, Tensor>,
     placement: PlacementKind,
 ) -> Result<(), String> {
-    let origins = vertex_gather_origins(program, g, globals);
+    let origins = vertex_gather_origins(program);
     let unknown = origins.iter().any(|(_, o)| o.is_none());
     match placement {
         PlacementKind::DataParallel | PlacementKind::ProjectThenCommunicate => {
@@ -482,15 +481,16 @@ pub fn placement_compatible(
 
 /// The placements able to run `program`, in [`PlacementKind::ALL`] order.
 /// Data-parallel is compatible with every program this workspace
-/// compiles, so the result is never empty.
+/// compiles, so the result is never empty. No rule reads the graph; the
+/// parameter stays for the benchmark, whose sources are frozen.
 pub fn compatible_placements(
     program: &KernelProgram,
-    g: &Graph,
+    _g: &Graph,
     globals: &HashMap<String, Tensor>,
 ) -> Vec<PlacementKind> {
     PlacementKind::ALL
         .into_iter()
-        .filter(|&p| placement_compatible(program, g, globals, p).is_ok())
+        .filter(|&p| placement_compatible(program, globals, p).is_ok())
         .collect()
 }
 
@@ -516,23 +516,39 @@ pub fn tp_slice_global(
         .map(String::from)
 }
 
-/// Every `GatherRows` of a vertex-rowed tensor (a raw global with
-/// `dims[0] == |V|`, or any `__pre_` prologue pseudo-global) paired with
-/// the provenance of its index stream.
-fn vertex_gather_origins(
-    program: &KernelProgram,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-) -> Vec<(String, Option<AttrKind>)> {
+/// Whether DFG node `id` holds one row per vertex. Read from the symbolic
+/// shape, as `micro`'s dense evaluation does — never from a tensor's
+/// extents: a weight whose leading extent happens to equal `|V|` is still
+/// a weight, replicated on every device.
+fn vertex_rowed(dfg: &Dfg, id: NodeId) -> bool {
+    dfg.node(id).shape.first() == Some(&Dim::Vertices)
+}
+
+/// Sorted names of the model inputs with one row per vertex — the globals
+/// a sharded run masks to the rows a device holds.
+fn vertex_rowed_inputs(dfg: &Dfg) -> BTreeSet<String> {
+    (0..dfg.len())
+        .filter(|&i| vertex_rowed(dfg, NodeId(i)))
+        .filter_map(|i| match &dfg.node(NodeId(i)).kind {
+            OpKind::Input { name, .. } => Some(name.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every `GatherRows` that addresses its source by vertex id, paired with
+/// the provenance of its index stream. The compiled program carries no
+/// shapes, so the question [`vertex_rowed`] answers for a DFG node is
+/// answered here by the index stream: drawn from `src-id`/`dst-id` it
+/// holds vertex ids; of unknown provenance it has to be assumed to.
+fn vertex_gather_origins(program: &KernelProgram) -> Vec<(String, Option<AttrKind>)> {
     let s = summarize(program);
-    let v = g.num_vertices();
     let mut out = Vec::new();
     for op in &program.ops {
         if let MicroKernel::GatherRows { src, idx, .. } = op {
-            let vertex_rowed = src.starts_with("__pre_")
-                || globals.get(src).is_some_and(|t| t.dims().first() == Some(&v));
-            if vertex_rowed {
-                out.push((src.clone(), s.stream_origin[idx.0]));
+            let origin = s.stream_origin[idx.0];
+            if matches!(origin, None | Some(AttrKind::SrcId | AttrKind::DstId)) {
+                out.push((src.clone(), origin));
             }
         }
     }
@@ -541,40 +557,26 @@ fn vertex_gather_origins(
 
 /// The vertex-rowed tensors gathered by *source*-derived streams — the
 /// names whose halo rows must travel before per-task execution.
-fn src_gathered_names(
-    program: &KernelProgram,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-) -> BTreeSet<String> {
-    vertex_gather_origins(program, g, globals)
+fn src_gathered_names(program: &KernelProgram) -> BTreeSet<String> {
+    vertex_gather_origins(program)
         .into_iter()
         .filter(|(_, o)| *o != Some(AttrKind::DstId))
         .map(|(n, _)| n)
         .collect()
 }
 
-/// Sorted names of the globals with one row per vertex.
-fn vertex_rowed_names(globals: &HashMap<String, Tensor>, v: usize) -> Vec<String> {
-    let mut names: Vec<String> = globals
-        .iter()
-        .filter(|(_, t)| t.dims().first() == Some(&v))
-        .map(|(n, _)| n.clone())
-        .collect();
-    names.sort_unstable();
-    names
-}
-
-/// Copies of `globals` with every vertex-rowed tensor masked to the rows
-/// `keep` accepts (other rows zero); non-vertex tensors are shared as-is.
+/// Copies of `globals` with every tensor named in `rowed` masked to the
+/// rows `keep` accepts (other rows zero); the rest are shared as-is.
 fn masked_globals(
     globals: &HashMap<String, Tensor>,
+    rowed: &BTreeSet<String>,
     v: usize,
     keep: impl Fn(usize) -> bool,
 ) -> HashMap<String, Tensor> {
     globals
         .iter()
         .map(|(name, t)| {
-            if t.dims().first() != Some(&v) {
+            if !rowed.contains(name) {
                 return (name.clone(), t.clone());
             }
             (name.clone(), mask_rows(t, v, &keep))
@@ -737,13 +739,13 @@ pub struct ClusterEngine {
 
 impl ClusterEngine {
     /// A cluster of `devices` engines with `threads_per_device` workers
-    /// each, in [`ExecMode::Auto`].
+    /// each, in the default [`ExecMode`].
     ///
     /// # Panics
     ///
     /// Panics if `devices == 0` or `threads_per_device == 0`.
     pub fn new(devices: usize, threads_per_device: usize) -> Self {
-        Self::with_mode(devices, threads_per_device, ExecMode::Auto)
+        Self::with_mode(devices, threads_per_device, ExecMode::default())
     }
 
     /// A cluster with an explicit per-device [`ExecMode`]. Device `d`'s
@@ -895,7 +897,7 @@ impl ClusterEngine {
             devices = self.devices(),
             tasks = plan.tasks.len()
         );
-        placement_compatible(program, g, globals, placement).map_err(CompileError)?;
+        placement_compatible(program, globals, placement).map_err(CompileError)?;
         let (outputs, art) = if placement == PlacementKind::TensorParallel {
             // Splits columns, not vertices: no shard state involved.
             self.run_tensor_parallel(program, dfg, g, plan, globals)?
@@ -914,11 +916,7 @@ impl ClusterEngine {
                 ));
             }
             // Devices return their owned rows only; rows need an owner.
-            if let Some(o) = dfg
-                .outputs()
-                .iter()
-                .find(|o| dfg.node(**o).shape.first() != Some(&Dim::Vertices))
-            {
+            if let Some(o) = dfg.outputs().iter().find(|o| !vertex_rowed(dfg, **o)) {
                 return Err(CompileError(format!(
                     "sharded execution requires vertex-rowed outputs, node {} is not",
                     o.0
@@ -987,6 +985,8 @@ impl ClusterEngine {
         // Transpose: device dev sends on tx_grid[dev] (its row) and
         // receives on rx_grid[dev] (its column).
         type DeviceOut<T> = (T, ExchangeLog, CausalLog, DeviceTimeline);
+        // Devices record into whatever capture the calling thread is in.
+        let session = Session::current();
         let results: Vec<Result<DeviceOut<T>, CompileError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = tx_grid
@@ -994,10 +994,10 @@ impl ClusterEngine {
                     .zip(rx_grid)
                     .enumerate()
                     .map(|(dev, (txs, rxs))| {
-                        let f = &f;
+                        let (f, session) = (&f, &session);
                         let lane = self.device_lane(dev);
                         scope.spawn(move || {
-                            with_lane(lane, || {
+                            with_lane(session, lane, || {
                                 let _sp = span!("cluster.device", device = dev);
                                 let mut mb = Mailbox {
                                     me: dev,
@@ -1065,35 +1065,32 @@ impl ClusterEngine {
     ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
         let d = self.devices();
         let v = g.num_vertices();
+        let rowed = vertex_rowed_inputs(dfg);
         // The names whose halo rows travel. Data-parallel ships every
         // vertex-rowed *input* (remote × f_in); project-then-communicate
         // ships only the source-gathered tensors the per-task program
         // actually reads — which, with the prologue evaluated at home,
         // are the projected rows (remote × f_out).
         let exchange_names: Vec<String> = if project_first {
-            src_gathered_names(program, g, globals).into_iter().collect()
+            if let Some(id) = program.prologue.iter().find(|id| !vertex_rowed(dfg, **id)) {
+                return Err(CompileError(format!(
+                    "project_then_communicate: prologue tensor {} is not \
+                     vertex-rowed, its rows have no home device",
+                    prologue_name(*id)
+                )));
+            }
+            src_gathered_names(program).into_iter().collect()
         } else {
-            vertex_rowed_names(globals, v)
+            rowed.iter().filter(|n| globals.contains_key(*n)).cloned().collect()
         };
         let (outs, art) = self.run_devices(|dev, mb| {
             let own = shard.spec.owned_range(dev);
             let engine = &self.engines[dev];
-            let mut dglobals = masked_globals(globals, v, |r| own.contains(&r));
+            let mut dglobals = masked_globals(globals, &rowed, v, |r| own.contains(&r));
             if project_first {
                 let projected = mb.record_compute(
                     engine,
-                    || {
-                        let m = eval_prologue(program, dfg, g, &dglobals)?;
-                        if let Some((name, _)) =
-                            m.iter().find(|(_, t)| t.dims().first() != Some(&v))
-                        {
-                            return Err(CompileError(format!(
-                                "project_then_communicate: prologue tensor {name} is \
-                                 not vertex-rowed, its rows have no home device"
-                            )));
-                        }
-                        Ok(m)
-                    },
+                    || eval_prologue(program, dfg, g, &dglobals),
                     |m| m.iter().map(|(_, t)| (t.numel() / v.max(1) * own.len()) as u64).sum(),
                 )?;
                 dglobals.extend(projected);
@@ -1158,6 +1155,7 @@ impl ClusterEngine {
         let d = self.devices();
         let v = g.num_vertices();
         let spec = &shard.spec;
+        let rowed = vertex_rowed_inputs(dfg);
         let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
         let ngroups = groups.num_groups();
         let group_owner = ShardSpec::new(ngroups, d);
@@ -1183,7 +1181,7 @@ impl ClusterEngine {
                 let last = ShardSpec::new(v, ngroups).owned_range(my_groups.end - 1);
                 first.start..last.end
             };
-            let dglobals = masked_globals(globals, v, |r| {
+            let dglobals = masked_globals(globals, &rowed, v, |r| {
                 src_range.contains(&r) || own.contains(&r)
             });
             let partials: Vec<Tensor> = mb.record_compute(
@@ -1383,7 +1381,6 @@ fn concat_vertex_outputs(v: usize, per_dev: Vec<Vec<Tensor>>) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_parallel;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
@@ -1443,7 +1440,7 @@ mod tests {
     fn data_parallel_is_bitwise_identical_to_single_engine() {
         let (g, dfg, globals) = rgcn_setup();
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
-        let reference = execute_parallel(&dfg, &g, &plan, &globals, 2).unwrap();
+        let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals).unwrap();
         for devices in [1usize, 2, 4] {
             let cluster = ClusterEngine::new(devices, 2);
             let run = cluster
@@ -1467,7 +1464,7 @@ mod tests {
     fn project_then_communicate_matches_single_engine_on_gat() {
         let (g, dfg, globals) = gat_setup();
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let reference = execute_parallel(&dfg, &g, &plan, &globals, 2).unwrap();
+        let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals).unwrap();
         let dp_bytes;
         {
             let cluster = ClusterEngine::new(4, 2);
@@ -1513,7 +1510,7 @@ mod tests {
             },
         ] {
             let plan = partition(&g, &table);
-            let reference = execute_parallel(&dfg, &g, &plan, &globals, 2).unwrap();
+            let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals).unwrap();
             for devices in [1usize, 2, 3, 4, 8] {
                 let cluster = ClusterEngine::new(devices, 2);
                 let run = cluster
@@ -1531,7 +1528,7 @@ mod tests {
     fn compute_then_reduce_is_bitwise_stable_across_device_counts() {
         let (g, dfg, globals) = gcn_setup();
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let reference = execute_parallel(&dfg, &g, &plan, &globals, 2).unwrap();
+        let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals).unwrap();
         let anchor = ClusterEngine::new(1, 2)
             .execute(&dfg, &g, &plan, &globals, PlacementKind::ComputeThenReduce)
             .unwrap()
@@ -1558,31 +1555,20 @@ mod tests {
         let (g, dfg, globals) = gcn_setup();
         let program = compile(&dfg, &g).unwrap();
         // GCN hoists no prologue: nothing to project before communicating.
-        assert!(placement_compatible(
-            &program,
-            &g,
-            &globals,
-            PlacementKind::ProjectThenCommunicate
-        )
-        .is_err());
+        assert!(
+            placement_compatible(&program, &globals, PlacementKind::ProjectThenCommunicate)
+                .is_err()
+        );
         let (g, dfg, globals) = gat_setup();
         let program = compile(&dfg, &g).unwrap();
         // GAT's segment softmax forbids splitting a destination's
         // in-edges (compute-then-reduce) or its columns (tensor-parallel).
-        assert!(placement_compatible(
-            &program,
-            &g,
-            &globals,
-            PlacementKind::ComputeThenReduce
-        )
-        .is_err());
-        assert!(placement_compatible(
-            &program,
-            &g,
-            &globals,
-            PlacementKind::TensorParallel
-        )
-        .is_err());
+        assert!(
+            placement_compatible(&program, &globals, PlacementKind::ComputeThenReduce).is_err()
+        );
+        assert!(
+            placement_compatible(&program, &globals, PlacementKind::TensorParallel).is_err()
+        );
         assert_eq!(
             compatible_placements(&program, &g, &globals),
             vec![
@@ -1649,7 +1635,7 @@ mod tests {
         let cluster = ClusterEngine::new(2, 1);
         let rebuilds = || cluster.stats().count(keys::CLUSTER_SHARD_REBUILDS);
         let check = |g: &Graph, plan: &PartitionPlan, placement| {
-            let reference = execute_parallel(&dfg, g, plan, &globals, 1).unwrap();
+            let reference = Engine::new(1).execute(&dfg, g, plan, &globals).unwrap();
             let run = cluster.execute(&dfg, g, plan, &globals, placement).unwrap();
             assert_eq!(reference[0].data(), run.outputs[0].data());
         };

@@ -14,19 +14,23 @@
 //! deterministic and the final reduction runs in ascending worker order,
 //! which keeps results bit-identical to the allocating reference path
 //! ([`execute_parallel_alloc`]).
+//!
+//! [`Engine::execute`], [`Engine::execute_program`] and
+//! [`Engine::accumulate_program`] are the entry points; all three end in
+//! the same worker phase, which runs every gTask through
+//! [`run_task`] under the plan the engine's [`ExecMode`] selects.
 
-use crate::fused::{plan_fusion, run_task_fused, FusedPlan};
+use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
     compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
-    run_task, run_task_ws, run_task_ws_shadow, CompileError, TaskWorkspace,
+    run_task, CompileError, Shadow, TaskWorkspace,
 };
-use crate::oppart::fusion_profitable;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use wisegraph_dfg::Dfg;
 use wisegraph_graph::Graph;
 use wisegraph_gtask::PartitionPlan;
-use wisegraph_obs::{keys, span, with_lane, Class, Counters};
+use wisegraph_obs::{keys, span, with_lane, Class, Counters, Session};
 use wisegraph_tensor::{ops, Tensor};
 
 /// The deterministic chunk-to-slot assignment shared by [`Engine::execute`]
@@ -59,19 +63,18 @@ struct WorkerSlot {
     acc: Option<Tensor>,
 }
 
-/// How the engine executes compiled per-task programs.
+/// Which [`FusedPlan`] the engine runs compiled per-task programs under,
+/// and whether it records a shadow log while doing so.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Fuse when the cost rule ([`fusion_profitable`]) says the fused plan
-    /// saves traffic; interpret otherwise. The default.
+    /// Run [`plan_fusion`]'s plan: matched chains as fused kernels, every
+    /// other instruction as an interpreter step (a program with no matched
+    /// chain runs fully interpreted). The default.
     #[default]
-    Auto,
-    /// Always run the instruction-at-a-time interpreter (the reference).
-    Interpret,
-    /// Always run the fused plan (instructions without a matched pattern
-    /// still execute on the shared interpreter step).
     Fused,
-    /// Shadow-memory sanitizer: interpret every instruction while
+    /// Run [`FusedPlan::interpreted`]: the instruction-at-a-time reference.
+    Interpret,
+    /// Shadow-memory sanitizer: run the interpreted plan while
     /// recording, per accumulator cell, the last writer `(worker, task)`;
     /// after the workers join, cross-check the records against the
     /// engine's merge contract. Cross-task writes to the same cell are
@@ -79,7 +82,7 @@ pub enum ExecMode {
     /// reduce handles them deterministically) but a hard error for
     /// programs whose stores assume exclusive row ownership
     /// (per-destination normalization). Outputs are bit-identical to
-    /// [`ExecMode::Auto`]; expect interpreter wall-clock plus recording
+    /// [`ExecMode::Fused`]; expect interpreter wall-clock plus recording
     /// overhead — this mode is for validation (`wisegraph-lint` pass 7,
     /// schedule bring-up), not production runs.
     Sanitize,
@@ -138,13 +141,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with `threads` worker slots in [`ExecMode::Auto`].
+    /// Creates an engine with `threads` worker slots in the default
+    /// [`ExecMode::Fused`].
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self::with_mode(threads, ExecMode::Auto)
+        Self::with_mode(threads, ExecMode::default())
     }
 
     /// Creates an engine with `threads` worker slots and an explicit
@@ -424,9 +428,9 @@ impl Engine {
     }
 
     /// The shared worker phase: distributes the plan's tasks over the
-    /// worker slots, runs them under the engine's dispatch mode, checks
-    /// shadows when sanitizing, and reduces the per-worker partials in
-    /// ascending slot order. Checks no precondition of the plan: the
+    /// worker slots, runs them under the plan the engine's mode selects,
+    /// checks shadows when sanitizing, and reduces the per-worker partials
+    /// in ascending slot order. Checks no precondition of the plan: the
     /// public entry points (and the cluster, once per shard) do.
     pub(crate) fn reduce_tasks(
         &self,
@@ -435,17 +439,15 @@ impl Engine {
         plan: &PartitionPlan,
         all_globals: &HashMap<String, Tensor>,
     ) -> Result<Tensor, CompileError> {
-        // Dispatch decision: per program, before any worker starts, so the
-        // same code path runs at every thread count.
-        let sanitizing = self.mode == ExecMode::Sanitize;
-        let fplan: Option<FusedPlan> = match self.mode {
-            ExecMode::Interpret | ExecMode::Sanitize => None,
-            ExecMode::Fused => Some(plan_fusion(program)),
-            ExecMode::Auto => {
-                let fp = plan_fusion(program);
-                fusion_profitable(program, &fp).then_some(fp)
-            }
+        // Per program, before any worker starts, so the same plan runs at
+        // every thread count.
+        let (fplan, sanitizing) = match self.mode {
+            ExecMode::Fused => (plan_fusion(program), false),
+            ExecMode::Interpret => (FusedPlan::interpreted(program), false),
+            ExecMode::Sanitize => (FusedPlan::interpreted(program), true),
         };
+        // Workers record into whatever capture the calling thread is in.
+        let session = Session::current();
 
         let results: Vec<(Tensor, Vec<(u32, u32)>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunk_ranges(plan.tasks.len(), self.threads())
@@ -454,7 +456,7 @@ impl Engine {
                 .map(|(wi, range)| {
                     let first_task = range.start;
                     let tasks = &plan.tasks[range];
-                    let fplan = fplan.as_ref();
+                    let (fplan, session) = (&fplan, &session);
                     let slot = &self.slots[wi];
                     let lane = self.lane_base + wi as u32 + 1;
                     // Lane 0 belongs to the driver thread; worker slot `wi`
@@ -462,7 +464,7 @@ impl Engine {
                     // trace's track layout a function of the deterministic
                     // slot assignment rather than of OS thread identity.
                     scope.spawn(move || {
-                        with_lane(lane, || {
+                        with_lane(session, lane, || {
                             let _wsp =
                                 span!("engine.worker", slot = wi, tasks = tasks.len());
                             let mut slot = slot.lock().expect("engine slot poisoned");
@@ -484,38 +486,19 @@ impl Engine {
                             };
                             let mut shadow = Vec::new();
                             for (k, task) in tasks.iter().enumerate() {
-                                if sanitizing {
-                                    run_task_ws_shadow(
-                                        program,
-                                        g,
-                                        all_globals,
-                                        &task.edges,
-                                        &mut acc,
-                                        &mut slot.tws,
-                                        first_task + k,
-                                        &mut shadow,
-                                    );
-                                    continue;
-                                }
-                                match fplan {
-                                    Some(fp) => run_task_fused(
-                                        program,
-                                        fp,
-                                        g,
-                                        all_globals,
-                                        &task.edges,
-                                        &mut acc,
-                                        &mut slot.tws,
-                                    ),
-                                    None => run_task_ws(
-                                        program,
-                                        g,
-                                        all_globals,
-                                        &task.edges,
-                                        &mut acc,
-                                        &mut slot.tws,
-                                    ),
-                                }
+                                run_task(
+                                    program,
+                                    fplan,
+                                    g,
+                                    all_globals,
+                                    &task.edges,
+                                    &mut acc,
+                                    &mut slot.tws,
+                                    sanitizing.then(|| Shadow {
+                                        task: first_task + k,
+                                        log: &mut shadow,
+                                    }),
+                                );
                             }
                             (acc, shadow)
                         })
@@ -549,53 +532,11 @@ impl Engine {
     }
 }
 
-/// Executes a compiled plan across `threads` workers and returns the DFG
-/// outputs, using a fresh [`Engine`] (workspaces are still reused across
-/// the tasks of this one call).
-///
-/// # Errors
-///
-/// Returns the compile error if the DFG cannot run per task.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or a worker thread panics.
-pub fn execute_parallel(
-    dfg: &Dfg,
-    g: &Graph,
-    plan: &PartitionPlan,
-    globals: &HashMap<String, Tensor>,
-    threads: usize,
-) -> Result<Vec<Tensor>, CompileError> {
-    Engine::new(threads).execute(dfg, g, plan, globals)
-}
-
-/// Like [`execute_parallel`], with an explicit [`ExecMode`]. The
-/// differential tests drive both sides of the fused/interpreter contract
-/// through this entry point.
-///
-/// # Errors
-///
-/// Returns the compile error if the DFG cannot run per task.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or a worker thread panics.
-pub fn execute_parallel_mode(
-    dfg: &Dfg,
-    g: &Graph,
-    plan: &PartitionPlan,
-    globals: &HashMap<String, Tensor>,
-    threads: usize,
-    mode: ExecMode,
-) -> Result<Vec<Tensor>, CompileError> {
-    Engine::with_mode(threads, mode).execute(dfg, g, plan, globals)
-}
-
 /// Allocating reference executor: identical work distribution to
-/// [`Engine::execute`], but every task gets fresh buffers and every worker
-/// a fresh accumulator — the alloc-per-call behavior the workspace path
-/// eliminates. Kept as the parity/bench baseline.
+/// [`Engine::execute`] and the same [`run_task`] under the interpreted
+/// plan, but every task gets a fresh [`TaskWorkspace`] and every worker a
+/// fresh accumulator — the alloc-per-call behavior the workspace path
+/// eliminates. The reference `tests/workspace_parity.rs` compares against.
 ///
 /// # Errors
 ///
@@ -621,19 +562,28 @@ pub fn execute_parallel_alloc(
     }
     let mut all_globals = globals.clone();
     all_globals.extend(eval_prologue(&program, dfg, g, globals)?);
+    let interp = FusedPlan::interpreted(&program);
 
     let partials: Vec<Tensor> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunk_ranges(plan.tasks.len(), threads)
             .into_iter()
             .map(|range| {
                 let tasks = &plan.tasks[range];
-                let program = &program;
-                let all_globals = &all_globals;
+                let (program, interp, all_globals) = (&program, &interp, &all_globals);
                 scope.spawn(move || {
                     let mut acc =
                         Tensor::zeros(&[program.out_rows, program.out_width]);
                     for task in tasks {
-                        run_task(program, g, all_globals, &task.edges, &mut acc);
+                        run_task(
+                            program,
+                            interp,
+                            g,
+                            all_globals,
+                            &task.edges,
+                            &mut acc,
+                            &mut TaskWorkspace::new(),
+                            None,
+                        );
                     }
                     acc
                 })
@@ -689,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_mode_is_bit_identical_to_auto() {
+    fn sanitize_mode_is_bit_identical_to_the_default() {
         let g = rmat(&RmatParams::standard(120, 900, 61).with_edge_types(3));
         let (fi, fo) = (5, 4);
         let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
@@ -704,9 +654,7 @@ mod tests {
         );
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
         for threads in [1usize, 2, 4] {
-            let auto =
-                execute_parallel_mode(&dfg, &g, &plan, &globals, threads, ExecMode::Auto)
-                    .unwrap();
+            let auto = Engine::new(threads).execute(&dfg, &g, &plan, &globals).unwrap();
             let engine = Engine::with_mode(threads, ExecMode::Sanitize);
             let sanitized = engine.execute(&dfg, &g, &plan, &globals).unwrap();
             for (a, b) in auto.iter().zip(sanitized.iter()) {
@@ -757,11 +705,11 @@ mod tests {
         let rep = engine.last_sanitize().expect("report kept on error path");
         assert!(!rep.conflicts.is_empty());
         assert!(engine.stats().count(keys::SANITIZE_CONFLICTS) > 0);
-        // The same combination under Auto is rejected statically instead.
-        let auto_err = execute_parallel_mode(
-            &dfg, &g, &plan, &globals, 2, ExecMode::Auto,
-        )
-        .expect_err("static precondition");
+        // The same combination under the default mode is rejected statically
+        // instead.
+        let auto_err = Engine::new(2)
+            .execute(&dfg, &g, &plan, &globals)
+            .expect_err("static precondition");
         assert!(auto_err.to_string().contains("destination-complete"));
     }
 
@@ -782,8 +730,7 @@ mod tests {
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::src_batch_per_type(16));
         for threads in [1usize, 2, 4] {
-            let got =
-                &execute_parallel(&dfg, &g, &plan, &globals, threads).unwrap()[0];
+            let got = &Engine::new(threads).execute(&dfg, &g, &plan, &globals).unwrap()[0];
             assert!(
                 reference.allclose(got, 1e-3),
                 "threads {threads}: diff {}",
@@ -805,7 +752,7 @@ mod tests {
         globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 4));
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::edge_batch(64));
-        let got = &execute_parallel(&dfg, &g, &plan, &globals, 3).unwrap()[0];
+        let got = &Engine::new(3).execute(&dfg, &g, &plan, &globals).unwrap()[0];
         assert!(reference.allclose(got, 1e-3));
     }
 
@@ -821,7 +768,7 @@ mod tests {
         globals.insert("w".to_string(), init::uniform_tensor(&[3, 2], -1.0, 1.0, 6));
         let plan = partition(&g, &PartitionTable::new()); // one task
         assert_eq!(plan.num_tasks(), 1);
-        let got = &execute_parallel(&dfg, &g, &plan, &globals, 4).unwrap()[0];
+        let got = &Engine::new(4).execute(&dfg, &g, &plan, &globals).unwrap()[0];
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         assert!(reference.allclose(got, 1e-3));
     }
@@ -886,7 +833,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let a = execute_parallel_alloc(&dfg, &g, &plan, &globals, threads)
                 .unwrap();
-            let b = execute_parallel(&dfg, &g, &plan, &globals, threads).unwrap();
+            let b = Engine::new(threads).execute(&dfg, &g, &plan, &globals).unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.data(), y.data(), "threads {threads}");

@@ -1,15 +1,9 @@
-//! Real CPU implementations of the generated fused kernels.
-//!
-//! These execute the same work the simulated GPU kernels describe, in the
-//! two styles of Figure 10: edge-by-edge (no data batching) and batched
-//! (per-gTask batch of unique sources → one matrix–matrix product). They
-//! serve three purposes: numeric ground truth for the plans, the engine
-//! behind the accuracy experiments, and real-throughput calibration points
-//! for the simulator via the in-repo `testkit::bench` harness.
+//! A hand-written RGCN layer in the edge-by-edge style of Figure 10b: the
+//! numeric oracle for RGCN that shares no code with the micro-kernel IR,
+//! its compiler or the engine.
 
 use wisegraph_graph::Graph;
-use wisegraph_gtask::PartitionPlan;
-use wisegraph_tensor::{ops, Tensor};
+use wisegraph_tensor::Tensor;
 
 /// RGCN message-passing, edge by edge (Figure 10b):
 /// `out[dst] += h[src] @ W[type]` with one vector–matrix product per edge.
@@ -45,201 +39,34 @@ pub fn rgcn_edge_by_edge(g: &Graph, h: &Tensor, w: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[v, fo])
 }
 
-/// RGCN message-passing with per-gTask data batching (Figure 10c): for each
-/// task, gather its unique source embeddings, run one `[K, F] @ [F, F']`
-/// matrix product against the task's single weight, and scatter results to
-/// destinations.
-///
-/// # Panics
-///
-/// Panics if a task mixes edge types (the plan must restrict
-/// `uniq(edge-type) = 1`) or tensor shapes mismatch.
-pub fn rgcn_batched(g: &Graph, plan: &PartitionPlan, h: &Tensor, w: &Tensor) -> Tensor {
-    let (v, f) = (h.dims()[0], h.dims()[1]);
-    assert_eq!(v, g.num_vertices(), "h rows must equal |V|");
-    let fo = w.dims()[2];
-    let mut out = Tensor::zeros(&[v, fo]);
-    for task in &plan.tasks {
-        // The task's single edge type.
-        let t = g.etype()[task.edges[0]];
-        assert!(
-            task.edges.iter().all(|&e| g.etype()[e] == t),
-            "batched RGCN kernel requires uniq(edge-type)=1 per task"
-        );
-        // Unique sources and the per-edge position map (the batch).
-        let mut srcs: Vec<u32> = task.edges.iter().map(|&e| g.src()[e]).collect();
-        srcs.sort_unstable();
-        srcs.dedup();
-        let batch = ops::gather_rows(h, &srcs);
-        // One matrix–matrix product for the whole task.
-        let wt = Tensor::from_vec(
-            w.data()[(t as usize) * f * fo..(t as usize + 1) * f * fo].to_vec(),
-            &[f, fo],
-        );
-        let encoded = ops::matmul(&batch, &wt);
-        // Scatter to destinations.
-        for &e in &task.edges {
-            let pos = srcs.binary_search(&g.src()[e]).expect("src in batch");
-            let row = encoded.row(pos);
-            let orow = out.row_mut(g.dst()[e] as usize);
-            for (o, &x) in orow.iter_mut().zip(row) {
-                *o += x;
-            }
-        }
-    }
-    out
-}
-
-/// Neighbor-sum aggregation, edge by edge: `out[dst] += h[src]`.
-///
-/// # Panics
-///
-/// Panics if `h` is not `[V, F]`.
-pub fn aggregate_sum_edgewise(g: &Graph, h: &Tensor) -> Tensor {
-    let (v, f) = (h.dims()[0], h.dims()[1]);
-    assert_eq!(v, g.num_vertices(), "h rows must equal |V|");
-    let mut out = vec![0.0f32; v * f];
-    for e in 0..g.num_edges() {
-        let (s, d) = (g.src()[e] as usize, g.dst()[e] as usize);
-        let hrow = &h.data()[s * f..(s + 1) * f];
-        let orow = &mut out[d * f..(d + 1) * f];
-        for (o, &x) in orow.iter_mut().zip(hrow) {
-            *o += x;
-        }
-    }
-    Tensor::from_vec(out, &[v, f])
-}
-
-/// Neighbor-sum aggregation driven by a partition plan: tasks processed one
-/// at a time with a local accumulator flushed once per destination — the
-/// fused per-gTask execution order.
-///
-/// # Panics
-///
-/// Panics if `h` is not `[V, F]`.
-pub fn aggregate_sum_tasked(g: &Graph, plan: &PartitionPlan, h: &Tensor) -> Tensor {
-    let (v, f) = (h.dims()[0], h.dims()[1]);
-    assert_eq!(v, g.num_vertices(), "h rows must equal |V|");
-    let mut out = Tensor::zeros(&[v, f]);
-    let mut acc = vec![0.0f32; f];
-    for task in &plan.tasks {
-        let mut run_dst: Option<u32> = None;
-        for &e in &task.edges {
-            let d = g.dst()[e];
-            if run_dst != Some(d) {
-                if let Some(prev) = run_dst {
-                    let orow = out.row_mut(prev as usize);
-                    for (o, a) in orow.iter_mut().zip(acc.iter_mut()) {
-                        *o += *a;
-                        *a = 0.0;
-                    }
-                }
-                run_dst = Some(d);
-            }
-            let hrow = h.row(g.src()[e] as usize);
-            for (a, &x) in acc.iter_mut().zip(hrow) {
-                *a += x;
-            }
-        }
-        if let Some(prev) = run_dst {
-            let orow = out.row_mut(prev as usize);
-            for (o, a) in orow.iter_mut().zip(acc.iter_mut()) {
-                *o += *a;
-                *a = 0.0;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use std::collections::HashMap;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
-
-    fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
-        let n: usize = dims.iter().product();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let data = (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f32 / u32::MAX as f32) - 0.5
-            })
-            .collect();
-        Tensor::from_vec(data, dims)
-    }
+    use wisegraph_models::ModelKind;
+    use wisegraph_tensor::init;
 
     #[test]
-    fn batched_rgcn_matches_edge_by_edge() {
+    fn edge_by_edge_rgcn_matches_the_engine() {
         for seed in [1u64, 2, 3] {
             let g = rmat(&RmatParams::standard(80, 600, seed).with_edge_types(3));
-            let h = rand_tensor(&[80, 6], seed + 10);
-            let w = rand_tensor(&[3, 6, 4], seed + 20);
+            let (fi, fo) = (6, 4);
+            let h = init::uniform_tensor(&[g.num_vertices(), fi], -0.5, 0.5, seed + 10);
+            let w = init::uniform_tensor(&[g.num_edge_types(), fi, fo], -0.5, 0.5, seed + 20);
+            let oracle = rgcn_edge_by_edge(&g, &h, &w);
+            let globals = HashMap::from([("h".to_string(), h), ("W".to_string(), w)]);
             let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
-            let a = rgcn_edge_by_edge(&g, &h, &w);
-            let b = rgcn_batched(&g, &plan, &h, &w);
+            let got = Engine::new(2)
+                .execute(&ModelKind::Rgcn.layer_dfg(fi, fo), &g, &plan, &globals)
+                .unwrap();
             assert!(
-                a.allclose(&b, 1e-4),
+                oracle.allclose(&got[0], 1e-4),
                 "seed {seed}: diff {}",
-                a.max_abs_diff(&b)
+                oracle.max_abs_diff(&got[0])
             );
         }
-    }
-
-    #[test]
-    fn batched_rgcn_with_various_k() {
-        let g = rmat(&RmatParams::standard(60, 400, 9).with_edge_types(4));
-        let h = rand_tensor(&[60, 5], 31);
-        let w = rand_tensor(&[4, 5, 3], 32);
-        let reference = rgcn_edge_by_edge(&g, &h, &w);
-        for k in [1u64, 2, 16, 1024] {
-            let plan = partition(&g, &PartitionTable::src_batch_per_type(k));
-            let got = rgcn_batched(&g, &plan, &h, &w);
-            assert!(reference.allclose(&got, 1e-4), "k = {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "uniq(edge-type)=1")]
-    fn batched_rgcn_rejects_mixed_type_tasks() {
-        let g = rmat(&RmatParams::standard(40, 300, 4).with_edge_types(3));
-        let h = rand_tensor(&[40, 4], 1);
-        let w = rand_tensor(&[3, 4, 4], 2);
-        // Edge batching ignores type → mixed-type tasks.
-        let plan = partition(&g, &PartitionTable::edge_batch(16));
-        rgcn_batched(&g, &plan, &h, &w);
-    }
-
-    #[test]
-    fn tasked_aggregation_matches_edgewise() {
-        let g = rmat(&RmatParams::standard(100, 900, 6));
-        let h = rand_tensor(&[100, 7], 3);
-        let reference = aggregate_sum_edgewise(&g, &h);
-        for table in [
-            PartitionTable::vertex_centric(),
-            PartitionTable::edge_batch(32),
-            PartitionTable::two_d(4),
-        ] {
-            let plan = partition(&g, &table);
-            let got = aggregate_sum_tasked(&g, &plan, &h);
-            assert!(
-                reference.allclose(&got, 1e-4),
-                "table {table}: diff {}",
-                reference.max_abs_diff(&got)
-            );
-        }
-    }
-
-    #[test]
-    fn aggregation_on_empty_feature_rows() {
-        // Vertices with no in-edges stay zero.
-        let g = Graph::untyped(4, vec![0, 1], vec![2, 2]);
-        let h = Tensor::ones(&[4, 3]);
-        let out = aggregate_sum_edgewise(&g, &h);
-        assert_eq!(out.row(0), &[0.0, 0.0, 0.0]);
-        assert_eq!(out.row(2), &[2.0, 2.0, 2.0]);
     }
 }

@@ -16,16 +16,17 @@
 //!   `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
 //!
 //! [`plan_fusion`] scans a compiled [`KernelProgram`] for these chains and
-//! replaces each with one [`FusedKernel`]; every other instruction stays on
-//! the shared interpreter step ([`crate::micro`]'s `exec_op`), so arbitrary
-//! programs (GAT's softmax pipeline, dedup/pairwise forms) fall back
-//! instruction-by-instruction. Whether a program's fused plan is actually
-//! used is decided by the cost rule in [`crate::oppart::fusion_profitable`].
+//! replaces each with one [`FusedKernel`]; every other instruction stays an
+//! interpreter step, so arbitrary programs (GAT's softmax pipeline,
+//! dedup/pairwise forms) fall back instruction-by-instruction and a program
+//! with no matching chain gets [`FusedPlan::interpreted`]. Either way the
+//! result is a [`FusedPlan`], which the one per-task runner
+//! ([`crate::micro::run_task`]) walks.
 //!
 //! # Bit-identity contract
 //!
-//! The fused path must produce **exactly** the bytes of the interpreter at
-//! every thread count, and report identical Work counters. The lowering
+//! A plan with fused segments must produce **exactly** the bytes of the
+//! interpreted plan at every thread count, and report identical Work counters. The lowering
 //! therefore only applies transforms that provably preserve the per-element
 //! floating-point sequence:
 //!
@@ -50,13 +51,10 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use wisegraph_graph::Graph;
-use wisegraph_obs::span;
 use wisegraph_tensor::Tensor;
 
 use crate::micro::{
-    exec_op, reg_stream, summarize, AccessSummary, KernelProgram, MicroKernel, Reg,
-    TaskWorkspace,
+    reg_stream, summarize, AccessSummary, KernelProgram, MicroKernel, Reg, TaskWorkspace,
 };
 
 /// Unroll width of the fused inner loops. Chosen so the autovectorizer can
@@ -193,6 +191,14 @@ pub struct FusedPlan {
 }
 
 impl FusedPlan {
+    /// The plan that fuses nothing: every instruction of `program` its own
+    /// interpreter step. Running it *is* the interpreter.
+    pub fn interpreted(program: &KernelProgram) -> Self {
+        Self {
+            segments: (0..program.ops.len()).map(Segment::Interp).collect(),
+        }
+    }
+
     /// Number of fused segments.
     pub fn num_fused(&self) -> usize {
         self.segments
@@ -393,8 +399,9 @@ fn axpy(acc: &mut [f32], a: f32, row: &[f32]) {
 }
 
 /// Executes one fused kernel against the task's streams, accumulating into
-/// `out` with the interpreter's exact Work accounting.
-fn run_fused(
+/// `out` with the interpreter's exact Work accounting: the step
+/// [`crate::micro::run_task`] takes for every `Segment::Fused`.
+pub(crate) fn run_fused(
     program: &KernelProgram,
     fk: &FusedKernel,
     globals: &HashMap<String, Tensor>,
@@ -512,53 +519,11 @@ fn run_fused(
     }
 }
 
-/// Executes the compiled program for one task's edges through a fused
-/// plan, accumulating into `out`. Bit-identical to
-/// [`crate::micro::run_task_ws`] over the same edges, with identical Work
-/// counters; only the `kernel.fused_*` resource counters differ.
-///
-/// # Panics
-///
-/// Panics if the fused plan does not belong to `program` (register or
-/// width mismatches), a register is used before assignment, or a global
-/// tensor is missing.
-pub fn run_task_fused(
-    program: &KernelProgram,
-    fplan: &FusedPlan,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-    edges: &[usize],
-    out: &mut Tensor,
-    tws: &mut TaskWorkspace,
-) {
-    let mut sp = span!(
-        "kernel.task.fused",
-        edges = edges.len(),
-        fused_segments = fplan.num_fused()
-    );
-    tws.prepare(program.num_regs);
-    tws.work.tasks += 1;
-    tws.work.edges += edges.len() as u64;
-    if fplan.num_fused() > 0 {
-        tws.work.fused_tasks += 1;
-        tws.work.fused_micro_ops += fplan.replaced_ops() as u64;
-    }
-    let flops_before = tws.work.flops;
-    for seg in &fplan.segments {
-        match seg {
-            Segment::Interp(pc) => {
-                exec_op(program, &program.ops[*pc], g, globals, edges, out, tws)
-            }
-            Segment::Fused(fk) => run_fused(program, fk, globals, out, tws),
-        }
-    }
-    sp.arg("flops", tws.work.flops - flops_before);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro::{compile, run_task_ws};
+    use crate::micro::{compile, run_task, Shadow};
+    use wisegraph_graph::Graph;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
@@ -634,13 +599,49 @@ mod tests {
             let mut b = Tensor::zeros(&[program.out_rows, program.out_width]);
             let mut tws_a = TaskWorkspace::new();
             let mut tws_b = TaskWorkspace::new();
+            let interp = FusedPlan::interpreted(&program);
             for task in &plan.tasks {
-                run_task_ws(&program, &g, &globals, &task.edges, &mut a, &mut tws_a);
-                run_task_fused(
-                    &program, &fplan, &g, &globals, &task.edges, &mut b, &mut tws_b,
+                run_task(
+                    &program, &interp, &g, &globals, &task.edges, &mut a, &mut tws_a, None,
+                );
+                run_task(
+                    &program, &fplan, &g, &globals, &task.edges, &mut b, &mut tws_b, None,
                 );
             }
             assert_eq!(a.data(), b.data(), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn fused_plan_records_the_same_shadow_as_the_interpreted_plan() {
+        // The engine only ever sanitizes the interpreted plan; the recorder
+        // itself is plan-agnostic, and this is the one place that shows it.
+        let g = rmat(&RmatParams::standard(60, 400, 29).with_edge_types(3));
+        let (fi, fo) = (6, 5);
+        for kind in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Sage] {
+            let program = compile(&kind.layer_dfg(fi, fo), &g).unwrap();
+            let fused = plan_fusion(&program);
+            assert!(fused.num_fused() > 0, "{}", kind.name());
+            let globals = globals_for(&g, fi, fo);
+            let plan = partition(&g, &PartitionTable::edge_batch(32));
+            let record = |fplan: &FusedPlan| {
+                let mut out = Tensor::zeros(&[program.out_rows, program.out_width]);
+                let mut tws = TaskWorkspace::new();
+                let mut log = Vec::new();
+                for (task, t) in plan.tasks.iter().enumerate() {
+                    let shadow = Shadow { task, log: &mut log };
+                    run_task(
+                        &program, fplan, &g, &globals, &t.edges, &mut out, &mut tws,
+                        Some(shadow),
+                    );
+                }
+                (out, log)
+            };
+            let (out_i, log_i) = record(&FusedPlan::interpreted(&program));
+            let (out_f, log_f) = record(&fused);
+            assert_eq!(log_i.len(), g.num_edges(), "{}", kind.name());
+            assert_eq!(log_i, log_f, "{}", kind.name());
+            assert_eq!(out_i.data(), out_f.data(), "{}", kind.name());
         }
     }
 

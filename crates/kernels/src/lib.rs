@@ -13,16 +13,18 @@
 //!   [`wisegraph_sim::KernelCost`]s, with fusion-aware memory accounting
 //!   (intra-group intermediates are free; group boundaries pay traffic) and
 //!   batched-data-aware compute classes;
-//! - [`exec`]: real CPU implementations of the generated fused kernels for
-//!   RGCN and aggregation (both edge-by-edge and batched variants),
-//!   validated against the DFG interpreter and used to ground the
-//!   simulator's calibration via the in-repo `testkit::bench` harness;
-//! - [`engine`]: the parallel gTask execution engine with persistent
-//!   per-worker workspaces ([`micro::TaskWorkspace`]);
+//! - [`micro`]: the micro-kernel IR, its compiler from DFG fragments, and
+//!   the one per-gTask runner ([`micro::run_task`]), which walks a
+//!   [`fused::FusedPlan`];
 //! - [`fused`]: pattern-matched fusion of compiled micro-kernel chains
-//!   into specialized, cache-blocked loops, bit-identical to the
-//!   interpreter and dispatched by the cost rule in
-//!   [`oppart::fusion_profitable`];
+//!   into specialized, cache-blocked loops — a plan with fused segments is
+//!   bit-identical to the interpreted plan of the same program;
+//! - [`engine`]: the parallel gTask execution engine with persistent
+//!   per-worker workspaces ([`micro::TaskWorkspace`]); its three
+//!   [`engine::ExecMode`]s pick the plan (fused, interpreted) and whether
+//!   a shadow log is recorded;
+//! - [`exec`]: a hand-written edge-by-edge RGCN layer, the numeric oracle
+//!   independent of the IR;
 //! - [`cluster`]: sharded multi-device execution — one real [`engine`]
 //!   per simulated device, deterministic collectives, and the paper's
 //!   placement schedules (§5.4, Figure 11) as executable strategies.

@@ -15,6 +15,7 @@
 //! interpreter; the cost model in [`crate::generate`] prices the same
 //! composition analytically.
 
+use crate::fused::{run_fused, FusedPlan, Segment};
 use std::collections::HashMap;
 use std::ops::Range;
 use wisegraph_dfg::interp::unique_and_map;
@@ -656,101 +657,83 @@ fn pairwise(x: &Tensor, w: &Tensor) -> Tensor {
     Tensor::from_vec(data, &[u, t, fo])
 }
 
-/// Executes the compiled program for one task's edges, accumulating into
-/// `out`, with a fresh [`TaskWorkspace`]. Thin wrapper over
-/// [`run_task_ws`]; callers executing many tasks should hold a
-/// `TaskWorkspace` and call that directly.
+/// Where a sanitized run records its stores: one `(row, task)` pair per
+/// accumulator row a `ScatterAdd` touches, in store order.
+pub struct Shadow<'a> {
+    /// Index of the gTask being run, within its plan.
+    pub task: usize,
+    /// The worker's log, appended to.
+    pub log: &'a mut Vec<(u32, u32)>,
+}
+
+/// Runs one gTask: executes `plan`'s segments over the task's `edges`,
+/// accumulating into `out` and drawing every register value from `tws`.
+/// This is the only per-task runner — the interpreter is
+/// [`FusedPlan::interpreted`], the optimized path [`crate::fused::plan_fusion`],
+/// and any plan over `program` produces the same bytes in `out` and the
+/// same Work counters; only the `kernel.fused_*` resource counters tell
+/// plans apart.
+///
+/// With a `shadow`, the destination stream of every segment that ends in a
+/// `ScatterAdd` is also logged (a fused kernel's last instruction is its
+/// scatter and leaves the `idx` register live, so interpreted and fused
+/// segments record alike) for the engine's last-writer check.
 ///
 /// # Panics
 ///
-/// Panics if a register is used before assignment or a global tensor is
-/// missing (compilation guarantees well-formed programs for valid inputs).
+/// Panics if `plan` does not belong to `program` (register or width
+/// mismatches), a register is used before assignment, or a global tensor
+/// is missing (compilation guarantees well-formed programs for valid
+/// inputs).
+#[allow(clippy::too_many_arguments)]
 pub fn run_task(
     program: &KernelProgram,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-    edges: &[usize],
-    out: &mut Tensor,
-) {
-    run_task_ws(program, g, globals, edges, out, &mut TaskWorkspace::new());
-}
-
-/// Executes the compiled program for one task's edges, accumulating into
-/// `out` and drawing every register value from `tws`.
-///
-/// Bit-identical to [`run_task`]: pooled buffers are zero-filled on
-/// checkout and all kernels are the same `_into` routines the allocating
-/// ops wrap.
-///
-/// # Panics
-///
-/// Panics if a register is used before assignment or a global tensor is
-/// missing (compilation guarantees well-formed programs for valid inputs).
-pub fn run_task_ws(
-    program: &KernelProgram,
+    plan: &FusedPlan,
     g: &Graph,
     globals: &HashMap<String, Tensor>,
     edges: &[usize],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
-) {
-    let mut sp = span!("kernel.task", edges = edges.len(), ops = program.ops.len());
-    tws.prepare(program.num_regs);
-    tws.work.tasks += 1;
-    tws.work.edges += edges.len() as u64;
-    let flops_before = tws.work.flops;
-    for op in &program.ops {
-        exec_op(program, op, g, globals, edges, out, tws);
-    }
-    sp.arg("flops", tws.work.flops - flops_before);
-}
-
-/// Executes the compiled program for one task's edges exactly like
-/// [`run_task_ws`], additionally recording into `shadow` every accumulator
-/// row the task's `ScatterAdd` stores touch, as `(row, task)` pairs in
-/// store order. The shadow-memory sanitizer (`ExecMode::Sanitize` in
-/// [`crate::engine`]) merges these records into a per-cell last-writer map
-/// after the workers join and cross-checks them against the engine's merge
-/// contract. Every instruction runs through the interpreter's own
-/// [`exec_op`] step, so outputs stay bit-identical to the unshadowed path.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_task_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_task_ws_shadow(
-    program: &KernelProgram,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-    edges: &[usize],
-    out: &mut Tensor,
-    tws: &mut TaskWorkspace,
-    task: usize,
-    shadow: &mut Vec<(u32, u32)>,
+    mut shadow: Option<Shadow<'_>>,
 ) {
     let mut sp = span!(
-        "kernel.task.sanitize",
+        "kernel.task",
         edges = edges.len(),
-        ops = program.ops.len()
+        segments = plan.segments.len()
     );
     tws.prepare(program.num_regs);
     tws.work.tasks += 1;
     tws.work.edges += edges.len() as u64;
+    let replaced = plan.replaced_ops();
+    if replaced > 0 {
+        tws.work.fused_tasks += 1;
+        tws.work.fused_micro_ops += replaced as u64;
+    }
     let flops_before = tws.work.flops;
-    for op in &program.ops {
-        exec_op(program, op, g, globals, edges, out, tws);
-        if let MicroKernel::ScatterAdd { idx, .. } = op {
-            for &row in reg_stream(&tws.regs, *idx) {
-                shadow.push((row, task as u32));
+    for seg in &plan.segments {
+        let last_pc = match seg {
+            Segment::Interp(pc) => {
+                exec_op(program, &program.ops[*pc], g, globals, edges, out, tws);
+                *pc
             }
+            Segment::Fused(fk) => {
+                run_fused(program, fk, globals, out, tws);
+                fk.pcs.end - 1
+            }
+        };
+        if let (Some(sh), MicroKernel::ScatterAdd { idx, .. }) =
+            (shadow.as_mut(), &program.ops[last_pc])
+        {
+            let task = sh.task as u32;
+            sh.log
+                .extend(reg_stream(&tws.regs, *idx).iter().map(|&row| (row, task)));
         }
     }
     sp.arg("flops", tws.work.flops - flops_before);
 }
 
 /// Executes a single micro-kernel instruction against the task workspace:
-/// the shared interpreter step behind [`run_task_ws`], also used for the
-/// non-fused segments of [`crate::fused::run_task_fused`].
+/// the step [`run_task`] takes for every `Segment::Interp`.
 pub(crate) fn exec_op(
     program: &KernelProgram,
     op: &MicroKernel,
@@ -1340,36 +1323,6 @@ pub fn eval_prologue(
         .collect()
 }
 
-/// Compiles and executes a DFG over a partition plan: per-task programs
-/// accumulate into the reduction buffer; the epilogue finishes the layer.
-///
-/// # Errors
-///
-/// Returns the compile error if the DFG is not per-task executable.
-pub fn execute_by_plan(
-    dfg: &Dfg,
-    g: &Graph,
-    plan: &PartitionPlan,
-    globals: &HashMap<String, Tensor>,
-) -> Result<Vec<Tensor>, CompileError> {
-    let program = compile(dfg, g)?;
-    if program.requires_dst_complete && !plan_is_dst_complete(g, plan) {
-        return Err(CompileError(
-            "per-destination normalization requires a destination-complete \
-             plan (e.g. uniq(dst-id)=k tables)"
-                .into(),
-        ));
-    }
-    let mut all_globals = globals.clone();
-    all_globals.extend(eval_prologue(&program, dfg, g, globals)?);
-    let mut acc = Tensor::zeros(&[program.out_rows, program.out_width]);
-    let mut tws = TaskWorkspace::new();
-    for task in &plan.tasks {
-        run_task_ws(&program, g, &all_globals, &task.edges, &mut acc, &mut tws);
-    }
-    Ok(run_epilogue(dfg, g, globals, program.reduce_node, acc))
-}
-
 /// Returns `true` when every destination's in-edges live in exactly one
 /// task of the plan. One pass: each destination is stamped with the first
 /// task that holds one of its in-edges.
@@ -1405,6 +1358,7 @@ pub fn eval_edge_independent_public(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use wisegraph_dfg::interp::execute;
     use wisegraph_dfg::{transform, Binding};
     use wisegraph_graph::generate::{rmat, RmatParams};
@@ -1447,7 +1401,7 @@ mod tests {
             PartitionTable::two_d(4),
         ] {
             let plan = partition(&g, &table);
-            let got = &execute_by_plan(&dfg, &g, &plan, &globals).unwrap()[0];
+            let got = &Engine::new(1).execute(&dfg, &g, &plan, &globals).unwrap()[0];
             assert!(
                 reference.allclose(got, 1e-3),
                 "{table}: diff {}",
@@ -1464,7 +1418,7 @@ mod tests {
         let globals = globals_for(&g, fi, fo);
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
-        let got = &execute_by_plan(&dfg, &g, &plan, &globals).unwrap()[0];
+        let got = &Engine::new(1).execute(&dfg, &g, &plan, &globals).unwrap()[0];
         assert!(
             reference.allclose(got, 1e-3),
             "diff {}",
@@ -1484,7 +1438,7 @@ mod tests {
         let globals = globals_for(&g, fi, fo);
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::src_batch_per_type(16));
-        let got = &execute_by_plan(&opt, &g, &plan, &globals).unwrap()[0];
+        let got = &Engine::new(1).execute(&opt, &g, &plan, &globals).unwrap()[0];
         assert!(
             reference.allclose(got, 1e-3),
             "diff {}",
@@ -1502,7 +1456,7 @@ mod tests {
         let globals = globals_for(&g, fi, fo);
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::edge_batch(32));
-        let got = &execute_by_plan(&dfg, &g, &plan, &globals).unwrap()[0];
+        let got = &Engine::new(1).execute(&dfg, &g, &plan, &globals).unwrap()[0];
         assert!(
             reference.allclose(got, 1e-3),
             "diff {}",
@@ -1540,7 +1494,7 @@ mod tests {
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         // Destination-complete plan: exact.
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let got = &execute_by_plan(&dfg, &g, &plan, &globals).unwrap()[0];
+        let got = &Engine::new(1).execute(&dfg, &g, &plan, &globals).unwrap()[0];
         assert!(
             reference.allclose(got, 1e-3),
             "diff {}",
@@ -1548,7 +1502,7 @@ mod tests {
         );
         // Destination-splitting plan: rejected with a clear error.
         let bad = partition(&g, &PartitionTable::edge_batch(7));
-        let err = execute_by_plan(&dfg, &g, &bad, &globals).unwrap_err();
+        let err = Engine::new(1).execute(&dfg, &g, &bad, &globals).unwrap_err();
         assert!(err.0.contains("destination-complete"), "{err}");
     }
 

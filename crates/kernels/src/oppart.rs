@@ -1,51 +1,7 @@
-//! Operation partition plans: assigning DFG operations to kernels, and
-//! the cost rule deciding when the micro-kernel executor runs a fused
-//! plan instead of the interpreter.
+//! Operation partition plans: assigning DFG operations to kernels.
 
-use crate::fused::{FusedPlan, Segment};
-use crate::micro::{KernelProgram, MicroKernel};
 use std::collections::HashSet;
 use wisegraph_dfg::{Dfg, NodeId};
-
-/// Bytes of intermediate-register materialization one edge avoids under
-/// the fused plan: every replaced instruction except the final scatter
-/// writes a per-edge intermediate the interpreter materializes (one write)
-/// and the next instruction reads back (one read). This is the same
-/// accounting [`crate::generate`] uses for operation groups — intra-group
-/// intermediates are free, group boundaries pay traffic — applied at
-/// micro-kernel granularity.
-///
-/// Widths are taken from the program where they are static
-/// (`out_width`-shaped rows); gathers of global tensors conservatively
-/// count one `out_width` row, so the estimate is a lower bound on the
-/// traffic actually avoided.
-pub fn fusion_saved_bytes_per_edge(program: &KernelProgram, fplan: &FusedPlan) -> u64 {
-    let mut saved = 0u64;
-    for seg in &fplan.segments {
-        let Segment::Fused(fk) = seg else { continue };
-        for pc in fk.pcs.clone() {
-            // The terminal ScatterAdd writes the shared accumulator either
-            // way; every earlier instruction's output materialization (and
-            // its read-back) disappears.
-            if matches!(program.ops[pc], MicroKernel::ScatterAdd { .. }) {
-                continue;
-            }
-            saved += 2 * 4 * program.out_width as u64;
-        }
-    }
-    saved
-}
-
-/// The dispatch rule [`crate::engine::ExecMode::Auto`] applies: run the
-/// fused plan when it avoids any intermediate traffic, i.e. when at least
-/// one chain was matched. Fusion only ever removes buffer round-trips —
-/// unmatched instructions execute on the same interpreter step either way
-/// — so there is no regime where a matched plan loses; programs with no
-/// matched chain (e.g. GAT's softmax pipeline) stay on the pure
-/// interpreter.
-pub fn fusion_profitable(program: &KernelProgram, fplan: &FusedPlan) -> bool {
-    fusion_saved_bytes_per_edge(program, fplan) > 0
-}
 
 /// An assignment of the DFG's live compute nodes to kernels.
 ///

@@ -50,7 +50,7 @@ pub use counters::{pool_reuse_ratio, Class, Counters, MergeKind, Metric, Value};
 pub use critical::{analyze, AttributionReport, DeviceTimeline, PhaseKind, Segment};
 pub use export::{counters_from_json, counters_to_json, trace_to_chrome_json};
 pub use hist::Histogram;
-pub use span::{capture, with_lane, SpanGuard, Trace};
+pub use span::{capture, with_lane, Session, SpanGuard, Trace};
 
 /// The shared metric-name vocabulary.
 ///

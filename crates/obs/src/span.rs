@@ -4,14 +4,21 @@
 //! edges = n)`) opened by the [`span!`](crate::span!) macro and closed by
 //! RAII. Recording is designed for the execution hot path:
 //!
-//! - **Disabled by default.** When no capture is active, opening a span is
-//!   one relaxed atomic load — cheap enough to leave instrumentation in
-//!   `run_task_ws` permanently.
-//! - **Per-thread ring buffers.** An enabled span pushes into the calling
+//! - **Disabled by default.** When no capture is active anywhere in the
+//!   process, opening a span is one relaxed atomic load — cheap enough to
+//!   leave instrumentation in the per-task runner permanently.
+//! - **Scoped captures.** A [`capture`] owns its sink (a [`Session`]). A
+//!   thread records iff it belongs to a session: the capturing thread
+//!   does, and so does every thread a member hands its session to
+//!   ([`with_lane`] takes the spawning thread's [`Session::current`]).
+//!   Threads of an unrelated, concurrently running execution belong to no
+//!   session and record nothing, and concurrent captures never share
+//!   events.
+//! - **Per-thread ring buffers.** A recording span pushes into the calling
 //!   thread's local buffer (no locks, no cross-thread traffic). The buffer
-//!   drains into the global sink when it fills, when a top-level span
-//!   closes, and when the thread ends; the sink is bounded, counting (not
-//!   silently losing) anything past the cap.
+//!   drains into its session's sink when it fills, when a top-level span
+//!   closes, and when the thread leaves the session; the sink is bounded,
+//!   counting (not silently losing) anything past the cap.
 //! - **Deterministic merge.** Every event carries a logical `lane` (set by
 //!   [`with_lane`]; the engine assigns worker slot `i` lane `i + 1`) and a
 //!   per-thread sequence number. [`Trace::sorted_events`] orders by
@@ -19,14 +26,14 @@
 //!   event order regardless of OS scheduling. Timestamps are a wall-clock
 //!   overlay on top of that order, never the order itself.
 //!
-//! [`capture`] is the only consumer entry point: it serializes concurrent
-//! captures behind a global lock, enables recording, runs the closure, and
-//! drains the sink into a [`Trace`].
+//! [`capture`] is the only consumer entry point: it opens a session on
+//! the calling thread, runs the closure, and drains the session's sink
+//! into a [`Trace`].
 
 use crate::clock;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Lane value of threads that never called [`with_lane`].
 pub const NO_LANE: u32 = u32::MAX;
@@ -34,8 +41,8 @@ pub const NO_LANE: u32 = u32::MAX;
 /// Local ring capacity: the buffer drains to the sink at this size.
 const LOCAL_CAP: usize = 4096;
 
-/// Global sink capacity; events past it are counted as dropped.
-const GLOBAL_CAP: usize = 1 << 20;
+/// Per-session sink capacity; events past it are counted as dropped.
+const SINK_CAP: usize = 1 << 20;
 
 /// Span phase, mirroring Chrome trace-event `B`/`E`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,18 +74,31 @@ pub struct SpanEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Number of captures currently running in the process: the one load a
+/// `span!` pays when nothing is being captured. `Relaxed` throughout: it
+/// publishes no data (events travel through the session's mutex), and a
+/// session's members are the capturing thread and threads spawned inside
+/// the capture, which see its increment by program order or by the spawn.
+static ACTIVE_CAPTURES: AtomicUsize = AtomicUsize::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-static SINK: Mutex<Sink> = Mutex::new(Sink { events: Vec::new(), dropped: 0 });
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
 
+#[derive(Default)]
 struct Sink {
     events: Vec<SpanEvent>,
     dropped: u64,
 }
 
-fn sink() -> MutexGuard<'static, Sink> {
-    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+/// The capture a thread records into, if any. Cheap to clone; hand the
+/// spawning thread's [`Session::current`] to [`with_lane`] on the spawned
+/// thread so its spans land in the same [`Trace`].
+#[derive(Clone, Default)]
+pub struct Session(Option<Arc<Mutex<Sink>>>);
+
+impl Session {
+    /// The calling thread's session — empty outside any capture.
+    pub fn current() -> Session {
+        LOCAL.with(|l| l.borrow().session.clone())
+    }
 }
 
 struct Local {
@@ -87,10 +107,15 @@ struct Local {
     seq: u64,
     depth: u32,
     buf: Vec<SpanEvent>,
+    session: Session,
 }
 
 impl Local {
     fn push(&mut self, name: &'static str, phase: Phase, args: Vec<(&'static str, u64)>) {
+        // A guard that outlives its session has nowhere to report to.
+        if self.session.0.is_none() {
+            return;
+        }
         self.seq += 1;
         self.buf.push(SpanEvent {
             name,
@@ -106,16 +131,27 @@ impl Local {
         }
     }
 
+    /// Drains the local buffer into the thread's session (`push` buffers
+    /// nothing without one).
     fn flush(&mut self) {
+        let Some(sink) = &self.session.0 else { return };
         if self.buf.is_empty() {
             return;
         }
-        let mut s = sink();
-        let room = GLOBAL_CAP.saturating_sub(s.events.len());
+        // Every update leaves the sink valid, so a poisoned lock is usable.
+        let mut s = sink.lock().unwrap_or_else(PoisonError::into_inner);
+        let room = SINK_CAP.saturating_sub(s.events.len());
         let take = self.buf.len().min(room);
         s.dropped += (self.buf.len() - take) as u64;
         s.events.extend(self.buf.drain(..take));
         self.buf.clear();
+    }
+
+    /// Joins `session` (flushing what was recorded for the one left) and
+    /// returns the previous membership.
+    fn enter(&mut self, session: Session) -> Session {
+        self.flush();
+        std::mem::replace(&mut self.session, session)
     }
 }
 
@@ -132,32 +168,43 @@ thread_local! {
         seq: 0,
         depth: 0,
         buf: Vec::new(),
+        session: Session(None),
     });
 }
 
-/// `true` while a [`capture`] is active. The `span!` macro checks this
-/// before doing anything else.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// `true` when the calling thread records: some capture is running (the
+/// one relaxed load every `span!` pays) *and* this thread belongs to one.
+fn recording() -> bool {
+    ACTIVE_CAPTURES.load(Ordering::Relaxed) != 0
+        && LOCAL.with(|l| l.borrow().session.0.is_some())
 }
 
-/// Runs `f` with the calling thread's logical lane set to `lane`,
-/// restoring the previous lane afterwards (also on panic). The engine
-/// gives worker slot `i` lane `i + 1`, keeping lane 0 for the driver.
-pub fn with_lane<R>(lane: u32, f: impl FnOnce() -> R) -> R {
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL.with(|l| l.borrow_mut().lane = self.0);
-        }
+/// Restores a thread's lane and session on scope exit (also on panic),
+/// flushing what it recorded into the session it leaves.
+struct Restore(u32, Session);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            l.lane = self.0;
+            l.enter(std::mem::take(&mut self.1));
+        });
     }
-    let prev = LOCAL.with(|l| {
+}
+
+/// Runs `f` as a member of `session` with the calling thread's logical
+/// lane set to `lane`, restoring both afterwards. A freshly spawned thread
+/// belongs to no session: spawn sites pass the spawning thread's
+/// [`Session::current`] so a capture follows the execution it wraps and
+/// nothing else. The engine gives worker slot `i` lane `i + 1`, keeping
+/// lane 0 for the driver.
+pub fn with_lane<R>(session: &Session, lane: u32, f: impl FnOnce() -> R) -> R {
+    let _restore = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        let prev = l.lane;
-        l.lane = lane;
-        prev
+        let prev_lane = std::mem::replace(&mut l.lane, lane);
+        Restore(prev_lane, l.enter(session.clone()))
     });
-    let _restore = Restore(prev);
     f()
 }
 
@@ -170,9 +217,10 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Opens a span (no-op unless a capture is [`enabled`]).
+    /// Opens a span (no-op unless the calling thread belongs to a running
+    /// [`capture`]).
     pub fn begin(name: &'static str, args: &[(&'static str, u64)]) -> SpanGuard {
-        let active = enabled();
+        let active = recording();
         if active {
             LOCAL.with(|l| {
                 let mut l = l.borrow_mut();
@@ -258,12 +306,8 @@ impl Trace {
     }
 
     /// Checks span-nesting well-formedness per recording thread: every
-    /// `End` must match the innermost open `Begin` of its thread.
-    ///
-    /// Tolerated truncation (a capture window can cut a long-lived
-    /// foreign thread mid-span): unmatched `End`s *before the first
-    /// `Begin`* of a thread, and `Begin`s still open when the capture
-    /// ends. A mismatch anywhere else is an error.
+    /// `End` must match the innermost open `Begin` of its thread. Spans
+    /// still open when the capture ends are not an error.
     ///
     /// # Errors
     ///
@@ -271,69 +315,50 @@ impl Trace {
     pub fn check_nesting(&self) -> Result<(), String> {
         use std::collections::BTreeMap;
         let mut stacks: BTreeMap<u64, Vec<&'static str>> = BTreeMap::new();
-        let mut seen_begin: BTreeMap<u64, bool> = BTreeMap::new();
         for e in self.sorted_events() {
+            let stack = stacks.entry(e.tid).or_default();
             match e.phase {
-                Phase::Begin => {
-                    stacks.entry(e.tid).or_default().push(e.name);
-                    seen_begin.insert(e.tid, true);
-                }
-                Phase::End => {
-                    let stack = stacks.entry(e.tid).or_default();
-                    match stack.pop() {
-                        Some(open) if open == e.name => {}
-                        Some(open) => {
-                            return Err(format!(
-                                "thread {}: end of `{}` while `{open}` is open",
-                                e.tid, e.name
-                            ));
-                        }
-                        None if !seen_begin.get(&e.tid).copied().unwrap_or(false) => {
-                            // Leading unmatched end: span began before the
-                            // capture window. Ignore.
-                        }
-                        None => {
-                            return Err(format!(
-                                "thread {}: end of `{}` with no open span",
-                                e.tid, e.name
-                            ));
-                        }
+                Phase::Begin => stack.push(e.name),
+                Phase::End => match stack.pop() {
+                    Some(open) if open == e.name => {}
+                    Some(open) => {
+                        return Err(format!(
+                            "thread {}: end of `{}` while `{open}` is open",
+                            e.tid, e.name
+                        ));
                     }
-                }
+                    None => {
+                        return Err(format!(
+                            "thread {}: end of `{}` with no open span",
+                            e.tid, e.name
+                        ));
+                    }
+                },
             }
         }
         Ok(())
     }
 }
 
-/// Flushes the calling thread's local buffer into the sink.
-pub fn flush_thread() {
-    LOCAL.with(|l| l.borrow_mut().flush());
-}
-
-/// Runs `f` with span recording enabled and returns its result plus the
-/// captured [`Trace`].
+/// Runs `f` with span recording enabled on the calling thread — and on
+/// every thread handed its session through [`with_lane`] — and returns its
+/// result plus the captured [`Trace`].
 ///
-/// Captures are process-global and serialize behind an internal lock, so
-/// concurrent callers (parallel tests) wait rather than interleave.
-/// Threads spawned *and joined* inside `f` (the engine's scoped workers)
-/// flush automatically; detached threads that outlive `f` are not part of
-/// the contract.
+/// Each capture owns its sink, so concurrent captures (parallel tests) run
+/// independently and never see each other's events. Threads spawned *and
+/// joined* inside `f` (the engine's scoped workers) flush when they leave
+/// the session; detached threads that outlive `f` are not part of the
+/// contract.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Trace) {
-    let _serialize = CAPTURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    {
-        let mut s = sink();
-        s.events.clear();
-        s.dropped = 0;
-    }
-    ENABLED.store(true, Ordering::SeqCst);
-    let out = f();
-    flush_thread();
-    ENABLED.store(false, Ordering::SeqCst);
-    let mut s = sink();
+    let sink = Arc::new(Mutex::new(Sink::default()));
+    ACTIVE_CAPTURES.fetch_add(1, Ordering::Relaxed);
+    let lane = LOCAL.with(|l| l.borrow().lane);
+    let out = with_lane(&Session(Some(Arc::clone(&sink))), lane, f);
+    ACTIVE_CAPTURES.fetch_sub(1, Ordering::Relaxed);
+    let mut s = sink.lock().unwrap_or_else(PoisonError::into_inner);
     let trace = Trace {
         events: std::mem::take(&mut s.events),
-        dropped: std::mem::replace(&mut s.dropped, 0),
+        dropped: s.dropped,
     };
     drop(s);
     (out, trace)
@@ -363,15 +388,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        // Not inside a capture: the guard must be inert.
-        assert!(!enabled() || cfg!(any()), "no capture is active in unit tests");
-        let before = sink().events.len();
-        {
-            let _s = crate::span!("unit.noop", x = 1u64);
+    fn threads_outside_the_session_record_nothing() {
+        // A thread that was not handed the session is another execution:
+        // its spans must not reach this capture, even while it is running.
+        let ((), trace) = capture(|| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    assert!(!recording());
+                    let _s = crate::span!("unit.foreign", x = 1u64);
+                });
+            });
+            let _s = crate::span!("unit.mine");
+        });
+        assert_eq!(trace.span_count("unit.foreign"), 0);
+        assert_eq!(trace.span_count("unit.mine"), 1);
+        // And outside any capture the guard is inert.
+        assert!(!recording());
+    }
+
+    #[test]
+    fn concurrent_captures_do_not_share_events() {
+        let barrier = std::sync::Barrier::new(2);
+        let traces: Vec<Trace> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        capture(|| {
+                            // Both captures are open before either records.
+                            barrier.wait();
+                            let _s = crate::span!("unit.concurrent");
+                            barrier.wait();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for t in &traces {
+            assert_eq!(t.span_count("unit.concurrent"), 1);
+            t.check_nesting().expect("well nested");
         }
-        flush_thread();
-        assert_eq!(sink().events.len(), before);
     }
 
     #[test]
@@ -413,10 +470,12 @@ mod tests {
     #[test]
     fn lanes_tag_worker_threads() {
         let ((), trace) = capture(|| {
+            let session = Session::current();
             std::thread::scope(|scope| {
                 for lane in 1..=2u32 {
+                    let session = &session;
                     scope.spawn(move || {
-                        with_lane(lane, || {
+                        with_lane(session, lane, || {
                             let _s = crate::span!("unit.worker", lane = lane);
                         })
                     });
@@ -460,22 +519,5 @@ mod tests {
             dropped: 0,
         };
         assert!(bad.check_nesting().is_err());
-    }
-
-    #[test]
-    fn leading_foreign_end_is_tolerated() {
-        let truncated = Trace {
-            events: vec![SpanEvent {
-                name: "foreign",
-                phase: Phase::End,
-                tid: 9,
-                lane: NO_LANE,
-                seq: 1,
-                ts_ns: 0,
-                args: Vec::new(),
-            }],
-            dropped: 0,
-        };
-        truncated.check_nesting().expect("truncation tolerated");
     }
 }

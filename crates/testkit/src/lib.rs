@@ -1,7 +1,7 @@
 //! Hermetic in-repo test toolkit.
 //!
 //! The build environment has no crate registry, so everything the workspace
-//! needs for randomized testing and benchmarking lives here, on `std` alone:
+//! needs for randomized testing lives here, on `std` alone:
 //!
 //! - [`rng`]: a deterministic, seedable PRNG (splitmix64-seeded
 //!   xoshiro256++) with the handful of distributions the generators and
@@ -9,8 +9,6 @@
 //! - [`prop`]: a mini property-testing harness — strategies, seeded case
 //!   generation, greedy failure shrinking, and a `proptest!`-compatible
 //!   macro — the in-repo replacement for `proptest`;
-//! - [`bench`]: a wall-clock bench harness (warmup + median-of-N + JSON
-//!   output) — the in-repo replacement for `criterion`;
 //! - [`hermetic`]: a `Cargo.toml` scanner that detects non-`path`
 //!   dependencies, backing the workspace's hermeticity guard test.
 //!
@@ -36,7 +34,6 @@
 //! toward their lower bound, vectors by dropping elements) and panics with
 //! the minimal counterexample it reached plus the seed to reproduce it.
 
-pub mod bench;
 pub mod hermetic;
 pub mod prop;
 pub mod rng;

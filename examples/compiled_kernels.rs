@@ -14,8 +14,8 @@ use wisegraph::dfg::interp::execute;
 use wisegraph::dfg::{transform, Binding};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::gtask::{partition, PartitionTable};
-use wisegraph::kernels::engine::execute_parallel;
-use wisegraph::kernels::micro::{compile, execute_by_plan};
+use wisegraph::kernels::engine::Engine;
+use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::init;
 
@@ -58,11 +58,11 @@ fn main() {
     let t_interp = t0.elapsed();
 
     let t0 = Instant::now();
-    let sequential = &execute_by_plan(&optimized, &g, &plan, &globals).unwrap()[0];
+    let sequential = &Engine::new(1).execute(&optimized, &g, &plan, &globals).unwrap()[0];
     let t_seq = t0.elapsed();
 
     let t0 = Instant::now();
-    let parallel = &execute_parallel(&optimized, &g, &plan, &globals, 2).unwrap()[0];
+    let parallel = &Engine::new(2).execute(&optimized, &g, &plan, &globals).unwrap()[0];
     let t_par = t0.elapsed();
 
     println!(

@@ -38,8 +38,8 @@ fn main() {
     for l in 0..dims.layers {
         let (fi, fo) = dims.layer_io(l);
         let comm = multi::best_placement_comm(&graph, &stack, fi, fo);
-        let remote =
-            wisegraph::baselines::multi::max_remote_unique_src(&graph, 4) as f64;
+        let remote = wisegraph::graph::ShardSpec::new(graph.num_vertices(), 4)
+            .max_remote_unique_src(&graph) as f64;
         let input_side = stack.fabric.all_to_all(remote * fi as f64 * 4.0);
         let output_side = stack
             .fabric

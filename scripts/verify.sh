@@ -6,9 +6,9 @@
 # Tests run in both profiles: debug catches overflow/debug-assert issues,
 # release catches optimizer-dependent ones and reuses the artifacts the
 # build step already produced. The workspace sweep is the only test run:
-# the bit-identity harnesses (tests/fused_parity.rs, DESIGN.md §10;
-# tests/planning_cache.rs, §11; tests/sharded_parity.rs, §13;
-# tests/causal_determinism.rs, §14) and the planner/verifier equivalence
+# the bit-identity harnesses (tests/fused_parity.rs, tests/sanitize_parity.rs,
+# tests/workspace_parity.rs, tests/planning_cache.rs, tests/sharded_parity.rs,
+# tests/causal_determinism.rs) and the planner/verifier equivalence
 # suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs)
 # are part of it and are not re-run by name. After the tests, four gates
 # run: clippy with warnings denied, the benchmark's smoke pass (examples/perfbench
@@ -16,17 +16,24 @@
 # their output checks, so a library change cannot silently break
 # BENCHMARK.json),
 # wisegraph-lint (the pre-execution plan/DFG/kernel/instrumentation/
-# fusion verifier, DESIGN.md §8, including the O002 cluster-phase
+# fusion verifier, including the O002 cluster-phase
 # coverage pass) over every built-in model × partition
 # strategy — once human-readable and once as --json, whose stable machine
-# output is asserted to report zero errors (DESIGN.md §12) — and
-# wisegraph-prof --critical-path --check (the counter-regression gate,
-# DESIGN.md §9: run-to-run and cross-thread determinism plus tolerance
-# bands against results/prof_baseline.json, now covering the Work-class
+# output is asserted to report zero errors — and
+# wisegraph-prof --critical-path --check (the counter-regression gate:
+# run-to-run and cross-thread determinism plus tolerance
+# bands against results/prof_baseline.json, covering the Work-class
 # critical-path attribution, with the deterministic report regenerated
-# into results/prof_critical.json).
+# into results/prof_critical.json). Every tracked file under results/ that
+# a step regenerates is byte-stable, so the script checksums them first and
+# last: running it must not dirty the tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# A checksum of file contents rather than `git diff`, so the guard also
+# holds on a working tree with uncommitted changes.
+results_checksum() { git ls-files -z results | xargs -0 sha256sum | sha256sum; }
+results_before="$(results_checksum)"
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -38,3 +45,8 @@ lint_json="$(cargo run --release --offline --bin wisegraph-lint -- --json)"
 grep -q '"tool": "wisegraph-lint"' <<<"$lint_json"
 grep -q '"errors": 0,' <<<"$lint_json"
 cargo run --release --offline --bin wisegraph-prof -- --critical-path --check
+if [ "$(results_checksum)" != "$results_before" ]; then
+    echo "verify.sh: a tracked file under results/ changed during the run" >&2
+    git status --porcelain results >&2
+    exit 1
+fi

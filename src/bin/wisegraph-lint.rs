@@ -28,7 +28,7 @@
 //!   the engine's `ExecMode::Sanitize` shadow-memory sanitizer and
 //!   cross-checked against the static interference verdict: a runtime
 //!   conflict the static pass declared safe is a hard error, and the
-//!   sanitized outputs must be bit-identical to `ExecMode::Auto`;
+//!   sanitized outputs must be bit-identical to the default `ExecMode`;
 //! * every model is *executed* on real 2- and 4-device sharded clusters
 //!   with the optimizer-selected placement schedule: shard tiling and
 //!   exactly-once edge coverage (`S001`), collective exchange
@@ -52,7 +52,7 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan};
-use wisegraph::kernels::engine::{execute_parallel_mode, Engine, ExecMode};
+use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::micro::{compile, plan_is_dst_complete};
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::{init, Tensor};
@@ -314,7 +314,7 @@ fn main() -> ExitCode {
     // the dynamic per-cell last-writer records must agree with the static
     // interference verdict (a runtime conflict the static pass declared
     // safe is a hard error), and the sanitized outputs must be
-    // bit-identical to ExecMode::Auto.
+    // bit-identical to the default mode's.
     let globals = globals_for(&g, DIMS.0, DIMS.1);
     let mut sanitized = 0usize;
     for model in models {
@@ -353,21 +353,19 @@ fn main() -> ExitCode {
                                 ),
                             ));
                         }
-                        match execute_parallel_mode(
-                            &dfg, &g, &plan, &globals, threads, ExecMode::Auto,
-                        ) {
-                            Ok(auto) => {
-                                let identical = out.len() == auto.len()
+                        match Engine::new(threads).execute(&dfg, &g, &plan, &globals) {
+                            Ok(default) => {
+                                let identical = out.len() == default.len()
                                     && out
                                         .iter()
-                                        .zip(auto.iter())
+                                        .zip(default.iter())
                                         .all(|(a, b)| a.data() == b.data());
                                 if !identical {
                                     dyn_report.push(Diagnostic::error(
                                         Code::ScheduleFusedDivergence,
                                         Span::Global,
                                         "Sanitize-mode outputs are not \
-                                         bit-identical to Auto-mode outputs",
+                                         bit-identical to default-mode outputs",
                                     ));
                                 }
                             }
@@ -375,8 +373,8 @@ fn main() -> ExitCode {
                                 Code::ScheduleFusedDivergence,
                                 Span::Global,
                                 format!(
-                                    "Auto mode rejected a combination the \
-                                     sanitizer executed: {e}"
+                                    "the default mode rejected a combination \
+                                     the sanitizer executed: {e}"
                                 ),
                             )),
                         }
@@ -421,9 +419,7 @@ fn main() -> ExitCode {
             &g,
             &wisegraph::gtask::PartitionTable::vertex_centric(),
         );
-        let reference = execute_parallel_mode(
-            &dfg, &g, &plan, &globals, 2, ExecMode::Auto,
-        );
+        let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals);
         for devices in [2usize, 4] {
             sharded_runs += 1;
             let ctx = format!("sharded {model:?} × {devices} devices");
@@ -435,7 +431,7 @@ fn main() -> ExitCode {
             ) {
                 Ok((run, choice)) => {
                     shard_report.extend(verify_placement(
-                        &program, &g, &globals, choice.placement,
+                        &program, &globals, choice.placement,
                     ));
                     shard_report.extend(verify_exchange(&run.exchange));
                     // Compute-then-reduce reorders the partial-aggregate

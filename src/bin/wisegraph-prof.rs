@@ -8,27 +8,19 @@
 //!   counters of that model's runs (`wisegraph-obs` metrics JSON);
 //! * `results/prof_trace.json` — the merged span timeline in Chrome
 //!   trace-event format (open in `chrome://tracing` or Perfetto);
-//! * `results/BENCH_executor.json` — wall-clock medians per model ×
-//!   table in the `testkit::bench` report shape (timing is an *overlay*:
-//!   informative, never compared); each combination appears twice, as
-//!   `<table>` (default `Auto` engine, fused kernels where the cost rule
-//!   fires) and `<table>_interp` (interpreter pinned on), recording the
-//!   fused-codegen before/after;
 //! * a per-gTask workload-skew table on stdout — the paper's Figure 7/15
-//!   story of how each table reshapes where the edges land — plus a
-//!   fused-vs-interpreter speedup table from the timing twins;
-//! * a cold-vs-warm planning table from the content-addressed
-//!   [`PlanCache`]: per model, one timing twin pair (`planning_cold`,
-//!   `planning_warm`) covering partition + transform + compile, and the
-//!   cache's Resource-class hit/miss/hit-rate counters under
-//!   `planning.<model>.` — deterministic, so the baseline gate holds the
-//!   warm path to a 100% hit rate;
+//!   story of how each table reshapes where the edges land;
+//! * the content-addressed [`PlanCache`]'s Resource-class hit/miss/
+//!   hit-rate counters of one cold and one warm planning pass (partition +
+//!   transform + compile) per model, under `planning.<model>.` —
+//!   deterministic, so the baseline gate holds the warm path to a 100% hit
+//!   rate;
 //! * a shadow-sanitizer accounting section: per model, the first
 //!   compatible table executes once under `ExecMode::Sanitize`, and the
 //!   sanitizer's Resource-class counters (cells tracked, writes checked,
 //!   shared accumulator cells, conflicts) land under `sanitize.<model>.`
-//!   in the baseline (DESIGN.md §12);
-//! * a sharded multi-device section (DESIGN.md §13): per model, the
+//!   in the baseline;
+//! * a sharded multi-device section: per model, the
 //!   vertex-centric plan runs on a [`SHARD_DEVICES`]-device
 //!   [`ClusterEngine`] under every compatible placement schedule; the
 //!   per-device work counters and `comm.*` exchange totals land under
@@ -38,7 +30,7 @@
 //!   optimizer-selected-vs-data-parallel speedup table (the selection is
 //!   asserted never slower).
 //!
-//! * a critical-path attribution section (DESIGN.md §14): per model, the
+//! * a critical-path attribution section: per model, the
 //!   vertex-centric plan runs at 2 and 4 devices under every compatible
 //!   placement, and the causal replay folds each run's device timelines
 //!   and send→receive edges into a critical path, a per-device
@@ -47,6 +39,10 @@
 //!   `critical.<model>.<placement>.d<devices>.`, and with
 //!   `--critical-path` the tables print and the deterministic report is
 //!   written to `results/prof_critical.json`.
+//!
+//! Nothing here measures wall-clock time (`BENCHMARK.json` /
+//! `examples/perfbench` does, at a size where it means something), so
+//! every tracked file this tool regenerates is byte-stable.
 //!
 //! Modes:
 //!
@@ -76,7 +72,6 @@ use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::micro::compile;
 use wisegraph::kernels::micro::plan_is_dst_complete;
 use wisegraph::models::ModelKind;
-use wisegraph::obs::clock::Stopwatch;
 use wisegraph::obs::json::Json;
 use wisegraph::obs::{
     capture, counters_from_json, counters_to_json, trace_to_chrome_json,
@@ -89,9 +84,6 @@ const PROFILE_THREADS: usize = 2;
 
 /// Thread counts the `Work`-invariance gate runs at.
 const CHECK_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Wall-clock repetitions per model × table for `BENCH_executor.json`.
-const TIMING_REPS: usize = 5;
 
 /// Relative tolerance band for `Resource`-class counters in `--check`.
 /// They are deterministic at a fixed thread count, but the band keeps the
@@ -200,16 +192,6 @@ impl SkewRow {
     }
 }
 
-/// One wall-clock record for the bench report. Each model × table gets
-/// two cases: `<table>` (the default `Auto` engine, fused where the cost
-/// rule fires) and `<table>_interp` (the interpreter pinned on), so the
-/// bench report records the fused-vs-interpreter before/after directly.
-struct TimingRec {
-    group: &'static str,
-    case: String,
-    samples: Vec<u64>,
-}
-
 /// One sharded cluster run of the multi-device section: a model at
 /// [`SHARD_DEVICES`] devices under one placement schedule.
 struct ShardedRow {
@@ -244,13 +226,11 @@ struct SuiteRun {
     skew: Vec<SkewRow>,
     sharded: Vec<ShardedRow>,
     critical: Vec<CriticalRow>,
-    timings: Vec<TimingRec>,
     skipped: usize,
 }
 
-/// Runs every model × compatible table once with `threads` worker slots,
-/// `time_reps` extra repetitions feeding the wall-clock records.
-fn run_suite(threads: usize, time_reps: usize) -> SuiteRun {
+/// Runs every model × compatible table once with `threads` worker slots.
+fn run_suite(threads: usize) -> SuiteRun {
     let g = profile_graph();
     let (fi, fo) = DIMS;
     let globals = globals_for(&g, fi, fo);
@@ -260,7 +240,6 @@ fn run_suite(threads: usize, time_reps: usize) -> SuiteRun {
         skew: Vec::new(),
         sharded: Vec::new(),
         critical: Vec::new(),
-        timings: Vec::new(),
         skipped: 0,
     };
     for (model, slug) in models() {
@@ -280,60 +259,20 @@ fn run_suite(threads: usize, time_reps: usize) -> SuiteRun {
             engine
                 .execute(&dfg, &g, &plan, &globals)
                 .expect("profiled combination executes");
-            // Snapshot after exactly one execute, so the recorded counters
-            // are independent of how many timing repetitions follow.
             combo.merge(&engine.stats());
-            let mut samples = Vec::with_capacity(time_reps);
-            for _ in 0..time_reps {
-                let t = Stopwatch::start();
-                engine
-                    .execute(&dfg, &g, &plan, &globals)
-                    .expect("profiled combination executes");
-                samples.push(t.elapsed_ns());
-            }
             run.per_model
                 .entry(slug)
                 .or_default()
                 .merge_prefixed(tname, &combo);
             run.all.merge_prefixed(&format!("{slug}.{tname}"), &combo);
             run.skew.push(SkewRow::of(slug, tname, &plan));
-            if time_reps > 0 {
-                run.timings.push(TimingRec {
-                    group: slug,
-                    case: tname.to_string(),
-                    samples,
-                });
-                // The interpreter-pinned twin of the same combo: its
-                // counters are deliberately NOT merged (the snapshot above
-                // is the baseline subject), only its wall clock is kept.
-                let interp = Engine::with_mode(threads, ExecMode::Interpret);
-                interp
-                    .execute(&dfg, &g, &plan, &globals)
-                    .expect("profiled combination executes");
-                let mut isamples = Vec::with_capacity(time_reps);
-                for _ in 0..time_reps {
-                    let t = Stopwatch::start();
-                    interp
-                        .execute(&dfg, &g, &plan, &globals)
-                        .expect("profiled combination executes");
-                    isamples.push(t.elapsed_ns());
-                }
-                run.timings.push(TimingRec {
-                    group: slug,
-                    case: format!("{tname}_interp"),
-                    samples: isamples,
-                });
-            }
         }
     }
 
     // Planning cold/warm: per model, run the three cached planning stages
     // (partition over every table, transform, compile) against a fresh
-    // cache and then again against the now-warm cache. The counter part is
-    // fixed at exactly one cold + one warm pass so the recorded
-    // hits/misses are independent of `time_reps` (gate (a) reruns with
-    // zero reps and still must match bit-exactly); the wall-clock twins
-    // ride along as a Timing overlay.
+    // cache and then again against the now-warm cache, and record the
+    // cache's hit/miss counters.
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
         let plan_all = |cache: &mut PlanCache| {
@@ -349,33 +288,6 @@ fn run_suite(threads: usize, time_reps: usize) -> SuiteRun {
         let mut c = Counters::new();
         cache.record_counters(&mut c);
         run.all.merge_prefixed(&format!("planning.{slug}"), &c);
-        if time_reps > 0 {
-            let mut cold = Vec::with_capacity(time_reps);
-            for _ in 0..time_reps {
-                let mut fresh = PlanCache::new();
-                let t = Stopwatch::start();
-                plan_all(&mut fresh);
-                cold.push(t.elapsed_ns());
-            }
-            let mut warmed = PlanCache::new();
-            plan_all(&mut warmed);
-            let mut warm = Vec::with_capacity(time_reps);
-            for _ in 0..time_reps {
-                let t = Stopwatch::start();
-                plan_all(&mut warmed);
-                warm.push(t.elapsed_ns());
-            }
-            run.timings.push(TimingRec {
-                group: slug,
-                case: "planning_cold".to_string(),
-                samples: cold,
-            });
-            run.timings.push(TimingRec {
-                group: slug,
-                case: "planning_warm".to_string(),
-                samples: warm,
-            });
-        }
     }
 
     // Sanitize shadow run: per model, the first compatible table executes
@@ -515,43 +427,6 @@ fn critical_to_json(rows: &[CriticalRow]) -> String {
     Json::Obj(doc).to_string_compact()
 }
 
-/// Rounds to two significant decimal digits (half-up), so regenerated
-/// medians only change when the timing moves by more than a few percent.
-fn round_sig2(v: u64) -> u64 {
-    if v < 100 {
-        return v;
-    }
-    let pow = 10u64.pow(v.ilog10() - 1);
-    (v + pow / 2) / pow * pow
-}
-
-/// Serializes the wall-clock records in the `testkit::bench` report shape:
-/// one record per line with `group`, `case`, `samples`, and `median_ns`
-/// (the fields `multi.rs` parses). The median of the fixed
-/// [`TIMING_REPS`]-sample run is rounded to two significant digits —
-/// regenerating the file produces a stable diff instead of full-file
-/// timing noise, while still tracking real (>few-percent) shifts.
-fn timings_to_bench_json(suite: &str, recs: &[TimingRec]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"suite\": \"{suite}\",\n  \"results\": [\n"));
-    for (i, r) in recs.iter().enumerate() {
-        let mut s = r.samples.clone();
-        s.sort_unstable();
-        let median = round_sig2(s[s.len() / 2]);
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"case\": \"{}\", \"samples\": {}, \
-             \"median_ns\": {}}}{}\n",
-            r.group,
-            r.case,
-            s.len(),
-            median,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Compares a run's counters against the committed baseline with
 /// per-class tolerance bands. Returns the violations.
 fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<String> {
@@ -609,7 +484,7 @@ fn main() -> ExitCode {
     let results = Path::new("results");
 
     // The profiled run: counters + spans captured together.
-    let (run, trace) = capture(|| run_suite(PROFILE_THREADS, TIMING_REPS));
+    let (run, trace) = capture(|| run_suite(PROFILE_THREADS));
     if let Err(e) = trace.check_nesting() {
         eprintln!("wisegraph-prof: ill-nested trace: {e}");
         return ExitCode::FAILURE;
@@ -639,70 +514,6 @@ fn main() -> ExitCode {
         );
     }
     println!();
-
-    // Fused-vs-interpreter wall clock: every `<table>` case against its
-    // `<table>_interp` twin. Informative overlay, like all timing here —
-    // the *correctness* of the fused path is gated bit-exactly by the
-    // parity harness and the Work-invariance check below.
-    let median = |samples: &[u64]| {
-        let mut s = samples.to_vec();
-        s.sort_unstable();
-        s[s.len() / 2]
-    };
-    let mut best_speedup = 0.0f64;
-    println!("| model | table | interp (ns) | fused/auto (ns) | speedup |");
-    println!("|---|---|---|---|---|");
-    for r in &run.timings {
-        if r.case.ends_with("_interp") {
-            continue;
-        }
-        let twin = format!("{}_interp", r.case);
-        let Some(i) = run
-            .timings
-            .iter()
-            .find(|t| t.group == r.group && t.case == twin)
-        else {
-            continue;
-        };
-        let (fm, im) = (median(&r.samples), median(&i.samples));
-        let speedup = im as f64 / fm.max(1) as f64;
-        best_speedup = best_speedup.max(speedup);
-        println!(
-            "| {} | {} | {} | {} | {:.2}x |",
-            r.group, r.case, im, fm, speedup
-        );
-    }
-    println!("\nwisegraph-prof: best fused-vs-interpreter speedup {best_speedup:.2}x\n");
-
-    // Cold-vs-warm planning: what the content-addressed cache buys. A
-    // warm lookup still decodes the stored bytes, so the speedup shown is
-    // honest end-to-end reuse cost, not a pointer copy. Timing overlay —
-    // the cache's *correctness* is gated by the bit-identity checks and
-    // the Resource-class hit counters in the baseline.
-    let mut worst_plan_speedup = f64::INFINITY;
-    println!("| model | cold planning (ns) | warm planning (ns) | speedup |");
-    println!("|---|---|---|---|");
-    for r in &run.timings {
-        if r.case != "planning_cold" {
-            continue;
-        }
-        let Some(w) = run
-            .timings
-            .iter()
-            .find(|t| t.group == r.group && t.case == "planning_warm")
-        else {
-            continue;
-        };
-        let (cm, wm) = (median(&r.samples), median(&w.samples));
-        let speedup = cm as f64 / wm.max(1) as f64;
-        worst_plan_speedup = worst_plan_speedup.min(speedup);
-        println!("| {} | {} | {} | {:.2}x |", r.group, cm, wm, speedup);
-    }
-    if worst_plan_speedup.is_finite() {
-        println!(
-            "\nwisegraph-prof: worst cold/warm planning speedup {worst_plan_speedup:.2}x\n"
-        );
-    }
 
     // Sharded multi-device tables: per-device work skew and real exchanged
     // bytes for every placement a model supports at SHARD_DEVICES devices,
@@ -831,10 +642,6 @@ fn main() -> ExitCode {
         write(&results.join(format!("prof_{slug}.json")), &counters_to_json(c));
     }
     write(&results.join("prof_trace.json"), &trace_to_chrome_json(&trace));
-    write(
-        &results.join("BENCH_executor.json"),
-        &timings_to_bench_json("executor", &run.timings),
-    );
 
     if write_baseline {
         write(
@@ -848,7 +655,7 @@ fn main() -> ExitCode {
     }
 
     // Gate (a): two consecutive runs produce bit-identical counters.
-    let (rerun, _) = capture(|| run_suite(PROFILE_THREADS, 0));
+    let (rerun, _) = capture(|| run_suite(PROFILE_THREADS));
     if counters_to_json(&rerun.all) != counters_to_json(&run.all) {
         eprintln!(
             "wisegraph-prof: FAIL — counter snapshots differ between two \
@@ -862,7 +669,7 @@ fn main() -> ExitCode {
     let work_views: Vec<String> = CHECK_THREADS
         .iter()
         .map(|&t| {
-            let (r, _) = capture(|| run_suite(t, 0));
+            let (r, _) = capture(|| run_suite(t));
             counters_to_json(&r.all.only(&[Class::Work]))
         })
         .collect();

@@ -5,7 +5,7 @@
 //! S001–S003, plus
 //! a clean positive control. The R001 fixture additionally runs under the
 //! engine's `ExecMode::Sanitize` shadow-memory sanitizer and asserts the
-//! *same* conflict is caught dynamically (DESIGN.md §12).
+//! *same* conflict is caught dynamically (DESIGN.md §7, §11).
 
 use std::collections::BTreeMap;
 use wisegraph::analysis::prelude::*;
@@ -630,11 +630,11 @@ fn s003_dst_complete_program_under_tensor_parallelism() {
     globals.insert("w".to_string(), init::uniform_tensor(&[4, 3], -1.0, 1.0, 2));
     globals.insert("a_src".to_string(), init::uniform_tensor(&[3, 1], -1.0, 1.0, 3));
     globals.insert("a_dst".to_string(), init::uniform_tensor(&[3, 1], -1.0, 1.0, 4));
-    let diags = verify_placement(&program, &g, &globals, PlacementKind::TensorParallel);
+    let diags = verify_placement(&program, &globals, PlacementKind::TensorParallel);
     assert!(has(&diags, Code::PlacementIncompatible, "tensor_parallel"), "{diags:#?}");
     assert_eq!(Code::PlacementIncompatible.as_str(), "S003");
     assert!(
-        verify_placement(&program, &g, &globals, PlacementKind::DataParallel).is_empty()
+        verify_placement(&program, &globals, PlacementKind::DataParallel).is_empty()
     );
 }
 

@@ -154,7 +154,7 @@ fn sparse_type_usage() {
 fn fused_parity_at_odd_feature_dims() {
     use wisegraph::dfg::{Dfg, Dim};
     use wisegraph::graph::AttrKind;
-    use wisegraph::kernels::engine::{execute_parallel_mode, ExecMode};
+    use wisegraph::kernels::engine::{Engine, ExecMode};
     use wisegraph::kernels::fused::{plan_fusion, LANES};
     use wisegraph::kernels::micro::compile;
 
@@ -200,14 +200,12 @@ fn fused_parity_at_odd_feature_dims() {
             );
             let plan = partition(&g, &PartitionTable::edge_batch(32));
             for threads in [1usize, 2, 4] {
-                let a = execute_parallel_mode(
-                    dfg, &g, &plan, &globals, threads, ExecMode::Interpret,
-                )
-                .unwrap();
-                let b = execute_parallel_mode(
-                    dfg, &g, &plan, &globals, threads, ExecMode::Fused,
-                )
-                .unwrap();
+                let a = Engine::with_mode(threads, ExecMode::Interpret)
+                    .execute(dfg, &g, &plan, &globals)
+                    .unwrap();
+                let b = Engine::with_mode(threads, ExecMode::Fused)
+                    .execute(dfg, &g, &plan, &globals)
+                    .unwrap();
                 assert_eq!(
                     a[0].data(),
                     b[0].data(),
@@ -218,13 +216,14 @@ fn fused_parity_at_odd_feature_dims() {
     }
 }
 
-/// A gTask with zero edges is a legal (if degenerate) input to the fused
-/// executor: it must leave the output untouched and account exactly one
-/// task, zero edges, zero flops — the same as the interpreter.
+/// A gTask with zero edges is a legal (if degenerate) input to the
+/// runner: under the fused plan it must leave the output untouched and
+/// account exactly one task, zero edges, zero flops — the same as under
+/// the interpreted plan.
 #[test]
 fn zero_edge_gtask_is_a_fused_noop() {
-    use wisegraph::kernels::fused::{plan_fusion, run_task_fused};
-    use wisegraph::kernels::micro::{compile, run_task_ws, TaskWorkspace};
+    use wisegraph::kernels::fused::{plan_fusion, FusedPlan};
+    use wisegraph::kernels::micro::{compile, run_task, TaskWorkspace};
     use wisegraph::obs::Class;
 
     let g = wisegraph::graph::generate::rmat(
@@ -243,8 +242,9 @@ fn zero_edge_gtask_is_a_fused_noop() {
     let mut b = a.clone();
     let mut tws_i = TaskWorkspace::new();
     let mut tws_f = TaskWorkspace::new();
-    run_task_ws(&program, &g, &globals, &empty, &mut a, &mut tws_i);
-    run_task_fused(&program, &fplan, &g, &globals, &empty, &mut b, &mut tws_f);
+    let interp = FusedPlan::interpreted(&program);
+    run_task(&program, &interp, &g, &globals, &empty, &mut a, &mut tws_i, None);
+    run_task(&program, &fplan, &g, &globals, &empty, &mut b, &mut tws_f, None);
     assert_eq!(a.data(), b.data());
     assert!(b.data().iter().all(|&x| x == 0.0), "no edges may write output");
     let wi = tws_i.stats().only(&[Class::Work]);
@@ -282,7 +282,7 @@ fn optimizer_is_deterministic() {
 #[test]
 fn degenerate_shards_match_the_single_engine() {
     use wisegraph::kernels::cluster::compatible_placements;
-    use wisegraph::kernels::engine::execute_parallel;
+    use wisegraph::kernels::engine::Engine;
     use wisegraph::kernels::micro::compile;
     use wisegraph::kernels::ClusterEngine;
     use wisegraph::sim::PlacementKind;
@@ -304,8 +304,6 @@ fn degenerate_shards_match_the_single_engine() {
         // Fewer vertices than devices at 4, 8 and 16.
         ("three_vertices", Graph::untyped(3, vec![0, 1, 2, 2], vec![1, 2, 0, 1])),
     ];
-    // Widths that no vertex count above equals: the cluster tells
-    // vertex-rowed tensors from weights by their leading extent.
     let (fi, fo) = (5, 4);
     for (name, g) in &graphs {
         let v = g.num_vertices();
@@ -321,7 +319,7 @@ fn degenerate_shards_match_the_single_engine() {
         for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
             let dfg = model.layer_dfg(fi, fo);
             let program = compile(&dfg, g).unwrap();
-            let reference = execute_parallel(&dfg, g, &plan, &globals, 2).unwrap();
+            let reference = Engine::new(2).execute(&dfg, g, &plan, &globals).unwrap();
             for placement in compatible_placements(&program, g, &globals) {
                 let mut anchor: Option<Vec<Tensor>> = None;
                 for devices in [2usize, 4, 8, 16] {

@@ -131,11 +131,11 @@ fn all_models_all_tables_all_threads_are_bit_identical() {
     assert!(combos >= 36, "only {combos} combinations exercised");
 }
 
-/// `Auto` mode must agree with whichever side the cost rule picked — and
-/// the dispatch must be observable: fusing models report fused tasks,
-/// GAT (no matching chain) reports none.
+/// The default mode must agree with the interpreter — and which plan ran
+/// must be observable: fusing models report fused tasks, GAT (no matching
+/// chain, so its plan is fully interpreted) reports none.
 #[test]
-fn auto_mode_dispatch_is_bit_identical_and_observable() {
+fn default_mode_dispatch_is_bit_identical_and_observable() {
     let (fi, fo) = (6, 5);
     let g = rmat(&RmatParams::standard(120, 900, 73).with_edge_types(3));
     let globals = globals_for(&g, fi, fo);
@@ -148,8 +148,8 @@ fn auto_mode_dispatch_is_bit_identical_and_observable() {
         let dfg = kind.layer_dfg(fi, fo);
         let plan = partition(&g, &table);
         let ie = Engine::with_mode(2, ExecMode::Interpret);
-        let ae = Engine::new(2); // Auto is the default mode.
-        assert_eq!(ae.mode(), ExecMode::Auto);
+        let ae = Engine::new(2);
+        assert_eq!(ae.mode(), ExecMode::Fused);
         let a = ie.execute(&dfg, &g, &plan, &globals).unwrap();
         let b = ae.execute(&dfg, &g, &plan, &globals).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
@@ -157,9 +157,9 @@ fn auto_mode_dispatch_is_bit_identical_and_observable() {
         }
         let fused_tasks = ae.stats().count(keys::KERNEL_FUSED_TASKS);
         if fuses {
-            assert!(fused_tasks > 0, "{}: Auto did not fuse", kind.name());
+            assert!(fused_tasks > 0, "{}: the default did not fuse", kind.name());
         } else {
-            assert_eq!(fused_tasks, 0, "{}: Auto fused a non-matching program", kind.name());
+            assert_eq!(fused_tasks, 0, "{}: fused a non-matching program", kind.name());
         }
         // The interpreter engine must never report fused dispatches.
         assert_eq!(ie.stats().count(keys::KERNEL_FUSED_TASKS), 0);

@@ -1,4 +1,4 @@
-//! Planning-cache equivalence harness (DESIGN.md §11).
+//! Planning-cache equivalence harness (DESIGN.md §10).
 //!
 //! The content-addressed `PlanCache` may change *when* planning work
 //! happens — never *what* executes. These tests pin that contract:

@@ -9,7 +9,7 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph, ShardSpec};
 use wisegraph::analysis::prelude::verify_repair;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan, PartitionTable, Restriction};
-use wisegraph::kernels::engine::{execute_parallel_mode, ExecMode};
+use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::fused::{plan_fusion, FusedPattern};
 use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
@@ -216,12 +216,8 @@ proptest! {
         prop_assert!(res.is_ok());
         prop_assert!(trace.check_nesting().is_ok(), "{:?}", trace.check_nesting());
         prop_assert_eq!(trace.span_count("engine.execute"), 1);
-        // Auto mode dispatches each task to exactly one executor: the
-        // interpreter ("kernel.task") or the fused path ("kernel.task.fused").
-        prop_assert_eq!(
-            trace.span_count("kernel.task") + trace.span_count("kernel.task.fused"),
-            plan.num_tasks()
-        );
+        // One runner, so exactly one span per gTask whatever the plan.
+        prop_assert_eq!(trace.span_count("kernel.task"), plan.num_tasks());
         let chunks =
             wisegraph::kernels::engine::chunk_ranges(plan.num_tasks(), threads).len();
         prop_assert_eq!(trace.span_count("engine.worker"), chunks);
@@ -303,9 +299,11 @@ proptest! {
             init::uniform_tensor(&[v, n], -1.0, 1.0, seed),
         );
         let plan = partition(&g, &PartitionTable::edge_batch(batch));
-        let a = execute_parallel_mode(&d, &g, &plan, &globals, threads, ExecMode::Interpret)
+        let a = Engine::with_mode(threads, ExecMode::Interpret)
+            .execute(&d, &g, &plan, &globals)
             .unwrap();
-        let b = execute_parallel_mode(&d, &g, &plan, &globals, threads, ExecMode::Fused)
+        let b = Engine::with_mode(threads, ExecMode::Fused)
+            .execute(&d, &g, &plan, &globals)
             .unwrap();
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {

@@ -1,8 +1,8 @@
-//! Differential harness for the shadow-memory sanitizer (DESIGN.md §12):
+//! Differential harness for the shadow-memory sanitizer (DESIGN.md §7):
 //! `ExecMode::Sanitize` must be observation-only. For every built-in
 //! model × candidate partition table × 1/2/4 worker threads, a sanitized
-//! run must produce outputs *bit-identical* to the default `Auto` engine
-//! (which fuses where the cost rule fires) — the shadow recording may
+//! run must produce outputs *bit-identical* to the default (`Fused`) engine
+//! (which fuses wherever a chain matches) — the shadow recording may
 //! never perturb the numerics — and must report zero conflicts on every
 //! shipped schedule.
 
@@ -62,7 +62,7 @@ fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
 }
 
 #[test]
-fn sanitize_is_bit_identical_to_auto_everywhere() {
+fn sanitize_is_bit_identical_to_the_default_everywhere() {
     let g = graph();
     let (fi, fo) = DIMS;
     let globals = globals_for(&g, fi, fo);
@@ -100,16 +100,16 @@ fn sanitize_is_bit_identical_to_auto_everywhere() {
                     "{model:?} × [{table}] × {threads}: shipped schedule conflicts"
                 );
                 assert!(rep.writes_checked > 0, "shadow must observe the scatters");
-                let auto = Engine::with_mode(threads, ExecMode::Auto)
+                let auto = Engine::new(threads)
                     .execute(&dfg, &g, &plan, &globals)
-                    .expect("auto executes");
+                    .expect("default mode executes");
                 assert_eq!(sanitized.len(), auto.len());
                 for (s, a) in sanitized.iter().zip(auto.iter()) {
                     assert_eq!(s.shape(), a.shape());
                     assert!(
                         s.data() == a.data(),
                         "{model:?} × [{table}] × {threads}: sanitize diverged \
-                         from auto"
+                         from the default mode"
                     );
                 }
             }

@@ -20,15 +20,15 @@
 
 use std::collections::HashMap;
 use wisegraph::analysis::prelude::effective_indexing_attrs;
-use wisegraph::baselines::multi::{max_remote_unique_src, MultiStack};
+use wisegraph::baselines::multi::MultiStack;
 use wisegraph::core::multi::best_placement_comm;
 use wisegraph::core::sharded::select_placement;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{Graph, ShardSpec};
 use wisegraph::gtask::restriction::enumerate_tables;
-use wisegraph::gtask::partition;
+use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::cluster::compatible_placements;
-use wisegraph::kernels::engine::execute_parallel;
+use wisegraph::kernels::engine::Engine;
 use wisegraph::kernels::micro::{compile, plan_is_dst_complete};
 use wisegraph::kernels::ClusterEngine;
 use wisegraph::models::ModelKind;
@@ -106,7 +106,8 @@ fn all_models_all_tables_all_devices_match_single_engine() {
             if program.requires_dst_complete && !plan_is_dst_complete(&g, &plan) {
                 continue;
             }
-            let reference = execute_parallel(&dfg, &g, &plan, &globals, THREADS)
+            let reference = Engine::new(THREADS)
+                .execute(&dfg, &g, &plan, &globals)
                 .unwrap_or_else(|e| panic!("{} × [{table}]: reference: {e}", kind.name()));
             for placement in compatible_placements(&program, &g, &globals) {
                 // Device-count anchor for the compute-then-reduce
@@ -161,6 +162,39 @@ fn all_models_all_tables_all_devices_match_single_engine() {
     assert!(combos >= 60, "only {combos} combinations exercised");
 }
 
+/// A weight stays replicated even when its leading extent happens to equal
+/// `|V|`: vertex-rowedness is read from the DFG's symbolic shapes, not from
+/// tensor extents. GAT with `|V| == f_out` (`a_src`/`a_dst` are
+/// `[f_out, 1]`) and GCN with `|V| == f_in` (`w` is `[f_in, f_out]`) used
+/// to have those weights masked to each device's owned rows.
+#[test]
+fn weights_whose_leading_extent_equals_the_vertex_count_stay_replicated() {
+    let v = 16;
+    let g = rmat(&RmatParams::standard(v, 120, 77));
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    for (kind, fi, fo) in [(ModelKind::Gat, 5, v), (ModelKind::Gcn, v, 5)] {
+        let globals = globals_for(&g, fi, fo);
+        let dfg = kind.layer_dfg(fi, fo);
+        let program = compile(&dfg, &g).unwrap();
+        let reference = Engine::new(1).execute(&dfg, &g, &plan, &globals).unwrap();
+        for placement in compatible_placements(&program, &g, &globals) {
+            let ctx = format!("{} × {}", kind.name(), placement.name());
+            let run = ClusterEngine::new(2, 1)
+                .execute(&dfg, &g, &plan, &globals, placement)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(reference.len(), run.outputs.len(), "{ctx}");
+            for (a, b) in reference.iter().zip(run.outputs.iter()) {
+                if placement == PlacementKind::ComputeThenReduce {
+                    // Re-associates the partial sums (module docs).
+                    assert!(allclose(b, a, 1e-3), "{ctx}: diverged from the single engine");
+                } else {
+                    assert_eq!(a.data(), b.data(), "{ctx}: not bit-identical");
+                }
+            }
+        }
+    }
+}
+
 /// The placement the sharded executor selects is the one the shared
 /// volume model predicts, for every model × table — and the closed-form
 /// cost model (`best_placement_comm`) prices the identical
@@ -208,7 +242,7 @@ fn predicted_placement_matches_executed_selection() {
     // The closed-form cost model prices the same three-candidate minimum
     // (its accumulator width is the input width: the closed form predates
     // compilation and cannot know the program's out_width).
-    let remote = max_remote_unique_src(&g, devices);
+    let remote = ShardSpec::new(g.num_vertices(), devices).max_remote_unique_src(&g);
     for (f_in, f_out) in [(1024usize, 8usize), (8, 1024), (64, 64)] {
         let vols = PlacementVolumes::new(remote, g.num_vertices(), f_in, f_out, f_in);
         let (_, t) = vols.best(

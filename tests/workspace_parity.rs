@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionTable};
-use wisegraph::kernels::engine::{execute_parallel, execute_parallel_alloc, Engine};
+use wisegraph::kernels::engine::{execute_parallel_alloc, Engine};
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::{init, Tensor};
 
@@ -82,7 +82,8 @@ fn assert_parity(kind: ModelKind) {
     for threads in [1usize, 2, 4] {
         let alloc = execute_parallel_alloc(&dfg, &g, &plan, &globals, threads)
             .unwrap_or_else(|e| panic!("{} alloc path: {e}", kind.name()));
-        let pooled = execute_parallel(&dfg, &g, &plan, &globals, threads)
+        let pooled = Engine::new(threads)
+            .execute(&dfg, &g, &plan, &globals)
             .unwrap_or_else(|e| panic!("{} workspace path: {e}", kind.name()));
         assert_eq!(alloc.len(), pooled.len(), "{}", kind.name());
         for (a, p) in alloc.iter().zip(pooled.iter()) {
