@@ -26,7 +26,7 @@
 //!   operations that feed causal tracing (code `O002`);
 //! - [`repair`]: incremental-repair equivalence — a repaired plan must
 //!   verify identically to a from-scratch partition of the same live edge
-//!   set — and the cached-artifact roundtrip-test registry (codes `C...`);
+//!   set (code `C001`);
 //! - [`interference`]: schedule-level race freedom — per-gTask symbolic
 //!   access sets, write-overlap and provenance checks across co-scheduled
 //!   worker slots, fused-vs-interpreted access divergence, and workspace
@@ -126,9 +126,6 @@ pub enum Code {
     /// partition of the same live edge set: different coverage, a violated
     /// restriction, or a different verification verdict.
     RepairDivergence,
-    /// A cached artifact type has no registered byte-roundtrip test in
-    /// `tests/cache_roundtrip.rs`.
-    CacheArtifactUntested,
     /// Two co-scheduled gTasks write overlapping accumulator rows and the
     /// overlap is not an accumulation the engine's deterministic merge
     /// handles (the program's stores assume exclusive row ownership).
@@ -182,7 +179,6 @@ impl Code {
             Code::ObsUncovered => "O001",
             Code::ObsPhaseUncovered => "O002",
             Code::RepairDivergence => "C001",
-            Code::CacheArtifactUntested => "C002",
             Code::ScheduleWriteOverlap => "R001",
             Code::ScheduleReadWrite => "R002",
             Code::ScheduleSlotCollision => "R003",
@@ -428,7 +424,7 @@ pub mod prelude {
         check_phase_sources, verify_instrumentation, verify_phase_instrumentation,
     };
     pub use crate::plan::verify_plan;
-    pub use crate::repair::{verify_cache_roundtrip_registry, verify_repair};
+    pub use crate::repair::verify_repair;
     pub use crate::sharding::{verify_exchange, verify_placement, verify_shard_coverage};
     pub use crate::{Code, Diagnostic, Report, Severity, Span};
 }

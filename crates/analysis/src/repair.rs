@@ -1,5 +1,4 @@
-//! Incremental-repair equivalence and cache-registry verification
-//! (codes `C001`–`C002`).
+//! Incremental-repair equivalence verification (code `C001`).
 //!
 //! The incremental path (`wisegraph_gtask::IncrementalPlan`) repairs only
 //! the gTasks a delta touches, so its snapshots are *not* byte-identical
@@ -24,17 +23,9 @@
 //! here: repair trades it for O(delta) work, and the engine does not
 //! depend on cross-task order for correctness — only the reducers'
 //! ascending merge, which keys on node ids, not task ids.
-//!
-//! `C002` is the registry gate for the planning cache, mirroring `K006`:
-//! every [`CachedArtifact`] type must register a byte-roundtrip test in
-//! `tests/cache_roundtrip.rs`, so nobody can add a cached artifact whose
-//! serialization is not pinned byte-stable.
-
-use std::path::Path;
 
 use crate::plan::recount_unique;
 use crate::{push_capped, Code, Diagnostic, Span};
-use wisegraph_cache::{hash_table, CachedArtifact};
 use wisegraph_graph::Graph;
 use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable, StampSet};
 
@@ -51,7 +42,7 @@ pub fn verify_repair(
     let mut out = Vec::new();
 
     // --- table identity ----------------------------------------------
-    if hash_table(&plan.table) != hash_table(table) {
+    if plan.table != *table {
         out.push(
             Diagnostic::error(
                 Code::RepairDivergence,
@@ -232,57 +223,6 @@ fn subset_findings(
     out
 }
 
-/// Verifies that every cached artifact type registers a byte-roundtrip
-/// test (`C002`): `tests/cache_roundtrip.rs` under `root` must define a
-/// `fn <artifact>.roundtrip_test()` for each [`CachedArtifact::ALL`]
-/// entry. The same textual-scanning idiom as `K006` — the check runs
-/// against the source tree, so adding a cacheable artifact without
-/// pinning its serialization fails `wisegraph-lint` before anything
-/// is ever decoded from the store.
-pub fn verify_cache_roundtrip_registry(root: &Path) -> Vec<Diagnostic> {
-    let harness = root.join("tests/cache_roundtrip.rs");
-    let src = match std::fs::read_to_string(&harness) {
-        Ok(s) => s,
-        Err(e) => {
-            return vec![Diagnostic::error(
-                Code::CacheArtifactUntested,
-                Span::Global,
-                format!(
-                    "cannot read the cache roundtrip harness {}: {e}",
-                    harness.display()
-                ),
-            )
-            .with_suggestion(
-                "tests/cache_roundtrip.rs must exist and register one byte-roundtrip \
-                 test per cached artifact type",
-            )]
-        }
-    };
-    let mut out = Vec::new();
-    for a in CachedArtifact::ALL {
-        let needle = format!("fn {}(", a.roundtrip_test());
-        if !src.contains(&needle) {
-            out.push(
-                Diagnostic::error(
-                    Code::CacheArtifactUntested,
-                    Span::Global,
-                    format!(
-                        "cached artifact `{}` has no registered byte-roundtrip test \
-                         (expected `fn {}` in tests/cache_roundtrip.rs)",
-                        a.name(),
-                        a.roundtrip_test()
-                    ),
-                )
-                .with_suggestion(
-                    "every artifact the cache can store must be pinned byte-stable by \
-                     a dedicated roundtrip test",
-                ),
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,21 +338,5 @@ mod tests {
         let diags = verify_repair(&g, &table, &live, &snap);
         assert!(diags.iter().any(|d| d.code == Code::RepairDivergence
             && d.message.contains("empty gTask")));
-    }
-
-    #[test]
-    fn roundtrip_registry_present_in_repo() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = verify_cache_roundtrip_registry(&root);
-        assert!(diags.is_empty(), "{diags:#?}");
-    }
-
-    #[test]
-    fn missing_roundtrip_harness_is_c002() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        let diags = verify_cache_roundtrip_registry(&root);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == Code::CacheArtifactUntested));
     }
 }

@@ -10,7 +10,7 @@
 
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
-use wisegraph_core::joint::{compare_scheduling, DifferentiationConfig};
+use wisegraph_core::joint::compare_scheduling;
 use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind};
 use wisegraph_graph::{AttrKind, DatasetKind};
 use wisegraph_gtask::PartitionTable;
@@ -46,7 +46,7 @@ fn main() {
         let dfg = model.layer_dfg(fi, fo);
         let plan =
             ExecutionPlan::build(&g, table_for(model), &dfg, OpPartitionKind::Fused);
-        let cmp = compare_scheduling(&plan, &g, &dev, &DifferentiationConfig::default());
+        let cmp = compare_scheduling(&plan, &g, &dev);
         let reduction = 100.0 * (1.0 - cmp.differentiated / cmp.uniform);
         rows.push(vec![
             model.name().to_string(),

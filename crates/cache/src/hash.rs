@@ -1,25 +1,18 @@
 //! Deterministic content hashing for cache keys.
 //!
-//! Keys are FNV-1a 64-bit digests of the canonical byte encodings from
-//! [`crate::artifact`] (tables, DFGs) or of the raw topology arrays
-//! (graphs). FNV is not cryptographic — it does not need to be: the store
-//! is an in-process correctness cache, not a trust boundary, and what
-//! matters is that the digest is a pure, platform-independent function of
-//! the content so identical inputs hit and changed inputs miss.
+//! Keys are FNV-1a 64-bit digests of the raw topology arrays (graphs) or
+//! of the value's own fields via `#[derive(Hash)]` (tables, DFGs). FNV is
+//! not cryptographic — it does not need to be: the store is an in-process
+//! correctness cache, not a trust boundary, and what matters is that the
+//! digest is a pure function of the content so identical inputs hit and
+//! changed inputs miss.
 
-use crate::artifact;
+use std::hash::Hash;
 use wisegraph_dfg::Dfg;
 use wisegraph_graph::Graph;
 use wisegraph_gtask::PartitionTable;
 
 pub use wisegraph_graph::digest::Fnv64;
-
-/// Hash of a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
 
 /// Content hash of a graph: [`Graph::content_key`] — vertex/edge/type
 /// counts, the full `src`/`dst`/`etype` arrays and, when present, the
@@ -56,20 +49,28 @@ pub fn hash_graph_edges(g: &Graph, live: &[usize]) -> u64 {
     h.finish()
 }
 
-/// Content hash of a partition table (its restriction set), via the
-/// canonical byte encoding.
-pub fn hash_table(table: &PartitionTable) -> u64 {
-    fnv64(&artifact::encode_table(table))
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut h = Fnv64::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
-/// Content hash of a model DFG, via the canonical byte encoding.
+/// Content hash of a partition table: its restriction set in canonical
+/// (`AttrKind`) order, so builder order does not matter.
+pub fn hash_table(table: &PartitionTable) -> u64 {
+    hash_of(table)
+}
+
+/// Content hash of a model DFG: every node (op, inputs, recorded shape)
+/// in id order, then the output list.
 pub fn hash_dfg(dfg: &Dfg) -> u64 {
-    fnv64(&artifact::encode_dfg(dfg))
+    hash_of(dfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wisegraph_dfg::{Dim, NodeId, OpKind};
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_graph::AttrKind;
 
@@ -122,15 +123,72 @@ mod tests {
     }
 
     #[test]
-    fn table_hash_tracks_restrictions() {
-        let a = PartitionTable::vertex_centric();
-        let b = PartitionTable::edge_centric();
-        let c = PartitionTable::src_batch_per_type(8);
-        let c2 = PartitionTable::new()
+    fn table_hash_tracks_every_field() {
+        let base = PartitionTable::src_batch_per_type(8);
+        // Builder order must not matter: entries are canonically ordered.
+        let reordered = PartitionTable::new()
             .exact(AttrKind::EdgeType, 1)
             .exact(AttrKind::SrcId, 8);
-        assert_ne!(hash_table(&a), hash_table(&b));
-        // Builder order must not matter: entries are canonically ordered.
-        assert_eq!(hash_table(&c), hash_table(&c2));
+        assert_eq!(base, reordered);
+        assert_eq!(hash_table(&base), hash_table(&reordered));
+        let changed = [
+            ("a bound", PartitionTable::src_batch_per_type(9)),
+            ("Exact -> Min", base.clone().min(AttrKind::SrcId)),
+            ("an entry fewer", PartitionTable::new().exact(AttrKind::EdgeType, 1)),
+            (
+                "another attribute",
+                PartitionTable::new()
+                    .exact(AttrKind::EdgeType, 1)
+                    .exact(AttrKind::DstId, 8),
+            ),
+        ];
+        for (what, t) in &changed {
+            assert_ne!(hash_table(t), hash_table(&base), "{what}");
+        }
+    }
+
+    /// A small scatter DFG assembled from parts, so each test case can
+    /// change exactly one of them.
+    fn dfg_with(
+        name: &str,
+        gather: OpKind,
+        idx_input: usize,
+        shape: Vec<Dim>,
+        outputs: &[usize],
+    ) -> Dfg {
+        let mut d = Dfg::new();
+        let feat = vec![Dim::Vertices, Dim::Lit(4)];
+        let h = d.input(name, feat.clone());
+        let src = d.edge_attr(AttrKind::SrcId);
+        let dst = d.edge_attr(AttrKind::DstId);
+        assert_eq!((h, src, dst), (NodeId(0), NodeId(1), NodeId(2)));
+        let msg = d.add_node_unchecked(gather, vec![h, NodeId(idx_input)], shape);
+        d.add_node_unchecked(OpKind::IndexAdd { out: Dim::Vertices }, vec![msg, dst], feat);
+        for &o in outputs {
+            d.mark_output(NodeId(o));
+        }
+        d
+    }
+
+    #[test]
+    fn dfg_hash_tracks_every_field() {
+        let edge_rows = vec![Dim::Edges, Dim::Lit(4)];
+        let base = || dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[4]);
+        assert_eq!(base(), base());
+        assert_eq!(hash_dfg(&base()), hash_dfg(&base()));
+        let changed = [
+            ("input name", dfg_with("x", OpKind::Index, 1, edge_rows.clone(), &[4])),
+            ("op kind", dfg_with("h", OpKind::Mul, 1, edge_rows.clone(), &[4])),
+            ("input id", dfg_with("h", OpKind::Index, 2, edge_rows.clone(), &[4])),
+            (
+                "recorded shape",
+                dfg_with("h", OpKind::Index, 1, vec![Dim::Edges, Dim::Lit(5)], &[4]),
+            ),
+            ("output list", dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[4, 3])),
+            ("no outputs", dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[])),
+        ];
+        for (what, d) in &changed {
+            assert_ne!(hash_dfg(d), hash_dfg(&base()), "{what}");
+        }
     }
 }

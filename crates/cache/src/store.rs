@@ -1,14 +1,12 @@
 //! The in-process content-addressed planning store.
 //!
-//! A [`PlanCache`] memoizes the three expensive planning stages —
-//! partitioning, DFG transformation, kernel compilation — behind
-//! content-derived keys ([`EntryKey`]): the artifact type, the
-//! [`FORMAT_VERSION`], a graph component, and a subject component (table
-//! hash for plans, DFG hash for rewrites and programs). Entries store the
-//! artifact's canonical bytes, and a hit *decodes those bytes* rather than
-//! returning a cached object, so the serialization path is exercised on
-//! every reuse and a corrupt entry degrades to a miss instead of poisoning
-//! the run.
+//! A [`PlanCache`] memoizes the three planning stages — partitioning, DFG
+//! transformation, kernel compilation — behind content-derived keys: a
+//! graph component (full graph or live edge subset) and a subject
+//! component (table hash for plans, DFG hash for rewrites and programs).
+//! Entries are the artifacts themselves, one map per artifact type; a hit
+//! returns a clone, so nothing a caller does to its copy reaches the
+//! store.
 //!
 //! Invalidation is component-wise: [`PlanCache::invalidate_graph`] drops
 //! exactly the entries whose key carries a stale graph hash — the delta
@@ -16,47 +14,87 @@
 //! live set, leaving entries for other graphs (and the table/DFG subjects
 //! under them) intact.
 
-use crate::artifact::{
-    decode_dfg, decode_plan, decode_program, encode_dfg, encode_plan, encode_program,
-    CachedArtifact, FORMAT_VERSION,
-};
-use crate::hash::{hash_dfg, hash_graph, hash_graph_edges, hash_table, Fnv64};
+use crate::hash::{hash_dfg, hash_graph, hash_graph_edges, hash_table};
 use std::collections::BTreeMap;
+use std::mem::{size_of, size_of_val};
+use wisegraph_dfg::graph::Node;
 use wisegraph_dfg::{transform, Binding, Dfg};
-use wisegraph_graph::Graph;
-use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
+use wisegraph_graph::{AttrKind, Graph};
+use wisegraph_gtask::{partition, partition_edges, GTask, PartitionPlan, PartitionTable};
 use wisegraph_kernels::micro::{compile, CompileError, KernelProgram};
 use wisegraph_obs::{keys, span, Class, Counters};
 
-/// A content-derived store key.
+/// A content-derived store key, within one artifact type's map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EntryKey {
-    /// Which artifact type the entry holds.
-    pub artifact: CachedArtifact,
+struct EntryKey {
     /// Content hash of the graph component (full graph or live subset).
-    pub graph: u64,
+    graph: u64,
     /// Content hash of the subject: the partition table for plans, the
     /// source DFG for rewrites and compiled programs.
-    pub subject: u64,
+    subject: u64,
 }
 
-impl EntryKey {
-    /// Folds the key (plus the format version) into a single digest —
-    /// useful for logging/debugging; the store itself keys on the struct.
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(u64::from(FORMAT_VERSION));
-        h.write(&[self.artifact.tag()]);
-        h.write_u64(self.graph);
-        h.write_u64(self.subject);
-        h.finish()
+/// What [`PlanCache::stored_bytes`] charges for one entry: the heap
+/// payload its vectors and maps hold, from their lengths (string bytes and
+/// allocator slack are not counted).
+trait Payload {
+    fn payload_bytes(&self) -> usize;
+}
+
+impl Payload for PartitionPlan {
+    fn payload_bytes(&self) -> usize {
+        let per_task = |t: &GTask| {
+            size_of_val(&t.edges[..]) + t.uniq.len() * size_of::<(AttrKind, usize)>()
+        };
+        size_of_val(&self.tasks[..]) + self.tasks.iter().map(per_task).sum::<usize>()
     }
+}
+
+impl Payload for Dfg {
+    fn payload_bytes(&self) -> usize {
+        let per_node = |n: &Node| size_of_val(&n.inputs[..]) + size_of_val(&n.shape[..]);
+        size_of_val(self.nodes())
+            + self.nodes().iter().map(per_node).sum::<usize>()
+            + size_of_val(self.outputs())
+    }
+}
+
+impl Payload for KernelProgram {
+    fn payload_bytes(&self) -> usize {
+        size_of_val(&self.ops[..]) + size_of_val(&self.prologue[..])
+    }
+}
+
+/// Files `value` under `key`, keeping the running byte total exact when
+/// the key was already taken.
+fn put<V: Payload>(map: &mut BTreeMap<EntryKey, V>, total: &mut usize, key: EntryKey, value: V) {
+    *total += value.payload_bytes();
+    if let Some(old) = map.insert(key, value) {
+        *total -= old.payload_bytes();
+    }
+}
+
+/// Drops `map`'s entries under `graph`, returning how many went.
+fn drop_graph<V: Payload>(map: &mut BTreeMap<EntryKey, V>, total: &mut usize, graph: u64) -> usize {
+    let before = map.len();
+    map.retain(|k, v| {
+        let stale = k.graph == graph;
+        if stale {
+            *total -= v.payload_bytes();
+        }
+        !stale
+    });
+    before - map.len()
 }
 
 /// The content-addressed planning cache.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: BTreeMap<EntryKey, Vec<u8>>,
+    plans: BTreeMap<EntryKey, PartitionPlan>,
+    dfgs: BTreeMap<EntryKey, Dfg>,
+    programs: BTreeMap<EntryKey, KernelProgram>,
+    /// Sum of `payload_bytes` over all three maps.
+    stored_bytes: usize,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -72,17 +110,19 @@ impl PlanCache {
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.plans.len() + self.dfgs.len() + self.programs.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Serialized bytes currently resident.
+    /// Heap payload of the artifacts currently resident, from their
+    /// lengths: 8 B per plan edge id plus the per-task, per-node and
+    /// per-instruction records.
     pub fn stored_bytes(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.stored_bytes
     }
 
     /// Lookups served from the store.
@@ -101,8 +141,8 @@ impl PlanCache {
     }
 
     fn note_size(&mut self) {
-        self.peak_entries = self.peak_entries.max(self.entries.len() as u64);
-        self.peak_bytes = self.peak_bytes.max(self.stored_bytes() as u64);
+        self.peak_entries = self.peak_entries.max(self.len() as u64);
+        self.peak_bytes = self.peak_bytes.max(self.stored_bytes as u64);
     }
 
     /// Content hash of the full graph (all edges live).
@@ -117,8 +157,7 @@ impl PlanCache {
 
     /// Cached graph partition over all edges of `g`.
     pub fn partition_cached(&mut self, g: &Graph, table: &PartitionTable) -> PartitionPlan {
-        let live: Vec<usize> = (0..g.num_edges()).collect();
-        self.partition_under(hash_graph(g), g, table, &live)
+        self.plan_or(hash_graph(g), table, g.num_edges(), || partition(g, table))
     }
 
     /// Cached graph partition over a live edge subset (the delta path).
@@ -152,26 +191,32 @@ impl PlanCache {
         table: &PartitionTable,
         live: &[usize],
     ) -> PartitionPlan {
+        self.plan_or(graph_key, table, live.len(), || partition_edges(g, table, live))
+    }
+
+    /// The plan filed under (`graph_key`, `table`), or `compute`'s result
+    /// stored there first.
+    fn plan_or(
+        &mut self,
+        graph_key: u64,
+        table: &PartitionTable,
+        edges: usize,
+        compute: impl FnOnce() -> PartitionPlan,
+    ) -> PartitionPlan {
         let key = EntryKey {
-            artifact: CachedArtifact::PartitionPlan,
             graph: graph_key,
             subject: hash_table(table),
         };
-        let mut sp = span!("cache.partition", edges = live.len());
-        if let Some(bytes) = self.entries.get(&key) {
-            if let Ok(plan) = decode_plan(bytes) {
-                self.hits += 1;
-                sp.arg("hit", 1usize);
-                return plan;
-            }
-            // Undecodable entry: drop it and fall through to recompute.
-            self.entries.remove(&key);
-            self.invalidations += 1;
+        let mut sp = span!("cache.partition", edges = edges);
+        if let Some(plan) = self.plans.get(&key) {
+            self.hits += 1;
+            sp.arg("hit", 1usize);
+            return plan.clone();
         }
         self.misses += 1;
         sp.arg("hit", 0usize);
-        let plan = partition_edges(g, table, live);
-        self.entries.insert(key, encode_plan(&plan));
+        let plan = compute();
+        put(&mut self.plans, &mut self.stored_bytes, key, plan.clone());
         self.note_size();
         plan
     }
@@ -180,25 +225,20 @@ impl PlanCache {
     /// whole-scope binding.
     pub fn transform_cached(&mut self, g: &Graph, base: &Dfg) -> Dfg {
         let key = EntryKey {
-            artifact: CachedArtifact::TransformedDfg,
             graph: hash_graph(g),
             subject: hash_dfg(base),
         };
         let mut sp = span!("cache.transform", nodes = base.len());
-        if let Some(bytes) = self.entries.get(&key) {
-            if let Ok(dfg) = decode_dfg(bytes) {
-                self.hits += 1;
-                sp.arg("hit", 1usize);
-                return dfg;
-            }
-            self.entries.remove(&key);
-            self.invalidations += 1;
+        if let Some(dfg) = self.dfgs.get(&key) {
+            self.hits += 1;
+            sp.arg("hit", 1usize);
+            return dfg.clone();
         }
         self.misses += 1;
         sp.arg("hit", 0usize);
         let binding = Binding::from_graph(g);
         let (dfg, _) = transform::optimize(base, &binding);
-        self.entries.insert(key, encode_dfg(&dfg));
+        put(&mut self.dfgs, &mut self.stored_bytes, key, dfg.clone());
         self.note_size();
         dfg
     }
@@ -212,24 +252,19 @@ impl PlanCache {
         dfg: &Dfg,
     ) -> Result<KernelProgram, CompileError> {
         let key = EntryKey {
-            artifact: CachedArtifact::KernelProgram,
             graph: hash_graph(g),
             subject: hash_dfg(dfg),
         };
         let mut sp = span!("cache.compile", nodes = dfg.len());
-        if let Some(bytes) = self.entries.get(&key) {
-            if let Ok(p) = decode_program(bytes) {
-                self.hits += 1;
-                sp.arg("hit", 1usize);
-                return Ok(p);
-            }
-            self.entries.remove(&key);
-            self.invalidations += 1;
+        if let Some(p) = self.programs.get(&key) {
+            self.hits += 1;
+            sp.arg("hit", 1usize);
+            return Ok(p.clone());
         }
         self.misses += 1;
         sp.arg("hit", 0usize);
         let p = compile(dfg, g)?;
-        self.entries.insert(key, encode_program(&p));
+        put(&mut self.programs, &mut self.stored_bytes, key, p.clone());
         self.note_size();
         Ok(p)
     }
@@ -237,13 +272,12 @@ impl PlanCache {
     /// Stores an externally produced plan (e.g. a repaired incremental
     /// snapshot that `wisegraph-analysis` has verified) under the given
     /// graph key, so the next lookup for that (graph, table) hits.
-    pub fn insert_plan(&mut self, graph_key: u64, plan: &PartitionPlan) {
+    pub fn insert_plan(&mut self, graph_key: u64, plan: PartitionPlan) {
         let key = EntryKey {
-            artifact: CachedArtifact::PartitionPlan,
             graph: graph_key,
             subject: hash_table(&plan.table),
         };
-        self.entries.insert(key, encode_plan(plan));
+        put(&mut self.plans, &mut self.stored_bytes, key, plan);
         self.note_size();
     }
 
@@ -252,17 +286,12 @@ impl PlanCache {
     /// including other live-set snapshots of the same universe graph —
     /// survive.
     pub fn invalidate_graph(&mut self, graph_key: u64) -> usize {
-        let doomed: Vec<EntryKey> = self
-            .entries
-            .keys()
-            .filter(|k| k.graph == graph_key)
-            .copied()
-            .collect();
-        for k in &doomed {
-            self.entries.remove(k);
-        }
-        self.invalidations += doomed.len() as u64;
-        doomed.len()
+        let total = &mut self.stored_bytes;
+        let dropped = drop_graph(&mut self.plans, total, graph_key)
+            + drop_graph(&mut self.dfgs, total, graph_key)
+            + drop_graph(&mut self.programs, total, graph_key);
+        self.invalidations += dropped as u64;
+        dropped
     }
 
     /// Records the cache's Resource counters (hits, misses, invalidations,
@@ -284,6 +313,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wisegraph_dfg::NodeId;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::partition;
     use wisegraph_models::ModelKind;
@@ -300,11 +330,14 @@ mod tests {
         let cold = cache.partition_cached(&g, &table);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 0);
-        let warm = cache.partition_cached(&g, &table);
+        let mut warm = cache.partition_cached(&g, &table);
         assert_eq!(cache.hits(), 1);
         let direct = partition(&g, &table);
-        assert_eq!(cold.tasks, direct.tasks);
-        assert_eq!(warm.tasks, direct.tasks);
+        assert_eq!(cold, direct);
+        assert_eq!(warm, direct);
+        // A hit hands out a copy: the caller's edits never reach the store.
+        warm.tasks.clear();
+        assert_eq!(cache.partition_cached(&g, &table), direct);
     }
 
     #[test]
@@ -353,18 +386,64 @@ mod tests {
         let g = graph(43);
         let base = ModelKind::Rgcn.layer_dfg(8, 6);
         let mut cache = PlanCache::new();
+        let (direct, _) = transform::optimize(&base, &Binding::from_graph(&g));
         let cold = cache.transform_cached(&g, &base);
-        let warm = cache.transform_cached(&g, &base);
+        let mut warm = cache.transform_cached(&g, &base);
         assert_eq!(cache.hits(), 1);
-        assert_eq!(crate::artifact::encode_dfg(&cold), crate::artifact::encode_dfg(&warm));
+        assert_eq!(cold, direct);
+        assert_eq!(warm, direct);
+        warm.mark_output(NodeId(0));
+        assert_eq!(cache.transform_cached(&g, &base), direct);
 
-        let p_cold = cache.compile_cached(&g, &cold).unwrap();
-        let p_warm = cache.compile_cached(&g, &warm).unwrap();
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(
-            crate::artifact::encode_program(&p_cold),
-            crate::artifact::encode_program(&p_warm)
-        );
+        let p_direct = compile(&direct, &g).unwrap();
+        let p_cold = cache.compile_cached(&g, &direct).unwrap();
+        let mut p_warm = cache.compile_cached(&g, &direct).unwrap();
+        assert_eq!(cache.hits(), 3);
+        assert_eq!(p_cold, p_direct);
+        assert_eq!(p_warm, p_direct);
+        p_warm.ops.clear();
+        assert_eq!(cache.compile_cached(&g, &direct).unwrap(), p_direct);
+    }
+
+    /// `stored_bytes` is a running total; this is the sum it must equal.
+    fn recounted_bytes(cache: &PlanCache) -> usize {
+        let plans = cache.plans.values().map(Payload::payload_bytes);
+        let dfgs = cache.dfgs.values().map(Payload::payload_bytes);
+        let programs = cache.programs.values().map(Payload::payload_bytes);
+        plans.chain(dfgs).chain(programs).sum()
+    }
+
+    #[test]
+    fn stored_bytes_tracks_inserts_overwrites_and_invalidation() {
+        let g1 = graph(50);
+        let g2 = graph(51);
+        let table = PartitionTable::vertex_centric();
+        let mut cache = PlanCache::new();
+        assert_eq!(cache.stored_bytes(), 0);
+
+        let plan = cache.partition_cached(&g1, &table);
+        assert!(cache.stored_bytes() >= g1.num_edges() * size_of::<usize>());
+        cache.partition_cached(&g2, &PartitionTable::edge_batch(8));
+        let dfg = cache.transform_cached(&g1, &ModelKind::Gcn.layer_dfg(8, 6));
+        cache.compile_cached(&g1, &dfg).unwrap();
+        assert_eq!(cache.stored_bytes(), recounted_bytes(&cache));
+
+        // Overwriting a key with a smaller plan charges only the new one.
+        let before = cache.stored_bytes();
+        let mut smaller = plan.clone();
+        smaller.tasks.pop();
+        let shrink = plan.payload_bytes() - smaller.payload_bytes();
+        cache.insert_plan(PlanCache::graph_key(&g1), smaller);
+        assert_eq!(cache.len(), 4);
+        assert!(shrink > 0);
+        assert_eq!(cache.stored_bytes(), before - shrink);
+        assert_eq!(cache.stored_bytes(), recounted_bytes(&cache));
+
+        assert_eq!(cache.invalidate_graph(PlanCache::graph_key(&g1)), 3);
+        assert_eq!(cache.stored_bytes(), recounted_bytes(&cache));
+        assert_eq!(cache.invalidate_graph(PlanCache::graph_key(&g2)), 1);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stored_bytes(), 0);
     }
 
     #[test]
@@ -408,7 +487,7 @@ mod tests {
         let plan = partition(&g, &table);
         let mut cache = PlanCache::new();
         let key = PlanCache::graph_key(&g);
-        cache.insert_plan(key, &plan);
+        cache.insert_plan(key, plan.clone());
         let served = cache.partition_cached(&g, &table);
         assert_eq!(cache.hits(), 1);
         assert_eq!(served.tasks, plan.tasks);

@@ -22,9 +22,10 @@
 //! Cost of one [`DynamicPlanner::apply`]: the O(delta) repair plus a
 //! handful of O(E) passes at memory speed — listing the live set (one scan
 //! of a dense index), the snapshot, the verifier (dense coverage arrays and
-//! a radix-sorted from-scratch partition), one content hash of the new live
-//! set and one encoding of the snapshot. The planner keeps that hash, so
-//! [`DynamicPlanner::plan`] looks its entry up without re-deriving it.
+//! a radix-sorted from-scratch partition) and one content hash of the new
+//! live set; the snapshot moves into the cache as it is. The planner keeps
+//! that hash, so [`DynamicPlanner::plan`] looks its entry up without
+//! re-deriving it.
 
 use std::collections::HashMap;
 
@@ -84,7 +85,7 @@ impl DynamicPlanner {
         let inc = IncrementalPlan::new(g, table);
         let graph_key = PlanCache::graph_key(g);
         let mut cache = PlanCache::new();
-        cache.insert_plan(graph_key, &inc.snapshot(g));
+        cache.insert_plan(graph_key, inc.snapshot(g));
         Self {
             cache,
             inc,
@@ -128,7 +129,7 @@ impl DynamicPlanner {
         }
         let invalidated = self.cache.invalidate_graph(self.graph_key);
         self.graph_key = Self::key_for(g, &live);
-        self.cache.insert_plan(self.graph_key, &snap);
+        self.cache.insert_plan(self.graph_key, snap);
         RepairOutcome {
             stats,
             diagnostics,

@@ -17,28 +17,17 @@ use wisegraph_gtask::outlier::{classify_outliers, summarize, OutlierConfig, Outl
 use wisegraph_gtask::OutlierKind;
 use wisegraph_sim::{schedule, DeviceSpec};
 
-/// Resource/priority adjustments applied per outlier class.
-#[derive(Clone, Copy, Debug)]
-pub struct DifferentiationConfig {
-    /// Edge-wise execution is this factor less efficient *per edge* than
-    /// batched execution (but pays no padding).
-    pub edgewise_penalty: f64,
-    /// Duration multiplier for overfill tasks given extra resources.
-    pub overfill_speedup: f64,
-    /// Duration multiplier for frequent-value tasks after precomputing the
-    /// shared workload.
-    pub frequent_speedup: f64,
-}
+// The three multipliers below are assumed, not measured — ROADMAP
+// scheduling item (4) replaces them with ratios taken on the real engine.
 
-impl Default for DifferentiationConfig {
-    fn default() -> Self {
-        Self {
-            edgewise_penalty: 2.0,
-            overfill_speedup: 0.7,
-            frequent_speedup: 0.5,
-        }
-    }
-}
+/// Edge-wise execution is this factor less efficient *per edge* than
+/// batched execution (but pays no padding).
+const EDGEWISE_PENALTY: f64 = 2.0;
+/// Duration multiplier for overfill tasks given extra resources.
+const OVERFILL_SPEEDUP: f64 = 0.7;
+/// Duration multiplier for frequent-value tasks after precomputing the
+/// shared workload.
+const FREQUENT_SPEEDUP: f64 = 0.5;
 
 /// The outcome of scheduling one plan with and without differentiation.
 #[derive(Clone, Copy, Debug)]
@@ -59,7 +48,6 @@ pub fn compare_scheduling(
     plan: &ExecutionPlan,
     g: &Graph,
     dev: &DeviceSpec,
-    cfg: &DifferentiationConfig,
 ) -> ScheduleComparison {
     let durations = plan.task_durations(g, dev);
     let classes = classify_outliers(g, &plan.partition, &OutlierConfig::default());
@@ -86,8 +74,7 @@ pub fn compare_scheduling(
             // efficiency penalty, and runs last.
             Some(OutlierKind::Underfill) => {
                 let padded_units = (task.num_edges() as f64).max(median_edges);
-                let edgewise =
-                    d * (task.num_edges() as f64 / padded_units) * cfg.edgewise_penalty;
+                let edgewise = d * (task.num_edges() as f64 / padded_units) * EDGEWISE_PENALTY;
                 schedule::ScheduledTask {
                     // Never worse than the padded batch execution.
                     duration: edgewise.min(d),
@@ -95,11 +82,11 @@ pub fn compare_scheduling(
                 }
             }
             Some(OutlierKind::Overfill) => schedule::ScheduledTask {
-                duration: d * cfg.overfill_speedup,
+                duration: d * OVERFILL_SPEEDUP,
                 priority: 2,
             },
             Some(OutlierKind::FrequentValue) => schedule::ScheduledTask {
-                duration: d * cfg.frequent_speedup,
+                duration: d * FREQUENT_SPEEDUP,
                 priority: 1,
             },
             None => schedule::ScheduledTask {
@@ -143,7 +130,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let cmp = compare_scheduling(&plan, &g, &dev, &DifferentiationConfig::default());
+        let cmp = compare_scheduling(&plan, &g, &dev);
         assert!(
             cmp.differentiated <= cmp.uniform * 1.001,
             "uniform {} vs differentiated {}",
@@ -168,7 +155,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let cmp = compare_scheduling(&plan, &g, &dev, &DifferentiationConfig::default());
+        let cmp = compare_scheduling(&plan, &g, &dev);
         assert!(
             cmp.outlier_time_fraction > 0.2,
             "outlier fraction {}",
@@ -187,7 +174,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let cmp = compare_scheduling(&plan, &g, &dev, &DifferentiationConfig::default());
+        let cmp = compare_scheduling(&plan, &g, &dev);
         // Edge batching is balanced by construction: differentiation
         // changes the makespan by < 20%.
         let ratio = cmp.differentiated / cmp.uniform;

@@ -1,7 +1,7 @@
 //! The staged plan search (Figure 4e, Figure 16) with pruning and caching
 //! (§6.3).
 
-use crate::joint::{compare_scheduling, DifferentiationConfig};
+use crate::joint::compare_scheduling;
 use crate::plan::{ExecutionPlan, OpPartitionKind};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -219,7 +219,7 @@ impl WiseGraph {
         let (best_plan, best_time) = best.expect("operation partition produced a plan");
 
         // Stage 3 — joint optimization: differentiated outlier scheduling.
-        let cmp = compare_scheduling(&best_plan, g, &self.device, &DifferentiationConfig::default());
+        let cmp = compare_scheduling(&best_plan, g, &self.device);
         let joint_time = (best_time - cmp.uniform + cmp.differentiated).max(best_time * 0.05);
         trace
             .points

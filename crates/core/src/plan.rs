@@ -264,7 +264,7 @@ impl ExecutionPlan {
     /// Like [`ExecutionPlan::build`], but serves the partition and the
     /// transformed DFG through a content-addressed [`PlanCache`]: a warm
     /// cache skips both the partitioner and the rewrite
-    /// pipeline, decoding the stored artifacts instead. The kernel
+    /// pipeline, cloning the stored artifacts instead. The kernel
     /// context is derived fresh either way (it is cheap and depends only
     /// on the two cached artifacts).
     pub fn build_cached(

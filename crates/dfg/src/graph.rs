@@ -9,7 +9,7 @@ use wisegraph_graph::AttrKind;
 pub struct NodeId(pub usize);
 
 /// One operation instance in the DFG.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Node {
     /// The operation.
     pub kind: OpKind,
@@ -23,7 +23,7 @@ pub struct Node {
 ///
 /// Nodes are appended through the builder methods, so the vector order is
 /// already topological: every node's inputs precede it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Dfg {
     nodes: Vec<Node>,
     outputs: Vec<NodeId>,

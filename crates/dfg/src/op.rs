@@ -13,7 +13,7 @@ use wisegraph_graph::AttrKind;
 pub const LEAKY_SLOPE: f32 = 0.2;
 
 /// A DFG operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A dense input tensor (vertex embeddings, weights, biases).
     Input {

@@ -52,6 +52,19 @@ impl Fnv64 {
     }
 }
 
+/// Lets `#[derive(Hash)]` values fold straight into the digest (the cache
+/// keys of tables and DFGs). Integers arrive in native byte order, which
+/// is fine for a key that never leaves the process.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

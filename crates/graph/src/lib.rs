@@ -28,7 +28,6 @@ pub mod digest;
 pub mod generate;
 pub mod graph;
 pub mod io;
-pub mod multilevel;
 pub mod reorder;
 pub mod sample;
 pub mod shard;

@@ -6,7 +6,7 @@ use wisegraph_graph::AttrKind;
 
 /// A restriction on the number of unique values of one edge attribute
 /// within a gTask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Restriction {
     /// `uniq(attr) = k`: at most `k` distinct values per gTask.
     Exact(u64),
@@ -22,7 +22,7 @@ pub enum Restriction {
 /// Attributes not mentioned are unrestricted (`Free`). Iteration order over
 /// entries is the insertion-independent `AttrKind` order, which also defines
 /// the sort-key order of the greedy partitioner.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PartitionTable {
     entries: BTreeMap<AttrKind, Restriction>,
 }

@@ -329,7 +329,7 @@ impl Engine {
     }
 
     /// Executes an *already compiled* program — the cache-aware entry
-    /// point. A warm planning cache hands a decoded [`KernelProgram`]
+    /// point. A warm planning cache hands a stored [`KernelProgram`]
     /// straight to this method and skips [`compile`] entirely;
     /// [`Engine::execute`] is the compile-then-run convenience wrapper.
     /// The program must have been compiled from this `dfg` against this

@@ -199,7 +199,7 @@ pub enum MicroKernel {
 
 /// A compiled kernel: micro-kernels run once per gTask, writing into a
 /// shared `[rows, width]` accumulator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelProgram {
     /// The composed micro-kernels, in execution order.
     pub ops: Vec<MicroKernel>,

@@ -150,7 +150,7 @@ pub mod keys {
     /// High-water mark of live cache entries
     /// ([`Resource`](crate::Class::Resource), max).
     pub const CACHE_ENTRIES: &str = "cache.entries";
-    /// High-water mark of serialized bytes resident in the store
+    /// High-water mark of the stored artifacts' heap payload in bytes
     /// ([`Resource`](crate::Class::Resource), max).
     pub const CACHE_STORED_BYTES: &str = "cache.stored_bytes";
     /// Hit fraction of all lookups so far, in parts per thousand

@@ -29,7 +29,6 @@
 pub mod device;
 pub mod fabric;
 pub mod memory;
-pub mod pipeline;
 pub mod schedule;
 pub mod volume;
 

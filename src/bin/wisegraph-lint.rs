@@ -20,10 +20,8 @@
 //!   (`K006`), so a pattern cannot land without its differential harness
 //!   entry; per-combination fused plans are additionally coverage-checked
 //!   by `verify_execution` (`K005`);
-//! * every cached artifact type must have a registered byte-roundtrip
-//!   test in `tests/cache_roundtrip.rs` (`C002`), and incremental gTask
-//!   repair after a canned delta stream must verify identically to a
-//!   from-scratch partition of the live set (`C001`);
+//! * incremental gTask repair after a canned delta stream must verify
+//!   identically to a from-scratch partition of the live set (`C001`);
 //! * every model × table × 1/2/4-thread combination is *executed* under
 //!   the engine's `ExecMode::Sanitize` shadow-memory sanitizer and
 //!   cross-checked against the static interference verdict: a runtime
@@ -274,14 +272,10 @@ fn main() -> ExitCode {
         wisegraph::kernels::fused::FusedPattern::ALL.len()
     ));
 
-    // Pass 6: every cached artifact type must register a byte-roundtrip
-    // test in tests/cache_roundtrip.rs (C002), and incremental repair must
-    // verify against a from-scratch partition for every candidate table
-    // (C001) after a canned insert/delete stream.
-    let mut cache_report = Report::new();
-    cache_report.extend(verify_cache_roundtrip_registry(std::path::Path::new(
-        env!("CARGO_MANIFEST_DIR"),
-    )));
+    // Pass 6: incremental repair must verify against a from-scratch
+    // partition for every candidate table (C001) after a canned
+    // insert/delete stream.
+    let mut repair_report = Report::new();
     let mut repairs = 0usize;
     for table in enumerate_tables(
         &[
@@ -299,15 +293,11 @@ fn main() -> ExitCode {
         inc.apply(&g, &GraphDelta::inserting((0..g.num_edges()).step_by(14).collect()));
         let live = inc.live_edges();
         let snap = inc.snapshot(&g);
-        cache_report.extend(verify_repair(&g, &table, &live, &snap));
+        repair_report.extend(verify_repair(&g, &table, &live, &snap));
         repairs += 1;
     }
-    sink.report("planning cache", &cache_report);
-    sink.say(format!(
-        "wisegraph-lint: {} cached artifact types checked against \
-         tests/cache_roundtrip.rs, {repairs} incremental repairs verified",
-        wisegraph::cache::CachedArtifact::ALL.len()
-    ));
+    sink.report("incremental repair", &repair_report);
+    sink.say(format!("wisegraph-lint: {repairs} incremental repairs verified"));
 
     // Pass 7: shadow-memory sanitizer cross-check. Every model × table ×
     // 1/2/4-thread combination actually executes under ExecMode::Sanitize;

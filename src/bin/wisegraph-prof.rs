@@ -284,7 +284,7 @@ fn run_suite(threads: usize) -> SuiteRun {
         };
         let mut cache = PlanCache::new();
         plan_all(&mut cache); // cold: every lookup misses and stores
-        plan_all(&mut cache); // warm: every lookup hits and decodes
+        plan_all(&mut cache); // warm: every lookup hits
         let mut c = Counters::new();
         cache.record_counters(&mut c);
         run.all.merge_prefixed(&format!("planning.{slug}"), &c);

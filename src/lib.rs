@@ -21,10 +21,10 @@
 //!   optimization, strategy search, training);
 //! - [`analysis`]: the pre-execution static verifier — plan, DFG, and
 //!   kernel legality checks behind the `wisegraph-lint` binary;
-//! - [`cache`]: the content-addressed planning cache — byte-stable
-//!   artifact serialization, FNV content hashing, and the
-//!   [`PlanCache`](wisegraph_cache::PlanCache) store that lets warm runs
-//!   skip partitioning, DFG optimization, and kernel compilation;
+//! - [`cache`]: the content-addressed planning cache — FNV content
+//!   hashing and the in-process [`PlanCache`](wisegraph_cache::PlanCache)
+//!   store that lets warm runs skip partitioning, DFG optimization, and
+//!   kernel compilation;
 //! - [`obs`]: the hermetic tracing/metrics layer — deterministic work
 //!   counters, structured spans, and the Chrome-trace/metrics exporters
 //!   behind the `wisegraph-prof` binary.

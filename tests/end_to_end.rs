@@ -116,12 +116,7 @@ fn partition_outlier_schedule_composition() {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let cmp = wisegraph::core::joint::compare_scheduling(
-            &eplan,
-            &g,
-            &dev,
-            &wisegraph::core::joint::DifferentiationConfig::default(),
-        );
+        let cmp = wisegraph::core::joint::compare_scheduling(&eplan, &g, &dev);
         assert!(cmp.differentiated <= cmp.uniform * 1.001, "{table}");
     }
 }
