@@ -15,7 +15,7 @@
 //!   from the same [`summarize`] access summary the fusion matcher's
 //!   confinement checks consume, so matcher and verifier can never drift;
 //! - [`verify_interference`] checks every pair of gTasks co-scheduled by
-//!   [`chunk_ranges`] across worker slots: write-write overlap that the
+//!   [`deal_tasks`] across worker slots: write-write overlap that the
 //!   deterministic merge does *not* handle is `R001`, and a scatter
 //!   destination whose row provenance cannot be resolved statically
 //!   (so disjointness cannot be proven) is `R002`;
@@ -40,7 +40,7 @@ use crate::{push_capped, Code, Diagnostic, Span};
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 use wisegraph_graph::Graph;
 use wisegraph_gtask::{GTask, PartitionPlan};
-use wisegraph_kernels::engine::chunk_ranges;
+use wisegraph_kernels::engine::deal_tasks;
 use wisegraph_kernels::fused::{FusedOp, FusedPlan, Segment};
 use wisegraph_kernels::micro::{
     global_inputs, summarize, AccessSummary, KernelProgram, MicroKernel, Reg,
@@ -116,9 +116,9 @@ pub fn summarize_plan(
 /// Schedule-level interference check (codes `R001`, `R002`, and a re-check
 /// of `R003` on the engine's own assignment).
 ///
-/// Models exactly what the engine will do: tasks split into
-/// [`chunk_ranges`]`(num_tasks, threads)` contiguous chunks, chunk `i` on
-/// worker slot `i`, all chunks concurrent. For every pair of co-scheduled
+/// Models exactly what the engine will do: [`deal_tasks`]`(num_tasks,
+/// threads)` deals blocks of tasks to worker slots, slot `i`'s blocks on
+/// worker `i`, all slots concurrent. For every pair of co-scheduled
 /// tasks (different slots) it proves write-write disjointness of the
 /// accumulator rows — or proves the only overlap is plain scatter-add
 /// accumulation, which the engine's ascending-order merge handles
@@ -163,11 +163,11 @@ pub fn verify_interference(
         return out;
     }
 
-    let ranges = chunk_ranges(plan.num_tasks(), threads);
+    let deal = deal_tasks(plan.num_tasks(), threads);
     // The engine's own assignment is the identity; prove it anyway so the
     // R003 invariant is checked on the path that matters, not only for
     // hypothetical external schedules.
-    let slots: Vec<usize> = (0..ranges.len()).collect();
+    let slots: Vec<usize> = (0..deal.len()).collect();
     found.extend(slot_findings(&slots, threads));
 
     // Write-write: merge-safe programs need no row reasoning at all — any
@@ -176,8 +176,8 @@ pub fn verify_interference(
     // intersection.
     if program.requires_dst_complete {
         let mut slot_of = vec![0usize; plan.num_tasks()];
-        for (slot, r) in ranges.iter().enumerate() {
-            for t in r.clone() {
+        for (slot, blocks) in deal.iter().enumerate() {
+            for t in blocks.iter().cloned().flatten() {
                 slot_of[t] = slot;
             }
         }

@@ -10,8 +10,8 @@
 //! * no micro-kernel may alias an output register with one of its inputs —
 //!   the interpreter checks registers out of a recycling pool, so in-place
 //!   writes would corrupt the operand (`K002`);
-//! * the engine's chunk-to-slot mapping must be a deterministic partition
-//!   of the task range (`K003`);
+//! * the engine's task-to-slot dealing must put every task in exactly one
+//!   block of one slot, each slot's blocks ascending (`K003`);
 //! * a program with per-destination normalization must run under a
 //!   destination-complete plan (`K004`);
 //! * a fused plan must cover the program's instructions exactly once, each
@@ -26,7 +26,7 @@ use std::ops::Range;
 use std::path::Path;
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_graph::Graph;
-use wisegraph_kernels::engine::chunk_ranges;
+use wisegraph_kernels::engine::deal_tasks;
 use wisegraph_kernels::fused::{check_replaces, FusedPattern, FusedPlan, Segment};
 use wisegraph_kernels::micro::{plan_is_dst_complete, KernelProgram, MicroKernel, Reg};
 
@@ -130,72 +130,98 @@ pub fn verify_program(prog: &KernelProgram) -> Vec<Diagnostic> {
     out
 }
 
-/// Verifies an explicit chunk-to-slot mapping: `ranges[i]` is the task
-/// range worker slot `i` owns. Legal mappings partition `0..num_tasks`
-/// into at most `threads` contiguous, ascending, disjoint ranges (`K003`).
+/// Verifies an explicit task-to-slot dealing: `deal[s]` lists the blocks
+/// of task indices worker slot `s` runs, in the order it runs them. A
+/// legal dealing puts every task of `0..num_tasks` in exactly one block of
+/// exactly one slot, keeps each slot's blocks ascending, and uses at most
+/// `threads` slots (`K003`).
 pub fn verify_chunk_ranges(
-    ranges: &[Range<usize>],
+    deal: &[Vec<Range<usize>>],
     num_tasks: usize,
     threads: usize,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if ranges.len() > threads {
+    if deal.len() > threads {
         out.push(Diagnostic::error(
             Code::KernelChunkMapping,
             Span::Global,
             format!(
-                "{} chunks for {threads} worker slots; reduction order would \
+                "{} slots dealt for {threads} worker slots; reduction order would \
                  depend on slot reuse",
-                ranges.len()
+                deal.len()
             ),
         ));
     }
-    let mut expect = 0usize;
-    for (i, r) in ranges.iter().enumerate() {
-        if r.is_empty() {
+    let mut owned = vec![false; num_tasks];
+    for (slot, blocks) in deal.iter().enumerate() {
+        if blocks.iter().all(|b| b.is_empty()) {
             out.push(Diagnostic::warning(
                 Code::KernelChunkMapping,
-                Span::Chunk(i),
+                Span::Chunk(slot),
                 "chunk is empty; its worker slot does no work",
             ));
+        }
+        let mut floor = 0usize;
+        for b in blocks {
+            if b.start < floor {
+                out.push(Diagnostic::error(
+                    Code::KernelChunkMapping,
+                    Span::Chunk(slot),
+                    format!(
+                        "block {b:?} starts below task {floor}, where the slot's \
+                         previous block ended; a slot must run its blocks in \
+                         ascending order"
+                    ),
+                ));
+            }
+            floor = floor.max(b.end);
+            if b.end > num_tasks {
+                out.push(Diagnostic::error(
+                    Code::KernelChunkMapping,
+                    Span::Chunk(slot),
+                    format!("block {b:?} reaches past the plan's {num_tasks} tasks"),
+                ));
+            }
+            let lo = b.start.min(num_tasks);
+            let seen = &mut owned[lo..b.end.clamp(lo, num_tasks)];
+            if let Some(k) = seen.iter().position(|&o| o) {
+                out.push(Diagnostic::error(
+                    Code::KernelChunkMapping,
+                    Span::Chunk(slot),
+                    format!(
+                        "block {b:?} holds task {}, which another block already owns; \
+                         overlapping chunks double-count tasks",
+                        b.start + k
+                    ),
+                ));
+            }
+            seen.fill(true);
+        }
+    }
+    let mut t = 0;
+    while t < num_tasks {
+        if owned[t] {
+            t += 1;
             continue;
         }
-        if r.start > expect {
-            out.push(Diagnostic::error(
-                Code::KernelChunkMapping,
-                Span::Chunk(i),
-                format!("tasks {expect}..{} are assigned to no chunk", r.start),
-            ));
-        } else if r.start < expect {
-            out.push(Diagnostic::error(
-                Code::KernelChunkMapping,
-                Span::Chunk(i),
-                format!(
-                    "chunk starts at task {} but tasks below {expect} are already owned; \
-                     overlapping chunks double-count tasks",
-                    r.start
-                ),
-            ));
-        }
-        expect = expect.max(r.end);
-    }
-    if expect < num_tasks {
+        let end = (t..num_tasks).find(|&u| owned[u]).unwrap_or(num_tasks);
         out.push(Diagnostic::error(
             Code::KernelChunkMapping,
             Span::Global,
-            format!("tasks {expect}..{num_tasks} are assigned to no chunk"),
+            format!("tasks {t}..{end} are assigned to no chunk"),
         ));
+        t = end;
     }
     out
 }
 
-/// Verifies the engine's own deterministic chunk-to-slot mapping for a
-/// task count and thread count (`K003`). A finding here is an engine bug.
+/// Verifies the engine's own deterministic task dealing for a task count
+/// and thread count (`K003`). A finding here is an engine bug.
 pub fn verify_chunk_mapping(num_tasks: usize, threads: usize) -> Vec<Diagnostic> {
     if num_tasks == 0 || threads == 0 {
         return Vec::new();
     }
-    verify_chunk_ranges(&chunk_ranges(num_tasks, threads), num_tasks, threads)
+    verify_chunk_ranges(&deal_tasks(num_tasks, threads), num_tasks, threads)
 }
 
 /// Verifies plan/program compatibility: a program carrying per-destination
@@ -494,14 +520,15 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a slot with one block
     fn engine_mapping_edge_cases_stay_clean() {
         // More workers than tasks: every task gets a private single-task
         // chunk; surplus slots stay idle.
         for (n, t) in [(3, 10), (1, 8), (2, 1000)] {
             let diags = verify_chunk_mapping(n, t);
             assert!(diags.is_empty(), "tasks={n} threads={t}: {diags:#?}");
-            let ranges = wisegraph_kernels::engine::chunk_ranges(n, t);
-            assert_eq!(ranges.len(), n, "one chunk per task when threads >= tasks");
+            let deal = deal_tasks(n, t);
+            assert_eq!(deal.len(), n, "one slot per task when threads >= tasks");
         }
         // Zero tasks and zero threads: nothing runs, nothing to report.
         assert!(verify_chunk_mapping(0, 4).is_empty());
@@ -509,25 +536,36 @@ mod tests {
         assert!(verify_chunk_mapping(5, 0).is_empty(), "engine rejects 0 threads itself");
         // Single task through any worker count maps to chunk 0 alone.
         for t in [1usize, 2, 7] {
-            assert_eq!(wisegraph_kernels::engine::chunk_ranges(1, t), vec![0..1]);
+            assert_eq!(deal_tasks(1, t), vec![vec![0..1]]);
             assert!(verify_chunk_mapping(1, t).is_empty());
         }
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a slot with one block
     fn gap_and_overlap_are_k003() {
-        let gap = verify_chunk_ranges(&[0..2, 3..6], 6, 2);
+        let gap = verify_chunk_ranges(&[vec![0..2], vec![3..6]], 6, 2);
         assert!(gap.iter().any(|d| d.code == Code::KernelChunkMapping
             && d.message.contains("assigned to no chunk")));
-        let overlap = verify_chunk_ranges(&[0..3, 2..6], 6, 2);
+        let overlap = verify_chunk_ranges(&[vec![0..3], vec![2..6]], 6, 2);
         assert!(overlap.iter().any(|d| d.code == Code::KernelChunkMapping
             && d.message.contains("overlapping")));
-        let too_many = verify_chunk_ranges(&[0..2, 2..4, 4..6], 6, 2);
+        let too_many = verify_chunk_ranges(&[vec![0..2], vec![2..4], vec![4..6]], 6, 2);
         assert!(too_many.iter().any(|d| d.code == Code::KernelChunkMapping
             && d.message.contains("worker slots")));
-        let short = verify_chunk_ranges(std::slice::from_ref(&(0..2)), 6, 2);
+        let short = verify_chunk_ranges(&[vec![0..2]], 6, 2);
         assert!(short.iter().any(|d| d.code == Code::KernelChunkMapping
             && d.message.contains("2..6")));
+        // Block-cyclic shapes: a slot's blocks must ascend, and a task two
+        // slots both hold is double-counted however the blocks interleave.
+        let cyclic = verify_chunk_ranges(&[vec![0..2, 4..6], vec![2..4]], 6, 2);
+        assert!(cyclic.is_empty(), "{cyclic:#?}");
+        let descending = verify_chunk_ranges(&[vec![4..6, 0..2], vec![2..4]], 6, 2);
+        assert!(descending.iter().any(|d| d.code == Code::KernelChunkMapping
+            && d.message.contains("ascending order")));
+        let twice = verify_chunk_ranges(&[vec![0..2, 4..6], vec![2..5]], 6, 2);
+        assert!(twice.iter().any(|d| d.code == Code::KernelChunkMapping
+            && d.message.contains("overlapping")));
     }
 
     #[test]

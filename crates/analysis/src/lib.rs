@@ -19,7 +19,7 @@
 //!   `cse`/`prune_dead`/unique-extraction (codes `D...`);
 //! - [`kernel`]: micro-kernel sequence legality (loads precede computes
 //!   precede stores per register), workspace aliasing hazards, and the
-//!   engine's deterministic chunk-to-slot mapping (codes `K...`);
+//!   engine's deterministic task-to-slot dealing (codes `K...`);
 //! - [`obscheck`]: span-instrumentation coverage of the execution entry
 //!   points, so the observability layer cannot silently erode (code
 //!   `O001`), and phase coverage of the cluster schedules and mailbox
@@ -103,8 +103,9 @@ pub enum Code {
     /// A micro-kernel writes a register it also reads (or two of its
     /// results share a register): an in-place workspace hazard.
     KernelAliasing,
-    /// The engine's chunk-to-slot mapping has a gap, overlap, or more
-    /// chunks than worker slots.
+    /// The engine's task-to-slot dealing leaves a task out, deals one
+    /// twice, runs a slot's blocks out of order, or uses more slots than
+    /// the engine has.
     KernelChunkMapping,
     /// The compiled program and the partition plan cannot run together.
     KernelPlanIncompatible,
@@ -353,7 +354,7 @@ impl fmt::Display for Report {
 /// Runs every applicable pass for executing `dfg` over `plan` on `g` with
 /// an engine of `threads` worker slots: DFG well-formedness and dimension
 /// inference, plan legality, micro-kernel program legality,
-/// program↔plan compatibility, and the chunk-to-slot mapping.
+/// program↔plan compatibility, and the task-to-slot dealing.
 ///
 /// A DFG that does not compile to a per-task program is reported as a
 /// [`Code::KernelPlanIncompatible`] error (there is no legal way to run it

@@ -35,6 +35,10 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
             "execute_program",
             "accumulate_program",
             "execute_parallel_alloc",
+            // The three phases of a call, each on the worker lanes.
+            "prologue_phase",
+            "task_phase",
+            "epilogue_phase",
         ],
     ),
     (

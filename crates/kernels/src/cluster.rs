@@ -62,13 +62,13 @@
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
     compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
-    run_epilogue_rows, summarize, CompileError, KernelProgram, MicroKernel,
+    run_epilogue_rows, summarize, vertex_rowed, CompileError, KernelProgram, MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use wisegraph_dfg::{Dfg, Dim, NodeId, OpKind};
+use wisegraph_dfg::{Dfg, NodeId, OpKind};
 use wisegraph_graph::{AttrKind, Graph, ShardSpec, SrcGroups};
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_obs::causal::{collective_id, CausalEdge, CausalLog, EndpointId};
@@ -514,14 +514,6 @@ pub fn tp_slice_global(
                 .is_some_and(|t| t.dims().last() == Some(&program.out_width))
         })
         .map(String::from)
-}
-
-/// Whether DFG node `id` holds one row per vertex. Read from the symbolic
-/// shape, as `micro`'s dense evaluation does — never from a tensor's
-/// extents: a weight whose leading extent happens to equal `|V|` is still
-/// a weight, replicated on every device.
-fn vertex_rowed(dfg: &Dfg, id: NodeId) -> bool {
-    dfg.node(id).shape.first() == Some(&Dim::Vertices)
 }
 
 /// Sorted names of the model inputs with one row per vertex — the globals
@@ -1121,13 +1113,19 @@ impl ClusterEngine {
                         let pre = eval_prologue(program, dfg, g, &dglobals)?;
                         dglobals.extend(pre);
                     }
-                    let acc = engine.reduce_tasks(program, g, &shard.plans[dev], &dglobals)?;
+                    let acc = engine.reduce_tasks(
+                        program,
+                        g,
+                        &shard.plans[dev],
+                        &dglobals,
+                        own.clone(),
+                    )?;
                     Ok(run_epilogue_rows(
                         dfg,
                         g,
                         &dglobals,
                         program.reduce_node,
-                        take_rows(acc, &own),
+                        acc,
                         own.clone(),
                     ))
                 },
@@ -1347,17 +1345,6 @@ impl ClusterEngine {
         // the identical epilogue; device 0's outputs are the outputs.
         Ok((outs.swap_remove(0), art))
     }
-}
-
-/// The rows `rows` of `t`, reusing its buffer.
-fn take_rows(t: Tensor, rows: &std::ops::Range<usize>) -> Tensor {
-    let mut dims = t.dims().to_vec();
-    let w = t.numel() / dims[0].max(1);
-    dims[0] = rows.len();
-    let mut data = t.into_vec();
-    data.truncate(rows.end * w);
-    data.drain(..rows.start * w);
-    Tensor::from_vec(data, &dims)
 }
 
 /// Assembles full outputs from per-device owned rows: ownership ranges

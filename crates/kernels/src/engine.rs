@@ -2,57 +2,93 @@
 //!
 //! gTasks are independent units of work (their scatter targets only
 //! overlap additively), so the compiled per-task programs parallelize
-//! across CPU threads the way thread blocks parallelize across SMs: each
-//! worker accumulates into a private buffer, and the buffers reduce at the
-//! end. Work is distributed by contiguous chunks of tasks (tasks are
-//! sorted by the plan's restriction keys, so chunks inherit locality).
+//! across CPU threads the way thread blocks parallelize across SMs. A call
+//! is three phases, each spread over all of the engine's workers, so a
+//! layer's critical path is its work ÷ threads:
 //!
-//! An [`Engine`] owns one [`TaskWorkspace`] and one accumulator per worker,
-//! both persisting across [`Engine::execute`] calls: chunk `i` always runs
-//! on worker slot `i`, so a training loop executing the same plan every
-//! epoch re-uses every buffer after the first call. The slot assignment is
-//! deterministic and the final reduction runs in ascending worker order,
-//! which keeps results bit-identical to the allocating reference path
-//! ([`execute_parallel_alloc`]).
+//! 1. **Prologue** (programs that have one): each worker owns a contiguous
+//!    range of vertex rows and evaluates the edge-independent intermediates
+//!    for it, [`ROW_BLOCK`] rows at a time, into its slice of the prologue
+//!    tensors.
+//! 2. **Tasks**: [`deal_tasks`] deals the plan's tasks to worker slots;
+//!    each worker accumulates into a private `[|V|, width]` partial.
+//! 3. **Reduce + epilogue**: each worker owns a contiguous range of vertex
+//!    rows again; per block it adds the partials' rows in ascending slot
+//!    order and runs the epilogue chain on them straight into its slice of
+//!    the output, while the block is still in cache.
+//!
+//! Every dense operation computes an output row from the same row of its
+//! operands, so a row's bits depend neither on the block size nor on the
+//! thread count; the sum a row sees is a pure function of `(plan,
+//! threads)` through [`deal_tasks`]. Results are therefore bit-identical
+//! run to run at a fixed thread count, bit-identical across thread counts
+//! for plans whose tasks do not share destination rows across slots, and
+//! bit-identical to the allocating reference ([`execute_parallel_alloc`]).
+//!
+//! An [`Engine`] owns one [`TaskWorkspace`] and one partial per worker
+//! slot, both persisting across calls: a training loop executing the same
+//! plan every epoch re-uses every buffer after the first call.
 //!
 //! [`Engine::execute`], [`Engine::execute_program`] and
-//! [`Engine::accumulate_program`] are the entry points; all three end in
-//! the same worker phase, which runs every gTask through
-//! [`run_task`] under the plan the engine's [`ExecMode`] selects.
+//! [`Engine::accumulate_program`] are the entry points; all three run
+//! every gTask through [`run_task`] under the plan the engine's
+//! [`ExecMode`] selects.
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
-    run_task, CompileError, Shadow, TaskWorkspace,
+    compile, eval_prologue, fill, list_outputs, not_evaluable, plan_is_dst_complete,
+    prologue_name, recycle, row_dims, run_epilogue, run_task, CompileError, DenseEval, Globals,
+    KernelProgram, Scratch, Shadow, Targets, TaskWorkspace,
 };
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use wisegraph_dfg::Dfg;
+use wisegraph_dfg::{Dfg, NodeId};
 use wisegraph_graph::Graph;
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_obs::{keys, span, with_lane, Class, Counters, Session};
 use wisegraph_tensor::{ops, Tensor};
 
-/// The deterministic chunk-to-slot assignment shared by [`Engine::execute`]
-/// and [`execute_parallel_alloc`]: tasks split into at most `threads`
-/// contiguous ranges in ascending order, and chunk `i` always runs on
-/// worker slot `i`. Exposed as a pure function so the static verifier
-/// (`wisegraph-analysis`) can prove the mapping covers every task exactly
-/// once without running anything.
+/// Vertex rows per block of a dense phase. A block's intermediates (a few
+/// `[ROW_BLOCK, F]` buffers) stay in L2 from one operation of the chain to
+/// the next instead of making a `[|V|, F]` round trip through memory each.
+/// Measured on the AR-size graph at F = 64, two threads: 128 / 512 /
+/// 2 048 rows alike within run-to-run noise (SAGE's dense phases 29–39 /
+/// 30–34 / 25–49 ms); one block per worker loses the gain (72–74 ms).
+const ROW_BLOCK: usize = 512;
+
+/// Most consecutive tasks dealt to a slot at a time. Tasks are sorted by
+/// the plan's restriction keys, so a block keeps their locality while the
+/// round-robin spreads a power-law graph's heavy stretch over all slots.
+/// Measured per-worker edge skew on the three benchmark tables (vertex-
+/// centric / edge-batch 64 / src-batch-per-type 64, RMAT, AR size) at 32:
+/// 1.008 / 1.003 / 1.036 at two threads and 1.19–1.27 at four, against
+/// 1.42 / 1.00 / 1.34 and 1.93 for one contiguous chunk per slot.
+const TASK_BLOCK: usize = 32;
+
+/// The deterministic task-to-slot assignment shared by [`Engine`] and
+/// [`execute_parallel_alloc`]: `deal_tasks(n, t)[s]` lists, in ascending
+/// order, the ranges of task indices worker slot `s` runs. Blocks of
+/// consecutive tasks — [`TASK_BLOCK`] of them, fewer when `n` is too small
+/// to give every slot a full block — go round-robin to at most `threads`
+/// slots; one slot runs `0..n` in order. A pure function of its two
+/// arguments, so the static verifier (`wisegraph-analysis`) proves the
+/// mapping covers every task exactly once without running anything, and
+/// the order in which a destination row's addends meet is a function of
+/// `(plan, threads)` alone.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
-pub fn chunk_ranges(
-    num_tasks: usize,
-    threads: usize,
-) -> Vec<std::ops::Range<usize>> {
+pub fn deal_tasks(num_tasks: usize, threads: usize) -> Vec<Vec<Range<usize>>> {
     assert!(threads > 0, "need at least one worker");
-    let chunk = num_tasks.div_ceil(threads).max(1);
-    (0..num_tasks)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(num_tasks))
-        .collect()
+    let block = num_tasks.div_ceil(threads).clamp(1, TASK_BLOCK);
+    let mut slots = vec![Vec::new(); threads.min(num_tasks.div_ceil(block))];
+    for (b, start) in (0..num_tasks).step_by(block).enumerate() {
+        slots[b % threads].push(start..(start + block).min(num_tasks));
+    }
+    slots
 }
 
 /// Persistent state of one worker: its task workspace and the partial
@@ -138,7 +174,13 @@ pub struct Engine {
     mode: ExecMode,
     sanitize: Mutex<SanitizeStats>,
     lane_base: u32,
+    /// Largest per-worker edge skew of any execution so far, in permille.
+    edge_skew: AtomicU64,
 }
+
+/// What the reduce phase adds up: the program (for the reduction node and
+/// width) and the per-slot partials, in slot order.
+type Reduce<'a> = (&'a KernelProgram, &'a [Tensor]);
 
 impl Engine {
     /// Creates an engine with `threads` worker slots in the default
@@ -178,6 +220,7 @@ impl Engine {
             mode,
             sanitize: Mutex::new(SanitizeStats::default()),
             lane_base,
+            edge_skew: AtomicU64::new(0),
         }
     }
 
@@ -205,13 +248,18 @@ impl Engine {
 
     /// Merged counters across all worker slots, honoring each metric's
     /// policy (counts sum; peaks take the per-worker maximum), plus the
-    /// engine's own `engine.threads`.
+    /// engine's own `engine.threads` and, once tasks ran,
+    /// `engine.worker_edge_skew_permille`.
     pub fn stats(&self) -> Counters {
         let mut c = Counters::new();
         for s in &self.slots {
             c.merge(&s.lock().expect("engine slot poisoned").tws.stats());
         }
         c.record_max(keys::ENGINE_THREADS, self.threads() as u64, Class::Resource);
+        let skew = self.edge_skew.load(Ordering::Relaxed);
+        if skew > 0 {
+            c.record_max(keys::ENGINE_WORKER_EDGE_SKEW, skew, Class::Resource);
+        }
         let s = self.sanitize.lock().expect("sanitize state poisoned");
         if s.runs > 0 {
             c.add_class(keys::SANITIZE_CELLS, s.cells, Class::Resource);
@@ -232,7 +280,7 @@ impl Engine {
     /// on the error path.
     fn check_shadows(
         &self,
-        program: &crate::micro::KernelProgram,
+        program: &KernelProgram,
         shadows: &[Vec<(u32, u32)>],
     ) -> Result<(), CompileError> {
         use std::collections::btree_map::Entry;
@@ -345,7 +393,7 @@ impl Engine {
     /// Panics if a worker thread panics.
     pub fn execute_program(
         &self,
-        program: &crate::micro::KernelProgram,
+        program: &KernelProgram,
         dfg: &Dfg,
         g: &Graph,
         plan: &PartitionPlan,
@@ -356,27 +404,14 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        // In Sanitize mode the static precondition is deliberately NOT
-        // enforced up front: the run proceeds mechanically and the shadow
-        // map must catch the resulting cross-task ownership violation
-        // itself — that is exactly the static-vs-dynamic cross-check the
-        // lint harness exercises.
-        if program.requires_dst_complete
-            && self.mode != ExecMode::Sanitize
-            && !plan_is_dst_complete(g, plan)
-        {
-            return Err(CompileError(
-                "per-destination normalization requires a destination-complete plan"
-                    .into(),
-            ));
-        }
-        let mut all_globals = globals.clone();
-        if !program.prologue.is_empty() {
-            let _psp = span!("engine.prologue", nodes = program.prologue.len());
-            all_globals.extend(eval_prologue(program, dfg, g, globals)?);
-        }
-        let acc = self.reduce_tasks(program, g, plan, &all_globals)?;
-        Ok(run_epilogue(dfg, g, globals, program.reduce_node, acc))
+        self.check_dst_complete(program, g, plan)?;
+        let pre = self.prologue_phase(program, dfg, g, globals)?;
+        let partials =
+            self.task_phase(program, g, plan, Globals::with_prologue(globals, &pre))?;
+        drop(pre);
+        let outs = self.epilogue_phase(program, dfg, g, globals, &partials);
+        self.park(partials);
+        Ok(outs)
     }
 
     /// Runs the per-task portion of a compiled program and returns the raw
@@ -397,7 +432,7 @@ impl Engine {
     /// Panics if a worker thread panics.
     pub fn accumulate_program(
         &self,
-        program: &crate::micro::KernelProgram,
+        program: &KernelProgram,
         g: &Graph,
         plan: &PartitionPlan,
         all_globals: &HashMap<String, Tensor>,
@@ -407,6 +442,29 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
+        self.check_dst_complete(program, g, plan)?;
+        for id in &program.prologue {
+            if !all_globals.contains_key(&prologue_name(*id)) {
+                return Err(CompileError(format!(
+                    "prologue node {} not supplied",
+                    id.0
+                )));
+            }
+        }
+        self.reduce_tasks(program, g, plan, all_globals, 0..program.out_rows)
+    }
+
+    /// The static precondition of per-destination normalization. In
+    /// Sanitize mode it is deliberately NOT enforced up front: the run
+    /// proceeds mechanically and the shadow map must catch the resulting
+    /// cross-task ownership violation itself — that is exactly the
+    /// static-vs-dynamic cross-check the lint harness exercises.
+    fn check_dst_complete(
+        &self,
+        program: &KernelProgram,
+        g: &Graph,
+        plan: &PartitionPlan,
+    ) -> Result<(), CompileError> {
         if program.requires_dst_complete
             && self.mode != ExecMode::Sanitize
             && !plan_is_dst_complete(g, plan)
@@ -416,29 +474,235 @@ impl Engine {
                     .into(),
             ));
         }
-        for id in &program.prologue {
-            if !all_globals.contains_key(&prologue_name(*id)) {
-                return Err(CompileError(format!(
-                    "prologue node {} not supplied",
-                    id.0
-                )));
-            }
-        }
-        self.reduce_tasks(program, g, plan, all_globals)
+        Ok(())
     }
 
-    /// The shared worker phase: distributes the plan's tasks over the
-    /// worker slots, runs them under the plan the engine's mode selects,
-    /// checks shadows when sanitizing, and reduces the per-worker partials
-    /// in ascending slot order. Checks no precondition of the plan: the
-    /// public entry points (and the cluster, once per shard) do.
+    /// The task phase followed by the reduce phase over vertex rows `rows`
+    /// alone: rows `rows` of the reduction accumulator. Checks no
+    /// precondition of the plan: the public entry points (and the cluster,
+    /// once per shard, which asks each device for its owned rows) do.
     pub(crate) fn reduce_tasks(
         &self,
-        program: &crate::micro::KernelProgram,
+        program: &KernelProgram,
         g: &Graph,
         plan: &PartitionPlan,
         all_globals: &HashMap<String, Tensor>,
+        rows: Range<usize>,
     ) -> Result<Tensor, CompileError> {
+        let partials = self.task_phase(program, g, plan, all_globals.into())?;
+        let reduced = self.reduce_phase(program, &partials, rows);
+        self.park(partials);
+        Ok(reduced)
+    }
+
+    /// The reduce phase alone: rows `rows` of the reduction accumulator,
+    /// from the partials.
+    fn reduce_phase(
+        &self,
+        program: &KernelProgram,
+        partials: &[Tensor],
+        rows: Range<usize>,
+    ) -> Tensor {
+        let outs = [(program.reduce_node, vec![program.out_width])];
+        self.dense_phase(&outs, rows, Some((program, partials)), None)
+            .expect("the reduction claims its own target")
+            .swap_remove(0)
+    }
+
+    /// Runs `work(slot, share)` for every share on its own scoped thread —
+    /// share `wi` as worker slot `wi`, recording on lane `lane_base + wi +
+    /// 1` of whatever capture the calling thread is in (lane 0 belongs to
+    /// the driver), which makes a trace's track layout a function of the
+    /// deterministic slot assignment rather than of OS thread identity —
+    /// and returns the results in slot order.
+    fn on_workers<S: Send, R: Send>(
+        &self,
+        shares: Vec<S>,
+        work: impl Fn(usize, S) -> R + Sync,
+    ) -> Vec<R> {
+        let session = Session::current();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shares
+                .into_iter()
+                .enumerate()
+                .map(|(wi, share)| {
+                    let (work, session) = (&work, &session);
+                    let lane = self.lane_base + wi as u32 + 1;
+                    scope.spawn(move || with_lane(session, lane, || work(wi, share)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    }
+
+    /// The prologue phase: the program's prologue tensors, evaluated in
+    /// row blocks on the workers.
+    fn prologue_phase(
+        &self,
+        program: &KernelProgram,
+        dfg: &Dfg,
+        g: &Graph,
+        globals: &HashMap<String, Tensor>,
+    ) -> Result<Vec<(String, Tensor)>, CompileError> {
+        let ids = &program.prologue;
+        if ids.is_empty() {
+            return Ok(Vec::new());
+        }
+        let dims: Option<Vec<_>> = ids.iter().map(|id| row_dims(dfg, g, *id)).collect();
+        let Some(dims) = dims else {
+            // A prologue tensor without vertex rows has no row ranges to
+            // hand out.
+            let _sp = span!("engine.prologue", rows = g.num_vertices());
+            return eval_prologue(program, dfg, g, globals);
+        };
+        let outs: Vec<_> = ids.iter().copied().zip(dims).collect();
+        let eval = DenseEval::prologue(program, dfg, g, globals);
+        let tensors = self
+            .dense_phase(&outs, 0..g.num_vertices(), None, Some(&eval))
+            .map_err(not_evaluable)?;
+        Ok(ids.iter().map(|id| prologue_name(*id)).zip(tensors).collect())
+    }
+
+    /// The reduce + epilogue phase: the DFG outputs, from the partials.
+    fn epilogue_phase(
+        &self,
+        program: &KernelProgram,
+        dfg: &Dfg,
+        g: &Graph,
+        globals: &HashMap<String, Tensor>,
+        partials: &[Tensor],
+    ) -> Vec<Tensor> {
+        let rows = 0..program.out_rows;
+        // One allocation per distinct output node.
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for o in dfg.outputs() {
+            if !nodes.contains(o) {
+                nodes.push(*o);
+            }
+        }
+        let dims: Option<Vec<_>> = nodes.iter().map(|o| row_dims(dfg, g, *o)).collect();
+        let Some(dims) = dims else {
+            // An output without vertex rows has no row ranges to hand out:
+            // reduce on the workers, finish on the driver.
+            let reduced = self.reduce_phase(program, partials, rows);
+            return run_epilogue(dfg, g, globals, program.reduce_node, reduced);
+        };
+        let outs: Vec<_> = nodes.iter().copied().zip(dims).collect();
+        let eval = DenseEval::epilogue(dfg, g, globals, program.reduce_node);
+        let tensors = self
+            .dense_phase(&outs, rows, Some((program, partials)), Some(&eval))
+            .unwrap_or_else(|id| panic!("output node {} not computed", id.0));
+        list_outputs(dfg, &mut nodes.into_iter().zip(tensors).collect())
+    }
+
+    /// A dense phase on the workers: freshly allocated `[rows, …]` tensors
+    /// for the vertex-rowed nodes `outs` (node, extents of one row), in
+    /// that order. Worker `w` owns the `w`-th of `threads` contiguous
+    /// shares of `rows` and walks it in [`ROW_BLOCK`]-row blocks, writing
+    /// each node's rows straight into the block's slice of its tensor:
+    /// with `reduce`, the reduction node's rows are the partials' rows
+    /// added in ascending slot order (all zero when no task ran); with
+    /// `eval`, the phase's chain then runs on the block.
+    ///
+    /// The sum starts from the first partial instead of from `+0.0`: an
+    /// accumulator cell starts at `+0.0` and is only ever added to, and
+    /// `x + y` is `-0.0` only when both are, so no partial holds a `-0.0`
+    /// for the dropped `0.0 +` to have turned into `+0.0` (pinned by
+    /// `tests::an_accumulator_cell_never_holds_negative_zero`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first node of `outs` the phase could not compute.
+    fn dense_phase(
+        &self,
+        outs: &[(NodeId, Vec<usize>)],
+        rows: Range<usize>,
+        reduce: Option<Reduce<'_>>,
+        eval: Option<&DenseEval<'_>>,
+    ) -> Result<Vec<Tensor>, NodeId> {
+        let t = self.threads();
+        let bound = |w: usize| rows.start + rows.len() * w / t;
+        let widths: Vec<usize> = outs.iter().map(|(_, d)| d.iter().product()).collect();
+        let mut tensors: Vec<Tensor> = outs
+            .iter()
+            .map(|(_, d)| Tensor::zeros(&[&[rows.len()], d.as_slice()].concat()))
+            .collect();
+        // shares[w][k]: worker w's rows of tensor k.
+        let mut shares: Vec<Vec<&mut [f32]>> = (0..t).map(|_| Vec::new()).collect();
+        for (tensor, width) in tensors.iter_mut().zip(&widths) {
+            let mut rest = tensor.data_mut();
+            for (w, share) in shares.iter_mut().enumerate() {
+                let (head, tail) = rest.split_at_mut((bound(w + 1) - bound(w)) * width);
+                share.push(head);
+                rest = tail;
+            }
+        }
+        let missing = self.on_workers(shares, |wi, mut share| {
+            let own = bound(wi)..bound(wi + 1);
+            let _sp = match (reduce, eval) {
+                (None, _) => span!("engine.prologue", slot = wi, rows = own.len()),
+                (Some(_), Some(_)) => span!("engine.epilogue", slot = wi, rows = own.len()),
+                (Some(_), None) => span!("engine.reduce", slot = wi, rows = own.len()),
+            };
+            let mut scratch = Scratch::new();
+            let mut values = eval.map_or_else(Vec::new, DenseEval::values);
+            for start in own.clone().step_by(ROW_BLOCK) {
+                let block = start..(start + ROW_BLOCK).min(own.end);
+                let mut targets: Targets<'_> = Vec::with_capacity(outs.len());
+                for ((rest, width), (id, _)) in share.iter_mut().zip(&widths).zip(outs) {
+                    let (head, tail) =
+                        std::mem::take(rest).split_at_mut(block.len() * width);
+                    *rest = tail;
+                    targets.push((*id, head));
+                }
+                if let Some((program, partials)) = reduce {
+                    let (id, w) = (program.reduce_node, program.out_width);
+                    let cells = block.start * w..block.end * w;
+                    let dims = vec![block.len(), w];
+                    let sum = fill(id, dims, &mut targets, &mut scratch, |out| {
+                        let Some((first, rest)) = partials.split_first() else { return };
+                        out.copy_from_slice(&first.data()[cells.clone()]);
+                        for p in rest {
+                            for (o, &x) in out.iter_mut().zip(&p.data()[cells.clone()]) {
+                                *o += x;
+                            }
+                        }
+                    });
+                    // The epilogue's seed; a reduce-only phase keeps no table.
+                    if let Some(seed) = values.get_mut(id.0) {
+                        *seed = Some(sum);
+                    }
+                }
+                if let Some(eval) = eval {
+                    eval.block(&block, &mut values, &mut targets, &mut scratch);
+                    recycle(&mut values, &mut scratch);
+                }
+                if let Some((id, _)) = targets.first() {
+                    return Some(*id);
+                }
+            }
+            None
+        });
+        match missing.into_iter().flatten().next() {
+            Some(id) => Err(id),
+            None => Ok(tensors),
+        }
+    }
+
+    /// The task phase: deals the plan's tasks over the worker slots
+    /// ([`deal_tasks`]), runs them under the plan the engine's mode
+    /// selects, checks shadows when sanitizing, and returns the per-slot
+    /// partials in slot order ([`Engine::park`] them after the reduce).
+    fn task_phase(
+        &self,
+        program: &KernelProgram,
+        g: &Graph,
+        plan: &PartitionPlan,
+        all_globals: Globals<'_>,
+    ) -> Result<Vec<Tensor>, CompileError> {
         // Per program, before any worker starts, so the same plan runs at
         // every thread count.
         let (fplan, sanitizing) = match self.mode {
@@ -446,97 +710,72 @@ impl Engine {
             ExecMode::Interpret => (FusedPlan::interpreted(program), false),
             ExecMode::Sanitize => (FusedPlan::interpreted(program), true),
         };
-        // Workers record into whatever capture the calling thread is in.
-        let session = Session::current();
-
-        let results: Vec<(Tensor, Vec<(u32, u32)>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk_ranges(plan.tasks.len(), self.threads())
-                .into_iter()
-                .enumerate()
-                .map(|(wi, range)| {
-                    let first_task = range.start;
-                    let tasks = &plan.tasks[range];
-                    let (fplan, session) = (&fplan, &session);
-                    let slot = &self.slots[wi];
-                    let lane = self.lane_base + wi as u32 + 1;
-                    // Lane 0 belongs to the driver thread; worker slot `wi`
-                    // records on lane `lane_base + wi + 1`, making the
-                    // trace's track layout a function of the deterministic
-                    // slot assignment rather than of OS thread identity.
-                    scope.spawn(move || {
-                        with_lane(session, lane, || {
-                            let _wsp =
-                                span!("engine.worker", slot = wi, tasks = tasks.len());
-                            let mut slot = slot.lock().expect("engine slot poisoned");
-                            // Reuse last call's accumulator when the shape still
-                            // fits; `fill(0.0)` makes it indistinguishable from a
-                            // fresh zero tensor.
-                            let mut acc = match slot.acc.take() {
-                                Some(mut t)
-                                    if t.dims()
-                                        == [program.out_rows, program.out_width] =>
-                                {
-                                    t.data_mut().fill(0.0);
-                                    t
-                                }
-                                _ => Tensor::zeros(&[
-                                    program.out_rows,
-                                    program.out_width,
-                                ]),
-                            };
-                            let mut shadow = Vec::new();
-                            for (k, task) in tasks.iter().enumerate() {
-                                run_task(
-                                    program,
-                                    fplan,
-                                    g,
-                                    all_globals,
-                                    &task.edges,
-                                    &mut acc,
-                                    &mut slot.tws,
-                                    sanitizing.then(|| Shadow {
-                                        task: first_task + k,
-                                        log: &mut shadow,
-                                    }),
-                                );
-                            }
-                            (acc, shadow)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        let deal = deal_tasks(plan.tasks.len(), self.threads());
+        let results = self.on_workers(deal, |wi, blocks| {
+            let tasks: usize = blocks.iter().map(Range::len).sum();
+            let _wsp = span!("engine.worker", slot = wi, tasks = tasks);
+            let mut slot = self.slots[wi].lock().expect("engine slot poisoned");
+            // Reuse last call's accumulator when the shape still fits;
+            // `fill(0.0)` makes it indistinguishable from a fresh zero
+            // tensor.
+            let mut acc = match slot.acc.take() {
+                Some(mut t) if t.dims() == [program.out_rows, program.out_width] => {
+                    t.data_mut().fill(0.0);
+                    t
+                }
+                _ => Tensor::zeros(&[program.out_rows, program.out_width]),
+            };
+            let mut shadow = Vec::new();
+            let mut edges = 0u64;
+            for t in blocks.into_iter().flatten() {
+                let task = &plan.tasks[t];
+                edges += task.edges.len() as u64;
+                run_task(
+                    program,
+                    &fplan,
+                    g,
+                    all_globals,
+                    &task.edges,
+                    &mut acc,
+                    &mut slot.tws,
+                    sanitizing.then_some(Shadow { task: t, log: &mut shadow }),
+                );
+            }
+            (acc, shadow, edges)
         });
-        let (partials, shadows): (Vec<Tensor>, Vec<Vec<(u32, u32)>>) =
-            results.into_iter().unzip();
-
+        let mut partials = Vec::with_capacity(results.len());
+        let mut shadows = Vec::with_capacity(results.len());
+        let (mut total, mut most) = (0u64, 0u64);
+        for (acc, shadow, edges) in results {
+            partials.push(acc);
+            shadows.push(shadow);
+            total += edges;
+            most = most.max(edges);
+        }
+        // Busiest worker's edges over the mean of all slots.
+        if let Some(skew) = (most * self.threads() as u64 * 1000).checked_div(total) {
+            self.edge_skew.fetch_max(skew, Ordering::Relaxed);
+        }
         if sanitizing {
             self.check_shadows(program, &shadows)?;
         }
+        Ok(partials)
+    }
 
-        // Reduce in ascending worker order (same order as the sequential
-        // `acc = acc + p` of the allocating path), then park the partials
-        // back in their slots for the next call.
-        let _rsp = span!("engine.reduce", partials = partials.len());
-        let mut acc = Tensor::zeros(&[program.out_rows, program.out_width]);
-        for p in &partials {
-            ops::add_assign(&mut acc, p);
+    /// Parks the partials back in their slots for the next call.
+    fn park(&self, partials: Vec<Tensor>) {
+        for (slot, p) in self.slots.iter().zip(partials) {
+            slot.lock().expect("engine slot poisoned").acc = Some(p);
         }
-        for (wi, p) in partials.into_iter().enumerate() {
-            self.slots[wi].lock().expect("engine slot poisoned").acc = Some(p);
-        }
-        Ok(acc)
     }
 }
 
-/// Allocating reference executor: identical work distribution to
-/// [`Engine::execute`] and the same [`run_task`] under the interpreted
-/// plan, but every task gets a fresh [`TaskWorkspace`] and every worker a
-/// fresh accumulator — the alloc-per-call behavior the workspace path
-/// eliminates. The reference `tests/workspace_parity.rs` compares against.
+/// Allocating reference executor: the same [`deal_tasks`] distribution and
+/// the same [`run_task`] under the interpreted plan, but on the plain
+/// path — every task gets a fresh [`TaskWorkspace`], every worker a fresh
+/// accumulator, the partials are added to a zero tensor one after the
+/// other, and prologue and epilogue each run in one block on the calling
+/// thread. The reference `tests/workspace_parity.rs` compares against.
 ///
 /// # Errors
 ///
@@ -560,26 +799,25 @@ pub fn execute_parallel_alloc(
                 .into(),
         ));
     }
-    let mut all_globals = globals.clone();
-    all_globals.extend(eval_prologue(&program, dfg, g, globals)?);
+    let pre = eval_prologue(&program, dfg, g, globals)?;
+    let all_globals = Globals::with_prologue(globals, &pre);
     let interp = FusedPlan::interpreted(&program);
 
     let partials: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunk_ranges(plan.tasks.len(), threads)
+        let handles: Vec<_> = deal_tasks(plan.tasks.len(), threads)
             .into_iter()
-            .map(|range| {
-                let tasks = &plan.tasks[range];
-                let (program, interp, all_globals) = (&program, &interp, &all_globals);
+            .map(|blocks| {
+                let (program, interp) = (&program, &interp);
                 scope.spawn(move || {
                     let mut acc =
                         Tensor::zeros(&[program.out_rows, program.out_width]);
-                    for task in tasks {
+                    for t in blocks.into_iter().flatten() {
                         run_task(
                             program,
                             interp,
                             g,
                             all_globals,
-                            &task.edges,
+                            &plan.tasks[t].edges,
                             &mut acc,
                             &mut TaskWorkspace::new(),
                             None,
@@ -612,30 +850,83 @@ mod tests {
     use wisegraph_tensor::init;
 
     #[test]
-    fn chunk_ranges_cover_every_task_exactly_once() {
-        for (n, t) in [(0usize, 3usize), (1, 4), (7, 2), (8, 4), (9, 4), (100, 7)] {
-            let ranges = chunk_ranges(n, t);
-            assert!(ranges.len() <= t, "{n} tasks / {t} threads: {ranges:?}");
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "{n} tasks / {t} threads: {ranges:?}");
-                assert!(r.end > r.start, "empty chunk in {ranges:?}");
-                next = r.end;
+    fn dealing_covers_every_task_exactly_once() {
+        for (n, t) in [(0usize, 3usize), (1, 4), (7, 2), (8, 4), (9, 4), (100, 7), (1000, 3)] {
+            let deal = deal_tasks(n, t);
+            assert!(deal.len() <= t, "{n} tasks / {t} threads: {deal:?}");
+            let mut seen = vec![0u32; n];
+            for blocks in &deal {
+                assert!(!blocks.is_empty(), "idle slot in {deal:?}");
+                let mut floor = 0;
+                for b in blocks {
+                    assert!(b.start >= floor && b.end > b.start, "{deal:?}");
+                    assert!(b.len() <= TASK_BLOCK, "{deal:?}");
+                    floor = b.end;
+                    b.clone().for_each(|task| seen[task] += 1);
+                }
             }
-            assert_eq!(next, n, "{n} tasks / {t} threads: {ranges:?}");
+            assert!(seen.iter().all(|&c| c == 1), "{n} tasks / {t} threads: {deal:?}");
         }
     }
 
     #[test]
-    fn chunk_ranges_edge_cases() {
-        // Zero tasks: no chunks, nothing scheduled.
-        assert!(chunk_ranges(0, 4).is_empty());
-        // Single task: exactly one chunk regardless of worker count.
-        assert_eq!(chunk_ranges(1, 8), vec![0..1]);
-        // More threads than tasks: one single-task chunk per task, never
-        // an empty chunk and never more chunks than tasks.
-        let ranges = chunk_ranges(3, 10);
-        assert_eq!(ranges, vec![0..1, 1..2, 2..3]);
+    #[allow(clippy::single_range_in_vec_init)] // a slot with one block
+    fn dealing_edge_cases() {
+        // Zero tasks: no slots, nothing scheduled.
+        assert!(deal_tasks(0, 4).is_empty());
+        // Single task: exactly one slot regardless of worker count.
+        assert_eq!(deal_tasks(1, 8), vec![vec![0..1]]);
+        // More threads than tasks: one single-task slot per task, never an
+        // idle slot and never more slots than tasks.
+        assert_eq!(deal_tasks(3, 10), vec![vec![0..1], vec![1..2], vec![2..3]]);
+        // Too few tasks for a full block each: one even block per slot.
+        assert_eq!(deal_tasks(19, 2), vec![vec![0..10], vec![10..19]]);
+        // Enough tasks: full blocks, round-robin, the tail where it falls.
+        assert_eq!(
+            deal_tasks(100, 2),
+            vec![vec![0..32, 64..96], vec![32..64, 96..100]]
+        );
+        // One slot runs the tasks in plan order.
+        let one: Vec<usize> = deal_tasks(70, 1).into_iter().flatten().flatten().collect();
+        assert_eq!(one, (0..70).collect::<Vec<_>>());
+    }
+
+    /// The licence for `p0 + p1 + …` in place of `0.0 + p0 + p1 + …`: a
+    /// sum of two floats is `-0.0` only when both are, so a cell that
+    /// starts at `+0.0` and is only ever added to never holds `-0.0` —
+    /// and adding `+0.0` to anything else changes no bit.
+    #[test]
+    fn an_accumulator_cell_never_holds_negative_zero() {
+        let neg_zero = (-0.0f32).to_bits();
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        // Random bit patterns (subnormals, NaNs and all) from a fixed LCG.
+        let mut state = 24u64;
+        let mut values: Vec<f32> = specials.to_vec();
+        values.extend((0..2000).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            f32::from_bits((state >> 32) as u32)
+        }));
+        for &cell in values.iter().filter(|c| c.to_bits() != neg_zero) {
+            for &addend in &values {
+                assert_ne!((cell + addend).to_bits(), neg_zero, "{cell:e} + {addend:e}");
+            }
+            if !cell.is_nan() {
+                assert_eq!((0.0 + cell).to_bits(), cell.to_bits(), "0.0 + {cell:e}");
+            }
+        }
     }
 
     #[test]

@@ -49,12 +49,12 @@
 //! exactly the instructions they replace and that every pattern registers
 //! an interpreter-parity test.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use wisegraph_tensor::Tensor;
 
 use crate::micro::{
-    reg_stream, summarize, AccessSummary, KernelProgram, MicroKernel, Reg, TaskWorkspace,
+    reg_stream, summarize, AccessSummary, Globals, KernelProgram, MicroKernel, Reg,
+    TaskWorkspace,
 };
 
 /// Unroll width of the fused inner loops. Chosen so the autovectorizer can
@@ -404,14 +404,14 @@ fn axpy(acc: &mut [f32], a: f32, row: &[f32]) {
 pub(crate) fn run_fused(
     program: &KernelProgram,
     fk: &FusedKernel,
-    globals: &HashMap<String, Tensor>,
+    globals: Globals<'_>,
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
 ) {
     let TaskWorkspace { regs, ws, work } = tws;
     match &fk.op {
         FusedOp::SegmentReduce { src, src_idx, dst_idx } => {
-            let srct = &globals[src];
+            let srct = &globals[src.as_str()];
             let n = srct.dims()[1];
             assert_eq!(n, program.out_width, "segment-reduce width mismatch");
             let si = reg_stream(regs, *src_idx);
@@ -433,8 +433,8 @@ pub(crate) fn run_fused(
             w,
             dst_idx,
         } => {
-            let h = &globals[src];
-            let wt = &globals[w];
+            let h = &globals[src.as_str()];
+            let wt = &globals[w.as_str()];
             let f = h.dims()[1];
             let n = wt.dims()[1];
             assert_eq!(f, wt.dims()[0], "edge-batch matmul inner-dim mismatch");
@@ -478,8 +478,8 @@ pub(crate) fn run_fused(
             ty_idx,
             dst_idx,
         } => {
-            let ht = &globals[h];
-            let wt = &globals[w];
+            let ht = &globals[h.as_str()];
+            let wt = &globals[w.as_str()];
             let f = ht.dims()[1];
             let fo = wt.dims()[2];
             assert_eq!(f, wt.dims()[1], "per-type matmul inner-dim mismatch");
@@ -523,6 +523,7 @@ pub(crate) fn run_fused(
 mod tests {
     use super::*;
     use crate::micro::{compile, run_task, Shadow};
+    use std::collections::HashMap;
     use wisegraph_graph::Graph;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};

@@ -16,6 +16,7 @@
 //! composition analytically.
 
 use crate::fused::{run_fused, FusedPlan, Segment};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use wisegraph_dfg::interp::unique_and_map;
@@ -226,19 +227,43 @@ pub fn prologue_name(id: NodeId) -> String {
     format!("__pre_{}", id.0)
 }
 
-/// Resolves a dense-evaluation input to a reference: a previously computed
-/// value, or a global tensor for `Input` nodes. Avoids cloning operands
-/// just to read them.
-fn dense_input<'a>(
-    dfg: &Dfg,
-    globals: &'a HashMap<String, Tensor>,
-    values: &'a HashMap<NodeId, Tensor>,
-    p: NodeId,
-) -> &'a Tensor {
-    values.get(&p).unwrap_or_else(|| match &dfg.node(p).kind {
-        OpKind::Input { name, .. } => &globals[name],
-        other => panic!("dense input {other:?} unavailable"),
-    })
+/// The named tensors a per-task program reads: the caller's globals and,
+/// beside them, the call's prologue pseudo-globals ([`prologue_name`]) —
+/// a borrowed view, so no call copies a global to add them.
+#[derive(Clone, Copy)]
+pub struct Globals<'a> {
+    base: &'a HashMap<String, Tensor>,
+    pre: &'a [(String, Tensor)],
+}
+
+impl<'a> Globals<'a> {
+    /// `base` with the prologue tensors `pre` ([`eval_prologue`]'s pairs).
+    pub fn with_prologue(
+        base: &'a HashMap<String, Tensor>,
+        pre: &'a [(String, Tensor)],
+    ) -> Self {
+        Globals { base, pre }
+    }
+
+    /// The tensor bound to `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&'a Tensor> {
+        let pre = self.pre.iter().find(|(n, _)| n == name).map(|(_, t)| t);
+        pre.or_else(|| self.base.get(name))
+    }
+}
+
+impl<'a> From<&'a HashMap<String, Tensor>> for Globals<'a> {
+    fn from(base: &'a HashMap<String, Tensor>) -> Self {
+        Globals { base, pre: &[] }
+    }
+}
+
+impl std::ops::Index<&str> for Globals<'_> {
+    type Output = Tensor;
+
+    fn index(&self, name: &str) -> &Tensor {
+        self.get(name).unwrap_or_else(|| panic!("global tensor `{name}` missing"))
+    }
 }
 
 /// A per-task register value.
@@ -626,20 +651,20 @@ pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
     })
 }
 
-/// All-pairs product `out[u, t] = x[u] @ w[t]` into a zeroed `u * t * f'`
-/// buffer.
-fn pairwise_into(x: &Tensor, w: &Tensor, out: &mut [f32]) {
-    let (u, f) = (x.dims()[0], x.dims()[1]);
-    let (t, fo) = (w.dims()[0], w.dims()[2]);
+/// All-pairs product `out[u, t] = x[u] @ w[t]` for `[u, f]` × `[t, f, f']`
+/// into a zeroed `u * t * f'` buffer.
+fn pairwise_into(x: View<'_>, w: View<'_>, out: &mut [f32]) {
+    let (u, f) = (x.lead, x.rest[0]);
+    let (t, fo) = (w.lead, w.rest[1]);
     assert_eq!(out.len(), u * t * fo, "pairwise output buffer mismatch");
     for a in 0..u {
         for b in 0..t {
             for k in 0..f {
-                let x_ak = x.data()[a * f + k];
+                let x_ak = x.data[a * f + k];
                 if x_ak == 0.0 {
                     continue;
                 }
-                let wrow = &w.data()[(b * f + k) * fo..(b * f + k + 1) * fo];
+                let wrow = &w.data[(b * f + k) * fo..(b * f + k + 1) * fo];
                 let orow = &mut out[(a * t + b) * fo..(a * t + b + 1) * fo];
                 for (o, &w_kj) in orow.iter_mut().zip(wrow) {
                     *o += x_ak * w_kj;
@@ -647,14 +672,6 @@ fn pairwise_into(x: &Tensor, w: &Tensor, out: &mut [f32]) {
             }
         }
     }
-}
-
-/// All-pairs product `out[u, t] = x[u] @ w[t]` for `[u, f]` × `[t, f, f']`.
-fn pairwise(x: &Tensor, w: &Tensor) -> Tensor {
-    let (u, t, fo) = (x.dims()[0], w.dims()[0], w.dims()[2]);
-    let mut data = vec![0.0f32; u * t * fo];
-    pairwise_into(x, w, &mut data);
-    Tensor::from_vec(data, &[u, t, fo])
 }
 
 /// Where a sanitized run records its stores: one `(row, task)` pair per
@@ -686,11 +703,11 @@ pub struct Shadow<'a> {
 /// is missing (compilation guarantees well-formed programs for valid
 /// inputs).
 #[allow(clippy::too_many_arguments)]
-pub fn run_task(
+pub fn run_task<'a>(
     program: &KernelProgram,
     plan: &FusedPlan,
     g: &Graph,
-    globals: &HashMap<String, Tensor>,
+    globals: impl Into<Globals<'a>>,
     edges: &[usize],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
@@ -701,6 +718,7 @@ pub fn run_task(
         edges = edges.len(),
         segments = plan.segments.len()
     );
+    let globals = globals.into();
     tws.prepare(program.num_regs);
     tws.work.tasks += 1;
     tws.work.edges += edges.len() as u64;
@@ -738,7 +756,7 @@ pub(crate) fn exec_op(
     program: &KernelProgram,
     op: &MicroKernel,
     g: &Graph,
-    globals: &HashMap<String, Tensor>,
+    globals: Globals<'_>,
     edges: &[usize],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
@@ -766,7 +784,7 @@ pub(crate) fn exec_op(
             MicroKernel::GatherRows { src, idx, out } => {
                 let t;
                 {
-                    let srct = &globals[src];
+                    let srct = &globals[src.as_str()];
                     let i = reg_stream(regs, *idx);
                     let n = srct.dims()[1];
                     let mut buf = ws.take(i.len() * n);
@@ -816,7 +834,7 @@ pub(crate) fn exec_op(
             MicroKernel::GatherWeight { src, idx, out } => {
                 let t;
                 {
-                    let w = &globals[src];
+                    let w = &globals[src.as_str()];
                     let slice: usize = w.dims()[1..].iter().product();
                     let i = reg_stream(regs, *idx);
                     let mut data = ws.take(i.len() * slice);
@@ -840,7 +858,7 @@ pub(crate) fn exec_op(
             } => {
                 let t;
                 {
-                    let srct = &globals[src];
+                    let srct = &globals[src.as_str()];
                     let (d1, rest): (usize, usize) =
                         (srct.dims()[1], srct.dims()[2..].iter().product());
                     let i1 = reg_stream(regs, *idx1);
@@ -863,7 +881,7 @@ pub(crate) fn exec_op(
                     let wv = reg_tensor(regs, *w);
                     let (u, td, fo) = (xv.dims()[0], wv.dims()[0], wv.dims()[2]);
                     let mut buf = ws.take(u * td * fo);
-                    pairwise_into(xv, wv, &mut buf);
+                    pairwise_into(xv.into(), wv.into(), &mut buf);
                     work.flops += (2 * u * xv.dims()[1] * td * fo) as u64;
                     t = Tensor::from_vec(buf, &[u, td, fo]);
                 }
@@ -873,7 +891,7 @@ pub(crate) fn exec_op(
                 let t;
                 {
                     let xv = reg_tensor(regs, *x);
-                    let wt = &globals[w];
+                    let wt = &globals[w.as_str()];
                     let (m, n) = (xv.dims()[0], wt.dims()[1]);
                     let mut buf = ws.take(m * n);
                     ops::matmul_into(xv, wt, &mut buf);
@@ -916,10 +934,10 @@ pub(crate) fn exec_op(
                 let t;
                 {
                     let xv = reg_tensor(regs, *x);
-                    let wv = &globals[w];
+                    let wv = &globals[w.as_str()];
                     let (u, td, fo) = (xv.dims()[0], wv.dims()[0], wv.dims()[2]);
                     let mut buf = ws.take(u * td * fo);
-                    pairwise_into(xv, wv, &mut buf);
+                    pairwise_into(xv.into(), wv.into(), &mut buf);
                     work.flops += (2 * u * xv.dims()[1] * td * fo) as u64;
                     t = Tensor::from_vec(buf, &[u, td, fo]);
                 }
@@ -1185,65 +1203,314 @@ fn ancestors_of(dfg: &Dfg, targets: &[NodeId], stop: Option<NodeId>) -> Vec<bool
     wanted
 }
 
-/// Evaluates the `wanted` dense nodes in topological order into `values`,
-/// which the caller may pre-seed. Every value whose symbolic shape leads
-/// with `|V|` — vertex-rowed inputs, pre-seeded values, results — holds
-/// only vertex rows `rows`: each dense operation here computes an output
-/// row from the same row of its vertex-rowed operands alone, so a row's
-/// bits do not depend on which other rows are evaluated with it. A node
-/// whose operation is not dense or whose operands are unavailable is left
-/// out of `values`.
-fn eval_dense(
-    dfg: &Dfg,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-    wanted: &[bool],
-    rows: &Range<usize>,
-    values: &mut HashMap<NodeId, Tensor>,
-) {
-    let restricted = *rows != (0..g.num_vertices());
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        let id = NodeId(i);
-        if !wanted[i] || values.contains_key(&id) {
-            continue;
+/// Whether a node's value has one row per vertex. Decided from the symbolic
+/// shape, never from a tensor's extents: a weight whose leading extent
+/// happens to equal `|V|` is still a weight.
+pub(crate) fn vertex_rowed(dfg: &Dfg, id: NodeId) -> bool {
+    dfg.node(id).shape.first() == Some(&Dim::Vertices)
+}
+
+/// The extents of one row of a vertex-rowed node, when its symbolic shape
+/// fixes them without a binding (literal widths, the edge-type count): what
+/// the engine needs to allocate the node's `[|V|, …]` tensor before any of
+/// its rows exists. `None` for every other node.
+pub(crate) fn row_dims(dfg: &Dfg, g: &Graph, id: NodeId) -> Option<Vec<usize>> {
+    let (first, rest) = dfg.node(id).shape.split_first()?;
+    if *first != Dim::Vertices {
+        return None;
+    }
+    rest.iter()
+        .map(|d| match d {
+            Dim::Lit(n) => Some(*n),
+            Dim::EdgeTypes => Some(g.num_edge_types()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Borrowed operand of a dense row kernel: `lead` rows of extents `rest`.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    lead: usize,
+    rest: &'a [usize],
+}
+
+impl<'a> View<'a> {
+    fn new(data: &'a [f32], dims: &'a [usize]) -> Self {
+        let (lead, rest) = dims.split_first().map_or((1, dims), |(l, r)| (*l, r));
+        View { data, lead, rest }
+    }
+
+    fn dims(&self) -> Vec<usize> {
+        let mut d = vec![self.lead];
+        d.extend_from_slice(self.rest);
+        d
+    }
+}
+
+impl<'a> From<&'a Tensor> for View<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        View::new(t.data(), t.dims())
+    }
+}
+
+/// A dense value while one row block is evaluated: the block's rows of a
+/// vertex-rowed tensor, or all of one that is not. Borrowed when it is a
+/// caller's seed or a finished target slice, owned when it was computed
+/// into a scratch buffer.
+pub(crate) struct DenseVal<'a> {
+    data: Cow<'a, [f32]>,
+    dims: Vec<usize>,
+}
+
+impl DenseVal<'_> {
+    fn into_tensor(self) -> Tensor {
+        Tensor::from_vec(self.data.into_owned(), &self.dims)
+    }
+}
+
+/// Where the rows of one dense node go: `(node, slice)` pairs a caller
+/// wants written in place, each slice zero-filled and exactly as long as
+/// the node's rows of the block. A node is claimed (removed) when written.
+pub(crate) type Targets<'v> = Vec<(NodeId, &'v mut [f32])>;
+
+/// Buffers finished blocks hand back ([`recycle`]), so a worker walking
+/// its row range allocates during its first block only.
+pub(crate) type Scratch = Vec<Vec<f32>>;
+
+/// Computes node `id`'s rows with `kernel` — straight into the node's
+/// target slice when `targets` lists one, into a zero-filled scratch
+/// buffer otherwise — and returns them as a value of extents `dims`.
+///
+/// # Panics
+///
+/// Panics if the claimed target does not hold exactly `dims` elements.
+pub(crate) fn fill<'v>(
+    id: NodeId,
+    dims: Vec<usize>,
+    targets: &mut Targets<'v>,
+    scratch: &mut Scratch,
+    kernel: impl FnOnce(&mut [f32]),
+) -> DenseVal<'v> {
+    let len: usize = dims.iter().product();
+    let data = match targets.iter().position(|(t, _)| *t == id) {
+        Some(k) => {
+            let out = targets.swap_remove(k).1;
+            assert_eq!(out.len(), len, "target of dense node {} has the wrong extents", id.0);
+            kernel(out);
+            Cow::Borrowed(&*out)
         }
-        if let OpKind::Input { name, .. } = &node.kind {
-            // Full-range evaluation reads inputs in place (`dense_input`).
-            if restricted && node.shape.first() == Some(&Dim::Vertices) {
-                let t = &globals[name];
-                let w = t.numel() / g.num_vertices();
-                let mut dims = t.dims().to_vec();
-                dims[0] = rows.len();
-                let data = t.data()[rows.start * w..rows.end * w].to_vec();
-                values.insert(id, Tensor::from_vec(data, &dims));
+        None => {
+            let mut out = match scratch.pop() {
+                Some(mut buf) => {
+                    buf.clear();
+                    buf.resize(len, 0.0);
+                    buf
+                }
+                None => vec![0.0; len],
+            };
+            kernel(&mut out);
+            Cow::Owned(out)
+        }
+    };
+    DenseVal { data, dims }
+}
+
+/// Empties `values`, handing every owned buffer back to `scratch`.
+pub(crate) fn recycle(values: &mut [Option<DenseVal<'_>>], scratch: &mut Scratch) {
+    for v in values {
+        if let Some(DenseVal { data: Cow::Owned(buf), .. }) = v.take() {
+            scratch.push(buf);
+        }
+    }
+}
+
+/// `out = a @ b` for `[m, k]` × `[k, n]` into a zeroed `out`: the loop of
+/// `ops::matmul_into`, zero-skip included, over borrowed rows.
+fn linear_rows(a: View<'_>, b: View<'_>, out: &mut [f32]) {
+    let (m, k, n) = (a.lead, a.rest[0], b.rest[0]);
+    assert_eq!(b.lead, k, "matmul inner dimensions differ: {k} vs {}", b.lead);
+    for i in 0..m {
+        for p in 0..k {
+            let av = a.data[i * k + p];
+            if av == 0.0 {
+                continue;
             }
-            continue;
-        }
-        let ready = node.inputs.iter().all(|p| {
-            values.contains_key(p) || matches!(dfg.node(*p).kind, OpKind::Input { .. })
-        });
-        if !ready {
-            continue;
-        }
-        let arg = |k: usize| dense_input(dfg, globals, values, node.inputs[k]);
-        let v = match &node.kind {
-            OpKind::Linear => ops::matmul(arg(0), arg(1)),
-            OpKind::PairwiseLinear => pairwise(arg(0), arg(1)),
-            OpKind::Add => ops::add(arg(0), arg(1)),
-            OpKind::Mul => ops::mul(arg(0), arg(1)),
-            OpKind::Relu => ops::relu(arg(0)),
-            OpKind::LeakyRelu => ops::leaky_relu(arg(0), LEAKY_SLOPE),
-            OpKind::ScaleByDegreeInv => {
-                let scales: Vec<f32> = g.in_degree()[rows.clone()]
-                    .iter()
-                    .map(|&d| 1.0 / (d.max(1) as f32))
-                    .collect();
-                ops::scale_rows(arg(0), &Tensor::from_vec(scales, &[rows.len()]))
+            let brow = &b.data[p * n..(p + 1) * n];
+            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(brow) {
+                *o += av * bv;
             }
-            OpKind::ConcatCols => ops::concat_cols(arg(0), arg(1)),
-            _ => continue,
+        }
+    }
+}
+
+/// `out[i] = f(a[i], b[i])` for operands of one shape.
+fn zip_rows(a: View<'_>, b: View<'_>, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(a.data.len(), b.data.len(), "element-wise op shape mismatch");
+    for (o, (&x, &y)) in out.iter_mut().zip(a.data.iter().zip(b.data)) {
+        *o = f(x, y);
+    }
+}
+
+/// `out[i] = f(a[i])`.
+fn map_rows(a: View<'_>, out: &mut [f32], f: impl Fn(f32) -> f32) {
+    for (o, &x) in out.iter_mut().zip(a.data) {
+        *o = f(x);
+    }
+}
+
+/// One dense phase of a layer — the prologue or the epilogue — as a
+/// function of a vertex-row block: which nodes to evaluate, from which
+/// tensors. Built once per call and shared by the workers, each of which
+/// walks its row range block by block through [`DenseEval::block`].
+pub(crate) struct DenseEval<'a> {
+    dfg: &'a Dfg,
+    g: &'a Graph,
+    globals: &'a HashMap<String, Tensor>,
+    wanted: Vec<bool>,
+}
+
+impl<'a> DenseEval<'a> {
+    /// The edge-independent intermediates the per-task program gathers
+    /// from.
+    pub(crate) fn prologue(
+        program: &KernelProgram,
+        dfg: &'a Dfg,
+        g: &'a Graph,
+        globals: &'a HashMap<String, Tensor>,
+    ) -> Self {
+        let wanted = ancestors_of(dfg, &program.prologue, None);
+        DenseEval { dfg, g, globals, wanted }
+    }
+
+    /// The nodes the outputs need downstream of the reduction, whose rows
+    /// the caller seeds; what the prologue already computed for the
+    /// per-task program is not computed again.
+    pub(crate) fn epilogue(
+        dfg: &'a Dfg,
+        g: &'a Graph,
+        globals: &'a HashMap<String, Tensor>,
+        reduce_node: NodeId,
+    ) -> Self {
+        let wanted = ancestors_of(dfg, dfg.outputs(), Some(reduce_node));
+        DenseEval { dfg, g, globals, wanted }
+    }
+
+    /// An empty value table for [`DenseEval::block`], indexed by node.
+    pub(crate) fn values<'v>(&self) -> Vec<Option<DenseVal<'v>>> {
+        (0..self.dfg.len()).map(|_| None).collect()
+    }
+
+    /// Operand `p` over vertex rows `rows`: a value already in the table,
+    /// or the rows of (all of, when it is not vertex-rowed) an input
+    /// tensor, borrowed in place.
+    fn operand<'x>(
+        &'x self,
+        values: &'x [Option<DenseVal<'_>>],
+        rows: &Range<usize>,
+        p: NodeId,
+    ) -> Option<View<'x>> {
+        if let Some(v) = &values[p.0] {
+            return Some(View::new(&v.data, &v.dims));
+        }
+        let OpKind::Input { name, .. } = &self.dfg.node(p).kind else {
+            return None;
         };
-        values.insert(id, v);
+        let t = &self.globals[name];
+        if !vertex_rowed(self.dfg, p) {
+            return Some(t.into());
+        }
+        let w = t.numel() / self.g.num_vertices().max(1);
+        Some(View {
+            data: &t.data()[rows.start * w..rows.end * w],
+            lead: rows.len(),
+            rest: &t.dims()[1..],
+        })
+    }
+
+    /// Evaluates the phase's nodes for vertex rows `rows`, in topological
+    /// order, into `values` (entries already present are the caller's
+    /// seeds — vertex-rowed ones holding rows `rows` — and are kept);
+    /// [`fill`] decides where each node's rows are written. Every
+    /// operation here computes an output row from the same row of its
+    /// vertex-rowed operands alone, so a row's bits do not depend on which
+    /// rows are evaluated with it, in how many blocks, or on which thread.
+    /// A node whose operation is not dense or whose operands are
+    /// unavailable is left out of `values`, and its target in `targets`.
+    pub(crate) fn block<'v>(
+        &self,
+        rows: &Range<usize>,
+        values: &mut [Option<DenseVal<'v>>],
+        targets: &mut Targets<'v>,
+        scratch: &mut Scratch,
+    ) {
+        for (i, node) in self.dfg.nodes().iter().enumerate() {
+            if !self.wanted[i]
+                || values[i].is_some()
+                || matches!(node.kind, OpKind::Input { .. })
+            {
+                continue;
+            }
+            let val = {
+                let arg = |k: usize| {
+                    node.inputs.get(k).and_then(|p| self.operand(values, rows, *p))
+                };
+                let (Some(a), b) = (arg(0), arg(1)) else { continue };
+                if b.is_none() && node.inputs.len() > 1 {
+                    continue;
+                }
+                let dims = match (&node.kind, b) {
+                    (OpKind::Linear, Some(b)) => vec![a.lead, b.rest[0]],
+                    (OpKind::PairwiseLinear, Some(b)) => vec![a.lead, b.lead, b.rest[1]],
+                    (OpKind::ConcatCols, Some(b)) => vec![a.lead, a.rest[0] + b.rest[0]],
+                    (OpKind::Add | OpKind::Mul, Some(_))
+                    | (OpKind::Relu | OpKind::LeakyRelu | OpKind::ScaleByDegreeInv, _) => {
+                        a.dims()
+                    }
+                    _ => continue,
+                };
+                fill(NodeId(i), dims, targets, scratch, |out| match (&node.kind, b) {
+                    (OpKind::Linear, Some(b)) => linear_rows(a, b, out),
+                    (OpKind::PairwiseLinear, Some(b)) => pairwise_into(a, b, out),
+                    (OpKind::Add, Some(b)) => zip_rows(a, b, out, |x, y| x + y),
+                    (OpKind::Mul, Some(b)) => zip_rows(a, b, out, |x, y| x * y),
+                    (OpKind::Relu, _) => map_rows(a, out, |x| x.max(0.0)),
+                    (OpKind::LeakyRelu, _) => {
+                        map_rows(a, out, |x| if x >= 0.0 { x } else { LEAKY_SLOPE * x })
+                    }
+                    (OpKind::ScaleByDegreeInv, _) => {
+                        let n = a.rest[0];
+                        out.copy_from_slice(a.data);
+                        for (r, &d) in self.g.in_degree()[rows.clone()].iter().enumerate() {
+                            let s = 1.0 / (d.max(1) as f32);
+                            for v in &mut out[r * n..(r + 1) * n] {
+                                *v *= s;
+                            }
+                        }
+                    }
+                    (OpKind::ConcatCols, Some(b)) => {
+                        let (n1, n2) = (a.rest[0], b.rest[0]);
+                        assert_eq!(a.lead, b.lead, "concat_cols row-count mismatch");
+                        for r in 0..a.lead {
+                            let o = &mut out[r * (n1 + n2)..(r + 1) * (n1 + n2)];
+                            o[..n1].copy_from_slice(&a.data[r * n1..(r + 1) * n1]);
+                            o[n1..].copy_from_slice(&b.data[r * n2..(r + 1) * n2]);
+                        }
+                    }
+                    _ => unreachable!("extents were computed for this operation"),
+                })
+            };
+            values[i] = Some(val);
+        }
+    }
+
+    /// Every row in one block on the calling thread: the unblocked
+    /// evaluation the engine's row-blocked phases are pinned against.
+    fn all_rows<'v>(&self, mut values: Vec<Option<DenseVal<'v>>>) -> Vec<Option<DenseVal<'v>>> {
+        let rows = 0..self.g.num_vertices();
+        self.block(&rows, &mut values, &mut Vec::new(), &mut Vec::new());
+        values
     }
 }
 
@@ -1265,12 +1532,11 @@ pub fn run_epilogue(
     run_epilogue_rows(dfg, g, globals, reduce_node, reduced, 0..g.num_vertices())
 }
 
-/// [`run_epilogue`] for the vertex rows `rows` alone: `reduced` holds
-/// those rows of the accumulator and every vertex-rowed output comes back
-/// with those rows only — bit-identical to the same rows of the full
-/// epilogue. Only the nodes the outputs need downstream of the reduction
-/// are evaluated; what the prologue already computed for the per-task
-/// program is not computed again.
+/// [`run_epilogue`] for the vertex rows `rows` alone, in one block on the
+/// calling thread: `reduced` holds those rows of the accumulator and every
+/// vertex-rowed output comes back with those rows only — bit-identical to
+/// the same rows of the full epilogue. An output that is the reduction
+/// itself is `reduced`, moved.
 ///
 /// # Panics
 ///
@@ -1284,20 +1550,44 @@ pub fn run_epilogue_rows(
     rows: Range<usize>,
 ) -> Vec<Tensor> {
     let _sp = span!("kernel.epilogue");
-    let mut values: HashMap<NodeId, Tensor> = HashMap::new();
-    values.insert(reduce_node, reduced);
-    let wanted = ancestors_of(dfg, dfg.outputs(), Some(reduce_node));
-    eval_dense(dfg, g, globals, &wanted, &rows, &mut values);
-    dfg.outputs()
+    let eval = DenseEval::epilogue(dfg, g, globals, reduce_node);
+    let mut values = eval.values();
+    let dims = reduced.dims().to_vec();
+    values[reduce_node.0] = Some(DenseVal { data: Cow::Owned(reduced.into_vec()), dims });
+    eval.block(&rows, &mut values, &mut Vec::new(), &mut Vec::new());
+    let mut computed: HashMap<NodeId, Tensor> = dfg
+        .outputs()
         .iter()
-        .map(|o| values.get(o).cloned().expect("output computed"))
+        .filter_map(|o| Some((*o, values[o.0].take()?.into_tensor())))
+        .collect();
+    list_outputs(dfg, &mut computed)
+}
+
+/// The DFG's outputs in listing order, each moved out of `computed`;
+/// copied only for an output that is listed again.
+///
+/// # Panics
+///
+/// Panics if an output was not computed.
+pub(crate) fn list_outputs(dfg: &Dfg, computed: &mut HashMap<NodeId, Tensor>) -> Vec<Tensor> {
+    let outs = dfg.outputs();
+    outs.iter()
+        .enumerate()
+        .map(|(k, o)| {
+            if outs[k + 1..].contains(o) {
+                computed.get(o).cloned()
+            } else {
+                computed.remove(o)
+            }
+            .unwrap_or_else(|| panic!("output node {} not computed", o.0))
+        })
         .collect()
 }
 
 /// Evaluates the program's prologue — the edge-independent intermediates
 /// the per-task program gathers from (e.g. the pairwise table, hoisted
 /// projections) — as `(`[`prologue_name`]`, tensor)` pairs in
-/// `program.prologue` order.
+/// `program.prologue` order, every row in one block on the calling thread.
 ///
 /// # Errors
 ///
@@ -1308,19 +1598,21 @@ pub fn eval_prologue(
     g: &Graph,
     globals: &HashMap<String, Tensor>,
 ) -> Result<Vec<(String, Tensor)>, CompileError> {
-    let mut values = HashMap::new();
-    let wanted = ancestors_of(dfg, &program.prologue, None);
-    eval_dense(dfg, g, globals, &wanted, &(0..g.num_vertices()), &mut values);
+    let eval = DenseEval::prologue(program, dfg, g, globals);
+    let mut values = eval.all_rows(eval.values());
     program
         .prologue
         .iter()
         .map(|id| {
-            let t = values.remove(id).ok_or_else(|| {
-                CompileError(format!("prologue node {} not evaluable", id.0))
-            })?;
-            Ok((prologue_name(*id), t))
+            let v = values[id.0].take().ok_or_else(|| not_evaluable(*id))?;
+            Ok((prologue_name(*id), v.into_tensor()))
         })
         .collect()
+}
+
+/// The error of a prologue node the dense evaluator cannot compute.
+pub(crate) fn not_evaluable(id: NodeId) -> CompileError {
+    CompileError(format!("prologue node {} not evaluable", id.0))
 }
 
 /// Returns `true` when every destination's in-edges live in exactly one
@@ -1350,9 +1642,12 @@ pub fn eval_edge_independent_public(
     let edge_dep = edge_dependence(dfg);
     let wanted: Vec<bool> =
         dfg.live_set().iter().zip(&edge_dep).map(|(&l, &e)| l && !e).collect();
-    let mut values = HashMap::new();
-    eval_dense(dfg, g, globals, &wanted, &(0..g.num_vertices()), &mut values);
-    values
+    let eval = DenseEval { dfg, g, globals, wanted };
+    eval.all_rows(eval.values())
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, v)| Some((NodeId(i), v?.into_tensor())))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1361,6 +1656,7 @@ mod tests {
     use crate::engine::Engine;
     use wisegraph_dfg::interp::execute;
     use wisegraph_dfg::{transform, Binding};
+    use wisegraph_dfg::op::LEAKY_SLOPE;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
@@ -1547,6 +1843,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dense_row_kernels_replay_tensor_ops_bit_for_bit() {
+        // One node per dense operation, evaluated by the row kernels in
+        // one block and in ragged blocks, against the `tensor::ops` chain.
+        let g = rmat(&RmatParams::standard(37, 260, 47).with_edge_types(3));
+        let (v, fi, fo) = (g.num_vertices(), 4, 3);
+        let mut dfg = Dfg::new();
+        let h = dfg.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
+        let w = dfg.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
+        let wt = dfg.input("W", vec![Dim::EdgeTypes, Dim::Lit(fi), Dim::Lit(fo)]);
+        let lin = dfg.linear(h, w);
+        let relu = dfg.relu(lin);
+        let leaky = dfg.leaky_relu(lin);
+        let add = dfg.add(relu, leaky);
+        let mul = dfg.mul(add, lin);
+        let scaled = dfg.scale_by_degree_inv(mul);
+        let cat = dfg.concat_cols(scaled, lin);
+        let pair = dfg.pairwise_linear(h, wt);
+        dfg.mark_output(cat);
+        dfg.mark_output(pair);
+
+        let mut globals = globals_for(&g, fi, fo);
+        // Exact zeros exercise the multiply-skip, negatives the gates.
+        let mut hd = init::uniform_tensor(&[v, fi], -1.0, 1.0, 48).into_vec();
+        hd.iter_mut().step_by(5).for_each(|x| *x = 0.0);
+        hd.iter_mut().skip(2).step_by(7).for_each(|x| *x = -0.0);
+        globals.insert("h".into(), Tensor::from_vec(hd, &[v, fi]));
+        let (ht, wg, wtg) = (&globals["h"], &globals["w"], &globals["W"]);
+
+        let want_lin = ops::matmul(ht, wg);
+        let want_add = ops::add(&ops::relu(&want_lin), &ops::leaky_relu(&want_lin, LEAKY_SLOPE));
+        let want_mul = ops::mul(&want_add, &want_lin);
+        let scales: Vec<f32> =
+            g.in_degree().iter().map(|&d| 1.0 / (d.max(1) as f32)).collect();
+        let want_scaled = ops::scale_rows(&want_mul, &Tensor::from_vec(scales, &[v]));
+        let want_cat = ops::concat_cols(&want_scaled, &want_lin);
+        let types = g.num_edge_types();
+        let mut want_pair = vec![0.0f32; v * types * fo];
+        for t in 0..types {
+            let slice = wtg.data()[t * fi * fo..(t + 1) * fi * fo].to_vec();
+            let per_type = ops::matmul(ht, &Tensor::from_vec(slice, &[fi, fo]));
+            for u in 0..v {
+                want_pair[(u * types + t) * fo..(u * types + t + 1) * fo]
+                    .copy_from_slice(per_type.row(u));
+            }
+        }
+        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+
+        let all = eval_edge_independent_public(&dfg, &g, &globals);
+        assert_eq!(bits(all[&cat].data()), bits(want_cat.data()));
+        assert_eq!(all[&cat].dims(), want_cat.dims());
+        assert_eq!(bits(all[&pair].data()), bits(&want_pair));
+        assert_eq!(all[&pair].dims(), [v, types, fo]);
+
+        // The same rows in ragged blocks, written straight into targets.
+        let eval = DenseEval {
+            dfg: &dfg,
+            g: &g,
+            globals: &globals,
+            wanted: vec![true; dfg.len()],
+        };
+        let (mut got_cat, mut got_pair) = (vec![0.0; v * 2 * fo], vec![0.0; v * types * fo]);
+        let (mut rest_cat, mut rest_pair) = (got_cat.as_mut_slice(), got_pair.as_mut_slice());
+        let mut scratch = Scratch::new();
+        let mut values = eval.values();
+        for rows in [0..1, 1..14, 14..14, 14..v] {
+            let (c, tail_c) = rest_cat.split_at_mut(rows.len() * 2 * fo);
+            let (p, tail_p) = rest_pair.split_at_mut(rows.len() * types * fo);
+            (rest_cat, rest_pair) = (tail_c, tail_p);
+            let mut targets: Targets<'_> = vec![(cat, c), (pair, p)];
+            eval.block(&rows, &mut values, &mut targets, &mut scratch);
+            assert!(targets.is_empty());
+            recycle(&mut values, &mut scratch);
+        }
+        assert_eq!(bits(&got_cat), bits(want_cat.data()));
+        assert_eq!(bits(&got_pair), bits(&want_pair));
     }
 
     #[test]

@@ -124,6 +124,10 @@ pub mod keys {
 
     /// Engine worker slots used by an execution ([`Resource`](crate::Class::Resource), max).
     pub const ENGINE_THREADS: &str = "engine.threads";
+    /// Edges of an execution's busiest worker slot over the mean of all
+    /// slots, in permille — 1000 is a perfectly even deal
+    /// ([`Resource`](crate::Class::Resource), max).
+    pub const ENGINE_WORKER_EDGE_SKEW: &str = "engine.worker_edge_skew_permille";
 
     /// Distinct accumulator cells the shadow sanitizer tracked
     /// ([`Resource`](crate::Class::Resource), sum).

@@ -9,7 +9,8 @@
 //! * `results/prof_trace.json` — the merged span timeline in Chrome
 //!   trace-event format (open in `chrome://tracing` or Perfetto);
 //! * a per-gTask workload-skew table on stdout — the paper's Figure 7/15
-//!   story of how each table reshapes where the edges land;
+//!   story of how each table reshapes where the edges land — with the
+//!   per-worker edge skew the engine's dealing left of it;
 //! * the content-addressed [`PlanCache`]'s Resource-class hit/miss/
 //!   hit-rate counters of one cold and one warm planning pass (partition +
 //!   transform + compile) per model, under `planning.<model>.` —
@@ -74,7 +75,7 @@ use wisegraph::kernels::micro::plan_is_dst_complete;
 use wisegraph::models::ModelKind;
 use wisegraph::obs::json::Json;
 use wisegraph::obs::{
-    capture, counters_from_json, counters_to_json, trace_to_chrome_json,
+    capture, counters_from_json, counters_to_json, keys, trace_to_chrome_json,
     AttributionReport, Class, Counters,
 };
 use wisegraph::tensor::{init, Tensor};
@@ -169,10 +170,19 @@ struct SkewRow {
     min_edges: usize,
     median_edges: usize,
     max_edges: usize,
+    /// Edges of the busiest engine worker over the mean of all slots
+    /// (`engine.worker_edge_skew_permille`): what the dealing made of the
+    /// task-size skew to its left.
+    worker_skew_permille: u64,
 }
 
 impl SkewRow {
-    fn of(model: &'static str, table: &'static str, plan: &PartitionPlan) -> Self {
+    fn of(
+        model: &'static str,
+        table: &'static str,
+        plan: &PartitionPlan,
+        worker_skew_permille: u64,
+    ) -> Self {
         let mut sizes: Vec<usize> =
             plan.tasks.iter().map(|t| t.num_edges()).collect();
         sizes.sort_unstable();
@@ -183,6 +193,7 @@ impl SkewRow {
             min_edges: sizes.first().copied().unwrap_or(0),
             median_edges: sizes.get(sizes.len() / 2).copied().unwrap_or(0),
             max_edges: sizes.last().copied().unwrap_or(0),
+            worker_skew_permille,
         }
     }
 
@@ -265,7 +276,8 @@ fn run_suite(threads: usize) -> SuiteRun {
                 .or_default()
                 .merge_prefixed(tname, &combo);
             run.all.merge_prefixed(&format!("{slug}.{tname}"), &combo);
-            run.skew.push(SkewRow::of(slug, tname, &plan));
+            let worker_skew = combo.count(keys::ENGINE_WORKER_EDGE_SKEW);
+            run.skew.push(SkewRow::of(slug, tname, &plan, worker_skew));
         }
     }
 
@@ -499,18 +511,21 @@ fn main() -> ExitCode {
     );
 
     // Workload-skew table (the Figure 7/15 story in numbers).
-    println!("\n| model | table | gTasks | min | median | max | skew |");
-    println!("|---|---|---|---|---|---|---|");
+    println!(
+        "\n| model | table | gTasks | min | median | max | skew | worker skew (T={PROFILE_THREADS}) |"
+    );
+    println!("|---|---|---|---|---|---|---|---|");
     for r in &run.skew {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {:.2} |",
+            "| {} | {} | {} | {} | {} | {} | {:.2} | {:.3} |",
             r.model,
             r.table,
             r.tasks,
             r.min_edges,
             r.median_edges,
             r.max_edges,
-            r.skew()
+            r.skew(),
+            r.worker_skew_permille as f64 / 1000.0
         );
     }
     println!();

@@ -199,8 +199,9 @@ fn k002_workspace_aliasing() {
 }
 
 #[test]
+#[allow(clippy::single_range_in_vec_init)] // a slot with one block
 fn k003_gapped_chunk_mapping() {
-    let diags = verify_chunk_ranges(&[0..3, 5..9], 9, 4);
+    let diags = verify_chunk_ranges(&[vec![0..3], vec![5..9]], 9, 4);
     assert!(
         has(&diags, Code::KernelChunkMapping, "assigned to no chunk"),
         "{diags:#?}"

@@ -4,7 +4,7 @@
 //! happens — never *what* executes. These tests pin that contract:
 //!
 //! * a warm-cache run (partition, transformed DFG, and kernel program all
-//!   decoded from stored bytes) produces bit-identical outputs and
+//!   cloned from the store) produces bit-identical outputs and
 //!   bit-identical `Class::Work` counters to an uncached run, for every
 //!   model and for 1/2/4 engine threads;
 //! * a delta through `DynamicPlanner` invalidates exactly the stale
@@ -103,7 +103,7 @@ fn warm_cache_runs_are_bit_identical_to_cold() {
                 .expect("cold run executes");
             let cold_work = work_json(&engine.stats());
 
-            // Warm pipeline: every artifact decoded from the store.
+            // Warm pipeline: every artifact cloned from the store.
             let w_plan = cache.partition_cached(&g, &table);
             let w_dfg = cache.transform_cached(&g, &base);
             let w_program = cache.compile_cached(&g, &w_dfg).expect("warm compile");

@@ -191,7 +191,7 @@ proptest! {
     /// Captured span streams are well-nested for any graph, table, and
     /// worker count, and the deterministic spans appear exactly as many
     /// times as the execution shape dictates: one `engine.execute`, one
-    /// `kernel.task` per gTask, one `engine.worker` per occupied chunk.
+    /// `kernel.task` per gTask, one `engine.worker` per slot dealt to.
     fn engine_spans_are_well_nested(
         g in arb_graph(60, 400),
         k in 1u64..16,
@@ -218,9 +218,43 @@ proptest! {
         prop_assert_eq!(trace.span_count("engine.execute"), 1);
         // One runner, so exactly one span per gTask whatever the plan.
         prop_assert_eq!(trace.span_count("kernel.task"), plan.num_tasks());
-        let chunks =
-            wisegraph::kernels::engine::chunk_ranges(plan.num_tasks(), threads).len();
-        prop_assert_eq!(trace.span_count("engine.worker"), chunks);
+        let slots =
+            wisegraph::kernels::engine::deal_tasks(plan.num_tasks(), threads).len();
+        prop_assert_eq!(trace.span_count("engine.worker"), slots);
+        // GCN has no prologue; every worker reduces and finishes its rows.
+        prop_assert_eq!(trace.span_count("engine.prologue"), 0);
+        prop_assert_eq!(trace.span_count("engine.epilogue"), threads);
+    }
+
+    /// The engine's dealing, for any task and thread count: every task in
+    /// exactly one block, at most `threads` slots and none of them idle,
+    /// blocks ascending within a slot, one slot running `0..n` in order —
+    /// and the static verifier (K003) agrees.
+    fn dealing_covers_every_task_exactly_once(
+        n in 0usize..5000,
+        threads in 1usize..17,
+    ) {
+        let deal = wisegraph::kernels::engine::deal_tasks(n, threads);
+        prop_assert!(deal.len() <= threads);
+        let mut seen = vec![0u32; n];
+        for blocks in &deal {
+            prop_assert!(!blocks.is_empty());
+            let mut floor = 0;
+            for b in blocks {
+                prop_assert!(b.start >= floor && b.start < b.end && b.end <= n);
+                floor = b.end;
+                b.clone().for_each(|t| seen[t] += 1);
+            }
+        }
+        prop_assert!(seen.iter().all(|&c| c == 1));
+        let one: Vec<usize> = wisegraph::kernels::engine::deal_tasks(n, 1)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .collect();
+        prop_assert_eq!(one, (0..n).collect::<Vec<_>>());
+        let diags = wisegraph::analysis::prelude::verify_chunk_mapping(n, threads);
+        prop_assert!(diags.is_empty(), "{:?}", diags);
     }
 
     /// Relabeling a graph by any generated permutation preserves every

@@ -134,3 +134,192 @@ fn warm_engine_stays_bit_identical() {
         assert_eq!(alloc[0].data(), pooled[0].data(), "call {call}");
     }
 }
+
+// ---- dense phases in row blocks, tasks dealt block-cyclically ----------
+//
+// The engine evaluates prologue and epilogue in row blocks spread over its
+// workers and starts the reduce from the first partial; the allocating
+// reference evaluates both in one block on the calling thread and adds the
+// partials to a zero tensor. Same dealing, so the bits must agree at every
+// thread count — whatever |V| is against the row block and the thread
+// count.
+
+/// The benchmark's three tables (`examples/perfbench/inputs.rs`).
+fn bench_tables() -> [PartitionTable; 3] {
+    [
+        PartitionTable::vertex_centric(),
+        PartitionTable::edge_batch(64),
+        PartitionTable::src_batch_per_type(64),
+    ]
+}
+
+const MODELS: [ModelKind; 4] =
+    [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat, ModelKind::Rgcn];
+
+const THREADS: [usize; 5] = [1, 2, 3, 4, 7];
+
+/// Engine outputs at `threads`, asserted bit-identical to the allocating
+/// reference at the same thread count — or `None` when both reject the
+/// plan (GAT on a plan that splits a destination).
+fn engine_vs_reference(
+    kind: ModelKind,
+    g: &Graph,
+    plan: &wisegraph::gtask::PartitionPlan,
+    globals: &HashMap<String, Tensor>,
+    dims: (usize, usize),
+    threads: usize,
+) -> Option<Vec<Tensor>> {
+    let dfg = kind.layer_dfg(dims.0, dims.1);
+    let what = format!("{} / {} tasks / {threads} threads", kind.name(), plan.num_tasks());
+    let reference = execute_parallel_alloc(&dfg, g, plan, globals, threads);
+    let got = Engine::new(threads).execute(&dfg, g, plan, globals);
+    match (reference, got) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!(want.len(), got.len(), "{what}");
+            for (w, o) in want.iter().zip(&got) {
+                assert_eq!(w.dims(), o.dims(), "{what}");
+                let (w, o): (Vec<u32>, Vec<u32>) = (
+                    w.data().iter().map(|x| x.to_bits()).collect(),
+                    o.data().iter().map(|x| x.to_bits()).collect(),
+                );
+                assert_eq!(w, o, "{what}: not bit-identical");
+            }
+            Some(got)
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{what}");
+            None
+        }
+        (a, b) => panic!("{what}: reference {:?}, engine {:?}", a.err(), b.err()),
+    }
+}
+
+#[test]
+fn dense_phases_match_the_unblocked_reference_at_every_thread_count() {
+    let dims = (6, 5);
+    // |V| spans several row blocks per worker with a ragged tail; fits one
+    // block; is smaller than the thread count.
+    for (v, e, seed) in [(1300usize, 7000usize, 71u64), (45, 320, 73), (3, 7, 75)] {
+        let g = rmat(&RmatParams::standard(v, e, seed).with_edge_types(3));
+        let globals = globals_for(&g, dims.0, dims.1);
+        for table in bench_tables() {
+            let plan = partition(&g, &table);
+            for kind in MODELS {
+                for threads in THREADS {
+                    engine_vs_reference(kind, &g, &plan, &globals, dims, threads);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_plans_match_the_unblocked_reference() {
+    let dims = (4, 3);
+    // No edge at all: no task runs, every aggregate row is zero.
+    let empty = Graph::new(9, 2, vec![], vec![], vec![]);
+    // One task holding every edge.
+    let g = rmat(&RmatParams::standard(700, 2500, 77).with_edge_types(2));
+    for (g, table) in [
+        (&empty, PartitionTable::vertex_centric()),
+        (&g, PartitionTable::new()),
+    ] {
+        let globals = globals_for(g, dims.0, dims.1);
+        let plan = partition(g, &table);
+        assert!(plan.num_tasks() <= 1);
+        for kind in MODELS {
+            for threads in THREADS {
+                engine_vs_reference(kind, g, &plan, &globals, dims, threads);
+            }
+        }
+    }
+}
+
+#[test]
+fn negative_zero_features_yield_the_same_bits_at_every_thread_count() {
+    // The reduce starts from the first partial instead of `+0.0`; an
+    // accumulator cell never holds `-0.0` for that to matter, even when
+    // every gathered value is one.
+    let dims = (6, 5);
+    let g = rmat(&RmatParams::standard(600, 4000, 79).with_edge_types(3));
+    let mut globals = globals_for(&g, dims.0, dims.1);
+    globals.insert(
+        "h".to_string(),
+        Tensor::from_vec(vec![-0.0; g.num_vertices() * dims.0], &[g.num_vertices(), dims.0]),
+    );
+    for table in bench_tables() {
+        let plan = partition(&g, &table);
+        for kind in MODELS {
+            let mut first: Option<Vec<Vec<u32>>> = None;
+            for threads in THREADS {
+                let Some(outs) =
+                    engine_vs_reference(kind, &g, &plan, &globals, dims, threads)
+                else {
+                    continue;
+                };
+                let bits: Vec<Vec<u32>> = outs
+                    .iter()
+                    .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                match &first {
+                    None => first = Some(bits),
+                    Some(f) => assert_eq!(f, &bits, "{} at {threads}", kind.name()),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn destination_exclusive_plans_are_bit_identical_across_thread_counts() {
+    // A vertex-centric task owns its destination rows, so a row's addends
+    // all come from one slot whatever the dealing: T = 2 equals T = 1 bit
+    // for bit. Edge-batch tasks share destination rows across slots: the
+    // sum's order follows the dealing — close to T = 1, and the same bits
+    // on every run at one thread count.
+    let dims = (6, 5);
+    let g = rmat(&RmatParams::standard(900, 9000, 81).with_edge_types(3));
+    let globals = globals_for(&g, dims.0, dims.1);
+    let run = |kind: ModelKind, table: &PartitionTable, threads: usize| {
+        let plan = partition(&g, table);
+        Engine::new(threads)
+            .execute(&kind.layer_dfg(dims.0, dims.1), &g, &plan, &globals)
+            .unwrap()
+            .swap_remove(0)
+    };
+    for kind in MODELS {
+        let vc = PartitionTable::vertex_centric();
+        assert_eq!(
+            run(kind, &vc, 1).data(),
+            run(kind, &vc, 2).data(),
+            "{} vertex-centric",
+            kind.name()
+        );
+    }
+    for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Rgcn] {
+        let eb = PartitionTable::edge_batch(64);
+        let (one, two, again) = (run(kind, &eb, 1), run(kind, &eb, 2), run(kind, &eb, 2));
+        assert!(one.allclose(&two, 1e-3), "{} edge-batch", kind.name());
+        assert_eq!(two.data(), again.data(), "{} edge-batch rerun", kind.name());
+    }
+}
+
+#[test]
+#[should_panic(expected = "worker panicked")]
+fn a_panic_in_a_task_worker_surfaces() {
+    let g = rmat(&RmatParams::standard(50, 300, 83));
+    let mut globals = globals_for(&g, 4, 3);
+    globals.remove("h"); // the per-task gather's source
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let _ = Engine::new(2).execute(&ModelKind::Gcn.layer_dfg(4, 3), &g, &plan, &globals);
+}
+
+#[test]
+#[should_panic(expected = "worker panicked")]
+fn a_panic_in_a_dense_phase_worker_surfaces() {
+    let g = rmat(&RmatParams::standard(50, 300, 85));
+    let mut globals = globals_for(&g, 4, 3);
+    globals.remove("w_self"); // read by the epilogue only
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let _ = Engine::new(2).execute(&ModelKind::Sage.layer_dfg(4, 3), &g, &plan, &globals);
+}
