@@ -28,7 +28,9 @@ use wisegraph_gtask::PartitionPlan;
 use wisegraph_graph::Graph;
 use wisegraph_kernels::engine::deal_tasks;
 use wisegraph_kernels::fused::{check_replaces, FusedPattern, FusedPlan, Segment};
-use wisegraph_kernels::micro::{plan_is_dst_complete, KernelProgram, MicroKernel, Reg};
+use wisegraph_kernels::micro::{
+    check_dst_complete, plan_is_dst_complete, KernelProgram, MicroKernel, Reg,
+};
 
 /// The registers a micro-kernel reads and the registers it writes.
 /// Delegates to the executor's own [`wisegraph_kernels::micro::accesses`]
@@ -224,21 +226,22 @@ pub fn verify_chunk_mapping(num_tasks: usize, threads: usize) -> Vec<Diagnostic>
     verify_chunk_ranges(&deal_tasks(num_tasks, threads), num_tasks, threads)
 }
 
-/// Verifies plan/program compatibility: a program carrying per-destination
-/// normalization needs every destination's in-edges in one task (`K004`).
+/// Verifies plan/program compatibility (`K004`): the engine's own
+/// precondition, [`check_dst_complete`], asked before anything runs — a
+/// program carrying per-destination normalization needs every
+/// destination's in-edges in one task.
 pub fn verify_plan_compat(
     g: &Graph,
     plan: &PartitionPlan,
     prog: &KernelProgram,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if prog.requires_dst_complete && !plan_is_dst_complete(g, plan) {
+    if let Err(e) = check_dst_complete(prog, || plan_is_dst_complete(g, plan)) {
         out.push(
             Diagnostic::error(
                 Code::KernelPlanIncompatible,
                 Span::Global,
-                "the program normalizes per destination (segment softmax) but the plan \
-                 splits some destination's in-edges across tasks",
+                format!("{}: the plan splits some destination's in-edges across tasks", e.0),
             )
             .with_suggestion(
                 "use a destination-complete table (e.g. vertex-centric or dst-and-type)",

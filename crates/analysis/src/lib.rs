@@ -27,12 +27,11 @@
 //! - [`repair`]: incremental-repair equivalence — a repaired plan must
 //!   verify identically to a from-scratch partition of the same live edge
 //!   set (code `C001`);
-//! - [`interference`]: schedule-level race freedom — per-gTask symbolic
-//!   access sets, write-overlap and provenance checks across co-scheduled
-//!   worker slots, fused-vs-interpreted access divergence, and workspace
-//!   lifetime (use-after-release / double-lease) over pooled registers
-//!   (codes `R...`); the dynamic counterpart is the engine's
-//!   `ExecMode::Sanitize` shadow-memory sanitizer;
+//! - [`interference`]: fused-vs-interpreted access divergence and
+//!   workspace lifetime (use-after-release / double-lease) over pooled
+//!   registers (codes `R004`–`R005`); destination ownership is not
+//!   re-derived per worker slot — `K004` asks the one check every run
+//!   makes (`micro::check_dst_complete`);
 //! - [`sharding`]: sharded multi-device invariants — vertex-shard tiling
 //!   and exactly-once edge coverage of the per-device filtered plans,
 //!   collective exchange conservation, and placement/program
@@ -127,18 +126,6 @@ pub enum Code {
     /// partition of the same live edge set: different coverage, a violated
     /// restriction, or a different verification verdict.
     RepairDivergence,
-    /// Two co-scheduled gTasks write overlapping accumulator rows and the
-    /// overlap is not an accumulation the engine's deterministic merge
-    /// handles (the program's stores assume exclusive row ownership).
-    ScheduleWriteOverlap,
-    /// A scatter destination's row provenance is not statically
-    /// resolvable, so read-write/write-write disjointness of co-scheduled
-    /// gTasks cannot be proven.
-    ScheduleReadWrite,
-    /// The schedule maps two concurrently executing chunks onto one
-    /// worker slot (or a slot outside the engine), racing on the slot's
-    /// task workspace and partial accumulator.
-    ScheduleSlotCollision,
     /// A fused segment's derived access set (globals read, scatter
     /// destination) diverges from the interpreted instructions it
     /// replaces.
@@ -180,9 +167,6 @@ impl Code {
             Code::ObsUncovered => "O001",
             Code::ObsPhaseUncovered => "O002",
             Code::RepairDivergence => "C001",
-            Code::ScheduleWriteOverlap => "R001",
-            Code::ScheduleReadWrite => "R002",
-            Code::ScheduleSlotCollision => "R003",
             Code::ScheduleFusedDivergence => "R004",
             Code::WorkspaceLifetime => "R005",
             Code::ShardCoverage => "S001",
@@ -378,7 +362,6 @@ pub fn verify_execution(
             report.extend(kernel::verify_fusion(&program, &fplan));
             report.extend(interference::verify_fused_access(&program, &fplan));
             report.extend(interference::verify_workspace_lifetime(&program));
-            report.extend(interference::verify_interference(g, plan, &program, threads));
         }
         Err(e) => report.push(Diagnostic::error(
             Code::KernelPlanIncompatible,
@@ -413,10 +396,7 @@ pub(crate) fn push_capped(out: &mut Vec<Diagnostic>, found: Vec<Diagnostic>) {
 /// composing their own pipelines.
 pub mod prelude {
     pub use crate::dfgcheck::{effective_indexing_attrs, verify_dfg, verify_rewrite};
-    pub use crate::interference::{
-        summarize_plan, task_access, verify_fused_access, verify_interference,
-        verify_slot_assignment, verify_workspace_lifetime, TaskAccess,
-    };
+    pub use crate::interference::{verify_fused_access, verify_workspace_lifetime};
     pub use crate::kernel::{
         verify_chunk_mapping, verify_chunk_ranges, verify_fused_parity_registry,
         verify_fusion, verify_plan_compat, verify_program,

@@ -47,7 +47,7 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/sharded.rs",
-        &["select_placement", "execute_sharded"],
+        &["select_placement", "execute_sharded_layer"],
     ),
     ("crates/kernels/src/micro.rs", &["run_task", "run_epilogue"]),
     (

@@ -22,7 +22,7 @@ use wisegraph_baselines::single::LayerDims;
 use wisegraph_baselines::{MultiGpuSystem, MultiStack};
 use wisegraph_bench::{build_dataset, fmt_s, print_table};
 use wisegraph_core::multi as ours;
-use wisegraph_core::sharded::{device_work_skew, execute_sharded};
+use wisegraph_core::sharded::{device_work_skew, execute_sharded_layer};
 use wisegraph_graph::DatasetKind;
 use wisegraph_gtask::{partition, PartitionTable};
 use wisegraph_kernels::ClusterEngine;
@@ -148,12 +148,13 @@ fn main() {
         let fabric = &stack.fabric;
         let cluster = ClusterEngine::new(devices, 2);
         let (run, choice) =
-            execute_sharded(&cluster, &dfg, &g, &plan, &globals, fabric, fi, fo)
+            execute_sharded_layer(&cluster, &dfg, &g, &plan, &globals, fabric, fi, fo, 0)
                 .expect("sharded PA-S run executes");
         let repeat_cluster = ClusterEngine::new(devices, 2);
-        let (again, _) =
-            execute_sharded(&repeat_cluster, &dfg, &g, &plan, &globals, fabric, fi, fo)
-                .expect("sharded PA-S rerun executes");
+        let (again, _) = execute_sharded_layer(
+            &repeat_cluster, &dfg, &g, &plan, &globals, fabric, fi, fo, 0,
+        )
+        .expect("sharded PA-S rerun executes");
         let identical = run
             .outputs
             .iter()

@@ -43,6 +43,6 @@ pub mod sharded;
 pub mod trainer;
 
 pub use dynamic::{DynamicPlanner, RepairOutcome};
-pub use sharded::{execute_sharded, execute_sharded_layer, select_placement, PlacementChoice};
+pub use sharded::{execute_sharded_layer, select_placement, PlacementChoice};
 pub use optimizer::{OptimizedModel, SearchStage, SearchTrace, WiseGraph};
 pub use plan::{ExecutionPlan, PlanEstimate};

@@ -90,40 +90,17 @@ fn price_placements(
     }
 }
 
-/// Compiles the layer, selects the cheapest compatible placement for the
-/// cluster's device count, and executes it.
+/// Compiles model layer `layer`, selects the cheapest compatible
+/// placement for the cluster's device count, and executes it. `layer` is
+/// stamped on the cluster's phase spans, timeline segments, and causal
+/// attribution ([`ClusterEngine::set_layer`]) so per-layer overlap
+/// headroom in the [`ClusterRun::attribution`] report names the layer
+/// that could have posted its sends earlier; single-layer runs pass 0.
 ///
 /// # Errors
 ///
 /// Fails if the DFG does not compile or the selected schedule's runtime
 /// preconditions fail (see [`ClusterEngine::execute`]).
-///
-/// # Panics
-///
-/// Panics if a device or worker thread panics.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_sharded(
-    cluster: &ClusterEngine,
-    dfg: &Dfg,
-    g: &Graph,
-    plan: &PartitionPlan,
-    globals: &HashMap<String, Tensor>,
-    fabric: &Fabric,
-    f_in: usize,
-    f_out: usize,
-) -> Result<(ClusterRun, PlacementChoice), CompileError> {
-    execute_sharded_layer(cluster, dfg, g, plan, globals, fabric, f_in, f_out, 0)
-}
-
-/// [`execute_sharded`] for one layer of a multi-layer model: stamps
-/// `layer` on the cluster's phase spans, timeline segments, and causal
-/// attribution ([`ClusterEngine::set_layer`]) so per-layer overlap
-/// headroom in the [`ClusterRun::attribution`] report names the layer
-/// that could have posted its sends earlier.
-///
-/// # Errors
-///
-/// See [`execute_sharded`].
 ///
 /// # Panics
 ///
@@ -207,9 +184,10 @@ mod tests {
         );
         let cluster = ClusterEngine::new(2, 2);
         let fabric = Fabric::pcie4_quad();
-        let (run, choice) =
-            execute_sharded(&cluster, &dfg, &g, &plan, &globals, &fabric, f_in, f_out)
-                .expect("sharded run");
+        let (run, choice) = execute_sharded_layer(
+            &cluster, &dfg, &g, &plan, &globals, &fabric, f_in, f_out, 0,
+        )
+        .expect("sharded run");
         assert_eq!(run.placement, choice.placement);
         assert!(run.exchange.is_conserved());
         assert!(choice

@@ -13,6 +13,36 @@ use std::path::Path;
 /// Magic bytes of the binary format.
 const MAGIC: &[u8; 8] = b"WGGRAPH1";
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// [`Graph::new`] for arrays read from a file: a vertex count beyond the
+/// `u32` id space, an endpoint `>= v` or a type `>= t` is `InvalidData`
+/// instead of a panic (or, for the vertex count, an allocation of two
+/// degree arrays that long).
+fn checked_graph(
+    v: usize,
+    t: usize,
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    ety: Vec<u32>,
+) -> io::Result<Graph> {
+    if u32::try_from(v).is_err() {
+        return Err(invalid(format!("{v} vertices exceed the u32 id space")));
+    }
+    let ids = src.iter().zip(&dst).zip(&ety).enumerate();
+    for (e, ((&s, &d), &ty)) in ids {
+        if s as usize >= v || d as usize >= v {
+            return Err(invalid(format!("edge {e} ({s} -> {d}) leaves the {v} vertices")));
+        }
+        if ty as usize >= t.max(1) {
+            return Err(invalid(format!("edge {e} has type {ty}, beyond the {t} types")));
+        }
+    }
+    Ok(Graph::new(v, t, src, dst, ety))
+}
+
 /// Writes the graph as a text edge list: a header comment, then one
 /// `src dst type` line per edge.
 ///
@@ -42,7 +72,8 @@ pub fn write_edge_list<W: Write>(g: &Graph, w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed lines.
+/// Returns `InvalidData` for malformed lines and for a vertex count
+/// (header or `max id + 1`) beyond the `u32` id space.
 pub fn read_edge_list<R: Read>(r: R) -> io::Result<Graph> {
     let r = BufReader::new(r);
     let mut num_vertices: Option<usize> = None;
@@ -103,7 +134,7 @@ pub fn read_edge_list<R: Read>(r: R) -> io::Result<Graph> {
     let t = num_types
         .unwrap_or_else(|| ety.iter().copied().max().map_or(0, |m| m as usize + 1));
     let t = t.max(ety.iter().copied().max().map_or(1, |m| m as usize + 1));
-    Ok(Graph::new(n.max(1), t, src, dst, ety))
+    checked_graph(n.max(1), t, src, dst, ety)
 }
 
 /// Writes the graph in the compact binary format.
@@ -138,7 +169,9 @@ pub fn write_binary<W: Write>(g: &Graph, w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` if the magic or sizes are wrong.
+/// Returns `InvalidData` if the magic is wrong, the payload does not hold
+/// exactly the edges the header counts, or an id or type is out of the
+/// header's range; a header cut short is `UnexpectedEof`.
 pub fn read_binary<R: Read>(mut r: R) -> io::Result<Graph> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -153,22 +186,29 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<Graph> {
         r.read_exact(&mut b)?;
         Ok(u64::from_le_bytes(b))
     };
-    let v = read_u64(&mut r)? as usize;
-    let e = read_u64(&mut r)? as usize;
-    let t = read_u64(&mut r)? as usize;
-    let read_vec = |r: &mut R| -> io::Result<Vec<u32>> {
-        let mut out = Vec::with_capacity(e);
-        let mut b = [0u8; 4];
-        for _ in 0..e {
-            r.read_exact(&mut b)?;
-            out.push(u32::from_le_bytes(b));
-        }
-        Ok(out)
-    };
-    let src = read_vec(&mut r)?;
-    let dst = read_vec(&mut r)?;
-    let ety = read_vec(&mut r)?;
-    Ok(Graph::new(v, t.max(1), src, dst, ety))
+    let field = |x: u64| usize::try_from(x).map_err(|_| invalid(format!("size {x} overflows")));
+    let v = field(read_u64(&mut r)?)?;
+    let e = read_u64(&mut r)?;
+    let t = field(read_u64(&mut r)?)?;
+    // Sized by the bytes actually present, never by the header: one byte
+    // past the claimed payload tells a longer file from an exact one.
+    let want = e.checked_mul(12).ok_or_else(|| invalid(format!("{e} edges overflow")))?;
+    let mut payload = Vec::new();
+    r.take(want.saturating_add(1)).read_to_end(&mut payload)?;
+    if payload.len() as u64 != want {
+        return Err(invalid(format!(
+            "header counts {e} edges ({want} bytes), the payload holds {} bytes",
+            payload.len()
+        )));
+    }
+    let mut words = payload
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    let n = payload.len() / 12;
+    let src = words.by_ref().take(n).collect();
+    let dst = words.by_ref().take(n).collect();
+    let ety = words.collect();
+    checked_graph(v, t, src, dst, ety)
 }
 
 /// Convenience: saves a graph to a path, choosing the format by extension
@@ -252,6 +292,48 @@ mod tests {
         assert!(read_edge_list("0 banana\n".as_bytes()).is_err());
         assert!(read_binary(&b"NOTMAGIC"[..]).is_err());
         assert!(read_binary(&b"WGGRAPH1\x01"[..]).is_err()); // truncated
+    }
+
+    /// The bytes of `g` in the binary format, with `patch` applied.
+    fn binary_with(g: &Graph, patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(g, &mut buf).unwrap();
+        patch(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn corrupt_binary_files_are_invalid_data_not_panics() {
+        let g = sample();
+        let e = g.num_edges();
+        let set_u32 = |buf: &mut Vec<u8>, word: usize, x: u32| {
+            buf[32 + 4 * word..36 + 4 * word].copy_from_slice(&x.to_le_bytes());
+        };
+        let set_header = |buf: &mut Vec<u8>, field: usize, x: u64| {
+            buf[8 + 8 * field..16 + 8 * field].copy_from_slice(&x.to_le_bytes());
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("src out of range", binary_with(&g, |b| set_u32(b, 3, 200))),
+            ("dst out of range", binary_with(&g, |b| set_u32(b, e + 3, u32::MAX))),
+            ("type out of range", binary_with(&g, |b| set_u32(b, 2 * e + 3, 5))),
+            ("truncated payload", binary_with(&g, |b| b.truncate(b.len() - 5))),
+            ("trailing bytes", binary_with(&g, |b| b.push(0))),
+            ("edge count 2^60", binary_with(&g, |b| set_header(b, 1, 1 << 60))),
+            ("edge count 2^63", binary_with(&g, |b| set_header(b, 1, 1 << 63))),
+            ("vertex count 2^40", binary_with(&g, |b| set_header(b, 0, 1 << 40))),
+        ];
+        for (what, bytes) in cases {
+            let err = read_binary(&bytes[..]).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn text_vertex_count_beyond_u32_is_invalid_data() {
+        for data in ["# vertices 1099511627776\n0 1\n", "0 4294967295\n"] {
+            let err = read_edge_list(data.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{data:?}: {err}");
+        }
     }
 
     #[test]

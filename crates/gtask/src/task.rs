@@ -1,7 +1,7 @@
 //! gTasks and their data patterns (paper §3, §5.1).
 
 use crate::restriction::PartitionTable;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use wisegraph_dfg::Binding;
 use wisegraph_graph::{AttrKind, Graph};
 
@@ -31,15 +31,6 @@ impl GTask {
         vals.sort_unstable();
         vals.dedup();
         vals.len()
-    }
-
-    /// The set of values attribute `attr` takes over this task's edges.
-    /// This is the symbolic row set the schedule-interference analyzer
-    /// intersects across co-scheduled tasks: e.g. `DstId` gives exactly
-    /// the accumulator rows a destination-scattering program writes for
-    /// this task.
-    pub fn attr_rows(&self, g: &Graph, attr: AttrKind) -> BTreeSet<u64> {
-        self.edges.iter().map(|&e| g.edge_attr(attr, e)).collect()
     }
 
     /// Builds the symbolic-dimension binding for this task's scope.
@@ -288,7 +279,9 @@ mod tests {
             // uniq recomputed over survivors, never larger than before.
             for (attr, &u) in &filt.uniq {
                 assert!(u <= orig.uniq[attr]);
-                assert_eq!(u, filt.attr_rows(&g, *attr).len());
+                let mut fresh = filt.clone();
+                fresh.uniq.clear();
+                assert_eq!(u, fresh.uniq_of(&g, *attr));
             }
         }
     }

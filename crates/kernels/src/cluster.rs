@@ -61,8 +61,9 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    compile, eval_prologue, plan_is_dst_complete, prologue_name, run_epilogue,
-    run_epilogue_rows, summarize, vertex_rowed, CompileError, KernelProgram, MicroKernel,
+    check_dst_complete, compile, eval_prologue, plan_is_dst_complete, prologue_name,
+    run_epilogue, run_epilogue_rows, summarize, vertex_rowed, CompileError, KernelProgram,
+    MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -898,15 +899,7 @@ impl ClusterEngine {
             // The dst-complete precondition is verified on the driver so
             // that no device can bail out while its peers are already
             // blocked in a collective.
-            if program.requires_dst_complete
-                && self.engines[0].mode() != ExecMode::Sanitize
-                && !shard.dst_complete
-            {
-                return Err(CompileError(
-                    "per-destination normalization requires a destination-complete plan"
-                        .into(),
-                ));
-            }
+            check_dst_complete(program, || shard.dst_complete)?;
             // Devices return their owned rows only; rows need an owner.
             if let Some(o) = dfg.outputs().iter().find(|o| !vertex_rowed(dfg, **o)) {
                 return Err(CompileError(format!(
@@ -1119,7 +1112,7 @@ impl ClusterEngine {
                         &shard.plans[dev],
                         &dglobals,
                         own.clone(),
-                    )?;
+                    );
                     Ok(run_epilogue_rows(
                         dfg,
                         g,

@@ -30,15 +30,15 @@
 //! plan every epoch re-uses every buffer after the first call.
 //!
 //! [`Engine::execute`], [`Engine::execute_program`] and
-//! [`Engine::accumulate_program`] are the entry points; all three run
-//! every gTask through [`run_task`] under the plan the engine's
-//! [`ExecMode`] selects.
+//! [`Engine::accumulate_program`] are the entry points; all three check
+//! [`check_dst_complete`] first and run every gTask through [`run_task`]
+//! under the plan the engine's [`ExecMode`] selects.
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    compile, eval_prologue, fill, list_outputs, not_evaluable, plan_is_dst_complete,
-    prologue_name, recycle, row_dims, run_epilogue, run_task, CompileError, DenseEval, Globals,
-    KernelProgram, Scratch, Shadow, Targets, TaskWorkspace,
+    check_dst_complete, compile, eval_prologue, fill, list_outputs, not_evaluable,
+    plan_is_dst_complete, prologue_name, recycle, row_dims, run_epilogue, run_task,
+    CompileError, DenseEval, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -99,8 +99,7 @@ struct WorkerSlot {
     acc: Option<Tensor>,
 }
 
-/// Which [`FusedPlan`] the engine runs compiled per-task programs under,
-/// and whether it records a shadow log while doing so.
+/// Which [`FusedPlan`] the engine runs compiled per-task programs under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run [`plan_fusion`]'s plan: matched chains as fused kernels, every
@@ -110,69 +109,12 @@ pub enum ExecMode {
     Fused,
     /// Run [`FusedPlan::interpreted`]: the instruction-at-a-time reference.
     Interpret,
-    /// Shadow-memory sanitizer: run the interpreted plan while
-    /// recording, per accumulator cell, the last writer `(worker, task)`;
-    /// after the workers join, cross-check the records against the
-    /// engine's merge contract. Cross-task writes to the same cell are
-    /// legal accumulation for plain scatter-add programs (the ascending
-    /// reduce handles them deterministically) but a hard error for
-    /// programs whose stores assume exclusive row ownership
-    /// (per-destination normalization). Outputs are bit-identical to
-    /// [`ExecMode::Fused`]; expect interpreter wall-clock plus recording
-    /// overhead — this mode is for validation (`wisegraph-lint` pass 7,
-    /// schedule bring-up), not production runs.
-    Sanitize,
-}
-
-/// One sanitizer conflict record: an accumulator row written by two
-/// different gTasks under a program whose stores assume exclusive row
-/// ownership.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShadowConflict {
-    /// The contested accumulator row.
-    pub row: usize,
-    /// First recorded writer, as `(worker slot, task index)`.
-    pub first: (usize, usize),
-    /// Last recorded writer, as `(worker slot, task index)`.
-    pub last: (usize, usize),
-}
-
-/// What one sanitized execution observed. Retrieved via
-/// [`Engine::last_sanitize`] after running in [`ExecMode::Sanitize`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SanitizeReport {
-    /// Distinct accumulator cells (rows) written at least once.
-    pub cells_tracked: u64,
-    /// Individual row-writes recorded and checked.
-    pub writes_checked: u64,
-    /// Cells written by more than one gTask where the overlap is plain
-    /// accumulation the deterministic merge handles.
-    pub shared_cells: u64,
-    /// Exclusive-ownership violations (empty unless the program requires
-    /// a destination-complete plan). Capped at [`SHADOW_CONFLICT_CAP`]
-    /// records; the run still fails on the first one.
-    pub conflicts: Vec<ShadowConflict>,
-}
-
-/// Maximum conflict records retained in a [`SanitizeReport`].
-pub const SHADOW_CONFLICT_CAP: usize = 8;
-
-/// Cumulative sanitizer state across an engine's lifetime.
-#[derive(Default)]
-struct SanitizeStats {
-    runs: u64,
-    cells: u64,
-    writes: u64,
-    shared: u64,
-    conflicts: u64,
-    last: Option<SanitizeReport>,
 }
 
 /// A reusable parallel executor with persistent per-worker workspaces.
 pub struct Engine {
     slots: Vec<Mutex<WorkerSlot>>,
     mode: ExecMode,
-    sanitize: Mutex<SanitizeStats>,
     lane_base: u32,
     /// Largest per-worker edge skew of any execution so far, in permille.
     edge_skew: AtomicU64,
@@ -218,22 +160,9 @@ impl Engine {
         Self {
             slots: (0..threads).map(|_| Mutex::new(WorkerSlot::default())).collect(),
             mode,
-            sanitize: Mutex::new(SanitizeStats::default()),
             lane_base,
             edge_skew: AtomicU64::new(0),
         }
-    }
-
-    /// The shadow-memory record of the most recent sanitized execution, or
-    /// `None` before the first [`ExecMode::Sanitize`] run. Also populated
-    /// when a sanitized run fails on a conflict, so callers can inspect
-    /// what the shadow map saw.
-    pub fn last_sanitize(&self) -> Option<SanitizeReport> {
-        self.sanitize
-            .lock()
-            .expect("sanitize state poisoned")
-            .last
-            .clone()
     }
 
     /// Number of worker slots.
@@ -260,99 +189,7 @@ impl Engine {
         if skew > 0 {
             c.record_max(keys::ENGINE_WORKER_EDGE_SKEW, skew, Class::Resource);
         }
-        let s = self.sanitize.lock().expect("sanitize state poisoned");
-        if s.runs > 0 {
-            c.add_class(keys::SANITIZE_CELLS, s.cells, Class::Resource);
-            c.add_class(keys::SANITIZE_WRITES, s.writes, Class::Resource);
-            c.add_class(keys::SANITIZE_SHARED_CELLS, s.shared, Class::Resource);
-            c.add_class(keys::SANITIZE_CONFLICTS, s.conflicts, Class::Resource);
-        }
         c
-    }
-
-    /// Merges the per-worker shadow logs into a per-cell last-writer map
-    /// and checks them against the merge contract: cross-task writes to
-    /// one cell are legal accumulation for plain scatter-add programs, a
-    /// hard error when the program's stores assume exclusive row
-    /// ownership. Workers merge in ascending slot order, so first/last
-    /// writer attribution is deterministic. Always updates the engine's
-    /// cumulative sanitize state and [`Engine::last_sanitize`], including
-    /// on the error path.
-    fn check_shadows(
-        &self,
-        program: &KernelProgram,
-        shadows: &[Vec<(u32, u32)>],
-    ) -> Result<(), CompileError> {
-        use std::collections::btree_map::Entry;
-        use std::collections::BTreeMap;
-        // Per cell: (first writer, last writer, written by >1 distinct
-        // task), writers as (worker slot, task index).
-        type CellState = ((usize, usize), (usize, usize), bool);
-        let mut cells: BTreeMap<u32, CellState> = BTreeMap::new();
-        let mut writes = 0u64;
-        for (wi, shadow) in shadows.iter().enumerate() {
-            for &(row, task) in shadow {
-                writes += 1;
-                let task = task as usize;
-                match cells.entry(row) {
-                    Entry::Vacant(v) => {
-                        v.insert(((wi, task), (wi, task), false));
-                    }
-                    Entry::Occupied(mut o) => {
-                        let e = o.get_mut();
-                        if e.1 .1 != task {
-                            e.2 = true;
-                        }
-                        e.1 = (wi, task);
-                    }
-                }
-            }
-        }
-        let multi = cells.values().filter(|e| e.2).count() as u64;
-        let exclusive = program.requires_dst_complete;
-        let mut conflicts = Vec::new();
-        if exclusive {
-            for (&row, &(first, last, m)) in &cells {
-                if m {
-                    if conflicts.len() == SHADOW_CONFLICT_CAP {
-                        break;
-                    }
-                    conflicts.push(ShadowConflict {
-                        row: row as usize,
-                        first,
-                        last,
-                    });
-                }
-            }
-        }
-        let report = SanitizeReport {
-            cells_tracked: cells.len() as u64,
-            writes_checked: writes,
-            shared_cells: if exclusive { 0 } else { multi },
-            conflicts,
-        };
-        let first_conflict = report.conflicts.first().copied();
-        {
-            let mut s = self.sanitize.lock().expect("sanitize state poisoned");
-            s.runs += 1;
-            s.cells += report.cells_tracked;
-            s.writes += report.writes_checked;
-            s.shared += report.shared_cells;
-            if exclusive {
-                s.conflicts += multi;
-            }
-            s.last = Some(report);
-        }
-        if let Some(c) = first_conflict {
-            return Err(CompileError(format!(
-                "sanitizer: {multi} accumulator cell(s) written by multiple \
-                 gTasks under a per-destination-normalizing program; first \
-                 conflict: row {} written by task {} (worker {}) and task {} \
-                 (worker {})",
-                c.row, c.first.1, c.first.0, c.last.1, c.last.0
-            )));
-        }
-        Ok(())
     }
 
     /// Executes a compiled plan across the engine's workers and returns the
@@ -404,10 +241,9 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        self.check_dst_complete(program, g, plan)?;
+        check_dst_complete(program, || plan_is_dst_complete(g, plan))?;
         let pre = self.prologue_phase(program, dfg, g, globals)?;
-        let partials =
-            self.task_phase(program, g, plan, Globals::with_prologue(globals, &pre))?;
+        let partials = self.task_phase(program, g, plan, Globals::with_prologue(globals, &pre));
         drop(pre);
         let outs = self.epilogue_phase(program, dfg, g, globals, &partials);
         self.park(partials);
@@ -442,7 +278,7 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        self.check_dst_complete(program, g, plan)?;
+        check_dst_complete(program, || plan_is_dst_complete(g, plan))?;
         for id in &program.prologue {
             if !all_globals.contains_key(&prologue_name(*id)) {
                 return Err(CompileError(format!(
@@ -451,30 +287,7 @@ impl Engine {
                 )));
             }
         }
-        self.reduce_tasks(program, g, plan, all_globals, 0..program.out_rows)
-    }
-
-    /// The static precondition of per-destination normalization. In
-    /// Sanitize mode it is deliberately NOT enforced up front: the run
-    /// proceeds mechanically and the shadow map must catch the resulting
-    /// cross-task ownership violation itself — that is exactly the
-    /// static-vs-dynamic cross-check the lint harness exercises.
-    fn check_dst_complete(
-        &self,
-        program: &KernelProgram,
-        g: &Graph,
-        plan: &PartitionPlan,
-    ) -> Result<(), CompileError> {
-        if program.requires_dst_complete
-            && self.mode != ExecMode::Sanitize
-            && !plan_is_dst_complete(g, plan)
-        {
-            return Err(CompileError(
-                "per-destination normalization requires a destination-complete plan"
-                    .into(),
-            ));
-        }
-        Ok(())
+        Ok(self.reduce_tasks(program, g, plan, all_globals, 0..program.out_rows))
     }
 
     /// The task phase followed by the reduce phase over vertex rows `rows`
@@ -488,11 +301,11 @@ impl Engine {
         plan: &PartitionPlan,
         all_globals: &HashMap<String, Tensor>,
         rows: Range<usize>,
-    ) -> Result<Tensor, CompileError> {
-        let partials = self.task_phase(program, g, plan, all_globals.into())?;
+    ) -> Tensor {
+        let partials = self.task_phase(program, g, plan, all_globals.into());
         let reduced = self.reduce_phase(program, &partials, rows);
         self.park(partials);
-        Ok(reduced)
+        reduced
     }
 
     /// The reduce phase alone: rows `rows` of the reduction accumulator,
@@ -694,21 +507,20 @@ impl Engine {
 
     /// The task phase: deals the plan's tasks over the worker slots
     /// ([`deal_tasks`]), runs them under the plan the engine's mode
-    /// selects, checks shadows when sanitizing, and returns the per-slot
-    /// partials in slot order ([`Engine::park`] them after the reduce).
+    /// selects, and returns the per-slot partials in slot order
+    /// ([`Engine::park`] them after the reduce).
     fn task_phase(
         &self,
         program: &KernelProgram,
         g: &Graph,
         plan: &PartitionPlan,
         all_globals: Globals<'_>,
-    ) -> Result<Vec<Tensor>, CompileError> {
+    ) -> Vec<Tensor> {
         // Per program, before any worker starts, so the same plan runs at
         // every thread count.
-        let (fplan, sanitizing) = match self.mode {
-            ExecMode::Fused => (plan_fusion(program), false),
-            ExecMode::Interpret => (FusedPlan::interpreted(program), false),
-            ExecMode::Sanitize => (FusedPlan::interpreted(program), true),
+        let fplan = match self.mode {
+            ExecMode::Fused => plan_fusion(program),
+            ExecMode::Interpret => FusedPlan::interpreted(program),
         };
         let deal = deal_tasks(plan.tasks.len(), self.threads());
         let results = self.on_workers(deal, |wi, blocks| {
@@ -725,30 +537,18 @@ impl Engine {
                 }
                 _ => Tensor::zeros(&[program.out_rows, program.out_width]),
             };
-            let mut shadow = Vec::new();
             let mut edges = 0u64;
             for t in blocks.into_iter().flatten() {
                 let task = &plan.tasks[t];
                 edges += task.edges.len() as u64;
-                run_task(
-                    program,
-                    &fplan,
-                    g,
-                    all_globals,
-                    &task.edges,
-                    &mut acc,
-                    &mut slot.tws,
-                    sanitizing.then_some(Shadow { task: t, log: &mut shadow }),
-                );
+                run_task(program, &fplan, g, all_globals, &task.edges, &mut acc, &mut slot.tws);
             }
-            (acc, shadow, edges)
+            (acc, edges)
         });
         let mut partials = Vec::with_capacity(results.len());
-        let mut shadows = Vec::with_capacity(results.len());
         let (mut total, mut most) = (0u64, 0u64);
-        for (acc, shadow, edges) in results {
+        for (acc, edges) in results {
             partials.push(acc);
-            shadows.push(shadow);
             total += edges;
             most = most.max(edges);
         }
@@ -756,10 +556,7 @@ impl Engine {
         if let Some(skew) = (most * self.threads() as u64 * 1000).checked_div(total) {
             self.edge_skew.fetch_max(skew, Ordering::Relaxed);
         }
-        if sanitizing {
-            self.check_shadows(program, &shadows)?;
-        }
-        Ok(partials)
+        partials
     }
 
     /// Parks the partials back in their slots for the next call.
@@ -793,12 +590,7 @@ pub fn execute_parallel_alloc(
 ) -> Result<Vec<Tensor>, CompileError> {
     assert!(threads > 0, "need at least one worker");
     let program = compile(dfg, g)?;
-    if program.requires_dst_complete && !plan_is_dst_complete(g, plan) {
-        return Err(CompileError(
-            "per-destination normalization requires a destination-complete plan"
-                .into(),
-        ));
-    }
+    check_dst_complete(&program, || plan_is_dst_complete(g, plan))?;
     let pre = eval_prologue(&program, dfg, g, globals)?;
     let all_globals = Globals::with_prologue(globals, &pre);
     let interp = FusedPlan::interpreted(&program);
@@ -820,7 +612,6 @@ pub fn execute_parallel_alloc(
                             &plan.tasks[t].edges,
                             &mut acc,
                             &mut TaskWorkspace::new(),
-                            None,
                         );
                     }
                     acc
@@ -927,81 +718,6 @@ mod tests {
                 assert_eq!((0.0 + cell).to_bits(), cell.to_bits(), "0.0 + {cell:e}");
             }
         }
-    }
-
-    #[test]
-    fn sanitize_mode_is_bit_identical_to_the_default() {
-        let g = rmat(&RmatParams::standard(120, 900, 61).with_edge_types(3));
-        let (fi, fo) = (5, 4);
-        let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 11),
-        );
-        globals.insert(
-            "W".to_string(),
-            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 12),
-        );
-        let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
-        for threads in [1usize, 2, 4] {
-            let auto = Engine::new(threads).execute(&dfg, &g, &plan, &globals).unwrap();
-            let engine = Engine::with_mode(threads, ExecMode::Sanitize);
-            let sanitized = engine.execute(&dfg, &g, &plan, &globals).unwrap();
-            for (a, b) in auto.iter().zip(sanitized.iter()) {
-                assert_eq!(a.data(), b.data(), "threads {threads}");
-            }
-            let rep = engine.last_sanitize().expect("sanitized run recorded");
-            assert!(rep.conflicts.is_empty());
-            assert_eq!(rep.writes_checked, g.num_edges() as u64);
-            assert!(rep.cells_tracked > 0);
-            let stats = engine.stats();
-            assert_eq!(
-                stats.count(keys::SANITIZE_WRITES),
-                rep.writes_checked,
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn sanitizer_catches_exclusive_ownership_conflict() {
-        // GAT's segment softmax assumes each task owns its destination
-        // rows. An edge-batch plan splits destinations across tasks; the
-        // static precondition would reject it, Sanitize mode instead runs
-        // it and the shadow map must catch the conflict dynamically.
-        let g = rmat(&RmatParams::standard(40, 300, 63));
-        let (fi, fo) = (4, 3);
-        let dfg = ModelKind::Gat.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 13),
-        );
-        globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 14));
-        globals.insert(
-            "a_src".to_string(),
-            init::uniform_tensor(&[fo, 1], -1.0, 1.0, 15),
-        );
-        globals.insert(
-            "a_dst".to_string(),
-            init::uniform_tensor(&[fo, 1], -1.0, 1.0, 16),
-        );
-        let plan = partition(&g, &PartitionTable::edge_batch(16));
-        let engine = Engine::with_mode(2, ExecMode::Sanitize);
-        let err = engine
-            .execute(&dfg, &g, &plan, &globals)
-            .expect_err("overlapping destinations must fail under sanitize");
-        assert!(err.to_string().contains("sanitizer"), "{err}");
-        let rep = engine.last_sanitize().expect("report kept on error path");
-        assert!(!rep.conflicts.is_empty());
-        assert!(engine.stats().count(keys::SANITIZE_CONFLICTS) > 0);
-        // The same combination under the default mode is rejected statically
-        // instead.
-        let auto_err = Engine::new(2)
-            .execute(&dfg, &g, &plan, &globals)
-            .expect_err("static precondition");
-        assert!(auto_err.to_string().contains("destination-complete"));
     }
 
     #[test]

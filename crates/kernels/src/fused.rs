@@ -522,7 +522,7 @@ pub(crate) fn run_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro::{compile, run_task, Shadow};
+    use crate::micro::{compile, run_task};
     use std::collections::HashMap;
     use wisegraph_graph::Graph;
     use wisegraph_graph::generate::{rmat, RmatParams};
@@ -602,47 +602,10 @@ mod tests {
             let mut tws_b = TaskWorkspace::new();
             let interp = FusedPlan::interpreted(&program);
             for task in &plan.tasks {
-                run_task(
-                    &program, &interp, &g, &globals, &task.edges, &mut a, &mut tws_a, None,
-                );
-                run_task(
-                    &program, &fplan, &g, &globals, &task.edges, &mut b, &mut tws_b, None,
-                );
+                run_task(&program, &interp, &g, &globals, &task.edges, &mut a, &mut tws_a);
+                run_task(&program, &fplan, &g, &globals, &task.edges, &mut b, &mut tws_b);
             }
             assert_eq!(a.data(), b.data(), "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn fused_plan_records_the_same_shadow_as_the_interpreted_plan() {
-        // The engine only ever sanitizes the interpreted plan; the recorder
-        // itself is plan-agnostic, and this is the one place that shows it.
-        let g = rmat(&RmatParams::standard(60, 400, 29).with_edge_types(3));
-        let (fi, fo) = (6, 5);
-        for kind in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Sage] {
-            let program = compile(&kind.layer_dfg(fi, fo), &g).unwrap();
-            let fused = plan_fusion(&program);
-            assert!(fused.num_fused() > 0, "{}", kind.name());
-            let globals = globals_for(&g, fi, fo);
-            let plan = partition(&g, &PartitionTable::edge_batch(32));
-            let record = |fplan: &FusedPlan| {
-                let mut out = Tensor::zeros(&[program.out_rows, program.out_width]);
-                let mut tws = TaskWorkspace::new();
-                let mut log = Vec::new();
-                for (task, t) in plan.tasks.iter().enumerate() {
-                    let shadow = Shadow { task, log: &mut log };
-                    run_task(
-                        &program, fplan, &g, &globals, &t.edges, &mut out, &mut tws,
-                        Some(shadow),
-                    );
-                }
-                (out, log)
-            };
-            let (out_i, log_i) = record(&FusedPlan::interpreted(&program));
-            let (out_f, log_f) = record(&fused);
-            assert_eq!(log_i.len(), g.num_edges(), "{}", kind.name());
-            assert_eq!(log_i, log_f, "{}", kind.name());
-            assert_eq!(out_i.data(), out_f.data(), "{}", kind.name());
         }
     }
 

@@ -20,9 +20,8 @@
 //!   into specialized, cache-blocked loops — a plan with fused segments is
 //!   bit-identical to the interpreted plan of the same program;
 //! - [`engine`]: the parallel gTask execution engine with persistent
-//!   per-worker workspaces ([`micro::TaskWorkspace`]); its three
-//!   [`engine::ExecMode`]s pick the plan (fused, interpreted) and whether
-//!   a shadow log is recorded;
+//!   per-worker workspaces ([`micro::TaskWorkspace`]); its two
+//!   [`engine::ExecMode`]s pick the plan (fused, interpreted);
 //! - [`exec`]: a hand-written edge-by-edge RGCN layer, the numeric oracle
 //!   independent of the IR;
 //! - [`cluster`]: sharded multi-device execution — one real [`engine`]

@@ -168,13 +168,14 @@ pub enum MicroKernel {
         /// Result register.
         out: Reg,
     },
-    /// Softmax over the task's rows grouped by a segment stream. Only
-    /// valid when the plan is destination-complete (every segment's rows
-    /// live in one task).
+    /// Softmax over the task's rows grouped by destination. Only valid
+    /// when the plan is destination-complete (every segment's rows live in
+    /// one task): see [`check_dst_complete`].
     SegmentSoftmax {
         /// Rank-1 scores.
         scores: Reg,
-        /// Segment ids (destination stream).
+        /// Segment ids: the destination stream, the only one [`compile`]
+        /// accepts.
         seg: Reg,
         /// Result.
         out: Reg,
@@ -216,9 +217,11 @@ pub struct KernelProgram {
     /// tasks run, exposed to the per-task program as pseudo-globals named
     /// `__pre_<node>`.
     pub prologue: Vec<NodeId>,
-    /// `true` when the program contains a per-destination normalization
-    /// (segment softmax): the plan must then be destination-complete
-    /// (every destination's in-edges in exactly one task).
+    /// `true` when the program normalizes per destination (a segment
+    /// softmax, which [`compile`] only accepts segmented by destination
+    /// id): the plan must then be destination-complete (every
+    /// destination's in-edges in exactly one task), which every run checks
+    /// through [`check_dst_complete`].
     pub requires_dst_complete: bool,
 }
 
@@ -604,8 +607,19 @@ pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
                 reg_of.insert(id, out);
             }
             OpKind::SegmentSoftmax => {
+                // Destination completeness is what makes the per-task
+                // softmax exact, and it is a property of the dst stream
+                // only.
+                let seg_node = node.inputs[1];
+                if dfg.node(seg_node).kind != OpKind::EdgeAttr(AttrKind::DstId) {
+                    return Err(CompileError(format!(
+                        "segment softmax must be segmented by the destination-id \
+                         attribute, node {} is not",
+                        seg_node.0
+                    )));
+                }
                 let scores = reg_of[&node.inputs[0]];
-                let seg = reg_of[&node.inputs[1]];
+                let seg = reg_of[&seg_node];
                 let out = alloc();
                 ops_out.push(MicroKernel::SegmentSoftmax { scores, seg, out });
                 requires_dst_complete = true;
@@ -674,15 +688,6 @@ fn pairwise_into(x: View<'_>, w: View<'_>, out: &mut [f32]) {
     }
 }
 
-/// Where a sanitized run records its stores: one `(row, task)` pair per
-/// accumulator row a `ScatterAdd` touches, in store order.
-pub struct Shadow<'a> {
-    /// Index of the gTask being run, within its plan.
-    pub task: usize,
-    /// The worker's log, appended to.
-    pub log: &'a mut Vec<(u32, u32)>,
-}
-
 /// Runs one gTask: executes `plan`'s segments over the task's `edges`,
 /// accumulating into `out` and drawing every register value from `tws`.
 /// This is the only per-task runner — the interpreter is
@@ -691,18 +696,12 @@ pub struct Shadow<'a> {
 /// same Work counters; only the `kernel.fused_*` resource counters tell
 /// plans apart.
 ///
-/// With a `shadow`, the destination stream of every segment that ends in a
-/// `ScatterAdd` is also logged (a fused kernel's last instruction is its
-/// scatter and leaves the `idx` register live, so interpreted and fused
-/// segments record alike) for the engine's last-writer check.
-///
 /// # Panics
 ///
 /// Panics if `plan` does not belong to `program` (register or width
 /// mismatches), a register is used before assignment, or a global tensor
 /// is missing (compilation guarantees well-formed programs for valid
 /// inputs).
-#[allow(clippy::too_many_arguments)]
 pub fn run_task<'a>(
     program: &KernelProgram,
     plan: &FusedPlan,
@@ -711,7 +710,6 @@ pub fn run_task<'a>(
     edges: &[usize],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
-    mut shadow: Option<Shadow<'_>>,
 ) {
     let mut sp = span!(
         "kernel.task",
@@ -729,22 +727,11 @@ pub fn run_task<'a>(
     }
     let flops_before = tws.work.flops;
     for seg in &plan.segments {
-        let last_pc = match seg {
+        match seg {
             Segment::Interp(pc) => {
-                exec_op(program, &program.ops[*pc], g, globals, edges, out, tws);
-                *pc
+                exec_op(program, &program.ops[*pc], g, globals, edges, out, tws)
             }
-            Segment::Fused(fk) => {
-                run_fused(program, fk, globals, out, tws);
-                fk.pcs.end - 1
-            }
-        };
-        if let (Some(sh), MicroKernel::ScatterAdd { idx, .. }) =
-            (shadow.as_mut(), &program.ops[last_pc])
-        {
-            let task = sh.task as u32;
-            sh.log
-                .extend(reg_stream(&tws.regs, *idx).iter().map(|&row| (row, task)));
+            Segment::Fused(fk) => run_fused(program, fk, globals, out, tws),
         }
     }
     sp.arg("flops", tws.work.flops - flops_before);
@@ -1090,23 +1077,20 @@ pub fn global_inputs(op: &MicroKernel) -> Vec<&str> {
 }
 
 /// Whole-program access summary: per-register def/use program counters
-/// plus the global-buffer touch points of every instruction, all derived
-/// from [`accesses`] and the operands of the ops themselves.
+/// and index-stream provenance, all derived from [`accesses`] and the
+/// operands of the ops themselves.
 ///
-/// One derivation serves both consumers — the fusion matcher's
-/// register-confinement checks in [`crate::fused`] and the
-/// schedule-interference pass in `wisegraph-analysis` — so the two can
-/// never drift apart on what a program touches.
+/// One derivation serves every consumer — the fusion matcher's
+/// register-confinement checks in [`crate::fused`], the cluster's
+/// placement rules, and the workspace-lifetime pass in
+/// `wisegraph-analysis` — so they can never drift apart on what a program
+/// touches.
 #[derive(Clone, Debug, Default)]
 pub struct AccessSummary {
     /// Program counters reading each register, ascending.
     pub reads: Vec<Vec<usize>>,
     /// Program counters writing each register, ascending.
     pub writes: Vec<Vec<usize>>,
-    /// `(pc, name)` for every read of a named global tensor.
-    pub global_reads: Vec<(usize, String)>,
-    /// `(pc, data, idx)` for every accumulator store.
-    pub scatter_stores: Vec<(usize, Reg, Reg)>,
     /// For registers holding index streams, the edge attribute their
     /// values are drawn from, when that provenance is statically exact:
     /// `LoadStream` loads the attribute directly and `Unique`'s `values`
@@ -1147,8 +1131,6 @@ pub fn summarize(program: &KernelProgram) -> AccessSummary {
     let mut s = AccessSummary {
         reads: vec![Vec::new(); max_reg],
         writes: vec![Vec::new(); max_reg],
-        global_reads: Vec::new(),
-        scatter_stores: Vec::new(),
         stream_origin: vec![None; max_reg],
     };
     for (pc, op) in program.ops.iter().enumerate() {
@@ -1159,9 +1141,6 @@ pub fn summarize(program: &KernelProgram) -> AccessSummary {
         for Reg(w) in writes {
             s.writes[w].push(pc);
         }
-        for name in global_inputs(op) {
-            s.global_reads.push((pc, name.to_string()));
-        }
         match op {
             MicroKernel::LoadStream { attr, out } => {
                 s.stream_origin[out.0] = Some(*attr);
@@ -1169,9 +1148,6 @@ pub fn summarize(program: &KernelProgram) -> AccessSummary {
             MicroKernel::Unique { stream, values, map } => {
                 s.stream_origin[values.0] = s.stream_origin[stream.0];
                 s.stream_origin[map.0] = None;
-            }
-            MicroKernel::ScatterAdd { data, idx } => {
-                s.scatter_stores.push((pc, *data, *idx));
             }
             _ => {}
         }
@@ -1615,6 +1591,30 @@ pub(crate) fn not_evaluable(id: NodeId) -> CompileError {
     CompileError(format!("prologue node {} not evaluable", id.0))
 }
 
+/// The precondition of per-destination normalization, stated once: a
+/// program that [`requires_dst_complete`](KernelProgram::requires_dst_complete)
+/// runs only on a destination-complete plan. `dst_complete` is the plan's
+/// verdict ([`plan_is_dst_complete`], or one a caller memoised), asked only
+/// when the program needs it. Every runner (`Engine`, the allocating
+/// reference, the cluster driver) calls this before any task starts, and
+/// no mode skips it; K004 and the callers that skip combinations which can
+/// never run ask the same question here.
+///
+/// # Errors
+///
+/// Returns the one destination-completeness error.
+pub fn check_dst_complete(
+    program: &KernelProgram,
+    dst_complete: impl FnOnce() -> bool,
+) -> Result<(), CompileError> {
+    if program.requires_dst_complete && !dst_complete() {
+        return Err(CompileError(
+            "per-destination normalization requires a destination-complete plan".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Returns `true` when every destination's in-edges live in exactly one
 /// task of the plan. One pass: each destination is stamped with the first
 /// task that holds one of its in-edges.
@@ -1800,6 +1800,30 @@ mod tests {
         let bad = partition(&g, &PartitionTable::edge_batch(7));
         let err = Engine::new(1).execute(&dfg, &g, &bad, &globals).unwrap_err();
         assert!(err.0.contains("destination-complete"), "{err}");
+    }
+
+    #[test]
+    fn segment_softmax_compiles_only_segmented_by_destination() {
+        let g = rmat(&RmatParams::standard(40, 300, 45));
+        // What the rewrites make of GAT keeps the dst-id segment stream.
+        let gat = ModelKind::Gat.layer_dfg(4, 3);
+        for cand in transform::candidates(&gat, &Binding::from_graph(&g)) {
+            assert!(compile(&cand, &g).unwrap().requires_dst_complete);
+        }
+        // Segmented by source, the destination-complete check would say
+        // nothing about the segments.
+        let mut d = Dfg::new();
+        let h = d.input("h", vec![Dim::Vertices, Dim::Lit(1)]);
+        let src = d.edge_attr(AttrKind::SrcId);
+        let dst = d.edge_attr(AttrKind::DstId);
+        let hs = d.index(h, src);
+        let scores = d.squeeze_col(hs);
+        let alpha = d.segment_softmax(scores, src);
+        let weighted = d.scale_rows(hs, alpha);
+        let out = d.index_add(weighted, dst, Dim::Vertices);
+        d.mark_output(out);
+        let err = compile(&d, &g).unwrap_err();
+        assert!(err.0.contains("destination-id"), "{err}");
     }
 
     #[test]

@@ -129,19 +129,6 @@ pub mod keys {
     /// ([`Resource`](crate::Class::Resource), max).
     pub const ENGINE_WORKER_EDGE_SKEW: &str = "engine.worker_edge_skew_permille";
 
-    /// Distinct accumulator cells the shadow sanitizer tracked
-    /// ([`Resource`](crate::Class::Resource), sum).
-    pub const SANITIZE_CELLS: &str = "sanitize.cells_tracked";
-    /// Row-writes the shadow sanitizer recorded and checked
-    /// ([`Resource`](crate::Class::Resource), sum).
-    pub const SANITIZE_WRITES: &str = "sanitize.writes_checked";
-    /// Cells legitimately written by more than one gTask, handled by the
-    /// deterministic merge ([`Resource`](crate::Class::Resource), sum).
-    pub const SANITIZE_SHARED_CELLS: &str = "sanitize.shared_cells";
-    /// Exclusive-ownership violations the sanitizer caught
-    /// ([`Resource`](crate::Class::Resource), sum).
-    pub const SANITIZE_CONFLICTS: &str = "sanitize.conflicts";
-
     /// Planning-cache lookups served from the store
     /// ([`Resource`](crate::Class::Resource), sum).
     pub const CACHE_HITS: &str = "cache.hits";

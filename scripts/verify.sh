@@ -6,7 +6,7 @@
 # Tests run in both profiles: debug catches overflow/debug-assert issues,
 # release catches optimizer-dependent ones and reuses the artifacts the
 # build step already produced. The workspace sweep is the only test run:
-# the bit-identity harnesses (tests/fused_parity.rs, tests/sanitize_parity.rs,
+# the bit-identity harnesses (tests/fused_parity.rs,
 # tests/workspace_parity.rs, tests/planning_cache.rs, tests/sharded_parity.rs,
 # tests/causal_determinism.rs) and the planner/verifier equivalence
 # suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs)

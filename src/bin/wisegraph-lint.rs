@@ -3,36 +3,33 @@
 //! Runs every pass of `wisegraph-analysis` over every built-in model ×
 //! candidate partition strategy on a synthetic RMAT graph:
 //!
-//! * the model DFG is verified (well-formedness + dimension inference),
-//!   and every repo rewrite (`cse`, `prune_dead`, each transformation
-//!   candidate) is checked for interface preservation;
-//! * every table from `enumerate_tables` is partitioned with the greedy
-//!   partitioner and the resulting plan, compiled program, engine chunk
-//!   mapping, and schedule-interference verdict (`R001`–`R005`) are
-//!   verified for several thread counts;
-//! * the span-instrumentation coverage of the execution entry points is
-//!   checked against the shipped sources (`O001`), so `wisegraph-prof`'s
-//!   timeline cannot silently lose its subjects; the cluster schedule
-//!   phases and mailbox operations that feed the causal trace and
-//!   critical-path attribution are likewise checked (`O002`);
-//! * every fusion pattern the micro-kernel codegen can emit must have a
-//!   registered interpreter-parity test in `tests/fused_parity.rs`
-//!   (`K006`), so a pattern cannot land without its differential harness
-//!   entry; per-combination fused plans are additionally coverage-checked
-//!   by `verify_execution` (`K005`);
-//! * incremental gTask repair after a canned delta stream must verify
-//!   identically to a from-scratch partition of the live set (`C001`);
-//! * every model × table × 1/2/4-thread combination is *executed* under
-//!   the engine's `ExecMode::Sanitize` shadow-memory sanitizer and
-//!   cross-checked against the static interference verdict: a runtime
-//!   conflict the static pass declared safe is a hard error, and the
-//!   sanitized outputs must be bit-identical to the default `ExecMode`;
-//! * every model is *executed* on real 2- and 4-device sharded clusters
-//!   with the optimizer-selected placement schedule: shard tiling and
-//!   exactly-once edge coverage (`S001`), collective exchange
-//!   conservation (`S002`), placement/program compatibility of the
-//!   selection (`S003`), and bit-identity of the assembled outputs
-//!   against a plain single-engine run.
+//! 1. the model DFG is verified (well-formedness + dimension inference);
+//! 2. every repo rewrite (`cse`, `prune_dead`, each transformation
+//!    candidate) is checked for interface preservation;
+//! 3. every table from `enumerate_tables` the compiled program can run
+//!    under (`micro::check_dst_complete`) is partitioned with the greedy
+//!    partitioner and the resulting plan, compiled program, engine chunk
+//!    mapping, and fused-access / workspace-lifetime verdicts
+//!    (`R004`–`R005`) are verified for several thread counts;
+//! 4. the span-instrumentation coverage of the execution entry points is
+//!    checked against the shipped sources (`O001`), so `wisegraph-prof`'s
+//!    timeline cannot silently lose its subjects;
+//! 5. the cluster schedule phases and mailbox operations that feed the
+//!    causal trace and critical-path attribution are likewise checked
+//!    (`O002`);
+//! 6. every fusion pattern the micro-kernel codegen can emit must have a
+//!    registered interpreter-parity test in `tests/fused_parity.rs`
+//!    (`K006`), so a pattern cannot land without its differential harness
+//!    entry; per-combination fused plans are additionally coverage-checked
+//!    by `verify_execution` (`K005`);
+//! 7. incremental gTask repair after a canned delta stream must verify
+//!    identically to a from-scratch partition of the live set (`C001`);
+//! 8. every model is *executed* on real 2- and 4-device sharded clusters
+//!    with the optimizer-selected placement schedule: shard tiling and
+//!    exactly-once edge coverage (`S001`), collective exchange
+//!    conservation (`S002`), placement/program compatibility of the
+//!    selection (`S003`), and bit-identity of the assembled outputs
+//!    against a plain single-engine run.
 //!
 //! Exits nonzero if any pass reports an error, printing each diagnostic;
 //! `scripts/verify.sh` runs this after the test suite. With `--json`, all
@@ -50,16 +47,13 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan};
-use wisegraph::kernels::engine::{Engine, ExecMode};
-use wisegraph::kernels::micro::{compile, plan_is_dst_complete};
+use wisegraph::kernels::engine::Engine;
+use wisegraph::kernels::micro::{check_dst_complete, compile, plan_is_dst_complete};
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::{init, Tensor};
 
 /// Thread counts the chunk-mapping pass is exercised with.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Thread counts the shadow-memory sanitizer pass executes with.
-const SANITIZE_THREADS: [usize; 3] = [1, 2, 4];
 
 /// `Exact(k)` batch sizes for table enumeration.
 const BATCH_SIZES: [u64; 2] = [4, 32];
@@ -114,7 +108,7 @@ fn esc(s: &str) -> String {
 }
 
 /// Every global any model layer reads; engines ignore unused entries.
-/// Mirrors `wisegraph-prof`'s fixture so lint and prof sanitize the same
+/// Mirrors `wisegraph-prof`'s fixture so lint and prof run the same
 /// workloads.
 fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
     let mut m = HashMap::new();
@@ -208,12 +202,13 @@ fn main() -> ExitCode {
 
         // Pass 3: every candidate table × thread count.
         let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
-        let dst_complete_only = compile(&dfg, &g)
-            .map(|p| p.requires_dst_complete)
-            .unwrap_or(false);
+        let program = compile(&dfg, &g).ok();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
-            if dst_complete_only && !plan_is_dst_complete(&g, &plan) {
+            let dst_incomplete = program.as_ref().is_some_and(|p| {
+                check_dst_complete(p, || plan_is_dst_complete(&g, &plan)).is_err()
+            });
+            if dst_incomplete {
                 // The program can never legally run under this plan;
                 // verify_execution would (correctly) flag K004. Count it
                 // as a skip, not a lint failure: strategy search already
@@ -246,7 +241,7 @@ fn main() -> ExitCode {
         wisegraph::analysis::obscheck::REQUIRED.len()
     ));
 
-    // Pass 4b: cluster phase coverage (O002). Every cluster schedule
+    // Pass 5: cluster phase coverage (O002). Every cluster schedule
     // phase and mailbox operation must keep the span / phase-recording
     // call the causal trace and critical-path attribution are built from.
     let phase_report =
@@ -260,7 +255,7 @@ fn main() -> ExitCode {
             .sum::<usize>()
     ));
 
-    // Pass 5: every fusion pattern must register an interpreter-parity
+    // Pass 6: every fusion pattern must register an interpreter-parity
     // test in the differential harness (K006).
     let mut registry_report = Report::new();
     registry_report.extend(verify_fused_parity_registry(std::path::Path::new(env!(
@@ -272,7 +267,7 @@ fn main() -> ExitCode {
         wisegraph::kernels::fused::FusedPattern::ALL.len()
     ));
 
-    // Pass 6: incremental repair must verify against a from-scratch
+    // Pass 7: incremental repair must verify against a from-scratch
     // partition for every candidate table (C001) after a canned
     // insert/delete stream.
     let mut repair_report = Report::new();
@@ -299,107 +294,13 @@ fn main() -> ExitCode {
     sink.report("incremental repair", &repair_report);
     sink.say(format!("wisegraph-lint: {repairs} incremental repairs verified"));
 
-    // Pass 7: shadow-memory sanitizer cross-check. Every model × table ×
-    // 1/2/4-thread combination actually executes under ExecMode::Sanitize;
-    // the dynamic per-cell last-writer records must agree with the static
-    // interference verdict (a runtime conflict the static pass declared
-    // safe is a hard error), and the sanitized outputs must be
-    // bit-identical to the default mode's.
-    let globals = globals_for(&g, DIMS.0, DIMS.1);
-    let mut sanitized = 0usize;
-    for model in models {
-        let dfg = model.layer_dfg(DIMS.0, DIMS.1);
-        let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
-        let dst_complete_only = compile(&dfg, &g)
-            .map(|p| p.requires_dst_complete)
-            .unwrap_or(false);
-        for table in enumerate_tables(&indexing, &BATCH_SIZES) {
-            let plan = partition(&g, &table);
-            if dst_complete_only && !plan_is_dst_complete(&g, &plan) {
-                continue;
-            }
-            for threads in SANITIZE_THREADS {
-                sanitized += 1;
-                let ctx = format!(
-                    "sanitize {model:?} × [{table}] × {threads} threads"
-                );
-                let static_report = verify_execution(&dfg, &g, &plan, threads);
-                let mut dyn_report = Report::new();
-                let engine = Engine::with_mode(threads, ExecMode::Sanitize);
-                match engine.execute(&dfg, &g, &plan, &globals) {
-                    Ok(out) => {
-                        let rep = engine
-                            .last_sanitize()
-                            .expect("sanitized run must leave a report");
-                        if !rep.conflicts.is_empty() && static_report.is_clean() {
-                            dyn_report.push(Diagnostic::error(
-                                Code::ScheduleWriteOverlap,
-                                Span::Global,
-                                format!(
-                                    "shadow sanitizer observed {} exclusive-\
-                                     ownership conflict(s) on a schedule the \
-                                     static interference pass declared safe",
-                                    rep.conflicts.len()
-                                ),
-                            ));
-                        }
-                        match Engine::new(threads).execute(&dfg, &g, &plan, &globals) {
-                            Ok(default) => {
-                                let identical = out.len() == default.len()
-                                    && out
-                                        .iter()
-                                        .zip(default.iter())
-                                        .all(|(a, b)| a.data() == b.data());
-                                if !identical {
-                                    dyn_report.push(Diagnostic::error(
-                                        Code::ScheduleFusedDivergence,
-                                        Span::Global,
-                                        "Sanitize-mode outputs are not \
-                                         bit-identical to default-mode outputs",
-                                    ));
-                                }
-                            }
-                            Err(e) => dyn_report.push(Diagnostic::error(
-                                Code::ScheduleFusedDivergence,
-                                Span::Global,
-                                format!(
-                                    "the default mode rejected a combination \
-                                     the sanitizer executed: {e}"
-                                ),
-                            )),
-                        }
-                    }
-                    Err(e) => {
-                        if static_report.is_clean() {
-                            dyn_report.push(Diagnostic::error(
-                                Code::ScheduleWriteOverlap,
-                                Span::Global,
-                                format!(
-                                    "sanitized execution failed on a schedule \
-                                     the static interference pass declared \
-                                     safe: {e}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-                if !dyn_report.is_clean() {
-                    sink.report(&ctx, &dyn_report);
-                }
-            }
-        }
-    }
-    sink.say(format!(
-        "wisegraph-lint: {sanitized} combinations executed under the shadow \
-         sanitizer and cross-checked against the static verdict"
-    ));
-
     // Pass 8: sharded multi-device execution (S001–S003). Every model
     // runs on a real 2- and 4-device cluster with the optimizer-selected
     // placement; the shard must tile and cover exactly once (S001), the
     // collective exchange log must be conserved (S002), the selected
     // placement must be compatible (S003), and the assembled outputs must
     // be bit-identical to a plain single-engine run.
+    let globals = globals_for(&g, DIMS.0, DIMS.1);
     let fabric = wisegraph::sim::Fabric::pcie4_quad();
     let mut sharded_runs = 0usize;
     for model in models {
@@ -416,8 +317,8 @@ fn main() -> ExitCode {
             let mut shard_report = Report::new();
             shard_report.extend(verify_shard_coverage(&g, &plan, devices));
             let cluster = wisegraph::kernels::ClusterEngine::new(devices, 2);
-            match wisegraph::core::sharded::execute_sharded(
-                &cluster, &dfg, &g, &plan, &globals, &fabric, DIMS.0, DIMS.1,
+            match wisegraph::core::sharded::execute_sharded_layer(
+                &cluster, &dfg, &g, &plan, &globals, &fabric, DIMS.0, DIMS.1, 0,
             ) {
                 Ok((run, choice)) => {
                     shard_report.extend(verify_placement(
@@ -472,8 +373,8 @@ fn main() -> ExitCode {
     ));
 
     if json {
-        // Stable field order: tool, graph, combos, skipped,
-        // sanitize_combos, errors, warnings, diagnostics.
+        // Stable field order: tool, graph, combos, skipped, errors,
+        // warnings, diagnostics.
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"tool\": \"wisegraph-lint\",\n");
@@ -485,7 +386,6 @@ fn main() -> ExitCode {
         ));
         out.push_str(&format!("  \"combos\": {combos},\n"));
         out.push_str(&format!("  \"skipped\": {skipped},\n"));
-        out.push_str(&format!("  \"sanitize_combos\": {sanitized},\n"));
         out.push_str(&format!("  \"errors\": {},\n", sink.errors));
         out.push_str(&format!("  \"warnings\": {},\n", sink.warnings));
         out.push_str("  \"diagnostics\": [");

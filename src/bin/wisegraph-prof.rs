@@ -16,11 +16,6 @@
 //!   transform + compile) per model, under `planning.<model>.` —
 //!   deterministic, so the baseline gate holds the warm path to a 100% hit
 //!   rate;
-//! * a shadow-sanitizer accounting section: per model, the first
-//!   compatible table executes once under `ExecMode::Sanitize`, and the
-//!   sanitizer's Resource-class counters (cells tracked, writes checked,
-//!   shared accumulator cells, conflicts) land under `sanitize.<model>.`
-//!   in the baseline;
 //! * a sharded multi-device section: per model, the
 //!   vertex-centric plan runs on a [`SHARD_DEVICES`]-device
 //!   [`ClusterEngine`] under every compatible placement schedule; the
@@ -69,9 +64,8 @@ use wisegraph::sim::{Fabric, PlacementKind};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionPlan, PartitionTable};
-use wisegraph::kernels::engine::{Engine, ExecMode};
-use wisegraph::kernels::micro::compile;
-use wisegraph::kernels::micro::plan_is_dst_complete;
+use wisegraph::kernels::engine::Engine;
+use wisegraph::kernels::micro::{check_dst_complete, compile, plan_is_dst_complete};
 use wisegraph::models::ModelKind;
 use wisegraph::obs::json::Json;
 use wisegraph::obs::{
@@ -255,12 +249,10 @@ fn run_suite(threads: usize) -> SuiteRun {
     };
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
-        let dst_complete_only = compile(&dfg, &g)
-            .map(|p| p.requires_dst_complete)
-            .unwrap_or(false);
+        let program = compile(&dfg, &g).expect("profiled model compiles");
         for (tname, table) in tables() {
             let plan = partition(&g, &table);
-            if dst_complete_only && !plan_is_dst_complete(&g, &plan) {
+            if check_dst_complete(&program, || plan_is_dst_complete(&g, &plan)).is_err() {
                 run.skipped += 1;
                 continue;
             }
@@ -300,32 +292,6 @@ fn run_suite(threads: usize) -> SuiteRun {
         let mut c = Counters::new();
         cache.record_counters(&mut c);
         run.all.merge_prefixed(&format!("planning.{slug}"), &c);
-    }
-
-    // Sanitize shadow run: per model, the first compatible table executes
-    // once under `ExecMode::Sanitize`, so the shadow-memory accounting
-    // (cells tracked, writes checked, shared accumulator cells, conflicts)
-    // lands in the baseline under `sanitize.<slug>.`. The sanitize keys
-    // are Resource-class, so gate (b)'s Work-invariance view is
-    // unaffected; at a fixed thread count they are deterministic and
-    // gate (a) holds them bit-exactly.
-    for (model, slug) in models() {
-        let dfg = model.layer_dfg(fi, fo);
-        let dst_complete_only = compile(&dfg, &g)
-            .map(|p| p.requires_dst_complete)
-            .unwrap_or(false);
-        let Some(plan) = tables().into_iter().find_map(|(_, table)| {
-            let plan = partition(&g, &table);
-            (!dst_complete_only || plan_is_dst_complete(&g, &plan)).then_some(plan)
-        }) else {
-            continue;
-        };
-        let engine = Engine::with_mode(threads, ExecMode::Sanitize);
-        engine
-            .execute(&dfg, &g, &plan, &globals)
-            .expect("sanitized combination executes");
-        run.all
-            .merge_prefixed(&format!("sanitize.{slug}"), &engine.stats());
     }
 
     // Sharded multi-device section: per model, the vertex-centric plan

@@ -1,19 +1,20 @@
 //! Broken-fixture tests for the static verifier: each fixture violates
 //! exactly one invariant and must trigger the documented diagnostic code
 //! (DESIGN.md §8). Together they cover every code the verifier can emit,
-//! P001–P004, D001–D003, K001–K006, O001–O002, C001, R001–R005, and
+//! P001–P004, D001–D003, K001–K006, O001–O002, C001, R004–R005, and
 //! S001–S003, plus
-//! a clean positive control. The R001 fixture additionally runs under the
-//! engine's `ExecMode::Sanitize` shadow-memory sanitizer and asserts the
-//! *same* conflict is caught dynamically (DESIGN.md §7, §11).
+//! a clean positive control. The K004 fixture additionally runs through
+//! every runner, which must reject it with the same error (DESIGN.md §8).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use wisegraph::analysis::prelude::*;
 use wisegraph::analysis::verify_execution;
 use wisegraph::dfg::{Binding, Dfg, Dim, NodeId, OpKind};
 use wisegraph::graph::{AttrKind, Graph};
 use wisegraph::gtask::{partition, GTask, PartitionPlan, PartitionTable};
-use wisegraph::kernels::micro::{compile, plan_is_dst_complete, EwOp, MicroKernel, Reg};
+use wisegraph::kernels::micro::{
+    check_dst_complete, compile, plan_is_dst_complete, EwOp, MicroKernel, Reg,
+};
 use wisegraph::models::ModelKind;
 
 /// The worked example of paper Figure 3: 5 vertices, 2 edge types, 11 edges.
@@ -351,52 +352,24 @@ fn c001_repaired_plan_divergence() {
     assert_eq!(Code::RepairDivergence.as_str(), "C001");
 }
 
-// ------------------------------------------- schedule interference (R)
+// ------------------------------------------------ destination ownership
 
-/// The shared negative fixture for R001: GAT's softmax normalization
-/// demands exclusive ownership of each destination row, but `edge_batch(3)`
-/// splits destinations across tasks, and with 2 worker slots the overlap
-/// lands cross-slot.
-fn gat_split_destination_fixture() -> (Graph, wisegraph::dfg::Dfg, PartitionPlan) {
+/// K004's fixture through every runner: GAT's softmax normalizes per
+/// destination, `edge_batch(3)` splits destinations across tasks, and
+/// every path that runs a program rejects the plan with the one error of
+/// `check_dst_complete` — at one thread as at four, where no worker slot
+/// shares a row. The vertex-centric plan runs everywhere.
+#[test]
+fn dst_incomplete_plans_are_rejected_by_every_runner() {
+    use wisegraph::kernels::cluster::compatible_placements;
+    use wisegraph::kernels::engine::{execute_parallel_alloc, Engine};
+    use wisegraph::kernels::ClusterEngine;
+    use wisegraph::tensor::init;
     let g = paper_graph();
     let dfg = ModelKind::Gat.layer_dfg(8, 4);
-    let plan = partition(&g, &PartitionTable::edge_batch(3));
-    assert!(!plan_is_dst_complete(&g, &plan));
-    (g, dfg, plan)
-}
-
-#[test]
-fn r001_cross_slot_write_overlap() {
-    let (g, dfg, plan) = gat_split_destination_fixture();
     let prog = compile(&dfg, &g).expect("GAT compiles");
-    let diags = verify_interference(&g, &plan, &prog, 2);
-    assert!(
-        has(&diags, Code::ScheduleWriteOverlap, "accumulator row"),
-        "{diags:#?}"
-    );
-    assert_eq!(Code::ScheduleWriteOverlap.as_str(), "R001");
-    // On one worker slot the overlap is sequential: no R001 (K004 covers
-    // the dst-completeness violation separately).
-    assert!(
-        !verify_interference(&g, &plan, &prog, 1)
-            .iter()
-            .any(|d| d.code == Code::ScheduleWriteOverlap)
-    );
-}
-
-#[test]
-fn r001_sanitizer_catches_the_same_conflict_dynamically() {
-    use wisegraph::kernels::engine::{Engine, ExecMode};
-    use wisegraph::tensor::init;
-    let (g, dfg, plan) = gat_split_destination_fixture();
-    let prog = compile(&dfg, &g).expect("GAT compiles");
-    // Static verdict first: the interference pass flags the schedule.
-    assert!(verify_interference(&g, &plan, &prog, 2)
-        .iter()
-        .any(|d| d.code == Code::ScheduleWriteOverlap));
-    // Dynamic cross-check: the shadow-memory sanitizer observes the same
-    // exclusive-ownership conflict at runtime and hard-errors.
-    let mut globals = std::collections::HashMap::new();
+    let the_error = check_dst_complete(&prog, || false).unwrap_err();
+    let mut globals = HashMap::new();
     globals.insert(
         "h".to_string(),
         init::uniform_tensor(&[g.num_vertices(), 8], -1.0, 1.0, 1),
@@ -404,62 +377,44 @@ fn r001_sanitizer_catches_the_same_conflict_dynamically() {
     globals.insert("w".to_string(), init::uniform_tensor(&[8, 4], -1.0, 1.0, 2));
     globals.insert("a_src".to_string(), init::uniform_tensor(&[4, 1], -1.0, 1.0, 3));
     globals.insert("a_dst".to_string(), init::uniform_tensor(&[4, 1], -1.0, 1.0, 4));
-    let engine = Engine::with_mode(2, ExecMode::Sanitize);
-    let err = engine
-        .execute(&dfg, &g, &plan, &globals)
-        .expect_err("sanitizer must reject the split-destination schedule");
-    assert!(err.to_string().contains("sanitizer"), "{err}");
-    let rep = engine.last_sanitize().expect("report survives the error");
-    assert!(!rep.conflicts.is_empty());
-}
+    let placements = compatible_placements(&prog, &g, &globals);
+    assert!(!placements.is_empty());
 
-#[test]
-fn r002_unresolvable_scatter_provenance() {
-    // The scatter destination stream is an Elementwise output, not a
-    // loaded edge attribute: no task's write rows can be derived.
-    let g = paper_graph();
-    let plan = partition(&g, &PartitionTable::edge_centric());
-    let prog = raw_program(
-        vec![
-            MicroKernel::LoadStream {
-                attr: AttrKind::SrcId,
-                out: Reg(0),
-            },
-            MicroKernel::Elementwise {
-                op: EwOp::Relu,
-                a: Reg(0),
-                b: None,
-                out: Reg(1),
-            },
-            MicroKernel::ScatterAdd {
-                data: Reg(0),
-                idx: Reg(1),
-            },
-        ],
-        2,
-    );
-    let diags = verify_interference(&g, &plan, &prog, 2);
-    assert!(
-        has(&diags, Code::ScheduleReadWrite, "provenance"),
-        "{diags:#?}"
-    );
-    assert_eq!(Code::ScheduleReadWrite.as_str(), "R002");
-}
+    let split = partition(&g, &PartitionTable::edge_batch(3));
+    assert!(!plan_is_dst_complete(&g, &split));
+    for threads in [1, 2, 4] {
+        let err = Engine::new(threads).execute(&dfg, &g, &split, &globals).unwrap_err();
+        assert_eq!(err, the_error, "Engine × {threads}");
+        let err = execute_parallel_alloc(&dfg, &g, &split, &globals, threads).unwrap_err();
+        assert_eq!(err, the_error, "execute_parallel_alloc × {threads}");
+    }
+    for &placement in &placements {
+        let err = ClusterEngine::new(2, 1)
+            .execute(&dfg, &g, &split, &globals, placement)
+            .expect_err("the cluster rejects the split plan");
+        assert_eq!(err, the_error, "{}", placement.name());
+    }
+    let k004 = verify_plan_compat(&g, &split, &prog);
+    assert!(has(&k004, Code::KernelPlanIncompatible, &the_error.0), "{k004:#?}");
 
-#[test]
-fn r003_slot_collisions() {
-    // Two chunks mapped onto one worker slot race on its workspace.
-    let diags = verify_slot_assignment(&[0, 0], 2);
-    assert!(
-        has(&diags, Code::ScheduleSlotCollision, "share worker slot"),
-        "{diags:#?}"
-    );
-    // A slot index past the engine's worker count is R003 too.
-    let diags = verify_slot_assignment(&[5], 2);
-    assert!(has(&diags, Code::ScheduleSlotCollision, "only"), "{diags:#?}");
-    assert_eq!(Code::ScheduleSlotCollision.as_str(), "R003");
-    // The engine's identity assignment is clean.
-    assert!(verify_slot_assignment(&[0, 1, 2], 3).is_empty());
+    let whole = partition(&g, &PartitionTable::vertex_centric());
+    let reference = Engine::new(1).execute(&dfg, &g, &whole, &globals).unwrap();
+    let mut runs = Vec::new();
+    for threads in [1, 2, 4] {
+        runs.push(Engine::new(threads).execute(&dfg, &g, &whole, &globals).unwrap());
+        runs.push(execute_parallel_alloc(&dfg, &g, &whole, &globals, threads).unwrap());
+    }
+    for &placement in &placements {
+        let run = ClusterEngine::new(2, 1).execute(&dfg, &g, &whole, &globals, placement);
+        runs.push(run.unwrap_or_else(|e| panic!("{}: {e}", placement.name())).outputs);
+    }
+    for outs in &runs {
+        assert_eq!(outs.len(), reference.len());
+        for (a, b) in outs.iter().zip(&reference) {
+            assert_eq!(a.data(), b.data());
+        }
+    }
+    assert!(verify_plan_compat(&g, &whole, &prog).is_empty());
 }
 
 #[test]
@@ -646,9 +601,6 @@ fn every_documented_code_has_a_triggering_fixture() {
         Code::KernelFusionUntested,
         Code::ObsUncovered,
         Code::RepairDivergence,
-        Code::ScheduleWriteOverlap,
-        Code::ScheduleReadWrite,
-        Code::ScheduleSlotCollision,
         Code::ScheduleFusedDivergence,
         Code::WorkspaceLifetime,
         Code::ShardCoverage,
@@ -659,5 +611,5 @@ fn every_documented_code_has_a_triggering_fixture() {
     for family in ["P", "D", "K", "O", "C", "R", "S"] {
         assert!(strs.iter().any(|s| s.starts_with(family)));
     }
-    assert_eq!(strs.len(), 23);
+    assert_eq!(strs.len(), 20);
 }

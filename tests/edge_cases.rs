@@ -243,8 +243,8 @@ fn zero_edge_gtask_is_a_fused_noop() {
     let mut tws_i = TaskWorkspace::new();
     let mut tws_f = TaskWorkspace::new();
     let interp = FusedPlan::interpreted(&program);
-    run_task(&program, &interp, &g, &globals, &empty, &mut a, &mut tws_i, None);
-    run_task(&program, &fplan, &g, &globals, &empty, &mut b, &mut tws_f, None);
+    run_task(&program, &interp, &g, &globals, &empty, &mut a, &mut tws_i);
+    run_task(&program, &fplan, &g, &globals, &empty, &mut b, &mut tws_f);
     assert_eq!(a.data(), b.data());
     assert!(b.data().iter().all(|&x| x == 0.0), "no edges may write output");
     let wi = tws_i.stats().only(&[Class::Work]);

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use wisegraph::dfg::interp::execute;
 use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
-use wisegraph::graph::{AttrKind, Graph, ShardSpec};
+use wisegraph::graph::{io, AttrKind, Graph, ShardSpec};
 use wisegraph::analysis::prelude::verify_repair;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan, PartitionTable, Restriction};
 use wisegraph::kernels::engine::{Engine, ExecMode};
@@ -485,5 +485,50 @@ proptest! {
             "largest shard {} in-edges of {} over {} devices, max in-degree {}",
             largest, g.num_edges(), devices, max_deg
         );
+    }
+
+    /// A binary graph file with random bytes flipped in its edge-count
+    /// field and payload, then possibly cut short, reads back as an error
+    /// or as exactly the graph its bytes describe — never a panic.
+    fn corrupt_graph_files_read_as_errors_or_what_they_say(
+        g in arb_graph(40, 300),
+        flips in prop::collection::vec((0usize..100_000, 1u8..255), 0..6),
+        cut in 0usize..8_000,
+    ) {
+        let mut buf = Vec::new();
+        io::write_binary(&g, &mut buf).unwrap();
+        // Flippable: the edge count (bytes 16..24) and the payload (32..).
+        let region = 8 + buf.len() - 32;
+        for (pos, xor) in flips {
+            let off = pos % region;
+            buf[if off < 8 { 16 + off } else { 24 + off }] ^= xor;
+        }
+        buf.truncate(cut);
+        if buf.len() < 32 {
+            prop_assert!(io::read_binary(&buf[..]).is_err(), "read a cut header");
+            return Ok(());
+        }
+        let field = |i: usize| u64::from_le_bytes(buf[8 * i..8 * i + 8].try_into().unwrap());
+        let (v, e, t) = (field(1), field(2), field(3));
+        let words: Vec<u32> = buf[32..]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        let sized = e.checked_mul(12).and_then(|b| b.checked_add(32)) == Some(buf.len() as u64);
+        let n = words.len() / 3;
+        let describes_a_graph = sized
+            && v <= u64::from(u32::MAX)
+            && words[..2 * n].iter().all(|&id| u64::from(id) < v)
+            && words[2 * n..].iter().all(|&ty| u64::from(ty) < t.max(1));
+        match io::read_binary(&buf[..]) {
+            Ok(back) => {
+                prop_assert!(describes_a_graph, "read a graph the bytes do not describe");
+                prop_assert_eq!(back.num_vertices() as u64, v);
+                prop_assert_eq!(back.src(), &words[..n]);
+                prop_assert_eq!(back.dst(), &words[n..2 * n]);
+                prop_assert_eq!(back.etype(), &words[2 * n..]);
+            }
+            Err(err) => prop_assert!(!describes_a_graph, "rejected a valid file: {}", err),
+        }
     }
 }

@@ -29,7 +29,7 @@ use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::cluster::compatible_placements;
 use wisegraph::kernels::engine::Engine;
-use wisegraph::kernels::micro::{compile, plan_is_dst_complete};
+use wisegraph::kernels::micro::{check_dst_complete, compile, plan_is_dst_complete};
 use wisegraph::kernels::ClusterEngine;
 use wisegraph::models::ModelKind;
 use wisegraph::sim::{PlacementKind, PlacementVolumes};
@@ -103,7 +103,7 @@ fn all_models_all_tables_all_devices_match_single_engine() {
         let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
-            if program.requires_dst_complete && !plan_is_dst_complete(&g, &plan) {
+            if check_dst_complete(&program, || plan_is_dst_complete(&g, &plan)).is_err() {
                 continue;
             }
             let reference = Engine::new(THREADS)
@@ -215,7 +215,7 @@ fn predicted_placement_matches_executed_selection() {
         let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
-            if program.requires_dst_complete && !plan_is_dst_complete(&g, &plan) {
+            if check_dst_complete(&program, || plan_is_dst_complete(&g, &plan)).is_err() {
                 continue;
             }
             let choice = select_placement(&program, &g, &globals, devices, fabric, fi, fo);
