@@ -50,6 +50,8 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
         &["select_placement", "execute_sharded_layer"],
     ),
     ("crates/kernels/src/micro.rs", &["run_task", "run_epilogue"]),
+    // The training aggregation's two passes.
+    ("crates/kernels/src/train.rs", &["forward", "backward"]),
     (
         "crates/gtask/src/partition.rs",
         &["partition", "partition_edges"],

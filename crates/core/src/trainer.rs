@@ -110,7 +110,7 @@ pub fn features_of(data: &LabeledGraph) -> Tensor {
 mod tests {
     use super::*;
     use wisegraph_graph::generate::{labeled_graph, LabeledParams};
-    use wisegraph_models::{Gat, Sage};
+    use wisegraph_models::{Gat, Gcn, Rgcn, Sage};
 
     fn dataset() -> LabeledGraph {
         labeled_graph(&LabeledParams {
@@ -162,6 +162,47 @@ mod tests {
             "ratio {}",
             pool_reuse_ratio(&after)
         );
+    }
+
+    fn every_model(data: &LabeledGraph) -> Vec<Box<dyn GnnModel>> {
+        let types = data.graph.num_edge_types();
+        vec![
+            Box::new(Gcn::new(&[16, 32, 4], 5)),
+            Box::new(Sage::new(&[16, 32, 4], 5)),
+            Box::new(Gat::with_heads(&[16, 32, 4], 2, 5)),
+            Box::new(Rgcn::new(&[16, 32, 4], types, 5)),
+        ]
+    }
+
+    #[test]
+    fn pool_peak_is_reached_in_the_first_epoch() {
+        use wisegraph_obs::keys;
+        let data = dataset();
+        for mut model in every_model(&data) {
+            let mut ws = Workspace::new();
+            train_full_graph_ws(model.as_mut(), &data, 1, 0.01, &mut ws);
+            let first = ws.stats().count(keys::POOL_PEAK);
+            train_full_graph_ws(model.as_mut(), &data, 2, 0.01, &mut ws);
+            assert_eq!(ws.stats().count(keys::POOL_PEAK), first, "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn no_training_buffer_has_a_row_per_edge() {
+        use wisegraph_obs::keys;
+        let data = dataset();
+        let (v, e) = (data.graph.num_vertices(), data.graph.num_edges());
+        let class = |n: usize| n.next_power_of_two().trailing_zeros() as usize;
+        // The size classes an `[E, F]` gather at the aggregated widths
+        // would occupy; every `[V, F']` tensor of the models is smaller.
+        let edge_rowed = [class(e * 16), class(e * 32)];
+        assert!(class(v * 32) < edge_rowed[0]);
+        for mut model in every_model(&data) {
+            let mut ws = Workspace::new();
+            train_full_graph_ws(model.as_mut(), &data, 2, 0.01, &mut ws);
+            let peaks = edge_rowed.map(|c| ws.stats().count(&keys::pool_class_peak(c)));
+            assert_eq!(peaks, [0, 0], "{}", model.name());
+        }
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl Dfg {
         self.add_node(OpKind::ConcatCols, vec![a, b])
     }
 
-    /// Transposes a rank-2 node.
-    pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        self.add_node(OpKind::Transpose, vec![a])
-    }
-
     /// Drops a trailing singleton column.
     pub fn squeeze_col(&mut self, a: NodeId) -> NodeId {
         self.add_node(OpKind::SqueezeCol, vec![a])

@@ -344,17 +344,6 @@ pub fn execute_on_edges(
                 let b = get(node.inputs[1])?.tensor()?;
                 Value::Tensor(ops::concat_cols(a, b))
             }
-            OpKind::Transpose => {
-                let a = get(node.inputs[0])?.tensor()?;
-                let (r, c) = (a.dims()[0], a.dims()[1]);
-                let mut data = vec![0.0f32; r * c];
-                for i in 0..r {
-                    for j in 0..c {
-                        data[j * r + i] = a.data()[i * c + j];
-                    }
-                }
-                Value::Tensor(Tensor::from_vec(data, &[c, r]))
-            }
             OpKind::SqueezeCol => {
                 let a = get(node.inputs[0])?.tensor()?;
                 Value::Tensor(a.reshape(&[a.dims()[0]]))

@@ -16,12 +16,9 @@
 //!   extraction* and *indexing swapping* (with Index-2D merging) — plus the
 //!   workload-guided search that picks the cheapest equivalent DFG;
 //! - [`interp`]: a reference interpreter that executes a DFG on a concrete
-//!   graph and tensors, used to verify transformations preserve semantics;
-//! - [`backward`]: gradient-DFG construction (the adjoint program), used to
-//!   validate the estimators' forward+backward cost multiplier.
+//!   graph and tensors, used to verify transformations preserve semantics.
 
 pub mod analysis;
-pub mod backward;
 pub mod dim;
 pub mod graph;
 pub mod interp;

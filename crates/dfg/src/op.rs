@@ -75,8 +75,6 @@ pub enum OpKind {
     ScaleRowsByScalar,
     /// Concatenates two `[N, ·]` tensors along the column dimension.
     ConcatCols,
-    /// Transposes a rank-2 tensor.
-    Transpose,
     /// Drops a trailing singleton column: `[N, 1]` → `[N]`.
     SqueezeCol,
     /// Adds a trailing singleton column: `[N]` → `[N, 1]`.
@@ -115,7 +113,6 @@ impl OpKind {
                 | OpKind::ConcatCols
                 | OpKind::SqueezeCol
                 | OpKind::UnsqueezeCol
-                | OpKind::Transpose
         )
     }
 
@@ -280,14 +277,6 @@ impl OpKind {
                 };
                 Ok(vec![a[0], Dim::Lit(ca + cb)])
             }
-            OpKind::Transpose => {
-                need(1)?;
-                let x = &inputs[0];
-                if x.len() != 2 {
-                    return Err(format!("Transpose needs rank-2, got {x:?}"));
-                }
-                Ok(vec![x[1], x[0]])
-            }
             OpKind::SqueezeCol => {
                 need(1)?;
                 let x = &inputs[0];
@@ -357,12 +346,8 @@ impl OpKind {
             | OpKind::EdgeAttr(_)
             | OpKind::UniqueValues(_)
             | OpKind::UniqueMap(_) => 0.0,
-            // Pure reshapes are views: no data movement. A transpose is
-            // a strided copy.
+            // Pure reshapes are views: no data movement.
             OpKind::SqueezeCol | OpKind::UnsqueezeCol => 0.0,
-            OpKind::Transpose => {
-                2.0 * b.numel(output) as f64 * 4.0
-            }
             _ => {
                 let reads: f64 = inputs.iter().map(|s| b.numel(s) as f64).sum();
                 let writes = b.numel(output) as f64;

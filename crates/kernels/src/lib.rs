@@ -26,7 +26,9 @@
 //!   independent of the IR;
 //! - [`cluster`]: sharded multi-device execution — one real [`engine`]
 //!   per simulated device, deterministic collectives, and the paper's
-//!   placement schedules (§5.4, Figure 11) as executable strategies.
+//!   placement schedules (§5.4, Figure 11) as executable strategies;
+//! - [`train`]: graph aggregation as one autograd op, run by the
+//!   [`engine`] forward on the graph and backward on the reversed graph.
 
 pub mod cluster;
 pub mod engine;
@@ -35,6 +37,7 @@ pub mod fused;
 pub mod generate;
 pub mod micro;
 pub mod oppart;
+pub mod train;
 
 pub use cluster::{ClusterEngine, ClusterRun, ExchangeLog};
 pub use generate::{generate_kernels, GeneratedKernel, KernelContext};

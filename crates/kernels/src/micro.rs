@@ -72,7 +72,8 @@ pub enum MicroKernel {
         /// Gathered rows.
         out: Reg,
     },
-    /// Gather rows of a register tensor by an index register.
+    /// Gather rows of a rank-2 register tensor by an index register
+    /// ([`compile`] rejects a gather from a register of any other rank).
     GatherRegRows {
         /// Source tensor register.
         src: Reg,
@@ -523,8 +524,15 @@ pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
                     Operand::Global(src) => {
                         ops_out.push(MicroKernel::GatherWeight { src, idx, out });
                     }
-                    Operand::Register(src) => {
+                    Operand::Register(src) if rank == 2 => {
                         ops_out.push(MicroKernel::GatherRegRows { src, idx, out });
+                    }
+                    Operand::Register(_) => {
+                        return Err(CompileError(format!(
+                            "no micro-kernel gathers from a rank-{rank} task register \
+                             (node {})",
+                            data.0
+                        )));
                     }
                 }
                 reg_of.insert(id, out);
@@ -1945,6 +1953,58 @@ mod tests {
         }
         assert_eq!(bits(&got_cat), bits(want_cat.data()));
         assert_eq!(bits(&got_pair), bits(&want_pair));
+    }
+
+    /// Compile implies run: every candidate DFG of every model, under every
+    /// benchmark table and a few thread counts, either fails with a
+    /// `CompileError` or runs to the interpreter's output.
+    #[test]
+    fn every_candidate_is_a_compile_error_or_matches_the_interpreter() {
+        let g = rmat(&RmatParams::standard(60, 400, 49).with_edge_types(3));
+        let (fi, fo) = (5, 4);
+        let mut globals = globals_for(&g, fi, fo);
+        for (name, dims, seed) in [
+            ("a_src", vec![fo, 1], 51),
+            ("a_dst", vec![fo, 1], 52),
+            ("wx", vec![fi, 4 * fo], 53),
+            ("wh", vec![fo, 4 * fo], 54),
+            ("b", vec![4 * fo], 55),
+            ("w_out", vec![fo, fo], 56),
+        ] {
+            globals.insert(name.into(), init::uniform_tensor(&dims, -1.0, 1.0, seed));
+        }
+        let tables = [
+            PartitionTable::vertex_centric(),
+            PartitionTable::edge_batch(64),
+            PartitionTable::src_batch_per_type(64),
+        ];
+        let plans: Vec<_> = tables.iter().map(|t| partition(&g, t)).collect();
+        let (mut ran, mut rejected) = (0, Vec::new());
+        for model in ModelKind::ALL {
+            let cands = transform::candidates(&model.layer_dfg(fi, fo), &Binding::from_graph(&g));
+            for (c, dfg) in cands.iter().enumerate() {
+                let want = &execute(dfg, &g, &globals).unwrap()[0];
+                for (table, plan) in tables.iter().zip(&plans) {
+                    for threads in [1, 2, 3] {
+                        let ctx = format!("{} candidate {c} on {table} at {threads}", model.name());
+                        match Engine::new(threads).execute(dfg, &g, plan, &globals) {
+                            Ok(got) => {
+                                assert!(want.allclose(&got[0], 1e-3), "{ctx}");
+                                ran += 1;
+                            }
+                            Err(e) => rejected.push(format!("{ctx}: {e}")),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ran > 0);
+        let rgcn_extracted = "RGCN candidate 2 on uniq(dst-id)=1 at 1: micro-kernel compile \
+                              error: no micro-kernel gathers from a rank-3 task register";
+        assert!(
+            rejected.iter().any(|r| r.starts_with(rgcn_extracted)),
+            "{rejected:#?}"
+        );
     }
 
     #[test]

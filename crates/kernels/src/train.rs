@@ -1,0 +1,475 @@
+//! Graph aggregation on the training path: one autograd op the engine runs.
+//!
+//! A GNN layer's aggregation `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]`
+//! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one custom node, so
+//! no `[E, F]` tensor exists on either pass:
+//!
+//! - **forward** is [`Engine::execute_program`] of the three-node DFG
+//!   `index_add(index(h, SrcId), DstId)` (with `α` gathered by `EdgeId`
+//!   and row-scaling the messages when weighted) on the graph's
+//!   vertex-centric plan;
+//! - **backward** w.r.t. `h` is the *same* program on the
+//!   [`reversed`](Graph::reversed) graph's vertex-centric plan. The adjoint
+//!   of a gather by source and a scatter by destination is a gather by
+//!   destination and a scatter by source, which is what the reversed graph's
+//!   source and destination columns are; edge ids are kept, so `α` is read
+//!   by the same ids. The weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is
+//!   a plain edge loop writing `E` scalars: an edge-rowed output is the one
+//!   thing a per-task program cannot produce.
+//!
+//! Vertex-centric plans sort a destination's edges by edge id and put them
+//! in one task, so every destination (and, reversed, every source) sums in
+//! ascending edge-id order — the order of `ops::index_add_rows` — whichever
+//! worker runs the task. The results are therefore bit-identical to the
+//! tensor-centric reference at any thread count, and the engine uses every
+//! available core without that becoming a setting.
+//!
+//! The engine and the plans of both directions (for all edges and per edge
+//! type) are built once per graph and kept in a one-entry memo per thread,
+//! keyed by [`Graph::content_key`]: a training loop re-plans nothing after
+//! its first forward.
+
+use crate::engine::Engine;
+use crate::micro::compile;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+use wisegraph_dfg::{Dfg, Dim};
+use wisegraph_graph::{AttrKind, Graph};
+use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
+use wisegraph_obs::span;
+use wisegraph_tensor::{Tape, Tensor, Var};
+
+/// Global names of the gathered rows and the per-edge weights.
+const H: &str = "h";
+const ALPHA: &str = "alpha";
+
+/// `out[v] = Σ_{e : dst_e = v} h[src_e]`: the sum aggregation of GCN and
+/// SAGE, recorded on `tape` as one engine-run node.
+///
+/// # Panics
+///
+/// Panics if `h` is not `[|V|, F]`.
+pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
+    memo(g).record(tape, g, None, h, None)
+}
+
+/// `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]` for per-edge weights `α`
+/// of shape `[|E|]` (GAT's attention), recorded on `tape` as one
+/// engine-run node with gradients for both `h` and `α`.
+///
+/// # Panics
+///
+/// Panics if `h` is not `[|V|, F]` or `α` does not hold one value per edge.
+pub fn aggregate_weighted(tape: &Tape, g: &Graph, h: Var, alpha: Var) -> Var {
+    memo(g).record(tape, g, None, h, Some(alpha))
+}
+
+/// [`aggregate`] over each edge type's edges alone: entry `t` sums the
+/// type-`t` in-edges of every vertex, `None` for a type without edges
+/// (RGCN's per-relation aggregation).
+///
+/// # Panics
+///
+/// Panics if `h` is not `[|V|, F]`.
+pub fn aggregate_by_type(tape: &Tape, g: &Graph, h: Var) -> Vec<Option<Var>> {
+    let op = memo(g);
+    (0..g.num_edge_types())
+        .map(|t| {
+            op.by_type[t]
+                .is_some()
+                .then(|| op.record(tape, g, Some(t), h, None))
+        })
+        .collect()
+}
+
+/// The vertex-centric plans of one edge set: on the graph (forward) and on
+/// the reversed graph (backward).
+struct Plans {
+    forward: PartitionPlan,
+    backward: PartitionPlan,
+}
+
+/// Everything the op needs for one graph, built once.
+struct Aggregate {
+    key: u64,
+    engine: Engine,
+    reversed: Graph,
+    all: Plans,
+    /// Per edge type; `None` for a type without edges.
+    by_type: Vec<Option<Plans>>,
+}
+
+thread_local! {
+    static MEMO: RefCell<Option<Rc<Aggregate>>> = const { RefCell::new(None) };
+}
+
+/// The op for `g`: the memoised one when it was built for `g`'s content,
+/// otherwise a new one on all available cores, which replaces it.
+fn memo(g: &Graph) -> Rc<Aggregate> {
+    MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        match &*memo {
+            Some(op) if op.key == g.content_key() => Rc::clone(op),
+            _ => {
+                let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+                let op = Rc::new(Aggregate::new(g, threads));
+                *memo = Some(Rc::clone(&op));
+                op
+            }
+        }
+    })
+}
+
+/// The aggregation DFG over `width`-wide rows, weighted or not.
+fn aggregation_dfg(width: usize, weighted: bool) -> Dfg {
+    let mut d = Dfg::new();
+    let h = d.input(H, vec![Dim::Vertices, Dim::Lit(width)]);
+    let src = d.edge_attr(AttrKind::SrcId);
+    let dst = d.edge_attr(AttrKind::DstId);
+    let mut msg = d.index(h, src);
+    if weighted {
+        let alpha = d.input(ALPHA, vec![Dim::Edges, Dim::Lit(1)]);
+        let eid = d.edge_attr(AttrKind::EdgeId);
+        let alpha_e = d.index(alpha, eid);
+        let scale = d.squeeze_col(alpha_e);
+        msg = d.scale_rows(msg, scale);
+    }
+    let out = d.index_add(msg, dst, Dim::Vertices);
+    d.mark_output(out);
+    d
+}
+
+impl Aggregate {
+    fn new(g: &Graph, threads: usize) -> Self {
+        let reversed = g.reversed();
+        let table = PartitionTable::vertex_centric();
+        let plans = |edges: &[usize]| Plans {
+            forward: partition_edges(g, &table, edges),
+            backward: partition_edges(&reversed, &table, edges),
+        };
+        let mut of_type = vec![Vec::new(); g.num_edge_types()];
+        for (e, &t) in g.etype().iter().enumerate() {
+            of_type[t as usize].push(e);
+        }
+        let all: Vec<usize> = (0..g.num_edges()).collect();
+        Aggregate {
+            key: g.content_key(),
+            engine: Engine::new(threads),
+            all: plans(&all),
+            by_type: of_type
+                .iter()
+                .map(|edges| (!edges.is_empty()).then(|| plans(edges)))
+                .collect(),
+            reversed,
+        }
+    }
+
+    fn plans(&self, edge_type: Option<usize>) -> &Plans {
+        match edge_type {
+            None => &self.all,
+            Some(t) => self.by_type[t].as_ref().expect("a type with edges"),
+        }
+    }
+
+    /// Runs the aggregation program on `graph` under `plan`, reading the
+    /// globals `h` (and `alpha`, when weighted).
+    fn run(
+        &self,
+        graph: &Graph,
+        plan: &PartitionPlan,
+        globals: &HashMap<String, Tensor>,
+    ) -> Tensor {
+        let h = &globals[H];
+        assert_eq!(h.shape().rank(), 2, "aggregated rows must be rank-2");
+        let dfg = aggregation_dfg(h.dims()[1], globals.contains_key(ALPHA));
+        let program = compile(&dfg, graph).expect("the aggregation DFG compiles");
+        self.engine
+            .execute_program(&program, &dfg, graph, plan, globals)
+            .expect("the aggregation program runs on any plan")
+            .swap_remove(0)
+    }
+
+    /// Runs the forward pass and records it on `tape` with its backward.
+    fn record(
+        self: &Rc<Self>,
+        tape: &Tape,
+        g: &Graph,
+        edge_type: Option<usize>,
+        h: Var,
+        alpha: Option<Var>,
+    ) -> Var {
+        let mut globals = HashMap::from([(H.to_string(), tape.value(h))]);
+        if let Some(a) = alpha {
+            let a = tape.value(a);
+            assert_eq!(a.dims(), [g.num_edges()], "one weight per edge");
+            globals.insert(ALPHA.to_string(), a.reshape(&[g.num_edges(), 1]));
+        }
+        let out = self.forward(g, edge_type, &globals);
+        // Only the weighted op's `dα` reads the forward operands again.
+        let operands = alpha.map(|a| {
+            let alpha_t = globals.remove(ALPHA).expect("inserted above");
+            (a, alpha_t, globals.remove(H).expect("inserted above"))
+        });
+        let op = Rc::clone(self);
+        tape.custom(out, move |grad| {
+            op.backward(grad, edge_type, h, operands.as_ref())
+        })
+    }
+
+    fn forward(
+        &self,
+        g: &Graph,
+        edge_type: Option<usize>,
+        globals: &HashMap<String, Tensor>,
+    ) -> Tensor {
+        let plan = &self.plans(edge_type).forward;
+        let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
+        self.run(g, plan, globals)
+    }
+
+    /// Gradients of the op: `dh` from the program on the reversed graph,
+    /// and for the weighted op `dα` from an edge loop. `weighted` holds the
+    /// weight variable with the forward's `[|E|, 1]` weights and rows.
+    fn backward(
+        &self,
+        grad: &Tensor,
+        edge_type: Option<usize>,
+        h: Var,
+        weighted: Option<&(Var, Tensor, Tensor)>,
+    ) -> Vec<(Var, Tensor)> {
+        let plan = &self.plans(edge_type).backward;
+        let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
+        let mut globals = HashMap::from([(H.to_string(), grad.clone())]);
+        let Some((alpha, alpha_t, rows)) = weighted else {
+            return vec![(h, self.run(&self.reversed, plan, &globals))];
+        };
+        globals.insert(ALPHA.to_string(), alpha_t.clone());
+        let dh = self.run(&self.reversed, plan, &globals);
+        // Reversed columns: `dst` here is the forward source.
+        let (src, dst) = (self.reversed.dst(), self.reversed.src());
+        let dalpha: Vec<f32> = src
+            .iter()
+            .zip(dst)
+            .map(|(&s, &d)| {
+                grad.row(d as usize)
+                    .iter()
+                    .zip(rows.row(s as usize))
+                    .map(|(&a, &b)| a * b)
+                    .sum()
+            })
+            .collect();
+        vec![(h, dh), (*alpha, Tensor::from_vec(dalpha, &[src.len()]))]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wisegraph_graph::generate::{rmat, RmatParams};
+    use wisegraph_tensor::{init, ops};
+
+    /// The small graphs every test runs on: a typed RMAT (duplicates and
+    /// self-loops included), no edges, one vertex, isolated vertices, and
+    /// explicit self-loops plus multi-edges.
+    fn graphs() -> Vec<Graph> {
+        vec![
+            rmat(&RmatParams::standard(90, 700, 61).with_edge_types(3)),
+            Graph::untyped(5, vec![], vec![]),
+            Graph::untyped(1, vec![], vec![]),
+            Graph::untyped(1, vec![0, 0], vec![0, 0]),
+            Graph::untyped(7, vec![0, 2, 2, 6], vec![2, 0, 0, 2]),
+            Graph::new(
+                4,
+                2,
+                vec![0, 0, 1, 3, 3, 2, 0],
+                vec![0, 1, 1, 3, 1, 1, 1],
+                vec![0, 1, 1, 0, 1, 0, 1],
+            ),
+        ]
+    }
+
+    /// Rows with exact zeros and negative zeros among uniform values.
+    fn rows(v: usize, f: usize, seed: u64) -> Tensor {
+        let mut t = init::uniform_tensor(&[v, f], -1.0, 1.0, seed).into_vec();
+        t.iter_mut().step_by(5).for_each(|x| *x = 0.0);
+        t.iter_mut().skip(3).step_by(7).for_each(|x| *x = -0.0);
+        Tensor::from_vec(t, &[v, f])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What the tensor-centric path computes for the edges `edges`:
+    /// `(out, dh, dα)` for upstream gradient `grad`.
+    fn reference(
+        g: &Graph,
+        edges: &[usize],
+        h: &Tensor,
+        alpha: Option<&Tensor>,
+        grad: &Tensor,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        let pick = |col: &[u32]| edges.iter().map(|&e| col[e]).collect::<Vec<u32>>();
+        let (src, dst) = (pick(g.src()), pick(g.dst()));
+        let alpha = alpha.map(|a| {
+            Tensor::from_vec(edges.iter().map(|&e| a.data()[e]).collect(), &[edges.len()])
+        });
+        let v = g.num_vertices();
+        let msg = ops::gather_rows(h, &src);
+        let g_msg = ops::gather_rows(grad, &dst);
+        let (out, dh) = match &alpha {
+            Some(a) => (
+                ops::index_add_rows(v, &ops::scale_rows(&msg, a), &dst),
+                ops::index_add_rows(v, &ops::scale_rows(&g_msg, a), &src),
+            ),
+            None => (
+                ops::index_add_rows(v, &msg, &dst),
+                ops::index_add_rows(v, &g_msg, &src),
+            ),
+        };
+        let dalpha = (0..edges.len())
+            .map(|i| {
+                g_msg
+                    .row(i)
+                    .iter()
+                    .zip(msg.row(i))
+                    .map(|(&a, &b)| a * b)
+                    .sum()
+            })
+            .collect();
+        (out, dh, dalpha)
+    }
+
+    /// Records the op for `edge_type` on a tape with `loss = Σ out ⊙ grad`
+    /// (so `grad` is the upstream gradient, bit for bit) and returns
+    /// `(out, dh, dα)`.
+    fn through_the_op(
+        op: &Rc<Aggregate>,
+        g: &Graph,
+        edge_type: Option<usize>,
+        h: &Tensor,
+        alpha: Option<&Tensor>,
+        grad: &Tensor,
+    ) -> (Tensor, Tensor, Option<Tensor>) {
+        let tape = Tape::new();
+        let hv = tape.param(h.clone());
+        let av = alpha.map(|a| tape.param(a.clone()));
+        let out = op.record(&tape, g, edge_type, hv, av);
+        let weighted = tape.mul(out, tape.input(grad.clone()));
+        tape.backward(tape.sum(weighted));
+        let dh = tape.grad(hv).expect("h reaches the loss");
+        (
+            tape.value(out),
+            dh,
+            av.map(|a| tape.grad(a).expect("α reaches the loss")),
+        )
+    }
+
+    #[test]
+    fn op_is_bit_identical_to_the_tensor_centric_reference_at_every_thread_count() {
+        for g in graphs() {
+            let (v, e, f) = (g.num_vertices(), g.num_edges(), 6);
+            let h = rows(v, f, 1);
+            let grad = rows(v, f, 2);
+            let alpha = init::uniform_tensor(&[e], -1.0, 1.0, 3);
+            let all: Vec<usize> = (0..e).collect();
+            for threads in [1, 2, 4] {
+                let op = Rc::new(Aggregate::new(&g, threads));
+                for alpha in [None, Some(&alpha)] {
+                    let ctx = format!(
+                        "{v} V / {e} E, {threads} threads, weighted {}",
+                        alpha.is_some()
+                    );
+                    let (out, dh, da) = through_the_op(&op, &g, None, &h, alpha, &grad);
+                    let (want, want_dh, want_da) = reference(&g, &all, &h, alpha, &grad);
+                    assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
+                    assert_eq!(bits(&dh), bits(&want_dh), "{ctx}: dh");
+                    if let Some(da) = da {
+                        assert_eq!(
+                            bits(&da),
+                            bits(&Tensor::from_vec(want_da, &[e])),
+                            "{ctx}: dα"
+                        );
+                    }
+                }
+                for t in 0..g.num_edge_types() {
+                    let edges: Vec<usize> = all
+                        .iter()
+                        .copied()
+                        .filter(|&i| g.etype()[i] as usize == t)
+                        .collect();
+                    if edges.is_empty() {
+                        assert!(op.by_type[t].is_none());
+                        continue;
+                    }
+                    let (out, dh, _) = through_the_op(&op, &g, Some(t), &h, None, &grad);
+                    let (want, want_dh, _) = reference(&g, &edges, &h, None, &grad);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "type {t}, {threads} threads: forward"
+                    );
+                    assert_eq!(bits(&dh), bits(&want_dh), "type {t}, {threads} threads: dh");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weight_gradient_matches_finite_differences() {
+        let g = Graph::new(
+            5,
+            1,
+            vec![0, 1, 1, 4, 2, 2, 3],
+            vec![1, 1, 2, 0, 3, 3, 3],
+            vec![0; 7],
+        );
+        let op = Rc::new(Aggregate::new(&g, 2));
+        let h = init::uniform_tensor(&[5, 3], -1.0, 1.0, 7);
+        let grad = init::uniform_tensor(&[5, 3], -1.0, 1.0, 8);
+        let alpha = init::uniform_tensor(&[7], 0.1, 1.0, 9);
+        let loss = |a: &Tensor| {
+            let (out, _, _) = through_the_op(&op, &g, None, &h, Some(a), &grad);
+            out.data()
+                .iter()
+                .zip(grad.data())
+                .map(|(&x, &y)| f64::from(x) * f64::from(y))
+                .sum::<f64>()
+        };
+        let (_, _, da) = through_the_op(&op, &g, None, &h, Some(&alpha), &grad);
+        let da = da.expect("weighted");
+        let eps = 1e-2f32;
+        for i in 0..alpha.numel() {
+            let (mut plus, mut minus) = (alpha.clone(), alpha.clone());
+            plus.data_mut()[i] += eps;
+            minus.data_mut()[i] -= eps;
+            let numeric = (loss(&plus) - loss(&minus)) / (2.0 * f64::from(eps));
+            let analytic = f64::from(da.data()[i]);
+            assert!(
+                (analytic - numeric).abs() < 1e-3,
+                "dα[{i}]: {analytic} vs {numeric}"
+            );
+        }
+    }
+
+    #[test]
+    fn both_passes_open_their_spans_and_the_memo_holds_one_graph() {
+        let (g, other) = (&graphs()[0], &graphs()[4]);
+        let (_, trace) = wisegraph_obs::capture(|| {
+            let tape = Tape::new();
+            let h = tape.param(rows(g.num_vertices(), 4, 5));
+            let out = aggregate(&tape, g, h);
+            tape.backward(tape.sum(out));
+        });
+        assert_eq!(trace.span_count("train.aggregate.forward"), 1);
+        assert_eq!(trace.span_count("train.aggregate.backward"), 1);
+        assert!(Rc::ptr_eq(&memo(g), &memo(&g.clone())));
+        let first = memo(g);
+        assert_eq!(memo(other).key, other.content_key());
+        assert!(
+            !Rc::ptr_eq(&first, &memo(g)),
+            "one entry: the other graph replaced it"
+        );
+    }
+}

@@ -2,6 +2,7 @@
 
 use crate::trainable::{GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
+use wisegraph_kernels::train::aggregate_weighted;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
 
 /// Multi-layer GAT. Each layer runs `heads` independent attention heads of
@@ -114,9 +115,7 @@ impl GnnModel for Gat {
                 let e_act = tape.leaky_relu(e_sum, self.slope);
                 let scores = tape.reshape(e_act, &[g.num_edges()]);
                 let alpha = tape.segment_softmax(scores, dst.clone(), v);
-                let msg = tape.gather_rows(z, src.clone());
-                let weighted = tape.scale_rows(msg, alpha);
-                let agg = tape.index_add_rows(v, weighted, dst.clone());
+                let agg = aggregate_weighted(tape, g, z, alpha);
                 head_outputs = Some(match head_outputs {
                     None => agg,
                     Some(prev) => tape.concat_cols(prev, agg),

@@ -2,6 +2,7 @@
 
 use crate::trainable::{GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
+use wisegraph_kernels::train::aggregate;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
 
 /// A multi-layer GCN: each layer aggregates mean-normalized neighbor
@@ -47,8 +48,6 @@ impl GnnModel for Gcn {
     }
 
     fn forward(&self, tape: &Tape, g: &Graph, x: Var) -> ModelOutput {
-        let src: Vec<u32> = g.src().to_vec();
-        let dst: Vec<u32> = g.dst().to_vec();
         let deg = Self::degree_scales(g);
         let mut h = x;
         let mut params = Vec::new();
@@ -58,8 +57,7 @@ impl GnnModel for Gcn {
             let bv = tape.param(b.clone());
             params.push(wv);
             params.push(bv);
-            let gathered = tape.gather_rows(h, src.clone());
-            let agg = tape.index_add_rows(g.num_vertices(), gathered, dst.clone());
+            let agg = aggregate(tape, g, h);
             let norm = tape.scale_rows_const(agg, deg.clone());
             let proj = tape.matmul(norm, wv);
             h = tape.add_bias(proj, bv);

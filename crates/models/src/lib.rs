@@ -7,7 +7,10 @@
 //!   operation data-flow graph of one layer, consumed by the partition
 //!   planner, the DFG transformer, and the simulator;
 //! - a **trainable implementation** (for GCN, SAGE, GAT and RGCN) built on
-//!   the autograd tape, used by the accuracy experiments of Figure 14.
+//!   the autograd tape, used by the accuracy experiments of Figure 14. The
+//!   dense gates (projections, bias, activations, softmax, degree scaling)
+//!   are tape operations; every graph aggregation is one
+//!   `wisegraph_kernels::train` op that the engine runs on both passes.
 //!   SAGE-LSTM is forward-only (executed through the DFG interpreter), as
 //!   the paper's accuracy study covers GAT and SAGE.
 //!

@@ -2,10 +2,14 @@
 
 use crate::trainable::{GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
+use wisegraph_kernels::train::aggregate_by_type;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
 
 /// Multi-layer RGCN: each layer computes, per edge type `t`,
 /// `h'[dst] += h[src] @ W_t` (Equation 1), plus a self-loop projection.
+/// It aggregates each type's in-edges first and projects the `[V, F]`
+/// result (§5's Linear/aggregation swap), so `|V|` rows per type go
+/// through `W_t` instead of one per edge.
 pub struct Rgcn {
     layers: Vec<RgcnLayer>,
     num_types: usize,
@@ -47,18 +51,6 @@ impl Rgcn {
             .collect();
         Self { layers, num_types }
     }
-
-    /// Per-type edge index lists: `(srcs, dsts)` for each type.
-    fn edges_by_type(&self, g: &Graph) -> Vec<(Vec<u32>, Vec<u32>)> {
-        let mut by_type: Vec<(Vec<u32>, Vec<u32>)> =
-            vec![(Vec::new(), Vec::new()); self.num_types];
-        for e in 0..g.num_edges() {
-            let t = g.etype()[e] as usize;
-            by_type[t].0.push(g.src()[e]);
-            by_type[t].1.push(g.dst()[e]);
-        }
-        by_type
-    }
 }
 
 impl GnnModel for Rgcn {
@@ -74,7 +66,6 @@ impl GnnModel for Rgcn {
             g.num_edge_types(),
             self.num_types
         );
-        let by_type = self.edges_by_type(g);
         let v = g.num_vertices();
         // Normalize by in-degree to keep magnitudes stable across layers.
         let deg = Tensor::from_vec(
@@ -93,18 +84,13 @@ impl GnnModel for Rgcn {
                 params.push(ws);
                 tape.matmul(h, ws)
             };
-            for (t, w_t) in layer.w_rel.iter().enumerate() {
+            let aggs = aggregate_by_type(tape, g, h);
+            for (w_t, agg) in layer.w_rel.iter().zip(aggs) {
                 let wv = tape.param(w_t.clone());
                 params.push(wv);
-                let (srcs, dsts) = &by_type[t];
-                if srcs.is_empty() {
-                    continue;
-                }
-                let gathered = tape.gather_rows(h, srcs.clone());
-                let msg = tape.matmul(gathered, wv);
-                let agg = tape.index_add_rows(v, msg, dsts.clone());
+                let Some(agg) = agg else { continue };
                 let norm = tape.scale_rows_const(agg, deg.clone());
-                acc = tape.add(acc, norm);
+                acc = tape.add(acc, tape.matmul(norm, wv));
             }
             let bv = tape.param(layer.bias.clone());
             params.push(bv);

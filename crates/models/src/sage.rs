@@ -2,6 +2,7 @@
 
 use crate::trainable::{GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
+use wisegraph_kernels::train::aggregate;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
 
 /// Multi-layer GraphSAGE: `h' = relu(h W_self + mean_nbr(h) W_neigh + b)`.
@@ -42,8 +43,6 @@ impl GnnModel for Sage {
     }
 
     fn forward(&self, tape: &Tape, g: &Graph, x: Var) -> ModelOutput {
-        let src: Vec<u32> = g.src().to_vec();
-        let dst: Vec<u32> = g.dst().to_vec();
         let deg = Tensor::from_vec(
             g.in_degree()
                 .iter()
@@ -59,8 +58,7 @@ impl GnnModel for Sage {
             let wn = tape.param(layer.w_neigh.clone());
             let bv = tape.param(layer.bias.clone());
             params.extend([ws, wn, bv]);
-            let gathered = tape.gather_rows(h, src.clone());
-            let agg = tape.index_add_rows(g.num_vertices(), gathered, dst.clone());
+            let agg = aggregate(tape, g, h);
             let mean = tape.scale_rows_const(agg, deg.clone());
             let self_part = tape.matmul(h, ws);
             let neigh_part = tape.matmul(mean, wn);

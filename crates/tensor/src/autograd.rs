@@ -332,50 +332,20 @@ impl Tape {
         )
     }
 
-    /// Scatter-adds rows into a `[rows, f]` output: the `Index-add` reduction.
-    pub fn index_add_rows(&self, rows: usize, src: Var, idx: Vec<u32>) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let sv = &nodes[src.id].value;
-            assert_eq!(sv.shape().rank(), 2, "index_add_rows src must be rank-2");
-            out = self.alloc(&[rows, sv.dims()[1]]);
-            ops::index_add_rows_into(rows, sv, &idx, out.data_mut());
-        }
-        let sid = src.id;
+    /// Records a node computed off the tape: `value` is its output, and
+    /// `backward` maps the upstream gradient to `(input, gradient)` pairs.
+    /// The extension point for operations the tape does not implement
+    /// itself — graph aggregation, which an execution engine runs on both
+    /// passes, is the one that uses it.
+    pub fn custom(
+        &self,
+        value: Tensor,
+        backward: impl Fn(&Tensor) -> Vec<(Var, Tensor)> + 'static,
+    ) -> Var {
         self.push(
-            out,
+            value,
             Some(Box::new(move |g| {
-                vec![(sid, ops::gather_rows(g, &idx))]
-            })),
-            false,
-        )
-    }
-
-    /// Scales row `i` of `x` by the *variable* scalar `s[i]` (rank-1), with
-    /// gradients flowing to both operands (GAT attention weighting).
-    pub fn scale_rows(&self, x: Var, s: Var) -> Var {
-        let xv = self.value(x);
-        let sv = self.value(s);
-        let mut out = self.alloc(xv.dims());
-        ops::scale_rows_into(&xv, &sv, out.data_mut());
-        let (xid, sid) = (x.id, s.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                // dL/dx[i] = g[i] * s[i]; dL/ds[i] = <g[i], x[i]>.
-                let gx = ops::scale_rows(g, &sv);
-                let m = xv.dims()[0];
-                let ds: Vec<f32> = (0..m)
-                    .map(|i| {
-                        g.row(i)
-                            .iter()
-                            .zip(xv.row(i).iter())
-                            .map(|(&a, &b)| a * b)
-                            .sum()
-                    })
-                    .collect();
-                vec![(xid, gx), (sid, Tensor::from_vec(ds, &[m]))]
+                backward(g).into_iter().map(|(v, t)| (v.id, t)).collect()
             })),
             false,
         )
@@ -636,12 +606,28 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_gradient() {
+    fn gather_gradient() {
         let p = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
         finite_diff_check(
             |t, p| {
                 let g = t.gather_rows(p, vec![0, 2, 2, 1]);
-                let s = t.index_add_rows(2, g, vec![0, 1, 0, 1]);
+                let sq = t.mul(g, g);
+                t.sum(sq)
+            },
+            p,
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn custom_node_gradient() {
+        // A scatter-add recorded as a custom node: its adjoint is a gather.
+        let p = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
+        finite_diff_check(
+            |t, p| {
+                let idx = [0u32, 1, 0];
+                let value = ops::index_add_rows(2, &t.value(p), &idx);
+                let s = t.custom(value, move |g| vec![(p, ops::gather_rows(g, &idx))]);
                 let sq = t.mul(s, s);
                 t.sum(sq)
             },
@@ -666,15 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn scale_rows_var_gradient() {
-        let p = Tensor::from_vec(vec![0.5, -1.5, 2.0], &[3]);
+    fn scale_rows_const_gradient() {
+        let p = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5, 3.0, -2.0], &[3, 2]);
         finite_diff_check(
             |t, p| {
-                let x = t.input(Tensor::from_vec(
-                    vec![1.0, 2.0, -1.0, 0.5, 3.0, -2.0],
-                    &[3, 2],
-                ));
-                let scaled = t.scale_rows(x, p);
+                let s = Tensor::from_vec(vec![0.5, -1.5, 2.0], &[3]);
+                let scaled = t.scale_rows_const(p, s);
                 let sq = t.mul(scaled, scaled);
                 t.sum(sq)
             },

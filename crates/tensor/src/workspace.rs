@@ -19,6 +19,14 @@
 //!    they delegate to run the same floating-point operations in the same
 //!    order.
 //!
+//! A size class parks at most as many buffers as it ever had leases open
+//! at once; a returned buffer beyond that is freed. A loop that repeats the
+//! same checkouts therefore finds every buffer it needs parked, while
+//! buffers the pool never leased — tensors born in allocating `ops`
+//! wrappers and handed in by [`Workspace::recycle`] — cannot pile up
+//! round after round. The bound is a pure function of the checkout
+//! sequence: no clock, no cap to tune.
+//!
 //! [`Workspace::stats`] reports into the shared [`Counters`] registry
 //! under the `pool.*` keys ([`wisegraph_obs::keys`]), including a peak
 //! per size class — a pool can look healthy globally while one class
@@ -32,11 +40,51 @@ use wisegraph_obs::{keys, Class, Counters};
 /// Number of power-of-two size classes (buffers up to 2^63 elements).
 const NUM_CLASSES: usize = 64;
 
+/// The buffers of one element type, per size class: those parked, and
+/// the leases open now and at most at once.
+struct Pool<T> {
+    parked: Vec<Vec<Vec<T>>>,
+    open: Vec<u64>,
+    peak_open: Vec<u64>,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self {
+            parked: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
+            open: vec![0; NUM_CLASSES],
+            peak_open: vec![0; NUM_CLASSES],
+        }
+    }
+}
+
+impl<T> Pool<T> {
+    /// Opens a lease in `class`, handing out a parked buffer if there is
+    /// one.
+    fn lease(&mut self, class: usize) -> Option<Vec<T>> {
+        self.open[class] += 1;
+        self.peak_open[class] = self.peak_open[class].max(self.open[class]);
+        self.parked[class].pop()
+    }
+
+    /// Closes a lease in `class` and parks `v` while the class holds fewer
+    /// buffers than its peak of open leases; returns whether it did (the
+    /// buffer is freed otherwise). The open count saturates at zero when
+    /// more buffers come back than were leased.
+    fn park(&mut self, class: usize, v: Vec<T>) -> bool {
+        self.open[class] = self.open[class].saturating_sub(1);
+        let room = (self.parked[class].len() as u64) < self.peak_open[class];
+        if room {
+            self.parked[class].push(v);
+        }
+        room
+    }
+}
+
 /// A per-thread scratch-buffer pool keyed by power-of-two size class.
-#[derive(Default)]
 pub struct Workspace {
-    f32_pool: Vec<Vec<Vec<f32>>>,
-    u32_pool: Vec<Vec<Vec<u32>>>,
+    f32_pool: Pool<f32>,
+    u32_pool: Pool<u32>,
     created: u64,
     reused: u64,
     resident_bytes: u64,
@@ -48,42 +96,39 @@ pub struct Workspace {
     peak_open_leases: u64,
 }
 
+impl Default for Workspace {
+    fn default() -> Self {
+        Self {
+            f32_pool: Pool::default(),
+            u32_pool: Pool::default(),
+            created: 0,
+            reused: 0,
+            resident_bytes: 0,
+            peak_resident_bytes: 0,
+            class_resident: vec![0; NUM_CLASSES],
+            class_peak: vec![0; NUM_CLASSES],
+            leases_opened: 0,
+            leases_closed: 0,
+            peak_open_leases: 0,
+        }
+    }
+}
+
 /// Size class of a buffer length: index of the smallest power of two that
 /// holds `len` elements.
 fn size_class(len: usize) -> usize {
     len.max(1).next_power_of_two().trailing_zeros() as usize
 }
 
+/// Bytes of a buffer's allocation.
+fn bytes_of<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
 impl Workspace {
     /// Creates an empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure_classes(&mut self) {
-        if self.f32_pool.is_empty() {
-            self.f32_pool = (0..NUM_CLASSES).map(|_| Vec::new()).collect();
-            self.u32_pool = (0..NUM_CLASSES).map(|_| Vec::new()).collect();
-            self.class_resident = vec![0; NUM_CLASSES];
-            self.class_peak = vec![0; NUM_CLASSES];
-        }
-    }
-
-    fn note_park(&mut self, class: usize, bytes: u64) {
-        self.resident_bytes += bytes;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        self.class_resident[class] += bytes;
-        self.class_peak[class] = self.class_peak[class].max(self.class_resident[class]);
-    }
-
-    fn note_unpark(&mut self, class: usize, bytes: u64) {
-        self.resident_bytes = self.resident_bytes.saturating_sub(bytes);
-        self.class_resident[class] = self.class_resident[class].saturating_sub(bytes);
-    }
-
-    fn note_lease_opened(&mut self) {
-        self.leases_opened += 1;
-        self.peak_open_leases = self.peak_open_leases.max(self.open_leases());
     }
 
     /// Buffers currently checked out: every `take*` opens a lease, every
@@ -96,76 +141,77 @@ impl Workspace {
         self.leases_opened.saturating_sub(self.leases_closed)
     }
 
+    /// Zero-fills `reused` (a buffer just unparked from `class`) or a fresh
+    /// allocation to exactly `len` elements, and does the accounting of an
+    /// opened lease.
+    fn check_out<T: Copy + Default>(
+        &mut self,
+        class: usize,
+        len: usize,
+        reused: Option<Vec<T>>,
+    ) -> Vec<T> {
+        self.leases_opened += 1;
+        self.peak_open_leases = self.peak_open_leases.max(self.open_leases());
+        let mut v = match reused {
+            Some(mut v) => {
+                self.reused += 1;
+                self.resident_bytes = self.resident_bytes.saturating_sub(bytes_of(&v));
+                self.class_resident[class] =
+                    self.class_resident[class].saturating_sub(bytes_of(&v));
+                v.clear();
+                v
+            }
+            None => {
+                self.created += 1;
+                Vec::with_capacity(len.max(1).next_power_of_two())
+            }
+        };
+        v.resize(len, T::default());
+        v
+    }
+
+    /// Accounts for a closed lease and, when `parked`, for `bytes` more
+    /// resident in `class`.
+    fn check_in(&mut self, class: usize, bytes: u64, parked: bool) {
+        self.leases_closed += 1;
+        if parked {
+            self.resident_bytes += bytes;
+            self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
+            self.class_resident[class] += bytes;
+            self.class_peak[class] = self.class_peak[class].max(self.class_resident[class]);
+        }
+    }
+
     /// Checks out a zero-filled `f32` buffer of exactly `len` elements.
     ///
     /// The buffer's contents are indistinguishable from `vec![0.0; len]`;
     /// only its provenance differs.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        self.ensure_classes();
-        self.note_lease_opened();
         let class = size_class(len);
-        match self.f32_pool[class].pop() {
-            Some(mut v) => {
-                self.reused += 1;
-                self.note_unpark(class, (v.capacity() * 4) as u64);
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => {
-                self.created += 1;
-                let mut v = Vec::with_capacity(len.max(1).next_power_of_two());
-                v.resize(len, 0.0);
-                v
-            }
-        }
+        let reused = self.f32_pool.lease(class);
+        self.check_out(class, len, reused)
     }
 
     /// Checks out a zero-filled `u32` buffer of exactly `len` elements
     /// (index streams).
     pub fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        self.ensure_classes();
-        self.note_lease_opened();
         let class = size_class(len);
-        match self.u32_pool[class].pop() {
-            Some(mut v) => {
-                self.reused += 1;
-                self.note_unpark(class, (v.capacity() * 4) as u64);
-                v.clear();
-                v.resize(len, 0);
-                v
-            }
-            None => {
-                self.created += 1;
-                let mut v = Vec::with_capacity(len.max(1).next_power_of_two());
-                v.resize(len, 0);
-                v
-            }
-        }
+        let reused = self.u32_pool.lease(class);
+        self.check_out(class, len, reused)
     }
 
-    /// Returns an `f32` buffer to the pool.
+    /// Returns an `f32` buffer to the pool, which parks or frees it.
     pub fn give(&mut self, v: Vec<f32>) {
-        self.leases_closed += 1;
-        if v.capacity() == 0 {
-            return;
-        }
-        self.ensure_classes();
-        let class = size_class(v.capacity());
-        self.note_park(class, (v.capacity() * 4) as u64);
-        self.f32_pool[class].push(v);
+        let (class, bytes) = (size_class(v.capacity()), bytes_of(&v));
+        let parked = v.capacity() > 0 && self.f32_pool.park(class, v);
+        self.check_in(class, bytes, parked);
     }
 
-    /// Returns a `u32` buffer to the pool.
+    /// Returns a `u32` buffer to the pool, which parks or frees it.
     pub fn give_u32(&mut self, v: Vec<u32>) {
-        self.leases_closed += 1;
-        if v.capacity() == 0 {
-            return;
-        }
-        self.ensure_classes();
-        let class = size_class(v.capacity());
-        self.note_park(class, (v.capacity() * 4) as u64);
-        self.u32_pool[class].push(v);
+        let (class, bytes) = (size_class(v.capacity()), bytes_of(&v));
+        let parked = v.capacity() > 0 && self.u32_pool.park(class, v);
+        self.check_in(class, bytes, parked);
     }
 
     /// Checks out a zero tensor of the given shape, backed by a pooled
@@ -280,6 +326,32 @@ mod tests {
         assert_eq!(s.count(keys::POOL_PEAK), 4 * 4 + 1024 * 4);
         // Classes that never parked anything are absent, not zero.
         assert!(s.get(&keys::pool_class_peak(63)).is_none());
+    }
+
+    #[test]
+    fn a_class_parks_no_more_buffers_than_it_ever_leased_at_once() {
+        let mut ws = Workspace::new();
+        let (a, b) = (ws.take(100), ws.take(100));
+        ws.give(a);
+        ws.give(b);
+        // Buffers the pool never leased, into a class already holding its
+        // peak of two open leases: freed, not parked.
+        ws.give(vec![1.0; 100]);
+        ws.recycle(Tensor::zeros(&[128]));
+        let parked = 2 * 128 * 4;
+        assert_eq!(ws.stats().count(keys::POOL_RESIDENT), parked);
+        // A class that never leased anything parks nothing.
+        ws.give(vec![0.0; 5000]);
+        assert_eq!(ws.stats().count(keys::POOL_RESIDENT), parked);
+        assert_eq!(ws.stats().count(keys::POOL_PEAK), parked);
+        // The same checkouts again are served from the pool.
+        let (_c, _d) = (ws.take(100), ws.take(90));
+        let s = ws.stats();
+        assert_eq!(
+            (s.count(keys::POOL_CREATED), s.count(keys::POOL_REUSED)),
+            (2, 2)
+        );
+        assert_eq!(s.count(keys::POOL_RESIDENT), 0);
     }
 
     #[test]
