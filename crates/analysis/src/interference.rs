@@ -2,11 +2,10 @@
 //!
 //! Co-scheduled gTasks cannot step on each other: every worker scatters
 //! into a private accumulator and the partials reduce in ascending slot
-//! order, so overlapping writes are accumulation. The one program whose
-//! stores assume exclusive row ownership — per-destination normalization
-//! — runs only on a destination-complete plan, which
-//! `micro::check_dst_complete` enforces on every run (and `K004` reports
-//! statically). What is left to prove about a schedule is per program:
+//! order, so overlapping writes are accumulation. No task normalizes over
+//! rows another task also writes: a per-destination softmax runs once per
+//! call, before the tasks, over all of the plan's edges. What is left to
+//! prove about a schedule is per program:
 //!
 //! - [`verify_fused_access`] re-derives each fused segment's access set
 //!   from the interpreted instructions it replaces and requires them to
@@ -124,7 +123,7 @@ pub fn verify_fused_access(
 ///
 /// [`compile`]: wisegraph_kernels::micro::compile
 pub fn verify_workspace_lifetime(program: &KernelProgram) -> Vec<Diagnostic> {
-    let summary = summarize(program);
+    let summary = summarize(&program.ops);
     let mut found = Vec::new();
     for r in 0..summary.writes.len() {
         let writes = &summary.writes[r];

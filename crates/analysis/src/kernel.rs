@@ -1,4 +1,4 @@
-//! Kernel and engine verification (codes `K001`–`K004`).
+//! Kernel and engine verification (codes `K001`–`K003`, `K005`–`K006`).
 //!
 //! A compiled [`KernelProgram`] is a straight-line sequence of
 //! micro-kernels over a virtual register file. Legality is simple enough
@@ -12,8 +12,6 @@
 //!   writes would corrupt the operand (`K002`);
 //! * the engine's task-to-slot dealing must put every task in exactly one
 //!   block of one slot, each slot's blocks ascending (`K003`);
-//! * a program with per-destination normalization must run under a
-//!   destination-complete plan (`K004`);
 //! * a fused plan must cover the program's instructions exactly once, each
 //!   fused segment must replace exactly the chain it claims, and no
 //!   replaced intermediate register may be read outside its segment
@@ -24,13 +22,9 @@
 use crate::{push_capped, Code, Diagnostic, Span};
 use std::ops::Range;
 use std::path::Path;
-use wisegraph_gtask::PartitionPlan;
-use wisegraph_graph::Graph;
 use wisegraph_kernels::engine::deal_tasks;
 use wisegraph_kernels::fused::{check_replaces, FusedPattern, FusedPlan, Segment};
-use wisegraph_kernels::micro::{
-    check_dst_complete, plan_is_dst_complete, KernelProgram, MicroKernel, Reg,
-};
+use wisegraph_kernels::micro::{KernelProgram, MicroKernel, Reg};
 
 /// The registers a micro-kernel reads and the registers it writes.
 /// Delegates to the executor's own [`wisegraph_kernels::micro::accesses`]
@@ -226,31 +220,6 @@ pub fn verify_chunk_mapping(num_tasks: usize, threads: usize) -> Vec<Diagnostic>
     verify_chunk_ranges(&deal_tasks(num_tasks, threads), num_tasks, threads)
 }
 
-/// Verifies plan/program compatibility (`K004`): the engine's own
-/// precondition, [`check_dst_complete`], asked before anything runs — a
-/// program carrying per-destination normalization needs every
-/// destination's in-edges in one task.
-pub fn verify_plan_compat(
-    g: &Graph,
-    plan: &PartitionPlan,
-    prog: &KernelProgram,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if let Err(e) = check_dst_complete(prog, || plan_is_dst_complete(g, plan)) {
-        out.push(
-            Diagnostic::error(
-                Code::KernelPlanIncompatible,
-                Span::Global,
-                format!("{}: the plan splits some destination's in-edges across tasks", e.0),
-            )
-            .with_suggestion(
-                "use a destination-complete table (e.g. vertex-centric or dst-and-type)",
-            ),
-        );
-    }
-    out
-}
-
 /// Verifies a fused execution plan against its program (`K005`):
 ///
 /// 1. **coverage** — the plan's segments, in order, execute program
@@ -373,20 +342,19 @@ pub fn verify_fused_parity_registry(root: &Path) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use wisegraph_dfg::NodeId;
-    use wisegraph_graph::AttrKind;
-    use wisegraph_gtask::{partition, PartitionTable};
+    use wisegraph_graph::{AttrKind, Graph};
     use wisegraph_kernels::micro::compile;
     use wisegraph_models::ModelKind;
 
     fn program(ops: Vec<MicroKernel>, num_regs: usize) -> KernelProgram {
         KernelProgram {
             ops,
+            edge_ops: vec![],
             num_regs,
             out_rows: 4,
             out_width: 2,
             reduce_node: NodeId(0),
             prologue: vec![],
-            requires_dst_complete: false,
         }
     }
 
@@ -626,21 +594,5 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == Code::KernelFusionUntested));
-    }
-
-    #[test]
-    fn softmax_under_split_destinations_is_k004() {
-        let g = paper_graph();
-        let dfg = ModelKind::Gat.layer_dfg(8, 4);
-        let prog = compile(&dfg, &g).expect("GAT compiles");
-        assert!(prog.requires_dst_complete);
-        let bad = partition(&g, &PartitionTable::edge_batch(3));
-        assert!(!plan_is_dst_complete(&g, &bad));
-        let diags = verify_plan_compat(&g, &bad, &prog);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == Code::KernelPlanIncompatible));
-        let good = partition(&g, &PartitionTable::vertex_centric());
-        assert!(verify_plan_compat(&g, &good, &prog).is_empty());
     }
 }

@@ -29,9 +29,7 @@
 //!   set (code `C001`);
 //! - [`interference`]: fused-vs-interpreted access divergence and
 //!   workspace lifetime (use-after-release / double-lease) over pooled
-//!   registers (codes `R004`–`R005`); destination ownership is not
-//!   re-derived per worker slot — `K004` asks the one check every run
-//!   makes (`micro::check_dst_complete`);
+//!   registers (codes `R004`–`R005`);
 //! - [`sharding`]: sharded multi-device invariants — vertex-shard tiling
 //!   and exactly-once edge coverage of the per-device filtered plans,
 //!   collective exchange conservation, and placement/program
@@ -89,7 +87,8 @@ pub enum Code {
     PlanEmptyTask,
     /// gTask edges are not monotone in the partitioner's sort-key order.
     PlanTaskOrder,
-    /// Dangling node ids, forward references, or dangling outputs.
+    /// Dangling node ids, forward references, or dangling outputs; or a
+    /// DFG the micro-kernel compiler rejects.
     DfgIllFormed,
     /// Dimension inference disagrees with a stored shape, or a symbolic
     /// dimension cannot be evaluated under the binding.
@@ -106,8 +105,6 @@ pub enum Code {
     /// twice, runs a slot's blocks out of order, or uses more slots than
     /// the engine has.
     KernelChunkMapping,
-    /// The compiled program and the partition plan cannot run together.
-    KernelPlanIncompatible,
     /// A fused plan does not cover the program's instructions exactly
     /// once, or a fused segment does not replace the instructions it
     /// claims to (pattern mismatch, escaping intermediate register).
@@ -161,7 +158,6 @@ impl Code {
             Code::KernelUseBeforeDef => "K001",
             Code::KernelAliasing => "K002",
             Code::KernelChunkMapping => "K003",
-            Code::KernelPlanIncompatible => "K004",
             Code::KernelFusionCoverage => "K005",
             Code::KernelFusionUntested => "K006",
             Code::ObsUncovered => "O001",
@@ -337,12 +333,12 @@ impl fmt::Display for Report {
 
 /// Runs every applicable pass for executing `dfg` over `plan` on `g` with
 /// an engine of `threads` worker slots: DFG well-formedness and dimension
-/// inference, plan legality, micro-kernel program legality,
-/// program↔plan compatibility, and the task-to-slot dealing.
+/// inference, plan legality, micro-kernel program legality, and the
+/// task-to-slot dealing. A compiled program runs on any plan.
 ///
 /// A DFG that does not compile to a per-task program is reported as a
-/// [`Code::KernelPlanIncompatible`] error (there is no legal way to run it
-/// under this execution model), so the report stays purely static.
+/// [`Code::DfgIllFormed`] error (there is no legal way to run it under
+/// this execution model), so the report stays purely static.
 pub fn verify_execution(
     dfg: &Dfg,
     g: &Graph,
@@ -356,7 +352,6 @@ pub fn verify_execution(
     match compile(dfg, g) {
         Ok(program) => {
             report.extend(kernel::verify_program(&program));
-            report.extend(kernel::verify_plan_compat(g, plan, &program));
             report.extend(kernel::verify_chunk_mapping(plan.num_tasks(), threads));
             let fplan = wisegraph_kernels::fused::plan_fusion(&program);
             report.extend(kernel::verify_fusion(&program, &fplan));
@@ -364,7 +359,7 @@ pub fn verify_execution(
             report.extend(interference::verify_workspace_lifetime(&program));
         }
         Err(e) => report.push(Diagnostic::error(
-            Code::KernelPlanIncompatible,
+            Code::DfgIllFormed,
             Span::Global,
             format!("the DFG does not compile to a per-task program: {e}"),
         )),
@@ -399,7 +394,7 @@ pub mod prelude {
     pub use crate::interference::{verify_fused_access, verify_workspace_lifetime};
     pub use crate::kernel::{
         verify_chunk_mapping, verify_chunk_ranges, verify_fused_parity_registry,
-        verify_fusion, verify_plan_compat, verify_program,
+        verify_fusion, verify_program,
     };
     pub use crate::obscheck::{
         check_phase_sources, verify_instrumentation, verify_phase_instrumentation,

@@ -49,7 +49,10 @@ pub const REQUIRED: &[(&str, &[&str])] = &[
         "crates/core/src/sharded.rs",
         &["select_placement", "execute_sharded_layer"],
     ),
-    ("crates/kernels/src/micro.rs", &["run_task", "run_epilogue"]),
+    (
+        "crates/kernels/src/micro.rs",
+        &["run_task", "run_edge_pass", "run_epilogue"],
+    ),
     // The training aggregation's two passes.
     ("crates/kernels/src/train.rs", &["forward", "backward"]),
     (

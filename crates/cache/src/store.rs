@@ -61,7 +61,9 @@ impl Payload for Dfg {
 
 impl Payload for KernelProgram {
     fn payload_bytes(&self) -> usize {
-        size_of_val(&self.ops[..]) + size_of_val(&self.prologue[..])
+        size_of_val(&self.ops[..])
+            + size_of_val(&self.edge_ops[..])
+            + size_of_val(&self.prologue[..])
     }
 }
 

@@ -47,8 +47,8 @@ fn compute_gain(model: ModelKind) -> f64 {
 /// (`crate::sharded`), so predicted and executed decisions use identical
 /// formulas. The closed-form model prices only the three Figure-11
 /// candidates: whether tensor parallelism is even expressible for a layer
-/// depends on its compiled program (a sliceable weight, no dst-complete
-/// reduction), which only the executor can check.
+/// depends on its compiled program (a sliceable weight, no hoisted
+/// prologue or edge pass), which only the executor can check.
 pub fn best_placement_comm(
     g: &Graph,
     stack: &MultiStack,

@@ -17,10 +17,10 @@
 //!
 //! A device pays for its shard, not for the graph. What a device count
 //! derives from a (graph, plan) pair — ownership boundaries, per-device
-//! filtered plans, per-peer halo row lists, the dst-completeness verdict —
-//! is derived once and stays resident in the [`ClusterEngine`], validated
-//! on every call by a content fingerprint of the graph and plan (never by
-//! address), because a training loop presents the same pair every step.
+//! filtered plans, per-peer halo row lists — is derived once and stays
+//! resident in the [`ClusterEngine`], validated on every call by a content
+//! fingerprint of the graph and plan (never by address), because a
+//! training loop presents the same pair every step.
 //! Vertex ownership is in-edge balanced ([`ShardSpec::balanced`]), so the
 //! per-task work of the halo schedules splits evenly however skewed the
 //! degrees are. And a device evaluates the epilogue for its owned rows
@@ -37,7 +37,8 @@
 //!   filtered plan preserves task *slots* (identical chunk-to-worker
 //!   mapping) and scatter-adds to a row only ever come from that row's
 //!   own edges, in original order — wherever the contiguous boundaries
-//!   fall.
+//!   fall. The same holds for a per-call edge pass (GAT's softmax): a
+//!   device holds all of an owned destination's in-edges, in plan order.
 //! - [`PlacementKind::ProjectThenCommunicate`] (Fig. 11c): the
 //!   edge-independent prologue (projections) runs on each row's home
 //!   device, and only the *projected* halo rows travel — a win when the
@@ -61,9 +62,8 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    check_dst_complete, compile, eval_prologue, plan_is_dst_complete, prologue_name,
-    run_epilogue, run_epilogue_rows, summarize, vertex_rowed, CompileError, KernelProgram,
-    MicroKernel,
+    compile, eval_prologue, prologue_name, run_epilogue, run_epilogue_rows, summarize,
+    vertex_rowed, CompileError, KernelProgram, MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -430,17 +430,11 @@ pub fn placement_compatible(
             Ok(())
         }
         PlacementKind::ComputeThenReduce => {
-            if program.requires_dst_complete {
+            if !program.prologue.is_empty() || !program.edge_ops.is_empty() {
                 return Err(
-                    "compute_then_reduce: per-destination normalization \
-                     cannot split a destination's in-edges across devices"
-                        .into(),
-                );
-            }
-            if !program.prologue.is_empty() {
-                return Err(
-                    "compute_then_reduce: hoisted prologue tensors are not \
-                     redistributed by the source-group decomposition"
+                    "compute_then_reduce: hoisted prologue tensors and the \
+                     per-call edge pass are not redistributed by the \
+                     source-group decomposition"
                         .into(),
                 );
             }
@@ -454,17 +448,10 @@ pub fn placement_compatible(
             Ok(())
         }
         PlacementKind::TensorParallel => {
-            if program.requires_dst_complete {
+            if !program.prologue.is_empty() || !program.edge_ops.is_empty() {
                 return Err(
-                    "tensor_parallel: per-destination normalization mixes \
-                     columns, so the hidden dimension cannot be split"
-                        .into(),
-                );
-            }
-            if !program.prologue.is_empty() {
-                return Err(
-                    "tensor_parallel: hoisted prologue projections are not \
-                     column-sliced"
+                    "tensor_parallel: hoisted prologue projections and the \
+                     per-call edge pass are not column-sliced"
                         .into(),
                 );
             }
@@ -529,19 +516,22 @@ fn vertex_rowed_inputs(dfg: &Dfg) -> BTreeSet<String> {
         .collect()
 }
 
-/// Every `GatherRows` that addresses its source by vertex id, paired with
-/// the provenance of its index stream. The compiled program carries no
-/// shapes, so the question [`vertex_rowed`] answers for a DFG node is
-/// answered here by the index stream: drawn from `src-id`/`dst-id` it
-/// holds vertex ids; of unknown provenance it has to be assumed to.
+/// Every `GatherRows` of the edge pass or the per-task program that
+/// addresses its source by vertex id, paired with the provenance of its
+/// index stream. The compiled program carries no shapes, so the question
+/// [`vertex_rowed`] answers for a DFG node is answered here by the index
+/// stream: drawn from `src-id`/`dst-id` it holds vertex ids; of unknown
+/// provenance it has to be assumed to.
 fn vertex_gather_origins(program: &KernelProgram) -> Vec<(String, Option<AttrKind>)> {
-    let s = summarize(program);
     let mut out = Vec::new();
-    for op in &program.ops {
-        if let MicroKernel::GatherRows { src, idx, .. } = op {
-            let origin = s.stream_origin[idx.0];
-            if matches!(origin, None | Some(AttrKind::SrcId | AttrKind::DstId)) {
-                out.push((src.clone(), origin));
+    for ops in [&program.edge_ops, &program.ops] {
+        let s = summarize(ops);
+        for op in ops {
+            if let MicroKernel::GatherRows { src, idx, .. } = op {
+                let origin = s.stream_origin[idx.0];
+                if matches!(origin, None | Some(AttrKind::SrcId | AttrKind::DstId)) {
+                    out.push((src.clone(), origin));
+                }
             }
         }
     }
@@ -648,10 +638,6 @@ struct ShardState {
     /// Per device, the sorted remote sources its edges gather from: the
     /// rows it receives in a halo exchange.
     halos: Vec<Vec<u32>>,
-    /// [`plan_is_dst_complete`] of the unfiltered plan. (Filtering by
-    /// destination keeps every destination's in-edges together, so the
-    /// per-device plans of a dst-complete plan are dst-complete.)
-    dst_complete: bool,
     /// Per canonical source group, the plan filtered to its edges; derived
     /// on the first compute-then-reduce run.
     group_plans: OnceLock<Vec<PartitionPlan>>,
@@ -672,7 +658,6 @@ impl ShardState {
             spec,
             plans,
             halos,
-            dst_complete: plan_is_dst_complete(g, plan),
             group_plans: OnceLock::new(),
         }
     }
@@ -848,9 +833,7 @@ impl ClusterEngine {
     ///
     /// Returns an error if compilation fails, the placement is
     /// incompatible with the compiled program
-    /// ([`placement_compatible`]), the plan violates the program's
-    /// destination-completeness requirement, or an output is not
-    /// vertex-rowed.
+    /// ([`placement_compatible`]), or an output is not vertex-rowed.
     ///
     /// # Panics
     ///
@@ -896,10 +879,6 @@ impl ClusterEngine {
             self.run_tensor_parallel(program, dfg, g, plan, globals)?
         } else {
             let shard = self.shard_state(g, plan);
-            // The dst-complete precondition is verified on the driver so
-            // that no device can bail out while its peers are already
-            // blocked in a collective.
-            check_dst_complete(program, || shard.dst_complete)?;
             // Devices return their owned rows only; rows need an owner.
             if let Some(o) = dfg.outputs().iter().find(|o| !vertex_rowed(dfg, **o)) {
                 return Err(CompileError(format!(

@@ -10,8 +10,11 @@
 //!    range of vertex rows and evaluates the edge-independent intermediates
 //!    for it, [`ROW_BLOCK`] rows at a time, into its slice of the prologue
 //!    tensors.
-//! 2. **Tasks**: [`deal_tasks`] deals the plan's tasks to worker slots;
-//!    each worker accumulates into a private `[|V|, width]` partial.
+//! 2. **Tasks**: a program with a per-call edge pass (a per-destination
+//!    softmax) first runs it over the plan's edges, in plan order, on the
+//!    calling thread (`micro::run_edge_pass`); then [`deal_tasks`] deals the
+//!    plan's tasks to worker slots, and each worker accumulates into a
+//!    private `[|V|, width]` partial.
 //! 3. **Reduce + epilogue**: each worker owns a contiguous range of vertex
 //!    rows again; per block it adds the partials' rows in ascending slot
 //!    order and runs the epilogue chain on them straight into its slice of
@@ -30,15 +33,15 @@
 //! plan every epoch re-uses every buffer after the first call.
 //!
 //! [`Engine::execute`], [`Engine::execute_program`] and
-//! [`Engine::accumulate_program`] are the entry points; all three check
-//! [`check_dst_complete`] first and run every gTask through [`run_task`]
-//! under the plan the engine's [`ExecMode`] selects.
+//! [`Engine::accumulate_program`] are the entry points; all three accept
+//! any plan and run every gTask through [`run_task`] under the plan the
+//! engine's [`ExecMode`] selects.
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    check_dst_complete, compile, eval_prologue, fill, list_outputs, not_evaluable,
-    plan_is_dst_complete, prologue_name, recycle, row_dims, run_epilogue, run_task,
-    CompileError, DenseEval, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
+    compile, eval_prologue, fill, list_outputs, not_evaluable, prologue_name, recycle,
+    row_dims, run_edge_pass, run_epilogue, run_task, CompileError, DenseEval, Globals,
+    KernelProgram, Scratch, Targets, TaskWorkspace,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -222,8 +225,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns an error if the program needs a destination-complete plan
-    /// and `plan` is not, or a prologue node cannot be evaluated.
+    /// Returns an error if a prologue node cannot be evaluated.
     ///
     /// # Panics
     ///
@@ -241,7 +243,6 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        check_dst_complete(program, || plan_is_dst_complete(g, plan))?;
         let pre = self.prologue_phase(program, dfg, g, globals)?;
         let partials = self.task_phase(program, g, plan, Globals::with_prologue(globals, &pre));
         drop(pre);
@@ -256,12 +257,13 @@ impl Engine {
     /// partial accumulators through collectives before one deterministic
     /// epilogue finishes the layer. Any prologue pseudo-globals the
     /// program gathers from must already be present in `all_globals`
-    /// (under their [`prologue_name`] keys).
+    /// (under their [`prologue_name`] keys). A per-call edge pass runs
+    /// over `plan`'s edges, so its softmax normalizes over the in-edges
+    /// `plan` holds.
     ///
     /// # Errors
     ///
-    /// Returns an error if a prologue pseudo-global is missing, or the
-    /// program needs a destination-complete plan and `plan` is not.
+    /// Returns an error if a prologue pseudo-global is missing.
     ///
     /// # Panics
     ///
@@ -278,7 +280,6 @@ impl Engine {
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        check_dst_complete(program, || plan_is_dst_complete(g, plan))?;
         for id in &program.prologue {
             if !all_globals.contains_key(&prologue_name(*id)) {
                 return Err(CompileError(format!(
@@ -291,9 +292,8 @@ impl Engine {
     }
 
     /// The task phase followed by the reduce phase over vertex rows `rows`
-    /// alone: rows `rows` of the reduction accumulator. Checks no
-    /// precondition of the plan: the public entry points (and the cluster,
-    /// once per shard, which asks each device for its owned rows) do.
+    /// alone: rows `rows` of the reduction accumulator (the cluster asks
+    /// each device for its owned rows).
     pub(crate) fn reduce_tasks(
         &self,
         program: &KernelProgram,
@@ -505,10 +505,12 @@ impl Engine {
         }
     }
 
-    /// The task phase: deals the plan's tasks over the worker slots
-    /// ([`deal_tasks`]), runs them under the plan the engine's mode
-    /// selects, and returns the per-slot partials in slot order
-    /// ([`Engine::park`] them after the reduce).
+    /// The task phase: runs the program's edge pass in slot 0's workspace
+    /// ([`run_edge_pass`], so its Work counts once at every thread count),
+    /// deals the plan's tasks over the worker slots ([`deal_tasks`]), runs
+    /// them under the plan the engine's mode selects, and returns the
+    /// per-slot partials in slot order ([`Engine::park`] them after the
+    /// reduce).
     fn task_phase(
         &self,
         program: &KernelProgram,
@@ -516,6 +518,16 @@ impl Engine {
         plan: &PartitionPlan,
         all_globals: Globals<'_>,
     ) -> Vec<Tensor> {
+        // The slot's lock is released at the end of the statement, before
+        // its worker starts.
+        let edge_values = run_edge_pass(
+            program,
+            g,
+            plan,
+            all_globals,
+            &mut self.slots[0].lock().expect("engine slot poisoned").tws,
+        );
+        let all_globals = all_globals.with_edge_values(&edge_values);
         // Per program, before any worker starts, so the same plan runs at
         // every thread count.
         let fplan = match self.mode {
@@ -567,9 +579,10 @@ impl Engine {
     }
 }
 
-/// Allocating reference executor: the same [`deal_tasks`] distribution and
-/// the same [`run_task`] under the interpreted plan, but on the plain
-/// path — every task gets a fresh [`TaskWorkspace`], every worker a fresh
+/// Allocating reference executor: the same edge pass, the same
+/// [`deal_tasks`] distribution and the same [`run_task`] under the
+/// interpreted plan, but on the plain path — every task (and the edge
+/// pass) gets a fresh [`TaskWorkspace`], every worker a fresh
 /// accumulator, the partials are added to a zero tensor one after the
 /// other, and prologue and epilogue each run in one block on the calling
 /// thread. The reference `tests/workspace_parity.rs` compares against.
@@ -590,9 +603,11 @@ pub fn execute_parallel_alloc(
 ) -> Result<Vec<Tensor>, CompileError> {
     assert!(threads > 0, "need at least one worker");
     let program = compile(dfg, g)?;
-    check_dst_complete(&program, || plan_is_dst_complete(g, plan))?;
     let pre = eval_prologue(&program, dfg, g, globals)?;
     let all_globals = Globals::with_prologue(globals, &pre);
+    let edge_values =
+        run_edge_pass(&program, g, plan, all_globals, &mut TaskWorkspace::new());
+    let all_globals = all_globals.with_edge_values(&edge_values);
     let interp = FusedPlan::interpreted(&program);
 
     let partials: Vec<Tensor> = std::thread::scope(|scope| {

@@ -17,9 +17,10 @@
 //!
 //! [`plan_fusion`] scans a compiled [`KernelProgram`] for these chains and
 //! replaces each with one [`FusedKernel`]; every other instruction stays an
-//! interpreter step, so arbitrary programs (GAT's softmax pipeline,
-//! dedup/pairwise forms) fall back instruction-by-instruction and a program
-//! with no matching chain gets [`FusedPlan::interpreted`]. Either way the
+//! interpreter step, so arbitrary programs (GAT's attention-weighted
+//! aggregation, dedup/pairwise forms) fall back instruction-by-instruction
+//! and a program with no matching chain gets [`FusedPlan::interpreted`].
+//! The per-call edge pass is always interpreted. Either way the
 //! result is a [`FusedPlan`], which the one per-task runner
 //! ([`crate::micro::run_task`]) walks.
 //!
@@ -323,7 +324,7 @@ fn match_at(program: &KernelProgram, u: &AccessSummary, pc: usize) -> Option<Fus
 /// Deterministic — the same program always yields the same plan, so the
 /// dispatch decision is identical at every thread count.
 pub fn plan_fusion(program: &KernelProgram) -> FusedPlan {
-    let u = summarize(program);
+    let u = summarize(&program.ops);
     let mut segments = Vec::new();
     let mut pc = 0;
     while pc < program.ops.len() {
@@ -350,7 +351,7 @@ pub fn plan_fusion(program: &KernelProgram) -> FusedPlan {
 /// Returns a description of the mismatch when the program's instructions
 /// at `fk.pcs` no longer form (exactly) this fused kernel.
 pub fn check_replaces(program: &KernelProgram, fk: &FusedKernel) -> Result<(), String> {
-    let u = summarize(program);
+    let u = summarize(&program.ops);
     match match_at(program, &u, fk.pcs.start) {
         Some(m) if m == *fk => Ok(()),
         Some(m) => Err(format!(
@@ -577,8 +578,8 @@ mod tests {
 
     #[test]
     fn gat_program_falls_back_to_interpreter() {
-        // The softmax pipeline has no matching chain: every instruction
-        // stays an interpreter step.
+        // The attention-weighted aggregation (gather, scale, scatter) has
+        // no matching chain: every instruction stays an interpreter step.
         let g = rmat(&RmatParams::standard(40, 250, 25));
         let program = compile(&ModelKind::Gat.layer_dfg(4, 3), &g).unwrap();
         let fplan = plan_fusion(&program);

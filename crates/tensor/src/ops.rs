@@ -584,56 +584,26 @@ pub fn segment_softmax_into(
     num_segments: usize,
     out: &mut [f32],
 ) {
-    let mut maxv = vec![0.0; num_segments];
-    let mut denom = vec![0.0; num_segments];
-    segment_softmax_window_into(scores, seg, 0, &mut maxv, &mut denom, out);
-}
-
-/// [`segment_softmax_into`] over the segment window starting at `base`,
-/// with caller-provided per-segment scratch (`maxv` and `denom`, one slot
-/// per segment id in `base..base + maxv.len()`; contents are overwritten).
-/// A caller whose ids span a narrow window of a large id space sizes the
-/// scratch by the window instead of by the largest id. Per segment, the
-/// float sequence is the same whatever the window.
-///
-/// # Panics
-///
-/// Panics if `scores` is not rank-1, lengths differ, a segment id falls
-/// outside the window, or a buffer has the wrong length.
-pub fn segment_softmax_window_into(
-    scores: &Tensor,
-    seg: &[u32],
-    base: u32,
-    maxv: &mut [f32],
-    denom: &mut [f32],
-    out: &mut [f32],
-) {
     assert_eq!(scores.shape().rank(), 1, "segment_softmax scores rank-1");
     assert_eq!(scores.numel(), seg.len(), "segment_softmax length mismatch");
     assert_eq!(out.len(), seg.len(), "segment_softmax output buffer mismatch");
-    assert_eq!(maxv.len(), denom.len(), "segment_softmax scratch mismatch");
-    let window = maxv.len();
     let sd = scores.data();
-    maxv.fill(f32::NEG_INFINITY);
+    let mut maxv = vec![f32::NEG_INFINITY; num_segments];
     for (&v, &s) in sd.iter().zip(seg.iter()) {
-        assert!(
-            s >= base && ((s - base) as usize) < window,
-            "segment id {s} out of bounds"
-        );
-        let s = (s - base) as usize;
+        let s = s as usize;
+        assert!(s < num_segments, "segment id {s} out of bounds");
         if v > maxv[s] {
             maxv[s] = v;
         }
     }
-    denom.fill(0.0);
+    let mut denom = vec![0.0f32; num_segments];
     for (i, (&v, &s)) in sd.iter().zip(seg.iter()).enumerate() {
-        let s = (s - base) as usize;
-        let e = (v - maxv[s]).exp();
+        let e = (v - maxv[s as usize]).exp();
         out[i] = e;
-        denom[s] += e;
+        denom[s as usize] += e;
     }
     for (o, &s) in out.iter_mut().zip(seg.iter()) {
-        *o /= denom[(s - base) as usize];
+        *o /= denom[s as usize];
     }
 }
 

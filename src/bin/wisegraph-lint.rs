@@ -6,8 +6,7 @@
 //! 1. the model DFG is verified (well-formedness + dimension inference);
 //! 2. every repo rewrite (`cse`, `prune_dead`, each transformation
 //!    candidate) is checked for interface preservation;
-//! 3. every table from `enumerate_tables` the compiled program can run
-//!    under (`micro::check_dst_complete`) is partitioned with the greedy
+//! 3. every table from `enumerate_tables` is partitioned with the greedy
 //!    partitioner and the resulting plan, compiled program, engine chunk
 //!    mapping, and fused-access / workspace-lifetime verdicts
 //!    (`R004`–`R005`) are verified for several thread counts;
@@ -48,7 +47,7 @@ use wisegraph::graph::Graph;
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan};
 use wisegraph::kernels::engine::Engine;
-use wisegraph::kernels::micro::{check_dst_complete, compile, plan_is_dst_complete};
+use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::{init, Tensor};
 
@@ -176,7 +175,6 @@ fn main() -> ExitCode {
     ));
 
     let mut combos = 0usize;
-    let mut skipped = 0usize;
 
     let models = [
         ModelKind::Gcn,
@@ -202,20 +200,8 @@ fn main() -> ExitCode {
 
         // Pass 3: every candidate table × thread count.
         let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
-        let program = compile(&dfg, &g).ok();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
-            let dst_incomplete = program.as_ref().is_some_and(|p| {
-                check_dst_complete(p, || plan_is_dst_complete(&g, &plan)).is_err()
-            });
-            if dst_incomplete {
-                // The program can never legally run under this plan;
-                // verify_execution would (correctly) flag K004. Count it
-                // as a skip, not a lint failure: strategy search already
-                // filters these combinations out.
-                skipped += 1;
-                continue;
-            }
             for threads in THREAD_COUNTS {
                 combos += 1;
                 let report = verify_execution(&dfg, &g, &plan, threads);
@@ -367,14 +353,13 @@ fn main() -> ExitCode {
 
     sink.say(format!(
         "wisegraph-lint: {combos} model×strategy×threads combinations verified, \
-         {skipped} dst-incomplete combinations skipped, {} error(s), \
-         {} warning(s)",
+         {} error(s), {} warning(s)",
         sink.errors, sink.warnings
     ));
 
     if json {
-        // Stable field order: tool, graph, combos, skipped, errors,
-        // warnings, diagnostics.
+        // Stable field order: tool, graph, combos, errors, warnings,
+        // diagnostics.
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"tool\": \"wisegraph-lint\",\n");
@@ -385,7 +370,6 @@ fn main() -> ExitCode {
             g.num_edge_types()
         ));
         out.push_str(&format!("  \"combos\": {combos},\n"));
-        out.push_str(&format!("  \"skipped\": {skipped},\n"));
         out.push_str(&format!("  \"errors\": {},\n", sink.errors));
         out.push_str(&format!("  \"warnings\": {},\n", sink.warnings));
         out.push_str("  \"diagnostics\": [");

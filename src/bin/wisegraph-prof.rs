@@ -1,7 +1,7 @@
 //! `wisegraph-prof`: the workload profiler and counter-regression gate.
 //!
 //! Runs one layer of each built-in model (GCN, RGCN, GAT, SAGE) under
-//! every compatible partition table on a fixed synthetic RMAT graph,
+//! every partition table on a fixed synthetic RMAT graph,
 //! with full observability enabled, and emits:
 //!
 //! * `results/prof_<model>.json` — the deterministic work/resource
@@ -65,7 +65,7 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionPlan, PartitionTable};
 use wisegraph::kernels::engine::Engine;
-use wisegraph::kernels::micro::{check_dst_complete, compile, plan_is_dst_complete};
+use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
 use wisegraph::obs::json::Json;
 use wisegraph::obs::{
@@ -231,10 +231,9 @@ struct SuiteRun {
     skew: Vec<SkewRow>,
     sharded: Vec<ShardedRow>,
     critical: Vec<CriticalRow>,
-    skipped: usize,
 }
 
-/// Runs every model × compatible table once with `threads` worker slots.
+/// Runs every model × table once with `threads` worker slots.
 fn run_suite(threads: usize) -> SuiteRun {
     let g = profile_graph();
     let (fi, fo) = DIMS;
@@ -245,17 +244,11 @@ fn run_suite(threads: usize) -> SuiteRun {
         skew: Vec::new(),
         sharded: Vec::new(),
         critical: Vec::new(),
-        skipped: 0,
     };
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
-        let program = compile(&dfg, &g).expect("profiled model compiles");
         for (tname, table) in tables() {
             let plan = partition(&g, &table);
-            if check_dst_complete(&program, || plan_is_dst_complete(&g, &plan)).is_err() {
-                run.skipped += 1;
-                continue;
-            }
             let mut combo = Counters::new();
             plan.record_counters(&mut combo);
             let engine = Engine::new(threads);
@@ -295,7 +288,7 @@ fn run_suite(threads: usize) -> SuiteRun {
     }
 
     // Sharded multi-device section: per model, the vertex-centric plan
-    // (destination-complete, so every model can run) executes on a
+    // executes on a
     // [`SHARD_DEVICES`]-device cluster under every placement schedule the
     // compiled program supports. Each run uses a fresh [`ClusterEngine`],
     // so the merged counters — per-device `device.NN.*` work plus the
@@ -468,10 +461,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "wisegraph-prof: {} combinations ({} dst-incomplete skipped), \
-         {} span events, {} counters",
+        "wisegraph-prof: {} combinations, {} span events, {} counters",
         run.skew.len(),
-        run.skipped,
         trace.sorted_events().len(),
         run.all.len()
     );

@@ -81,10 +81,11 @@ fn transformed_rgcn_is_additive() {
     );
 }
 
-/// GAT's per-destination softmax is NOT edge-additive — but it *is* exact
-/// for plans whose tasks hold entire destinations (uniq(dst-id)=1 tasks
-/// contain all of a destination's in-edges), which is why GAT-class plans
-/// restrict dst-id.
+/// GAT's per-destination softmax is NOT edge-additive: running the whole
+/// layer per task is exact only for tasks that hold entire destinations
+/// (uniq(dst-id)=1 tasks contain all of a destination's in-edges). That is
+/// why the compiled program runs the softmax once per call over the plan's
+/// edges and leaves the tasks only the additive weighted aggregation.
 #[test]
 fn gat_requires_destination_complete_tasks() {
     let g = rmat(&RmatParams::standard(60, 500, 25));
@@ -115,7 +116,7 @@ fn gat_requires_destination_complete_tasks() {
     }
     assert!(
         whole.allclose(&acc, 1e-3),
-        "dst-complete tasks must be exact: diff {}",
+        "whole-destination tasks must be exact: diff {}",
         whole.max_abs_diff(&acc)
     );
 

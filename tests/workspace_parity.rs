@@ -48,9 +48,7 @@ fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
     m
 }
 
-/// The per-model seeded workload: graph + partition table the model's
-/// compiled program accepts (GAT's per-destination softmax needs a
-/// destination-complete plan).
+/// The per-model seeded workload: graph + partition table.
 fn workload(kind: ModelKind) -> (Graph, PartitionTable) {
     match kind {
         ModelKind::Rgcn => (
@@ -59,7 +57,7 @@ fn workload(kind: ModelKind) -> (Graph, PartitionTable) {
         ),
         ModelKind::Gat => (
             rmat(&RmatParams::standard(100, 800, 63)),
-            PartitionTable::vertex_centric(),
+            PartitionTable::edge_batch(16),
         ),
         ModelKind::Sage => (
             rmat(&RmatParams::standard(110, 850, 65)),
@@ -159,8 +157,7 @@ const MODELS: [ModelKind; 4] =
 const THREADS: [usize; 5] = [1, 2, 3, 4, 7];
 
 /// Engine outputs at `threads`, asserted bit-identical to the allocating
-/// reference at the same thread count — or `None` when both reject the
-/// plan (GAT on a plan that splits a destination).
+/// reference at the same thread count.
 fn engine_vs_reference(
     kind: ModelKind,
     g: &Graph,
@@ -168,30 +165,24 @@ fn engine_vs_reference(
     globals: &HashMap<String, Tensor>,
     dims: (usize, usize),
     threads: usize,
-) -> Option<Vec<Tensor>> {
+) -> Vec<Tensor> {
     let dfg = kind.layer_dfg(dims.0, dims.1);
     let what = format!("{} / {} tasks / {threads} threads", kind.name(), plan.num_tasks());
-    let reference = execute_parallel_alloc(&dfg, g, plan, globals, threads);
-    let got = Engine::new(threads).execute(&dfg, g, plan, globals);
-    match (reference, got) {
-        (Ok(want), Ok(got)) => {
-            assert_eq!(want.len(), got.len(), "{what}");
-            for (w, o) in want.iter().zip(&got) {
-                assert_eq!(w.dims(), o.dims(), "{what}");
-                let (w, o): (Vec<u32>, Vec<u32>) = (
-                    w.data().iter().map(|x| x.to_bits()).collect(),
-                    o.data().iter().map(|x| x.to_bits()).collect(),
-                );
-                assert_eq!(w, o, "{what}: not bit-identical");
-            }
-            Some(got)
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b, "{what}");
-            None
-        }
-        (a, b) => panic!("{what}: reference {:?}, engine {:?}", a.err(), b.err()),
+    let want = execute_parallel_alloc(&dfg, g, plan, globals, threads)
+        .unwrap_or_else(|e| panic!("{what}: reference: {e}"));
+    let got = Engine::new(threads)
+        .execute(&dfg, g, plan, globals)
+        .unwrap_or_else(|e| panic!("{what}: engine: {e}"));
+    assert_eq!(want.len(), got.len(), "{what}");
+    for (w, o) in want.iter().zip(&got) {
+        assert_eq!(w.dims(), o.dims(), "{what}");
+        let (w, o): (Vec<u32>, Vec<u32>) = (
+            w.data().iter().map(|x| x.to_bits()).collect(),
+            o.data().iter().map(|x| x.to_bits()).collect(),
+        );
+        assert_eq!(w, o, "{what}: not bit-identical");
     }
+    got
 }
 
 #[test]
@@ -252,11 +243,7 @@ fn negative_zero_features_yield_the_same_bits_at_every_thread_count() {
         for kind in MODELS {
             let mut first: Option<Vec<Vec<u32>>> = None;
             for threads in THREADS {
-                let Some(outs) =
-                    engine_vs_reference(kind, &g, &plan, &globals, dims, threads)
-                else {
-                    continue;
-                };
+                let outs = engine_vs_reference(kind, &g, &plan, &globals, dims, threads);
                 let bits: Vec<Vec<u32>> = outs
                     .iter()
                     .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
@@ -296,7 +283,7 @@ fn destination_exclusive_plans_are_bit_identical_across_thread_counts() {
             kind.name()
         );
     }
-    for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Rgcn] {
+    for kind in MODELS {
         let eb = PartitionTable::edge_batch(64);
         let (one, two, again) = (run(kind, &eb, 1), run(kind, &eb, 2), run(kind, &eb, 2));
         assert!(one.allclose(&two, 1e-3), "{} edge-batch", kind.name());
