@@ -3,12 +3,13 @@
 //! WiseGraph's correctness rests on invariants that the rest of the
 //! workspace checks only dynamically, if at all: every partition plan must
 //! cover each edge exactly once while honoring its `uniq(attr)`
-//! restrictions (paper §4.2), DFG rewrites must preserve shapes and the
-//! indexing-attribute set (§5.1), and fused kernels must compose
-//! load/compute/store micro-kernels without register or workspace aliasing
-//! (§5.2). This crate proves those properties *before* a single epoch
-//! runs, and fails fast with a precise, structured [`Diagnostic`] instead
-//! of silently training on a corrupt partition.
+//! restrictions (paper §4.2), and DFG rewrites must preserve shapes and
+//! the indexing-attribute set (§5.1). This crate proves those properties
+//! *before* a single epoch runs, and fails fast with a precise, structured
+//! [`Diagnostic`] instead of silently training on a corrupt partition.
+//! Register and fusion legality (§5.2) need no pass here: a program is
+//! legal because `micro::compile` made it, and `fused::plan_fusion` only
+//! replaces the chains it matched.
 //!
 //! Four passes:
 //!
@@ -17,36 +18,23 @@
 //! - [`dfgcheck`]: DFG well-formedness (acyclicity, no dangling node ids),
 //!   full dimension inference, and rewrite-equivalence checks for
 //!   `cse`/`prune_dead`/unique-extraction (codes `D...`);
-//! - [`kernel`]: micro-kernel sequence legality (loads precede computes
-//!   precede stores per register), workspace aliasing hazards, and the
-//!   engine's deterministic task-to-slot dealing (codes `K...`);
 //! - [`obscheck`]: span-instrumentation coverage of the execution entry
 //!   points, so the observability layer cannot silently erode (code
 //!   `O001`), and phase coverage of the cluster schedules and mailbox
 //!   operations that feed causal tracing (code `O002`);
 //! - [`repair`]: incremental-repair equivalence — a repaired plan must
 //!   verify identically to a from-scratch partition of the same live edge
-//!   set (code `C001`);
-//! - [`interference`]: fused-vs-interpreted access divergence and
-//!   workspace lifetime (use-after-release / double-lease) over pooled
-//!   registers (codes `R004`–`R005`);
-//! - [`sharding`]: sharded multi-device invariants — vertex-shard tiling
-//!   and exactly-once edge coverage of the per-device filtered plans,
-//!   collective exchange conservation, and placement/program
-//!   compatibility (codes `S...`).
+//!   set (code `C001`).
 //!
-//! [`verify_execution`] composes all applicable passes for one
-//! (DFG, graph, plan, engine) combination; the `wisegraph-lint` binary
-//! runs it over every built-in model × partition strategy as a tier-1
-//! gate.
+//! [`verify_execution`] composes the DFG and plan passes with
+//! compile-ability for one (DFG, graph, plan) combination; the
+//! `wisegraph-lint` binary runs it over every built-in model × partition
+//! strategy as a tier-1 gate.
 
 pub mod dfgcheck;
-pub mod interference;
-pub mod kernel;
 pub mod obscheck;
 pub mod plan;
 pub mod repair;
-pub mod sharding;
 
 use std::fmt;
 use wisegraph_dfg::{Binding, Dfg};
@@ -95,23 +83,6 @@ pub enum Code {
     DfgShapeMismatch,
     /// A rewrite changed the indexing-attribute set or the outputs.
     DfgRewriteChanged,
-    /// A register is read before any micro-kernel writes it, or the
-    /// program never stores.
-    KernelUseBeforeDef,
-    /// A micro-kernel writes a register it also reads (or two of its
-    /// results share a register): an in-place workspace hazard.
-    KernelAliasing,
-    /// The engine's task-to-slot dealing leaves a task out, deals one
-    /// twice, runs a slot's blocks out of order, or uses more slots than
-    /// the engine has.
-    KernelChunkMapping,
-    /// A fused plan does not cover the program's instructions exactly
-    /// once, or a fused segment does not replace the instructions it
-    /// claims to (pattern mismatch, escaping intermediate register).
-    KernelFusionCoverage,
-    /// A fusion pattern has no registered interpreter-parity test in
-    /// `tests/fused_parity.rs`.
-    KernelFusionUntested,
     /// An execution entry point runs without an enclosing observability
     /// span (or the instrumentation-coverage table is stale).
     ObsUncovered,
@@ -123,25 +94,6 @@ pub enum Code {
     /// partition of the same live edge set: different coverage, a violated
     /// restriction, or a different verification verdict.
     RepairDivergence,
-    /// A fused segment's derived access set (globals read, scatter
-    /// destination) diverges from the interpreted instructions it
-    /// replaces.
-    ScheduleFusedDivergence,
-    /// A register's pooled buffer is re-leased while unconsumed
-    /// (double-lease) or read across a release point
-    /// (use-after-release): the single-assignment discipline backing the
-    /// workspace pool's recycle-on-overwrite semantics is broken.
-    WorkspaceLifetime,
-    /// The vertex shard does not tile the vertex space, or the
-    /// per-device destination-filtered plans do not cover every edge
-    /// exactly once with task slots preserved.
-    ShardCoverage,
-    /// A collective exchange log is not conserved: a sent message has no
-    /// matching receipt (or vice versa).
-    ExchangeConservation,
-    /// A placement schedule was asked to run a program whose access
-    /// structure it cannot partition.
-    PlacementIncompatible,
 }
 
 impl Code {
@@ -155,19 +107,9 @@ impl Code {
             Code::DfgIllFormed => "D001",
             Code::DfgShapeMismatch => "D002",
             Code::DfgRewriteChanged => "D003",
-            Code::KernelUseBeforeDef => "K001",
-            Code::KernelAliasing => "K002",
-            Code::KernelChunkMapping => "K003",
-            Code::KernelFusionCoverage => "K005",
-            Code::KernelFusionUntested => "K006",
             Code::ObsUncovered => "O001",
             Code::ObsPhaseUncovered => "O002",
             Code::RepairDivergence => "C001",
-            Code::ScheduleFusedDivergence => "R004",
-            Code::WorkspaceLifetime => "R005",
-            Code::ShardCoverage => "S001",
-            Code::ExchangeConservation => "S002",
-            Code::PlacementIncompatible => "S003",
         }
     }
 }
@@ -189,12 +131,6 @@ pub enum Span {
     Edge(usize),
     /// One DFG node, by index.
     Node(usize),
-    /// One micro-kernel, by position in the program.
-    KernelOp(usize),
-    /// One engine chunk, by worker-slot index.
-    Chunk(usize),
-    /// One simulated device, by index in the cluster.
-    Device(usize),
 }
 
 impl fmt::Display for Span {
@@ -204,9 +140,6 @@ impl fmt::Display for Span {
             Span::Task(i) => write!(f, "task {i}"),
             Span::Edge(e) => write!(f, "edge {e}"),
             Span::Node(n) => write!(f, "node {n}"),
-            Span::KernelOp(j) => write!(f, "kernel op {j}"),
-            Span::Chunk(c) => write!(f, "chunk {c}"),
-            Span::Device(d) => write!(f, "device {d}"),
         }
     }
 }
@@ -331,38 +264,25 @@ impl fmt::Display for Report {
     }
 }
 
-/// Runs every applicable pass for executing `dfg` over `plan` on `g` with
-/// an engine of `threads` worker slots: DFG well-formedness and dimension
-/// inference, plan legality, micro-kernel program legality, and the
-/// task-to-slot dealing. A compiled program runs on any plan.
+/// Runs every applicable pass for executing `dfg` over `plan` on `g`: DFG
+/// well-formedness and dimension inference, plan legality, and
+/// compile-ability. A compiled program is legal by construction and runs
+/// on any plan at any thread count.
 ///
 /// A DFG that does not compile to a per-task program is reported as a
 /// [`Code::DfgIllFormed`] error (there is no legal way to run it under
 /// this execution model), so the report stays purely static.
-pub fn verify_execution(
-    dfg: &Dfg,
-    g: &Graph,
-    plan: &PartitionPlan,
-    threads: usize,
-) -> Report {
+pub fn verify_execution(dfg: &Dfg, g: &Graph, plan: &PartitionPlan) -> Report {
     let mut report = Report::new();
     let binding = Binding::from_graph(g);
     report.extend(dfgcheck::verify_dfg(dfg, Some(&binding)));
     report.extend(plan::verify_plan(g, plan));
-    match compile(dfg, g) {
-        Ok(program) => {
-            report.extend(kernel::verify_program(&program));
-            report.extend(kernel::verify_chunk_mapping(plan.num_tasks(), threads));
-            let fplan = wisegraph_kernels::fused::plan_fusion(&program);
-            report.extend(kernel::verify_fusion(&program, &fplan));
-            report.extend(interference::verify_fused_access(&program, &fplan));
-            report.extend(interference::verify_workspace_lifetime(&program));
-        }
-        Err(e) => report.push(Diagnostic::error(
+    if let Err(e) = compile(dfg, g) {
+        report.push(Diagnostic::error(
             Code::DfgIllFormed,
             Span::Global,
             format!("the DFG does not compile to a per-task program: {e}"),
-        )),
+        ));
     }
     report
 }
@@ -391,17 +311,11 @@ pub(crate) fn push_capped(out: &mut Vec<Diagnostic>, found: Vec<Diagnostic>) {
 /// composing their own pipelines.
 pub mod prelude {
     pub use crate::dfgcheck::{effective_indexing_attrs, verify_dfg, verify_rewrite};
-    pub use crate::interference::{verify_fused_access, verify_workspace_lifetime};
-    pub use crate::kernel::{
-        verify_chunk_mapping, verify_chunk_ranges, verify_fused_parity_registry,
-        verify_fusion, verify_program,
-    };
     pub use crate::obscheck::{
         check_phase_sources, verify_instrumentation, verify_phase_instrumentation,
     };
     pub use crate::plan::verify_plan;
     pub use crate::repair::verify_repair;
-    pub use crate::sharding::{verify_exchange, verify_placement, verify_shard_coverage};
     pub use crate::{Code, Diagnostic, Report, Severity, Span};
 }
 

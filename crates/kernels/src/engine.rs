@@ -76,9 +76,8 @@ const TASK_BLOCK: usize = 32;
 /// consecutive tasks — [`TASK_BLOCK`] of them, fewer when `n` is too small
 /// to give every slot a full block — go round-robin to at most `threads`
 /// slots; one slot runs `0..n` in order. A pure function of its two
-/// arguments, so the static verifier (`wisegraph-analysis`) proves the
-/// mapping covers every task exactly once without running anything, and
-/// the order in which a destination row's addends meet is a function of
+/// arguments, so its tests check exact-once coverage directly, and the
+/// order in which a destination row's addends meet is a function of
 /// `(plan, threads)` alone.
 ///
 /// # Panics

@@ -1143,8 +1143,8 @@ pub(crate) fn exec_op(
 /// Register data-flow of one micro-kernel instruction: `(reads, writes)`.
 ///
 /// The single source of truth for which virtual registers an instruction
-/// consumes and produces — used by the fusion matcher in [`crate::fused`]
-/// and re-exported through `wisegraph-analysis` for the K-code passes.
+/// consumes and produces, read through [`summarize`] by the fusion matcher
+/// in [`crate::fused`] and the cluster's placement rules.
 pub fn accesses(op: &MicroKernel) -> (Vec<Reg>, Vec<Reg>) {
     match op {
         MicroKernel::LoadStream { out, .. } => (vec![], vec![*out]),
@@ -1203,9 +1203,8 @@ pub fn global_inputs(op: &MicroKernel) -> Vec<&str> {
 /// operands of the ops themselves.
 ///
 /// One derivation serves every consumer — the fusion matcher's
-/// register-confinement checks in [`crate::fused`], the cluster's
-/// placement rules, and the workspace-lifetime pass in
-/// `wisegraph-analysis` — so they can never drift apart on what a program
+/// register-confinement checks in [`crate::fused`] and the cluster's
+/// placement rules — so they can never drift apart on what a program
 /// touches.
 #[derive(Clone, Debug, Default)]
 pub struct AccessSummary {
@@ -1237,8 +1236,7 @@ impl AccessSummary {
 
 /// Builds the [`AccessSummary`] of a straight-line sequence of
 /// micro-kernels — a program's `ops` or its `edge_ops`. The tables cover
-/// every register the sequence names, declared or not: the summary is
-/// also used to *diagnose* malformed programs.
+/// every register the sequence names.
 pub fn summarize(ops: &[MicroKernel]) -> AccessSummary {
     let max_reg = ops
         .iter()

@@ -132,10 +132,9 @@ impl Workspace {
     }
 
     /// Buffers currently checked out: every `take*` opens a lease, every
-    /// `give*`/`recycle` closes one. The dynamic counterpart of the static
-    /// workspace-lifetime pass (analysis code R005): a value that keeps
-    /// growing across steady-state epochs means buffers leak out of the
-    /// pool instead of being returned. Saturates at zero when externally
+    /// `give*`/`recycle` closes one. A value that keeps growing across
+    /// steady-state epochs means buffers leak out of the pool instead of
+    /// being returned. Saturates at zero when externally
     /// allocated buffers are given to a pool that never leased them.
     pub fn open_leases(&self) -> u64 {
         self.leases_opened.saturating_sub(self.leases_closed)

@@ -15,11 +15,11 @@
 # --smoke: every workload's calls into the library compile, run and pass
 # their output checks, so a library change cannot silently break
 # BENCHMARK.json),
-# wisegraph-lint (the pre-execution plan/DFG/kernel/instrumentation/
-# fusion verifier, including the O002 cluster-phase
-# coverage pass) over every built-in model × partition
-# strategy — once human-readable and once as --json, whose stable machine
-# output is asserted to report zero errors — and
+# wisegraph-lint (the pre-execution plan/DFG/compile-ability/
+# instrumentation/repair verifier, including the O002 cluster-phase
+# coverage pass) over every built-in model × partition strategy, run
+# once with --json, whose compact document is asserted to report zero
+# errors — and
 # wisegraph-prof --critical-path --check (the counter-regression gate:
 # run-to-run and cross-thread determinism plus tolerance
 # bands against results/prof_baseline.json, covering the Work-class
@@ -40,10 +40,10 @@ cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
 cargo run --release --offline --example perfbench -- --smoke
-cargo run --release --offline --bin wisegraph-lint
-lint_json="$(cargo run --release --offline --bin wisegraph-lint -- --json)"
-grep -q '"tool": "wisegraph-lint"' <<<"$lint_json"
-grep -q '"errors": 0,' <<<"$lint_json"
+lint_json="$(cargo run --release --offline --bin wisegraph-lint -- --json)" ||
+    { echo "$lint_json" >&2; exit 1; }
+grep -q '"tool":"wisegraph-lint"' <<<"$lint_json"
+grep -qE '"errors":0[,}]' <<<"$lint_json"
 cargo run --release --offline --bin wisegraph-prof -- --critical-path --check
 if [ "$(results_checksum)" != "$results_before" ]; then
     echo "verify.sh: a tracked file under results/ changed during the run" >&2

@@ -7,35 +7,23 @@
 //! 2. every repo rewrite (`cse`, `prune_dead`, each transformation
 //!    candidate) is checked for interface preservation;
 //! 3. every table from `enumerate_tables` is partitioned with the greedy
-//!    partitioner and the resulting plan, compiled program, engine chunk
-//!    mapping, and fused-access / workspace-lifetime verdicts
-//!    (`R004`–`R005`) are verified for several thread counts;
+//!    partitioner, and the resulting plan and the DFG's compile-ability
+//!    are verified: 49 model × table combinations (a compiled program is
+//!    legal by construction and runs on any plan at any thread count);
 //! 4. the span-instrumentation coverage of the execution entry points is
 //!    checked against the shipped sources (`O001`), so `wisegraph-prof`'s
 //!    timeline cannot silently lose its subjects;
 //! 5. the cluster schedule phases and mailbox operations that feed the
 //!    causal trace and critical-path attribution are likewise checked
 //!    (`O002`);
-//! 6. every fusion pattern the micro-kernel codegen can emit must have a
-//!    registered interpreter-parity test in `tests/fused_parity.rs`
-//!    (`K006`), so a pattern cannot land without its differential harness
-//!    entry; per-combination fused plans are additionally coverage-checked
-//!    by `verify_execution` (`K005`);
-//! 7. incremental gTask repair after a canned delta stream must verify
-//!    identically to a from-scratch partition of the live set (`C001`);
-//! 8. every model is *executed* on real 2- and 4-device sharded clusters
-//!    with the optimizer-selected placement schedule: shard tiling and
-//!    exactly-once edge coverage (`S001`), collective exchange
-//!    conservation (`S002`), placement/program compatibility of the
-//!    selection (`S003`), and bit-identity of the assembled outputs
-//!    against a plain single-engine run.
+//! 6. incremental gTask repair after a canned delta stream must verify
+//!    identically to a from-scratch partition of the live set (`C001`).
 //!
 //! Exits nonzero if any pass reports an error, printing each diagnostic;
 //! `scripts/verify.sh` runs this after the test suite. With `--json`, all
-//! human-readable output is replaced by a single machine-readable JSON
-//! document on stdout with a stable field order.
+//! human-readable output is replaced by one compact JSON document on
+//! stdout (`obs::json`, keys in sorted order).
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 use wisegraph::analysis::prelude::*;
 use wisegraph::analysis::verify_execution;
@@ -43,16 +31,10 @@ use wisegraph::dfg::passes::{cse, prune_dead};
 use wisegraph::dfg::transform;
 use wisegraph::dfg::Binding;
 use wisegraph::graph::generate::{rmat, RmatParams};
-use wisegraph::graph::Graph;
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan};
-use wisegraph::kernels::engine::Engine;
-use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
-use wisegraph::tensor::{init, Tensor};
-
-/// Thread counts the chunk-mapping pass is exercised with.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+use wisegraph::obs::json::Json;
 
 /// `Exact(k)` batch sizes for table enumeration.
 const BATCH_SIZES: [u64; 2] = [4, 32];
@@ -61,13 +43,18 @@ const BATCH_SIZES: [u64; 2] = [4, 32];
 const DIMS: (usize, usize) = (8, 6);
 
 /// Collects diagnostics for both output formats: human lines as they
-/// happen (unless `--json`), plus a structured record list rendered once
-/// at the end.
+/// happen (unless `--json`), plus the JSON records rendered once at the
+/// end.
 struct Sink {
     json: bool,
     errors: usize,
     warnings: usize,
-    records: Vec<(String, Diagnostic)>,
+    records: Vec<Json>,
+}
+
+/// A JSON object from `(key, value)` pairs.
+fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 impl Sink {
@@ -76,7 +63,14 @@ impl Sink {
             if !self.json {
                 println!("{ctx}: {d}");
             }
-            self.records.push((ctx.to_string(), d.clone()));
+            self.records.push(obj([
+                ("context", Json::Str(ctx.to_string())),
+                ("severity", Json::Str(d.severity.to_string())),
+                ("code", Json::Str(d.code.to_string())),
+                ("span", Json::Str(d.span.to_string())),
+                ("message", Json::Str(d.message.clone())),
+                ("suggestion", d.suggestion.clone().map_or(Json::Null, Json::Str)),
+            ]));
         }
         self.errors += report.error_count();
         self.warnings += report.warning_count();
@@ -87,56 +81,6 @@ impl Sink {
             println!("{line}");
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Every global any model layer reads; engines ignore unused entries.
-/// Mirrors `wisegraph-prof`'s fixture so lint and prof run the same
-/// workloads.
-fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
-    let mut m = HashMap::new();
-    m.insert(
-        "h".to_string(),
-        init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 1),
-    );
-    m.insert(
-        "W".to_string(),
-        init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 2),
-    );
-    m.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 3));
-    m.insert(
-        "w_self".to_string(),
-        init::uniform_tensor(&[fi, fo], -1.0, 1.0, 4),
-    );
-    m.insert(
-        "w_neigh".to_string(),
-        init::uniform_tensor(&[fi, fo], -1.0, 1.0, 5),
-    );
-    m.insert(
-        "a_src".to_string(),
-        init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6),
-    );
-    m.insert(
-        "a_dst".to_string(),
-        init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7),
-    );
-    m
 }
 
 fn main() -> ExitCode {
@@ -198,19 +142,14 @@ fn main() -> ExitCode {
         }
         sink.report(&format!("{model:?}"), &dfg_report);
 
-        // Pass 3: every candidate table × thread count.
+        // Pass 3: every candidate table.
         let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
-            for threads in THREAD_COUNTS {
-                combos += 1;
-                let report = verify_execution(&dfg, &g, &plan, threads);
-                if !report.is_clean() || report.warning_count() > 0 {
-                    sink.report(
-                        &format!("{model:?} × [{table}] × {threads} threads"),
-                        &report,
-                    );
-                }
+            combos += 1;
+            let report = verify_execution(&dfg, &g, &plan);
+            if !report.is_clean() || report.warning_count() > 0 {
+                sink.report(&format!("{model:?} × [{table}]"), &report);
             }
         }
     }
@@ -241,19 +180,7 @@ fn main() -> ExitCode {
             .sum::<usize>()
     ));
 
-    // Pass 6: every fusion pattern must register an interpreter-parity
-    // test in the differential harness (K006).
-    let mut registry_report = Report::new();
-    registry_report.extend(verify_fused_parity_registry(std::path::Path::new(env!(
-        "CARGO_MANIFEST_DIR"
-    ))));
-    sink.report("fused parity registry", &registry_report);
-    sink.say(format!(
-        "wisegraph-lint: {} fusion patterns checked against tests/fused_parity.rs",
-        wisegraph::kernels::fused::FusedPattern::ALL.len()
-    ));
-
-    // Pass 7: incremental repair must verify against a from-scratch
+    // Pass 6: incremental repair must verify against a from-scratch
     // partition for every candidate table (C001) after a canned
     // insert/delete stream.
     let mut repair_report = Report::new();
@@ -280,120 +207,29 @@ fn main() -> ExitCode {
     sink.report("incremental repair", &repair_report);
     sink.say(format!("wisegraph-lint: {repairs} incremental repairs verified"));
 
-    // Pass 8: sharded multi-device execution (S001–S003). Every model
-    // runs on a real 2- and 4-device cluster with the optimizer-selected
-    // placement; the shard must tile and cover exactly once (S001), the
-    // collective exchange log must be conserved (S002), the selected
-    // placement must be compatible (S003), and the assembled outputs must
-    // be bit-identical to a plain single-engine run.
-    let globals = globals_for(&g, DIMS.0, DIMS.1);
-    let fabric = wisegraph::sim::Fabric::pcie4_quad();
-    let mut sharded_runs = 0usize;
-    for model in models {
-        let dfg = model.layer_dfg(DIMS.0, DIMS.1);
-        let Ok(program) = compile(&dfg, &g) else { continue };
-        let plan = partition(
-            &g,
-            &wisegraph::gtask::PartitionTable::vertex_centric(),
-        );
-        let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals);
-        for devices in [2usize, 4] {
-            sharded_runs += 1;
-            let ctx = format!("sharded {model:?} × {devices} devices");
-            let mut shard_report = Report::new();
-            shard_report.extend(verify_shard_coverage(&g, &plan, devices));
-            let cluster = wisegraph::kernels::ClusterEngine::new(devices, 2);
-            match wisegraph::core::sharded::execute_sharded_layer(
-                &cluster, &dfg, &g, &plan, &globals, &fabric, DIMS.0, DIMS.1, 0,
-            ) {
-                Ok((run, choice)) => {
-                    shard_report.extend(verify_placement(
-                        &program, &globals, choice.placement,
-                    ));
-                    shard_report.extend(verify_exchange(&run.exchange));
-                    // Compute-then-reduce reorders the partial-aggregate
-                    // sums (group order instead of worker order), so it is
-                    // numerically close but not bit-identical to the plain
-                    // engine; every other schedule must match exactly.
-                    if choice.placement
-                        != wisegraph::sim::PlacementKind::ComputeThenReduce
-                    {
-                        if let Ok(reference) = &reference {
-                            let identical = reference.len() == run.outputs.len()
-                                && reference
-                                    .iter()
-                                    .zip(run.outputs.iter())
-                                    .all(|(a, b)| a.data() == b.data());
-                            if !identical {
-                                shard_report.push(Diagnostic::error(
-                                    Code::ShardCoverage,
-                                    Span::Global,
-                                    "sharded outputs are not bit-identical to \
-                                     the single-engine reference",
-                                ));
-                            }
-                        }
-                    }
-                }
-                Err(e) => shard_report.push(Diagnostic::error(
-                    Code::PlacementIncompatible,
-                    Span::Global,
-                    format!("sharded execution failed: {e}"),
-                )),
-            }
-            if !shard_report.is_clean() {
-                sink.report(&ctx, &shard_report);
-            }
-        }
-    }
     sink.say(format!(
-        "wisegraph-lint: {sharded_runs} sharded cluster runs verified \
-         (shard coverage, exchange conservation, placement selection)"
-    ));
-
-    sink.say(format!(
-        "wisegraph-lint: {combos} model×strategy×threads combinations verified, \
+        "wisegraph-lint: {combos} model×strategy combinations verified, \
          {} error(s), {} warning(s)",
         sink.errors, sink.warnings
     ));
 
     if json {
-        // Stable field order: tool, graph, combos, errors, warnings,
-        // diagnostics.
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"tool\": \"wisegraph-lint\",\n");
-        out.push_str(&format!(
-            "  \"graph\": {{\"vertices\": {}, \"edges\": {}, \"edge_types\": {}}},\n",
-            g.num_vertices(),
-            g.num_edges(),
-            g.num_edge_types()
-        ));
-        out.push_str(&format!("  \"combos\": {combos},\n"));
-        out.push_str(&format!("  \"errors\": {},\n", sink.errors));
-        out.push_str(&format!("  \"warnings\": {},\n", sink.warnings));
-        out.push_str("  \"diagnostics\": [");
-        for (i, (ctx, d)) in sink.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"context\": \"{}\", ", esc(ctx)));
-            out.push_str(&format!("\"severity\": \"{}\", ", d.severity));
-            out.push_str(&format!("\"code\": \"{}\", ", d.code));
-            out.push_str(&format!("\"span\": \"{}\", ", esc(&d.span.to_string())));
-            out.push_str(&format!("\"message\": \"{}\", ", esc(&d.message)));
-            match &d.suggestion {
-                Some(s) => out.push_str(&format!("\"suggestion\": \"{}\"", esc(s))),
-                None => out.push_str("\"suggestion\": null"),
-            }
-            out.push('}');
-        }
-        if !sink.records.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        println!("{out}");
+        let doc = obj([
+            ("tool", Json::Str("wisegraph-lint".into())),
+            (
+                "graph",
+                obj([
+                    ("vertices", Json::Num(g.num_vertices() as f64)),
+                    ("edges", Json::Num(g.num_edges() as f64)),
+                    ("edge_types", Json::Num(g.num_edge_types() as f64)),
+                ]),
+            ),
+            ("combos", Json::Num(combos as f64)),
+            ("errors", Json::Num(sink.errors as f64)),
+            ("warnings", Json::Num(sink.warnings as f64)),
+            ("diagnostics", Json::Arr(sink.records)),
+        ]);
+        println!("{}", doc.to_string_compact());
     }
 
     if sink.errors > 0 {

@@ -6,8 +6,7 @@
 //! the fused engine must produce exactly the bytes of the interpreter and
 //! report exactly the same `Class::Work` counters (tasks, edges, flops,
 //! bytes moved). These tests sweep the full cross product and pin that
-//! contract; per-pattern entry points below are the registered parity
-//! tests `wisegraph-lint` (K006) checks for by name.
+//! contract, with one parity test per fusion pattern below.
 //!
 //! Parity is asserted per thread count only: changing the thread count
 //! changes the reduction chunking, and float addition is not associative.
@@ -251,23 +250,18 @@ fn per_type_batched_matmul_fused_matches_interpreter() {
     }
 }
 
-/// Every pattern the codegen can emit is exercised by one of the three
-/// tests above; this meta-test keeps the list in sync with the enum so a
-/// new pattern cannot land silently (the lint's K006 pass checks the
-/// names textually, this checks them at the type level).
+/// Every pattern the codegen can emit has its parity test above: the
+/// exhaustive `match` names each one, so a new pattern does not compile
+/// until it registers one here.
 #[test]
 fn every_fused_pattern_is_registered_here() {
-    let registered = [
-        "segment_reduce_fused_matches_interpreter",
-        "edge_batch_matmul_fused_matches_interpreter",
-        "per_type_batched_matmul_fused_matches_interpreter",
-    ];
-    assert_eq!(FusedPattern::ALL.len(), registered.len());
     for p in FusedPattern::ALL {
-        assert!(
-            registered.contains(&p.parity_test()),
-            "pattern {:?} has no registered parity test",
-            p
-        );
+        let _parity_test: fn() = match p {
+            FusedPattern::SegmentReduce => segment_reduce_fused_matches_interpreter,
+            FusedPattern::EdgeBatchMatmul => edge_batch_matmul_fused_matches_interpreter,
+            FusedPattern::PerTypeBatchedMatmul => {
+                per_type_batched_matmul_fused_matches_interpreter
+            }
+        };
     }
 }

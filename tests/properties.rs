@@ -24,6 +24,25 @@ fn arb_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = Graph> {
     )
 }
 
+/// Like [`arb_graph`], but the draws also reach edgeless graphs, a single
+/// vertex and isolated vertices: a third of them are RMAT graphs, a third
+/// place `e` edges uniformly at random, and a third fewer edges than
+/// vertices.
+fn arb_ragged_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = Graph> {
+    (1usize..max_v, 0usize..max_e, 1usize..6, 0u64..10_000, 0usize..3).prop_map(
+        |(v, e, t, seed, shape)| {
+            if shape == 0 && v >= 2 && e >= 1 {
+                return rmat(&RmatParams::standard(v, e, seed).with_edge_types(t));
+            }
+            let e = if shape == 2 { e % v } else { e };
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut draw = |n: usize| (0..e).map(|_| rng.below(n as u64) as u32).collect();
+            let (src, dst, ty) = (draw(v), draw(v), draw(t));
+            Graph::new(v, t, src, dst, ty)
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -228,8 +247,7 @@ proptest! {
 
     /// The engine's dealing, for any task and thread count: every task in
     /// exactly one block, at most `threads` slots and none of them idle,
-    /// blocks ascending within a slot, one slot running `0..n` in order —
-    /// and the static verifier (K003) agrees.
+    /// blocks ascending within a slot, one slot running `0..n` in order.
     fn dealing_covers_every_task_exactly_once(
         n in 0usize..5000,
         threads in 1usize..17,
@@ -253,8 +271,6 @@ proptest! {
             .flatten()
             .collect();
         prop_assert_eq!(one, (0..n).collect::<Vec<_>>());
-        let diags = wisegraph::analysis::prelude::verify_chunk_mapping(n, threads);
-        prop_assert!(diags.is_empty(), "{:?}", diags);
     }
 
     /// Relabeling a graph by any generated permutation preserves every
@@ -396,24 +412,29 @@ proptest! {
         }
     }
 
-    /// Sharded collectives on arbitrary graphs and shard counts: the
-    /// remote-unique sets are ragged (devices with more vertices than
-    /// others, shards with zero remote sources, more devices than
-    /// vertices), and still every collective conserves bytes, the merged
-    /// event order is deterministic, and repeating the run reproduces
-    /// outputs and exchange log bit-for-bit.
+    /// Sharded runs on arbitrary graphs and shard counts: the shards are
+    /// ragged (edgeless graphs, a single vertex, isolated vertices, more
+    /// devices than vertices, devices owning no edges, shards with zero
+    /// remote sources), and still every compatible placement of every
+    /// model matches a one-device engine run — bit for bit, except that
+    /// compute-then-reduce re-associates its partial sums and is only
+    /// close — every collective conserves bytes, the merged event order is
+    /// deterministic, and repeating the run reproduces outputs and
+    /// exchange log bit-for-bit.
     fn sharded_exchange_conserves_and_repeats(
-        g in arb_graph(50, 400),
+        g in arb_ragged_graph(50, 400),
         devices in 1usize..9,
         fi in 2usize..5,
         fo in 2usize..5,
         seed in 0u64..1000,
-        placement_pick in 0usize..3,
+        model_pick in 0usize..4,
     ) {
         use wisegraph::kernels::cluster::compatible_placements;
         use wisegraph::kernels::ClusterEngine;
+        use wisegraph::sim::PlacementKind;
 
-        let model = [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Sage][placement_pick];
+        let model = [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Sage, ModelKind::Gat]
+            [model_pick];
         let dfg = model.layer_dfg(fi, fo);
         let plan = partition(&g, &PartitionTable::vertex_centric());
         let mut globals: HashMap<String, Tensor> = HashMap::new();
@@ -424,15 +445,28 @@ proptest! {
         globals.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 2));
         globals.insert("w_self".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 3));
         globals.insert("w_neigh".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 4));
+        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, seed + 5));
+        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, seed + 6));
         let program = compile(&dfg, &g).unwrap();
+        let threads = 2;
+        let reference = Engine::new(threads).execute(&dfg, &g, &plan, &globals).unwrap();
         for placement in compatible_placements(&program, &g, &globals) {
             let run_once = || {
-                let cluster = ClusterEngine::new(devices, 2);
+                let cluster = ClusterEngine::new(devices, threads);
                 cluster
                     .execute(&dfg, &g, &plan, &globals, placement)
                     .unwrap_or_else(|e| panic!("{}/{devices}: {e}", placement.name()))
             };
             let a = run_once();
+            let ctx = format!("{} {} at {devices} devices", model.name(), placement.name());
+            prop_assert_eq!(a.outputs.len(), reference.len(), "{}", ctx);
+            for (got, want) in a.outputs.iter().zip(&reference) {
+                if placement == PlacementKind::ComputeThenReduce {
+                    prop_assert!(want.allclose(got, 1e-3), "{}: diverged from one engine", ctx);
+                } else {
+                    prop_assert_eq!(got.data(), want.data(), "{}: not bit-identical", ctx);
+                }
+            }
             prop_assert!(
                 a.exchange.is_conserved(),
                 "{} at {devices} devices: unbalanced exchange", placement.name()
