@@ -12,7 +12,7 @@ use crate::plan::{ExecutionPlan, OpPartitionKind};
 use crate::optimizer::WiseGraph;
 use std::collections::HashMap;
 use wisegraph_baselines::single::LayerDims;
-use wisegraph_graph::sample::{neighbor_sample, SampleConfig};
+use wisegraph_graph::sample::{neighbor_sample, SampleConfig, SampledSubgraph};
 use wisegraph_graph::{Csr, Graph};
 use wisegraph_gtask::{partition, PartitionTable};
 use wisegraph_kernels::engine::Engine;
@@ -20,6 +20,19 @@ use wisegraph_models::ModelKind;
 use wisegraph_obs::clock::Stopwatch;
 use wisegraph_obs::{keys, Class, Counters};
 use wisegraph_tensor::init;
+
+/// Sample `i` of a stream drawn from `cfg`: the sampler run with seed
+/// `cfg.seed + i`.
+fn nth_sample(g: &Graph, csr: &Csr, cfg: &SampleConfig, i: usize) -> SampledSubgraph {
+    neighbor_sample(
+        g,
+        csr,
+        &SampleConfig {
+            seed: cfg.seed + i as u64,
+            ..cfg.clone()
+        },
+    )
+}
 
 /// Relative performance of reusing one searched plan across fresh samples,
 /// versus re-optimizing per sample (Figure 21a's `full-opt` vs `reuse`).
@@ -36,20 +49,13 @@ pub fn plan_reuse_relative_perf(
     assert!(num_samples >= 2, "need a tuning sample plus test samples");
     let csr = Csr::in_of(g);
     // Tune on the first sample.
-    let first = neighbor_sample(g, &csr, cfg);
+    let first = nth_sample(g, &csr, cfg, 0);
     let tuned = wg.optimize(&first.graph, model, dims);
     let table = tuned.per_layer[0].table.clone();
     let op = tuned.per_layer[0].op_partition;
     let mut ratios = Vec::new();
     for i in 1..num_samples {
-        let sub = neighbor_sample(
-            g,
-            &csr,
-            &SampleConfig {
-                seed: cfg.seed + i as u64,
-                ..cfg.clone()
-            },
-        );
+        let sub = nth_sample(g, &csr, cfg, i);
         // Reused plan: same table + op partition, re-partition only.
         let dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let reused = ExecutionPlan::build(&sub.graph, table.clone(), &dfg, op);
@@ -78,16 +84,7 @@ pub fn sampling_overhead(
     let csr = Csr::in_of(g);
     let t = Stopwatch::start();
     let subs: Vec<_> = (0..num_samples)
-        .map(|i| {
-            neighbor_sample(
-                g,
-                &csr,
-                &SampleConfig {
-                    seed: cfg.seed + i as u64,
-                    ..cfg.clone()
-                },
-            )
-        })
+        .map(|i| nth_sample(g, &csr, cfg, i))
         .collect();
     let sample_time = t.elapsed_seconds();
 
@@ -126,16 +123,7 @@ pub fn partition_fanout_work(
     assert!(threads > 0, "need at least one thread");
     let csr = Csr::in_of(g);
     let subs: Vec<_> = (0..num_samples)
-        .map(|i| {
-            neighbor_sample(
-                g,
-                &csr,
-                &SampleConfig {
-                    seed: cfg.seed + i as u64,
-                    ..cfg.clone()
-                },
-            )
-        })
+        .map(|i| nth_sample(g, &csr, cfg, i))
         .collect();
     let mut c = Counters::new();
     for (w, chunk) in subs.chunks(num_samples.div_ceil(threads)).enumerate() {
@@ -176,14 +164,7 @@ pub fn sampled_execution_reuse(
     let dfg = ModelKind::Gcn.layer_dfg(f_in, f_out);
     let w = init::uniform_tensor(&[f_in, f_out], -1.0, 1.0, cfg.seed ^ 0x5EED);
     for i in 0..num_samples {
-        let sub = neighbor_sample(
-            g,
-            &csr,
-            &SampleConfig {
-                seed: cfg.seed + i as u64,
-                ..cfg.clone()
-            },
-        );
+        let sub = nth_sample(g, &csr, cfg, i);
         let plan = partition(&sub.graph, table);
         let mut globals = HashMap::new();
         globals.insert(

@@ -27,6 +27,17 @@ pub enum Dim {
 /// A symbolic tensor shape.
 pub type SymShape = Vec<Dim>;
 
+/// Number of distinct values, counted in a bitmap sized by the largest.
+fn distinct<T: Into<u64>>(vals: impl Iterator<Item = T> + Clone) -> usize {
+    let vals = vals.map(Into::into);
+    let Some(max) = vals.clone().max() else {
+        return 0;
+    };
+    let mut seen = vec![false; max as usize + 1];
+    vals.filter(|&v| !std::mem::replace(&mut seen[v as usize], true))
+        .count()
+}
+
 /// Concrete values for every symbolic dimension in one scope.
 #[derive(Clone, Debug, Default)]
 pub struct Binding {
@@ -41,62 +52,65 @@ pub struct Binding {
 }
 
 impl Binding {
-    /// Builds the whole-graph binding: unique counts measured over all edges.
+    /// Builds the whole-graph binding: `uniq(attr)` over all edges, read off
+    /// the graph's degree arrays instead of scanning the edges.
+    ///
+    /// Cost: O(|V|) plus a scan of `etype`. A vertex id occurs as a
+    /// source (destination) iff its out- (in-) degree is non-zero, so the
+    /// id, degree and vertex-type counts are counts over those live
+    /// vertices; every edge id is distinct.
     pub fn from_graph(g: &Graph) -> Self {
-        Self::from_edge_set(g, None)
+        let live = |deg: &[u32]| deg.iter().filter(|&&d| d > 0).count();
+        let degrees = |deg: &[u32]| distinct(deg.iter().copied().filter(|&d| d > 0));
+        // An untyped graph reads vertex type 0 for every endpoint.
+        let types = |deg: &[u32]| match g.vertex_types() {
+            Some(t) => distinct(t.iter().zip(deg).filter(|&(_, &d)| d > 0).map(|(&t, _)| t)),
+            None => usize::from(g.num_edges() > 0),
+        };
+        let (out_deg, in_deg) = (g.out_degree(), g.in_degree());
+        let unique = HashMap::from([
+            (AttrKind::EdgeId, g.num_edges()),
+            (AttrKind::SrcId, live(out_deg)),
+            (AttrKind::DstId, live(in_deg)),
+            (AttrKind::EdgeType, distinct(g.etype().iter().copied())),
+            (AttrKind::SrcDegree, degrees(out_deg)),
+            (AttrKind::DstDegree, degrees(in_deg)),
+            (AttrKind::SrcVertexType, types(out_deg)),
+            (AttrKind::DstVertexType, types(in_deg)),
+        ]);
+        Binding {
+            vertices: g.num_vertices(),
+            edges: g.num_edges(),
+            edge_types: g.num_edge_types(),
+            unique,
+        }
     }
 
-    /// Builds a binding for a subset of edges (a gTask scope). `edges = None`
-    /// means the whole graph.
-    pub fn from_edge_set(g: &Graph, edges: Option<&[usize]>) -> Self {
+    /// Builds a binding for a subset of edges (a gTask scope), where the
+    /// "vertices" that matter are the ones the edges touch.
+    pub fn from_edge_set(g: &Graph, edges: &[usize]) -> Self {
         // Attribute values are bounded (vertex ids < |V|, degrees ≤ |E|,
         // types < T), so large scopes count distinct values with a bitmap
         // (O(E) per attribute); small scopes (per-gTask bindings) sort,
         // avoiding a |E|-sized allocation per task.
         let count_unique = |kind: AttrKind| -> usize {
-            match edges {
-                Some(es) if es.len() < 4096 => {
-                    let mut vals: Vec<u64> =
-                        es.iter().map(|&e| g.edge_attr(kind, e)).collect();
-                    vals.sort_unstable();
-                    vals.dedup();
-                    vals.len()
-                }
-                _ => {
-                    let vals = |f: &mut dyn FnMut(u64)| match edges {
-                        Some(es) => es.iter().for_each(|&e| f(g.edge_attr(kind, e))),
-                        None => (0..g.num_edges()).for_each(|e| f(g.edge_attr(kind, e))),
-                    };
-                    let mut max = 0u64;
-                    vals(&mut |v| max = max.max(v));
-                    let mut seen = vec![false; max as usize + 1];
-                    let mut count = 0usize;
-                    vals(&mut |v| {
-                        if !seen[v as usize] {
-                            seen[v as usize] = true;
-                            count += 1;
-                        }
-                    });
-                    count
-                }
+            let vals = edges.iter().map(|&e| g.edge_attr(kind, e));
+            if edges.len() < 4096 {
+                let mut vals: Vec<u64> = vals.collect();
+                vals.sort_unstable();
+                vals.dedup();
+                vals.len()
+            } else {
+                distinct(vals)
             }
         };
-        let num_edges = edges.map_or(g.num_edges(), |es| es.len());
         let mut unique = HashMap::new();
         for kind in AttrKind::ALL {
             unique.insert(kind, count_unique(kind));
         }
-        // In a sub-scope the "vertices" that matter are the ones touched.
-        let vertices = if edges.is_some() {
-            let src_u = unique[&AttrKind::SrcId];
-            let dst_u = unique[&AttrKind::DstId];
-            src_u.max(dst_u)
-        } else {
-            g.num_vertices()
-        };
         Binding {
-            vertices,
-            edges: num_edges,
+            vertices: unique[&AttrKind::SrcId].max(unique[&AttrKind::DstId]),
+            edges: edges.len(),
             edge_types: g.num_edge_types(),
             unique,
         }
@@ -162,7 +176,7 @@ mod tests {
     fn subset_binding_counts_unique_in_scope() {
         let g = paper_graph();
         // Edges into vertex 1: ids 2, 3, 4 with srcs {0, 1, 2}, types {a, b}.
-        let b = Binding::from_edge_set(&g, Some(&[2, 3, 4]));
+        let b = Binding::from_edge_set(&g, &[2, 3, 4]);
         assert_eq!(b.edges, 3);
         assert_eq!(b.eval(Dim::Unique(AttrKind::DstId)), 1);
         assert_eq!(b.eval(Dim::Unique(AttrKind::SrcId)), 3);

@@ -69,17 +69,25 @@ impl Csr {
         self.offsets[v + 1] - self.offsets[v]
     }
 
+    /// Row `v` as two parallel slices: neighbor endpoints and their original
+    /// edge ids, so position `i` of the row is `(row.0[i], row.1[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of bounds.
+    pub fn row(&self, v: usize) -> (&[u32], &[u32]) {
+        let range = self.offsets[v]..self.offsets[v + 1];
+        (&self.endpoints[range.clone()], &self.edge_ids[range])
+    }
+
     /// The neighbor endpoints of row `v` with their original edge ids.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of bounds.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let range = self.offsets[v]..self.offsets[v + 1];
-        self.endpoints[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.edge_ids[range].iter().copied())
+        let (endpoints, edge_ids) = self.row(v);
+        endpoints.iter().copied().zip(edge_ids.iter().copied())
     }
 }
 

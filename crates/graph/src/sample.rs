@@ -47,16 +47,20 @@ pub struct SampledSubgraph {
 /// layers of in-neighbors, keeping at most `fanout` in-edges per frontier
 /// vertex per layer.
 ///
-/// # Panics
+/// Cost: O(|V|) for the visited marks plus work proportional to the edges
+/// kept. A frontier vertex whose degree exceeds the fan-out draws `fanout`
+/// distinct row positions (rejection, O(fanout²) compares), sorts them and
+/// reads just those CSR entries; its other neighbours are never touched.
+/// Picked edges come out in ascending row position per vertex.
 ///
-/// Panics if the graph is empty or `num_seeds` is zero.
+/// An empty graph or `num_seeds == 0` yields an empty subgraph.
 pub fn neighbor_sample(g: &Graph, csr_in: &Csr, cfg: &SampleConfig) -> SampledSubgraph {
-    assert!(g.num_vertices() > 0, "cannot sample an empty graph");
-    assert!(cfg.num_seeds > 0, "need at least one seed");
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut picked_edges: Vec<usize> = Vec::new();
     let mut seen = vec![false; g.num_vertices()];
-    let mut frontier: Vec<u32> = (0..cfg.num_seeds)
+    // An empty graph has no vertex to draw a seed from.
+    let num_seeds = if g.num_vertices() == 0 { 0 } else { cfg.num_seeds };
+    let mut frontier: Vec<u32> = (0..num_seeds)
         .map(|_| rng.range_usize(0..g.num_vertices()) as u32)
         .collect();
     frontier.sort_unstable();
@@ -65,35 +69,31 @@ pub fn neighbor_sample(g: &Graph, csr_in: &Csr, cfg: &SampleConfig) -> SampledSu
     for &v in &frontier {
         seen[v as usize] = true;
     }
+    let mut chosen: Vec<usize> = Vec::new();
     for &fanout in &cfg.fanouts {
         let mut next: Vec<u32> = Vec::new();
         for &v in &frontier {
-            let deg = csr_in.degree(v as usize);
-            if deg == 0 {
-                continue;
-            }
+            let (nbrs, eids) = csr_in.row(v as usize);
+            let deg = nbrs.len();
+            chosen.clear();
             if deg <= fanout {
-                for (nbr, eid) in csr_in.neighbors(v as usize) {
-                    picked_edges.push(eid as usize);
-                    if !seen[nbr as usize] {
-                        seen[nbr as usize] = true;
-                        next.push(nbr);
-                    }
-                }
+                chosen.extend(0..deg);
             } else {
-                // Sample `fanout` distinct positions by floyd-ish rejection.
-                let mut chosen = std::collections::HashSet::with_capacity(fanout);
+                // `fanout` distinct positions by rejection.
                 while chosen.len() < fanout {
-                    chosen.insert(rng.range_usize(0..deg));
-                }
-                for (pos, (nbr, eid)) in csr_in.neighbors(v as usize).enumerate() {
-                    if chosen.contains(&pos) {
-                        picked_edges.push(eid as usize);
-                        if !seen[nbr as usize] {
-                            seen[nbr as usize] = true;
-                            next.push(nbr);
-                        }
+                    let pos = rng.range_usize(0..deg);
+                    if !chosen.contains(&pos) {
+                        chosen.push(pos);
                     }
+                }
+                chosen.sort_unstable();
+            }
+            for &pos in &chosen {
+                picked_edges.push(eids[pos] as usize);
+                let nbr = nbrs[pos];
+                if !seen[nbr as usize] {
+                    seen[nbr as usize] = true;
+                    next.push(nbr);
                 }
             }
         }

@@ -35,7 +35,7 @@ impl GTask {
 
     /// Builds the symbolic-dimension binding for this task's scope.
     pub fn binding(&self, g: &Graph) -> Binding {
-        Binding::from_edge_set(g, Some(&self.edges))
+        Binding::from_edge_set(g, &self.edges)
     }
 
     /// Extracts the gTask-level data patterns of §5.1.

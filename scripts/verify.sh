@@ -9,7 +9,8 @@
 # the bit-identity harnesses (tests/fused_parity.rs,
 # tests/workspace_parity.rs, tests/planning_cache.rs, tests/sharded_parity.rs,
 # tests/causal_determinism.rs) and the planner/verifier equivalence
-# suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs)
+# suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs,
+# tests/sampled_step_equivalence.rs)
 # are part of it and are not re-run by name. After the tests, four gates
 # run: clippy with warnings denied, the benchmark's smoke pass (examples/perfbench
 # --smoke: every workload's calls into the library compile, run and pass

@@ -49,6 +49,30 @@ fn mostly_isolated_vertices() {
     assert!(out.all_finite(), "degree normalization must not divide by 0");
 }
 
+/// Sampling nothing is not an error: an empty graph, or no seeds, yields
+/// an empty subgraph.
+#[test]
+fn empty_samples_are_empty_subgraphs() {
+    use wisegraph::graph::sample::{neighbor_sample, SampleConfig};
+    use wisegraph::graph::Csr;
+
+    let empty = Graph::untyped(0, vec![], vec![]);
+    let g = wisegraph::graph::generate::rmat(
+        &wisegraph::graph::generate::RmatParams::standard(100, 800, 3),
+    );
+    for (g, num_seeds) in [(&empty, 10), (&empty, 0), (&g, 0)] {
+        let cfg = SampleConfig {
+            num_seeds,
+            fanouts: vec![5, 5],
+            seed: 1,
+        };
+        let sub = neighbor_sample(g, &Csr::in_of(g), &cfg);
+        assert_eq!(sub.graph.num_vertices(), 0);
+        assert_eq!(sub.graph.num_edges(), 0);
+        assert!(sub.vertex_map.is_empty() && sub.seeds.is_empty());
+    }
+}
+
 /// A pure star (one hub) stresses every outlier path at once.
 #[test]
 fn star_graph_full_pipeline() {
