@@ -1,6 +1,6 @@
-//! DFG verification (codes `D001`–`D003`).
+//! DFG verification (codes `D001` and `D002`).
 //!
-//! Three questions are answered before any execution:
+//! Two questions are answered before any execution:
 //!
 //! 1. Is the graph *well-formed*? Node inputs must reference earlier nodes
 //!    (the `Dfg` vector order is the topological order, so a forward
@@ -8,15 +8,15 @@
 //! 2. Do the stored shapes agree with a full re-run of shape inference,
 //!    and is every symbolic dimension evaluable under the scope's
 //!    [`Binding`] (`D002`)?
-//! 3. Did a rewrite pass preserve the model's observable interface — its
-//!    indexing-attribute set, output arity, and output shapes (`D003`)?
+//!
+//! Whether a rewrite (`cse`, `prune_dead`, unique extraction, indexing
+//! swap) computes what the original did is a question for the
+//! interpreter, not for this pass: `tests/properties.rs` runs every
+//! rewrite against `dfg::interp`.
 
 use crate::{push_capped, Code, Diagnostic, Span};
-use std::collections::BTreeSet;
-use wisegraph_dfg::analysis::indexing_attrs;
 use wisegraph_dfg::dim::{Binding, Dim};
 use wisegraph_dfg::{Dfg, NodeId, OpKind};
-use wisegraph_graph::AttrKind;
 
 /// Statically verifies one DFG. `binding` enables dimension-evaluability
 /// checks (`None` skips them: pure structural verification).
@@ -137,100 +137,10 @@ pub fn verify_dfg(dfg: &Dfg, binding: Option<&Binding>) -> Vec<Diagnostic> {
     out
 }
 
-/// The attribute set a rewrite must preserve: the base indexing attributes
-/// plus attributes reaching indexing ops through `UniqueValues`/`UniqueMap`
-/// streams (unique extraction rewires `EdgeAttr(a)` into those, which must
-/// still count as "indexes by `a`").
-pub fn effective_indexing_attrs(dfg: &Dfg) -> BTreeSet<AttrKind> {
-    let mut attrs = indexing_attrs(dfg);
-    let consumers = dfg.consumers();
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        let attr = match node.kind {
-            OpKind::UniqueValues(a) | OpKind::UniqueMap(a) => a,
-            _ => continue,
-        };
-        let drives_indexing = consumers[i].iter().any(|&c| {
-            matches!(
-                dfg.node(c).kind,
-                OpKind::Index
-                    | OpKind::Index2D
-                    | OpKind::IndexAdd { .. }
-                    | OpKind::LstmAggregate { .. }
-                    | OpKind::SegmentSoftmax
-            )
-        });
-        if drives_indexing {
-            attrs.insert(attr);
-        }
-    }
-    attrs
-}
-
-/// Checks that a rewrite pass (`cse`, `prune_dead`, unique extraction,
-/// indexing swap, …) preserved the model's observable interface. `pass`
-/// names the transformation in the diagnostics.
-pub fn verify_rewrite(original: &Dfg, rewritten: &Dfg, pass: &str) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let before = effective_indexing_attrs(original);
-    let after = effective_indexing_attrs(rewritten);
-    if before != after {
-        let fmt = |s: &BTreeSet<AttrKind>| {
-            s.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", ")
-        };
-        out.push(
-            Diagnostic::error(
-                Code::DfgRewriteChanged,
-                Span::Global,
-                format!(
-                    "pass `{pass}` changed the indexing-attribute set from {{{}}} to {{{}}}",
-                    fmt(&before),
-                    fmt(&after)
-                ),
-            )
-            .with_suggestion("a rewrite may restructure indexing, not re-target it"),
-        );
-    }
-    if original.outputs().len() != rewritten.outputs().len() {
-        out.push(Diagnostic::error(
-            Code::DfgRewriteChanged,
-            Span::Global,
-            format!(
-                "pass `{pass}` changed the output count from {} to {}",
-                original.outputs().len(),
-                rewritten.outputs().len()
-            ),
-        ));
-    } else {
-        for (k, (&a, &b)) in original
-            .outputs()
-            .iter()
-            .zip(rewritten.outputs())
-            .enumerate()
-        {
-            let (NodeId(a), NodeId(b)) = (a, b);
-            if a >= original.len() || b >= rewritten.len() {
-                continue; // D001 territory; reported by verify_dfg.
-            }
-            let (sa, sb) = (&original.node(NodeId(a)).shape, &rewritten.node(NodeId(b)).shape);
-            if sa != sb {
-                out.push(Diagnostic::error(
-                    Code::DfgRewriteChanged,
-                    Span::Global,
-                    format!(
-                        "pass `{pass}` changed the shape of output #{k} from {sa:?} to {sb:?}"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wisegraph_dfg::passes::{cse, prune_dead};
-    use wisegraph_dfg::transform;
+    use wisegraph_graph::AttrKind;
 
     fn gcn_like() -> Dfg {
         let mut d = Dfg::new();
@@ -325,46 +235,5 @@ mod tests {
         let diags = verify_dfg(&d, Some(&Binding::default()));
         assert!(diags.iter().any(|x| x.code == Code::DfgShapeMismatch
             && x.message.contains("cannot be evaluated")));
-    }
-
-    #[test]
-    fn repo_passes_preserve_the_interface() {
-        let d = gcn_like();
-        assert!(verify_rewrite(&d, &cse(&d), "cse").is_empty());
-        assert!(verify_rewrite(&d, &prune_dead(&d), "prune_dead").is_empty());
-        if let Some(ex) = transform::extract_unique(&d, AttrKind::SrcId) {
-            assert!(verify_rewrite(&d, &ex, "extract_unique").is_empty());
-        }
-    }
-
-    #[test]
-    fn dropped_indexing_attr_is_d003() {
-        let d = gcn_like();
-        let mut stripped = Dfg::new();
-        let h = stripped.input("h", vec![Dim::Vertices, Dim::Lit(4)]);
-        let r = stripped.relu(h);
-        stripped.mark_output(r);
-        let diags = verify_rewrite(&d, &stripped, "bogus");
-        assert!(diags.iter().any(|x| x.code == Code::DfgRewriteChanged
-            && x.message.contains("indexing-attribute set")));
-    }
-
-    #[test]
-    fn changed_output_shape_is_d003() {
-        let d = gcn_like();
-        let mut other = gcn_like();
-        let extra = other.edge_attr(AttrKind::EdgeType);
-        other.mark_output(extra);
-        let diags = verify_rewrite(&d, &other, "bogus");
-        assert!(diags.iter().any(|x| x.code == Code::DfgRewriteChanged
-            && x.message.contains("output count")));
-    }
-
-    #[test]
-    fn unique_extraction_attrs_still_count() {
-        let d = gcn_like();
-        if let Some(ex) = transform::extract_unique(&d, AttrKind::SrcId) {
-            assert!(effective_indexing_attrs(&ex).contains(&AttrKind::SrcId));
-        }
     }
 }

@@ -3,36 +3,30 @@
 //! WiseGraph's correctness rests on invariants that the rest of the
 //! workspace checks only dynamically, if at all: every partition plan must
 //! cover each edge exactly once while honoring its `uniq(attr)`
-//! restrictions (paper §4.2), and DFG rewrites must preserve shapes and
-//! the indexing-attribute set (§5.1). This crate proves those properties
-//! *before* a single epoch runs, and fails fast with a precise, structured
-//! [`Diagnostic`] instead of silently training on a corrupt partition.
-//! Register and fusion legality (§5.2) need no pass here: a program is
-//! legal because `micro::compile` made it, and `fused::plan_fusion` only
-//! replaces the chains it matched.
+//! restrictions (paper §4.2), and a DFG must be well-formed with shapes
+//! that inference reproduces. This crate proves those properties of a
+//! caller's plan, DFG or repair *before* a single epoch runs, and fails
+//! fast with a precise, structured [`Diagnostic`] instead of silently
+//! training on a corrupt partition. Checks of the repository's own code
+//! are tests, not passes here: register and fusion legality (§5.2) hold
+//! because `micro::compile` made the program, the §5.1 rewrites are
+//! checked against `dfg::interp`, and span coverage is checked by
+//! capturing the spans the entry points record.
 //!
-//! Four passes:
+//! Three passes:
 //!
 //! - [`plan`]: exact-once edge coverage, `Exact`/`Min` restriction
 //!   satisfaction, non-empty and monotone gTask bounds (codes `P...`);
-//! - [`dfgcheck`]: DFG well-formedness (acyclicity, no dangling node ids),
-//!   full dimension inference, and rewrite-equivalence checks for
-//!   `cse`/`prune_dead`/unique-extraction (codes `D...`);
-//! - [`obscheck`]: span-instrumentation coverage of the execution entry
-//!   points, so the observability layer cannot silently erode (code
-//!   `O001`), and phase coverage of the cluster schedules and mailbox
-//!   operations that feed causal tracing (code `O002`);
+//! - [`dfgcheck`]: DFG well-formedness (acyclicity, no dangling node ids)
+//!   and full dimension inference (codes `D...`);
 //! - [`repair`]: incremental-repair equivalence — a repaired plan must
 //!   verify identically to a from-scratch partition of the same live edge
 //!   set (code `C001`).
 //!
 //! [`verify_execution`] composes the DFG and plan passes with
-//! compile-ability for one (DFG, graph, plan) combination; the
-//! `wisegraph-lint` binary runs it over every built-in model × partition
-//! strategy as a tier-1 gate.
+//! compile-ability for one (DFG, graph, plan) combination.
 
 pub mod dfgcheck;
-pub mod obscheck;
 pub mod plan;
 pub mod repair;
 
@@ -42,8 +36,8 @@ use wisegraph_graph::Graph;
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_kernels::micro::compile;
 
-/// How bad a finding is. `Error` findings make a [`Report`] fail (and
-/// `wisegraph-lint` exit nonzero); `Warning` findings are advisory.
+/// How bad a finding is. `Error` findings make a [`Report`] fail;
+/// `Warning` findings are advisory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but not provably wrong.
@@ -81,15 +75,6 @@ pub enum Code {
     /// Dimension inference disagrees with a stored shape, or a symbolic
     /// dimension cannot be evaluated under the binding.
     DfgShapeMismatch,
-    /// A rewrite changed the indexing-attribute set or the outputs.
-    DfgRewriteChanged,
-    /// An execution entry point runs without an enclosing observability
-    /// span (or the instrumentation-coverage table is stale).
-    ObsUncovered,
-    /// A cluster schedule phase or mailbox operation runs without its
-    /// required phase span / phase-recording call, so the causal trace
-    /// and critical-path attribution would silently lose that phase.
-    ObsPhaseUncovered,
     /// An incrementally repaired plan diverges from a from-scratch
     /// partition of the same live edge set: different coverage, a violated
     /// restriction, or a different verification verdict.
@@ -106,9 +91,6 @@ impl Code {
             Code::PlanTaskOrder => "P004",
             Code::DfgIllFormed => "D001",
             Code::DfgShapeMismatch => "D002",
-            Code::DfgRewriteChanged => "D003",
-            Code::ObsUncovered => "O001",
-            Code::ObsPhaseUncovered => "O002",
             Code::RepairDivergence => "C001",
         }
     }
@@ -310,10 +292,7 @@ pub(crate) fn push_capped(out: &mut Vec<Diagnostic>, found: Vec<Diagnostic>) {
 /// Bundles `Binding` lookups the passes share; re-exported for callers
 /// composing their own pipelines.
 pub mod prelude {
-    pub use crate::dfgcheck::{effective_indexing_attrs, verify_dfg, verify_rewrite};
-    pub use crate::obscheck::{
-        check_phase_sources, verify_instrumentation, verify_phase_instrumentation,
-    };
+    pub use crate::dfgcheck::verify_dfg;
     pub use crate::plan::verify_plan;
     pub use crate::repair::verify_repair;
     pub use crate::{Code, Diagnostic, Report, Severity, Span};

@@ -586,6 +586,11 @@ impl Engine {
 /// other, and prologue and epilogue each run in one block on the calling
 /// thread. The reference `tests/workspace_parity.rs` compares against.
 ///
+/// No profiler traces it. Its workers are plain scoped threads that join
+/// no capture session, so under `obs::capture` it records only the
+/// calling thread's spans (`engine.edge_prologue`, `kernel.epilogue`) and
+/// none of its `kernel.task` spans.
+///
 /// # Errors
 ///
 /// Returns the compile error if the DFG cannot run per task.

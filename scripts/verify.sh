@@ -11,16 +11,15 @@
 # tests/causal_determinism.rs) and the planner/verifier equivalence
 # suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs,
 # tests/sampled_step_equivalence.rs)
-# are part of it and are not re-run by name. After the tests, four gates
-# run: clippy with warnings denied, the benchmark's smoke pass (examples/perfbench
+# are part of it and are not re-run by name, and so are the checks of
+# the repository's own code: the verifier's clean sweep over every model,
+# rewrite, table and repair (tests/analysis_diagnostics.rs), the rewrite
+# interpreter check (tests/properties.rs) and the span capture
+# (tests/obs_determinism.rs). After the tests, three gates run: clippy
+# with warnings denied, the benchmark's smoke pass (examples/perfbench
 # --smoke: every workload's calls into the library compile, run and pass
 # their output checks, so a library change cannot silently break
-# BENCHMARK.json),
-# wisegraph-lint (the pre-execution plan/DFG/compile-ability/
-# instrumentation/repair verifier, including the O002 cluster-phase
-# coverage pass) over every built-in model × partition strategy, run
-# once with --json, whose compact document is asserted to report zero
-# errors — and
+# BENCHMARK.json), and
 # wisegraph-prof --critical-path --check (the counter-regression gate:
 # run-to-run and cross-thread determinism plus tolerance
 # bands against results/prof_baseline.json, covering the Work-class
@@ -41,10 +40,6 @@ cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
 cargo run --release --offline --example perfbench -- --smoke
-lint_json="$(cargo run --release --offline --bin wisegraph-lint -- --json)" ||
-    { echo "$lint_json" >&2; exit 1; }
-grep -q '"tool":"wisegraph-lint"' <<<"$lint_json"
-grep -qE '"errors":0[,}]' <<<"$lint_json"
 cargo run --release --offline --bin wisegraph-prof -- --critical-path --check
 if [ "$(results_checksum)" != "$results_before" ]; then
     echo "verify.sh: a tracked file under results/ changed during the run" >&2

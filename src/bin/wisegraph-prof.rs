@@ -86,7 +86,8 @@ const CHECK_THREADS: [usize; 3] = [1, 2, 4];
 /// incidental values (e.g. one extra warm-up buffer).
 const RESOURCE_BAND: f64 = 0.25;
 
-/// Layer feature sizes (input, output) — same as `wisegraph-lint`.
+/// Layer feature sizes (input, output) — same as the verifier's clean sweep
+/// in `tests/analysis_diagnostics.rs`.
 const DIMS: (usize, usize) = (8, 6);
 
 /// Simulated device count for the sharded multi-device section.

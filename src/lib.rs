@@ -20,7 +20,7 @@
 //! - [`core`]: the end-to-end WiseGraph workflow (plan generation, joint
 //!   optimization, strategy search, training);
 //! - [`analysis`]: the pre-execution static verifier — plan, DFG, and
-//!   kernel legality checks behind the `wisegraph-lint` binary;
+//!   incremental-repair checks of a caller's inputs;
 //! - [`cache`]: the content-addressed planning cache — FNV content
 //!   hashing and the in-process [`PlanCache`](wisegraph_cache::PlanCache)
 //!   store that lets warm runs skip partitioning, DFG optimization, and

@@ -12,7 +12,7 @@
 //! changes the reduction chunking, and float addition is not associative.
 
 use std::collections::HashMap;
-use wisegraph::analysis::prelude::effective_indexing_attrs;
+use wisegraph::dfg::analysis::indexing_attrs;
 use wisegraph::dfg::{Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
@@ -108,7 +108,7 @@ fn all_models_all_tables_all_threads_are_bit_identical() {
         ModelKind::Sage,
     ] {
         let dfg = kind.layer_dfg(fi, fo);
-        let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
+        let indexing: Vec<_> = indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             for threads in THREADS {
                 let ctx = format!("{} × [{table}] × {threads} threads", kind.name());

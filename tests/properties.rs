@@ -4,6 +4,7 @@
 use wisegraph_testkit::prelude::*;
 use std::collections::HashMap;
 use wisegraph::dfg::interp::execute;
+use wisegraph::dfg::passes::{cse, prune_dead};
 use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{io, AttrKind, Graph, ShardSpec};
@@ -46,32 +47,47 @@ fn arb_ragged_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = Graph> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The DFG transformation search always returns a numerically
-    /// equivalent program, for every model and random graph.
+    /// Every §5.1 rewrite computes what the original DFG computes: each
+    /// `transform::candidates` output (unique extraction, indexing swap and
+    /// both), `cse` and `prune_dead`, for every executable model and random
+    /// graph, matches the interpreter's outputs on the original.
     fn transformations_preserve_semantics(
         g in arb_graph(60, 500),
         fi in 2usize..6,
         fo in 2usize..6,
         seed in 0u64..1000,
     ) {
-        for model in [ModelKind::Rgcn, ModelKind::Gcn, ModelKind::Sage] {
+        let mut inputs: HashMap<String, Tensor> = HashMap::new();
+        inputs.insert("h".into(),
+            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, seed));
+        inputs.insert("W".into(),
+            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, seed + 1));
+        inputs.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 2));
+        inputs.insert("w_self".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 3));
+        inputs.insert("w_neigh".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 4));
+        inputs.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, seed + 5));
+        inputs.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, seed + 6));
+        let binding = Binding::from_graph(&g);
+        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
             let dfg = model.layer_dfg(fi, fo);
-            let binding = Binding::from_graph(&g);
-            let (opt, _) = transform::optimize(&dfg, &binding);
-            let mut inputs: HashMap<String, Tensor> = HashMap::new();
-            inputs.insert("h".into(),
-                init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, seed));
-            inputs.insert("W".into(),
-                init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, seed + 1));
-            inputs.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 2));
-            inputs.insert("w_self".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 3));
-            inputs.insert("w_neigh".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, seed + 4));
-            let base = &execute(&dfg, &g, &inputs).unwrap()[0];
-            let transformed = &execute(&opt, &g, &inputs).unwrap()[0];
-            prop_assert!(
-                base.allclose(transformed, 1e-3),
-                "{}: diff {}", model.name(), base.max_abs_diff(transformed)
-            );
+            let base = execute(&dfg, &g, &inputs).unwrap();
+            let mut rewrites: Vec<(String, Dfg)> = transform::candidates(&dfg, &binding)
+                .into_iter()
+                .enumerate()
+                .map(|(i, d)| (format!("candidate #{i}"), d))
+                .collect();
+            rewrites.push(("cse".into(), cse(&dfg)));
+            rewrites.push(("prune_dead".into(), prune_dead(&dfg)));
+            for (pass, rewritten) in &rewrites {
+                let got = execute(rewritten, &g, &inputs).unwrap();
+                prop_assert_eq!(got.len(), base.len(), "{} {}: outputs", model.name(), pass);
+                for (b, t) in base.iter().zip(&got) {
+                    prop_assert!(
+                        b.allclose(t, 1e-3),
+                        "{} {}: diff {}", model.name(), pass, b.max_abs_diff(t)
+                    );
+                }
+            }
         }
     }
 

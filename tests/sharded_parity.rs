@@ -19,7 +19,7 @@
 //! minimum.
 
 use std::collections::HashMap;
-use wisegraph::analysis::prelude::effective_indexing_attrs;
+use wisegraph::dfg::analysis::indexing_attrs;
 use wisegraph::baselines::multi::MultiStack;
 use wisegraph::core::multi::best_placement_comm;
 use wisegraph::core::sharded::select_placement;
@@ -98,7 +98,7 @@ fn all_models_all_tables_all_devices_match_single_engine() {
     for kind in MODELS {
         let dfg = kind.layer_dfg(fi, fo);
         let program = compile(&dfg, &g).unwrap();
-        let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
+        let indexing: Vec<_> = indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
             let reference = Engine::new(THREADS)
@@ -207,7 +207,7 @@ fn predicted_placement_matches_executed_selection() {
     for kind in MODELS {
         let dfg = kind.layer_dfg(fi, fo);
         let program = compile(&dfg, &g).unwrap();
-        let indexing: Vec<_> = effective_indexing_attrs(&dfg).into_iter().collect();
+        let indexing: Vec<_> = indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
             let plan = partition(&g, &table);
             let choice = select_placement(&program, &g, &globals, devices, fabric, fi, fo);
