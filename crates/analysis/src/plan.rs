@@ -13,11 +13,12 @@
 //!    from exactly this order.
 //!
 //! Everything is recomputed from the graph; nothing recorded in the plan
-//! is trusted.
+//! is trusted. The passes walk the plan's task ranges over its one edge
+//! array.
 
 use crate::{push_capped, Code, Diagnostic, Span};
 use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::{PartitionPlan, StampSet};
+use wisegraph_gtask::{Column, PartitionPlan, StampSet};
 
 /// Statically verifies a partition plan against its graph and table.
 /// Returns all findings; an empty vector means the plan is provably legal.
@@ -34,7 +35,8 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
     let mut task_in_range = vec![true; plan.tasks.len()];
     let mut range_diags = Vec::new();
     for (ti, task) in plan.tasks.iter().enumerate() {
-        for &e in &task.edges {
+        for &e in task.edges {
+            let e = e as usize;
             if e >= num_edges {
                 task_in_range[ti] = false;
                 range_diags.push(Diagnostic::error(
@@ -71,7 +73,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
 
     // --- P002/P003: per-task restriction satisfaction ----------------
     let mut restr_diags = Vec::new();
-    let mut seen = StampSet::new();
+    let mut recount = Recount::new(g, &exact);
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() {
             out.push(
@@ -87,8 +89,8 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
         if !task_in_range[ti] {
             continue;
         }
-        for &(attr, k) in &exact {
-            let actual = recount_unique(g, &task.edges, attr, &mut seen);
+        for (j, &(attr, k)) in exact.iter().enumerate() {
+            let actual = recount.unique(j, task.edges);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(
@@ -101,7 +103,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
                     .with_suggestion("split the task or loosen the table's bound"),
                 );
             }
-            if let Some(&recorded) = task.uniq.get(&attr) {
+            if let Some(recorded) = task.uniq(attr) {
                 if recorded != actual {
                     restr_diags.push(
                         Diagnostic::error(
@@ -118,7 +120,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
             }
         }
         for &attr in &min_attrs {
-            if !task.uniq.contains_key(&attr) {
+            if task.uniq(attr).is_none() {
                 restr_diags.push(Diagnostic::warning(
                     Code::PlanRestriction,
                     Span::Task(ti),
@@ -151,7 +153,8 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
             prev = None;
             continue;
         }
-        for &e in &task.edges {
+        for &e in task.edges {
+            let e = e as usize;
             let k = key(e);
             if let Some((pt, pe, pk)) = &prev {
                 if k < *pk {
@@ -182,27 +185,44 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
     out
 }
 
-/// Independent unique-value recount over a task's edges (never trusts the
-/// recorded metadata) — the one recount `P002` and `C001` share. `seen` is
-/// scratch the caller keeps across tasks, so a whole-plan recount is O(E).
-pub(crate) fn recount_unique(
-    g: &Graph,
-    edges: &[usize],
-    attr: AttrKind,
-    seen: &mut StampSet,
-) -> usize {
-    seen.clear();
-    for &e in edges {
-        seen.insert(g.edge_attr(attr, e));
+/// Independent unique-value recount over tasks' edges (never trusts the
+/// recorded metadata) — the one recount `P002` and `C001` share. It holds
+/// each attribute's [`Column`] over every edge of the graph, so a sparse
+/// value is dense-ranked before it can size a table, and one [`StampSet`]
+/// per attribute across tasks, so a whole-plan recount is O(E).
+pub(crate) struct Recount {
+    cols: Vec<(Column, StampSet)>,
+}
+
+impl Recount {
+    /// The recount of `attrs`' values on `g`.
+    pub(crate) fn new(g: &Graph, attrs: &[(AttrKind, u64)]) -> Self {
+        let cols = attrs
+            .iter()
+            .map(|&(attr, _)| {
+                let col = Column::new(g, attr, 0..g.num_edges());
+                let seen = StampSet::with_len(col.len);
+                (col, seen)
+            })
+            .collect();
+        Self { cols }
     }
-    seen.len()
+
+    /// Distinct values of attribute `j` over `edges` (ids in range).
+    pub(crate) fn unique(&mut self, j: usize, edges: &[u32]) -> usize {
+        let (col, seen) = &mut self.cols[j];
+        seen.clear();
+        for &e in edges {
+            seen.insert(col.codes[e as usize]);
+        }
+        seen.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-    use wisegraph_gtask::{partition, GTask, PartitionTable};
+    use wisegraph_gtask::{partition, PartitionTable, TaskList};
 
     fn paper_graph() -> Graph {
         Graph::new(
@@ -214,11 +234,13 @@ mod tests {
         )
     }
 
-    fn task(edges: Vec<usize>) -> GTask {
-        GTask {
-            edges,
-            uniq: BTreeMap::new(),
-        }
+    fn task(edges: Vec<usize>) -> TaskList {
+        (edges, Vec::new())
+    }
+
+    /// A plan of untracked tasks under the unrestricted table.
+    fn plan_of(tasks: Vec<TaskList>) -> PartitionPlan {
+        PartitionPlan::from_task_lists(PartitionTable::new(), Vec::new(), tasks)
     }
 
     #[test]
@@ -245,10 +267,7 @@ mod tests {
     fn missing_and_duplicated_edges_are_p001() {
         let g = paper_graph();
         // Edge 1 twice, edge 10 never.
-        let plan = PartitionPlan {
-            table: PartitionTable::new(),
-            tasks: vec![task(vec![0, 1, 2, 3, 4]), task(vec![1, 5, 6, 7, 8, 9])],
-        };
+        let plan = plan_of(vec![task(vec![0, 1, 2, 3, 4]), task(vec![1, 5, 6, 7, 8, 9])]);
         let diags = verify_plan(&g, &plan);
         assert!(diags.iter().any(|d| d.code == Code::PlanEdgeCoverage
             && d.message.contains("not covered")));
@@ -259,10 +278,7 @@ mod tests {
     #[test]
     fn out_of_range_edge_is_p001() {
         let g = paper_graph();
-        let plan = PartitionPlan {
-            table: PartitionTable::new(),
-            tasks: vec![task((0..g.num_edges()).collect()), task(vec![99])],
-        };
+        let plan = plan_of(vec![task((0..g.num_edges()).collect()), task(vec![99])]);
         let diags = verify_plan(&g, &plan);
         assert!(diags
             .iter()
@@ -272,10 +288,7 @@ mod tests {
     #[test]
     fn coverage_bursts_are_capped() {
         let g = paper_graph();
-        let plan = PartitionPlan {
-            table: PartitionTable::new(),
-            tasks: vec![task(vec![0])], // 10 edges uncovered
-        };
+        let plan = plan_of(vec![task(vec![0])]); // 10 edges uncovered
         let diags = verify_plan(&g, &plan);
         let p001 = diags
             .iter()
@@ -288,12 +301,11 @@ mod tests {
     fn violated_and_stale_restrictions_are_p002() {
         let g = paper_graph();
         // One task with every edge, claiming uniq(dst-id) = 1.
-        let mut t = task((0..g.num_edges()).collect());
-        t.uniq.insert(AttrKind::DstId, 1);
-        let plan = PartitionPlan {
-            table: PartitionTable::vertex_centric(),
-            tasks: vec![t],
-        };
+        let plan = PartitionPlan::from_task_lists(
+            PartitionTable::vertex_centric(),
+            vec![AttrKind::DstId],
+            vec![((0..g.num_edges()).collect(), vec![1])],
+        );
         let diags = verify_plan(&g, &plan);
         assert!(diags.iter().any(|d| d.code == Code::PlanRestriction
             && d.severity == crate::Severity::Error
@@ -305,19 +317,14 @@ mod tests {
     fn untracked_min_attr_is_a_p002_warning() {
         let g = paper_graph();
         let real = partition(&g, &PartitionTable::dst_batch_min_degree(3));
-        let tasks = real
-            .tasks
-            .iter()
-            .map(|t| {
-                let mut t = t.clone();
-                t.uniq.remove(&AttrKind::DstDegree);
-                t
-            })
-            .collect();
-        let plan = PartitionPlan {
-            table: real.table.clone(),
-            tasks,
-        };
+        let drop = real.tasks.attrs().iter().position(|&a| a == AttrKind::DstDegree).unwrap();
+        let mut attrs = real.tasks.attrs().to_vec();
+        attrs.remove(drop);
+        let mut tasks = real.task_lists();
+        for (_, uniq) in &mut tasks {
+            uniq.remove(drop);
+        }
+        let plan = PartitionPlan::from_task_lists(real.table.clone(), attrs, tasks);
         let diags = verify_plan(&g, &plan);
         assert!(diags.iter().any(|d| d.code == Code::PlanRestriction
             && d.severity == crate::Severity::Warning
@@ -327,10 +334,7 @@ mod tests {
     #[test]
     fn empty_task_is_p003() {
         let g = paper_graph();
-        let plan = PartitionPlan {
-            table: PartitionTable::new(),
-            tasks: vec![task((0..g.num_edges()).collect()), task(vec![])],
-        };
+        let plan = plan_of(vec![task((0..g.num_edges()).collect()), task(vec![])]);
         let diags = verify_plan(&g, &plan);
         assert!(diags.iter().any(|d| d.code == Code::PlanEmptyTask));
     }
@@ -339,10 +343,7 @@ mod tests {
     fn shuffled_edges_are_p004() {
         let g = paper_graph();
         // Unrestricted table: the key order is the edge id.
-        let plan = PartitionPlan {
-            table: PartitionTable::new(),
-            tasks: vec![task(vec![0, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10])],
-        };
+        let plan = plan_of(vec![task(vec![0, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10])]);
         let diags = verify_plan(&g, &plan);
         assert!(diags.iter().any(|d| d.code == Code::PlanTaskOrder
             && d.message.contains("within task")));
@@ -351,10 +352,13 @@ mod tests {
     #[test]
     fn swapped_tasks_are_p004() {
         let g = paper_graph();
-        let mut real = partition(&g, &PartitionTable::vertex_centric());
+        let real = partition(&g, &PartitionTable::vertex_centric());
         assert!(real.tasks.len() >= 2);
-        real.tasks.swap(0, 1);
-        let diags = verify_plan(&g, &real);
+        let mut tasks = real.task_lists();
+        tasks.swap(0, 1);
+        let swapped =
+            PartitionPlan::from_task_lists(real.table.clone(), real.tasks.attrs().to_vec(), tasks);
+        let diags = verify_plan(&g, &swapped);
         assert!(diags.iter().any(|d| d.code == Code::PlanTaskOrder
             && d.message.contains("boundary")));
     }

@@ -14,9 +14,10 @@
 //!    of `partition_edges(g, table, live)` run from scratch.
 //!
 //! All four are O(E) dense passes over edge ids — membership and coverage
-//! are arrays indexed by edge id, recounts use one epoch-stamped value set
-//! — so the guard costs about as much as the from-scratch partition of
-//! property 4, not a multiple of it, and runs inside every
+//! are arrays indexed by edge id, recounts read one code column per `Exact`
+//! attribute, built once and shared by both plans, into one epoch-stamped
+//! value set — so the guard costs about as much as the from-scratch
+//! partition of property 4, not a multiple of it, and runs inside every
 //! `DynamicPlanner::apply`.
 //!
 //! Global monotone task order (`P004`) is deliberately *not* required
@@ -24,10 +25,10 @@
 //! depend on cross-task order for correctness — only the reducers'
 //! ascending merge, which keys on node ids, not task ids.
 
-use crate::plan::recount_unique;
+use crate::plan::Recount;
 use crate::{push_capped, Code, Diagnostic, Span};
 use wisegraph_graph::Graph;
-use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable, StampSet};
+use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
 
 /// Verifies that an incrementally repaired `plan` is equivalent, for
 /// execution purposes, to partitioning the `live` edge set from scratch
@@ -58,13 +59,14 @@ pub fn verify_repair(
     }
 
     let live_set = LiveSet::new(g.num_edges(), live);
-    let own = subset_findings(g, table, &live_set, plan);
+    let mut recount = Recount::new(g, &table.exact_attrs());
+    let own = subset_findings(g, table, &live_set, &mut recount, plan);
     let own_clean = own.is_empty();
     out.extend(own);
 
     // --- verdict parity with a from-scratch partition ----------------
     let scratch = partition_edges(g, table, &live_set.ids);
-    let scratch_findings = subset_findings(g, table, &live_set, &scratch);
+    let scratch_findings = subset_findings(g, table, &live_set, &mut recount, &scratch);
     if scratch_findings.is_empty() != own_clean {
         out.push(
             Diagnostic::error(
@@ -123,6 +125,7 @@ fn subset_findings(
     g: &Graph,
     table: &PartitionTable,
     live: &LiveSet,
+    recount: &mut Recount,
     plan: &PartitionPlan,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -145,7 +148,8 @@ fn subset_findings(
             );
             continue;
         }
-        for &e in &task.edges {
+        for &e in task.edges {
+            let e = e as usize;
             if e >= num_edges {
                 task_in_range[ti] = false;
                 cover_diags.push(Diagnostic::error(
@@ -185,13 +189,12 @@ fn subset_findings(
 
     // Restriction satisfaction and recorded-count honesty.
     let mut restr_diags = Vec::new();
-    let mut seen = StampSet::new();
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() || !task_in_range[ti] {
             continue;
         }
-        for &(attr, k) in &exact {
-            let actual = recount_unique(g, &task.edges, attr, &mut seen);
+        for (j, &(attr, k)) in exact.iter().enumerate() {
+            let actual = recount.unique(j, task.edges);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(
@@ -205,7 +208,7 @@ fn subset_findings(
                     .with_suggestion("the repair must split tasks exactly like the partitioner"),
                 );
             }
-            if let Some(&recorded) = task.uniq.get(&attr) {
+            if let Some(recorded) = task.uniq(attr) {
                 if recorded != actual {
                     restr_diags.push(Diagnostic::error(
                         Code::RepairDivergence,
@@ -288,11 +291,14 @@ mod tests {
         let table = PartitionTable::vertex_centric();
         let inc = IncrementalPlan::new(&g, table.clone());
         let live = inc.live_edges();
-        let mut snap = inc.snapshot(&g);
+        let snap = inc.snapshot(&g);
         // Merge every task into one: uniq(dst-id) explodes past Exact(1).
-        let merged: Vec<usize> = snap.tasks.iter().flat_map(|t| t.edges.clone()).collect();
-        snap.tasks.truncate(1);
-        snap.tasks[0].edges = merged;
+        let merged: Vec<usize> = snap.tasks.edges().iter().map(|&e| e as usize).collect();
+        let mut tasks = snap.task_lists();
+        tasks.truncate(1);
+        tasks[0].0 = merged;
+        let snap =
+            PartitionPlan::from_task_lists(snap.table.clone(), snap.tasks.attrs().to_vec(), tasks);
         let diags = verify_repair(&g, &table, &live, &snap);
         assert!(diags.iter().any(|d| d.code == Code::RepairDivergence
             && d.message.contains("violating")));
@@ -304,10 +310,13 @@ mod tests {
         let table = PartitionTable::vertex_centric();
         let inc = IncrementalPlan::new(&g, table.clone());
         let live = inc.live_edges();
-        let mut snap = inc.snapshot(&g);
-        if let Some(v) = snap.tasks[0].uniq.values_mut().next() {
+        let snap = inc.snapshot(&g);
+        let mut tasks = snap.task_lists();
+        if let Some(v) = tasks[0].1.first_mut() {
             *v += 41;
         }
+        let snap =
+            PartitionPlan::from_task_lists(snap.table.clone(), snap.tasks.attrs().to_vec(), tasks);
         let diags = verify_repair(&g, &table, &live, &snap);
         assert!(diags.iter().any(|d| d.code == Code::RepairDivergence
             && d.message.contains("disagrees")));
@@ -330,11 +339,11 @@ mod tests {
         let table = PartitionTable::new();
         let inc = IncrementalPlan::new(&g, table.clone());
         let live = inc.live_edges();
-        let mut snap = inc.snapshot(&g);
-        snap.tasks.push(wisegraph_gtask::GTask {
-            edges: vec![],
-            uniq: Default::default(),
-        });
+        let snap = inc.snapshot(&g);
+        let mut tasks = snap.task_lists();
+        tasks.push((Vec::new(), Vec::new()));
+        let snap =
+            PartitionPlan::from_task_lists(snap.table.clone(), snap.tasks.attrs().to_vec(), tasks);
         let diags = verify_repair(&g, &table, &live, &snap);
         assert!(diags.iter().any(|d| d.code == Code::RepairDivergence
             && d.message.contains("empty gTask")));

@@ -46,11 +46,11 @@ fn dataset(name: &str) -> LabeledGraph {
 fn plan_ordered(data: &LabeledGraph) -> LabeledGraph {
     use wisegraph_gtask::{partition, PartitionTable};
     let plan = partition(&data.graph, &PartitionTable::src_batch_per_type(64));
-    let order: Vec<usize> = plan.tasks.iter().flat_map(|t| t.edges.iter().copied()).collect();
+    let order = plan.tasks.edges();
     let g = &data.graph;
-    let src: Vec<u32> = order.iter().map(|&e| g.src()[e]).collect();
-    let dst: Vec<u32> = order.iter().map(|&e| g.dst()[e]).collect();
-    let ety: Vec<u32> = order.iter().map(|&e| g.etype()[e]).collect();
+    let src: Vec<u32> = order.iter().map(|&e| g.src()[e as usize]).collect();
+    let dst: Vec<u32> = order.iter().map(|&e| g.dst()[e as usize]).collect();
+    let ety: Vec<u32> = order.iter().map(|&e| g.etype()[e as usize]).collect();
     let mut out = data.clone();
     out.graph = wisegraph_graph::Graph::new(
         g.num_vertices(),

@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::mem::{size_of, size_of_val};
 use wisegraph_dfg::graph::Node;
 use wisegraph_dfg::{transform, Binding, Dfg};
-use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::{partition, partition_edges, GTask, PartitionPlan, PartitionTable};
+use wisegraph_graph::Graph;
+use wisegraph_gtask::{partition, partition_edges, PartitionPlan, PartitionTable};
 use wisegraph_kernels::micro::{compile, CompileError, KernelProgram};
 use wisegraph_obs::{keys, span, Class, Counters};
 
@@ -42,11 +42,12 @@ trait Payload {
 }
 
 impl Payload for PartitionPlan {
+    /// The plan's three flat arrays: 4 B per edge id, per offset and per
+    /// `uniq` entry.
     fn payload_bytes(&self) -> usize {
-        let per_task = |t: &GTask| {
-            size_of_val(&t.edges[..]) + t.uniq.len() * size_of::<(AttrKind, usize)>()
-        };
-        size_of_val(&self.tasks[..]) + self.tasks.iter().map(per_task).sum::<usize>()
+        let t = &self.tasks;
+        let uniq = t.len() * t.attrs().len() * size_of::<u32>();
+        size_of_val(t.edges()) + size_of_val(t.offsets()) + uniq
     }
 }
 
@@ -121,8 +122,9 @@ impl PlanCache {
     }
 
     /// Heap payload of the artifacts currently resident, from their
-    /// lengths: 8 B per plan edge id plus the per-task, per-node and
-    /// per-instruction records.
+    /// lengths: a plan's `4·E + 4·(T + 1) + 4·T·A` bytes (E edge ids,
+    /// T tasks, A tracked attributes) plus the per-node and
+    /// per-instruction records of DFGs and programs.
     pub fn stored_bytes(&self) -> usize {
         self.stored_bytes
     }
@@ -338,7 +340,7 @@ mod tests {
         assert_eq!(cold, direct);
         assert_eq!(warm, direct);
         // A hit hands out a copy: the caller's edits never reach the store.
-        warm.tasks.clear();
+        warm.tasks.truncate(0);
         assert_eq!(cache.partition_cached(&g, &table), direct);
     }
 
@@ -424,7 +426,9 @@ mod tests {
         assert_eq!(cache.stored_bytes(), 0);
 
         let plan = cache.partition_cached(&g1, &table);
-        assert!(cache.stored_bytes() >= g1.num_edges() * size_of::<usize>());
+        // Vertex-centric tracks one attribute.
+        let closed_form = 4 * g1.num_edges() + 4 * (plan.num_tasks() + 1) + 4 * plan.num_tasks();
+        assert_eq!(cache.stored_bytes(), closed_form);
         cache.partition_cached(&g2, &PartitionTable::edge_batch(8));
         let dfg = cache.transform_cached(&g1, &ModelKind::Gcn.layer_dfg(8, 6));
         cache.compile_cached(&g1, &dfg).unwrap();
@@ -433,7 +437,7 @@ mod tests {
         // Overwriting a key with a smaller plan charges only the new one.
         let before = cache.stored_bytes();
         let mut smaller = plan.clone();
-        smaller.tasks.pop();
+        smaller.tasks.truncate(plan.num_tasks() - 1);
         let shrink = plan.payload_bytes() - smaller.payload_bytes();
         cache.insert_plan(PlanCache::graph_key(&g1), smaller);
         assert_eq!(cache.len(), 4);

@@ -126,7 +126,7 @@ pub fn plan_lstm_padding(g: &Graph, plan: &PartitionPlan) -> f64 {
     let mut weighted = 0.0f64;
     let mut total = 0.0f64;
     for task in &plan.tasks {
-        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e]).collect();
+        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e as usize]).collect();
         dsts.sort_unstable();
         dsts.dedup();
         let degs: Vec<f64> = dsts
@@ -145,7 +145,7 @@ pub fn plan_lstm_padding(g: &Graph, plan: &PartitionPlan) -> f64 {
     let mut pairs = 0usize;
     let mut all_dsts: Vec<u32> = Vec::new();
     for task in &plan.tasks {
-        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e]).collect();
+        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e as usize]).collect();
         dsts.sort_unstable();
         dsts.dedup();
         pairs += dsts.len();

@@ -126,13 +126,13 @@ pub fn execute(
     g: &Graph,
     inputs: &HashMap<String, Tensor>,
 ) -> Result<Vec<Tensor>, String> {
-    let all: Vec<usize> = (0..g.num_edges()).collect();
+    let all: Vec<u32> = (0..g.num_edges() as u32).collect();
     execute_on_edges(dfg, g, inputs, &all)
 }
 
-/// Executes the DFG over a *subset* of edges (one gTask's scope): edge
-/// streams are restricted to `edges`, reductions still target the full
-/// vertex set.
+/// Executes the DFG over a *subset* of edges (one gTask's scope, as the
+/// plan stores its `u32` ids): edge streams are restricted to `edges`,
+/// reductions still target the full vertex set.
 ///
 /// For DFGs whose every source-to-output path passes through an `IndexAdd`
 /// and whose post-reduction operations are linear (GCN, RGCN), summing the
@@ -150,9 +150,9 @@ pub fn execute_on_edges(
     dfg: &Dfg,
     g: &Graph,
     inputs: &HashMap<String, Tensor>,
-    edges: &[usize],
+    edges: &[u32],
 ) -> Result<Vec<Tensor>, String> {
-    if let Some(&bad) = edges.iter().find(|&&e| e >= g.num_edges()) {
+    if let Some(&bad) = edges.iter().find(|&&e| e as usize >= g.num_edges()) {
         return Err(format!("edge {bad} out of bounds"));
     }
     let mut binding = Binding::from_graph(g);
@@ -184,19 +184,19 @@ pub fn execute_on_edges(
                 Value::Tensor(t.clone())
             }
             OpKind::EdgeAttr(a) => Value::Index(
-                edges.iter().map(|&ed| g.edge_attr(*a, ed) as u32).collect(),
+                edges.iter().map(|&ed| g.edge_attr(*a, ed as usize) as u32).collect(),
             ),
             OpKind::UniqueValues(a) => {
                 let stream: Vec<u32> = edges
                     .iter()
-                    .map(|&ed| g.edge_attr(*a, ed) as u32)
+                    .map(|&ed| g.edge_attr(*a, ed as usize) as u32)
                     .collect();
                 Value::Index(unique_and_map(&stream).0)
             }
             OpKind::UniqueMap(a) => {
                 let stream: Vec<u32> = edges
                     .iter()
-                    .map(|&ed| g.edge_attr(*a, ed) as u32)
+                    .map(|&ed| g.edge_attr(*a, ed as usize) as u32)
                     .collect();
                 Value::Index(unique_and_map(&stream).1)
             }

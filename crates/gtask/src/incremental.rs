@@ -22,7 +22,7 @@
 
 use crate::partition::partition_edges;
 use crate::restriction::PartitionTable;
-use crate::task::{GTask, PartitionPlan};
+use crate::task::{edge_id, PartitionPlan, Tasks};
 use std::collections::{BTreeMap, BTreeSet};
 use wisegraph_graph::{AttrKind, Graph};
 
@@ -106,7 +106,7 @@ const DEAD: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct TaskState {
-    edges: Vec<usize>,
+    edges: Vec<u32>,
     /// Distinct values per `Exact` attribute.
     uniq: Vec<BTreeSet<u64>>,
 }
@@ -159,16 +159,16 @@ impl IncrementalPlan {
         let exact = self.exact_attrs();
         self.tasks = plan
             .tasks
-            .into_iter()
+            .iter()
             .map(|t| {
                 let uniq = exact
                     .iter()
                     .map(|&(attr, _)| {
-                        t.edges.iter().map(|&e| g.edge_attr(attr, e)).collect()
+                        t.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect()
                     })
                     .collect();
                 TaskState {
-                    edges: t.edges,
+                    edges: t.edges.to_vec(),
                     uniq,
                 }
             })
@@ -185,7 +185,7 @@ impl IncrementalPlan {
                 }
             }
             for &e in &t.edges {
-                self.task_of[e] = slot_id(i);
+                self.task_of[e as usize] = slot_id(i);
             }
             self.live_edges += t.edges.len();
             let has_spare = exact
@@ -266,7 +266,7 @@ impl IncrementalPlan {
             }
             let was_tombstone = self.tasks[ti].edges.is_empty();
             let t = &mut self.tasks[ti];
-            t.edges.push(e);
+            t.edges.push(edge_id(e));
             for (i, &v) in values.iter().enumerate() {
                 let newly = t.uniq[i].insert(v);
                 if newly && i == 0 {
@@ -295,7 +295,7 @@ impl IncrementalPlan {
         let uniq: Vec<BTreeSet<u64>> =
             values.iter().map(|&v| BTreeSet::from([v])).collect();
         self.tasks.push(TaskState {
-            edges: vec![e],
+            edges: vec![edge_id(e)],
             uniq,
         });
         let ti = self.tasks.len() - 1;
@@ -335,9 +335,9 @@ impl IncrementalPlan {
         let old_first: Option<BTreeSet<u64>> = self.tasks[ti].uniq.first().cloned();
 
         let t = &mut self.tasks[ti];
-        t.edges.retain(|&x| x != e);
+        t.edges.retain(|&x| x as usize != e);
         for (i, &(attr, _)) in exact.iter().enumerate() {
-            t.uniq[i] = t.edges.iter().map(|&x| g.edge_attr(attr, x)).collect();
+            t.uniq[i] = t.edges.iter().map(|&x| g.edge_attr(attr, x as usize)).collect();
         }
         let now_empty = t.edges.is_empty();
 
@@ -443,26 +443,20 @@ impl IncrementalPlan {
     }
 
     /// Snapshots the current live tasks as a [`PartitionPlan`], skipping
-    /// tombstones. Task order is slot order, which is deterministic for a
-    /// given update sequence.
+    /// tombstones: their edges concatenated into the plan's edge array,
+    /// with a `uniq` row per task over the table's `Exact` attributes.
+    /// Task order is slot order, which is deterministic for a given update
+    /// sequence.
     pub fn snapshot(&self, g: &Graph) -> PartitionPlan {
+        let _ = g;
         let exact = self.exact_attrs();
-        let tasks = self
-            .tasks
-            .iter()
-            .filter(|t| !t.edges.is_empty())
-            .map(|t| {
-                let mut uniq = BTreeMap::new();
-                for (i, &(attr, _)) in exact.iter().enumerate() {
-                    uniq.insert(attr, t.uniq[i].len());
-                }
-                let _ = g;
-                GTask {
-                    edges: t.edges.clone(),
-                    uniq,
-                }
-            })
-            .collect();
+        let mut tasks = Tasks::new(exact.iter().map(|&(attr, _)| attr).collect());
+        tasks.edges.reserve(self.live_edges);
+        tasks.offsets.reserve(self.live_tasks);
+        for t in self.tasks.iter().filter(|t| !t.edges.is_empty()) {
+            tasks.edges.extend_from_slice(&t.edges);
+            tasks.close(t.uniq.iter().map(|set| set.len() as u32));
+        }
         PartitionPlan {
             table: self.table.clone(),
             tasks,
@@ -510,7 +504,8 @@ mod tests {
         let mut seen = vec![false; g.num_edges()];
         for t in &plan.tasks {
             assert!(!t.edges.is_empty());
-            for &e in &t.edges {
+            for &e in t.edges {
+                let e = e as usize;
                 assert!(!seen[e], "edge {e} duplicated");
                 seen[e] = true;
             }
@@ -529,7 +524,8 @@ mod tests {
         let mut seen = vec![false; g.num_edges()];
         for t in &plan.tasks {
             assert!(!t.edges.is_empty());
-            for &e in &t.edges {
+            for &e in t.edges {
+                let e = e as usize;
                 assert!(!seen[e], "edge {e} duplicated");
                 seen[e] = true;
             }

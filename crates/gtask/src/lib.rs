@@ -9,12 +9,15 @@
 //!   restrictions `uniq(attr) = k`, `uniq(attr) = min`, or unrestricted —
 //!   plus constructors for the classic plans of Figure 7 (vertex-centric,
 //!   edge-centric, 2-D, …) and the adaptive plan enumerator;
-//! - [`partition`]: the greedy sort-and-scan partitioner (radix sort plus
-//!   one stamped scan, O(E) per key column);
+//! - [`partition`]: the greedy sort-and-scan partitioner (counting sort
+//!   plus one stamped scan, O(E) per key column), writing the plan's flat
+//!   arrays directly;
 //! - [`stamp`]: the epoch-stamped dense value set the scan and the plan
-//!   verifiers count distinct attribute values with;
-//! - [`task`]: the [`GTask`] type and its gTask-level data patterns
-//!   (duplicated data, batched data, changing data volume);
+//!   verifiers count distinct attribute values with, and the code columns
+//!   that size it;
+//! - [`task`]: the CSR-of-tasks [`PartitionPlan`], the [`GTask`] view of
+//!   one task and its gTask-level data patterns (duplicated data, batched
+//!   data, changing data volume);
 //! - [`outlier`]: identification of underfill / overfill / frequent-value
 //!   outlier gTasks.
 
@@ -29,5 +32,5 @@ pub use outlier::{classify_outliers, OutlierKind};
 pub use incremental::{DeltaStats, GraphDelta, IncrementalPlan};
 pub use partition::{partition, partition_edges};
 pub use restriction::{PartitionTable, Restriction};
-pub use stamp::StampSet;
-pub use task::{DataPatterns, GTask, PartitionPlan};
+pub use stamp::{Column, StampSet};
+pub use task::{DataPatterns, GTask, PartitionPlan, TaskList, Tasks};

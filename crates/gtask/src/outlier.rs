@@ -67,7 +67,7 @@ pub fn classify_outliers(
     for task in &plan.tasks {
         for &(attr, _) in &exact {
             let mut vals: Vec<u64> =
-                task.edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
+                task.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
             vals.sort_unstable();
             vals.dedup();
             for v in vals {
@@ -83,7 +83,7 @@ pub fn classify_outliers(
             // shared by many tasks.
             for &(attr, _) in &exact {
                 let mut vals: Vec<u64> =
-                    task.edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
+                    task.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
                 vals.sort_unstable();
                 vals.dedup();
                 if vals
@@ -201,7 +201,7 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(overfill.len(), 1, "exactly the hub task");
-        assert_eq!(plan.tasks[overfill[0]].num_edges(), 255);
+        assert_eq!(plan.tasks.task(overfill[0]).num_edges(), 255);
     }
 
     #[test]

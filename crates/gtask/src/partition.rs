@@ -10,30 +10,34 @@
 //! The sort key is [`PartitionTable::sort_key_attrs`] followed by the edge
 //! id; the scan enforces only `Exact` bounds.
 //!
-//! Both halves run at memory speed. Every key attribute is extracted once
-//! per edge into a column; the order is then built by stable LSD counting
-//! passes, one column at a time from the edge id up to the leading key —
-//! O(E) per 16-bit digit of the column's largest value, with no limit on
-//! the number of columns and a pass skipped when its column is already in
-//! order (the edge-id pass always is for `partition` and for the ascending
-//! live sets of the delta path). The scan tracks each restricted
-//! attribute's distinct values in a [`StampSet`], so admitting an edge is a
-//! table lookup per restriction and closing a gTask is O(1).
+//! Both halves run at memory speed and write the plan's flat arrays
+//! ([`Tasks`]) directly. The edge ids are put in ascending order (already
+//! so for `partition` and for the ascending live sets of the delta path),
+//! and every key attribute is read once per edge into a `u32` [`Column`].
+//! The order is a permutation of `u32` positions built by stable LSD
+//! counting passes from the last key column to the first; adjacent columns
+//! share one pass over their mixed-radix composite code while its range
+//! fits the bucket budget (≈ |E|), so `uniq(edge-type)=1 & uniq(src-id)=K`
+//! sorts in one pass. A pass whose codes are already in order is skipped
+//! after one sequential read, and a plan whose every pass is skipped
+//! gathers nothing. Otherwise the edge ids and the key columns are gathered
+//! into scan order once, so the scan reads them sequentially. It tracks
+//! each restricted attribute's distinct values in a [`StampSet`] sized by
+//! its column's code range, so admitting an edge is a table lookup per
+//! restriction, and closing a gTask pushes one offset and one `uniq` row.
 
 use crate::restriction::{PartitionTable, Restriction};
-use crate::stamp::StampSet;
-use crate::task::{GTask, PartitionPlan};
-use std::ops::Range;
+use crate::stamp::{bucket_budget, Column, StampSet};
+use crate::task::{edge_id, PartitionPlan, Tasks};
 use wisegraph_graph::{AttrKind, Graph};
 
 /// Partitions the graph into gTasks according to the table.
 ///
-/// Complexity: O(E · C) for the C-column radix sort plus an O(E · R) scan
-/// over the R restricted attributes — the light-weight method the paper
-/// uses so plans can be regenerated per candidate table.
+/// Complexity: O(E · C) for the C-column counting sort plus an O(E · R)
+/// scan over the R restricted attributes — the light-weight method the
+/// paper uses so plans can be regenerated per candidate table.
 pub fn partition(g: &Graph, table: &PartitionTable) -> PartitionPlan {
-    let all: Vec<usize> = (0..g.num_edges()).collect();
-    partition_edges(g, table, &all)
+    partition_ids(g, table, (0..g.num_edges()).map(edge_id).collect())
 }
 
 /// Partitions a subset of the graph's edges into gTasks.
@@ -47,67 +51,66 @@ pub fn partition(g: &Graph, table: &PartitionTable) -> PartitionPlan {
 /// of caller order; duplicate ids in `edges` produce duplicate coverage —
 /// callers pass a set.
 pub fn partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) -> PartitionPlan {
-    let mut sp = wisegraph_obs::span!("gtask.partition", edges = edges.len());
-    // One column per restricted attribute, in sort-key order, indexed by
-    // position in `edges`.
-    let key_attrs = table.sort_key_attrs();
-    let cols: Vec<Vec<u64>> = key_attrs
-        .iter()
-        .map(|&attr| edges.iter().map(|&e| g.edge_attr(attr, e)).collect())
-        .collect();
-
-    // LSD: the least significant key (the edge id) first, the leading key
-    // last; every pass is stable, so earlier passes break later ties.
-    let mut order: Vec<usize> = (0..edges.len()).collect();
-    let mut scratch = vec![0; edges.len()];
-    sort_by_column(&mut order, &mut scratch, |i| edges[i] as u64);
-    for col in cols.iter().rev() {
-        sort_by_column(&mut order, &mut scratch, |i| col[i]);
+    let mut ids: Vec<u32> = edges.iter().map(|&e| edge_id(e)).collect();
+    if !ids.is_sorted() {
+        ids.sort_unstable();
     }
+    partition_ids(g, table, ids)
+}
+
+/// Partitions the edge ids `ids`, ascending.
+fn partition_ids(g: &Graph, table: &PartitionTable, ids: Vec<u32>) -> PartitionPlan {
+    let mut sp = wisegraph_obs::span!("gtask.partition", edges = ids.len());
+    let key_attrs = table.sort_key_attrs();
+    let cols: Vec<Column> = key_attrs
+        .iter()
+        .map(|&attr| Column::new(g, attr, ids.iter().map(|&e| e as usize)))
+        .collect();
+    let (ids, cols) = match key_order(&cols) {
+        None => (ids, cols),
+        Some(order) => {
+            let gather = |v: &[u32]| -> Vec<u32> { order.iter().map(|&i| v[i as usize]).collect() };
+            let cols = cols
+                .into_iter()
+                .map(|c| Column {
+                    codes: gather(&c.codes),
+                    len: c.len,
+                })
+                .collect();
+            (gather(&ids), cols)
+        }
+    };
 
     // Scan. `Min` attributes are tracked like `Exact` ones with no bound,
     // which yields their achieved uniqueness for the task metadata.
-    let mut tracked: Vec<Tracked> = key_attrs
-        .iter()
-        .zip(&cols)
-        .map(|(&attr, values)| Tracked {
-            attr,
-            values,
-            bound: match table.restriction(attr) {
-                Restriction::Exact(k) => k,
-                Restriction::Min | Restriction::Free => u64::MAX,
-            },
-            seen: StampSet::new(),
-        })
-        .collect();
-    let mut tasks: Vec<GTask> = Vec::new();
-    let mut close = |tracked: &mut [Tracked], range: Range<usize>| {
-        if range.is_empty() {
-            return;
-        }
-        tasks.push(GTask {
-            edges: order[range].iter().map(|&i| edges[i]).collect(),
-            uniq: tracked.iter().map(|t| (t.attr, t.seen.len())).collect(),
-        });
+    let mut tracked = track(table, &key_attrs, cols);
+    let mut tasks = Tasks::new(table.restricted_attrs());
+    let mut row = vec![0; tasks.attrs.len()];
+    let n = ids.len();
+    tasks.edges = ids;
+    let mut close = |tasks: &mut Tasks, tracked: &mut [Tracked], at: usize| {
         for t in tracked.iter_mut() {
+            row[t.slot] = t.seen.len() as u32;
             t.seen.clear();
         }
+        tasks.offsets.push(edge_id(at));
+        tasks.uniq.extend_from_slice(&row);
     };
-    let mut start = 0;
-    for (at, &i) in order.iter().enumerate() {
+    for at in 0..n {
         // Would adding this edge violate any Exact bound?
-        let violates = tracked
-            .iter()
-            .any(|t| !t.seen.contains(t.values[i]) && t.seen.len() as u64 + 1 > t.bound);
+        let violates = tracked.iter().any(|t| {
+            !t.seen.contains(t.codes[at]) && t.seen.len() as u64 + 1 > t.bound
+        });
         if violates {
-            close(&mut tracked, start..at);
-            start = at;
+            close(&mut tasks, &mut tracked, at);
         }
         for t in tracked.iter_mut() {
-            t.seen.insert(t.values[i]);
+            t.seen.insert(t.codes[at]);
         }
     }
-    close(&mut tracked, start..order.len());
+    if n > 0 {
+        close(&mut tasks, &mut tracked, n);
+    }
 
     sp.arg("tasks", tasks.len());
     PartitionPlan {
@@ -116,54 +119,84 @@ pub fn partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) -> Pa
     }
 }
 
-/// One restricted attribute during the scan: its column, its bound, and the
-/// distinct values the open gTask holds.
-struct Tracked<'a> {
-    attr: AttrKind,
-    values: &'a [u64],
+/// One restricted attribute during the scan: its codes in scan order, its
+/// bound, its slot in the plan's `uniq` rows, and the distinct codes the
+/// open gTask holds.
+struct Tracked {
+    codes: Vec<u32>,
     bound: u64,
+    slot: usize,
     seen: StampSet,
 }
 
-/// Stably sorts `order` — positions into a key column — by `key`, in LSD
-/// counting passes over 16-bit digits up to the column's actual maximum
-/// (the histogram of the top digit is sized by that maximum, so a column of
-/// edge types costs a handful of buckets, not 65 536). `scratch` is the
-/// ping-pong buffer, as long as `order`. A column already in order is left
-/// alone after one read.
-fn sort_by_column(order: &mut Vec<usize>, scratch: &mut Vec<usize>, key: impl Fn(usize) -> u64) {
-    const DIGIT_BITS: u32 = 16;
-    const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
-    let (mut max, mut prev, mut sorted) = (0, 0, true);
-    for &i in order.iter() {
-        let k = key(i);
-        sorted &= prev <= k;
-        prev = k;
-        max = max.max(k);
+/// The scan state of each key attribute, from its column in scan order.
+fn track(table: &PartitionTable, key_attrs: &[AttrKind], cols: Vec<Column>) -> Vec<Tracked> {
+    let attrs = table.restricted_attrs();
+    key_attrs
+        .iter()
+        .zip(cols)
+        .map(|(&attr, col)| Tracked {
+            bound: match table.restriction(attr) {
+                Restriction::Exact(k) => k,
+                Restriction::Min | Restriction::Free => u64::MAX,
+            },
+            slot: attrs.iter().position(|&a| a == attr).expect("a key attribute is restricted"),
+            seen: StampSet::with_len(col.len),
+            codes: col.codes,
+        })
+        .collect()
+}
+
+/// The stable order of positions into `cols` by their codes, the first
+/// column most significant and ties in position order: LSD counting passes
+/// from the last column to the first, adjacent columns sharing one pass
+/// over their mixed-radix composite code while its range fits the bucket
+/// budget. A pass whose codes are already in order is skipped after one
+/// sequential read; `None` means every pass was.
+fn key_order(cols: &[Column]) -> Option<Vec<u32>> {
+    let n = cols.first().map_or(0, |c| c.codes.len());
+    if n == 0 {
+        return None;
     }
-    if sorted {
-        return;
+    let budget = bucket_budget(n);
+    let mut order: Option<Vec<u32>> = None;
+    let mut keys: Vec<u32> = Vec::with_capacity(n);
+    let mut hi = cols.len();
+    while hi > 0 {
+        let mut lo = hi - 1;
+        let mut range = cols[lo].len;
+        while lo > 0 && range.saturating_mul(cols[lo - 1].len) <= budget {
+            lo -= 1;
+            range *= cols[lo].len;
+        }
+        let group = &cols[lo..hi];
+        let code = |i: usize| group.iter().fold(0, |k, c| k * c.len as u32 + c.codes[i]);
+        keys.clear();
+        match &order {
+            None => keys.extend((0..n).map(code)),
+            Some(o) => keys.extend(o.iter().map(|&i| code(i as usize))),
+        }
+        if !keys.is_sorted() {
+            // next[k] = where the next position with code k goes.
+            let mut next = vec![0u32; range + 1];
+            for &k in &keys {
+                next[k as usize + 1] += 1;
+            }
+            for k in 0..range {
+                next[k + 1] += next[k];
+            }
+            let from = order.take().unwrap_or_else(|| (0..n as u32).collect());
+            let mut to = vec![0; n];
+            for (&k, &i) in keys.iter().zip(&from) {
+                let slot = &mut next[k as usize];
+                to[*slot as usize] = i;
+                *slot += 1;
+            }
+            order = Some(to);
+        }
+        hi = lo;
     }
-    let mut shift = 0;
-    while shift < u64::BITS && max >> shift > 0 {
-        let digit = |i: usize| ((key(i) >> shift) & DIGIT_MASK) as usize;
-        let buckets = (max >> shift).min(DIGIT_MASK) as usize + 1;
-        // next[d] = where the next element with digit d goes.
-        let mut next = vec![0usize; buckets + 1];
-        for &i in order.iter() {
-            next[digit(i) + 1] += 1;
-        }
-        for d in 0..buckets {
-            next[d + 1] += next[d];
-        }
-        for &i in order.iter() {
-            let d = digit(i);
-            scratch[next[d]] = i;
-            next[d] += 1;
-        }
-        std::mem::swap(order, scratch);
-        shift += DIGIT_BITS;
-    }
+    order
 }
 
 #[cfg(test)]
@@ -185,7 +218,8 @@ mod tests {
     fn covers_all_edges_once(plan: &PartitionPlan, num_edges: usize) -> bool {
         let mut seen = vec![false; num_edges];
         for t in &plan.tasks {
-            for &e in &t.edges {
+            for &e in t.edges {
+                let e = e as usize;
                 if seen[e] {
                     return false;
                 }
@@ -281,7 +315,7 @@ mod tests {
         let g = paper_graph();
         let plan = partition(&g, &PartitionTable::new());
         assert_eq!(plan.num_tasks(), 1);
-        assert_eq!(plan.tasks[0].num_edges(), g.num_edges());
+        assert_eq!(plan.tasks.task(0).num_edges(), g.num_edges());
     }
 
     #[test]
@@ -292,13 +326,34 @@ mod tests {
             // The scan-recorded counts must match a fresh recount.
             let recount = |attr: AttrKind| {
                 let mut v: Vec<u64> =
-                    t.edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
+                    t.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
                 v.sort_unstable();
                 v.dedup();
                 v.len()
             };
-            assert_eq!(t.uniq[&AttrKind::SrcId], recount(AttrKind::SrcId));
-            assert_eq!(t.uniq[&AttrKind::EdgeType], recount(AttrKind::EdgeType));
+            assert_eq!(t.uniq(AttrKind::SrcId), Some(recount(AttrKind::SrcId)));
+            assert_eq!(t.uniq(AttrKind::EdgeType), Some(recount(AttrKind::EdgeType)));
+        }
+    }
+
+    #[test]
+    fn sparse_attribute_values_size_no_table() {
+        // A vertex-type code of 3e9 must not size a 12 GB stamp table.
+        let g = Graph::untyped(3, vec![0, 1, 2, 2, 0], vec![1, 2, 0, 1, 2])
+            .with_vertex_types(vec![0, 3_000_000_000, 7]);
+        let table = PartitionTable::new().exact(AttrKind::DstVertexType, 1);
+        let plan = partition(&g, &table);
+        // Destination types 3e9, 7, 0, 3e9, 7 → one task per type, in
+        // type order.
+        let lists: Vec<Vec<u32>> = plan.tasks.iter().map(|t| t.edges.to_vec()).collect();
+        assert_eq!(lists, [vec![2], vec![1, 4], vec![0, 3]]);
+        let key_attrs = table.sort_key_attrs();
+        let cols = key_attrs
+            .iter()
+            .map(|&attr| Column::new(&g, attr, 0..g.num_edges()))
+            .collect();
+        for t in track(&table, &key_attrs, cols) {
+            assert!(t.seen.table_len() <= 3, "{}", t.seen.table_len());
         }
     }
 

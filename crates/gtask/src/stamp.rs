@@ -1,4 +1,4 @@
-//! An epoch-stamped dense set of attribute values.
+//! Epoch-stamped dense value sets and the code columns that size them.
 //!
 //! Edge-attribute values are small non-negative integers — vertex and edge
 //! ids, degrees, type codes — so "which values has this gTask seen" is a
@@ -6,14 +6,57 @@
 //! set, and [`StampSet::clear`] bumps the epoch instead of touching the
 //! table. One set serves every gTask of a partition scan (and every task of
 //! a verifier recount) with O(1) insert, lookup and clear.
+//!
+//! A value is not always small: a vertex-type code may be 3·10⁹ on a
+//! three-vertex graph. A [`Column`] holds an attribute's values over a list
+//! of edges as `u32` codes and, when the largest value exceeds the bucket
+//! budget of the list ([`bucket_budget`]), replaces them by their dense
+//! rank, which keeps their order and their distinct count. A table is
+//! sized by its column's code range, never by a raw value.
 
-/// A set of `u64` values backed by one `u32` stamp per value.
-///
-/// The table grows to the largest value ever inserted — never to the value
-/// type's range — so memory is `4 · (max + 1)` bytes. Growth takes a fresh
-/// zeroed allocation rather than `resize`, which the allocator serves from
-/// untouched zero pages: a few large values cost the pages they touch, not
-/// the whole range.
+use wisegraph_graph::{AttrKind, Graph};
+
+/// The most buckets a counting pass or a stamp table over `n` edges may
+/// take: `n`, but at least 2¹⁶ so small inputs never compact.
+pub(crate) fn bucket_budget(n: usize) -> usize {
+    n.max(1 << 16)
+}
+
+/// One attribute's values over a list of edges, as codes below
+/// [`Column::len`]: the values themselves when they fit the list's bucket
+/// budget, their dense rank otherwise. Either way codes compare like the
+/// values and two edges share a code exactly when they share a value.
+#[derive(Clone, Debug)]
+pub struct Column {
+    /// One code per edge of the list, in list order.
+    pub codes: Vec<u32>,
+    /// One past the largest code: the stamp-table length the column needs.
+    pub len: usize,
+}
+
+impl Column {
+    /// `attr`'s column over `edges` (edge ids of `g`).
+    pub fn new(g: &Graph, attr: AttrKind, edges: impl ExactSizeIterator<Item = usize>) -> Self {
+        let budget = bucket_budget(edges.len());
+        // Every attribute value is a `u32` of the graph or an edge id,
+        // which a plan keeps below 2³².
+        let mut codes: Vec<u32> = edges.map(|e| g.edge_attr(attr, e) as u32).collect();
+        let mut len = codes.iter().max().map_or(0, |&m| m as usize + 1);
+        if len > budget {
+            let mut values = codes.clone();
+            values.sort_unstable();
+            values.dedup();
+            for c in &mut codes {
+                *c = values.partition_point(|&v| v < *c) as u32;
+            }
+            len = values.len();
+        }
+        Self { codes, len }
+    }
+}
+
+/// A set of `u32` codes below a fixed bound, backed by one `u32` stamp per
+/// code: memory is `4 · len` bytes for the `len` it was made with.
 #[derive(Debug)]
 pub struct StampSet {
     stamp: Vec<u32>,
@@ -21,23 +64,17 @@ pub struct StampSet {
     len: usize,
 }
 
-impl Default for StampSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StampSet {
-    /// An empty set.
-    pub fn new() -> Self {
+    /// An empty set of codes below `len` (a [`Column::len`]).
+    pub fn with_len(len: usize) -> Self {
         Self {
-            stamp: Vec::new(),
+            stamp: vec![0; len],
             epoch: 1,
             len: 0,
         }
     }
 
-    /// Number of distinct values inserted since the last [`clear`](Self::clear).
+    /// Number of distinct codes inserted since the last [`clear`](Self::clear).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -48,29 +85,21 @@ impl StampSet {
     }
 
     /// True when `v` was inserted since the last [`clear`](Self::clear).
-    pub fn contains(&self, v: u64) -> bool {
-        usize::try_from(v)
-            .ok()
-            .and_then(|i| self.stamp.get(i))
-            .is_some_and(|&s| s == self.epoch)
+    pub fn contains(&self, v: u32) -> bool {
+        self.stamp.get(v as usize).is_some_and(|&s| s == self.epoch)
     }
 
     /// Adds `v`; returns whether it was new.
     ///
     /// # Panics
     ///
-    /// Panics if `v + 1` table entries are not addressable.
-    pub fn insert(&mut self, v: u64) -> bool {
-        let i = usize::try_from(v).expect("attribute value fits the address space");
-        if i >= self.stamp.len() {
-            let mut grown = vec![0u32; (i + 1).max(self.stamp.len() * 2)];
-            grown[..self.stamp.len()].copy_from_slice(&self.stamp);
-            self.stamp = grown;
-        }
-        if self.stamp[i] == self.epoch {
+    /// Panics if `v` is not below the set's bound.
+    pub fn insert(&mut self, v: u32) -> bool {
+        let s = &mut self.stamp[v as usize];
+        if *s == self.epoch {
             return false;
         }
-        self.stamp[i] = self.epoch;
+        *s = self.epoch;
         self.len += 1;
         true
     }
@@ -86,6 +115,12 @@ impl StampSet {
             self.epoch += 1;
         }
     }
+
+    /// Length of the stamp table.
+    #[cfg(test)]
+    pub(crate) fn table_len(&self) -> usize {
+        self.stamp.len()
+    }
 }
 
 #[cfg(test)]
@@ -94,12 +129,12 @@ mod tests {
 
     #[test]
     fn insert_contains_and_clear() {
-        let mut s = StampSet::new();
-        assert!(s.is_empty() && !s.contains(0) && !s.contains(u64::MAX));
+        let mut s = StampSet::with_len(70_001);
+        assert!(s.is_empty() && !s.contains(0) && !s.contains(u32::MAX));
         assert!(s.insert(7));
         assert!(!s.insert(7));
         assert!(s.insert(0));
-        assert!(s.insert(70_000), "grows past the first allocation");
+        assert!(s.insert(70_000));
         assert!(s.contains(7) && s.contains(0) && s.contains(70_000));
         assert_eq!(s.len(), 3);
         s.clear();
@@ -110,7 +145,7 @@ mod tests {
 
     #[test]
     fn epoch_wrap_resets_the_table() {
-        let mut s = StampSet::new();
+        let mut s = StampSet::with_len(8);
         s.insert(3);
         s.epoch = u32::MAX;
         s.insert(5);
@@ -119,5 +154,18 @@ mod tests {
         // Value 3 was stamped with epoch 1 long ago; it must not reappear.
         assert!(!s.contains(3) && !s.contains(5));
         assert!(s.insert(3));
+    }
+
+    #[test]
+    fn sparse_columns_are_dense_ranked_in_order() {
+        let types = vec![0, 3_000_000_000, 7];
+        let g = Graph::untyped(3, vec![0, 1, 2, 1], vec![1, 2, 0, 0]).with_vertex_types(types);
+        let col = Column::new(&g, AttrKind::DstVertexType, 0..g.num_edges());
+        // dst types 3e9, 7, 0, 0 → ranks 2, 1, 0, 0.
+        assert_eq!(col.codes, [2, 1, 0, 0]);
+        assert_eq!(col.len, 3);
+        // A dense column keeps its values.
+        let col = Column::new(&g, AttrKind::DstId, 0..g.num_edges());
+        assert_eq!((col.codes, col.len), (vec![1, 2, 0, 0], 3));
     }
 }

@@ -675,7 +675,8 @@ impl ShardState {
 }
 
 /// Content fingerprint of everything [`ShardState`] is derived from: the
-/// graph's vertex count and edge arrays and the plan's task edge lists.
+/// graph's vertex count and edge arrays and the plan's task offsets and
+/// edge array.
 /// One allocation-free pass. Each word is mixed with a key unique to its
 /// position and the mixed words are summed, so the loop carries no
 /// multiply chain; the per-word mix is a bijection, so two inputs that
@@ -693,11 +694,11 @@ fn shard_fingerprint(g: &Graph, plan: &PartitionPlan) -> u64 {
         push(u64::from(s) << 32 | u64::from(t));
         push(u64::from(ty));
     }
-    for task in &plan.tasks {
-        push(task.edges.len() as u64);
-        for &e in &task.edges {
-            push(e as u64);
-        }
+    for &o in plan.tasks.offsets() {
+        push(u64::from(o));
+    }
+    for &e in plan.tasks.edges() {
+        push(u64::from(e));
     }
     sum
 }
@@ -1614,9 +1615,11 @@ mod tests {
         );
         assert_eq!(rebuilds(), 1);
         // One edge moved to another task: a different plan.
-        let mut moved = plan.clone();
-        let e = moved.tasks[0].edges.pop().expect("non-empty task");
-        moved.tasks[1].edges.push(e);
+        let mut tasks = plan.task_lists();
+        let e = tasks[0].0.pop().expect("non-empty task");
+        tasks[1].0.push(e);
+        let moved =
+            PartitionPlan::from_task_lists(plan.table.clone(), plan.tasks.attrs().to_vec(), tasks);
         check(&g, &moved, PlacementKind::DataParallel);
         assert_eq!(rebuilds(), 2);
         check(&g, &moved, PlacementKind::DataParallel);

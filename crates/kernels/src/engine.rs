@@ -550,9 +550,9 @@ impl Engine {
             };
             let mut edges = 0u64;
             for t in blocks.into_iter().flatten() {
-                let task = &plan.tasks[t];
+                let task = plan.tasks.task(t);
                 edges += task.edges.len() as u64;
-                run_task(program, &fplan, g, all_globals, &task.edges, &mut acc, &mut slot.tws);
+                run_task(program, &fplan, g, all_globals, task.edges, &mut acc, &mut slot.tws);
             }
             (acc, edges)
         });
@@ -628,7 +628,7 @@ pub fn execute_parallel_alloc(
                             interp,
                             g,
                             all_globals,
-                            &plan.tasks[t].edges,
+                            plan.tasks.task(t).edges,
                             &mut acc,
                             &mut TaskWorkspace::new(),
                         );

@@ -559,8 +559,8 @@ mod tests {
             let mut tws_b = TaskWorkspace::new();
             let interp = FusedPlan::interpreted(&program);
             for task in &plan.tasks {
-                run_task(&program, &interp, &g, &globals, &task.edges, &mut a, &mut tws_a);
-                run_task(&program, &fplan, &g, &globals, &task.edges, &mut b, &mut tws_b);
+                run_task(&program, &interp, &g, &globals, task.edges, &mut a, &mut tws_a);
+                run_task(&program, &fplan, &g, &globals, task.edges, &mut b, &mut tws_b);
             }
             assert_eq!(a.data(), b.data(), "{}", kind.name());
         }

@@ -784,7 +784,7 @@ pub fn run_task<'a>(
     plan: &FusedPlan,
     g: &Graph,
     globals: impl Into<Globals<'a>>,
-    edges: &[usize],
+    edges: &[u32],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
 ) {
@@ -835,7 +835,7 @@ pub(crate) fn run_edge_pass(
     if program.edge_ops.is_empty() {
         return Vec::new();
     }
-    let edges: Vec<usize> = plan.tasks.iter().flat_map(|t| t.edges.iter().copied()).collect();
+    let edges = plan.tasks.edges();
     let _sp = span!("engine.edge_prologue", edges = edges.len());
     let published: Vec<Reg> = program
         .edge_ops
@@ -853,7 +853,7 @@ pub(crate) fn run_edge_pass(
     // The pass stores nothing into an accumulator.
     let mut no_acc = Tensor::zeros(&[0, program.out_width]);
     for (pc, op) in program.edge_ops.iter().enumerate() {
-        exec_op(program, op, g, globals, &edges, &mut no_acc, tws);
+        exec_op(program, op, g, globals, edges, &mut no_acc, tws);
         for (r, at) in reads.iter().enumerate() {
             if at.last() == Some(&pc) && !published.contains(&Reg(r)) {
                 release(&mut tws.regs, &mut tws.ws, Reg(r));
@@ -863,7 +863,7 @@ pub(crate) fn run_edge_pass(
     let publish = |&r: &Reg| {
         let mut value = vec![0.0; g.num_edges()];
         for (&e, &v) in edges.iter().zip(reg_tensor(&tws.regs, r).data()) {
-            value[e] = v;
+            value[e as usize] = v;
         }
         (edge_value_name(r), Tensor::from_vec(value, &[g.num_edges(), 1]))
     };
@@ -878,7 +878,7 @@ pub(crate) fn exec_op(
     op: &MicroKernel,
     g: &Graph,
     globals: Globals<'_>,
-    edges: &[usize],
+    edges: &[u32],
     out: &mut Tensor,
     tws: &mut TaskWorkspace,
 ) {
@@ -888,7 +888,7 @@ pub(crate) fn exec_op(
             MicroKernel::LoadStream { attr, out } => {
                 let mut s = ws.take_u32(edges.len());
                 for (slot, &e) in s.iter_mut().zip(edges.iter()) {
-                    *slot = g.edge_attr(*attr, e) as u32;
+                    *slot = g.edge_attr(*attr, e as usize) as u32;
                 }
                 work.bytes_gathered += 4 * edges.len() as u64;
                 set_reg(regs, ws, *out, RegValue::Stream(s));

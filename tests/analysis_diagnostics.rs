@@ -10,7 +10,7 @@
 //! spans its consumers read and that a cluster run's phase spans account
 //! for all of its engine work.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use wisegraph::analysis::prelude::*;
 use wisegraph::analysis::verify_execution;
 use wisegraph::cache::PlanCache;
@@ -19,7 +19,9 @@ use wisegraph::dfg::passes::{cse, prune_dead};
 use wisegraph::dfg::{Binding, Dfg, Dim, NodeId, OpKind};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
-use wisegraph::gtask::{partition, GTask, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable};
+use wisegraph::gtask::{
+    partition, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable, TaskList,
+};
 use wisegraph::kernels::cluster::compatible_placements;
 use wisegraph::kernels::engine::Engine;
 use wisegraph::kernels::micro::compile;
@@ -43,11 +45,20 @@ fn paper_graph() -> Graph {
     )
 }
 
-fn task(edges: Vec<usize>) -> GTask {
-    GTask {
-        edges,
-        uniq: BTreeMap::new(),
-    }
+fn task(edges: Vec<usize>) -> TaskList {
+    (edges, Vec::new())
+}
+
+/// A plan of untracked tasks under `table`.
+fn plan_of(table: PartitionTable, tasks: Vec<TaskList>) -> PartitionPlan {
+    PartitionPlan::from_task_lists(table, Vec::new(), tasks)
+}
+
+/// `plan` with its task lists edited by `edit`.
+fn edited(plan: &PartitionPlan, edit: impl FnOnce(&mut Vec<TaskList>)) -> PartitionPlan {
+    let mut tasks = plan.task_lists();
+    edit(&mut tasks);
+    PartitionPlan::from_task_lists(plan.table.clone(), plan.tasks.attrs().to_vec(), tasks)
 }
 
 fn has(diags: &[Diagnostic], code: Code, needle: &str) -> bool {
@@ -62,10 +73,10 @@ fn has(diags: &[Diagnostic], code: Code, needle: &str) -> bool {
 fn p001_overlapping_task_edge_ranges() {
     let g = paper_graph();
     // Edges 4 and 5 appear in both tasks; edge 10 is never covered.
-    let plan = PartitionPlan {
-        table: PartitionTable::new(),
-        tasks: vec![task(vec![0, 1, 2, 3, 4, 5]), task(vec![4, 5, 6, 7, 8, 9])],
-    };
+    let plan = plan_of(
+        PartitionTable::new(),
+        vec![task(vec![0, 1, 2, 3, 4, 5]), task(vec![4, 5, 6, 7, 8, 9])],
+    );
     let diags = verify_plan(&g, &plan);
     assert!(has(&diags, Code::PlanEdgeCoverage, "2 gTasks"), "{diags:#?}");
     assert!(has(&diags, Code::PlanEdgeCoverage, "not covered"), "{diags:#?}");
@@ -76,10 +87,7 @@ fn p002_restriction_violated() {
     let g = paper_graph();
     // vertex_centric demands uniq(dst-id) = 1 per task; one task holding
     // every edge has uniq(dst-id) = 5.
-    let plan = PartitionPlan {
-        table: PartitionTable::vertex_centric(),
-        tasks: vec![task((0..g.num_edges()).collect())],
-    };
+    let plan = plan_of(PartitionTable::vertex_centric(), vec![task((0..g.num_edges()).collect())]);
     let diags = verify_plan(&g, &plan);
     assert!(has(&diags, Code::PlanRestriction, "violates"), "{diags:#?}");
 }
@@ -87,10 +95,10 @@ fn p002_restriction_violated() {
 #[test]
 fn p003_empty_task() {
     let g = paper_graph();
-    let plan = PartitionPlan {
-        table: PartitionTable::new(),
-        tasks: vec![task((0..g.num_edges()).collect()), task(vec![])],
-    };
+    let plan = plan_of(
+        PartitionTable::new(),
+        vec![task((0..g.num_edges()).collect()), task(vec![])],
+    );
     let diags = verify_plan(&g, &plan);
     assert!(has(&diags, Code::PlanEmptyTask, "no edges"), "{diags:#?}");
 }
@@ -98,9 +106,9 @@ fn p003_empty_task() {
 #[test]
 fn p004_non_monotone_task_bounds() {
     let g = paper_graph();
-    let mut plan = partition(&g, &PartitionTable::vertex_centric());
+    let plan = partition(&g, &PartitionTable::vertex_centric());
     assert!(plan.tasks.len() >= 2);
-    plan.tasks.swap(0, 1);
+    let plan = edited(&plan, |tasks| tasks.swap(0, 1));
     let diags = verify_plan(&g, &plan);
     assert!(has(&diags, Code::PlanTaskOrder, "boundary"), "{diags:#?}");
 }
@@ -330,17 +338,17 @@ fn c001_repaired_plan_divergence() {
     // The honest repair verifies clean.
     assert!(verify_repair(&g, &table, &live, &snap).is_empty());
     // A doctored snapshot that still covers a deleted edge is C001.
-    let mut bad = snap.clone();
-    bad.tasks[0].edges.push(4);
+    let bad = edited(&snap, |tasks| tasks[0].0.push(4));
     let diags = verify_repair(&g, &table, &live, &bad);
     assert!(
         has(&diags, Code::RepairDivergence, "not in the live set"),
         "{diags:#?}"
     );
     // A snapshot missing a live edge is C001 too.
-    let mut lossy = snap;
-    lossy.tasks[0].edges.clear();
-    lossy.tasks[0].edges.push(live[0]);
+    let lossy = edited(&snap, |tasks| {
+        tasks[0].0.clear();
+        tasks[0].0.push(live[0]);
+    });
     let diags = verify_repair(&g, &table, &live, &lossy);
     assert!(
         has(&diags, Code::RepairDivergence, "not covered"),
@@ -379,8 +387,8 @@ fn dst_splitting_plans_run_on_every_runner() {
 
     let split = partition(&g, &PartitionTable::edge_batch(3));
     assert!(split.tasks.iter().any(|t| {
-        let first = g.dst()[t.edges[0]];
-        t.edges.iter().any(|&e| g.dst()[e] != first)
+        let first = g.dst()[t.edges[0] as usize];
+        t.edges.iter().any(|&e| g.dst()[e as usize] != first)
     }));
     for threads in [1, 2, 4] {
         let got = Engine::new(threads).execute(&dfg, &g, &split, &globals).unwrap();
@@ -501,16 +509,16 @@ fn s001_duplicated_edge_across_device_plans() {
             let own = spec.owned_range(dev);
             let local = plan.filtered(&g, |e| own.contains(&(g.dst()[e] as usize)));
             assert_eq!(local.num_tasks(), plan.num_tasks(), "device {dev} of {devices}");
-            local.tasks.iter().flat_map(|t| &t.edges).for_each(|&e| seen[e] += 1);
+            local.tasks.edges().iter().for_each(|&e| seen[e as usize] += 1);
         }
         seen
     };
     // Edge 3 appears twice in the plan; each copy lands on exactly one
     // device's filtered plan, so the union covers it twice.
-    let dup = PartitionPlan {
-        table: PartitionTable::new(),
-        tasks: vec![task(vec![0, 1, 2, 3]), task(vec![3, 4, 5, 6, 7, 8, 9, 10])],
-    };
+    let dup = plan_of(
+        PartitionTable::new(),
+        vec![task(vec![0, 1, 2, 3]), task(vec![3, 4, 5, 6, 7, 8, 9, 10])],
+    );
     assert_eq!(shard_counts(&dup, 2)[3], 2);
     let diags = verify_plan(&g, &dup);
     assert!(has(&diags, Code::PlanEdgeCoverage, "edge 3 is covered by 2"), "{diags:#?}");

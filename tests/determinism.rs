@@ -18,10 +18,7 @@ fn graph_fingerprint(g: &Graph) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
 }
 
 fn plan_fingerprint(p: &PartitionPlan) -> Vec<(Vec<usize>, Vec<usize>)> {
-    p.tasks
-        .iter()
-        .map(|t| (t.edges.clone(), t.uniq.values().copied().collect()))
-        .collect()
+    p.task_lists()
 }
 
 #[test]

@@ -261,7 +261,7 @@ fn zero_edge_gtask_is_a_fused_noop() {
     globals.insert("h".into(), init::uniform_tensor(&[40, 4], -1.0, 1.0, 51));
     globals.insert("w".into(), init::uniform_tensor(&[4, 3], -1.0, 1.0, 52));
 
-    let empty: [usize; 0] = [];
+    let empty: [u32; 0] = [];
     let mut a = Tensor::zeros(&[program.out_rows, program.out_width]);
     let mut b = a.clone();
     let mut tws_i = TaskWorkspace::new();

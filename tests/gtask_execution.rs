@@ -45,7 +45,7 @@ fn rgcn_is_additive_over_every_plan() {
         let plan = partition(&g, &table);
         let mut acc = Tensor::zeros(whole.dims());
         for task in &plan.tasks {
-            let part = &execute_on_edges(&dfg, &g, &inputs, &task.edges).unwrap()[0];
+            let part = &execute_on_edges(&dfg, &g, &inputs, task.edges).unwrap()[0];
             acc = ops::add(&acc, part);
         }
         assert!(
@@ -71,7 +71,7 @@ fn transformed_rgcn_is_additive() {
     let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
     let mut acc = Tensor::zeros(whole.dims());
     for task in &plan.tasks {
-        let part = &execute_on_edges(&opt, &g, &inputs, &task.edges).unwrap()[0];
+        let part = &execute_on_edges(&opt, &g, &inputs, task.edges).unwrap()[0];
         acc = ops::add(&acc, part);
     }
     assert!(
@@ -111,7 +111,7 @@ fn gat_requires_destination_complete_tasks() {
     let plan = partition(&g, &PartitionTable::vertex_centric());
     let mut acc = Tensor::zeros(whole.dims());
     for task in &plan.tasks {
-        let part = &execute_on_edges(&dfg, &g, &inputs, &task.edges).unwrap()[0];
+        let part = &execute_on_edges(&dfg, &g, &inputs, task.edges).unwrap()[0];
         acc = ops::add(&acc, part);
     }
     assert!(
@@ -124,7 +124,7 @@ fn gat_requires_destination_complete_tasks() {
     let plan = partition(&g, &PartitionTable::edge_batch(7));
     let mut acc = Tensor::zeros(whole.dims());
     for task in &plan.tasks {
-        let part = &execute_on_edges(&dfg, &g, &inputs, &task.edges).unwrap()[0];
+        let part = &execute_on_edges(&dfg, &g, &inputs, task.edges).unwrap()[0];
         acc = ops::add(&acc, part);
     }
     assert!(

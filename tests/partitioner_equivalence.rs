@@ -4,20 +4,32 @@
 //! `oracle_partition_edges` below *is* the previous `partition_edges`
 //! (stable comparison sort whose comparator calls `edge_attr` per key per
 //! compare, one `HashSet` per `Exact` attribute), kept here verbatim as the
-//! reference. Every test asserts `PartitionPlan ==` (field-complete:
-//! table, edge lists, recorded unique counts), so plans are pinned to what
-//! the old code produced: for every `PartitionTable` constructor, `Min`
-//! tables, vertex-typed graphs, full graphs, live subsets, unsorted and
-//! duplicate-carrying edge lists, the empty edge set and an edgeless graph.
+//! reference, building its plan through `PartitionPlan::from_task_lists`.
+//! Every test asserts `PartitionPlan ==` (field-complete: table, edge
+//! array, task offsets, tracked attributes, recorded unique counts), so
+//! plans are pinned to what the old code produced: for every
+//! `PartitionTable` constructor, `Min` tables, vertex-typed graphs, full
+//! graphs, live subsets, unsorted and duplicate-carrying edge lists, the
+//! empty edge set and an edgeless graph. A property checks the flat
+//! layout's own invariants against the same oracle.
 
 use std::collections::{BTreeMap, HashSet};
+use wisegraph::cache::PlanCache;
 use wisegraph::graph::generate::{rmat, RmatParams};
-use wisegraph::graph::{AttrKind, Graph};
-use wisegraph::gtask::{partition, partition_edges, GTask, PartitionPlan, PartitionTable};
+use wisegraph::graph::{AttrKind, Graph, ShardSpec};
+use wisegraph::gtask::{partition, partition_edges, PartitionPlan, PartitionTable, TaskList};
 use wisegraph_testkit::prelude::*;
 
-/// The comparison-sort partitioner as it stood before the radix rewrite.
+/// The comparison-sort partitioner as it stood before the radix rewrite,
+/// as a plan.
 fn oracle_partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) -> PartitionPlan {
+    let tasks = oracle_tasks(g, table, edges);
+    PartitionPlan::from_task_lists(table.clone(), table.restricted_attrs(), tasks)
+}
+
+/// The comparison-sort partitioner's tasks as owned lists, each `uniq` row
+/// in canonical `AttrKind` order.
+fn oracle_tasks(g: &Graph, table: &PartitionTable, edges: &[usize]) -> Vec<TaskList> {
     let exact = table.exact_attrs();
     let min_attrs = table.min_attrs();
 
@@ -42,11 +54,13 @@ fn oracle_partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) ->
         });
     }
 
-    let mut tasks: Vec<GTask> = Vec::new();
+    let mut tasks: Vec<TaskList> = Vec::new();
     let mut current: Vec<usize> = Vec::new();
     let mut seen: Vec<HashSet<u64>> = exact.iter().map(|_| HashSet::new()).collect();
 
-    let close = |current: &mut Vec<usize>, seen: &mut Vec<HashSet<u64>>, tasks: &mut Vec<GTask>| {
+    let close = |current: &mut Vec<usize>,
+                 seen: &mut Vec<HashSet<u64>>,
+                 tasks: &mut Vec<TaskList>| {
         if current.is_empty() {
             return;
         }
@@ -60,10 +74,7 @@ fn oracle_partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) ->
             vals.dedup();
             uniq.insert(attr, vals.len());
         }
-        tasks.push(GTask {
-            edges: std::mem::take(current),
-            uniq,
-        });
+        tasks.push((std::mem::take(current), uniq.into_values().collect()));
         for s in seen.iter_mut() {
             s.clear();
         }
@@ -83,11 +94,7 @@ fn oracle_partition_edges(g: &Graph, table: &PartitionTable, edges: &[usize]) ->
         current.push(e);
     }
     close(&mut current, &mut seen, &mut tasks);
-
-    PartitionPlan {
-        table: table.clone(),
-        tasks,
-    }
+    tasks
 }
 
 /// Every `PartitionTable` constructor, `Min` tables (one and two `Min`
@@ -185,6 +192,89 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The flat plan's invariants on random RMAT and ragged graphs (no
+    /// edges, one vertex, isolated vertices, one edge type) × every table ×
+    /// the full graph and a live subset: offsets rise from 0 to the edge
+    /// count, `tasks.iter()` reproduces the oracle's per-task edge lists
+    /// and `uniq` counts, each device's owned-destination filter keeps
+    /// every task slot and drops exactly the edges it rejects, a clone is
+    /// equal, and the cache charges `4·E + 4·(T + 1) + 4·T·A` bytes.
+    fn flat_plans_hold_their_invariants(
+        kind in 0usize..2,
+        seed in 0u64..1000,
+        v in 1usize..30,
+        raw in prop::collection::vec((0u32..1000, 0u32..1000, 0u32..3), 0..120),
+        picks in prop::collection::vec(0usize..10_000, 0..150),
+        k in 1u64..9,
+        devices in 1usize..5,
+    ) {
+        let g = if kind == 0 {
+            rmat(&RmatParams::standard(60, 400, seed).with_edge_types(3))
+        } else {
+            let src = raw.iter().map(|&(s, _, _)| s % v as u32).collect();
+            let dst = raw.iter().map(|&(_, d, _)| d % v as u32).collect();
+            let types = (seed % 3 + 1) as u32;
+            let etype = raw.iter().map(|&(_, _, t)| t % types).collect();
+            Graph::new(v, types as usize, src, dst, etype)
+        };
+        let e = g.num_edges();
+        let full: Vec<usize> = (0..e).collect();
+        let mut subset: Vec<usize> = if e == 0 {
+            Vec::new()
+        } else {
+            picks.iter().map(|&p| p % e).collect()
+        };
+        subset.sort_unstable();
+        subset.dedup();
+        let spec = ShardSpec::balanced(&g, devices);
+        for table in tables(k) {
+            for edges in [&full, &subset] {
+                let plan = partition_edges(&g, &table, edges);
+                let t = &plan.tasks;
+                let offsets = t.offsets();
+                prop_assert_eq!(offsets.len(), t.len() + 1);
+                prop_assert_eq!(offsets[0], 0);
+                prop_assert_eq!(offsets[t.len()] as usize, edges.len());
+                prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{table}: {offsets:?}");
+
+                let want = oracle_tasks(&g, &table, edges);
+                prop_assert_eq!(t.len(), want.len());
+                for (task, (want_edges, want_uniq)) in t.iter().zip(&want) {
+                    let got: Vec<usize> = task.edges.iter().map(|&e| e as usize).collect();
+                    prop_assert_eq!(&got, want_edges);
+                    for (&attr, &u) in table.restricted_attrs().iter().zip(want_uniq) {
+                        prop_assert_eq!(task.uniq(attr), Some(u), "{table}: uniq({attr})");
+                    }
+                }
+
+                let mut kept = 0;
+                for dev in 0..devices {
+                    let own = spec.owned_range(dev);
+                    let owned = |e: usize| own.contains(&(g.dst()[e] as usize));
+                    let local = plan.filtered(&g, owned);
+                    prop_assert_eq!(local.num_tasks(), plan.num_tasks());
+                    for (a, b) in plan.tasks.iter().zip(local.tasks.iter()) {
+                        let expect: Vec<u32> =
+                            a.edges.iter().copied().filter(|&e| owned(e as usize)).collect();
+                        prop_assert_eq!(b.edges, &expect[..]);
+                    }
+                    kept += local.total_edges();
+                }
+                prop_assert_eq!(kept, plan.total_edges());
+
+                prop_assert!(plan.clone() == plan);
+                let mut cache = PlanCache::new();
+                cache.insert_plan(PlanCache::graph_key(&g), plan.clone());
+                let (tn, an) = (t.len(), t.attrs().len());
+                prop_assert_eq!(cache.stored_bytes(), 4 * edges.len() + 4 * (tn + 1) + 4 * tn * an);
+            }
+        }
+    }
+}
+
 #[test]
 fn whole_graph_entry_point_matches_the_oracle() {
     let g = rmat(&RmatParams::standard(300, 5000, 71).with_edge_types(4));
@@ -227,5 +317,26 @@ fn ids_wider_than_one_radix_digit_match_the_oracle() {
         same_plan(&g, &table, &shuffled).unwrap();
         let ascending: Vec<usize> = (0..g.num_edges()).collect();
         same_plan(&g, &table, &ascending).unwrap();
+    }
+}
+
+/// A vertex-type code of 3·10⁹ on a three-vertex graph: the partitioner
+/// dense-ranks the column instead of sizing a stamp table by the value
+/// (once 11.7 GB of VmPeak), and both verifiers recount the same way.
+#[test]
+fn sparse_attribute_values_match_the_oracle_and_verify_clean() {
+    use wisegraph::analysis::prelude::{verify_plan, verify_repair};
+    let g = Graph::untyped(3, vec![0, 1, 2, 2, 0, 1], vec![1, 2, 0, 1, 2, 0])
+        .with_vertex_types(vec![0, 3_000_000_000, 7]);
+    let all: Vec<usize> = (0..g.num_edges()).collect();
+    for table in [
+        PartitionTable::new().exact(AttrKind::DstVertexType, 1),
+        PartitionTable::new().exact(AttrKind::SrcVertexType, 2).exact(AttrKind::DstId, 1),
+        PartitionTable::new().min(AttrKind::DstVertexType).exact(AttrKind::EdgeId, 2),
+    ] {
+        same_plan(&g, &table, &all).unwrap();
+        let plan = partition(&g, &table);
+        assert!(verify_plan(&g, &plan).is_empty(), "{table}");
+        assert!(verify_repair(&g, &table, &all, &plan).is_empty(), "{table}");
     }
 }

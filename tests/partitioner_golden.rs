@@ -32,7 +32,7 @@ fn paper_graph() -> Graph {
 
 /// The plan's tasks as bare edge-id lists, in plan order.
 fn edge_lists(plan: &PartitionPlan) -> Vec<Vec<usize>> {
-    plan.tasks.iter().map(|t| t.edges.clone()).collect()
+    plan.tasks.iter().map(|t| t.edges.iter().map(|&e| e as usize).collect()).collect()
 }
 
 #[test]
@@ -45,7 +45,7 @@ fn uniq_dst_1_reproduces_the_vertex_centric_plan() {
         vec![vec![0, 1], vec![2, 3, 4], vec![5, 6, 7], vec![8, 9], vec![10]]
     );
     for t in &plan.tasks {
-        assert_eq!(t.uniq[&AttrKind::DstId], 1);
+        assert_eq!(t.uniq(AttrKind::DstId).unwrap(), 1);
     }
 }
 
@@ -57,7 +57,7 @@ fn uniq_edge_1_reproduces_the_edge_centric_plan() {
     let expected: Vec<Vec<usize>> = (0..11).map(|e| vec![e]).collect();
     assert_eq!(edge_lists(&plan), expected);
     for t in &plan.tasks {
-        assert_eq!(t.uniq[&AttrKind::EdgeId], 1);
+        assert_eq!(t.uniq(AttrKind::EdgeId).unwrap(), 1);
     }
 }
 
@@ -75,8 +75,8 @@ fn uniq_src_2_and_dst_2_reproduce_the_2d_plan() {
         vec![vec![0, 2], vec![10, 1], vec![3, 4, 5], vec![6, 8, 7, 9]]
     );
     for t in &plan.tasks {
-        assert!(t.uniq[&AttrKind::SrcId] <= 2);
-        assert!(t.uniq[&AttrKind::DstId] <= 2);
+        assert!(t.uniq(AttrKind::SrcId).unwrap() <= 2);
+        assert!(t.uniq(AttrKind::DstId).unwrap() <= 2);
     }
 }
 
@@ -91,7 +91,7 @@ fn uniq_src_min_sorts_by_source_without_cutting() {
         edge_lists(&plan),
         vec![vec![0, 2, 10, 1, 3, 4, 5, 6, 8, 7, 9]]
     );
-    assert_eq!(plan.tasks[0].uniq[&AttrKind::SrcId], 5);
+    assert_eq!(plan.tasks.task(0).uniq(AttrKind::SrcId).unwrap(), 5);
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn unrestricted_table_is_the_identity_plan() {
     let g = paper_graph();
     let plan = partition(&g, &PartitionTable::new());
     assert_eq!(edge_lists(&plan), vec![(0..11).collect::<Vec<usize>>()]);
-    assert!(plan.tasks[0].uniq.is_empty());
+    assert!(plan.tasks.task(0).uniq_row().is_empty());
 }
 
 #[test]

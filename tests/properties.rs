@@ -155,7 +155,8 @@ proptest! {
         let mut seen = vec![false; g.num_edges()];
         for t in &plan.tasks {
             prop_assert!(!t.edges.is_empty());
-            for &e in &t.edges {
+            for &e in t.edges {
+                let e = e as usize;
                 prop_assert!(!seen[e], "edge {e} duplicated");
                 seen[e] = true;
             }
@@ -419,7 +420,7 @@ proptest! {
             let snap = inc.snapshot(&g);
             // Exact-once coverage, counted directly.
             let mut seen: Vec<usize> =
-                snap.tasks.iter().flat_map(|t| t.edges.iter().copied()).collect();
+                snap.tasks.edges().iter().map(|&e| e as usize).collect();
             seen.sort_unstable();
             prop_assert_eq!(&seen, &live, "snapshot coverage differs from live set");
             // And the full C001 verdict: clean, like a from-scratch plan.

@@ -20,7 +20,7 @@ use wisegraph::core::dynamic::DynamicPlanner;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{
-    partition_edges, GTask, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable,
+    partition_edges, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable, TaskList,
 };
 use wisegraph_testkit::prelude::*;
 
@@ -116,7 +116,8 @@ fn oracle_subset_findings(
             );
             continue;
         }
-        for &e in &task.edges {
+        for &e in task.edges {
+            let e = e as usize;
             if e >= num_edges {
                 task_in_range[ti] = false;
                 cover_diags.push(Diagnostic::error(
@@ -158,7 +159,8 @@ fn oracle_subset_findings(
             continue;
         }
         for &(attr, k) in &exact {
-            let mut vals: Vec<u64> = task.edges.iter().map(|&e| g.edge_attr(attr, e)).collect();
+            let mut vals: Vec<u64> =
+                task.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
             vals.sort_unstable();
             vals.dedup();
             let actual = vals.len();
@@ -175,7 +177,7 @@ fn oracle_subset_findings(
                     .with_suggestion("the repair must split tasks exactly like the partitioner"),
                 );
             }
-            if let Some(&recorded) = task.uniq.get(&attr) {
+            if let Some(recorded) = task.uniq(attr) {
                 if recorded != actual {
                     restr_diags.push(Diagnostic::error(
                         Code::RepairDivergence,
@@ -231,6 +233,13 @@ fn verify_both(
     rendered(&got)
 }
 
+/// `plan` with its task lists edited by `edit`.
+fn edited(plan: &PartitionPlan, edit: impl FnOnce(&mut Vec<TaskList>)) -> PartitionPlan {
+    let mut tasks = plan.task_lists();
+    edit(&mut tasks);
+    PartitionPlan::from_task_lists(plan.table.clone(), plan.tasks.attrs().to_vec(), tasks)
+}
+
 fn vertex_centric_snapshot(g: &Graph) -> (PartitionTable, Vec<usize>, PartitionPlan) {
     let table = PartitionTable::vertex_centric();
     let inc = IncrementalPlan::new(g, table.clone());
@@ -244,8 +253,7 @@ fn duplicate_ids_in_live_are_counted_once() {
     live.extend([3, 3, 7, 0]);
     assert_eq!(verify_both(&g, &table, &live, &snap), Vec::<String>::new());
     // With an uncovered edge the divergence message counts *distinct* ids.
-    let mut short = snap.clone();
-    short.tasks[1].edges.retain(|&e| e != 3);
+    let short = edited(&snap, |tasks| tasks[1].0.retain(|&e| e != 3));
     assert_eq!(
         verify_both(&g, &table, &live, &short),
         [
@@ -264,8 +272,7 @@ fn out_of_range_id_in_live_is_reported_uncovered_after_the_in_range_ones() {
     // reported out of range: both verdicts are "not clean", no divergence).
     let table = PartitionTable::new();
     let inc = IncrementalPlan::new(&g, table.clone());
-    let mut snap = inc.snapshot(&g);
-    snap.tasks[0].edges.retain(|&e| e != 9);
+    let snap = edited(&inc.snapshot(&g), |tasks| tasks[0].0.retain(|&e| e != 9));
     let live = [99, 4, 0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 99, 40];
     assert_eq!(
         verify_both(&g, &table, &live, &snap),
@@ -280,10 +287,10 @@ fn out_of_range_id_in_live_is_reported_uncovered_after_the_in_range_ones() {
 #[test]
 fn edge_held_by_two_tasks_is_reported_with_its_count() {
     let g = paper_graph();
-    let (table, live, mut snap) = vertex_centric_snapshot(&g);
+    let (table, live, snap) = vertex_centric_snapshot(&g);
     // Edge 2 (dst 1) also lands in the task of dst 0: double coverage, a
     // second destination in that task, and a stale recorded count.
-    snap.tasks[0].edges.push(2);
+    let snap = edited(&snap, |tasks| tasks[0].0.push(2));
     assert_eq!(
         verify_both(&g, &table, &live, &snap),
         [
@@ -320,16 +327,12 @@ fn uncovered_live_edges_burst_is_capped_in_ascending_order() {
 #[test]
 fn phantom_edge_empty_task_and_out_of_range_task_edge_keep_plan_order() {
     let g = paper_graph();
-    let (table, mut live, mut snap) = vertex_centric_snapshot(&g);
+    let (table, mut live, snap) = vertex_centric_snapshot(&g);
     live.retain(|&e| e != 5); // edge 5 stays in the plan: a phantom
-    snap.tasks.insert(
-        1,
-        GTask {
-            edges: vec![],
-            uniq: Default::default(),
-        },
-    );
-    snap.tasks[4].edges.push(77);
+    let snap = edited(&snap, |tasks| {
+        tasks.insert(1, (Vec::new(), vec![0]));
+        tasks[4].0.push(77);
+    });
     assert_eq!(
         verify_both(&g, &table, &live, &snap),
         [
@@ -380,20 +383,21 @@ proptest! {
         let mut inc = IncrementalPlan::new(&g, table.clone());
         inc.apply(&g, &GraphDelta::deleting(deletes.iter().map(|&d| d % e).collect()));
         let mut live = inc.live_edges();
-        let mut snap = inc.snapshot(&g);
-        // Copy an arbitrary in-range edge id into an arbitrary task:
-        // duplicates, phantoms and restriction violations.
-        for &(t, edge) in &moves {
-            if !snap.tasks.is_empty() {
-                let ti = t % snap.tasks.len();
-                snap.tasks[ti].edges.push(edge % e);
+        let snap = edited(&inc.snapshot(&g), |tasks| {
+            // Copy an arbitrary in-range edge id into an arbitrary task:
+            // duplicates, phantoms and restriction violations.
+            for &(t, edge) in &moves {
+                if !tasks.is_empty() {
+                    let ti = t % tasks.len();
+                    tasks[ti].0.push(edge % e);
+                }
             }
-        }
-        if bump > 0 {
-            if let Some(v) = snap.tasks.first_mut().and_then(|t| t.uniq.values_mut().next()) {
-                *v += bump;
+            if bump > 0 {
+                if let Some(v) = tasks.first_mut().and_then(|t| t.1.first_mut()) {
+                    *v += bump;
+                }
             }
-        }
+        });
         // Claimed-live noise: duplicates and ids the plan does not hold.
         live.extend(live_noise.iter().map(|&n| n % e));
         let got = verify_repair(&g, &table, &live, &snap);
@@ -443,11 +447,8 @@ fn sixteen_delta_cycles_stay_clean_without_rebuild_at_two_sizes() {
                 let hits = planner.cache().hits();
                 let plan = planner.plan(&g);
                 assert_eq!(planner.cache().hits(), hits + 1, "plan() must be a hit");
-                let mut covered: Vec<usize> = plan
-                    .tasks
-                    .iter()
-                    .flat_map(|t| t.edges.iter().copied())
-                    .collect();
+                let mut covered: Vec<usize> =
+                    plan.tasks.edges().iter().map(|&e| e as usize).collect();
                 covered.sort_unstable();
                 let want: Vec<usize> = mirror.iter().copied().collect();
                 assert_eq!(covered, want, "[{table}] {vertices} V cycle {cycle}");
