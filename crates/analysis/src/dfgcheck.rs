@@ -124,9 +124,7 @@ pub fn verify_dfg(dfg: &Dfg, binding: Option<&Binding>) -> Vec<Diagnostic> {
                                      records no unique count for {a}"
                                 ),
                             )
-                            .with_suggestion(
-                                "build the binding with Binding::from_graph/from_edge_set",
-                            ),
+                            .with_suggestion("build the binding with Binding::from_graph"),
                         );
                     }
                 }

@@ -92,8 +92,8 @@ fn price_placements(
 
 /// Compiles model layer `layer`, selects the cheapest compatible
 /// placement for the cluster's device count, and executes it. `layer` is
-/// stamped on the cluster's phase spans, timeline segments, and causal
-/// attribution ([`ClusterEngine::set_layer`]) so per-layer overlap
+/// stamped on the cluster's phase spans and timeline segments
+/// ([`ClusterEngine::set_layer`]) so per-layer overlap
 /// headroom in the [`ClusterRun::attribution`] report names the layer
 /// that could have posted its sends earlier; single-layer runs pass 0.
 ///

@@ -86,36 +86,6 @@ impl Binding {
         }
     }
 
-    /// Builds a binding for a subset of edges (a gTask scope), where the
-    /// "vertices" that matter are the ones the edges touch.
-    pub fn from_edge_set(g: &Graph, edges: &[usize]) -> Self {
-        // Attribute values are bounded (vertex ids < |V|, degrees ≤ |E|,
-        // types < T), so large scopes count distinct values with a bitmap
-        // (O(E) per attribute); small scopes (per-gTask bindings) sort,
-        // avoiding a |E|-sized allocation per task.
-        let count_unique = |kind: AttrKind| -> usize {
-            let vals = edges.iter().map(|&e| g.edge_attr(kind, e));
-            if edges.len() < 4096 {
-                let mut vals: Vec<u64> = vals.collect();
-                vals.sort_unstable();
-                vals.dedup();
-                vals.len()
-            } else {
-                distinct(vals)
-            }
-        };
-        let mut unique = HashMap::new();
-        for kind in AttrKind::ALL {
-            unique.insert(kind, count_unique(kind));
-        }
-        Binding {
-            vertices: unique[&AttrKind::SrcId].max(unique[&AttrKind::DstId]),
-            edges: edges.len(),
-            edge_types: g.num_edge_types(),
-            unique,
-        }
-    }
-
     /// Evaluates a symbolic dimension.
     ///
     /// # Panics
@@ -170,17 +140,6 @@ mod tests {
         assert_eq!(b.eval(Dim::Unique(AttrKind::DstId)), 5);
         assert_eq!(b.eval(Dim::Unique(AttrKind::EdgeType)), 2);
         assert_eq!(b.eval(Dim::Unique(AttrKind::EdgeId)), 11);
-    }
-
-    #[test]
-    fn subset_binding_counts_unique_in_scope() {
-        let g = paper_graph();
-        // Edges into vertex 1: ids 2, 3, 4 with srcs {0, 1, 2}, types {a, b}.
-        let b = Binding::from_edge_set(&g, &[2, 3, 4]);
-        assert_eq!(b.edges, 3);
-        assert_eq!(b.eval(Dim::Unique(AttrKind::DstId)), 1);
-        assert_eq!(b.eval(Dim::Unique(AttrKind::SrcId)), 3);
-        assert_eq!(b.eval(Dim::Unique(AttrKind::EdgeType)), 2);
     }
 
     #[test]

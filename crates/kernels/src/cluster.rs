@@ -72,7 +72,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use wisegraph_dfg::{Dfg, NodeId, OpKind};
 use wisegraph_graph::{AttrKind, Graph, ShardSpec, SrcGroups};
 use wisegraph_gtask::PartitionPlan;
-use wisegraph_obs::causal::{collective_id, CausalEdge, CausalLog, EndpointId};
 use wisegraph_obs::clock::Stopwatch;
 use wisegraph_obs::critical::{
     analyze, logical_cost, AttributionReport, DeviceTimeline, PhaseKind, Segment,
@@ -201,12 +200,8 @@ struct Mailbox {
     next_expected: Vec<u64>,
     round: u32,
     log: ExchangeLog,
-    /// Receive-order counter: the `seq` of the next receive endpoint.
-    recv_seq: u64,
     /// Model layer tag stamped on every phase span and segment.
     layer: u32,
-    /// Send→receive edges recorded on the receive side.
-    causal: CausalLog,
     /// The device's phase segments, in execution order.
     timeline: Vec<Segment>,
 }
@@ -218,11 +213,8 @@ impl Mailbox {
     /// verifying round tags and per-sender sequence numbers.
     ///
     /// The round is one `cluster.phase.exchange` span and one exchange
-    /// [`Segment`], and every drained message records a [`CausalEdge`]
-    /// from the sender's wire endpoint `(from, round, seq)` to this
-    /// device's receive endpoint `(me, round, recv_seq)` — both pure
-    /// functions of the schedule, so the merged edge list is
-    /// bit-identical across runs and thread counts.
+    /// [`Segment`]; every message is logged once per side as an
+    /// [`ExchangeEvent`].
     fn exchange(
         &mut self,
         collective: &'static str,
@@ -232,12 +224,11 @@ impl Mailbox {
         assert_eq!(outgoing.len(), d, "one outgoing slot per device");
         let round = self.round;
         self.round += 1;
-        let mut sp = span!(
+        let _sp = span!(
             "cluster.phase.exchange",
             device = self.me,
             layer = self.layer,
-            round = round,
-            coll = collective_id(collective)
+            round = round
         );
         let sw = Stopwatch::start();
         let mut moved = 0u64;
@@ -293,34 +284,15 @@ impl Mailbox {
                 bytes,
                 direction: Direction::Received,
             });
-            self.causal.edges.push(CausalEdge {
-                collective,
-                from: EndpointId {
-                    device: s as u32,
-                    round,
-                    seq: m.seq,
-                },
-                to: EndpointId {
-                    device: self.me as u32,
-                    round,
-                    seq: self.recv_seq,
-                },
-                bytes,
-            });
-            self.recv_seq += 1;
             got.push(m);
         }
         let wall_ns = sw.elapsed_ns();
-        let idle_ns = idle_ns.min(wall_ns);
-        sp.arg("cost", moved);
-        sp.arg("wall_ns", wall_ns);
-        sp.arg("idle_ns", idle_ns);
         self.timeline.push(Segment {
-            kind: PhaseKind::Exchange { collective, round },
+            kind: PhaseKind::Exchange { round },
             layer: self.layer,
             cost: moved,
             wall_ns,
-            idle_wall_ns: idle_ns,
+            idle_wall_ns: idle_ns.min(wall_ns),
         });
         got
     }
@@ -336,19 +308,15 @@ impl Mailbox {
         f: impl FnOnce() -> Result<R, CompileError>,
         extra_cost: impl FnOnce(&R) -> u64,
     ) -> Result<R, CompileError> {
-        let mut sp = span!("cluster.phase.compute", device = self.me, layer = self.layer);
+        let _sp = span!("cluster.phase.compute", device = self.me, layer = self.layer);
         let before = logical_cost(&engine.stats());
         let sw = Stopwatch::start();
         let out = f()?;
         let wall_ns = sw.elapsed_ns();
-        let cost =
-            logical_cost(&engine.stats()).saturating_sub(before) + extra_cost(&out);
-        sp.arg("cost", cost);
-        sp.arg("wall_ns", wall_ns);
         self.timeline.push(Segment {
             kind: PhaseKind::Compute,
             layer: self.layer,
-            cost,
+            cost: logical_cost(&engine.stats()).saturating_sub(before) + extra_cost(&out),
             wall_ns,
             idle_wall_ns: 0,
         });
@@ -357,11 +325,10 @@ impl Mailbox {
 }
 
 /// The per-run observability artifacts [`ClusterEngine::run_devices`]
-/// collects beside the device results: the merged exchange log, the
-/// merged causal edges, and one phase timeline per device.
+/// collects beside the device results: the merged exchange log and one
+/// phase timeline per device.
 struct RunArtifacts {
     exchange: ExchangeLog,
-    causal: CausalLog,
     timelines: Vec<DeviceTimeline>,
 }
 
@@ -378,22 +345,32 @@ pub struct ClusterRun {
     pub per_device: Vec<Counters>,
     /// The schedule that ran.
     pub placement: PlacementKind,
-    /// Send→receive causal edges, merged in ascending device order.
-    pub causal: CausalLog,
     /// Per-device phase timelines (compute/exchange segments with
     /// logical costs and a wall overlay), in device order.
     pub timelines: Vec<DeviceTimeline>,
 }
 
 impl ClusterRun {
-    /// Replays this run's timelines against its causal edges and returns
-    /// the critical-path / idle-time / straggler attribution report.
+    /// Replays this run's timelines against the messages its exchange log
+    /// received and returns the critical-path / idle-time / straggler
+    /// attribution report.
     ///
     /// # Errors
     ///
-    /// See [`analyze`].
+    /// Fails if the exchange log has a send without its receive or a
+    /// receive without its send; otherwise see [`analyze`].
     pub fn attribution(&self) -> Result<AttributionReport, String> {
-        analyze(&self.timelines, &self.causal)
+        if !self.exchange.is_conserved() {
+            return Err("exchange log has an unmatched send or receive".to_string());
+        }
+        let edges = self
+            .exchange
+            .events
+            .iter()
+            .filter(|e| e.direction == Direction::Received)
+            .map(|e| ((e.round, e.from as u32, e.to as u32), e.bytes))
+            .collect();
+        analyze(&self.timelines, &edges)
     }
 }
 
@@ -914,16 +891,14 @@ impl ClusterEngine {
             exchange: art.exchange,
             per_device: self.engines.iter().map(Engine::stats).collect(),
             placement,
-            causal: art.causal,
             timelines: art.timelines,
         })
     }
 
     /// Spawns one thread per device, wires the channel grid, runs `f` on
     /// each, and returns the per-device results plus the merged
-    /// observability artifacts (exchange log, causal edges, phase
-    /// timelines — all in ascending device order). Errors propagate in
-    /// device order.
+    /// observability artifacts (exchange log and phase timelines, both in
+    /// ascending device order). Errors propagate in device order.
     fn run_devices<T, F>(&self, f: F) -> Result<(Vec<T>, RunArtifacts), CompileError>
     where
         T: Send,
@@ -949,7 +924,7 @@ impl ClusterEngine {
         }
         // Transpose: device dev sends on tx_grid[dev] (its row) and
         // receives on rx_grid[dev] (its column).
-        type DeviceOut<T> = (T, ExchangeLog, CausalLog, DeviceTimeline);
+        type DeviceOut<T> = (T, ExchangeLog, DeviceTimeline);
         // Devices record into whatever capture the calling thread is in.
         let session = Session::current();
         let results: Vec<Result<DeviceOut<T>, CompileError>> =
@@ -972,16 +947,13 @@ impl ClusterEngine {
                                     next_expected: vec![0; d],
                                     round: 0,
                                     log: ExchangeLog::default(),
-                                    recv_seq: 0,
                                     layer,
-                                    causal: CausalLog::new(),
                                     timeline: Vec::new(),
                                 };
                                 f(dev, &mut mb).map(|t| {
                                     (
                                         t,
                                         std::mem::take(&mut mb.log),
-                                        std::mem::take(&mut mb.causal),
                                         DeviceTimeline {
                                             device: dev as u32,
                                             segments: std::mem::take(&mut mb.timeline),
@@ -1000,14 +972,12 @@ impl ClusterEngine {
         let mut outs = Vec::with_capacity(d);
         let mut art = RunArtifacts {
             exchange: ExchangeLog::default(),
-            causal: CausalLog::new(),
             timelines: Vec::with_capacity(d),
         };
         for r in results {
-            let (t, l, causal, timeline) = r?;
+            let (t, l, timeline) = r?;
             outs.push(t);
             art.exchange.events.extend(l.events);
-            art.causal.merge(causal);
             art.timelines.push(timeline);
         }
         Ok((outs, art))
@@ -1564,14 +1534,14 @@ mod tests {
             let cluster = ClusterEngine::new(3, 2);
             cluster.set_layer(2);
             let run = cluster.execute(&dfg, &g, &plan, &globals, placement).unwrap();
-            run.causal.check_pairing().expect("paired endpoints");
-            // One causal edge per drained message, bytes conserved
-            // against the exchange log's receive side.
-            assert_eq!(
-                run.causal.total_bytes(),
-                run.exchange.bytes_received(),
-                "{placement:?}"
-            );
+            // Every send drained: one message per peer pair and round.
+            assert!(run.exchange.is_conserved(), "{placement:?}");
+            let rounds = run.timelines[0]
+                .segments
+                .iter()
+                .filter(|s| s.kind != PhaseKind::Compute)
+                .count() as u64;
+            assert_eq!(run.exchange.messages_sent(), 6 * rounds, "{placement:?}");
             assert_eq!(run.timelines.len(), 3);
             assert!(run
                 .timelines
@@ -1580,6 +1550,12 @@ mod tests {
             let report = run.attribution().expect("analyzes");
             assert!(report.makespan > 0, "{placement:?}");
             assert_eq!(report.devices.len(), 3);
+            // The replay prices every logged byte once per side.
+            assert_eq!(
+                report.devices.iter().map(|a| a.exchange).sum::<u64>(),
+                run.exchange.bytes_sent() + run.exchange.bytes_received(),
+                "{placement:?}"
+            );
             assert!(
                 report.devices.iter().map(|a| a.busy).sum::<u64>() > 0,
                 "{placement:?}"

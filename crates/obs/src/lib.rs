@@ -7,7 +7,9 @@
 //! and wall-clock time is noise. So work counters (edges processed, FLOPs,
 //! bytes gathered/scattered, partition shapes) are pure functions of the
 //! inputs and bit-comparable run to run, while timestamps ride along as an
-//! overlay that exporters render but gates never compare.
+//! overlay that exporters render but gates never compare. [`critical`]
+//! replays a cluster run's device timelines against the messages of its
+//! exchange rounds to attribute the run's makespan.
 //!
 //! The crate has **zero dependencies** (it sits at the bottom of the
 //! workspace graph) and owns the workspace's only monotonic-clock site
@@ -36,20 +38,16 @@
 //! assert!(chrome.contains("traceEvents"));
 //! ```
 
-pub mod causal;
 pub mod clock;
 pub mod counters;
 pub mod critical;
 pub mod export;
-pub mod hist;
 pub mod json;
 pub mod span;
 
-pub use causal::{CausalEdge, CausalLog, EndpointId};
 pub use counters::{pool_reuse_ratio, Class, Counters, MergeKind, Metric, Value};
 pub use critical::{analyze, AttributionReport, DeviceTimeline, PhaseKind, Segment};
 pub use export::{counters_from_json, counters_to_json, trace_to_chrome_json};
-pub use hist::Histogram;
 pub use span::{capture, with_lane, Session, SpanGuard, Trace};
 
 /// The shared metric-name vocabulary.

@@ -8,14 +8,15 @@
 # build step already produced. The workspace sweep is the only test run:
 # the bit-identity harnesses (tests/fused_parity.rs,
 # tests/workspace_parity.rs, tests/planning_cache.rs, tests/sharded_parity.rs,
-# tests/causal_determinism.rs) and the planner/verifier equivalence
+# tests/attribution_determinism.rs: the cluster's exchange log and the
+# critical-path report replayed from it) and the planner/verifier equivalence
 # suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs,
 # tests/sampled_step_equivalence.rs)
 # are part of it and are not re-run by name, and so are the checks of
 # the repository's own code: the verifier's clean sweep over every model,
 # rewrite, table and repair (tests/analysis_diagnostics.rs), the rewrite
-# interpreter check (tests/properties.rs) and the span capture
-# (tests/obs_determinism.rs). After the tests, three gates run: clippy
+# interpreter check (tests/properties.rs) and the span captures
+# (tests/analysis_diagnostics.rs). After the tests, three gates run: clippy
 # with warnings denied, the benchmark's smoke pass (examples/perfbench
 # --smoke: every workload's calls into the library compile, run and pass
 # their output checks, so a library change cannot silently break

@@ -28,10 +28,11 @@
 //!
 //! * a critical-path attribution section: per model, the
 //!   vertex-centric plan runs at 2 and 4 devices under every compatible
-//!   placement, and the causal replay folds each run's device timelines
-//!   and send→receive edges into a critical path, a per-device
-//!   busy/exchange/idle breakdown, a straggler ranking, and per-layer
-//!   overlap headroom; the Work-class part lands in the baseline under
+//!   placement, and the replay (`obs::critical::analyze`) prices each
+//!   run's device timelines against the messages of its exchange log:
+//!   a critical path, a per-device busy/exchange/idle breakdown, a
+//!   straggler ranking, and per-layer overlap headroom; the Work-class
+//!   part lands in the baseline under
 //!   `critical.<model>.<placement>.d<devices>.`, and with
 //!   `--critical-path` the tables print and the deterministic report is
 //!   written to `results/prof_critical.json`.
@@ -47,7 +48,8 @@
 //!   two consecutive runs, (b) `Work`-class counters are bit-identical
 //!   across 1/2/4 engine threads, and (c) counters match
 //!   `results/prof_baseline.json` within the per-class tolerance bands
-//!   (`Work` exact, `Resource` within [`RESOURCE_BAND`]);
+//!   (`Work` exact, `Resource` within [`RESOURCE_BAND`]), with no counter
+//!   recorded on one side only;
 //! * `--write-baseline` — rewrites `results/prof_baseline.json` from the
 //!   current run (commit the result deliberately);
 //! * `--critical-path` — prints the attribution tables and writes
@@ -333,14 +335,14 @@ fn run_suite(threads: usize) -> SuiteRun {
 
     // Critical-path attribution section: per model, the vertex-centric
     // plan runs at each [`CRITICAL_DEVICES`] count under every compatible
-    // placement, and the causal replay ([`ClusterRun::attribution`])
-    // folds the device timelines + causal edges into a critical path,
-    // busy/exchange/idle breakdown, straggler ranking, and per-layer
-    // overlap headroom. Only the Work-class part of the report lands in
-    // `run.all` (under `critical.<slug>.<placement>.d<devices>.`): those
-    // keys are pure functions of (graph, plan, placement, device count),
-    // so all three gates hold them bit-exactly, while the wall-clock
-    // overlay stays out of the rerun-identity comparison.
+    // placement, and the replay ([`ClusterRun::attribution`]) prices the
+    // device timelines against the exchange log's messages: a critical
+    // path, busy/exchange/idle breakdown, straggler ranking, and
+    // per-layer overlap headroom. Only the Work-class part of the report
+    // lands in `run.all` (under `critical.<slug>.<placement>.d<devices>.`):
+    // those keys are pure functions of (graph, plan, placement, device
+    // count), so all three gates hold them bit-exactly, while the
+    // wall-clock overlay stays out of the rerun-identity comparison.
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
         let program = compile(&dfg, &g).expect("profiled model compiles");
@@ -400,9 +402,16 @@ fn critical_to_json(rows: &[CriticalRow]) -> String {
 }
 
 /// Compares a run's counters against the committed baseline with
-/// per-class tolerance bands. Returns the violations.
+/// per-class tolerance bands, in both directions: a counter on one side
+/// only is a violation too (Timing counters are never compared). Returns
+/// the violations.
 fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<String> {
     let mut errs = Vec::new();
+    for (name, got) in current.iter() {
+        if got.class != Class::Timing && baseline.get(name).is_none() {
+            errs.push(format!("`{name}` was recorded but is not in the baseline"));
+        }
+    }
     for (name, want) in baseline.iter() {
         let Some(got) = current.get(name) else {
             errs.push(format!("`{name}` is in the baseline but was not recorded"));
@@ -694,4 +703,29 @@ fn main() -> ExitCode {
         baseline.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_check_flags_a_counter_on_either_side_only() {
+        let mut shared = Counters::new();
+        shared.add_class("kernel.edges", 7, Class::Work);
+        shared.add_class("pool.buffers_reused", 3, Class::Resource);
+        let mut extra = shared.clone();
+        extra.add_class("kernel.flops", 5, Class::Work);
+        assert!(check_against_baseline(&shared, &shared).is_empty());
+        let recorded_only = check_against_baseline(&extra, &shared);
+        assert_eq!(recorded_only.len(), 1, "{recorded_only:?}");
+        assert!(recorded_only[0].contains("`kernel.flops` was recorded"));
+        let baseline_only = check_against_baseline(&shared, &extra);
+        assert_eq!(baseline_only.len(), 1, "{baseline_only:?}");
+        assert!(baseline_only[0].contains("`kernel.flops` is in the baseline"));
+        // Timing counters are never compared.
+        let mut timed = shared.clone();
+        timed.set_gauge("wall.busy_ns", 1.0, Class::Timing);
+        assert!(check_against_baseline(&timed, &shared).is_empty());
+    }
 }
