@@ -13,10 +13,11 @@
 //!   with fused message kernels and segmented GEMMs (DGL), vertex-centric
 //!   fused (Seastar), neighbor-grouped (GNNAdvisor), tensor-core tiled
 //!   (TC-GNN);
-//! - [`multi`]: multi-GPU executors — data parallel with all-to-all feature
-//!   exchange (DGL/DistDGL), balanced-partition overlap (ROC),
-//!   communication-scheduled (DGCL), and hybrid tensor/data parallelism
-//!   (P3).
+//! - [`multi`]: the multi-GPU closed form, one row of constants per system
+//!   — data parallel with all-to-all feature exchange (DGL/DistDGL),
+//!   balanced-partition overlap (ROC), communication-scheduled (DGCL),
+//!   hybrid tensor/data parallelism (P3), pipelined inference (MGG), and
+//!   WiseGraph's per-layer operation placement.
 
 pub mod multi;
 pub mod single;

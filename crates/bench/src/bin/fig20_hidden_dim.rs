@@ -8,8 +8,8 @@
 
 use wisegraph_baselines::{MultiGpuSystem, MultiStack};
 use wisegraph_bench::{build_dataset, fmt_ms, print_table};
-use wisegraph_core::multi as ours;
 use wisegraph_graph::DatasetKind;
+use wisegraph_models::ModelKind;
 
 fn main() {
     let stack = MultiStack::paper_quad();
@@ -19,9 +19,13 @@ fn main() {
         let mut rows = Vec::new();
         for exp in 5..=10u32 {
             let hidden = 1usize << exp;
-            let dgl = MultiGpuSystem::Dgl.first_layer_time(&g, f_in, hidden, &stack);
-            let p3 = MultiGpuSystem::P3.first_layer_time(&g, f_in, hidden, &stack);
-            let we = ours::first_layer_time(&g, f_in, hidden, &stack);
+            let time = |sys: MultiGpuSystem| {
+                let (_, t) = sys.layer_time(&g, ModelKind::Gcn, 0, (f_in, hidden), &stack);
+                t
+            };
+            let dgl = time(MultiGpuSystem::Dgl);
+            let p3 = time(MultiGpuSystem::P3);
+            let we = time(MultiGpuSystem::WiseGraph);
             let winner = if we <= dgl && we <= p3 {
                 "ours"
             } else if dgl < p3 {

@@ -21,7 +21,6 @@ use std::collections::HashMap;
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_baselines::{MultiGpuSystem, MultiStack};
 use wisegraph_bench::{build_dataset, fmt_s, print_table};
-use wisegraph_core::multi as ours;
 use wisegraph_core::sharded::{device_work_skew, execute_sharded_layer};
 use wisegraph_graph::DatasetKind;
 use wisegraph_gtask::{partition, PartitionTable};
@@ -64,7 +63,7 @@ fn main() {
 
         let mut row = vec![spec.kind.short_name().to_string()];
         let mut best = f64::INFINITY;
-        for sys in MultiGpuSystem::ALL {
+        for sys in MultiGpuSystem::BASELINES {
             if !sys.supports(sampled) {
                 row.push("N/A".to_string());
                 continue;
@@ -73,8 +72,9 @@ fn main() {
             best = best.min(t);
             row.push(fmt_s(t));
         }
-        let t_ours =
-            ours::iteration_time(&g, model, &dims, &stack) * scale * iters_per_epoch;
+        let t_ours = MultiGpuSystem::WiseGraph.iteration_time(&g, model, &dims, &stack)
+            * scale
+            * iters_per_epoch;
         row.push(fmt_s(t_ours));
         rows.push(row);
         if sampled {
@@ -105,14 +105,8 @@ fn main() {
         classes: spec.num_classes,
         layers: 3,
     };
-    let mgg = wisegraph_baselines::multi::mgg_inference_time(
-        &g,
-        model,
-        &dims,
-        &stack,
-    ) * spec.scale();
-    let ours_inf = ours::iteration_time(&g, model, &dims, &stack) * spec.scale()
-        / wisegraph_baselines::single::TRAIN_FACTOR;
+    let mgg = MultiGpuSystem::Mgg.forward_time(&g, model, &dims, &stack) * spec.scale();
+    let ours_inf = MultiGpuSystem::WiseGraph.forward_time(&g, model, &dims, &stack) * spec.scale();
     println!(
         "\nFull-graph inference on PA: MGG {:.2} s vs WiseGraph {:.2} s \
          ({:.2}x; paper: 25.24 s vs 8.71 s, 2.90x)",

@@ -23,8 +23,6 @@
 //! - [`joint`]: outlier-aware differentiated scheduling (Figure 12/19);
 //! - [`optimizer`]: the staged search with pruning and caching (Figure 16,
 //!   §6.3), producing the final `OptimizedModel` estimate;
-//! - [`multi`]: multi-device operation placement driven by the
-//!   changing-data-volume pattern (Table 2, Figure 20);
 //! - [`sharded`]: real sharded multi-device execution — placement
 //!   selection over the compatible schedules of a compiled layer, run on
 //!   a `wisegraph_kernels::cluster::ClusterEngine`;
@@ -35,7 +33,6 @@
 
 pub mod dynamic;
 pub mod joint;
-pub mod multi;
 pub mod optimizer;
 pub mod plan;
 pub mod sampled;

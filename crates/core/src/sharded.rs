@@ -6,8 +6,8 @@
 //! relative to computation is chosen per layer by the same
 //! changing-data-volume arithmetic the closed-form cost model uses
 //! ([`wisegraph_sim::PlacementVolumes`], also behind
-//! [`crate::multi::best_placement_comm`]). The selector only considers
-//! schedules the compiled program can actually run
+//! [`wisegraph_baselines::MultiGpuSystem::layer_time`]). The selector
+//! only considers schedules the compiled program can actually run
 //! ([`compatible_placements`]), which is where the executed path goes
 //! beyond the closed form: tensor parallelism needs a sliceable weight,
 //! compute-then-reduce needs a prologue-free source-gathering program.
@@ -54,7 +54,7 @@ pub fn select_placement(
     f_in: usize,
     f_out: usize,
 ) -> PlacementChoice {
-    let remote = ShardSpec::balanced(g, devices).max_remote_unique_src(g);
+    let remote = ShardSpec::balanced(g, devices).max_remote_unique_src(g) as f64;
     price_placements(program, g, globals, devices, remote, fabric, f_in, f_out)
 }
 
@@ -65,7 +65,7 @@ fn price_placements(
     g: &Graph,
     globals: &HashMap<String, Tensor>,
     devices: usize,
-    remote: usize,
+    remote: f64,
     fabric: &Fabric,
     f_in: usize,
     f_out: usize,
@@ -130,7 +130,7 @@ pub fn execute_sharded_layer(
         g,
         globals,
         cluster.devices(),
-        cluster.max_remote_unique_src(g, plan),
+        cluster.max_remote_unique_src(g, plan) as f64,
         fabric,
         f_in,
         f_out,

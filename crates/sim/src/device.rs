@@ -180,11 +180,6 @@ impl DeviceSpec {
         self.launch_latency + compute.max(memory)
     }
 
-    /// Estimated time for a sequence of kernels launched back to back.
-    pub fn kernels_time(&self, kernels: &[KernelCost]) -> f64 {
-        kernels.iter().map(|k| self.kernel_time(k)).sum()
-    }
-
     /// The theoretically optimal time for a workload: balanced roofline at
     /// full peak (used as the "Optimal" line of Figure 3a).
     pub fn optimal_time(&self, flops: f64, bytes: f64) -> f64 {
@@ -272,10 +267,6 @@ mod tests {
         let t = d.kernel_time(&k);
         assert!(t >= d.launch_latency);
         assert!(t < 2.0 * d.launch_latency);
-        // Many tiny kernels pay many launches — the tensor-centric
-        // fragmentation overhead.
-        let many = d.kernels_time(&vec![k; 100]);
-        assert!(many >= 100.0 * d.launch_latency);
     }
 
     #[test]

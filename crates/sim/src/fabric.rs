@@ -38,16 +38,6 @@ impl Fabric {
         self.latency + bytes_per_device * (d - 1.0) / d / self.link_bw
     }
 
-    /// Ring all-reduce of a `bytes`-sized buffer replicated on all devices:
-    /// `2·(d-1)/d` traversals.
-    pub fn all_reduce(&self, bytes: f64) -> f64 {
-        let d = self.num_devices as f64;
-        if self.num_devices <= 1 {
-            return 0.0;
-        }
-        2.0 * self.latency + 2.0 * bytes * (d - 1.0) / d / self.link_bw
-    }
-
     /// Reduce-scatter: each device ends with `bytes / d` of the reduced
     /// buffer; one `(d-1)/d` traversal.
     pub fn reduce_scatter(&self, bytes: f64) -> f64 {
@@ -62,11 +52,6 @@ impl Fabric {
     pub fn all_gather(&self, bytes: f64) -> f64 {
         // Symmetric to reduce-scatter.
         self.reduce_scatter(bytes)
-    }
-
-    /// Point-to-point send of `bytes` to one peer.
-    pub fn send(&self, bytes: f64) -> f64 {
-        self.latency + bytes / self.link_bw
     }
 }
 
@@ -88,22 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_costs_twice_reduce_scatter() {
-        let f = fab();
-        let bytes = 1e8;
-        let ar = f.all_reduce(bytes) - 2.0 * f.latency;
-        let rs = f.reduce_scatter(bytes) - f.latency;
-        assert!((ar - 2.0 * rs).abs() / ar < 1e-9);
-    }
-
-    #[test]
     fn single_device_is_free() {
         let f = Fabric {
             num_devices: 1,
             ..fab()
         };
         assert_eq!(f.all_to_all(1e9), 0.0);
-        assert_eq!(f.all_reduce(1e9), 0.0);
         assert_eq!(f.reduce_scatter(1e9), 0.0);
     }
 
@@ -119,7 +94,6 @@ mod tests {
     #[test]
     fn latency_floors_small_messages() {
         let f = fab();
-        assert!(f.send(1.0) >= f.latency);
         assert!(f.all_to_all(8.0) >= f.latency);
     }
 }

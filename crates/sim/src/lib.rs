@@ -11,14 +11,12 @@
 //!   per-kernel time estimator, with efficiency factors that depend on the
 //!   *compute class* (edge-wise vs. batched vs. dense) and the batching
 //!   degree — the effects Figures 3 and 18 hinge on;
-//! - [`memory`]: a footprint tracker for out-of-memory detection (the white
-//!   cells of Figure 13);
 //! - [`schedule`]: a list scheduler over execution units that exposes
 //!   long-tail effects from imbalanced gTasks and the benefit of
 //!   differentiated priorities (Figure 12, Figure 19);
 //! - [`fabric`]: a PCIe-like interconnect with collective cost formulas
-//!   (all-to-all, all-reduce, reduce-scatter, all-gather) for multi-device
-//!   operation placement (Table 2, Figure 20);
+//!   (all-to-all, reduce-scatter, all-gather) for multi-device operation
+//!   placement (Table 2, Figure 20);
 //! - [`volume`]: the Figure-11 placement-candidate payload arithmetic,
 //!   shared between the closed-form cost model and the sharded executor's
 //!   placement selector so the two can never disagree.
@@ -28,11 +26,9 @@
 
 pub mod device;
 pub mod fabric;
-pub mod memory;
 pub mod schedule;
 pub mod volume;
 
 pub use device::{ComputeClass, DeviceSpec, KernelCost};
 pub use fabric::Fabric;
-pub use memory::MemoryTracker;
 pub use volume::{PlacementKind, PlacementVolumes};

@@ -1,7 +1,7 @@
 //! Shared Figure-11 placement-volume arithmetic.
 //!
 //! Both multi-device stories — the closed-form cost model
-//! (`wisegraph-core`'s `multi` module, Table 2 / Figure 20) and the real
+//! (`wisegraph-baselines`' `multi` module, Table 2 / Figure 20) and the real
 //! sharded executor's placement selector — price the same four candidate
 //! schedules from the same three quantities: the per-device remote-unique
 //! source count, the vertex count, and the layer's embedding widths. This
@@ -79,26 +79,17 @@ pub struct PlacementVolumes {
 impl PlacementVolumes {
     /// Builds the candidate volumes from the sharding quantities:
     /// `remote` is the (maximum per-device) remote-unique source count,
+    /// possibly scaled by a system's halo factor,
     /// `v` the vertex count, and `acc_width` the reduction accumulator
     /// width (`f_in` for gather-then-project models, `f_out` for models
     /// projecting inside the aggregation).
-    pub fn new(remote: usize, v: usize, f_in: usize, f_out: usize, acc_width: usize) -> Self {
-        let (remote, v) = (remote as f64, v as f64);
+    pub fn new(remote: f64, v: usize, f_in: usize, f_out: usize, acc_width: usize) -> Self {
+        let v = v as f64;
         Self {
             input_side: remote * f_in as f64 * F32,
             projected_side: remote * f_out as f64 * F32,
             output_side: v * f_out as f64 * F32,
             gathered_side: v * acc_width as f64 * F32,
-        }
-    }
-
-    /// The payload of one placement.
-    pub fn payload(&self, p: PlacementKind) -> f64 {
-        match p {
-            PlacementKind::DataParallel => self.input_side,
-            PlacementKind::ProjectThenCommunicate => self.projected_side,
-            PlacementKind::ComputeThenReduce => self.output_side,
-            PlacementKind::TensorParallel => self.gathered_side,
         }
     }
 
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn volumes_match_figure11_formulas() {
-        let v = PlacementVolumes::new(100, 1000, 64, 16, 64);
+        let v = PlacementVolumes::new(100.0, 1000, 64, 16, 64);
         assert_eq!(v.input_side, 100.0 * 64.0 * 4.0);
         assert_eq!(v.projected_side, 100.0 * 16.0 * 4.0);
         assert_eq!(v.output_side, 1000.0 * 16.0 * 4.0);
@@ -156,7 +147,7 @@ mod tests {
         let fab = Fabric::pcie4_quad();
         // Wide input, narrow output: projecting before communicating wins
         // over shipping raw inputs.
-        let v = PlacementVolumes::new(500, 600, 1024, 8, 1024);
+        let v = PlacementVolumes::new(500.0, 600, 1024, 8, 1024);
         let (p, t) = v.best(
             &[
                 PlacementKind::DataParallel,
@@ -168,7 +159,7 @@ mod tests {
         assert_eq!(p, PlacementKind::ProjectThenCommunicate);
         assert!(t < v.comm_time(PlacementKind::DataParallel, &fab));
         // Narrow input: shipping inputs wins.
-        let v = PlacementVolumes::new(500, 600, 8, 1024, 8);
+        let v = PlacementVolumes::new(500.0, 600, 8, 1024, 8);
         let (p, _) = v.best(&PlacementKind::ALL, &fab);
         assert_eq!(p, PlacementKind::DataParallel);
     }
@@ -176,7 +167,7 @@ mod tests {
     #[test]
     fn ties_break_toward_earlier_candidate() {
         let fab = Fabric::pcie4_quad();
-        let v = PlacementVolumes::new(0, 0, 4, 4, 4);
+        let v = PlacementVolumes::new(0.0, 0, 4, 4, 4);
         let (p, _) = v.best(&PlacementKind::ALL, &fab);
         assert_eq!(p, PlacementKind::DataParallel);
     }

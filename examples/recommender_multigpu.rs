@@ -11,9 +11,10 @@
 
 use wisegraph::baselines::single::LayerDims;
 use wisegraph::baselines::{MultiGpuSystem, MultiStack};
-use wisegraph::core::multi;
 use wisegraph::graph::generate::{rmat, RmatParams};
+use wisegraph::graph::ShardSpec;
 use wisegraph::models::ModelKind;
+use wisegraph::sim::{PlacementKind, PlacementVolumes};
 
 fn main() {
     // Interaction graph: 200K users+items, 3M interactions, heavy skew
@@ -35,21 +36,19 @@ fn main() {
     };
 
     println!("\nper-layer communication placement (WiseGraph):");
+    let remote = ShardSpec::new(graph.num_vertices(), stack.fabric.num_devices)
+        .max_remote_unique_src(&graph) as f64;
     for l in 0..dims.layers {
         let (fi, fo) = dims.layer_io(l);
-        let comm = multi::best_placement_comm(&graph, &stack, fi, fo);
-        let remote = wisegraph::graph::ShardSpec::new(graph.num_vertices(), 4)
-            .max_remote_unique_src(&graph) as f64;
-        let input_side = stack.fabric.all_to_all(remote * fi as f64 * 4.0);
-        let output_side = stack
-            .fabric
-            .reduce_scatter(graph.num_vertices() as f64 * fo as f64 * 4.0);
-        let choice = if (comm - input_side).abs() < 1e-12 {
-            "communicate inputs (all-to-all)"
-        } else if (comm - output_side).abs() < 1e-12 {
-            "compute first, reduce outputs"
-        } else {
-            "project first, then all-to-all"
+        let (kind, _) =
+            MultiGpuSystem::WiseGraph.layer_time(&graph, ModelKind::Sage, l, (fi, fo), &stack);
+        let comm = PlacementVolumes::new(remote, graph.num_vertices(), fi, fo, fi)
+            .comm_time(kind, &stack.fabric);
+        let choice = match kind {
+            PlacementKind::DataParallel => "communicate inputs (all-to-all)",
+            PlacementKind::ComputeThenReduce => "compute first, reduce outputs",
+            PlacementKind::ProjectThenCommunicate => "project first, then all-to-all",
+            PlacementKind::TensorParallel => unreachable!("the closed form never splits columns"),
         };
         println!(
             "  layer {l}: {fi}->{fo}, {:.2} ms -- {choice}",
@@ -62,6 +61,6 @@ fn main() {
         let t = sys.iteration_time(&graph, ModelKind::Sage, &dims, &stack);
         println!("  {:<10} {:>8.2} ms", sys.name(), t * 1e3);
     }
-    let ours = multi::iteration_time(&graph, ModelKind::Sage, &dims, &stack);
+    let ours = MultiGpuSystem::WiseGraph.iteration_time(&graph, ModelKind::Sage, &dims, &stack);
     println!("  {:<10} {:>8.2} ms  <- WiseGraph", "WiseGraph", ours * 1e3);
 }

@@ -3,6 +3,12 @@
 # in release mode and runs every test, all without touching a crate
 # registry. CI and pre-merge runs should invoke exactly this script.
 #
+# Right after the release build, the two multi-device figure harnesses
+# (table2_multi_gpu, fig20_hidden_dim; a few seconds together) rerun and
+# their stdout is compared byte for byte with the committed
+# results/*.txt, so an edit to the closed-form multi-device pricing
+# cannot drift those artifacts unnoticed.
+#
 # Tests run in both profiles: debug catches overflow/debug-assert issues,
 # release catches optimizer-dependent ones and reuses the artifacts the
 # build step already produced. The workspace sweep is the only test run:
@@ -37,6 +43,10 @@ results_checksum() { git ls-files -z results | xargs -0 sha256sum | sha256sum; }
 results_before="$(results_checksum)"
 
 cargo build --release --offline --workspace
+for fig in table2_multi_gpu fig20_hidden_dim; do
+    cargo run --release --offline --quiet -p wisegraph-bench --bin "$fig" |
+        cmp - "results/$fig.txt"
+done
 cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings

@@ -188,14 +188,17 @@ fn memory_pressure_differentiates_systems() {
 #[test]
 fn placement_lower_envelope() {
     use wisegraph::baselines::{MultiGpuSystem, MultiStack};
-    use wisegraph::core::multi;
     let g = test_graph(4);
     let stack = MultiStack::paper_quad();
     for f_in in [32usize, 128, 512] {
         for hidden in [16usize, 64, 256] {
-            let ours = multi::first_layer_time(&g, f_in, hidden, &stack);
-            let dgl = MultiGpuSystem::Dgl.first_layer_time(&g, f_in, hidden, &stack);
-            let p3 = MultiGpuSystem::P3.first_layer_time(&g, f_in, hidden, &stack);
+            let time = |sys: MultiGpuSystem| {
+                let (_, t) = sys.layer_time(&g, ModelKind::Gcn, 0, (f_in, hidden), &stack);
+                t
+            };
+            let ours = time(MultiGpuSystem::WiseGraph);
+            let dgl = time(MultiGpuSystem::Dgl);
+            let p3 = time(MultiGpuSystem::P3);
             assert!(
                 ours <= dgl.min(p3) * 1.001,
                 "f_in {f_in} hidden {hidden}: ours {ours}, dgl {dgl}, p3 {p3}"

@@ -14,14 +14,11 @@
 //!
 //! A second suite pins the joint optimizer's placement selection to the
 //! shared Figure-11 volume arithmetic: the schedule the executor selects
-//! is exactly the one an independent recomputation predicts, and the
-//! closed-form `best_placement_comm` prices the same three-candidate
-//! minimum.
+//! is exactly the one an independent recomputation predicts.
 
 use std::collections::HashMap;
 use wisegraph::dfg::analysis::indexing_attrs;
 use wisegraph::baselines::multi::MultiStack;
-use wisegraph::core::multi::best_placement_comm;
 use wisegraph::core::sharded::select_placement;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{Graph, ShardSpec};
@@ -191,10 +188,10 @@ fn weights_whose_leading_extent_equals_the_vertex_count_stay_replicated() {
 }
 
 /// The placement the sharded executor selects is the one the shared
-/// volume model predicts, for every model × table — and the closed-form
-/// cost model (`best_placement_comm`) prices the identical
-/// three-candidate minimum from the same module, so the two multi-device
-/// stories cannot drift apart.
+/// volume model predicts, for every model × table. The closed-form cost
+/// model prices its placements with the same module
+/// (`baselines::multi`'s own tests), so the two multi-device stories
+/// cannot drift apart.
 #[test]
 fn predicted_placement_matches_executed_selection() {
     let (fi, fo) = (6, 5);
@@ -214,7 +211,7 @@ fn predicted_placement_matches_executed_selection() {
             // Independent recomputation from the shared module.
             let remote = ShardSpec::balanced(&g, devices).max_remote_unique_src(&g);
             let vols =
-                PlacementVolumes::new(remote, g.num_vertices(), fi, fo, program.out_width);
+                PlacementVolumes::new(remote as f64, g.num_vertices(), fi, fo, program.out_width);
             let compat = compatible_placements(&program, &g, &globals);
             let (expect, expect_t) = vols.best(&compat, fabric);
             assert_eq!(choice.placement, expect, "{} × [{table}]", kind.name());
@@ -230,25 +227,4 @@ fn predicted_placement_matches_executed_selection() {
         }
     }
     assert!(checked >= 20, "only {checked} combinations checked");
-
-    // The closed-form cost model prices the same three-candidate minimum
-    // (its accumulator width is the input width: the closed form predates
-    // compilation and cannot know the program's out_width).
-    let remote = ShardSpec::new(g.num_vertices(), devices).max_remote_unique_src(&g);
-    for (f_in, f_out) in [(1024usize, 8usize), (8, 1024), (64, 64)] {
-        let vols = PlacementVolumes::new(remote, g.num_vertices(), f_in, f_out, f_in);
-        let (_, t) = vols.best(
-            &[
-                PlacementKind::DataParallel,
-                PlacementKind::ProjectThenCommunicate,
-                PlacementKind::ComputeThenReduce,
-            ],
-            fabric,
-        );
-        let closed = best_placement_comm(&g, &stack, f_in, f_out);
-        assert!(
-            (closed - t).abs() <= f64::EPSILON * t.max(1.0),
-            "closed-form {closed} vs shared-module {t} at ({f_in}, {f_out})"
-        );
-    }
 }
