@@ -147,23 +147,23 @@ mod tests {
         }
     }
 
-    /// A small scatter DFG assembled from parts, so each test case can
-    /// change exactly one of them.
+    /// A small scatter DFG assembled from parts through the checked
+    /// builder, so each test case can change exactly one of them.
     fn dfg_with(
         name: &str,
-        gather: OpKind,
+        width: usize,
         idx_input: usize,
-        shape: Vec<Dim>,
+        act: OpKind,
         outputs: &[usize],
     ) -> Dfg {
         let mut d = Dfg::new();
-        let feat = vec![Dim::Vertices, Dim::Lit(4)];
-        let h = d.input(name, feat.clone());
+        let h = d.input(name, vec![Dim::Vertices, Dim::Lit(width)]);
         let src = d.edge_attr(AttrKind::SrcId);
         let dst = d.edge_attr(AttrKind::DstId);
         assert_eq!((h, src, dst), (NodeId(0), NodeId(1), NodeId(2)));
-        let msg = d.add_node_unchecked(gather, vec![h, NodeId(idx_input)], shape);
-        d.add_node_unchecked(OpKind::IndexAdd { out: Dim::Vertices }, vec![msg, dst], feat);
+        let msg = d.index(h, NodeId(idx_input));
+        let agg = d.index_add(msg, dst, Dim::Vertices);
+        d.add_node(act, vec![agg]);
         for &o in outputs {
             d.mark_output(NodeId(o));
         }
@@ -172,20 +172,16 @@ mod tests {
 
     #[test]
     fn dfg_hash_tracks_every_field() {
-        let edge_rows = vec![Dim::Edges, Dim::Lit(4)];
-        let base = || dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[4]);
+        let base = || dfg_with("h", 4, 1, OpKind::Relu, &[5]);
         assert_eq!(base(), base());
         assert_eq!(hash_dfg(&base()), hash_dfg(&base()));
         let changed = [
-            ("input name", dfg_with("x", OpKind::Index, 1, edge_rows.clone(), &[4])),
-            ("op kind", dfg_with("h", OpKind::Mul, 1, edge_rows.clone(), &[4])),
-            ("input id", dfg_with("h", OpKind::Index, 2, edge_rows.clone(), &[4])),
-            (
-                "recorded shape",
-                dfg_with("h", OpKind::Index, 1, vec![Dim::Edges, Dim::Lit(5)], &[4]),
-            ),
-            ("output list", dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[4, 3])),
-            ("no outputs", dfg_with("h", OpKind::Index, 1, edge_rows.clone(), &[])),
+            ("input name", dfg_with("x", 4, 1, OpKind::Relu, &[5])),
+            ("input shape", dfg_with("h", 5, 1, OpKind::Relu, &[5])),
+            ("input id", dfg_with("h", 4, 2, OpKind::Relu, &[5])),
+            ("op kind", dfg_with("h", 4, 1, OpKind::LeakyRelu, &[5])),
+            ("output list", dfg_with("h", 4, 1, OpKind::Relu, &[5, 4])),
+            ("no outputs", dfg_with("h", 4, 1, OpKind::Relu, &[])),
         ];
         for (what, d) in &changed {
             assert_ne!(hash_dfg(d), hash_dfg(&base()), "{what}");

@@ -6,7 +6,6 @@
 //! plan's data patterns. Evaluating a plan prices its kernels on the device
 //! model and schedules its per-task work onto execution units.
 
-use wisegraph_cache::PlanCache;
 use wisegraph_dfg::{transform, Binding, Dfg};
 use wisegraph_graph::{AttrKind, Graph};
 use wisegraph_gtask::{partition, PartitionPlan, PartitionTable};
@@ -251,31 +250,6 @@ impl ExecutionPlan {
         // Context rules apply to the DFG that will actually run (e.g. the
         // per-edge-weight constraint disappears once the transformation
         // replaces `PerEdgeLinear` with a pairwise table).
-        let ctx = derive_ctx(g, &plan, &table, &dfg);
-        Self {
-            table,
-            partition: plan,
-            dfg,
-            op_partition,
-            ctx,
-        }
-    }
-
-    /// Like [`ExecutionPlan::build`], but serves the partition and the
-    /// transformed DFG through a content-addressed [`PlanCache`]: a warm
-    /// cache skips both the partitioner and the rewrite
-    /// pipeline, cloning the stored artifacts instead. The kernel
-    /// context is derived fresh either way (it is cheap and depends only
-    /// on the two cached artifacts).
-    pub fn build_cached(
-        g: &Graph,
-        table: PartitionTable,
-        base_dfg: &Dfg,
-        op_partition: OpPartitionKind,
-        cache: &mut PlanCache,
-    ) -> Self {
-        let plan = cache.partition_cached(g, &table);
-        let dfg = cache.transform_cached(g, base_dfg);
         let ctx = derive_ctx(g, &plan, &table, &dfg);
         Self {
             table,

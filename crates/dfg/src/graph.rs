@@ -22,7 +22,9 @@ pub struct Node {
 /// A data-flow graph of GNN operations.
 ///
 /// Nodes are appended through the builder methods, so the vector order is
-/// already topological: every node's inputs precede it.
+/// already topological: every node's inputs precede it. The builder is
+/// where well-formedness is checked, and the only place: every input and
+/// output id is in range and every stored shape is the inferred one.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Dfg {
     nodes: Vec<Node>,
@@ -53,28 +55,6 @@ impl Dfg {
         let shape = kind
             .output_shape(&in_shapes)
             .unwrap_or_else(|e| panic!("invalid DFG node {kind:?}: {e}"));
-        self.nodes.push(Node {
-            kind,
-            inputs,
-            shape,
-        });
-        NodeId(self.nodes.len() - 1)
-    }
-
-    /// Appends a node without validating inputs or re-inferring its shape.
-    ///
-    /// The builder API ([`Dfg::add_node`]) panics on malformed nodes, which
-    /// is right for model code but makes ill-formed graphs impossible to
-    /// construct when testing checkers. This constructor trusts the caller
-    /// completely: dangling input ids, forward references, and wrong shapes
-    /// are all accepted and only surface when a verifier (or executor)
-    /// walks the graph.
-    pub fn add_node_unchecked(
-        &mut self,
-        kind: OpKind,
-        inputs: Vec<NodeId>,
-        shape: SymShape,
-    ) -> NodeId {
         self.nodes.push(Node {
             kind,
             inputs,
@@ -190,13 +170,14 @@ impl Dfg {
         self.add_node(OpKind::SqueezeCol, vec![a])
     }
 
-    /// Adds a trailing singleton column.
-    pub fn unsqueeze_col(&mut self, a: NodeId) -> NodeId {
-        self.add_node(OpKind::UnsqueezeCol, vec![a])
-    }
-
     /// Marks a node as a DFG output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range, as [`Dfg::add_node`] does for an
+    /// input id.
     pub fn mark_output(&mut self, id: NodeId) {
+        assert!(id.0 < self.nodes.len(), "output {id:?} out of range");
         self.outputs.push(id);
     }
 

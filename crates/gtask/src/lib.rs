@@ -9,9 +9,9 @@
 //!   restrictions `uniq(attr) = k`, `uniq(attr) = min`, or unrestricted —
 //!   plus constructors for the classic plans of Figure 7 (vertex-centric,
 //!   edge-centric, 2-D, …) and the adaptive plan enumerator;
-//! - [`partition`]: the greedy sort-and-scan partitioner (counting sort
-//!   plus one stamped scan, O(E) per key column), writing the plan's flat
-//!   arrays directly;
+//! - [`partition`](mod@partition): the greedy sort-and-scan partitioner
+//!   (counting sort plus one stamped scan, O(E) per key column), writing
+//!   the plan's flat arrays directly;
 //! - [`stamp`]: the epoch-stamped dense value set the scan and the plan
 //!   verifiers count distinct attribute values with, and the code columns
 //!   that size it;

@@ -97,11 +97,6 @@ impl PartitionTable {
         self.entries.keys().copied().collect()
     }
 
-    /// Returns `true` when no attribute is restricted.
-    pub fn is_unrestricted(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     // ---- The classic plans of Figure 7 as special cases --------------
 
     /// Figure 7(b): vertex-centric, `uniq(dst-id) = 1`.

@@ -10,7 +10,7 @@
 //! A value is not always small: a vertex-type code may be 3·10⁹ on a
 //! three-vertex graph. A [`Column`] holds an attribute's values over a list
 //! of edges as `u32` codes and, when the largest value exceeds the bucket
-//! budget of the list ([`bucket_budget`]), replaces them by their dense
+//! budget of the list (`bucket_budget`), replaces them by their dense
 //! rank, which keeps their order and their distinct count. A table is
 //! sized by its column's code range, never by a raw value.
 

@@ -107,13 +107,6 @@ pub struct DataPatterns {
     pub volume_ratio: f64,
 }
 
-impl DataPatterns {
-    /// Returns `true` if any attribute shows meaningful duplication.
-    pub fn has_duplication(&self) -> bool {
-        self.duplication.values().any(|&d| d > 1.5)
-    }
-}
-
 /// A plan's gTasks, CSR-of-tasks. Task `i` holds
 /// `edges[offsets[i]..offsets[i + 1]]`; a zero-edge task slot (kept by
 /// [`PartitionPlan::filtered`]) is two equal offsets. Row `i` of the

@@ -161,17 +161,6 @@ impl ExchangeLog {
         m
     }
 
-    /// Bytes pushed per sending device.
-    pub fn sent_by_device(&self) -> BTreeMap<usize, u64> {
-        let mut m = BTreeMap::new();
-        for e in &self.events {
-            if e.direction == Direction::Sent {
-                *m.entry(e.from).or_insert(0) += e.bytes;
-            }
-        }
-        m
-    }
-
     /// `true` when every send has exactly one matching receive with the
     /// same `(collective, round, from, to, bytes)` — nothing lost,
     /// duplicated, or invented in flight.

@@ -8,7 +8,7 @@
 //!
 //! 1. **Prologue** (programs that have one): each worker owns a contiguous
 //!    range of vertex rows and evaluates the edge-independent intermediates
-//!    for it, [`ROW_BLOCK`] rows at a time, into its slice of the prologue
+//!    for it, `ROW_BLOCK` rows at a time, into its slice of the prologue
 //!    tensors.
 //! 2. **Tasks**: a program with a per-call edge pass (a per-destination
 //!    softmax) first runs it over the plan's edges, in plan order, on the
@@ -73,7 +73,7 @@ const TASK_BLOCK: usize = 32;
 /// The deterministic task-to-slot assignment shared by [`Engine`] and
 /// [`execute_parallel_alloc`]: `deal_tasks(n, t)[s]` lists, in ascending
 /// order, the ranges of task indices worker slot `s` runs. Blocks of
-/// consecutive tasks — [`TASK_BLOCK`] of them, fewer when `n` is too small
+/// consecutive tasks — `TASK_BLOCK` of them, fewer when `n` is too small
 /// to give every slot a full block — go round-robin to at most `threads`
 /// slots; one slot runs `0..n` in order. A pure function of its two
 /// arguments, so its tests check exact-once coverage directly, and the

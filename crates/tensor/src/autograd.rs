@@ -16,7 +16,6 @@
 use crate::ops;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
-use wisegraph_obs::Counters;
 use std::cell::RefCell;
 
 /// A handle to a node on a [`Tape`].
@@ -76,11 +75,6 @@ impl Tape {
             ws.recycle(g);
         }
         ws
-    }
-
-    /// Snapshot of the tape workspace's reuse counters (`pool.*` keys).
-    pub fn workspace_stats(&self) -> Counters {
-        self.ws.borrow().stats()
     }
 
     /// Checks out a zeroed output tensor from the tape workspace.

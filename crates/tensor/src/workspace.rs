@@ -252,13 +252,6 @@ impl Workspace {
         }
         c
     }
-
-    /// Resets the created/reused counters (pooled buffers, resident
-    /// accounting, and peaks are kept).
-    pub fn reset_counters(&mut self) {
-        self.created = 0;
-        self.reused = 0;
-    }
 }
 
 #[cfg(test)]

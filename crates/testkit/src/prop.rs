@@ -246,7 +246,7 @@ pub mod collection {
         VecStrategy { elem, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         len: Range<usize>,

@@ -19,14 +19,16 @@
 # suites (tests/partitioner_equivalence.rs, tests/verifier_equivalence.rs,
 # tests/sampled_step_equivalence.rs)
 # are part of it and are not re-run by name, and so are the checks of
-# the repository's own code: the verifier's clean sweep over every model,
-# rewrite, table and repair (tests/analysis_diagnostics.rs), the rewrite
-# interpreter check (tests/properties.rs) and the span captures
-# (tests/analysis_diagnostics.rs). After the tests, three gates run: clippy
-# with warnings denied, the benchmark's smoke pass (examples/perfbench
-# --smoke: every workload's calls into the library compile, run and pass
-# their output checks, so a library change cannot silently break
-# BENCHMARK.json), and
+# the repository's own code: the verifier's clean sweep over every model
+# × table plan and repair, with every rewrite built through the checked
+# DFG builder (tests/analysis_diagnostics.rs), the rewrite interpreter
+# check (tests/properties.rs) and the span captures
+# (tests/analysis_diagnostics.rs). After the tests, four gates run: clippy
+# with warnings denied, rustdoc with warnings denied (so a deleted item
+# leaves no dangling intra-doc link), the benchmark's smoke pass
+# (examples/perfbench --smoke: every workload's calls into the library
+# compile, run and pass their output checks, so a library change cannot
+# silently break BENCHMARK.json), and
 # wisegraph-prof --critical-path --check (the counter-regression gate:
 # run-to-run and cross-thread determinism plus tolerance
 # bands against results/prof_baseline.json, covering the Work-class
@@ -50,6 +52,7 @@ done
 cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo run --release --offline --example perfbench -- --smoke
 cargo run --release --offline --bin wisegraph-prof -- --critical-path --check
 if [ "$(results_checksum)" != "$results_before" ]; then

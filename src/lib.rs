@@ -19,7 +19,7 @@
 //!   executors;
 //! - [`core`]: the end-to-end WiseGraph workflow (plan generation, joint
 //!   optimization, strategy search, training);
-//! - [`analysis`]: the pre-execution static verifier — plan, DFG, and
+//! - [`analysis`]: the pre-execution static verifier — plan and
 //!   incremental-repair checks of a caller's inputs;
 //! - [`cache`]: the content-addressed planning cache — FNV content
 //!   hashing and the in-process [`PlanCache`](wisegraph_cache::PlanCache)

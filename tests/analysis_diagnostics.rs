@@ -1,10 +1,10 @@
 //! Broken-fixture tests for the static verifier: each fixture violates
 //! exactly one invariant and must trigger the documented diagnostic code
 //! (DESIGN.md §8). Together they cover every code the verifier can emit,
-//! P001–P004, D001, D002 and C001, plus GAT on a plan that splits
-//! destinations, through every runner. The clean positive control sweeps
-//! every built-in model, rewrite candidate, partition table and canned
-//! repair on one RMAT graph. Three more fixtures pin invariants that task
+//! P001–P004 and C001, plus GAT on a plan that splits destinations,
+//! through every runner. The clean positive control sweeps every built-in
+//! model, rewrite candidate, partition table and canned repair on one RMAT
+//! graph. Five more fixtures pin invariants that the DFG builder, task
 //! dealing, fusion and sharding guarantee by construction, with no code of
 //! their own. Two span captures check that the shipped code records the
 //! spans its consumers read and that a cluster run's phase spans account
@@ -12,11 +12,10 @@
 
 use std::collections::HashMap;
 use wisegraph::analysis::prelude::*;
-use wisegraph::analysis::verify_execution;
 use wisegraph::cache::PlanCache;
 use wisegraph::core::{execute_sharded_layer, select_placement};
 use wisegraph::dfg::passes::{cse, prune_dead};
-use wisegraph::dfg::{Binding, Dfg, Dim, NodeId, OpKind};
+use wisegraph::dfg::{Binding, Dfg, Dim, NodeId};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
 use wisegraph::gtask::{
@@ -114,30 +113,42 @@ fn p004_non_monotone_task_bounds() {
 }
 
 // ----------------------------------------------------------------- DFGs
+//
+// The two tests below keep the names of the retired D001/D002 DFG checks
+// and pin what the builder guarantees in their place: a dangling id or an
+// uninferable shape panics where the DFG is built.
+
+/// Runs `build` and returns its panic message; fails if it does not panic.
+fn panic_message(build: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+        .expect_err("the DFG builder accepted an ill-formed DFG");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
 
 #[test]
 fn d001_dangling_node_reference() {
-    let mut dfg = Dfg::new();
-    let r = dfg.add_node_unchecked(OpKind::Relu, vec![NodeId(42)], vec![Dim::Edges]);
-    dfg.mark_output(r);
-    let diags = verify_dfg(&dfg, None);
-    assert!(has(&diags, Code::DfgIllFormed, "dangling"), "{diags:#?}");
+    let msg = panic_message(|| {
+        let mut dfg = Dfg::new();
+        dfg.edge_attr(AttrKind::SrcId);
+        dfg.mark_output(NodeId(42));
+    });
+    assert!(msg.contains("out of range"), "{msg}");
 }
 
 #[test]
 fn d002_shape_mismatched_dfg() {
-    // Add of a [V, 3] and a [V, 5] tensor: inference rejects it, and the
-    // claimed output shape is unreachable.
-    let mut dfg = Dfg::new();
-    let a = dfg.input("a", vec![Dim::Vertices, Dim::Lit(3)]);
-    let b = dfg.input("b", vec![Dim::Vertices, Dim::Lit(5)]);
-    let s = dfg.add_node_unchecked(OpKind::Add, vec![a, b], vec![Dim::Vertices, Dim::Lit(3)]);
-    dfg.mark_output(s);
-    let diags = verify_dfg(&dfg, Some(&Binding::default()));
-    assert!(
-        has(&diags, Code::DfgShapeMismatch, "shape inference fails"),
-        "{diags:#?}"
-    );
+    // Add of a [V, 3] and a [V, 5] tensor: inference rejects it.
+    let msg = panic_message(|| {
+        let mut dfg = Dfg::new();
+        let a = dfg.input("a", vec![Dim::Vertices, Dim::Lit(3)]);
+        let b = dfg.input("b", vec![Dim::Vertices, Dim::Lit(5)]);
+        dfg.add(a, b);
+    });
+    assert!(msg.contains("invalid DFG node"), "{msg}");
 }
 
 // ------------------------------------------------------- instrumentation
@@ -364,7 +375,7 @@ fn c001_repaired_plan_divergence() {
 /// edges, so each runner matches the interpreter; the allocating reference
 /// matches the engine bit for bit at each thread count, and each cluster
 /// placement matches the one-thread engine, since a device owns whole
-/// destinations. The verifier reports the combination clean.
+/// destinations. The verifier reports the plan clean.
 #[test]
 fn dst_splitting_plans_run_on_every_runner() {
     use wisegraph::dfg::interp::execute;
@@ -406,14 +417,15 @@ fn dst_splitting_plans_run_on_every_runner() {
         close(&run.outputs, placement.name());
         assert_eq!(run.outputs[0].data(), one[0].data(), "{}", placement.name());
     }
-    let report = verify_execution(&dfg, &g, &split);
-    assert!(report.is_clean() && report.warning_count() == 0, "{report}");
+    let diags = verify_plan(&g, &split);
+    assert!(diags.is_empty(), "{diags:#?}");
 }
 
 // ------------------------------------------ guaranteed by construction
 
 // The invariants below have no diagnostic code: the code that makes the
-// object guarantees them, and these fixtures pin that guarantee.
+// object guarantees them, and these fixtures pin that guarantee. The DFG
+// builder's guarantee is pinned by the two DFG fixtures above.
 
 /// The engine's dealing leaves no gap: every task lands in exactly one
 /// block, for any task and thread count.
@@ -533,10 +545,12 @@ fn s001_duplicated_edge_across_device_plans() {
 // ------------------------------------------------------------- controls
 
 /// Every built-in model on a 300-vertex, 2 400-edge, 4-type RMAT graph:
-/// its DFG and every `transform::candidates` rewrite of it verify clean,
-/// every model × `enumerate_tables` combination verifies clean (49 of
-/// them), and a canned delete-then-insert repair verifies against a
-/// from-scratch partition on every table (16 of them).
+/// every `transform::candidates` rewrite of its DFG builds (the builder
+/// panics on a dangling id or a shape inference rejects), every model ×
+/// `enumerate_tables` combination's plan verifies clean and the model's
+/// DFG compiles for it (49 of them), and a canned delete-then-insert
+/// repair verifies against a from-scratch partition on every table (16 of
+/// them).
 #[test]
 fn clean_inputs_produce_clean_reports() {
     use wisegraph::dfg::analysis::indexing_attrs;
@@ -553,23 +567,19 @@ fn clean_inputs_produce_clean_reports() {
         seed: 7,
     });
     let binding = Binding::from_graph(&g);
-    let clean = |report: &Report, ctx: &str| {
-        assert!(report.is_clean() && report.warning_count() == 0, "{ctx}: {report}");
-    };
     let mut combos = 0;
     for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
         let dfg = model.layer_dfg(8, 6);
-        let mut dfgs = vec![dfg.clone()];
-        dfgs.extend(transform::candidates(&dfg, &binding));
-        for (i, d) in dfgs.iter().enumerate() {
-            let mut report = Report::new();
-            report.extend(verify_dfg(d, Some(&binding)));
-            clean(&report, &format!("{model:?} DFG #{i}"));
+        for (i, d) in transform::candidates(&dfg, &binding).iter().enumerate() {
+            assert!(!d.outputs().is_empty(), "{model:?} candidate #{i} declares no outputs");
         }
         let indexing: Vec<_> = indexing_attrs(&dfg).into_iter().collect();
         for table in enumerate_tables(&indexing, &BATCH_SIZES) {
+            let ctx = format!("{model:?} × [{table}]");
             let plan = partition(&g, &table);
-            clean(&verify_execution(&dfg, &g, &plan), &format!("{model:?} × [{table}]"));
+            let diags = verify_plan(&g, &plan);
+            assert!(diags.is_empty(), "{ctx}: {diags:#?}");
+            compile(&dfg, &g).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             combos += 1;
         }
     }
@@ -591,7 +601,7 @@ fn clean_inputs_produce_clean_reports() {
 #[test]
 fn every_documented_code_has_a_triggering_fixture() {
     // The exhaustive match names each code's fixture in this file: a new
-    // code does not compile until it has one. The seven codes below are
+    // code does not compile until it has one. The five codes below are
     // all the verifier has, in canonical order.
     let fixture = |code: Code| -> fn() {
         match code {
@@ -599,8 +609,6 @@ fn every_documented_code_has_a_triggering_fixture() {
             Code::PlanRestriction => p002_restriction_violated,
             Code::PlanEmptyTask => p003_empty_task,
             Code::PlanTaskOrder => p004_non_monotone_task_bounds,
-            Code::DfgIllFormed => d001_dangling_node_reference,
-            Code::DfgShapeMismatch => d002_shape_mismatched_dfg,
             Code::RepairDivergence => c001_repaired_plan_divergence,
         }
     };
@@ -609,12 +617,10 @@ fn every_documented_code_has_a_triggering_fixture() {
         Code::PlanRestriction,
         Code::PlanEmptyTask,
         Code::PlanTaskOrder,
-        Code::DfgIllFormed,
-        Code::DfgShapeMismatch,
         Code::RepairDivergence,
     ];
     let names: Vec<&str> = codes.iter().map(|c| c.as_str()).collect();
-    assert_eq!(names, ["P001", "P002", "P003", "P004", "D001", "D002", "C001"]);
+    assert_eq!(names, ["P001", "P002", "P003", "P004", "C001"]);
     for code in codes {
         let _ = fixture(code);
     }
