@@ -11,10 +11,12 @@
 //!    for it, `ROW_BLOCK` rows at a time, into its slice of the prologue
 //!    tensors.
 //! 2. **Tasks**: a program with a per-call edge pass (a per-destination
-//!    softmax) first runs it over the plan's edges, in plan order, on the
-//!    calling thread (`micro::run_edge_pass`); then [`deal_tasks`] deals the
-//!    plan's tasks to worker slots, and each worker accumulates into a
-//!    private `[|V|, width]` partial.
+//!    softmax) first runs it over the plan's edges, in plan order: its
+//!    row-local head on every worker over a contiguous chunk of the edges,
+//!    the softmax and the publishing on the calling thread
+//!    (`Engine::edge_pass`); then [`deal_tasks`] deals the plan's tasks to
+//!    worker slots, and each worker accumulates into a private
+//!    `[|V|, width]` partial.
 //! 3. **Reduce + epilogue**: each worker owns a contiguous range of vertex
 //!    rows again; per block it adds the partials' rows in ascending slot
 //!    order and runs the epilogue chain on them straight into its slice of
@@ -39,9 +41,9 @@
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    compile, eval_prologue, fill, list_outputs, not_evaluable, prologue_name, recycle,
-    row_dims, run_edge_pass, run_epilogue, run_task, CompileError, DenseEval, Globals,
-    KernelProgram, Scratch, Targets, TaskWorkspace,
+    compile, eval_prologue, fill, join_rows, list_outputs, not_evaluable, prologue_name,
+    recycle, row_dims, run_edge_pass, run_epilogue, run_task, CompileError, DenseEval,
+    EdgePass, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -517,22 +519,14 @@ impl Engine {
         plan: &PartitionPlan,
         all_globals: Globals<'_>,
     ) -> Vec<Tensor> {
-        // The slot's lock is released at the end of the statement, before
-        // its worker starts.
-        let edge_values = run_edge_pass(
-            program,
-            g,
-            plan,
-            all_globals,
-            &mut self.slots[0].lock().expect("engine slot poisoned").tws,
-        );
-        let all_globals = all_globals.with_edge_values(&edge_values);
         // Per program, before any worker starts, so the same plan runs at
         // every thread count.
         let fplan = match self.mode {
             ExecMode::Fused => plan_fusion(program),
             ExecMode::Interpret => FusedPlan::interpreted(program),
         };
+        let edge_values = self.edge_pass(program, &fplan, g, plan, all_globals);
+        let all_globals = all_globals.with_edge_values(&edge_values);
         let deal = deal_tasks(plan.tasks.len(), self.threads());
         let results = self.on_workers(deal, |wi, blocks| {
             let tasks: usize = blocks.iter().map(Range::len).sum();
@@ -568,6 +562,45 @@ impl Engine {
             self.edge_skew.fetch_max(skew, Ordering::Relaxed);
         }
         partials
+    }
+
+    /// The program's per-call edge pass ([`EdgePass`]): worker `w` runs
+    /// its row-local segments over the `w`-th of `threads` contiguous
+    /// chunks of the plan's edges in slot `w`'s workspace, then slot 0
+    /// joins the chunks' values in order, runs the rest (the softmax) over
+    /// all of them and publishes, on the calling thread. Chunking only
+    /// splits rows, so the published values are those of one workspace
+    /// walking every edge ([`run_edge_pass`]) at every thread count.
+    fn edge_pass(
+        &self,
+        program: &KernelProgram,
+        fplan: &FusedPlan,
+        g: &Graph,
+        plan: &PartitionPlan,
+        globals: Globals<'_>,
+    ) -> Vec<(String, Tensor)> {
+        let Some(pass) = EdgePass::new(program, fplan) else {
+            return Vec::new();
+        };
+        let edges = plan.tasks.edges();
+        let _sp = span!("engine.edge_prologue", edges = edges.len());
+        let t = self.threads();
+        let bound = |w: usize| edges.len() * w / t;
+        // Each slot's lock is released when its worker returns.
+        self.on_workers((0..t).collect(), |wi, _| {
+            let _wsp = span!("engine.edge_chunk", slot = wi, edges = bound(wi + 1) - bound(wi));
+            let mut slot = self.slots[wi].lock().expect("engine slot poisoned");
+            pass.run_row_local(g, globals, &edges[bound(wi)..bound(wi + 1)], &mut slot.tws);
+        });
+        let mut slots: Vec<_> =
+            self.slots.iter().map(|s| s.lock().expect("engine slot poisoned")).collect();
+        let mut chunks: Vec<&mut TaskWorkspace> = slots.iter_mut().map(|s| &mut s.tws).collect();
+        for r in pass.handoff() {
+            join_rows(r, &mut chunks);
+        }
+        let tws = chunks.swap_remove(0);
+        pass.run_rest(g, globals, edges, tws);
+        pass.publish(g, edges, tws)
     }
 
     /// Parks the partials back in their slots for the next call.
@@ -609,10 +642,10 @@ pub fn execute_parallel_alloc(
     let program = compile(dfg, g)?;
     let pre = eval_prologue(&program, dfg, g, globals)?;
     let all_globals = Globals::with_prologue(globals, &pre);
-    let edge_values =
-        run_edge_pass(&program, g, plan, all_globals, &mut TaskWorkspace::new());
-    let all_globals = all_globals.with_edge_values(&edge_values);
     let interp = FusedPlan::interpreted(&program);
+    let edge_values =
+        run_edge_pass(&program, &interp, g, plan, all_globals, &mut TaskWorkspace::new());
+    let all_globals = all_globals.with_edge_values(&edge_values);
 
     let partials: Vec<Tensor> = std::thread::scope(|scope| {
         let handles: Vec<_> = deal_tasks(plan.tasks.len(), threads)
@@ -653,7 +686,9 @@ pub fn execute_parallel_alloc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::micro::MicroKernel;
     use wisegraph_dfg::interp::execute;
+    use wisegraph_dfg::{transform, Binding};
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
@@ -803,7 +838,18 @@ mod tests {
     fn engine_reuses_buffers_across_calls() {
         let g = rmat(&RmatParams::standard(100, 800, 57).with_edge_types(3));
         let (fi, fo) = (5, 4);
-        let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
+        let base = ModelKind::Rgcn.layer_dfg(fi, fo);
+        // The Fig. 9 extract+swap rewrite, the last candidate and what
+        // `transform::optimize` picks at benchmark size, dedups sources
+        // and types per task (`Unique`).
+        let transformed = transform::candidates(&base, &Binding::from_graph(&g))
+            .pop()
+            .expect("RGCN has rewrites");
+        assert!(compile(&transformed, &g)
+            .unwrap()
+            .ops
+            .iter()
+            .any(|k| matches!(k, MicroKernel::Unique { .. })));
         let mut globals = HashMap::new();
         globals.insert(
             "h".to_string(),
@@ -814,31 +860,33 @@ mod tests {
             init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 8),
         );
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
-        let engine = Engine::new(2);
-        let first = engine.execute(&dfg, &g, &plan, &globals).unwrap();
-        let after_first = engine.stats();
-        let second = engine.execute(&dfg, &g, &plan, &globals).unwrap();
-        let after_second = engine.stats();
-        // Identical inputs → bit-identical outputs.
-        assert_eq!(first[0].data(), second[0].data());
-        // The second call must be served (almost) entirely from the pool.
-        assert!(
-            after_second.count(keys::POOL_REUSED) > after_first.count(keys::POOL_REUSED)
-        );
-        assert_eq!(
-            after_second.count(keys::POOL_CREATED),
-            after_first.count(keys::POOL_CREATED),
-            "steady state must not allocate new buffers"
-        );
-        // Work counters double exactly: the second call does the same work.
-        assert_eq!(
-            after_second.count(keys::KERNEL_EDGES),
-            2 * after_first.count(keys::KERNEL_EDGES)
-        );
-        assert_eq!(
-            after_second.count(keys::KERNEL_FLOPS),
-            2 * after_first.count(keys::KERNEL_FLOPS)
-        );
+        for dfg in [base, transformed] {
+            let engine = Engine::new(2);
+            let first = engine.execute(&dfg, &g, &plan, &globals).unwrap();
+            let after_first = engine.stats();
+            let second = engine.execute(&dfg, &g, &plan, &globals).unwrap();
+            let after_second = engine.stats();
+            // Identical inputs → bit-identical outputs.
+            assert_eq!(first[0].data(), second[0].data());
+            // The second call must be served (almost) entirely from the pool.
+            assert!(
+                after_second.count(keys::POOL_REUSED) > after_first.count(keys::POOL_REUSED)
+            );
+            assert_eq!(
+                after_second.count(keys::POOL_CREATED),
+                after_first.count(keys::POOL_CREATED),
+                "steady state must not allocate new buffers"
+            );
+            // Work counters double exactly: the second call does the same work.
+            assert_eq!(
+                after_second.count(keys::KERNEL_EDGES),
+                2 * after_first.count(keys::KERNEL_EDGES)
+            );
+            assert_eq!(
+                after_second.count(keys::KERNEL_FLOPS),
+                2 * after_first.count(keys::KERNEL_FLOPS)
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The interpreter in [`crate::micro`] executes one instruction at a time,
 //! materializing every intermediate register in pool buffers. For the
-//! three patterns that dominate GNN layers, that materialization is pure
+//! six patterns that dominate GNN layers, that materialization is pure
 //! overhead — each edge's gathered row is consumed exactly once by the
 //! next instruction:
 //!
@@ -14,22 +14,30 @@
 //! * **per-type batched matmul** (`GatherRows` → `GatherWeight` →
 //!   `PerRowVecMat` → `ScatterAdd`): RGCN's relation-specific transform,
 //!   `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
+//! * **weighted segment-reduce** (`GatherRows` of an edge value →
+//!   `Squeeze` → `GatherRows` → `ScaleRows` → `ScatterAdd`): GAT's
+//!   attention-weighted aggregation, `out[dst[i]] += h[src[i]] * α[eid[i]]`.
+//! * **pairwise scatter** (`GatherReg2D` → `ScatterAdd`): RGCN's Fig. 9
+//!   extract+swap form, `out[dst[i]] += P[m1[i], m2[i]]`.
+//! * **edge score** (`GatherRows`, `GatherRows` → `Add` → `LeakyRelu` →
+//!   `Squeeze`, one column): GAT's per-call score chain,
+//!   `s[i] = leaky_relu(a[ai[i]] + b[bi[i]])`.
 //!
-//! [`plan_fusion`] scans a compiled [`KernelProgram`] for these chains and
+//! [`plan_fusion`] scans both scopes of a compiled [`KernelProgram`] — the
+//! per-task instructions and the per-call edge pass — for these chains and
 //! replaces each with one [`FusedKernel`]; every other instruction stays an
-//! interpreter step, so arbitrary programs (GAT's attention-weighted
-//! aggregation, dedup/pairwise forms) fall back instruction-by-instruction
-//! and a program with no matching chain gets [`FusedPlan::interpreted`].
-//! The per-call edge pass is always interpreted. Either way the
-//! result is a [`FusedPlan`], which the one per-task runner
-//! ([`crate::micro::run_task`]) walks.
+//! interpreter step, so arbitrary programs fall back
+//! instruction-by-instruction and a program with no matching chain gets
+//! [`FusedPlan::interpreted`]. Either way the result is a [`FusedPlan`],
+//! whose segments the one segment loop walks, per task
+//! ([`crate::micro::run_task`]) and per call (the edge pass).
 //!
 //! # Bit-identity contract
 //!
 //! A plan with fused segments must produce **exactly** the bytes of the
-//! interpreted plan at every thread count, and report identical Work counters. The lowering
-//! therefore only applies transforms that provably preserve the per-element
-//! floating-point sequence:
+//! interpreted plan at every thread count, and report identical Work
+//! counters. The lowering therefore only applies transforms that provably
+//! preserve the per-element floating-point sequence:
 //!
 //! * intermediate buffers are skipped, never reordered: a gather-then-add
 //!   is the same additions as an add-from-source; a matmul into a zeroed
@@ -42,21 +50,25 @@
 //!   `k` order within ascending edge order;
 //! * the interpreter's `x == 0.0` skip in `matmul_into`/`PerRowVecMat` is
 //!   replicated exactly (skipping `acc += 0.0 * w` does change bits for
-//!   NaN/-0.0 inputs, so the skip itself is part of the contract).
+//!   NaN/-0.0 inputs, so the skip itself is part of the contract);
+//! * a product the interpreter rounds before adding (`ScaleRows` then
+//!   `ScatterAdd`) is rounded before adding here too: `o += x * a`, with
+//!   no fused multiply-add.
 //!
 //! The contract is pinned by `tests/fused_parity.rs` (differential harness
-//! over every model × table × thread count, with one parity test per
-//! pattern, mapped by an exhaustive `match`) and property tests with
-//! shrinking. A segment replaces exactly the instructions the matcher
+//! over every model and its compiling rewrites × table × thread count,
+//! with one parity test per pattern, mapped by an exhaustive `match`) and
+//! property tests with shrinking. A segment replaces exactly the instructions the matcher
 //! found at its position.
 
 use std::ops::Range;
 use wisegraph_tensor::Tensor;
 
 use crate::micro::{
-    reg_stream, summarize, AccessSummary, Globals, KernelProgram, MicroKernel, Reg,
-    TaskWorkspace,
+    reg_stream, reg_tensor, set_reg, summarize, AccessSummary, EwOp, Globals, KernelProgram,
+    MicroKernel, Reg, RegValue, TaskWorkspace,
 };
+use wisegraph_dfg::op::LEAKY_SLOPE;
 
 /// Unroll width of the fused inner loops. Chosen so the autovectorizer can
 /// map one unrolled group to a 128-bit SIMD lane; correctness never
@@ -80,14 +92,24 @@ pub enum FusedPattern {
     EdgeBatchMatmul,
     /// `GatherRows` → `GatherWeight` → `PerRowVecMat` → `ScatterAdd`.
     PerTypeBatchedMatmul,
+    /// `GatherRows` (edge value) → `Squeeze` → `GatherRows` → `ScaleRows`
+    /// → `ScatterAdd`.
+    WeightedSegmentReduce,
+    /// `GatherReg2D` → `ScatterAdd`.
+    PairwiseScatter,
+    /// `GatherRows`, `GatherRows` → `Add` → `LeakyRelu` → `Squeeze`.
+    EdgeScore,
 }
 
 impl FusedPattern {
     /// Every pattern the matcher can emit.
-    pub const ALL: [FusedPattern; 3] = [
+    pub const ALL: [FusedPattern; 6] = [
         FusedPattern::SegmentReduce,
         FusedPattern::EdgeBatchMatmul,
         FusedPattern::PerTypeBatchedMatmul,
+        FusedPattern::WeightedSegmentReduce,
+        FusedPattern::PairwiseScatter,
+        FusedPattern::EdgeScore,
     ];
 
     /// Stable snake-case name (diagnostics, bench output).
@@ -96,15 +118,19 @@ impl FusedPattern {
             FusedPattern::SegmentReduce => "segment_reduce",
             FusedPattern::EdgeBatchMatmul => "edge_batch_matmul",
             FusedPattern::PerTypeBatchedMatmul => "per_type_batched_matmul",
+            FusedPattern::WeightedSegmentReduce => "weighted_segment_reduce",
+            FusedPattern::PairwiseScatter => "pairwise_scatter",
+            FusedPattern::EdgeScore => "edge_score",
         }
     }
 
     /// Number of interpreter instructions one fused kernel replaces.
     pub fn window(self) -> usize {
         match self {
-            FusedPattern::SegmentReduce => 2,
+            FusedPattern::SegmentReduce | FusedPattern::PairwiseScatter => 2,
             FusedPattern::EdgeBatchMatmul => 3,
             FusedPattern::PerTypeBatchedMatmul => 4,
+            FusedPattern::WeightedSegmentReduce | FusedPattern::EdgeScore => 5,
         }
     }
 }
@@ -146,6 +172,44 @@ pub enum FusedOp {
         /// Destination-row stream register.
         dst_idx: Reg,
     },
+    /// `out[dst[i]] += src[src_idx[i]] * alpha[eid[i]]`.
+    WeightedSegmentReduce {
+        /// Global `[|E|, 1]` edge value holding the weights.
+        alpha: String,
+        /// Edge-id stream register.
+        eid: Reg,
+        /// Gathered global tensor name.
+        src: String,
+        /// Source-row stream register.
+        src_idx: Reg,
+        /// Destination-row stream register.
+        dst_idx: Reg,
+    },
+    /// `out[dst[i]] += table[idx1[i], idx2[i]]`.
+    PairwiseScatter {
+        /// Rank-3 register (`[u, t, f']`, a pairwise product).
+        table: Reg,
+        /// First-axis index stream.
+        idx1: Reg,
+        /// Second-axis index stream.
+        idx2: Reg,
+        /// Destination-row stream register.
+        dst_idx: Reg,
+    },
+    /// `out[i] = leaky_relu(a[a_idx[i]] + b[b_idx[i]])` for one-column
+    /// `a`, `b`: a rank-1 register of per-edge scores.
+    EdgeScore {
+        /// First gathered global.
+        a: String,
+        /// Its row stream.
+        a_idx: Reg,
+        /// Second gathered global.
+        b: String,
+        /// Its row stream.
+        b_idx: Reg,
+        /// The score register (what `Squeeze` wrote).
+        out: Reg,
+    },
 }
 
 /// One fused kernel: which pattern, which program counters it replaces,
@@ -169,12 +233,17 @@ pub enum Segment {
     Interp(usize),
 }
 
-/// A fused execution plan: the program's instructions partitioned into
-/// fused kernels and interpreter steps, in original program order.
+/// A fused execution plan: each scope of the program (the per-call edge
+/// pass and the per-task program) partitioned into fused kernels and
+/// interpreter steps, in original program order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FusedPlan {
-    /// Execution steps covering `0..ops.len()` exactly once, ascending.
+    /// Steps covering the per-task `KernelProgram::ops` exactly once,
+    /// ascending.
     pub segments: Vec<Segment>,
+    /// Steps covering the per-call `KernelProgram::edge_ops` exactly once,
+    /// ascending.
+    pub edge_segments: Vec<Segment>,
 }
 
 impl FusedPlan {
@@ -183,18 +252,17 @@ impl FusedPlan {
     pub fn interpreted(program: &KernelProgram) -> Self {
         Self {
             segments: (0..program.ops.len()).map(Segment::Interp).collect(),
+            edge_segments: (0..program.edge_ops.len()).map(Segment::Interp).collect(),
         }
     }
 
-    /// Number of fused segments.
+    /// Number of fused segments in both scopes.
     pub fn num_fused(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| matches!(s, Segment::Fused(_)))
-            .count()
+        self.patterns().len()
     }
 
-    /// Total interpreter instructions replaced by fused segments.
+    /// Per-task interpreter instructions replaced by fused segments: what
+    /// each task's run saves.
     pub fn replaced_ops(&self) -> usize {
         self.segments
             .iter()
@@ -205,10 +273,12 @@ impl FusedPlan {
             .sum()
     }
 
-    /// The patterns used, in program order (repeats preserved).
+    /// The patterns used, in execution order (edge pass first, repeats
+    /// preserved).
     pub fn patterns(&self) -> Vec<FusedPattern> {
-        self.segments
+        self.edge_segments
             .iter()
+            .chain(&self.segments)
             .filter_map(|s| match s {
                 Segment::Fused(fk) => Some(fk.pattern),
                 Segment::Interp(_) => None,
@@ -216,37 +286,72 @@ impl FusedPlan {
             .collect()
     }
 
-    /// Every program counter the plan executes, in execution order:
-    /// exactly `0..ops.len()` for a plan [`plan_fusion`] made.
+    /// Every per-task program counter the plan executes, in execution
+    /// order: exactly `0..ops.len()` for a plan [`plan_fusion`] made.
     pub fn covered_pcs(&self) -> Vec<usize> {
-        let mut pcs = Vec::new();
-        for s in &self.segments {
-            match s {
-                Segment::Fused(fk) => pcs.extend(fk.pcs.clone()),
-                Segment::Interp(pc) => pcs.push(*pc),
-            }
-        }
-        pcs
+        covered(&self.segments)
     }
 }
 
-/// Tries to match a fusion pattern starting at `pc`, longest window first.
-/// Confinement of the intermediate registers is checked against the shared
-/// [`AccessSummary`], the same derivation the cluster's placement rules
-/// read.
-fn match_at(program: &KernelProgram, u: &AccessSummary, pc: usize) -> Option<FusedKernel> {
-    let ops = &program.ops;
+/// The program counters `segments` execute, in execution order.
+fn covered(segments: &[Segment]) -> Vec<usize> {
+    let mut pcs = Vec::new();
+    for s in segments {
+        match s {
+            Segment::Fused(fk) => pcs.extend(fk.pcs.clone()),
+            Segment::Interp(pc) => pcs.push(*pc),
+        }
+    }
+    pcs
+}
+
+/// Tries to match a fusion pattern starting at `pc` of one scope's `ops`,
+/// longest window first. Confinement of the intermediate registers is
+/// checked against the shared [`AccessSummary`], the same derivation the
+/// cluster's placement rules read.
+fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKernel> {
+    let confined = |regs: &[Reg], len: usize| regs.iter().all(|r| u.confined(*r, pc, pc + len));
+    if pc + 5 <= ops.len() {
+        if let [MicroKernel::GatherRows { src: alpha, idx: eid, out: g1 }, MicroKernel::Squeeze { x: sx, out: sq }, MicroKernel::GatherRows { src, idx: si, out: g2 }, MicroKernel::ScaleRows { x, s: sc, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
+            &ops[pc..pc + 5]
+        {
+            if sx == g1 && x == g2 && sc == sq && data == m && confined(&[*g1, *sq, *g2, *m], 5) {
+                return Some(FusedKernel {
+                    pattern: FusedPattern::WeightedSegmentReduce,
+                    pcs: pc..pc + 5,
+                    op: FusedOp::WeightedSegmentReduce {
+                        alpha: alpha.clone(),
+                        eid: *eid,
+                        src: src.clone(),
+                        src_idx: *si,
+                        dst_idx: *di,
+                    },
+                });
+            }
+        }
+        if let [MicroKernel::GatherRows { src: a, idx: ai, out: ga }, MicroKernel::GatherRows { src: b, idx: bi, out: gb }, MicroKernel::Elementwise { op: EwOp::Add, a: x, b: Some(y), out: sum }, MicroKernel::Elementwise { op: EwOp::LeakyRelu, a: z, b: None, out: act }, MicroKernel::Squeeze { x: sx, out }] =
+            &ops[pc..pc + 5]
+        {
+            if x == ga && y == gb && z == sum && sx == act && confined(&[*ga, *gb, *sum, *act], 5) {
+                return Some(FusedKernel {
+                    pattern: FusedPattern::EdgeScore,
+                    pcs: pc..pc + 5,
+                    op: FusedOp::EdgeScore {
+                        a: a.clone(),
+                        a_idx: *ai,
+                        b: b.clone(),
+                        b_idx: *bi,
+                        out: *out,
+                    },
+                });
+            }
+        }
+    }
     if pc + 4 <= ops.len() {
         if let [MicroKernel::GatherRows { src: h, idx: si, out: g1 }, MicroKernel::GatherWeight { src: w, idx: ti, out: g2 }, MicroKernel::PerRowVecMat { x, w: wr, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 4]
         {
-            if x == g1
-                && wr == g2
-                && data == m
-                && u.confined(*g1, pc, pc + 4)
-                && u.confined(*g2, pc, pc + 4)
-                && u.confined(*m, pc, pc + 4)
-            {
+            if x == g1 && wr == g2 && data == m && confined(&[*g1, *g2, *m], 4) {
                 return Some(FusedKernel {
                     pattern: FusedPattern::PerTypeBatchedMatmul,
                     pcs: pc..pc + 4,
@@ -265,11 +370,7 @@ fn match_at(program: &KernelProgram, u: &AccessSummary, pc: usize) -> Option<Fus
         if let [MicroKernel::GatherRows { src, idx: si, out: g1 }, MicroKernel::MatMatGlobal { x, w, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 3]
         {
-            if x == g1
-                && data == m
-                && u.confined(*g1, pc, pc + 3)
-                && u.confined(*m, pc, pc + 3)
-            {
+            if x == g1 && data == m && confined(&[*g1, *m], 3) {
                 return Some(FusedKernel {
                     pattern: FusedPattern::EdgeBatchMatmul,
                     pcs: pc..pc + 3,
@@ -287,7 +388,7 @@ fn match_at(program: &KernelProgram, u: &AccessSummary, pc: usize) -> Option<Fus
         if let [MicroKernel::GatherRows { src, idx: si, out: g1 }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 2]
         {
-            if data == g1 && u.confined(*g1, pc, pc + 2) {
+            if data == g1 && confined(&[*g1], 2) {
                 return Some(FusedKernel {
                     pattern: FusedPattern::SegmentReduce,
                     pcs: pc..pc + 2,
@@ -299,20 +400,43 @@ fn match_at(program: &KernelProgram, u: &AccessSummary, pc: usize) -> Option<Fus
                 });
             }
         }
+        if let [MicroKernel::GatherReg2D { src, idx1, idx2, out: g }, MicroKernel::ScatterAdd { data, idx: di }] =
+            &ops[pc..pc + 2]
+        {
+            if data == g && confined(&[*g], 2) {
+                return Some(FusedKernel {
+                    pattern: FusedPattern::PairwiseScatter,
+                    pcs: pc..pc + 2,
+                    op: FusedOp::PairwiseScatter {
+                        table: *src,
+                        idx1: *idx1,
+                        idx2: *idx2,
+                        dst_idx: *di,
+                    },
+                });
+            }
+        }
     }
     None
 }
 
-/// Partitions a compiled program into fused kernels and interpreter steps:
-/// a greedy left-to-right scan, longest pattern first at each position.
-/// Deterministic — the same program always yields the same plan, so the
-/// dispatch decision is identical at every thread count.
+/// Partitions each scope of a compiled program into fused kernels and
+/// interpreter steps: a greedy left-to-right scan, longest pattern first at
+/// each position. Deterministic — the same program always yields the same
+/// plan, so the dispatch decision is identical at every thread count.
 pub fn plan_fusion(program: &KernelProgram) -> FusedPlan {
-    let u = summarize(&program.ops);
+    FusedPlan {
+        segments: scan(&program.ops),
+        edge_segments: scan(&program.edge_ops),
+    }
+}
+
+fn scan(ops: &[MicroKernel]) -> Vec<Segment> {
+    let u = summarize(ops);
     let mut segments = Vec::new();
     let mut pc = 0;
-    while pc < program.ops.len() {
-        match match_at(program, &u, pc) {
+    while pc < ops.len() {
+        match match_at(ops, &u, pc) {
             Some(fk) => {
                 pc = fk.pcs.end;
                 segments.push(Segment::Fused(fk));
@@ -323,7 +447,7 @@ pub fn plan_fusion(program: &KernelProgram) -> FusedPlan {
             }
         }
     }
-    FusedPlan { segments }
+    segments
 }
 
 /// `acc[j] += row[j]`, unrolled in [`LANES`]-wide groups of independent
@@ -478,6 +602,81 @@ pub(crate) fn run_fused(
             work.flops += (2 * len * f * fo) as u64 + (len * fo) as u64;
             work.bytes_scattered += (4 * len * fo) as u64;
         }
+        FusedOp::WeightedSegmentReduce {
+            alpha,
+            eid,
+            src,
+            src_idx,
+            dst_idx,
+        } => {
+            let (at, srct) = (&globals[alpha.as_str()], &globals[src.as_str()]);
+            assert_eq!(at.dims()[1], 1, "attention weights must be one column");
+            let n = srct.dims()[1];
+            assert_eq!(n, program.out_width, "weighted segment-reduce width mismatch");
+            let ei = reg_stream(regs, *eid);
+            let si = reg_stream(regs, *src_idx);
+            let di = reg_stream(regs, *dst_idx);
+            let len = si.len();
+            for ((&e, &s), &d) in ei.iter().zip(si).zip(di) {
+                let a = at.data()[e as usize];
+                for (o, &x) in out.row_mut(d as usize).iter_mut().zip(srct.row(s as usize)) {
+                    *o += x * a;
+                }
+            }
+            // Same Work totals as GatherRows + Squeeze + GatherRows +
+            // ScaleRows + ScatterAdd.
+            work.bytes_gathered += (4 * len) as u64 + (4 * len * n) as u64;
+            work.flops += (2 * len * n) as u64;
+            work.bytes_scattered += (4 * len * n) as u64;
+        }
+        FusedOp::PairwiseScatter {
+            table,
+            idx1,
+            idx2,
+            dst_idx,
+        } => {
+            let t = reg_tensor(regs, *table);
+            let (d1, rest) = (t.dims()[1], t.dims()[2..].iter().product::<usize>());
+            assert_eq!(rest, program.out_width, "pairwise scatter width mismatch");
+            let i1 = reg_stream(regs, *idx1);
+            let i2 = reg_stream(regs, *idx2);
+            let di = reg_stream(regs, *dst_idx);
+            let len = di.len();
+            for ((&a, &b), &d) in i1.iter().zip(i2).zip(di) {
+                let off = (a as usize * d1 + b as usize) * rest;
+                add_row(out.row_mut(d as usize), &t.data()[off..off + rest]);
+            }
+            // Same Work totals as GatherReg2D + ScatterAdd.
+            work.bytes_gathered += (4 * len * rest) as u64;
+            work.flops += (len * rest) as u64;
+            work.bytes_scattered += (4 * len * rest) as u64;
+        }
+        FusedOp::EdgeScore {
+            a,
+            a_idx,
+            b,
+            b_idx,
+            out: score,
+        } => {
+            let (at, bt) = (&globals[a.as_str()], &globals[b.as_str()]);
+            assert!(
+                at.dims()[1] == 1 && bt.dims()[1] == 1,
+                "edge-score operands must be one column"
+            );
+            let ai = reg_stream(regs, *a_idx);
+            let bi = reg_stream(regs, *b_idx);
+            let len = ai.len();
+            let mut buf = ws.take(len);
+            for ((o, &x), &y) in buf.iter_mut().zip(ai).zip(bi) {
+                let v = at.data()[x as usize] + bt.data()[y as usize];
+                *o = if v >= 0.0 { v } else { LEAKY_SLOPE * v };
+            }
+            set_reg(regs, ws, *score, RegValue::Tensor(Tensor::from_vec(buf, &[len])));
+            // Same Work totals as two GatherRows + Add + LeakyRelu +
+            // Squeeze.
+            work.bytes_gathered += (8 * len) as u64;
+            work.flops += (2 * len) as u64;
+        }
     }
 }
 
@@ -486,6 +685,7 @@ mod tests {
     use super::*;
     use crate::micro::{compile, run_task};
     use std::collections::HashMap;
+    use wisegraph_dfg::{transform, Binding};
     use wisegraph_graph::Graph;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
@@ -533,14 +733,46 @@ mod tests {
     }
 
     #[test]
-    fn gat_program_falls_back_to_interpreter() {
-        // The attention-weighted aggregation (gather, scale, scatter) has
-        // no matching chain: every instruction stays an interpreter step.
+    fn gat_program_fuses_its_score_chain_and_weighted_aggregation() {
+        // The edge pass's score chain and each task's attention-weighted
+        // aggregation (gather α, gather rows, scale, scatter) both fuse.
         let g = rmat(&RmatParams::standard(40, 250, 25));
         let program = compile(&ModelKind::Gat.layer_dfg(4, 3), &g).unwrap();
         let fplan = plan_fusion(&program);
+        assert_eq!(
+            fplan.patterns(),
+            vec![FusedPattern::EdgeScore, FusedPattern::WeightedSegmentReduce]
+        );
+        assert_eq!(fplan.covered_pcs(), (0..program.ops.len()).collect::<Vec<_>>());
+        assert_eq!(
+            covered(&fplan.edge_segments),
+            (0..program.edge_ops.len()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn transformed_rgcn_fuses_to_pairwise_scatter() {
+        let g = rmat(&RmatParams::standard(40, 250, 29).with_edge_types(3));
+        let (dfg, _) = transform::optimize(&ModelKind::Rgcn.layer_dfg(4, 3), &Binding::from_graph(&g));
+        let program = compile(&dfg, &g).unwrap();
+        let fplan = plan_fusion(&program);
+        assert_eq!(fplan.patterns(), vec![FusedPattern::PairwiseScatter]);
+        assert_eq!(fplan.covered_pcs(), (0..program.ops.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_program_matching_nothing_runs_interpreted() {
+        // GCN's extract-only candidate gathers the unique sources' rows
+        // and then rows of that register: no chain matches.
+        let g = rmat(&RmatParams::standard(40, 250, 31));
+        let program = transform::candidates(&ModelKind::Gcn.layer_dfg(4, 3), &Binding::from_graph(&g))
+            .iter()
+            .map(|dfg| compile(dfg, &g).unwrap())
+            .find(|p| p.ops.iter().any(|k| matches!(k, MicroKernel::GatherRegRows { .. })))
+            .expect("GCN has an extract-only candidate");
+        let fplan = plan_fusion(&program);
         assert_eq!(fplan.num_fused(), 0);
-        assert_eq!(fplan.segments.len(), program.ops.len());
+        assert_eq!(fplan, FusedPlan::interpreted(&program));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   [`wisegraph_sim::KernelCost`]s, with fusion-aware memory accounting
 //!   (intra-group intermediates are free; group boundaries pay traffic) and
 //!   batched-data-aware compute classes;
-//! - [`micro`]: the micro-kernel IR, its compiler from DFG fragments, and
-//!   the one per-gTask runner ([`micro::run_task`]), which walks a
-//!   [`fused::FusedPlan`];
+//! - [`micro`]: the micro-kernel IR, its compiler from DFG fragments, the
+//!   one per-gTask runner ([`micro::run_task`]) and the per-call edge
+//!   pass, both walking a [`fused::FusedPlan`];
 //! - [`fused`]: pattern-matched fusion of compiled micro-kernel chains
 //!   into specialized, cache-blocked loops — a plan with fused segments is
 //!   bit-identical to the interpreted plan of the same program;

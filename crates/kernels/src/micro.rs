@@ -22,7 +22,6 @@ use crate::fused::{run_fused, FusedPlan, Segment};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use wisegraph_dfg::interp::unique_and_map;
 use wisegraph_dfg::{Dfg, Dim, NodeId, OpKind};
 use wisegraph_dfg::op::LEAKY_SLOPE;
 use wisegraph_graph::{AttrKind, Graph};
@@ -386,10 +385,16 @@ pub(crate) fn reg_stream(regs: &[Option<RegValue>], r: Reg) -> &[u32] {
 
 /// Empties a register, recycling whatever value it held.
 fn release(regs: &mut [Option<RegValue>], ws: &mut Workspace, r: Reg) {
-    match regs[r.0].take() {
-        Some(RegValue::Tensor(t)) => ws.recycle(t),
-        Some(RegValue::Stream(s)) => ws.give_u32(s),
-        None => {}
+    if let Some(v) = regs[r.0].take() {
+        recycle_value(ws, v);
+    }
+}
+
+/// Hands a register value's buffer back to the pool.
+fn recycle_value(ws: &mut Workspace, v: RegValue) {
+    match v {
+        RegValue::Tensor(t) => ws.recycle(t),
+        RegValue::Stream(s) => ws.give_u32(s),
     }
 }
 
@@ -743,25 +748,19 @@ impl Lowering<'_> {
 }
 
 /// All-pairs product `out[u, t] = x[u] @ w[t]` for `[u, f]` × `[t, f, f']`
-/// into a zeroed `u * t * f'` buffer.
+/// into a zeroed `u * t * f'` buffer: one strided dense-kernel call per
+/// weight slice, writing that slice's `f'` columns of every `[t, f']` row.
 fn pairwise_into(x: View<'_>, w: View<'_>, out: &mut [f32]) {
     let (u, f) = (x.lead, x.rest[0]);
     let (t, fo) = (w.lead, w.rest[1]);
+    assert_eq!(w.rest[0], f, "pairwise inner dimensions differ: {f} vs {}", w.rest[0]);
     assert_eq!(out.len(), u * t * fo, "pairwise output buffer mismatch");
-    for a in 0..u {
-        for b in 0..t {
-            for k in 0..f {
-                let x_ak = x.data[a * f + k];
-                if x_ak == 0.0 {
-                    continue;
-                }
-                let wrow = &w.data[(b * f + k) * fo..(b * f + k + 1) * fo];
-                let orow = &mut out[(a * t + b) * fo..(a * t + b + 1) * fo];
-                for (o, &w_kj) in orow.iter_mut().zip(wrow) {
-                    *o += x_ak * w_kj;
-                }
-            }
-        }
+    if u == 0 {
+        return;
+    }
+    for b in 0..t {
+        let wb = &w.data[b * f * fo..(b + 1) * f * fo];
+        ops::matmul_strided_into(x.data, wb, [u, f, fo], &mut out[b * fo..], t * fo);
     }
 }
 
@@ -803,71 +802,291 @@ pub fn run_task<'a>(
         tws.work.fused_micro_ops += replaced as u64;
     }
     let flops_before = tws.work.flops;
-    for seg in &plan.segments {
-        match seg {
-            Segment::Interp(pc) => {
-                exec_op(program, &program.ops[*pc], g, globals, edges, out, tws)
-            }
-            Segment::Fused(fk) => run_fused(program, fk, globals, out, tws),
-        }
-    }
+    run_segments(program, &program.ops, &plan.segments, g, globals, edges, out, tws, |_, _| {});
     sp.arg("flops", tws.work.flops - flops_before);
 }
 
-/// Runs the program's per-call edge pass ([`KernelProgram::edge_ops`]) in
-/// `tws`, over `plan`'s edges in plan order (tasks in order, each task's
-/// edges in order), and returns the values it publishes: per
-/// `SegmentSoftmax`, `(`[`edge_value_name`]`, [|E|, 1] tensor)` holding
-/// each plan edge's value at its edge id, zero at edges the plan does not
-/// hold. Its FLOPs and bytes count once, in `tws`'s Work counters.
+/// Walks `segments`, a plan of one scope's `ops`, over `edges`: a fused
+/// segment runs its kernel, an interpreter step its instruction. After
+/// each segment, `done(pcs, tws)` sees the program counters it covered.
+#[allow(clippy::too_many_arguments)]
+fn run_segments(
+    program: &KernelProgram,
+    ops: &[MicroKernel],
+    segments: &[Segment],
+    g: &Graph,
+    globals: Globals<'_>,
+    edges: &[u32],
+    out: &mut Tensor,
+    tws: &mut TaskWorkspace,
+    mut done: impl FnMut(Range<usize>, &mut TaskWorkspace),
+) {
+    for seg in segments {
+        let pcs = match seg {
+            Segment::Interp(pc) => {
+                exec_op(program, &ops[*pc], g, globals, edges, out, tws);
+                *pc..*pc + 1
+            }
+            Segment::Fused(fk) => {
+                run_fused(program, fk, globals, out, tws);
+                fk.pcs.clone()
+            }
+        };
+        done(pcs, tws);
+    }
+}
+
+/// Whether every row of `op`'s result is a function of the same row of its
+/// per-edge operands alone (and of globals): run over any contiguous
+/// chunk of the edges, it computes exactly those rows of the whole run.
+fn row_local(op: &MicroKernel) -> bool {
+    matches!(
+        op,
+        MicroKernel::LoadStream { .. }
+            | MicroKernel::GatherRows { .. }
+            | MicroKernel::GatherWeight { .. }
+            | MicroKernel::Gather2DGlobal { .. }
+            | MicroKernel::MatMatGlobal { .. }
+            | MicroKernel::PerRowVecMat { .. }
+            | MicroKernel::Elementwise { .. }
+            | MicroKernel::Squeeze { .. }
+            | MicroKernel::ScaleRows { .. }
+    )
+}
+
+/// The program's per-call edge pass ([`KernelProgram::edge_ops`]) under a
+/// [`FusedPlan`]'s edge segments, run over a plan's edges in plan order
+/// (tasks in order, each task's edges in order). Its leading row-local
+/// segments may run over contiguous chunks of the edges, each in its own
+/// workspace ([`EdgePass::run_row_local`]); the rest runs over all of them
+/// in one workspace ([`EdgePass::run_rest`]), which then holds the values
+/// the pass publishes ([`EdgePass::publish`]): per `SegmentSoftmax`,
+/// `(`[`edge_value_name`]`, [|E|, 1] tensor)` holding each plan edge's
+/// value at its edge id, zero at edges the plan does not hold. Its FLOPs
+/// and bytes count once, split over the workspaces that ran it.
 ///
 /// Each destination's max and sum see its in-edges in plan order. On a
 /// plan that holds every in-edge of a destination in one task, that is the
 /// float sequence the task alone would see; a device that owns whole
 /// destinations sees the sequence of the whole plan.
+pub(crate) struct EdgePass<'a> {
+    program: &'a KernelProgram,
+    segments: &'a [Segment],
+    /// Leading segments whose instructions are all [`row_local`].
+    split: usize,
+    /// Registers a `SegmentSoftmax` writes: what the pass publishes.
+    published: Vec<Reg>,
+    /// The program counters reading and writing each register.
+    reads: Vec<Vec<usize>>,
+    writes: Vec<Vec<usize>>,
+}
+
+impl<'a> EdgePass<'a> {
+    /// The edge pass of `program` under `fplan`, or `None` when the
+    /// program has none.
+    pub(crate) fn new(program: &'a KernelProgram, fplan: &'a FusedPlan) -> Option<Self> {
+        let ops = &program.edge_ops;
+        if ops.is_empty() {
+            return None;
+        }
+        let segments = fplan.edge_segments.as_slice();
+        let split = segments
+            .iter()
+            .take_while(|seg| match seg {
+                Segment::Interp(pc) => row_local(&ops[*pc]),
+                Segment::Fused(fk) => ops[fk.pcs.clone()].iter().all(row_local),
+            })
+            .count();
+        let published = ops
+            .iter()
+            .filter_map(|op| match op {
+                MicroKernel::SegmentSoftmax { out, .. } => Some(*out),
+                _ => None,
+            })
+            .collect();
+        let AccessSummary { reads, writes, .. } = summarize(ops);
+        Some(EdgePass { program, segments, split, published, reads, writes })
+    }
+
+    /// Runs `segments` over `edges` in `tws`. A register goes back to the
+    /// pool after its last read, so the chain cycles through a few
+    /// `|E|`-long buffers instead of parking one per instruction.
+    fn run(
+        &self,
+        segments: &[Segment],
+        g: &Graph,
+        globals: Globals<'_>,
+        edges: &[u32],
+        tws: &mut TaskWorkspace,
+    ) {
+        // The pass stores nothing into an accumulator.
+        let mut no_acc = Tensor::zeros(&[0, self.program.out_width]);
+        let ops = &self.program.edge_ops;
+        run_segments(self.program, ops, segments, g, globals, edges, &mut no_acc, tws, |pcs, tws| {
+            for (r, at) in self.reads.iter().enumerate() {
+                if at.last().is_some_and(|pc| pcs.contains(pc)) && !self.published.contains(&Reg(r)) {
+                    release(&mut tws.regs, &mut tws.ws, Reg(r));
+                }
+            }
+        });
+    }
+
+    /// Runs the leading row-local segments over `edges`, one contiguous
+    /// chunk of the plan's, in a freshly prepared `tws`.
+    pub(crate) fn run_row_local(
+        &self,
+        g: &Graph,
+        globals: Globals<'_>,
+        edges: &[u32],
+        tws: &mut TaskWorkspace,
+    ) {
+        tws.prepare(self.program.num_regs);
+        self.run(&self.segments[..self.split], g, globals, edges, tws);
+    }
+
+    /// The registers the row-local segments leave for the rest. Their rows
+    /// over consecutive chunks of the edges, joined in chunk order
+    /// ([`join_rows`]), are their rows over all of them.
+    pub(crate) fn handoff(&self) -> Vec<Reg> {
+        let split_pc = match self.segments.get(self.split) {
+            Some(Segment::Interp(pc)) => *pc,
+            Some(Segment::Fused(fk)) => fk.pcs.start,
+            None => self.program.edge_ops.len(),
+        };
+        (0..self.reads.len())
+            .filter(|&r| {
+                self.writes[r].iter().any(|&pc| pc < split_pc)
+                    && self.reads[r].iter().any(|&pc| pc >= split_pc)
+            })
+            .map(Reg)
+            .collect()
+    }
+
+    /// Runs the remaining segments over all of `edges` in `tws`, whose
+    /// registers hold the [`EdgePass::handoff`] values of all of `edges`.
+    pub(crate) fn run_rest(
+        &self,
+        g: &Graph,
+        globals: Globals<'_>,
+        edges: &[u32],
+        tws: &mut TaskWorkspace,
+    ) {
+        self.run(&self.segments[self.split..], g, globals, edges, tws);
+    }
+
+    /// The values the pass published, read from `tws` once
+    /// [`EdgePass::run_rest`] ran there over `edges`.
+    pub(crate) fn publish(
+        &self,
+        g: &Graph,
+        edges: &[u32],
+        tws: &TaskWorkspace,
+    ) -> Vec<(String, Tensor)> {
+        let publish = |&r: &Reg| {
+            let mut value = vec![0.0; g.num_edges()];
+            for (&e, &v) in edges.iter().zip(reg_tensor(&tws.regs, r).data()) {
+                value[e as usize] = v;
+            }
+            (edge_value_name(r), Tensor::from_vec(value, &[g.num_edges(), 1]))
+        };
+        self.published.iter().map(publish).collect()
+    }
+}
+
+/// Runs the program's per-call edge pass ([`EdgePass`]) over `plan`'s
+/// edges in `tws` alone, and returns the values it publishes.
 pub(crate) fn run_edge_pass(
     program: &KernelProgram,
+    fplan: &FusedPlan,
     g: &Graph,
     plan: &PartitionPlan,
     globals: Globals<'_>,
     tws: &mut TaskWorkspace,
 ) -> Vec<(String, Tensor)> {
-    if program.edge_ops.is_empty() {
+    let Some(pass) = EdgePass::new(program, fplan) else {
         return Vec::new();
-    }
+    };
     let edges = plan.tasks.edges();
     let _sp = span!("engine.edge_prologue", edges = edges.len());
-    let published: Vec<Reg> = program
-        .edge_ops
-        .iter()
-        .filter_map(|op| match op {
-            MicroKernel::SegmentSoftmax { out, .. } => Some(*out),
-            _ => None,
-        })
-        .collect();
-    // A register goes back to the pool after its last read, so the chain
-    // cycles through a few `|E|`-long buffers instead of parking one per
-    // instruction in the worker's pool.
-    let reads = summarize(&program.edge_ops).reads;
-    tws.prepare(program.num_regs);
-    // The pass stores nothing into an accumulator.
-    let mut no_acc = Tensor::zeros(&[0, program.out_width]);
-    for (pc, op) in program.edge_ops.iter().enumerate() {
-        exec_op(program, op, g, globals, edges, &mut no_acc, tws);
-        for (r, at) in reads.iter().enumerate() {
-            if at.last() == Some(&pc) && !published.contains(&Reg(r)) {
-                release(&mut tws.regs, &mut tws.ws, Reg(r));
-            }
-        }
+    pass.run_row_local(g, globals, edges, tws);
+    pass.run_rest(g, globals, edges, tws);
+    pass.publish(g, edges, tws)
+}
+
+/// Joins register `r`'s values over consecutive chunks of the edges,
+/// held by `chunks` in chunk order, into one value over all of them in
+/// `chunks[0]`, in a buffer from its pool; each chunk's value goes back to
+/// its own pool.
+///
+/// # Panics
+///
+/// Panics if a chunk's register is empty or the chunks hold values of
+/// different kinds or row extents.
+pub(crate) fn join_rows(r: Reg, chunks: &mut [&mut TaskWorkspace]) {
+    if chunks.len() < 2 {
+        return;
     }
-    let publish = |&r: &Reg| {
-        let mut value = vec![0.0; g.num_edges()];
-        for (&e, &v) in edges.iter().zip(reg_tensor(&tws.regs, r).data()) {
-            value[e as usize] = v;
+    let parts: Vec<RegValue> = chunks
+        .iter_mut()
+        .map(|c| c.regs[r.0].take().expect("handoff register assigned"))
+        .collect();
+    let ws = &mut chunks[0].ws;
+    let joined = match &parts[0] {
+        RegValue::Stream(_) => {
+            let streams: Vec<&[u32]> = parts
+                .iter()
+                .map(|p| match p {
+                    RegValue::Stream(s) => s.as_slice(),
+                    RegValue::Tensor(_) => panic!("register {r:?} mixes kinds"),
+                })
+                .collect();
+            let mut all = ws.take_u32(streams.iter().map(|s| s.len()).sum());
+            concat(&streams, &mut all);
+            RegValue::Stream(all)
         }
-        (edge_value_name(r), Tensor::from_vec(value, &[g.num_edges(), 1]))
+        RegValue::Tensor(first) => {
+            let row = &first.dims()[1..];
+            let tensors: Vec<&Tensor> = parts
+                .iter()
+                .map(|p| match p {
+                    RegValue::Tensor(t) if &t.dims()[1..] == row => t,
+                    _ => panic!("register {r:?} mixes kinds or row extents"),
+                })
+                .collect();
+            let datas: Vec<&[f32]> = tensors.iter().map(|t| t.data()).collect();
+            let mut all = ws.take(datas.iter().map(|d| d.len()).sum());
+            concat(&datas, &mut all);
+            let rows = tensors.iter().map(|t| t.dims()[0]).sum();
+            RegValue::Tensor(Tensor::from_vec(all, &[&[rows], row].concat()))
+        }
     };
-    published.iter().map(publish).collect()
+    for (c, part) in chunks.iter_mut().zip(parts) {
+        recycle_value(&mut c.ws, part);
+    }
+    chunks[0].regs[r.0] = Some(joined);
+}
+
+/// `parts` one after another into `out`, exactly as long.
+fn concat<T: Copy>(parts: &[&[T]], out: &mut [T]) {
+    let mut at = 0;
+    for p in parts {
+        out[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+}
+
+/// The sorted distinct values of `stream` and each position's index among
+/// them (what `dfg::interp::unique_and_map` returns), in buffers from `ws`.
+fn unique_into(stream: &[u32], ws: &mut Workspace) -> (Vec<u32>, Vec<u32>) {
+    let mut uniq = ws.take_u32(stream.len());
+    uniq.copy_from_slice(stream);
+    uniq.sort_unstable();
+    uniq.dedup();
+    let mut map = ws.take_u32(stream.len());
+    for (m, v) in map.iter_mut().zip(stream) {
+        *m = uniq.binary_search(v).expect("value present") as u32;
+    }
+    (uniq, map)
 }
 
 /// Executes a single micro-kernel instruction against the task workspace:
@@ -898,7 +1117,7 @@ pub(crate) fn exec_op(
                 values,
                 map,
             } => {
-                let (u, m) = unique_and_map(reg_stream(regs, *s));
+                let (u, m) = unique_into(reg_stream(regs, *s), ws);
                 set_reg(regs, ws, *values, RegValue::Stream(u));
                 set_reg(regs, ws, *map, RegValue::Stream(m));
             }
@@ -1421,25 +1640,6 @@ pub(crate) fn recycle(values: &mut [Option<DenseVal<'_>>], scratch: &mut Scratch
     }
 }
 
-/// `out = a @ b` for `[m, k]` × `[k, n]` into a zeroed `out`: the loop of
-/// `ops::matmul_into`, zero-skip included, over borrowed rows.
-fn linear_rows(a: View<'_>, b: View<'_>, out: &mut [f32]) {
-    let (m, k, n) = (a.lead, a.rest[0], b.rest[0]);
-    assert_eq!(b.lead, k, "matmul inner dimensions differ: {k} vs {}", b.lead);
-    for i in 0..m {
-        for p in 0..k {
-            let av = a.data[i * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b.data[p * n..(p + 1) * n];
-            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 /// `out[i] = f(a[i], b[i])` for operands of one shape.
 fn zip_rows(a: View<'_>, b: View<'_>, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
     assert_eq!(a.data.len(), b.data.len(), "element-wise op shape mismatch");
@@ -1566,7 +1766,11 @@ impl<'a> DenseEval<'a> {
                     _ => continue,
                 };
                 fill(NodeId(i), dims, targets, scratch, |out| match (&node.kind, b) {
-                    (OpKind::Linear, Some(b)) => linear_rows(a, b, out),
+                    (OpKind::Linear, Some(b)) => {
+                        let (m, k, n) = (a.lead, a.rest[0], b.rest[0]);
+                        assert_eq!(b.lead, k, "matmul inner dimensions differ: {k} vs {}", b.lead);
+                        ops::matmul_strided_into(a.data, b.data, [m, k, n], out, n)
+                    }
                     (OpKind::PairwiseLinear, Some(b)) => pairwise_into(a, b, out),
                     (OpKind::Add, Some(b)) => zip_rows(a, b, out, |x, y| x + y),
                     (OpKind::Mul, Some(b)) => zip_rows(a, b, out, |x, y| x * y),
@@ -2107,6 +2311,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pooled_unique_matches_the_interpreter() {
+        let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(61);
+        let mut ws = Workspace::new();
+        let mut streams = vec![Vec::new(), vec![7, 7, 7], vec![u32::MAX, 0, u32::MAX]];
+        for (len, range) in [(40, 30u64), (40, 1_000_000), (300, 9)] {
+            streams.push((0..len).map(|_| rng.below(range) as u32).collect());
+        }
+        for stream in &streams {
+            let (u, m) = unique_into(stream, &mut ws);
+            assert_eq!(
+                (u.clone(), m.clone()),
+                wisegraph_dfg::interp::unique_and_map(stream),
+                "{stream:?}"
+            );
+            ws.give_u32(u);
+            ws.give_u32(m);
+        }
+        // Every buffer came from, and went back to, the pool.
+        assert_eq!(ws.open_leases(), 0);
     }
 
     #[test]

@@ -49,7 +49,9 @@
 //!   across 1/2/4 engine threads, and (c) counters match
 //!   `results/prof_baseline.json` within the per-class tolerance bands
 //!   (`Work` exact, `Resource` within [`RESOURCE_BAND`]), with no counter
-//!   recorded on one side only;
+//!   recorded on one side only. Each drift names its counter's class and
+//!   the FAIL line counts drifts per class, so a Resource-only drift (a
+//!   pool or fused-dispatch change) reads apart from a Work one;
 //! * `--write-baseline` — rewrites `results/prof_baseline.json` from the
 //!   current run (commit the result deliberately);
 //! * `--critical-path` — prints the attribution tables and writes
@@ -404,17 +406,19 @@ fn critical_to_json(rows: &[CriticalRow]) -> String {
 /// Compares a run's counters against the committed baseline with
 /// per-class tolerance bands, in both directions: a counter on one side
 /// only is a violation too (Timing counters are never compared). Returns
-/// the violations.
-fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<String> {
+/// the violations, each with the class of its counter.
+fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<(Class, String)> {
     let mut errs = Vec::new();
     for (name, got) in current.iter() {
         if got.class != Class::Timing && baseline.get(name).is_none() {
-            errs.push(format!("`{name}` was recorded but is not in the baseline"));
+            let class = got.class;
+            errs.push((class, format!("`{name}` was recorded but is not in the baseline ({class:?})")));
         }
     }
     for (name, want) in baseline.iter() {
         let Some(got) = current.get(name) else {
-            errs.push(format!("`{name}` is in the baseline but was not recorded"));
+            let class = want.class;
+            errs.push((class, format!("`{name}` is in the baseline but was not recorded ({class:?})")));
             continue;
         };
         let (w, g) = (want.value.as_f64(), got.value.as_f64());
@@ -422,15 +426,18 @@ fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<String
             Class::Work => {
                 // Work counters are pure functions of the inputs: exact.
                 if w.to_bits() != g.to_bits() {
-                    errs.push(format!("`{name}` (Work): baseline {w}, got {g}"));
+                    errs.push((Class::Work, format!("`{name}` (Work): baseline {w}, got {g}")));
                 }
             }
             Class::Resource => {
                 let band = RESOURCE_BAND * w.abs().max(1.0);
                 if (g - w).abs() > band {
-                    errs.push(format!(
-                        "`{name}` (Resource): baseline {w}, got {g} \
-                         (band ±{band:.1})"
+                    errs.push((
+                        Class::Resource,
+                        format!(
+                            "`{name}` (Resource): baseline {w}, got {g} \
+                             (band ±{band:.1})"
+                        ),
                     ));
                 }
             }
@@ -438,6 +445,18 @@ fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<String
         }
     }
     errs
+}
+
+/// Violation counts per counter class, for the FAIL line: `Work 0,
+/// Resource 215`.
+fn counts_by_class(errs: &[(Class, String)]) -> String {
+    [Class::Work, Class::Resource, Class::Timing]
+        .iter()
+        .map(|c| (c, errs.iter().filter(|(k, _)| k == c).count()))
+        .filter(|&(c, n)| n > 0 || *c != Class::Timing)
+        .map(|(c, n)| format!("{c:?} {n}"))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn write(path: &Path, contents: &str) {
@@ -688,13 +707,14 @@ fn main() -> ExitCode {
     };
     let errs = check_against_baseline(&run.all, &baseline);
     if !errs.is_empty() {
-        for e in &errs {
+        for (_, e) in &errs {
             eprintln!("wisegraph-prof: baseline drift: {e}");
         }
         eprintln!(
-            "wisegraph-prof: FAIL — {} counter(s) outside tolerance; if the \
-             change is intended, rerun with --write-baseline and commit",
-            errs.len()
+            "wisegraph-prof: FAIL — {} counter(s) outside tolerance ({}); if \
+             the change is intended, rerun with --write-baseline and commit",
+            errs.len(),
+            counts_by_class(&errs)
         );
         return ExitCode::FAILURE;
     }
@@ -719,10 +739,18 @@ mod tests {
         assert!(check_against_baseline(&shared, &shared).is_empty());
         let recorded_only = check_against_baseline(&extra, &shared);
         assert_eq!(recorded_only.len(), 1, "{recorded_only:?}");
-        assert!(recorded_only[0].contains("`kernel.flops` was recorded"));
+        assert_eq!(recorded_only[0].0, Class::Work);
+        assert!(recorded_only[0].1.contains("`kernel.flops` was recorded"));
+        assert!(recorded_only[0].1.ends_with("(Work)"), "{recorded_only:?}");
         let baseline_only = check_against_baseline(&shared, &extra);
         assert_eq!(baseline_only.len(), 1, "{baseline_only:?}");
-        assert!(baseline_only[0].contains("`kernel.flops` is in the baseline"));
+        assert!(baseline_only[0].1.contains("`kernel.flops` is in the baseline"));
+        assert!(baseline_only[0].1.ends_with("(Work)"), "{baseline_only:?}");
+        // The FAIL line counts violations per class.
+        let mut drifted = shared.clone();
+        drifted.add_class("pool.buffers_reused", 100, Class::Resource);
+        let mixed = check_against_baseline(&drifted, &extra);
+        assert_eq!(counts_by_class(&mixed), "Work 1, Resource 1", "{mixed:?}");
         // Timing counters are never compared.
         let mut timed = shared.clone();
         timed.set_gauge("wall.busy_ns", 1.0, Class::Timing);

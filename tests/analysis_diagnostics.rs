@@ -467,6 +467,8 @@ fn k006_missing_parity_harness() {
         init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 2),
     );
     globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 3));
+    globals.insert("a_src".to_string(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 4));
+    globals.insert("a_dst".to_string(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 5));
     for pattern in FusedPattern::ALL {
         let dfg = match pattern {
             FusedPattern::SegmentReduce => ModelKind::Gcn.layer_dfg(fi, fo),
@@ -485,6 +487,16 @@ fn k006_missing_parity_harness() {
                 d
             }
             FusedPattern::PerTypeBatchedMatmul => ModelKind::Rgcn.layer_dfg(fi, fo),
+            FusedPattern::WeightedSegmentReduce | FusedPattern::EdgeScore => {
+                ModelKind::Gat.layer_dfg(fi, fo)
+            }
+            FusedPattern::PairwiseScatter => {
+                // The extract+swap rewrite (Fig. 9), the last candidate.
+                let rgcn = ModelKind::Rgcn.layer_dfg(fi, fo);
+                wisegraph::dfg::transform::candidates(&rgcn, &Binding::from_graph(&g))
+                    .pop()
+                    .expect("RGCN has rewrites")
+            }
         };
         let prog = compile(&dfg, &g).expect("compiles");
         assert!(plan_fusion(&prog).patterns().contains(&pattern), "{}", pattern.name());

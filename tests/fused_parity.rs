@@ -6,21 +6,23 @@
 //! the fused engine must produce exactly the bytes of the interpreter and
 //! report exactly the same `Class::Work` counters (tasks, edges, flops,
 //! bytes moved). These tests sweep the full cross product and pin that
-//! contract, with one parity test per fusion pattern below.
+//! contract, with one parity test per fusion pattern below. The sweep runs
+//! each model's layer DFG and every compiling `transform::candidates`
+//! rewrite of it, so the RGCN form `transform::optimize` ships is covered.
 //!
 //! Parity is asserted per thread count only: changing the thread count
 //! changes the reduction chunking, and float addition is not associative.
 
 use std::collections::HashMap;
 use wisegraph::dfg::analysis::indexing_attrs;
-use wisegraph::dfg::{Dfg, Dim};
+use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::fused::{plan_fusion, FusedPattern};
-use wisegraph::kernels::micro::compile;
+use wisegraph::kernels::micro::{compile, MicroKernel};
 use wisegraph::models::ModelKind;
 use wisegraph::obs::{counters_to_json, keys, Class};
 use wisegraph::tensor::{init, Tensor};
@@ -93,8 +95,22 @@ fn assert_modes_match(
     b
 }
 
-/// The full sweep: every model × every enumerable table × {1,2,4}
-/// threads.
+/// Every distinct DFG of `kind` the engine runs: its layer and each
+/// `transform::candidates` rewrite that compiles (what `fwd_full` and
+/// `sampled_stream` execute is `transform::optimize`'s pick among them;
+/// RGCN's extract-only candidate is a compile error and is skipped).
+fn shipped_dfgs(kind: ModelKind, g: &Graph, fi: usize, fo: usize) -> Vec<Dfg> {
+    let mut dfgs: Vec<Dfg> = Vec::new();
+    for dfg in transform::candidates(&kind.layer_dfg(fi, fo), &Binding::from_graph(g)) {
+        if compile(&dfg, g).is_ok() && !dfgs.contains(&dfg) {
+            dfgs.push(dfg);
+        }
+    }
+    dfgs
+}
+
+/// The full sweep: every model's layer and compiling rewrites × every
+/// enumerable table × {1,2,4} threads.
 #[test]
 fn all_models_all_tables_all_threads_are_bit_identical() {
     let (fi, fo) = (6, 5);
@@ -107,13 +123,17 @@ fn all_models_all_tables_all_threads_are_bit_identical() {
         ModelKind::Gat,
         ModelKind::Sage,
     ] {
-        let dfg = kind.layer_dfg(fi, fo);
-        let indexing: Vec<_> = indexing_attrs(&dfg).into_iter().collect();
-        for table in enumerate_tables(&indexing, &BATCH_SIZES) {
-            for threads in THREADS {
-                let ctx = format!("{} × [{table}] × {threads} threads", kind.name());
-                assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
-                combos += 1;
+        for (c, dfg) in shipped_dfgs(kind, &g, fi, fo).iter().enumerate() {
+            let indexing: Vec<_> = indexing_attrs(dfg).into_iter().collect();
+            for table in enumerate_tables(&indexing, &BATCH_SIZES) {
+                for threads in THREADS {
+                    let ctx = format!(
+                        "{} dfg {c} × [{table}] × {threads} threads",
+                        kind.name()
+                    );
+                    assert_modes_match(dfg, &g, &table, &globals, threads, &ctx);
+                    combos += 1;
+                }
             }
         }
     }
@@ -122,20 +142,28 @@ fn all_models_all_tables_all_threads_are_bit_identical() {
 }
 
 /// The default mode must agree with the interpreter — and which plan ran
-/// must be observable: fusing models report fused tasks, GAT (no matching
-/// chain, so its plan is fully interpreted) reports none.
+/// must be observable: fusing programs report fused tasks, a program with
+/// no matching chain (GCN's extract-only rewrite, whose plan is fully
+/// interpreted) reports none.
 #[test]
 fn default_mode_dispatch_is_bit_identical_and_observable() {
     let (fi, fo) = (6, 5);
     let g = rmat(&RmatParams::standard(120, 900, 73).with_edge_types(3));
     let globals = globals_for(&g, fi, fo);
-    for (kind, table, fuses) in [
-        (ModelKind::Gcn, PartitionTable::edge_batch(32), true),
-        (ModelKind::Rgcn, PartitionTable::src_batch_per_type(8), true),
-        (ModelKind::Sage, PartitionTable::two_d(4), true),
-        (ModelKind::Gat, PartitionTable::vertex_centric(), false),
+    let gcn_extracted = shipped_dfgs(ModelKind::Gcn, &g, fi, fo)
+        .into_iter()
+        .find(|d| {
+            let program = compile(d, &g).unwrap();
+            program.ops.iter().any(|k| matches!(k, MicroKernel::GatherRegRows { .. }))
+        })
+        .expect("GCN has an extract-only rewrite");
+    for (name, dfg, table, fuses) in [
+        ("GCN", ModelKind::Gcn.layer_dfg(fi, fo), PartitionTable::edge_batch(32), true),
+        ("RGCN", ModelKind::Rgcn.layer_dfg(fi, fo), PartitionTable::src_batch_per_type(8), true),
+        ("SAGE", ModelKind::Sage.layer_dfg(fi, fo), PartitionTable::two_d(4), true),
+        ("GAT", ModelKind::Gat.layer_dfg(fi, fo), PartitionTable::vertex_centric(), true),
+        ("GCN extract-only", gcn_extracted, PartitionTable::edge_batch(32), false),
     ] {
-        let dfg = kind.layer_dfg(fi, fo);
         let plan = partition(&g, &table);
         let ie = Engine::with_mode(2, ExecMode::Interpret);
         let ae = Engine::new(2);
@@ -143,13 +171,13 @@ fn default_mode_dispatch_is_bit_identical_and_observable() {
         let a = ie.execute(&dfg, &g, &plan, &globals).unwrap();
         let b = ae.execute(&dfg, &g, &plan, &globals).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.data(), y.data(), "{}", kind.name());
+            assert_eq!(x.data(), y.data(), "{name}");
         }
         let fused_tasks = ae.stats().count(keys::KERNEL_FUSED_TASKS);
         if fuses {
-            assert!(fused_tasks > 0, "{}: the default did not fuse", kind.name());
+            assert!(fused_tasks > 0, "{name}: the default did not fuse");
         } else {
-            assert_eq!(fused_tasks, 0, "{}: fused a non-matching program", kind.name());
+            assert_eq!(fused_tasks, 0, "{name}: fused a non-matching program");
         }
         // The interpreter engine must never report fused dispatches.
         assert_eq!(ie.stats().count(keys::KERNEL_FUSED_TASKS), 0);
@@ -250,6 +278,62 @@ fn per_type_batched_matmul_fused_matches_interpreter() {
     }
 }
 
+/// Registered parity test for [`FusedPattern::WeightedSegmentReduce`]
+/// (GatherRows of the softmax's edge value → Squeeze → GatherRows →
+/// ScaleRows → ScatterAdd; GAT's attention-weighted aggregation) and
+/// [`FusedPattern::EdgeScore`] (GatherRows, GatherRows → Add → LeakyRelu
+/// → Squeeze; GAT's per-call score chain). One GAT layer has both, on
+/// destination-complete and destination-splitting tables.
+#[test]
+fn gat_patterns_fused_match_interpreter() {
+    let (fi, fo) = (6, 5);
+    let g = rmat(&RmatParams::standard(130, 1000, 63));
+    let globals = globals_for(&g, fi, fo);
+    let dfg = ModelKind::Gat.layer_dfg(fi, fo);
+    let program = compile(&dfg, &g).unwrap();
+    assert_eq!(
+        plan_fusion(&program).patterns(),
+        vec![FusedPattern::EdgeScore, FusedPattern::WeightedSegmentReduce]
+    );
+    for table in [
+        PartitionTable::vertex_centric(),
+        PartitionTable::edge_batch(4),
+        PartitionTable::edge_batch(32),
+        PartitionTable::two_d(4),
+    ] {
+        for threads in THREADS {
+            let ctx = format!("gat patterns × [{table}]");
+            assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+        }
+    }
+}
+
+/// Registered parity test for [`FusedPattern::PairwiseScatter`]
+/// (GatherReg2D → ScatterAdd; RGCN's Fig. 9 extract+swap form, the
+/// rewrite `transform::optimize` picks).
+#[test]
+fn pairwise_scatter_fused_matches_interpreter() {
+    let (fi, fo) = (6, 5);
+    let g = rmat(&RmatParams::standard(120, 900, 65).with_edge_types(3));
+    let globals = globals_for(&g, fi, fo);
+    let (dfg, _) = transform::optimize(&ModelKind::Rgcn.layer_dfg(fi, fo), &Binding::from_graph(&g));
+    let program = compile(&dfg, &g).unwrap();
+    assert_eq!(
+        plan_fusion(&program).patterns(),
+        vec![FusedPattern::PairwiseScatter]
+    );
+    for table in [
+        PartitionTable::vertex_centric(),
+        PartitionTable::src_batch_per_type(8),
+        PartitionTable::edge_batch(32),
+    ] {
+        for threads in THREADS {
+            let ctx = format!("pairwise_scatter × [{table}]");
+            assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+        }
+    }
+}
+
 /// Every pattern the codegen can emit has its parity test above: the
 /// exhaustive `match` names each one, so a new pattern does not compile
 /// until it registers one here.
@@ -262,6 +346,10 @@ fn every_fused_pattern_is_registered_here() {
             FusedPattern::PerTypeBatchedMatmul => {
                 per_type_batched_matmul_fused_matches_interpreter
             }
+            FusedPattern::WeightedSegmentReduce | FusedPattern::EdgeScore => {
+                gat_patterns_fused_match_interpreter
+            }
+            FusedPattern::PairwiseScatter => pairwise_scatter_fused_matches_interpreter,
         };
     }
 }
