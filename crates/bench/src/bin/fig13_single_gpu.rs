@@ -8,7 +8,7 @@
 //! graph-centric still runs.
 
 use wisegraph_baselines::{Baseline, LayerDims};
-use wisegraph_bench::{build_dataset, fmt_ms, print_table, quick_mode};
+use wisegraph_bench::{build_dataset, fmt_ms, geomean, print_table};
 use wisegraph_core::WiseGraph;
 use wisegraph_graph::DatasetKind;
 use wisegraph_models::ModelKind;
@@ -16,12 +16,7 @@ use wisegraph_sim::DeviceSpec;
 
 fn main() {
     let dev = DeviceSpec::a100_pcie();
-    let datasets: Vec<DatasetKind> = if quick_mode() {
-        vec![DatasetKind::Arxiv, DatasetKind::PapersSample]
-    } else {
-        DatasetKind::SINGLE_GPU.to_vec()
-    };
-    let built: Vec<_> = datasets.iter().map(|&k| build_dataset(k)).collect();
+    let built: Vec<_> = DatasetKind::SINGLE_GPU.iter().map(|&k| build_dataset(k)).collect();
 
     let mut speedups_complex = Vec::new();
     let mut speedups_simple = Vec::new();
@@ -68,16 +63,10 @@ fn main() {
             &rows,
         );
     }
-    let gm = |v: &[f64]| {
-        if v.is_empty() {
-            return f64::NAN;
-        }
-        (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp()
-    };
     println!(
         "\nGeomean speedup of Our-gT over the best baseline: complex models \
          {:.2}x (paper: 2.64x), simple models {:.2}x (paper: 1.13x)",
-        gm(&speedups_complex),
-        gm(&speedups_simple)
+        geomean(&speedups_complex),
+        geomean(&speedups_simple)
     );
 }

@@ -4,7 +4,7 @@
 //! The paper scatter-plots edges (source × destination) colored by task id
 //! on a 512-vertex AR subgraph. This harness runs the real optimizer on an
 //! AR-like 512-vertex graph, reports the chosen partition table per model,
-//! prints plan statistics, and writes `fig15_<plan>.csv` files
+//! prints plan statistics, and writes `results/fig15_<plan>.csv` files
 //! (`src,dst,task`) for external plotting.
 //!
 //! Expected shape (paper §7.3): RGCN's plan restricts edge-type; GAT
@@ -21,7 +21,7 @@ use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
 fn dump_csv(name: &str, g: &wisegraph_graph::Graph, assignment: &[u32]) {
-    let path = format!("fig15_{name}.csv");
+    let path = format!("results/fig15_{name}.csv");
     let mut f = std::fs::File::create(&path).expect("create csv");
     writeln!(f, "src,dst,task").unwrap();
     for (e, task) in assignment.iter().enumerate().take(g.num_edges()) {

@@ -8,7 +8,7 @@
 //!     showing the partition overhead can be fully overlapped.
 
 use wisegraph_baselines::single::LayerDims;
-use wisegraph_bench::{build_dataset, print_table, quick_mode};
+use wisegraph_bench::{build_dataset, print_table};
 use wisegraph_core::plan::OpPartitionKind;
 use wisegraph_core::sampled::{
     plan_reuse_relative_perf, sampled_iteration_estimate, sampling_overhead,
@@ -22,15 +22,10 @@ use wisegraph_sim::DeviceSpec;
 
 fn main() {
     let dev = DeviceSpec::a100_pcie();
-    let datasets = if quick_mode() {
-        vec![DatasetKind::Papers]
-    } else {
-        vec![DatasetKind::Papers, DatasetKind::FriendSter]
-    };
 
     // (a) plan reuse.
     let mut rows = Vec::new();
-    for &kind in &datasets {
+    for kind in [DatasetKind::Papers, DatasetKind::FriendSter] {
         let (g, spec) = build_dataset(kind);
         let dims = LayerDims {
             f_in: spec.feature_dim,
@@ -62,7 +57,7 @@ fn main() {
     let (g, spec) = build_dataset(DatasetKind::Papers);
     let cfg = SampleConfig::paper_default(3);
     let table = PartitionTable::src_batch_per_type(128);
-    let samples = if quick_mode() { 4 } else { 8 };
+    let samples = 8;
     // Simulated per-iteration training time of the sampled workload
     // (what the GPU is busy with while the CPU prepares the next batch).
     let wg = WiseGraph::new(dev);

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_baselines::{MultiGpuSystem, MultiStack};
-use wisegraph_bench::{build_dataset, fmt_s, print_table};
+use wisegraph_bench::{build_dataset, fmt_s, geomean, print_table};
 use wisegraph_core::sharded::{device_work_skew, execute_sharded_layer};
 use wisegraph_graph::DatasetKind;
 use wisegraph_gtask::{partition, PartitionTable};
@@ -88,12 +88,11 @@ fn main() {
         &["Dataset", "DGL", "ROC", "DGCL", "P3", "WiseGraph"],
         &rows,
     );
-    let gm = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
     println!(
         "\nSpeedup over best baseline: full-graph {:.2}x (paper: 2.27x), \
          sampled {:.2}x (paper: 1.83x)",
-        gm(&full_speedups),
-        gm(&sampled_speedups)
+        geomean(&full_speedups),
+        geomean(&sampled_speedups)
     );
 
     // Side experiment from §7.2: full-graph *inference* on PA vs MGG

@@ -8,14 +8,6 @@
 
 use wisegraph_graph::{DatasetKind, DatasetSpec, Graph};
 
-/// A named column of a printed table.
-pub struct Cell {
-    /// Column label.
-    pub label: String,
-    /// Formatted value.
-    pub value: String,
-}
-
 /// Prints a Markdown-style table given headers and rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
@@ -62,10 +54,9 @@ pub fn build_dataset(kind: DatasetKind) -> (Graph, DatasetSpec) {
     (spec.build(), spec)
 }
 
-/// Returns `true` when the harness was invoked with `--quick` (smaller
-/// sweeps for smoke testing).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// Geometric mean of `v` (NaN when `v` is empty).
+pub fn geomean(v: &[f64]) -> f64 {
+    (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp()
 }
 
 #[cfg(test)]

@@ -684,43 +684,33 @@ pub struct ClusterEngine {
 
 impl ClusterEngine {
     /// A cluster of `devices` engines with `threads_per_device` workers
-    /// each, in the default [`ExecMode`].
+    /// each, in the default [`ExecMode`]. Device `d`'s engine records on
+    /// lanes `1 + d·(threads+1)` through `(d+1)·(threads+1)`: lane 0 stays
+    /// the driver's, and no two devices share a lane, so concurrent
+    /// devices never interleave one span stream.
     ///
     /// # Panics
     ///
     /// Panics if `devices == 0` or `threads_per_device == 0`.
     pub fn new(devices: usize, threads_per_device: usize) -> Self {
-        Self::with_mode(devices, threads_per_device, ExecMode::default())
-    }
-
-    /// A cluster with an explicit per-device [`ExecMode`]. Device `d`'s
-    /// engine records on lanes `1 + d·(threads+1)` through
-    /// `(d+1)·(threads+1)`: lane 0 stays the driver's, and no two devices
-    /// share a lane, so concurrent devices never interleave one span
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices == 0` or `threads_per_device == 0`.
-    pub fn with_mode(devices: usize, threads_per_device: usize, mode: ExecMode) -> Self {
         assert!(devices > 0, "need at least one device");
-        let engines = (0..devices)
-            .map(|d| {
-                Engine::with_lane_base(
-                    threads_per_device,
-                    mode,
-                    1 + (d * (threads_per_device + 1)) as u32,
-                )
-            })
-            .collect();
-        Self {
-            engines,
+        let mut cluster = Self {
+            engines: Vec::with_capacity(devices),
             threads_per_device,
             comm: Mutex::new(CommTotals::default()),
             shard: Mutex::new(None),
             shard_rebuilds: AtomicU64::new(0),
             layer: AtomicU32::new(0),
+        };
+        for d in 0..devices {
+            let lane = cluster.device_lane(d);
+            cluster.engines.push(Engine::with_lane_base(
+                threads_per_device,
+                ExecMode::default(),
+                lane,
+            ));
         }
+        cluster
     }
 
     /// Sets the model-layer tag stamped on the phase spans, segments, and

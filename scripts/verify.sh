@@ -3,11 +3,13 @@
 # in release mode and runs every test, all without touching a crate
 # registry. CI and pre-merge runs should invoke exactly this script.
 #
-# Right after the release build, the two multi-device figure harnesses
-# (table2_multi_gpu, fig20_hidden_dim; a few seconds together) rerun and
-# their stdout is compared byte for byte with the committed
-# results/*.txt, so an edit to the closed-form multi-device pricing
-# cannot drift those artifacts unnoticed.
+# Right after the release build, every paper harness in
+# crates/bench/src/bin/ regenerates its artifact in place: its stdout
+# becomes results/<harness>.txt, and fig15_partitions also writes its six
+# results/fig15_*.csv itself. The two harnesses that print wall-clock
+# columns are skipped (timed_harnesses below). The regenerated files, like
+# the ones wisegraph-prof writes, are compared by the checksum guard at the
+# end.
 #
 # Tests run in both profiles: debug catches overflow/debug-assert issues,
 # release catches optimizer-dependent ones and reuses the artifacts the
@@ -29,34 +31,44 @@
 # (examples/perfbench --smoke: every workload's calls into the library
 # compile, run and pass their output checks, so a library change cannot
 # silently break BENCHMARK.json), and
-# wisegraph-prof --critical-path --check (the counter-regression gate:
+# wisegraph-prof --check (the counter-regression gate:
 # run-to-run and cross-thread determinism plus tolerance
 # bands against results/prof_baseline.json, covering the Work-class
 # critical-path attribution, with the deterministic report regenerated
-# into results/prof_critical.json). Every tracked file under results/ that
-# a step regenerates is byte-stable, so the script checksums them first and
-# last: running it must not dirty the tree.
+# into results/prof_critical.json). Every file under results/ that a step
+# regenerates is byte-stable, so the script checksums results/ first and
+# last: a file that is not what its producer prints, or an artifact that
+# appears during the run, fails it, and `git diff results` shows the new
+# bytes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# A checksum of file contents rather than `git diff`, so the guard also
-# holds on a working tree with uncommitted changes.
-results_checksum() { git ls-files -z results | xargs -0 sha256sum | sha256sum; }
-results_before="$(results_checksum)"
+# Checksums of file contents rather than `git diff`, so the guard also
+# holds on a working tree with uncommitted changes and names exactly the
+# files the run changed. Untracked, unignored files count too, so a
+# harness whose output was never committed fails.
+results_checksums() {
+    git ls-files -z --cached --others --exclude-standard results | xargs -0 sha256sum
+}
+results_before="$(results_checksums)"
 
 cargo build --release --offline --workspace
-for fig in table2_multi_gpu fig20_hidden_dim; do
-    cargo run --release --offline --quiet -p wisegraph-bench --bin "$fig" |
-        cmp - "results/$fig.txt"
+# These print wall-clock columns, so their output differs from run to run:
+# the committed files are one run's record and are not regenerated here.
+timed_harnesses="fig21_sampling table3_overhead"
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "$src" .rs)"
+    case " $timed_harnesses " in *" $bin "*) continue ;; esac
+    cargo run --release --offline --quiet -p wisegraph-bench --bin "$bin" \
+        > "results/$bin.txt"
 done
 cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo run --release --offline --example perfbench -- --smoke
-cargo run --release --offline --bin wisegraph-prof -- --critical-path --check
-if [ "$(results_checksum)" != "$results_before" ]; then
-    echo "verify.sh: a tracked file under results/ changed during the run" >&2
-    git status --porcelain results >&2
+cargo run --release --offline --bin wisegraph-prof -- --check
+if ! diff <(echo "$results_before") <(results_checksums) >&2; then
+    echo "verify.sh: files under results/ differ from what their producers print" >&2
     exit 1
 fi

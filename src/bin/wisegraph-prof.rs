@@ -33,9 +33,8 @@
 //!   a critical path, a per-device busy/exchange/idle breakdown, a
 //!   straggler ranking, and per-layer overlap headroom; the Work-class
 //!   part lands in the baseline under
-//!   `critical.<model>.<placement>.d<devices>.`, and with
-//!   `--critical-path` the tables print and the deterministic report is
-//!   written to `results/prof_critical.json`.
+//!   `critical.<model>.<placement>.d<devices>.`, the tables print, and
+//!   the deterministic report is written to `results/prof_critical.json`.
 //!
 //! Nothing here measures wall-clock time (`BENCHMARK.json` /
 //! `examples/perfbench` does, at a size where it means something), so
@@ -53,9 +52,7 @@
 //!   the FAIL line counts drifts per class, so a Resource-only drift (a
 //!   pool or fused-dispatch change) reads apart from a Work one;
 //! * `--write-baseline` — rewrites `results/prof_baseline.json` from the
-//!   current run (commit the result deliberately);
-//! * `--critical-path` — prints the attribution tables and writes
-//!   `results/prof_critical.json` (Work-class view, byte-stable).
+//!   current run (commit the result deliberately).
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -472,13 +469,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let write_baseline = args.iter().any(|a| a == "--write-baseline");
-    let critical = args.iter().any(|a| a == "--critical-path");
-    if let Some(a) = args
-        .iter()
-        .find(|a| *a != "--check" && *a != "--write-baseline" && *a != "--critical-path")
-    {
+    if let Some(a) = args.iter().find(|a| *a != "--check" && *a != "--write-baseline") {
         eprintln!("wisegraph-prof: unknown argument {a}");
-        eprintln!("usage: wisegraph-prof [--check] [--write-baseline] [--critical-path]");
+        eprintln!("usage: wisegraph-prof [--check] [--write-baseline]");
         return ExitCode::FAILURE;
     }
     let results = Path::new("results");
@@ -577,67 +570,65 @@ fn main() -> ExitCode {
         );
     }
 
-    // Critical-path attribution tables (opt-in: `--critical-path`). The
-    // percentages are logical fractions of the makespan — deterministic,
-    // not wall clock — and the headroom column is the idle a posted-early
-    // send could have reclaimed (bounded by the sender's prior compute).
-    if critical {
+    // Critical-path attribution tables. The percentages are logical
+    // fractions of the makespan — deterministic, not wall clock — and the
+    // headroom column is the idle a posted-early send could have reclaimed
+    // (bounded by the sender's prior compute).
+    println!(
+        "| model | placement | devices | critical len | steps | busy % | exch % | idle % | straggler | headroom |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|");
+    for r in &run.critical {
+        let d = r.report.devices.len();
+        let mut busy = 0.0;
+        let mut exch = 0.0;
+        let mut idle = 0.0;
+        for i in 0..d {
+            let (b, e, w) = r.report.fractions(i);
+            busy += b;
+            exch += e;
+            idle += w;
+        }
+        let n = d.max(1) as f64;
         println!(
-            "| model | placement | devices | critical len | steps | busy % | exch % | idle % | straggler | headroom |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|");
-        for r in &run.critical {
-            let d = r.report.devices.len();
-            let mut busy = 0.0;
-            let mut exch = 0.0;
-            let mut idle = 0.0;
-            for i in 0..d {
-                let (b, e, w) = r.report.fractions(i);
-                busy += b;
-                exch += e;
-                idle += w;
-            }
-            let n = d.max(1) as f64;
-            println!(
-                "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {} | {} |",
-                r.model,
-                r.placement.name(),
-                r.devices,
-                r.report.makespan,
-                r.report.critical_path.len(),
-                100.0 * busy / n,
-                100.0 * exch / n,
-                100.0 * idle / n,
-                r.report.straggler(),
-                r.report.headroom_total(),
-            );
-        }
-        println!();
-        println!("| model | placement | device | busy | exchange | idle wait | finish |");
-        println!("|---|---|---|---|---|---|---|");
-        for r in &run.critical {
-            if r.devices != SHARD_DEVICES {
-                continue;
-            }
-            for a in &r.report.devices {
-                println!(
-                    "| {} | {} | {} | {} | {} | {} | {} |",
-                    r.model,
-                    r.placement.name(),
-                    a.device,
-                    a.busy,
-                    a.exchange,
-                    a.idle_wait,
-                    a.finish,
-                );
-            }
-        }
-        println!();
-        write(
-            &results.join("prof_critical.json"),
-            &critical_to_json(&run.critical),
+            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {} | {} |",
+            r.model,
+            r.placement.name(),
+            r.devices,
+            r.report.makespan,
+            r.report.critical_path.len(),
+            100.0 * busy / n,
+            100.0 * exch / n,
+            100.0 * idle / n,
+            r.report.straggler(),
+            r.report.headroom_total(),
         );
     }
+    println!();
+    println!("| model | placement | device | busy | exchange | idle wait | finish |");
+    println!("|---|---|---|---|---|---|---|");
+    for r in &run.critical {
+        if r.devices != SHARD_DEVICES {
+            continue;
+        }
+        for a in &r.report.devices {
+            println!(
+                "| {} | {} | {} | {} | {} | {} | {} |",
+                r.model,
+                r.placement.name(),
+                a.device,
+                a.busy,
+                a.exchange,
+                a.idle_wait,
+                a.finish,
+            );
+        }
+    }
+    println!();
+    write(
+        &results.join("prof_critical.json"),
+        &critical_to_json(&run.critical),
+    );
 
     for (slug, c) in &run.per_model {
         write(&results.join(format!("prof_{slug}.json")), &counters_to_json(c));
