@@ -15,7 +15,9 @@
 //!   source and destination columns are; edge ids are kept, so `α` is read
 //!   by the same ids. The weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is
 //!   a plain edge loop writing `E` scalars: an edge-rowed output is the one
-//!   thing a per-task program cannot produce.
+//!   thing a per-task program cannot produce. Like every tape node, the op
+//!   has no backward when none of its inputs needs a gradient: aggregating
+//!   a first layer's features runs no reversed pass.
 //!
 //! Vertex-centric plans sort a destination's edges by edge id and put them
 //! in one task, so every destination (and, reversed, every source) sums in
@@ -212,7 +214,8 @@ impl Aggregate {
             (a, alpha_t, globals.remove(H).expect("inserted above"))
         });
         let op = Rc::clone(self);
-        tape.custom(out, move |grad| {
+        let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
+        tape.custom(out, &inputs, move |grad| {
             op.backward(grad, edge_type, h, operands.as_ref())
         })
     }

@@ -147,17 +147,10 @@ pub fn features_tensor(features: &[f32], num_vertices: usize, dim: usize) -> Ten
 mod tests {
     use super::*;
     use crate::{Gat, Gcn, Rgcn, Sage};
-    use wisegraph_graph::generate::{labeled_graph, LabeledParams};
+    use wisegraph_graph::generate::{labeled_graph, LabeledGraph, LabeledParams};
     use wisegraph_tensor::Adam;
 
-    /// Three epochs of every model on one typed labeled graph, against the
-    /// losses of the tensor-centric implementation (an `[E, F]` gather,
-    /// then a scatter-add, on the tape). GCN, SAGE and GAT sum each
-    /// aggregation in the same order on the engine, so their bits are
-    /// kept. RGCN now aggregates before it projects, which reassociates its
-    /// sums: its losses agree to a relative 1e-5.
-    #[test]
-    fn losses_match_the_tensor_centric_path() {
+    fn labeled() -> (LabeledGraph, Tensor) {
         let lg = labeled_graph(&LabeledParams {
             num_vertices: 300,
             num_classes: 4,
@@ -169,26 +162,89 @@ mod tests {
             ..Default::default()
         });
         let feats = features_tensor(&lg.features, 300, 16);
-        let cases: [(Box<dyn GnnModel>, [u32; 3]); 4] = [
-            (
-                Box::new(Gcn::new(&[16, 32, 4], 1)),
-                [0x3fbe6d9a, 0x3fa6c200, 0x3f913d08],
-            ),
-            (
-                Box::new(Sage::new(&[16, 32, 4], 1)),
-                [0x40159445, 0x3fd9f9c9, 0x3f9681f9],
-            ),
-            (
-                Box::new(Gat::with_heads(&[16, 32, 4], 2, 1)),
-                [0x3fb2d7ee, 0x3f9b3d94, 0x3f85d3ae],
-            ),
-            (
-                Box::new(Rgcn::new(&[16, 32, 4], 3, 1)),
-                [0x3fa71a4e, 0x3f774e08, 0x3f37d371],
-            ),
+        (lg, feats)
+    }
+
+    fn models() -> [Box<dyn GnnModel>; 4] {
+        [
+            Box::new(Gcn::new(&[16, 32, 4], 1)),
+            Box::new(Sage::new(&[16, 32, 4], 1)),
+            Box::new(Gat::with_heads(&[16, 32, 4], 2, 1)),
+            Box::new(Rgcn::new(&[16, 32, 4], 3, 1)),
+        ]
+    }
+
+    /// Backward computes no gradient for the features, and that changes no
+    /// parameter's: one epoch's parameter gradients are bit-identical
+    /// whether the features are recorded as an input (pruned) or as a
+    /// parameter (every node differentiated).
+    #[test]
+    fn parameter_gradients_do_not_depend_on_pruning() {
+        let (lg, feats) = labeled();
+        let labels: Vec<u32> = lg.train_idx.iter().map(|&i| lg.labels[i as usize]).collect();
+        for model in models() {
+            let grads = |features_are_params: bool| {
+                let tape = Tape::new();
+                let x = if features_are_params {
+                    tape.param(feats.clone())
+                } else {
+                    tape.input(feats.clone())
+                };
+                let out = model.forward(&tape, &lg.graph, x);
+                let selected = tape.gather_rows(out.logits, lg.train_idx.clone());
+                tape.backward(tape.cross_entropy(selected, labels.clone()));
+                assert_eq!(tape.grad(x).is_some(), features_are_params);
+                out.params
+                    .iter()
+                    .map(|&p| {
+                        let g = tape.grad(p).expect("every parameter reaches the loss");
+                        g.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert!(grads(false) == grads(true), "{}", model.name());
+        }
+    }
+
+    /// An aggregation of the features runs no backward, since nothing
+    /// reads their gradient. A two-layer GCN epoch opens one
+    /// `train.aggregate.backward`, SAGE one, RGCN one per edge type with
+    /// edges; GAT aggregates `x · W`, which needs a gradient, in all four
+    /// heads (two per layer).
+    #[test]
+    fn aggregations_of_the_features_run_no_backward() {
+        let (lg, feats) = labeled();
+        let g = &lg.graph;
+        let typed = (0..g.num_edge_types())
+            .filter(|&t| g.etype().iter().any(|&e| e as usize == t))
+            .count();
+        for (mut model, want) in models().into_iter().zip([1, 1, 4, typed]) {
+            let (mut opt, m) = (Adam::new(0.01), model.as_mut());
+            let (_, trace) = wisegraph_obs::capture(|| {
+                train_epoch(m, &mut opt, g, &feats, &lg.labels, &lg.train_idx)
+            });
+            let backward = trace.span_count("train.aggregate.backward");
+            assert_eq!(backward, want, "{}", model.name());
+        }
+    }
+
+    /// Three epochs of every model on one typed labeled graph, against the
+    /// losses of the tensor-centric implementation (an `[E, F]` gather,
+    /// then a scatter-add, on the tape). GCN, SAGE and GAT sum each
+    /// aggregation in the same order on the engine, so their bits are
+    /// kept. RGCN now aggregates before it projects, which reassociates its
+    /// sums: its losses agree to a relative 1e-5.
+    #[test]
+    fn losses_match_the_tensor_centric_path() {
+        let (lg, feats) = labeled();
+        let losses = [
+            [0x3fbe6d9a, 0x3fa6c200, 0x3f913d08],
+            [0x40159445, 0x3fd9f9c9, 0x3f9681f9],
+            [0x3fb2d7ee, 0x3f9b3d94, 0x3f85d3ae],
+            [0x3fa71a4e, 0x3f774e08, 0x3f37d371],
         ];
         let (g, labels, idx) = (&lg.graph, &lg.labels, &lg.train_idx);
-        for (mut model, want) in cases {
+        for (mut model, want) in models().into_iter().zip(losses) {
             let (mut opt, mut ws) = (Adam::new(0.01), Workspace::new());
             for (epoch, want) in want.map(f32::from_bits).into_iter().enumerate() {
                 let m = model.as_mut();

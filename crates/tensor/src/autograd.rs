@@ -6,6 +6,15 @@
 //! while the parameter tensors themselves live in the model and are fed in
 //! via [`Tape::param`].
 //!
+//! Backward does only the work a parameter's gradient depends on. A node
+//! *needs a gradient* when it is a parameter or one of its inputs needs
+//! one, so an [`Tape::input`] and everything computed from inputs alone
+//! need none. Only a node that needs a gradient records a backward closure;
+//! the closure captures just the operands that its inputs' gradients read
+//! and returns gradients for the inputs that need them. A GNN's first
+//! layer, whose operand is the feature matrix, thus computes no `dX` and
+//! runs no aggregation on the reversed graph.
+//!
 //! Each tape owns a [`Workspace`]: node outputs are written into pooled
 //! buffers, and [`Tape::finish`] recycles every node value and gradient back
 //! into the pool so the next iteration's tape (built with
@@ -35,6 +44,7 @@ type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
 
 struct Node {
     value: Tensor,
+    /// `Some` exactly for an op node that needs a gradient.
     backward: Option<BackwardFn>,
     is_param: bool,
 }
@@ -82,6 +92,15 @@ impl Tape {
         self.ws.borrow_mut().take_tensor(dims)
     }
 
+    /// Checks out an output shaped like `a` and fills it with `f(a, out)`.
+    fn elementwise(&self, a: Var, f: impl FnOnce(&Tensor, &mut [f32])) -> Tensor {
+        let nodes = self.nodes.borrow();
+        let av = &nodes[a.id].value;
+        let mut out = self.alloc(av.dims());
+        f(av, out.data_mut());
+        out
+    }
+
     fn push(&self, value: Tensor, backward: Option<BackwardFn>, is_param: bool) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
@@ -94,7 +113,30 @@ impl Tape {
         }
     }
 
-    /// Records a constant input (no gradient is accumulated for it).
+    /// Whether `v` needs a gradient: it is a parameter, or an op node with
+    /// an input that needs one.
+    fn needs_grad(&self, v: Var) -> bool {
+        let node = &self.nodes.borrow()[v.id];
+        node.is_param || node.backward.is_some()
+    }
+
+    /// Records `value`, the output of an op over `inputs`. The node needs a
+    /// gradient when one of `inputs` does, and only then is `backward`
+    /// called — with which inputs need one, and the output — to build its
+    /// closure, which returns gradients for those inputs alone.
+    fn record(
+        &self,
+        value: Tensor,
+        inputs: &[Var],
+        backward: impl FnOnce(&[bool], &Tensor) -> BackwardFn,
+    ) -> Var {
+        let needs: Vec<bool> = inputs.iter().map(|&v| self.needs_grad(v)).collect();
+        let backward = needs.contains(&true).then(|| backward(&needs, &value));
+        self.push(value, backward, false)
+    }
+
+    /// Records a constant input: it needs no gradient, and neither does a
+    /// node computed from inputs alone.
     pub fn input(&self, value: Tensor) -> Var {
         self.push(value, None, false)
     }
@@ -109,8 +151,9 @@ impl Tape {
         self.nodes.borrow()[v.id].value.clone()
     }
 
-    /// Returns the gradient of the last `backward` call with respect to `v`,
-    /// if one was produced.
+    /// Returns the gradient of the last `backward` call with respect to `v`:
+    /// `None` unless a parameter flows into `v` (or `v` is one) and `v`
+    /// flows into the loss.
     pub fn grad(&self, v: Var) -> Option<Tensor> {
         self.grads.borrow().get(v.id).cloned().flatten()
     }
@@ -140,23 +183,30 @@ impl Tape {
 
     /// Matrix product of two rank-2 variables.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let bv = self.value(b);
-        assert_eq!(av.shape().rank(), 2, "matmul lhs must be rank-2");
-        assert_eq!(bv.shape().rank(), 2, "matmul rhs must be rank-2");
-        let mut out = self.alloc(&[av.dims()[0], bv.dims()[1]]);
-        ops::matmul_into(&av, &bv, out.data_mut());
-        let (aid, bid) = (a.id, b.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![
-                    (aid, ops::matmul_a_bt(g, &bv)),
-                    (bid, ops::matmul_at_b(&av, g)),
+        let mut out;
+        {
+            let nodes = self.nodes.borrow();
+            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
+            assert_eq!(av.shape().rank(), 2, "matmul lhs must be rank-2");
+            assert_eq!(bv.shape().rank(), 2, "matmul rhs must be rank-2");
+            out = self.alloc(&[av.dims()[0], bv.dims()[1]]);
+            ops::matmul_into(av, bv, out.data_mut());
+        }
+        self.record(out, &[a, b], |needs, _| {
+            // `dA = g · Bᵀ` reads only `B`, and `dB = Aᵀ · g` only `A`.
+            let bv = needs[0].then(|| self.value(b));
+            let av = needs[1].then(|| self.value(a));
+            let (aid, bid) = (a.id, b.id);
+            Box::new(move |g| {
+                [
+                    bv.as_ref().map(|bv| (aid, ops::matmul_a_bt(g, bv))),
+                    av.as_ref().map(|av| (bid, ops::matmul_at_b(av, g))),
                 ]
-            })),
-            false,
-        )
+                .into_iter()
+                .flatten()
+                .collect()
+            })
+        })
     }
 
     /// Element-wise sum of two same-shaped variables.
@@ -168,47 +218,49 @@ impl Tape {
             out = self.alloc(av.dims());
             ops::add_into(av, bv, out.data_mut());
         }
-        let (aid, bid) = (a.id, b.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(aid, g.clone()), (bid, g.clone())]
-            })),
-            false,
-        )
+        self.record(out, &[a, b], |needs, _| {
+            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            Box::new(move |g| {
+                [da.then(|| (aid, g.clone())), db.then(|| (bid, g.clone()))]
+                    .into_iter()
+                    .flatten()
+                    .collect()
+            })
+        })
     }
 
     /// Element-wise product of two same-shaped variables.
     pub fn mul(&self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let bv = self.value(b);
-        let mut out = self.alloc(av.dims());
-        ops::mul_into(&av, &bv, out.data_mut());
-        let (aid, bid) = (a.id, b.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(aid, ops::mul(g, &bv)), (bid, ops::mul(g, &av))]
-            })),
-            false,
-        )
+        let mut out;
+        {
+            let nodes = self.nodes.borrow();
+            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
+            out = self.alloc(av.dims());
+            ops::mul_into(av, bv, out.data_mut());
+        }
+        self.record(out, &[a, b], |needs, _| {
+            let bv = needs[0].then(|| self.value(b));
+            let av = needs[1].then(|| self.value(a));
+            let (aid, bid) = (a.id, b.id);
+            Box::new(move |g| {
+                [
+                    bv.as_ref().map(|bv| (aid, ops::mul(g, bv))),
+                    av.as_ref().map(|av| (bid, ops::mul(g, av))),
+                ]
+                .into_iter()
+                .flatten()
+                .collect()
+            })
+        })
     }
 
     /// Multiplies a variable by a scalar constant.
     pub fn scale(&self, a: Var, s: f32) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let av = &nodes[a.id].value;
-            out = self.alloc(av.dims());
-            ops::scale_into(av, s, out.data_mut());
-        }
+        let out = self.elementwise(a, |av, out| ops::scale_into(av, s, out));
         let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| vec![(aid, ops::scale(g, s))])),
-            false,
-        )
+        self.record(out, &[a], |_, _| {
+            Box::new(move |g| vec![(aid, ops::scale(g, s))])
+        })
     }
 
     /// Adds a rank-1 bias to every row of a rank-2 variable.
@@ -220,88 +272,60 @@ impl Tape {
             out = self.alloc(xv.dims());
             ops::add_bias_into(xv, bv, out.data_mut());
         }
-        let (xid, bid) = (x.id, bias.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(xid, g.clone()), (bid, ops::sum_rows(g))]
-            })),
-            false,
-        )
+        self.record(out, &[x, bias], |needs, _| {
+            let (dx, db, xid, bid) = (needs[0], needs[1], x.id, bias.id);
+            Box::new(move |g| {
+                [
+                    dx.then(|| (xid, g.clone())),
+                    db.then(|| (bid, ops::sum_rows(g))),
+                ]
+                .into_iter()
+                .flatten()
+                .collect()
+            })
+        })
     }
 
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
-        let av = self.value(a);
-        let mut out = self.alloc(av.dims());
-        ops::relu_into(&av, out.data_mut());
-        let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                let mask = ops::map(&av, |x| if x > 0.0 { 1.0 } else { 0.0 });
-                vec![(aid, ops::mul(g, &mask))]
-            })),
-            false,
-        )
+        let out = self.elementwise(a, ops::relu_into);
+        self.record(out, &[a], |_, _| {
+            let (av, aid) = (self.value(a), a.id);
+            Box::new(move |g| {
+                let d = ops::zip_map(g, &av, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+                vec![(aid, d)]
+            })
+        })
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, a: Var, slope: f32) -> Var {
-        let av = self.value(a);
-        let mut out = self.alloc(av.dims());
-        ops::leaky_relu_into(&av, slope, out.data_mut());
-        let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                let mask = ops::map(&av, |x| if x >= 0.0 { 1.0 } else { slope });
-                vec![(aid, ops::mul(g, &mask))]
-            })),
-            false,
-        )
+        let out = self.elementwise(a, |av, out| ops::leaky_relu_into(av, slope, out));
+        self.record(out, &[a], |_, _| {
+            let (av, aid) = (self.value(a), a.id);
+            Box::new(move |g| {
+                let d = ops::zip_map(g, &av, |g, x| g * if x >= 0.0 { 1.0 } else { slope });
+                vec![(aid, d)]
+            })
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let av = &nodes[a.id].value;
-            out = self.alloc(av.dims());
-            ops::sigmoid_into(av, out.data_mut());
-        }
-        let outv = out.clone();
-        let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                let d = ops::map(&outv, |y| y * (1.0 - y));
-                vec![(aid, ops::mul(g, &d))]
-            })),
-            false,
-        )
+        let out = self.elementwise(a, ops::sigmoid_into);
+        self.record(out, &[a], |_, out| {
+            let (outv, aid) = (out.clone(), a.id);
+            Box::new(move |g| vec![(aid, ops::zip_map(g, &outv, |g, y| g * (y * (1.0 - y))))])
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let av = &nodes[a.id].value;
-            out = self.alloc(av.dims());
-            ops::tanh_into(av, out.data_mut());
-        }
-        let outv = out.clone();
-        let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                let d = ops::map(&outv, |y| 1.0 - y * y);
-                vec![(aid, ops::mul(g, &d))]
-            })),
-            false,
-        )
+        let out = self.elementwise(a, ops::tanh_into);
+        self.record(out, &[a], |_, out| {
+            let (outv, aid) = (out.clone(), a.id);
+            Box::new(move |g| vec![(aid, ops::zip_map(g, &outv, |g, y| g * (1.0 - y * y)))])
+        })
     }
 
     /// Gathers rows by index: the indexing operation of a GNN layer.
@@ -317,49 +341,49 @@ impl Tape {
             ops::gather_rows_into(xv, &idx, out.data_mut());
         }
         let xid = x.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(xid, ops::index_add_rows(rows, g, &idx))]
-            })),
-            false,
-        )
+        self.record(out, &[x], |_, _| {
+            Box::new(move |g| vec![(xid, ops::index_add_rows(rows, g, &idx))])
+        })
     }
 
-    /// Records a node computed off the tape: `value` is its output, and
-    /// `backward` maps the upstream gradient to `(input, gradient)` pairs.
+    /// Records a node computed off the tape: `value` is its output,
+    /// `inputs` are the variables it was computed from, and `backward` maps
+    /// the upstream gradient to `(input, gradient)` pairs. Like every op,
+    /// the node keeps `backward` only when one of `inputs` needs a gradient,
+    /// and the tape keeps only the pairs of inputs that need one.
     /// The extension point for operations the tape does not implement
     /// itself — graph aggregation, which an execution engine runs on both
     /// passes, is the one that uses it.
     pub fn custom(
         &self,
         value: Tensor,
+        inputs: &[Var],
         backward: impl Fn(&Tensor) -> Vec<(Var, Tensor)> + 'static,
     ) -> Var {
-        self.push(
-            value,
-            Some(Box::new(move |g| {
-                backward(g).into_iter().map(|(v, t)| (v.id, t)).collect()
-            })),
-            false,
-        )
+        self.record(value, inputs, |needs, _| {
+            let needed: Vec<usize> = inputs
+                .iter()
+                .zip(needs)
+                .filter(|&(_, &n)| n)
+                .map(|(v, _)| v.id)
+                .collect();
+            Box::new(move |g| {
+                backward(g)
+                    .into_iter()
+                    .map(|(v, t)| (v.id, t))
+                    .filter(|(id, _)| needed.contains(id))
+                    .collect()
+            })
+        })
     }
 
     /// Scales row `i` by the constant `s[i]` (e.g. 1/degree normalization).
     pub fn scale_rows_const(&self, x: Var, s: Tensor) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let xv = &nodes[x.id].value;
-            out = self.alloc(xv.dims());
-            ops::scale_rows_into(xv, &s, out.data_mut());
-        }
+        let out = self.elementwise(x, |xv, out| ops::scale_rows_into(xv, &s, out));
         let xid = x.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| vec![(xid, ops::scale_rows(g, &s))])),
-            false,
-        )
+        self.record(out, &[x], |_, _| {
+            Box::new(move |g| vec![(xid, ops::scale_rows(g, &s))])
+        })
     }
 
     /// Per-segment softmax of a rank-1 score vector (GAT edge attention).
@@ -371,11 +395,10 @@ impl Tape {
             out = self.alloc(&[sv.numel()]);
             ops::segment_softmax_into(sv, &seg, num_segments, out.data_mut());
         }
-        let outv = out.clone();
         let sid = scores.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
+        self.record(out, &[scores], |_, out| {
+            let outv = out.clone();
+            Box::new(move |g| {
                 // dL/ds_i = y_i * (g_i - Σ_{j∈seg(i)} y_j g_j)
                 let y = outv.data();
                 let gd = g.data();
@@ -389,9 +412,8 @@ impl Tape {
                     .map(|(i, &s)| y[i] * (gd[i] - segdot[s as usize]))
                     .collect();
                 vec![(sid, Tensor::from_vec(grad, outv.dims()))]
-            })),
-            false,
-        )
+            })
+        })
     }
 
     /// Concatenates two rank-2 variables along the column dimension.
@@ -407,91 +429,85 @@ impl Tape {
             out = self.alloc(&[av.dims()[0], n1 + n2]);
             ops::concat_cols_into(av, bv, out.data_mut());
         }
-        let (aid, bid) = (a.id, b.id);
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                let m = g.dims()[0];
-                let mut ga = vec![0.0f32; m * n1];
-                let mut gb = vec![0.0f32; m * n2];
-                for i in 0..m {
-                    let row = g.row(i);
-                    ga[i * n1..(i + 1) * n1].copy_from_slice(&row[..n1]);
-                    gb[i * n2..(i + 1) * n2].copy_from_slice(&row[n1..]);
-                }
-                vec![
-                    (aid, Tensor::from_vec(ga, &[m, n1])),
-                    (bid, Tensor::from_vec(gb, &[m, n2])),
+        self.record(out, &[a, b], |needs, _| {
+            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            Box::new(move |g| {
+                // Columns `from..from + width` of `g`.
+                let columns = |from: usize, width: usize| {
+                    let m = g.dims()[0];
+                    let mut part = vec![0.0f32; m * width];
+                    for i in 0..m {
+                        part[i * width..(i + 1) * width]
+                            .copy_from_slice(&g.row(i)[from..from + width]);
+                    }
+                    Tensor::from_vec(part, &[m, width])
+                };
+                [
+                    da.then(|| (aid, columns(0, n1))),
+                    db.then(|| (bid, columns(n1, n2))),
                 ]
-            })),
-            false,
-        )
+                .into_iter()
+                .flatten()
+                .collect()
+            })
+        })
     }
 
     /// Sums all elements into a scalar.
     pub fn sum(&self, a: Var) -> Var {
-        let av = self.value(a);
-        let dims: Vec<usize> = av.dims().to_vec();
-        let out = ops::sum(&av);
+        let (out, dims) = {
+            let av = &self.nodes.borrow()[a.id].value;
+            (ops::sum(av), av.dims().to_vec())
+        };
         let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(aid, Tensor::full(&dims, g.item()))]
-            })),
-            false,
-        )
+        self.record(out, &[a], |_, _| {
+            Box::new(move |g| vec![(aid, Tensor::full(&dims, g.item()))])
+        })
     }
 
     /// Averages all elements into a scalar.
     pub fn mean(&self, a: Var) -> Var {
-        let av = self.value(a);
-        let dims: Vec<usize> = av.dims().to_vec();
-        let n = av.numel() as f32;
-        let out = ops::mean(&av);
+        let (out, dims) = {
+            let av = &self.nodes.borrow()[a.id].value;
+            (ops::mean(av), av.dims().to_vec())
+        };
+        let n = dims.iter().product::<usize>() as f32;
         let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| {
-                vec![(aid, Tensor::full(&dims, g.item() / n))]
-            })),
-            false,
-        )
+        self.record(out, &[a], |_, _| {
+            Box::new(move |g| vec![(aid, Tensor::full(&dims, g.item() / n))])
+        })
     }
 
     /// Mean cross-entropy loss over rows of `logits` against integer labels.
     pub fn cross_entropy(&self, logits: Var, labels: Vec<u32>) -> Var {
-        let lv = self.value(logits);
-        let (loss, dlogits) = ops::cross_entropy_with_grad(&lv, &labels);
+        let (loss, dlogits) =
+            ops::cross_entropy_with_grad(&self.nodes.borrow()[logits.id].value, &labels);
         let lid = logits.id;
-        self.push(
-            Tensor::scalar(loss),
-            Some(Box::new(move |g| {
-                vec![(lid, ops::scale(&dlogits, g.item()))]
-            })),
-            false,
-        )
+        self.record(Tensor::scalar(loss), &[logits], |_, _| {
+            Box::new(move |g| vec![(lid, ops::scale(&dlogits, g.item()))])
+        })
     }
 
     /// Reshapes a variable (gradient is reshaped back).
     pub fn reshape(&self, a: Var, dims: &[usize]) -> Var {
-        let av = self.value(a);
-        let orig: Vec<usize> = av.dims().to_vec();
-        let out = av.reshape(dims);
+        let (out, orig) = {
+            let av = &self.nodes.borrow()[a.id].value;
+            (av.reshape(dims), av.dims().to_vec())
+        };
         let aid = a.id;
-        self.push(
-            out,
-            Some(Box::new(move |g| vec![(aid, g.reshape(&orig))])),
-            false,
-        )
+        self.record(out, &[a], |_, _| {
+            Box::new(move |g| vec![(aid, g.reshape(&orig))])
+        })
     }
 
     // --- Backward pass ---------------------------------------------------
 
     /// Runs reverse-mode differentiation from the scalar `loss` node.
     ///
-    /// After this call, [`Tape::grad`] returns gradients for every node that
-    /// participated in the computation of `loss`.
+    /// Only nodes that a parameter flows into get gradients: after this
+    /// call, [`Tape::grad`] returns one for every parameter and every op
+    /// node between a parameter and `loss`, and `None` for an input or a
+    /// node computed from inputs alone, whose gradient no parameter reads.
     ///
     /// # Panics
     ///
@@ -504,7 +520,9 @@ impl Tape {
             "backward() requires a scalar loss"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.id] = Some(Tensor::scalar(1.0));
+        if self.needs_grad(loss) {
+            grads[loss.id] = Some(Tensor::scalar(1.0));
+        }
         for id in (0..=loss.id).rev() {
             // Take the gradient out instead of cloning it; the backward
             // closure only reads it, and it is restored right after.
@@ -621,7 +639,7 @@ mod tests {
             |t, p| {
                 let idx = [0u32, 1, 0];
                 let value = ops::index_add_rows(2, &t.value(p), &idx);
-                let s = t.custom(value, move |g| vec![(p, ops::gather_rows(g, &idx))]);
+                let s = t.custom(value, &[p], move |g| vec![(p, ops::gather_rows(g, &idx))]);
                 let sq = t.mul(s, s);
                 t.sum(sq)
             },
@@ -702,6 +720,30 @@ mod tests {
         tape.backward(loss);
         assert!(tape.grad(a).is_some());
         assert!(tape.grad(b).is_none());
+    }
+
+    #[test]
+    fn a_chain_on_inputs_alone_records_no_backward() {
+        let tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], &[2, 2]));
+        let w = tape.param(Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.0], &[2, 2]));
+        let h = tape.relu(tape.scale(x, 2.0));
+        let c = tape.custom(tape.value(x), &[x, h], |_| {
+            panic!("a node over inputs alone runs no backward")
+        });
+        let y = tape.matmul(tape.add(h, c), w);
+        let loss = tape.sum(y);
+        let nodes = tape.nodes.borrow();
+        assert!((x.id..w.id).all(|id| nodes[id].backward.is_none()));
+        assert!((w.id + 1..c.id + 1).all(|id| nodes[id].backward.is_none()));
+        assert!(nodes[y.id].backward.is_some());
+        drop(nodes);
+        tape.backward(loss);
+        for v in [x, h, c] {
+            assert!(tape.grad(v).is_none(), "node {} has a gradient", v.id);
+        }
+        assert!(tape.grad(w).is_some());
+        assert!(tape.grad(y).is_some());
     }
 
     #[test]

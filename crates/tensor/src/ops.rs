@@ -11,6 +11,11 @@
 //!
 //! `_into` variants expect `out` to be zero-filled (as `vec![0.0; n]` or
 //! `Workspace::take` provide); operations that accumulate rely on it.
+//!
+//! The three matrix products share one register-blocked kernel,
+//! [`matmul_strided_into`]'s: `a · b` runs it as is, `aᵀ · b` on transposed
+//! blocks of rows of `a`, and `a · bᵀ` on a transposed copy of `b` with
+//! every term added (it skips no zeros, so `0 · inf` stays NaN).
 
 use crate::tensor::Tensor;
 
@@ -19,6 +24,11 @@ use crate::tensor::Tensor;
 /// registers, half of what the baseline x86-64 target has.
 const TILE_ROWS: usize = 2;
 const TILE_COLS: usize = 16;
+
+/// Rows of `a` and `b` that [`matmul_at_b_into`] transposes and multiplies
+/// at a time: at training widths (≤ 64 columns each) a block's transpose
+/// and rows of `b` take ≤ 64 KiB, so the tiles re-read them from cache.
+const AT_B_ROWS: usize = 128;
 
 /// Rows the blocked matmul interleaves for the output columns that fill no
 /// whole tile (all of them when `n < 16`, e.g. a `[F, 1]` attention
@@ -66,6 +76,19 @@ pub fn matmul_strided_into(
     out: &mut [f32],
     ldo: usize,
 ) {
+    blocked::<true>(a, b, [m, k, n], out, ldo);
+}
+
+/// [`matmul_strided_into`] with the zero skip chosen at compile time:
+/// with `SKIP == false` every term `a[i, p] * b[p, j]` is added, which is
+/// the float sequence of a dot product started from `out[i, j]`.
+fn blocked<const SKIP: bool>(
+    a: &[f32],
+    b: &[f32],
+    [m, k, n]: [usize; 3],
+    out: &mut [f32],
+    ldo: usize,
+) {
     assert!(ldo >= n, "matmul output stride {ldo} below width {n}");
     assert!(a.len() >= m * k && b.len() >= k * n, "matmul operand too short");
     if m == 0 || n == 0 {
@@ -76,23 +99,23 @@ pub fn matmul_strided_into(
     let mut i = 0;
     while i + TILE_ROWS <= m {
         for j in (0..wide).step_by(TILE_COLS) {
-            tile::<TILE_ROWS>(a, b, [i, j, k, n], out, ldo);
+            tile::<TILE_ROWS, SKIP>(a, b, [i, j, k, n], out, ldo);
         }
         i += TILE_ROWS;
     }
     for i in i..m {
         for j in (0..wide).step_by(TILE_COLS) {
-            tile::<1>(a, b, [i, j, k, n], out, ldo);
+            tile::<1, SKIP>(a, b, [i, j, k, n], out, ldo);
         }
     }
     if wide < n {
         let mut i = 0;
         while i + NARROW_ROWS <= m {
-            columns::<NARROW_ROWS>(a, b, [i, wide, k, n], out, ldo);
+            columns::<NARROW_ROWS, SKIP>(a, b, [i, wide, k, n], out, ldo);
             i += NARROW_ROWS;
         }
         for i in i..m {
-            columns::<1>(a, b, [i, wide, k, n], out, ldo);
+            columns::<1, SKIP>(a, b, [i, wide, k, n], out, ldo);
         }
     }
 }
@@ -106,7 +129,7 @@ pub fn matmul_strided_into(
 /// registers over the whole `k` loop.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-fn tile<const R: usize>(
+fn tile<const R: usize, const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     [i, j, k, n]: [usize; 4],
@@ -125,7 +148,7 @@ fn tile<const R: usize>(
             brow[j..j + TILE_COLS].try_into().expect("a tile-wide row");
         for r in 0..R {
             let av = *arows[r].next().expect("a row of k elements");
-            if av != 0.0 {
+            if !SKIP || av != 0.0 {
                 for c in 0..TILE_COLS {
                     acc[r][c] += av * brow[c];
                 }
@@ -142,7 +165,7 @@ fn tile<const R: usize>(
 /// the sum a skipped step keeps is the same bits.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-fn columns<const R: usize>(
+fn columns<const R: usize, const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     [i, j, k, n]: [usize; 4],
@@ -160,7 +183,7 @@ fn columns<const R: usize>(
             let bv = b[p * n + c];
             for r in 0..R {
                 let av = rows[r][p];
-                acc[r] = if av != 0.0 { acc[r] + av * bv } else { acc[r] };
+                acc[r] = if !SKIP || av != 0.0 { acc[r] + av * bv } else { acc[r] };
             }
         }
         for r in 0..R {
@@ -185,6 +208,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Computes `aᵀ @ b` into a zeroed `out` buffer of `k * n` elements.
 ///
+/// Output `[p, j]` adds `a[i, p] * b[i, j]` for `i` ascending, skipping
+/// `a[i, p] == 0.0`: [`matmul_strided_into`] on the transpose of `a`.
+///
 /// # Panics
 ///
 /// Panics if the leading dimensions do not match, either input is not
@@ -196,24 +222,23 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(m, m2, "matmul_at_b leading dimensions differ: {m} vs {m2}");
     assert_eq!(out.len(), k * n, "matmul_at_b output buffer length mismatch");
-    let ad = a.data();
-    let bd = b.data();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let brow = &bd[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut out[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
+    if k == 0 || n == 0 {
+        return;
+    }
+    // Block by block of rows of `a` and `b`: each output resumes its sum
+    // where the previous block left it, so it still runs over all `i`
+    // ascending, while the block's transpose and rows of `b` stay cached.
+    let mut at = vec![0.0f32; k * AT_B_ROWS.min(m)];
+    let blocks = a.data().chunks(AT_B_ROWS * k);
+    for (ab, bb) in blocks.zip(b.data().chunks(AT_B_ROWS * n)) {
+        let rows = ab.len() / k;
+        let at = &mut at[..k * rows];
+        transpose_into(ab, [rows, k], at);
+        blocked::<true>(at, bb, [k, rows, n], out, n);
     }
 }
 
-/// Computes `aᵀ @ b` without materializing the transpose.
+/// Computes `aᵀ @ b`.
 ///
 /// # Panics
 ///
@@ -228,8 +253,12 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[k, n])
 }
 
-/// Computes `a @ bᵀ` into an `out` buffer of `m * n` elements (every
-/// element is overwritten).
+/// Computes `a @ bᵀ` into a zeroed `out` buffer of `m * n` elements.
+///
+/// Output `[i, j]` is the dot product of row `i` of `a` and row `j` of `b`,
+/// every term added in ascending order and no zero skipped (`0 * inf` is
+/// NaN): the no-skip kernel of [`matmul_strided_into`] on the transpose of
+/// `b`. On the training path `b` is a weight, so the transpose is small.
 ///
 /// # Panics
 ///
@@ -242,22 +271,12 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_a_bt trailing dimensions differ: {k} vs {k2}");
     assert_eq!(out.len(), m * n, "matmul_a_bt output buffer length mismatch");
-    let ad = a.data();
-    let bd = b.data();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
+    let mut bt = vec![0.0f32; n * k];
+    transpose_into(b.data(), [n, k], &mut bt);
+    blocked::<false>(a.data(), &bt, [m, k, n], out, n);
 }
 
-/// Computes `a @ bᵀ` without materializing the transpose.
+/// Computes `a @ bᵀ`.
 ///
 /// # Panics
 ///
@@ -270,6 +289,16 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     matmul_a_bt_into(a, b, &mut out);
     Tensor::from_vec(out, &[m, n])
+}
+
+/// Writes the `[cols, rows]` transpose of the row-major `[rows, cols]`
+/// matrix `x` into `t`.
+fn transpose_into(x: &[f32], [rows, cols]: [usize; 2], t: &mut [f32]) {
+    for i in 0..rows {
+        for j in 0..cols {
+            t[j * rows + i] = x[i * cols + j];
+        }
+    }
 }
 
 fn zip_map_into(a: &Tensor, b: &Tensor, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
@@ -285,7 +314,12 @@ fn zip_map_into(a: &Tensor, b: &Tensor, out: &mut [f32], f: impl Fn(f32, f32) ->
     }
 }
 
-fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+/// Applies a binary function element-wise to two same-shaped tensors.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let mut out = vec![0.0f32; a.numel()];
     zip_map_into(a, b, &mut out, f);
     Tensor::from_vec(out, a.dims())
@@ -889,39 +923,139 @@ mod tests {
                 [0, 1, 64][ki],
             );
             let ldo = n + [0, 1, 13][pad];
-            let specials = [
-                0.0f32,
-                -0.0,
-                f32::NAN,
-                f32::INFINITY,
-                f32::NEG_INFINITY,
-                f32::from_bits(1),
-                -f32::MIN_POSITIVE / 3.0,
-            ];
+            let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
+            let (a, b) = (salted(&mut rng, m * k), salted(&mut rng, k * n));
+            let out0 = salted(&mut rng, m * ldo);
+            let (mut want, mut got) = (out0.clone(), out0);
+            naive_matmul(&a, &b, [m, k, n], &mut want, ldo);
+            matmul_strided_into(&a, &b, [m, k, n], &mut got, ldo);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(&got), nan_class_bits(&want), "m {m} n {n} k {k} ldo {ldo}"
+            );
+        }
+    }
+
+    /// `a @ bᵀ` as one dot product per output, every term added.
+    fn naive_a_bt(a: &[f32], b: &[f32], [m, k, n]: [usize; 3]) -> Vec<f32> {
+        let mut out = vec![0.0; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[j * k + p];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// `aᵀ @ b` as a row-by-row accumulation, skipping zeros of `a`.
+    fn naive_at_b(a: &[f32], b: &[f32], [m, k, n]: [usize; 3]) -> Vec<f32> {
+        let mut out = vec![0.0; k * n];
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[p * n + j] += av * b[i * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// Bits with every NaN as one class: which NaN an operation returns
+    /// when several meet is unspecified in Rust, and the optimizer may swap
+    /// the operands of an add.
+    fn nan_class_bits(x: &[f32]) -> Vec<u32> {
+        x.iter()
+            .map(|f| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() })
+            .collect()
+    }
+
+    /// Draws `len` floats, one in four from ±0.0, NaN, ±inf and subnormals.
+    fn salted(rng: &mut wisegraph_testkit::rng::Rng, len: usize) -> Vec<f32> {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 3.0,
+        ];
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 => specials[rng.below(specials.len() as u64) as usize],
+                _ => rng.range_f32(-1.0, 1.0),
+            })
+            .collect()
+    }
+
+    wisegraph_testkit::proptest! {
+        #![proptest_config(wisegraph_testkit::prop::ProptestConfig::with_cases(256))]
+
+        /// Both transposed products against their loops, bit for bit, on
+        /// the blocked kernel's ragged shapes with salted operands: `a_bt`
+        /// adds every term (a zero against an inf is NaN), `at_b` skips
+        /// zeros of `a` and sums rows in ascending order.
+        fn transposed_products_equal_their_loops(
+            mi in 0usize..8,
+            ni in 0usize..7,
+            ki in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let (m, n, k) = (
+                [0, 1, 2, 3, 7, 8, 9, 33][mi],
+                [1, 3, 15, 16, 17, 40, 64][ni],
+                [0, 1, 64][ki],
+            );
+            let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
+            let (a, b) = (salted(&mut rng, m * k), salted(&mut rng, n * k));
+            let got = matmul_a_bt(&t2(&a, m, k), &t2(&b, n, k));
+            let want = naive_a_bt(&a, &b, [m, k, n]);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(got.data()), nan_class_bits(&want), "a_bt: m {m} n {n} k {k}"
+            );
+            let b = salted(&mut rng, m * n);
+            let got = matmul_at_b(&t2(&a, m, k), &t2(&b, m, n));
+            let want = naive_at_b(&a, &b, [m, k, n]);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(got.data()), nan_class_bits(&want), "at_b: m {m} n {n} k {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn at_b_sums_run_on_across_row_blocks() {
+        // Finite values with ±0.0, so that most sums are not NaN.
+        let (m, k, n) = (2 * AT_B_ROWS + 5, 7, 17);
+        for seed in 0..8 {
             let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
             let mut draw = |len: usize| -> Vec<f32> {
                 (0..len)
-                    .map(|_| match rng.below(4) {
-                        0 => specials[rng.below(specials.len() as u64) as usize],
+                    .map(|_| match rng.below(8) {
+                        0 => 0.0,
+                        1 => -0.0,
                         _ => rng.range_f32(-1.0, 1.0),
                     })
                     .collect()
             };
-            let (a, b) = (draw(m * k), draw(k * n));
-            let out0 = draw(m * ldo);
-            let (mut want, mut got) = (out0.clone(), out0);
-            naive_matmul(&a, &b, [m, k, n], &mut want, ldo);
-            matmul_strided_into(&a, &b, [m, k, n], &mut got, ldo);
-            // NaN payloads aside: which NaN an operation returns when
-            // several meet is unspecified in Rust, and the optimizer may
-            // swap the operands of an add.
-            let bits = |x: &[f32]| {
-                x.iter()
-                    .map(|f| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() })
-                    .collect::<Vec<u32>>()
-            };
-            wisegraph_testkit::prop_assert_eq!(bits(&got), bits(&want), "m {m} n {n} k {k} ldo {ldo}");
+            let (a, b) = (draw(m * k), draw(m * n));
+            let got = matmul_at_b(&t2(&a, m, k), &t2(&b, m, n));
+            let want = naive_at_b(&a, &b, [m, k, n]);
+            assert_eq!(nan_class_bits(got.data()), nan_class_bits(&want), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_bt_adds_a_zero_times_inf() {
+        let a = t2(&[0.0, 1.0], 1, 2);
+        let b = t2(&[f32::INFINITY, 2.0], 1, 2);
+        assert!(matmul_a_bt(&a, &b).data()[0].is_nan());
     }
 
     #[test]
