@@ -5,7 +5,7 @@
 //! 1. its gTasks cover every edge of the graph *exactly once* (`P001`);
 //! 2. every gTask honors every `Exact(k)` restriction of its table, and
 //!    the unique counts the partitioner recorded match an independent
-//!    recount (`P002`);
+//!    recount, [`wisegraph_gtask::Recount`] (`P002`);
 //! 3. no gTask is empty (`P003`);
 //! 4. the concatenated edge sequence is monotone in the partitioner's
 //!    sort-key order — [`wisegraph_gtask::PartitionTable::sort_key_attrs`],
@@ -17,8 +17,8 @@
 //! array.
 
 use crate::{push_capped, Code, Diagnostic, Span};
-use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::{Column, PartitionPlan, StampSet};
+use wisegraph_graph::Graph;
+use wisegraph_gtask::{PartitionPlan, Recount};
 
 /// Statically verifies a partition plan against its graph and table.
 /// Returns all findings; an empty vector means the plan is provably legal.
@@ -73,7 +73,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
 
     // --- P002/P003: per-task restriction satisfaction ----------------
     let mut restr_diags = Vec::new();
-    let mut recount = Recount::new(g, &exact);
+    let mut recount = Recount::new(g, exact.iter().map(|&(attr, _)| attr));
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() {
             out.push(
@@ -185,43 +185,10 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
     out
 }
 
-/// Independent unique-value recount over tasks' edges (never trusts the
-/// recorded metadata) — the one recount `P002` and `C001` share. It holds
-/// each attribute's [`Column`] over every edge of the graph, so a sparse
-/// value is dense-ranked before it can size a table, and one [`StampSet`]
-/// per attribute across tasks, so a whole-plan recount is O(E).
-pub(crate) struct Recount {
-    cols: Vec<(Column, StampSet)>,
-}
-
-impl Recount {
-    /// The recount of `attrs`' values on `g`.
-    pub(crate) fn new(g: &Graph, attrs: &[(AttrKind, u64)]) -> Self {
-        let cols = attrs
-            .iter()
-            .map(|&(attr, _)| {
-                let col = Column::new(g, attr, 0..g.num_edges());
-                let seen = StampSet::with_len(col.len);
-                (col, seen)
-            })
-            .collect();
-        Self { cols }
-    }
-
-    /// Distinct values of attribute `j` over `edges` (ids in range).
-    pub(crate) fn unique(&mut self, j: usize, edges: &[u32]) -> usize {
-        let (col, seen) = &mut self.cols[j];
-        seen.clear();
-        for &e in edges {
-            seen.insert(col.codes[e as usize]);
-        }
-        seen.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wisegraph_graph::AttrKind;
     use wisegraph_gtask::{partition, PartitionTable, TaskList};
 
     fn paper_graph() -> Graph {

@@ -25,10 +25,9 @@
 //! depend on cross-task order for correctness — only the reducers'
 //! ascending merge, which keys on node ids, not task ids.
 
-use crate::plan::Recount;
 use crate::{push_capped, Code, Diagnostic, Span};
 use wisegraph_graph::Graph;
-use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
+use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable, Recount};
 
 /// Verifies that an incrementally repaired `plan` is equivalent, for
 /// execution purposes, to partitioning the `live` edge set from scratch
@@ -59,7 +58,7 @@ pub fn verify_repair(
     }
 
     let live_set = LiveSet::new(g.num_edges(), live);
-    let mut recount = Recount::new(g, &table.exact_attrs());
+    let mut recount = Recount::new(g, table.exact_attrs().into_iter().map(|(attr, _)| attr));
     let own = subset_findings(g, table, &live_set, &mut recount, plan);
     let own_clean = own.is_empty();
     out.extend(own);

@@ -47,7 +47,7 @@ fn main() {
             let own = plan.estimate(&g, &dev).time;
             rows.push(vec![
                 name.clone(),
-                plan.table.to_string(),
+                plan.partition.table.to_string(),
                 plan.ctx.batch_rows.to_string(),
                 format!("{:.3} ms", time * 1e3),
                 format!("{:.2}x", worst_foreign / own),

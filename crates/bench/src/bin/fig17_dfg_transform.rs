@@ -14,7 +14,7 @@ use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
 use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind};
 use wisegraph_graph::DatasetKind;
-use wisegraph_gtask::PartitionTable;
+use wisegraph_gtask::{partition, PartitionTable};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -56,10 +56,10 @@ fn main() {
         for model in [ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
             let dfg = model.layer_dfg(fi, fo);
             let table = table_for(model);
-            let baseline = ExecutionPlan::build_untransformed(
+            let baseline = ExecutionPlan::new(
                 &g,
-                table.clone(),
-                &dfg,
+                partition(&g, &table),
+                dfg.clone(),
                 OpPartitionKind::Fused,
             );
             let optimized =

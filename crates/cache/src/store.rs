@@ -164,25 +164,6 @@ impl PlanCache {
         self.plan_or(hash_graph(g), table, g.num_edges(), || partition(g, table))
     }
 
-    /// Cached graph partition over a live edge subset (the delta path).
-    /// `live` must be sorted ascending (as `IncrementalPlan::live_edges`
-    /// returns it) for the key to be canonical.
-    pub fn partition_edges_cached(
-        &mut self,
-        g: &Graph,
-        table: &PartitionTable,
-        live: &[usize],
-    ) -> PartitionPlan {
-        // A sorted unique subset covering every edge IS the full graph:
-        // use the full-graph key so both entry points share entries.
-        let gk = if live.len() == g.num_edges() {
-            hash_graph(g)
-        } else {
-            hash_graph_edges(g, live)
-        };
-        self.partition_under(gk, g, table, live)
-    }
-
     /// Cached partition of `live` filed under a graph key the caller
     /// already holds — `wisegraph-core`'s delta driver keeps the key of its
     /// current live set, so its lookups need not re-derive it from the
@@ -377,12 +358,6 @@ mod tests {
         assert_eq!(a, partition(&halves, &table));
         assert_eq!(b, partition(&thirds, &table));
         assert_ne!(a.tasks, b.tasks);
-        // The same holds for live subsets on the delta path.
-        let live: Vec<usize> = (0..g.num_edges()).step_by(3).collect();
-        let a = cache.partition_edges_cached(&halves, &table, &live);
-        let b = cache.partition_edges_cached(&thirds, &table, &live);
-        assert_eq!((cache.misses(), cache.hits()), (4, 0));
-        assert_ne!(a.tasks, b.tasks);
     }
 
     #[test]
@@ -468,22 +443,6 @@ mod tests {
         // g2's entry still hits.
         cache.partition_cached(&g2, &PartitionTable::vertex_centric());
         assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn live_subset_keys_are_distinct_from_full_graph() {
-        let g = graph(46);
-        let table = PartitionTable::vertex_centric();
-        let mut cache = PlanCache::new();
-        let all: Vec<usize> = (0..g.num_edges()).collect();
-        let sub: Vec<usize> = (0..g.num_edges() / 2).collect();
-        cache.partition_cached(&g, &table);
-        let via_subset = cache.partition_edges_cached(&g, &table, &all);
-        // Same content → same key → hit, even through the other entry point.
-        assert_eq!(cache.hits(), 1);
-        cache.partition_edges_cached(&g, &table, &sub);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(via_subset.total_edges(), g.num_edges());
     }
 
     #[test]

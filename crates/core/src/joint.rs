@@ -49,7 +49,7 @@ pub fn compare_scheduling(
     g: &Graph,
     dev: &DeviceSpec,
 ) -> ScheduleComparison {
-    let durations = plan.task_durations(g, dev);
+    let durations = plan.task_durations(&plan.kernels(g), dev);
     let classes = classify_outliers(g, &plan.partition, &OutlierConfig::default());
     let summary = summarize(&plan.partition, &classes);
     let uniform = schedule::makespan_uniform(&durations, dev.num_sms);
@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use crate::plan::OpPartitionKind;
     use wisegraph_graph::generate::{rmat, RmatParams};
-    use wisegraph_gtask::PartitionTable;
+    use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
 
     #[test]
@@ -124,10 +124,10 @@ mod tests {
         let g = rmat(&RmatParams::standard(4000, 60_000, 3).with_edge_types(4));
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Gat.layer_dfg(64, 64);
-        let plan = crate::plan::ExecutionPlan::build_untransformed(
+        let plan = crate::plan::ExecutionPlan::new(
             &g,
-            PartitionTable::vertex_centric(),
-            &dfg,
+            partition(&g, &PartitionTable::vertex_centric()),
+            dfg,
             OpPartitionKind::Fused,
         );
         let cmp = compare_scheduling(&plan, &g, &dev);
@@ -147,12 +147,15 @@ mod tests {
         let g = rmat(&RmatParams::standard(4000, 60_000, 5).with_edge_types(4));
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Rgcn.layer_dfg(64, 64);
-        let plan = crate::plan::ExecutionPlan::build_untransformed(
+        let plan = crate::plan::ExecutionPlan::new(
             &g,
-            PartitionTable::new()
-                .exact(wisegraph_graph::AttrKind::DstId, 1)
-                .exact(wisegraph_graph::AttrKind::EdgeId, 32),
-            &dfg,
+            partition(
+                &g,
+                &PartitionTable::new()
+                    .exact(wisegraph_graph::AttrKind::DstId, 1)
+                    .exact(wisegraph_graph::AttrKind::EdgeId, 32),
+            ),
+            dfg,
             OpPartitionKind::Fused,
         );
         let cmp = compare_scheduling(&plan, &g, &dev);
@@ -168,10 +171,10 @@ mod tests {
         let g = rmat(&RmatParams::standard(2000, 30_000, 7));
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Gcn.layer_dfg(32, 32);
-        let plan = crate::plan::ExecutionPlan::build_untransformed(
+        let plan = crate::plan::ExecutionPlan::new(
             &g,
-            PartitionTable::edge_batch(32),
-            &dfg,
+            partition(&g, &PartitionTable::edge_batch(32)),
+            dfg,
             OpPartitionKind::Fused,
         );
         let cmp = compare_scheduling(&plan, &g, &dev);

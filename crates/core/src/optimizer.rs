@@ -9,7 +9,7 @@ use wisegraph_baselines::single::{persistent_bytes, LayerDims, TRAIN_FACTOR};
 use wisegraph_dfg::{analysis, transform, Binding};
 use wisegraph_graph::Graph;
 use wisegraph_gtask::restriction::enumerate_tables;
-use wisegraph_gtask::PartitionTable;
+use wisegraph_gtask::{partition, PartitionPlan, PartitionTable};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -98,6 +98,9 @@ impl WiseGraph {
         *self.stats.lock().unwrap()
     }
 
+    /// The plan's estimated time, from the cache when `key` was priced
+    /// before. A key names the graph by its content key, so an optimizer
+    /// reused across graphs never answers with another graph's time.
     fn cached_estimate(
         &self,
         key: String,
@@ -141,12 +144,15 @@ impl WiseGraph {
     }
 
     /// Runs the three-stage search and returns the optimized model plus
-    /// its trace.
+    /// its trace. Each table that survives pruning is partitioned once;
+    /// stage 2's variants and the per-layer plans reuse the winner's
+    /// partition.
     pub fn optimize(&self, g: &Graph, model: ModelKind, dims: &LayerDims) -> OptimizedModel {
         let repr_dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let attrs: Vec<_> = analysis::indexing_attrs(&repr_dfg).into_iter().collect();
         let tables = enumerate_tables(&attrs, &self.batch_sizes);
         let edges = g.num_edges() as f64;
+        let graph = g.content_key();
         let mut trace = SearchTrace::default();
 
         // Stage 1 — graph partition: original DFG, fused kernels. The cost
@@ -154,7 +160,7 @@ impl WiseGraph {
         // score seen, without partitioning them.
         let binding = Binding::from_graph(g);
         let base_workload = analysis::workload(&repr_dfg, &binding);
-        let mut best_table: Option<(PartitionTable, f64)> = None;
+        let mut best_table: Option<(PartitionPlan, f64)> = None;
         let mut best_score = f64::INFINITY;
         for table in tables {
             let score = self.table_score(&table, &base_workload);
@@ -163,50 +169,52 @@ impl WiseGraph {
                 continue;
             }
             best_score = best_score.min(score);
-            let plan = ExecutionPlan::build_untransformed(
+            let key = format!(
+                "g|{graph:016x}|{}|{}|{}x{}",
+                table,
+                model.name(),
+                dims.hidden,
+                dims.hidden
+            );
+            let plan = ExecutionPlan::new(
                 g,
-                table.clone(),
-                &repr_dfg,
+                partition(g, &table),
+                repr_dfg.clone(),
                 OpPartitionKind::Fused,
             );
-            let key = format!("g|{}|{}|{}x{}", table, model.name(), dims.hidden, dims.hidden);
             let t = self.cached_estimate(key, g, &plan);
             trace.points.push((SearchStage::GraphPartition, edges / t));
             if best_table.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                best_table = Some((table, t));
+                best_table = Some((plan.partition, t));
             }
         }
-        let (table, _) = best_table.expect("at least one table survives");
+        let (part, _) = best_table.expect("at least one table survives");
+        let table = &part.table;
 
         // Stage 2 — operation partition: DFG transformation × grouping.
         // Variants whose DFG-level workload (computation + memory volume)
         // is far above the best candidate's are ruled out by the cost
         // model without pricing (§6.3 pruning).
+        let transformed_dfg = transform::optimize(&repr_dfg, &binding).0;
         let mut best: Option<(ExecutionPlan, f64)> = None;
         let mut best_stage2_cost = f64::INFINITY;
-        for transformed in [true, false] {
+        for (transformed, dfg) in [(true, &transformed_dfg), (false, &repr_dfg)] {
+            let cost = transform::transform_cost(&analysis::workload(dfg, &binding));
             for op in OpPartitionKind::ALL {
-                let plan = if transformed {
-                    ExecutionPlan::build(g, table.clone(), &repr_dfg, op)
-                } else {
-                    ExecutionPlan::build_untransformed(g, table.clone(), &repr_dfg, op)
-                };
-                let cost = transform::transform_cost(&analysis::workload(
-                    &plan.dfg, &binding,
-                ));
                 if cost > 10.0 * best_stage2_cost {
                     self.stats.lock().unwrap().pruned += 1;
                     continue;
                 }
                 best_stage2_cost = best_stage2_cost.min(cost);
                 let key = format!(
-                    "o|{}|{}|{}|{:?}|{}",
+                    "o|{graph:016x}|{}|{}|{}|{:?}|{}",
                     table,
                     model.name(),
                     transformed,
                     op,
                     dims.hidden
                 );
+                let plan = ExecutionPlan::new(g, part.clone(), dfg.clone(), op);
                 let t = self.cached_estimate(key, g, &plan);
                 trace
                     .points
@@ -232,8 +240,8 @@ impl WiseGraph {
         let mut per_layer = Vec::new();
         for l in 0..dims.layers {
             let (fi, fo) = dims.layer_io(l);
-            let dfg = model.layer_dfg(fi, fo);
-            let plan = ExecutionPlan::build(g, table.clone(), &dfg, best_plan.op_partition);
+            let dfg = transform::optimize(&model.layer_dfg(fi, fo), &binding).0;
+            let plan = ExecutionPlan::new(g, part.clone(), dfg, best_plan.op_partition);
             let est = plan.estimate(g, &self.device);
             total += est.time * joint_gain;
             transient = transient.max(est.transient_bytes);
@@ -254,7 +262,9 @@ impl WiseGraph {
 mod tests {
     use super::*;
     use wisegraph_baselines::Baseline;
+    use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_graph::DatasetKind;
+    use wisegraph_obs::capture;
 
     #[test]
     fn wisegraph_beats_all_baselines_on_complex_models() {
@@ -318,6 +328,54 @@ mod tests {
             s.evaluated, evaluated_first,
             "second run should evaluate nothing new"
         );
+    }
+
+    fn small_graph(seed: u64) -> Graph {
+        rmat(&RmatParams::standard(800, 9000, seed).with_edge_types(3))
+    }
+
+    #[test]
+    fn the_cache_tells_graphs_apart() {
+        let dims = LayerDims::paper_single(32, 8);
+        let g = small_graph(77);
+        let wg = WiseGraph::new(DeviceSpec::a100_pcie());
+        let _ = wg.optimize(&small_graph(78), ModelKind::Rgcn, &dims);
+        let first = wg.stats();
+        let reused = wg.optimize(&g, ModelKind::Rgcn, &dims);
+        let second = wg.stats();
+        let fresh_wg = WiseGraph::new(DeviceSpec::a100_pcie());
+        let fresh = fresh_wg.optimize(&g, ModelKind::Rgcn, &dims);
+        assert_eq!(
+            second.cache_hits, first.cache_hits,
+            "another graph's times answered"
+        );
+        assert_eq!(
+            second.evaluated - first.evaluated,
+            fresh_wg.stats().evaluated
+        );
+        assert_eq!(
+            reused.time_per_iter.to_bits(),
+            fresh.time_per_iter.to_bits()
+        );
+        assert_eq!(reused.memory_bytes.to_bits(), fresh.memory_bytes.to_bits());
+        let bits =
+            |t: &SearchTrace| -> Vec<u64> { t.points.iter().map(|&(_, p)| p.to_bits()).collect() };
+        assert_eq!(bits(&reused.trace), bits(&fresh.trace));
+    }
+
+    #[test]
+    fn each_surviving_table_is_partitioned_once() {
+        let g = small_graph(5);
+        let wg = WiseGraph::new(DeviceSpec::a100_pcie());
+        let dims = LayerDims::paper_single(32, 8);
+        let (out, trace) = capture(|| wg.optimize(&g, ModelKind::Rgcn, &dims));
+        let tables = out
+            .trace
+            .points
+            .iter()
+            .filter(|&&(s, _)| s == SearchStage::GraphPartition)
+            .count();
+        assert_eq!(trace.span_count("gtask.partition"), tables);
     }
 
     #[test]

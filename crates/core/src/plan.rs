@@ -1,14 +1,19 @@
 //! Executable plans and their evaluation.
 //!
 //! An [`ExecutionPlan`] is the product of joint partitioning for one model
-//! layer: the graph partition table (→ gTasks), the (possibly transformed)
-//! DFG, the operation partition, and the kernel context derived from the
-//! plan's data patterns. Evaluating a plan prices its kernels on the device
-//! model and schedules its per-task work onto execution units.
+//! layer: the graph partition (gTasks, with the table that made them), the
+//! (possibly transformed) DFG, the operation partition, and the kernel
+//! context derived from the plan's data patterns. A plan is built from a
+//! partition the caller holds ([`ExecutionPlan::new`]), so a search that
+//! prices many DFG and grouping variants of one table partitions it once.
+//! The data-pattern rules count distinct values with
+//! [`wisegraph_gtask::Recount`], the recount the plan verifier uses.
+//! Evaluating a plan prices its kernels on the device model and schedules
+//! its per-task work onto execution units.
 
 use wisegraph_dfg::{transform, Binding, Dfg};
 use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::{partition, PartitionPlan, PartitionTable};
+use wisegraph_gtask::{partition, PartitionPlan, PartitionTable, Recount};
 use wisegraph_kernels::{
     generate::{boundary_bytes, generate_kernels},
     GeneratedKernel, KernelContext, OpPartition,
@@ -49,9 +54,7 @@ impl OpPartitionKind {
 /// One layer's joint plan.
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
-    /// The graph partition table.
-    pub table: PartitionTable,
-    /// The generated gTasks.
+    /// The generated gTasks and the table that generated them.
     pub partition: PartitionPlan,
     /// The (possibly transformed) DFG.
     pub dfg: Dfg,
@@ -100,6 +103,16 @@ pub fn plan_batch_rows(g: &Graph, plan: &PartitionPlan) -> usize {
     sizes[sizes.len() / 2].max(1)
 }
 
+/// `Σ uniq(attr)` over the plan's tasks: the recorded counts when the plan
+/// tracks `attr`, a recount from the graph otherwise.
+fn distinct_sum(g: &Graph, plan: &PartitionPlan, attr: AttrKind) -> usize {
+    if let Some(j) = plan.tasks.attrs().iter().position(|&a| a == attr) {
+        return plan.tasks.iter().map(|t| t.uniq_row()[j] as usize).sum();
+    }
+    let mut recount = Recount::new(g, [attr]);
+    plan.tasks.iter().map(|t| recount.unique(0, t.edges)).sum()
+}
+
 /// Gather-deduplication factor of a plan: the fraction of raw per-edge
 /// source gathers that remain after per-task dedup (the *duplicated data*
 /// pattern, §5.1). Plans grouping edges by source read each unique source
@@ -109,11 +122,7 @@ pub fn plan_gather_dedup(g: &Graph, plan: &PartitionPlan) -> f64 {
     if total == 0 {
         return 1.0;
     }
-    let unique_loads: usize = plan
-        .tasks
-        .iter()
-        .map(|t| t.uniq_of(g, AttrKind::SrcId))
-        .sum();
+    let unique_loads = distinct_sum(g, plan, AttrKind::SrcId);
     (unique_loads as f64 / total as f64).clamp(0.0, 1.0)
 }
 
@@ -122,37 +131,29 @@ pub fn plan_gather_dedup(g: &Graph, plan: &PartitionPlan) -> f64 {
 /// is `max(degree) / mean(degree)` over the task's destinations. Plans
 /// restricting `uniq(dst-degree)` (exactly or to `min`) keep this near 1.
 pub fn plan_lstm_padding(g: &Graph, plan: &PartitionPlan) -> f64 {
+    let mut recount = Recount::new(g, [AttrKind::DstId]);
     let mut weighted = 0.0f64;
     let mut total = 0.0f64;
+    let mut pairs = 0usize;
     for task in &plan.tasks {
-        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e as usize]).collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        let degs: Vec<f64> = dsts
-            .iter()
-            .map(|&d| g.in_degree()[d as usize] as f64)
-            .collect();
-        let max = degs.iter().copied().fold(0.0, f64::max);
-        let mean = degs.iter().sum::<f64>() / degs.len() as f64;
+        // Degrees are integers, so their sum is exact in any order.
+        let (mut max, mut sum) = (0.0f64, 0.0f64);
+        let dsts = recount.unique_by(0, task.edges, |e| {
+            let deg = g.in_degree()[g.dst()[e as usize] as usize] as f64;
+            max = max.max(deg);
+            sum += deg;
+        });
+        let mean = sum / dsts as f64;
         let pad = if mean > 0.0 { max / mean } else { 1.0 };
         weighted += pad * task.num_edges() as f64;
         total += task.num_edges() as f64;
+        pairs += dsts;
     }
     let pad = if total > 0.0 { weighted / total } else { 1.0 };
     // Fragmentation: if a destination's in-edges are split across tasks,
     // its LSTM state must be re-loaded and serialized per fragment.
-    let mut pairs = 0usize;
-    let mut all_dsts: Vec<u32> = Vec::new();
-    for task in &plan.tasks {
-        let mut dsts: Vec<u32> = task.edges.iter().map(|&e| g.dst()[e as usize]).collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        pairs += dsts.len();
-        all_dsts.extend(dsts);
-    }
-    all_dsts.sort_unstable();
-    all_dsts.dedup();
-    let frag = pairs as f64 / all_dsts.len().max(1) as f64;
+    let all_dsts = recount.unique(0, plan.tasks.edges());
+    let frag = pairs as f64 / all_dsts.max(1) as f64;
     pad * frag
 }
 
@@ -173,16 +174,10 @@ fn has_per_edge_linear(dfg: &Dfg) -> bool {
 /// the plan's gTasks reveal: batch size, gather dedup, LSTM padding, and
 /// the per-edge-weight constraint (a `PerEdgeLinear` batch needs a single
 /// weight per task, i.e. `uniq(edge-type) = 1`).
-fn derive_ctx(
-    g: &Graph,
-    plan: &PartitionPlan,
-    table: &PartitionTable,
-    dfg: &Dfg,
-) -> KernelContext {
+fn derive_ctx(g: &Graph, plan: &PartitionPlan, dfg: &Dfg) -> KernelContext {
     let mut batch = plan_batch_rows(g, plan);
     if has_per_edge_linear(dfg)
-        && table.restriction(AttrKind::EdgeType)
-            != wisegraph_gtask::Restriction::Exact(1)
+        && plan.table.restriction(AttrKind::EdgeType) != wisegraph_gtask::Restriction::Exact(1)
     {
         // Mixed weights within a task: no matrix batching possible.
         batch = 1;
@@ -197,11 +192,7 @@ fn derive_ctx(
     let effective_dedup = dedup * realized + 1.0 * (1.0 - realized);
     // Scatter fragmentation: one read-modify-write per (task, destination)
     // fragment.
-    let fragments: usize = plan
-        .tasks
-        .iter()
-        .map(|t| t.uniq_of(g, AttrKind::DstId))
-        .sum();
+    let fragments = distinct_sum(g, plan, AttrKind::DstId);
     let scatter = (fragments as f64 / plan.total_edges().max(1) as f64).clamp(0.0, 1.0);
     let mut ctx = KernelContext::gtask(plan.num_tasks() as f64, batch)
         .with_gather_dedup(effective_dedup)
@@ -235,48 +226,36 @@ fn gather_width(dfg: &Dfg) -> usize {
 }
 
 impl ExecutionPlan {
-    /// Builds a plan: partitions the graph, derives the kernel context from
-    /// the gTask patterns, and transform-optimizes the DFG under the
-    /// whole-scope binding.
-    pub fn build(
+    /// A plan running `dfg` over `partition`, a partition of `g`: derives
+    /// the kernel context from the gTask patterns. The context rules apply
+    /// to the DFG that will actually run (e.g. the per-edge-weight
+    /// constraint disappears once the transformation replaces
+    /// `PerEdgeLinear` with a pairwise table).
+    pub fn new(
         g: &Graph,
-        table: PartitionTable,
-        base_dfg: &Dfg,
+        partition: PartitionPlan,
+        dfg: Dfg,
         op_partition: OpPartitionKind,
     ) -> Self {
-        let plan = partition(g, &table);
-        let binding = Binding::from_graph(g);
-        let (dfg, _) = transform::optimize(base_dfg, &binding);
-        // Context rules apply to the DFG that will actually run (e.g. the
-        // per-edge-weight constraint disappears once the transformation
-        // replaces `PerEdgeLinear` with a pairwise table).
-        let ctx = derive_ctx(g, &plan, &table, &dfg);
+        let ctx = derive_ctx(g, &partition, &dfg);
         Self {
-            table,
-            partition: plan,
+            partition,
             dfg,
             op_partition,
             ctx,
         }
     }
 
-    /// Builds a plan *without* DFG transformation (for ablations and the
-    /// staged search).
-    pub fn build_untransformed(
+    /// Partitions the graph by `table` and builds the plan of `base_dfg`
+    /// transform-optimized under the whole-scope binding.
+    pub fn build(
         g: &Graph,
         table: PartitionTable,
         base_dfg: &Dfg,
         op_partition: OpPartitionKind,
     ) -> Self {
-        let plan = partition(g, &table);
-        let ctx = derive_ctx(g, &plan, &table, base_dfg);
-        Self {
-            table,
-            partition: plan,
-            dfg: base_dfg.clone(),
-            op_partition,
-            ctx,
-        }
+        let (dfg, _) = transform::optimize(base_dfg, &Binding::from_graph(g));
+        Self::new(g, partition(g, &table), dfg, op_partition)
     }
 
     /// Generates this plan's kernels.
@@ -286,11 +265,10 @@ impl ExecutionPlan {
         generate_kernels(&self.dfg, &binding, &part, &self.ctx)
     }
 
-    /// Per-gTask durations of the fused (per-task) kernels under uniform
-    /// execution: each task occupies a batch slot, so underfilled tasks are
-    /// padded to the plan's batch granularity.
-    pub fn task_durations(&self, g: &Graph, dev: &DeviceSpec) -> Vec<f64> {
-        let kernels = self.kernels(g);
+    /// Per-gTask durations of this plan's fused (per-task) `kernels` under
+    /// uniform execution: each task occupies a batch slot, so underfilled
+    /// tasks are padded to the plan's batch granularity.
+    pub fn task_durations(&self, kernels: &[GeneratedKernel], dev: &DeviceSpec) -> Vec<f64> {
         // Only per-task kernels (those whose parallelism comes from tasks)
         // are spread over tasks; pure dense kernels run monolithically.
         let per_task_time: f64 = kernels
@@ -329,7 +307,7 @@ impl ExecutionPlan {
         }
         // Imbalance correction: replace the ideal per-task span by the
         // scheduled makespan (uniform priorities).
-        let durations = self.task_durations(g, dev);
+        let durations = self.task_durations(&kernels, dev);
         if !durations.is_empty() {
             let ideal: f64 = durations.iter().sum::<f64>() / dev.num_sms as f64;
             let scheduled = schedule::makespan_uniform(&durations, dev.num_sms);
@@ -369,10 +347,10 @@ mod tests {
         let g = test_graph();
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Rgcn.layer_dfg(64, 64);
-        let vc = ExecutionPlan::build_untransformed(
+        let vc = ExecutionPlan::new(
             &g,
-            PartitionTable::vertex_centric(),
-            &dfg,
+            partition(&g, &PartitionTable::vertex_centric()),
+            dfg.clone(),
             OpPartitionKind::Fused,
         );
         let ours = ExecutionPlan::build(
@@ -426,7 +404,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let d = plan.task_durations(&g, &dev);
+        let d = plan.task_durations(&plan.kernels(&g), &dev);
         assert_eq!(d.len(), plan.partition.num_tasks());
         assert!(d.iter().all(|&t| t >= 0.0));
         assert!(d.iter().sum::<f64>() > 0.0);

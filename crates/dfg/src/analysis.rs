@@ -60,16 +60,6 @@ impl Workload {
     pub fn bytes(&self) -> f64 {
         self.neural_bytes + self.indexing_bytes
     }
-
-    /// Arithmetic intensity (FLOP per byte); zero traffic yields zero.
-    pub fn flop_per_byte(&self) -> f64 {
-        let b = self.bytes();
-        if b == 0.0 {
-            0.0
-        } else {
-            self.flops() / b
-        }
-    }
 }
 
 /// Sums the workload of every live node of the DFG under a binding.
@@ -180,7 +170,6 @@ mod tests {
         assert!(w.indexing_bytes > 0.0, "index ops move bytes");
         // IndexAdd contributes indexing flops (the additions).
         assert!(w.indexing_flops > 0.0);
-        assert!(w.flop_per_byte() > 0.0);
         assert_eq!(w.min_parallel_rows, 11.0);
     }
 

@@ -7,17 +7,6 @@
 
 use std::fmt;
 
-/// Where an edge attribute physically lives (the columns of Figure 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AttrLocation {
-    /// Stored per edge (e.g. `edge-id`, `edge-type`).
-    Edge,
-    /// A property of the source endpoint (e.g. `src-id`, `src-degree`).
-    Source,
-    /// A property of the destination endpoint (e.g. `dst-id`, `dst-degree`).
-    Destination,
-}
-
 /// The kinds of edge attributes WiseGraph can restrict on.
 ///
 /// `EdgeId`, `SrcId`, `DstId` and `EdgeType` are *indexing* attributes when
@@ -56,25 +45,6 @@ impl AttrKind {
         AttrKind::SrcVertexType,
         AttrKind::DstVertexType,
     ];
-
-    /// Returns where this attribute lives.
-    pub fn location(self) -> AttrLocation {
-        match self {
-            AttrKind::EdgeId | AttrKind::EdgeType => AttrLocation::Edge,
-            AttrKind::SrcId | AttrKind::SrcDegree | AttrKind::SrcVertexType => {
-                AttrLocation::Source
-            }
-            AttrKind::DstId | AttrKind::DstDegree | AttrKind::DstVertexType => {
-                AttrLocation::Destination
-            }
-        }
-    }
-
-    /// Returns `true` for attributes derived from graph structure rather
-    /// than used by indexing operations (the paper's *inherent attributes*).
-    pub fn is_inherent(self) -> bool {
-        matches!(self, AttrKind::DstDegree | AttrKind::SrcDegree)
-    }
 }
 
 impl fmt::Display for AttrKind {
@@ -96,22 +66,6 @@ impl fmt::Display for AttrKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn locations_match_figure6() {
-        assert_eq!(AttrKind::EdgeId.location(), AttrLocation::Edge);
-        assert_eq!(AttrKind::EdgeType.location(), AttrLocation::Edge);
-        assert_eq!(AttrKind::SrcId.location(), AttrLocation::Source);
-        assert_eq!(AttrKind::DstDegree.location(), AttrLocation::Destination);
-    }
-
-    #[test]
-    fn inherent_attributes() {
-        assert!(AttrKind::DstDegree.is_inherent());
-        assert!(AttrKind::SrcDegree.is_inherent());
-        assert!(!AttrKind::SrcId.is_inherent());
-        assert!(!AttrKind::EdgeType.is_inherent());
-    }
 
     #[test]
     fn display_names() {

@@ -50,11 +50,6 @@ impl Csr {
         }
     }
 
-    /// Number of rows (vertices).
-    pub fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Number of stored edges.
     pub fn num_edges(&self) -> usize {
         self.endpoints.len()
@@ -109,7 +104,6 @@ mod tests {
     fn in_csr_matches_degrees() {
         let g = paper_graph();
         let csr = Csr::in_of(&g);
-        assert_eq!(csr.num_rows(), 5);
         assert_eq!(csr.num_edges(), 11);
         for v in 0..5 {
             assert_eq!(csr.degree(v), g.in_degree()[v] as usize);

@@ -27,38 +27,6 @@ pub fn degree_gini(degrees: &[u32]) -> f64 {
     1.0 - 2.0 * (weighted / (n * total as f64)) + 1.0 / n
 }
 
-/// A log-binned degree histogram: `(lower_bound, count)` pairs.
-pub fn degree_histogram_log2(degrees: &[u32]) -> Vec<(u32, usize)> {
-    let max = degrees.iter().copied().max().unwrap_or(0);
-    let bins = 64 - u64::from(max).leading_zeros() as usize + 1;
-    let mut hist = vec![0usize; bins.max(1)];
-    for &d in degrees {
-        let bin = if d == 0 {
-            0
-        } else {
-            64 - u64::from(d).leading_zeros() as usize
-        };
-        hist[bin.min(bins - 1)] += 1;
-    }
-    hist.into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(b, c)| (if b == 0 { 0 } else { 1u32 << (b - 1) }, c))
-        .collect()
-}
-
-/// Fraction of all edges incident (as destination) to the top `k` vertices.
-pub fn top_k_in_degree_share(degrees: &[u32], k: usize) -> f64 {
-    let total: u64 = degrees.iter().map(|&d| d as u64).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut sorted: Vec<u32> = degrees.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let top: u64 = sorted.iter().take(k).map(|&d| d as u64).sum();
-    top as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,24 +49,5 @@ mod tests {
     fn gini_handles_empty_and_zero() {
         assert_eq!(degree_gini(&[]), 0.0);
         assert_eq!(degree_gini(&[0, 0, 0]), 0.0);
-    }
-
-    #[test]
-    fn histogram_bins_cover_all_vertices() {
-        let d = [0, 1, 1, 2, 3, 4, 8, 9, 1000];
-        let h = degree_histogram_log2(&d);
-        let total: usize = h.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, d.len());
-        // Bin lower bounds are increasing powers of two (after the 0 bin).
-        for w in h.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    }
-
-    #[test]
-    fn top_k_share() {
-        let d = [10, 10, 10, 70];
-        assert!((top_k_in_degree_share(&d, 1) - 0.7).abs() < 1e-9);
-        assert!((top_k_in_degree_share(&d, 4) - 1.0).abs() < 1e-9);
     }
 }

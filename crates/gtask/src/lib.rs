@@ -12,9 +12,9 @@
 //! - [`partition`](mod@partition): the greedy sort-and-scan partitioner
 //!   (counting sort plus one stamped scan, O(E) per key column), writing
 //!   the plan's flat arrays directly;
-//! - [`stamp`]: the epoch-stamped dense value set the scan and the plan
-//!   verifiers count distinct attribute values with, and the code columns
-//!   that size it;
+//! - [`stamp`]: the epoch-stamped dense value set the scan counts distinct
+//!   attribute values with, the code columns that size it, and the
+//!   [`Recount`] the plan verifiers and the plan pricer count with;
 //! - [`task`]: the CSR-of-tasks [`PartitionPlan`], the [`GTask`] view of
 //!   one task and its gTask-level data patterns (duplicated data, batched
 //!   data, changing data volume);
@@ -32,5 +32,5 @@ pub use outlier::{classify_outliers, OutlierKind};
 pub use incremental::{DeltaStats, GraphDelta, IncrementalPlan};
 pub use partition::{partition, partition_edges};
 pub use restriction::{PartitionTable, Restriction};
-pub use stamp::{Column, StampSet};
+pub use stamp::{Column, Recount, StampSet};
 pub use task::{DataPatterns, GTask, PartitionPlan, TaskList, Tasks};

@@ -13,6 +13,9 @@
 //! budget of the list (`bucket_budget`), replaces them by their dense
 //! rank, which keeps their order and their distinct count. A table is
 //! sized by its column's code range, never by a raw value.
+//!
+//! A [`Recount`] pairs the two over a whole graph: the distinct-value
+//! count of any edge list, in one pass over it.
 
 use wisegraph_graph::{AttrKind, Graph};
 
@@ -120,6 +123,53 @@ impl StampSet {
     #[cfg(test)]
     pub(crate) fn table_len(&self) -> usize {
         self.stamp.len()
+    }
+}
+
+/// Distinct-value recount over lists of a graph's edges, from the graph
+/// alone (never from a plan's recorded counts): the one count the plan
+/// verifiers (`P002`, `C001`) and the plan pricer share. It holds each
+/// attribute's [`Column`] over every edge of the graph, so a sparse value
+/// is dense-ranked before it can size a table, and one [`StampSet`] per
+/// attribute reused across lists, so recounting every task of a plan is
+/// O(E).
+#[derive(Debug)]
+pub struct Recount {
+    cols: Vec<(Column, StampSet)>,
+}
+
+impl Recount {
+    /// The recount of `attrs`' values on `g`; attribute `j` of `attrs` is
+    /// counted by index `j`.
+    pub fn new(g: &Graph, attrs: impl IntoIterator<Item = AttrKind>) -> Self {
+        let cols = attrs
+            .into_iter()
+            .map(|attr| {
+                let col = Column::new(g, attr, 0..g.num_edges());
+                let seen = StampSet::with_len(col.len);
+                (col, seen)
+            })
+            .collect();
+        Self { cols }
+    }
+
+    /// Distinct values of attribute `j` over `edges` (ids of the graph's
+    /// edges).
+    pub fn unique(&mut self, j: usize, edges: &[u32]) -> usize {
+        self.unique_by(j, edges, |_| {})
+    }
+
+    /// [`unique`](Self::unique), also calling `first` with each edge whose
+    /// value no earlier edge of `edges` holds.
+    pub fn unique_by(&mut self, j: usize, edges: &[u32], mut first: impl FnMut(u32)) -> usize {
+        let (col, seen) = &mut self.cols[j];
+        seen.clear();
+        for &e in edges {
+            if seen.insert(col.codes[e as usize]) {
+                first(e);
+            }
+        }
+        seen.len()
     }
 }
 

@@ -98,11 +98,6 @@ impl OpPartition {
     pub fn groups(&self) -> &[Vec<NodeId>] {
         &self.groups
     }
-
-    /// Number of kernels.
-    pub fn num_kernels(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,7 @@ mod tests {
         let d = rgcn_dfg();
         let p = OpPartition::separate(&d);
         // Compute nodes: two Index, PerEdgeLinear, IndexAdd.
-        assert_eq!(p.num_kernels(), 4);
+        assert_eq!(p.groups().len(), 4);
         assert!(p.groups().iter().all(|g| g.len() == 1));
     }
 
@@ -139,7 +134,7 @@ mod tests {
     fn fused_yields_single_kernel() {
         let d = rgcn_dfg();
         let p = OpPartition::fused(&d);
-        assert_eq!(p.num_kernels(), 1);
+        assert_eq!(p.groups().len(), 1);
         assert_eq!(p.groups()[0].len(), 4);
     }
 
@@ -155,7 +150,7 @@ mod tests {
         let agg = d.index_add(gathered, dst, Dim::Vertices);
         d.mark_output(agg);
         let p = OpPartition::dense_separate_rest_fused(&d);
-        assert_eq!(p.num_kernels(), 2);
+        assert_eq!(p.groups().len(), 2);
         // One group holds exactly the Linear.
         assert!(p
             .groups()

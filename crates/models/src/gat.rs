@@ -10,7 +10,6 @@ use wisegraph_tensor::{init, Tape, Tensor, Var};
 /// neural operation).
 pub struct Gat {
     layers: Vec<GatLayer>,
-    heads: usize,
     /// Leaky-ReLU slope used for attention scores.
     pub slope: f32,
 }
@@ -71,16 +70,7 @@ impl Gat {
                 }
             })
             .collect();
-        Self {
-            layers,
-            heads,
-            slope: 0.2,
-        }
-    }
-
-    /// Number of attention heads per layer.
-    pub fn num_heads(&self) -> usize {
-        self.heads
+        Self { layers, slope: 0.2 }
     }
 }
 
@@ -196,7 +186,7 @@ mod tests {
         });
         let feats = features_tensor(&lg.features, 250, 12);
         let mut model = Gat::with_heads(&[12, 16, 4], 4, 9);
-        assert_eq!(model.num_heads(), 4);
+        assert!(model.layers.iter().all(|l| l.heads.len() == 4));
         let mut opt = Adam::new(0.01);
         let mut losses = Vec::new();
         for _ in 0..25 {

@@ -110,16 +110,6 @@ pub mod keys {
         format!("partition.dedup_ratio.{attr}")
     }
 
-    /// Total sampled-fan-out edges across workers ([`Work`](crate::Class::Work), sum).
-    pub const FANOUT_TOTAL_EDGES: &str = "fanout.total_edges";
-    /// Heaviest per-worker fan-out share ([`Work`](crate::Class::Work), max).
-    pub const FANOUT_CRITICAL_EDGES: &str = "fanout.critical_path_edges";
-
-    /// Fan-out edges handled by one sampling worker ([`Work`](crate::Class::Work), sum).
-    pub fn fanout_worker_edges(worker: usize) -> String {
-        format!("fanout.worker.{worker:02}.edges")
-    }
-
     /// Engine worker slots used by an execution ([`Resource`](crate::Class::Resource), max).
     pub const ENGINE_THREADS: &str = "engine.threads";
     /// Edges of an execution's busiest worker slot over the mean of all
@@ -181,7 +171,6 @@ mod tests {
         // Zero padding keeps lexicographic order == numeric order for the
         // worker/class counts this workspace uses.
         assert!(super::keys::pool_class_peak(2) < super::keys::pool_class_peak(10));
-        assert!(super::keys::fanout_worker_edges(2) < super::keys::fanout_worker_edges(10));
         assert_eq!(
             super::keys::partition_dedup_ratio("src"),
             "partition.dedup_ratio.src"

@@ -179,12 +179,6 @@ impl DeviceSpec {
         let memory = k.bytes / (self.effective_bw(k.class) * occ);
         self.launch_latency + compute.max(memory)
     }
-
-    /// The theoretically optimal time for a workload: balanced roofline at
-    /// full peak (used as the "Optimal" line of Figure 3a).
-    pub fn optimal_time(&self, flops: f64, bytes: f64) -> f64 {
-        (flops / self.tensor_flops).max(bytes / self.mem_bw)
-    }
 }
 
 #[cfg(test)]
@@ -267,24 +261,5 @@ mod tests {
         let t = d.kernel_time(&k);
         assert!(t >= d.launch_latency);
         assert!(t < 2.0 * d.launch_latency);
-    }
-
-    #[test]
-    fn optimal_time_is_a_lower_bound() {
-        let d = dev();
-        for class in [
-            ComputeClass::EdgeWise,
-            ComputeClass::Batched { k: 32 },
-            ComputeClass::DenseMatmul,
-            ComputeClass::Elementwise,
-        ] {
-            let k = KernelCost {
-                flops: 1e12,
-                bytes: 1e10,
-                parallel_tasks: 1e6,
-                class,
-            };
-            assert!(d.kernel_time(&k) >= d.optimal_time(k.flops, k.bytes));
-        }
     }
 }

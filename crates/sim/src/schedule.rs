@@ -50,29 +50,6 @@ pub fn makespan_uniform(durations: &[f64], units: usize) -> f64 {
     makespan(&tasks, units)
 }
 
-/// Differentiated execution: longest tasks first (overfill gTasks get
-/// priority, §6.2), matching the "increase the priority of execution for
-/// overfill gTasks" rule.
-pub fn makespan_longest_first(durations: &[f64], units: usize) -> f64 {
-    let mut order: Vec<usize> = (0..durations.len()).collect();
-    order.sort_by(|&a, &b| durations[b].partial_cmp(&durations[a]).expect("finite"));
-    let tasks: Vec<ScheduledTask> = order
-        .iter()
-        .enumerate()
-        .map(|(rank, &i)| ScheduledTask {
-            duration: durations[i],
-            priority: -(rank as i32),
-        })
-        .collect();
-    makespan(&tasks, units)
-}
-
-/// Lower bound on any schedule: max(total/units, longest task).
-pub fn makespan_lower_bound(durations: &[f64], units: usize) -> f64 {
-    let total: f64 = durations.iter().sum();
-    let longest = durations.iter().copied().fold(0.0, f64::max);
-    (total / units as f64).max(longest)
-}
 
 #[cfg(test)]
 mod tests {
@@ -94,22 +71,19 @@ mod tests {
     #[test]
     fn long_tail_from_late_heavy_task() {
         // 15 small tasks then one huge one: uniform order starts the huge
-        // task last → long tail. Longest-first fixes it.
+        // task last (at t = 3, when a unit frees up) → long tail.
         let mut d = vec![1.0; 15];
         d.push(10.0);
-        let uniform = makespan_uniform(&d, 4);
-        let diff = makespan_longest_first(&d, 4);
-        assert!(uniform > diff, "uniform {uniform} vs differentiated {diff}");
-        assert!((diff - makespan_lower_bound(&d, 4)).abs() < 1e-6);
+        assert_eq!(makespan_uniform(&d, 4), 13.0);
     }
 
     #[test]
     fn lower_bound_holds() {
         let d = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         for units in 1..6 {
-            let lb = makespan_lower_bound(&d, units);
+            // No schedule beats max(total / units, longest task).
+            let lb = (31.0 / units as f64).max(9.0);
             assert!(makespan_uniform(&d, units) >= lb - 1e-9);
-            assert!(makespan_longest_first(&d, units) >= lb - 1e-9);
         }
     }
 

@@ -158,17 +158,6 @@ impl Tape {
         self.grads.borrow().get(v.id).cloned().flatten()
     }
 
-    /// Returns the ids of all parameter nodes in recording order.
-    pub fn param_ids(&self) -> Vec<usize> {
-        self.nodes
-            .borrow()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_param)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.borrow().len()
@@ -744,15 +733,6 @@ mod tests {
         }
         assert!(tape.grad(w).is_some());
         assert!(tape.grad(y).is_some());
-    }
-
-    #[test]
-    fn param_ids_in_order() {
-        let tape = Tape::new();
-        let a = tape.param(Tensor::scalar(0.0));
-        let _x = tape.input(Tensor::scalar(0.0));
-        let b = tape.param(Tensor::scalar(0.0));
-        assert_eq!(tape.param_ids(), vec![a.id(), b.id()]);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl Rng {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
-    /// Uniform in `[lo, hi)`.
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
         lo + (hi - lo) * self.f32()
     }
@@ -190,8 +185,6 @@ mod tests {
             assert!((10..20).contains(&v));
             let f = r.range_f32(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&f));
-            let g = r.range_f64(5.0, 6.0);
-            assert!((5.0..6.0).contains(&g));
         }
         let hits = (0..1000).filter(|_| r.bool_with(0.25)).count();
         assert!((150..350).contains(&hits), "{hits}");

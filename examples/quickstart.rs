@@ -34,7 +34,7 @@ fn main() {
     let optimized = wisegraph.optimize(&graph, model, &dims);
 
     let plan = &optimized.per_layer[0];
-    println!("\nchosen graph partition:   {}", plan.table);
+    println!("\nchosen graph partition:   {}", plan.partition.table);
     println!("chosen operation partition: {:?}", plan.op_partition);
     println!(
         "gTasks: {} (median {} edges), batch {} rows per task",

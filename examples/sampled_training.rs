@@ -36,7 +36,7 @@ fn main() {
     };
     let first = neighbor_sample(&full, &csr, &SampleConfig::paper_default(0));
     let tuned = wisegraph.optimize(&first.graph, ModelKind::Rgcn, &dims);
-    let table = tuned.per_layer[0].table.clone();
+    let table = tuned.per_layer[0].partition.table.clone();
     let op = tuned.per_layer[0].op_partition;
     println!("tuned plan: {table} / {op:?}");
 

@@ -7,7 +7,8 @@
 # crates/bench/src/bin/ regenerates its artifact in place: its stdout
 # becomes results/<harness>.txt, and fig15_partitions also writes its six
 # results/fig15_*.csv itself. The two harnesses that print wall-clock
-# columns are skipped (timed_harnesses below). The regenerated files, like
+# columns are skipped (timed_harnesses below). Each harness's wall-clock
+# seconds go to stderr, so a harness that turns slow shows in the log. The regenerated files, like
 # the ones wisegraph-prof writes, are compared by the checksum guard at the
 # end.
 #
@@ -59,8 +60,11 @@ timed_harnesses="fig21_sampling table3_overhead"
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
     case " $timed_harnesses " in *" $bin "*) continue ;; esac
+    start_ns="$(date +%s%N)"
     cargo run --release --offline --quiet -p wisegraph-bench --bin "$bin" \
         > "results/$bin.txt"
+    ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    printf 'verify.sh: %s took %d.%d s\n' "$bin" $((ms / 1000)) $((ms % 1000 / 100)) >&2
 done
 cargo test -q --offline --workspace
 cargo test --release -q --offline --workspace

@@ -130,7 +130,7 @@ fn main() -> ExitCode {
             let wg = WiseGraph::new(device);
             let out = wg.optimize(&g, model, &dims);
             println!("model:        {}", model.name());
-            println!("graph plan:   {}", out.per_layer[0].table);
+            println!("graph plan:   {}", out.per_layer[0].partition.table);
             println!("op partition: {:?}", out.per_layer[0].op_partition);
             println!(
                 "gTasks:       {} (batch {} rows)",

@@ -292,7 +292,7 @@ fn optimizer_is_deterministic() {
     let dims = LayerDims::paper_single(32, 8);
     let a = WiseGraph::new(DeviceSpec::a100_pcie()).optimize(&g, ModelKind::Rgcn, &dims);
     let b = WiseGraph::new(DeviceSpec::a100_pcie()).optimize(&g, ModelKind::Rgcn, &dims);
-    assert_eq!(a.per_layer[0].table, b.per_layer[0].table);
+    assert_eq!(a.per_layer[0].partition.table, b.per_layer[0].partition.table);
     assert_eq!(a.per_layer[0].op_partition, b.per_layer[0].op_partition);
     assert!((a.time_per_iter - b.time_per_iter).abs() < 1e-12);
 }

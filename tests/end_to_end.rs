@@ -110,12 +110,7 @@ fn partition_outlier_schedule_composition() {
         );
         assert_eq!(classes.len(), plan.num_tasks());
         let dfg = ModelKind::Gcn.layer_dfg(16, 16);
-        let eplan = ExecutionPlan::build_untransformed(
-            &g,
-            table.clone(),
-            &dfg,
-            OpPartitionKind::Fused,
-        );
+        let eplan = ExecutionPlan::new(&g, plan, dfg, OpPartitionKind::Fused);
         let cmp = wisegraph::core::joint::compare_scheduling(&eplan, &g, &dev);
         assert!(cmp.differentiated <= cmp.uniform * 1.001, "{table}");
     }
