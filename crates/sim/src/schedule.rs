@@ -5,6 +5,9 @@
 //! scheduling (§6.2) raises the priority of heavy tasks (and demotes
 //! edge-wise leftovers), producing a balanced makespan.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 /// A schedulable unit of work.
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduledTask {
@@ -15,27 +18,53 @@ pub struct ScheduledTask {
 }
 
 /// Greedy list schedule: tasks in priority order (stable for ties, i.e.
-/// submission order), each placed on the earliest-available unit. Returns
-/// the makespan (seconds).
+/// submission order), each placed on the earliest-available unit, the
+/// lowest-indexed of those free at the same time. Returns the makespan
+/// (seconds).
 ///
 /// # Panics
 ///
-/// Panics if `units == 0`.
+/// Panics if `units == 0` or a duration is NaN or infinite.
 pub fn makespan(tasks: &[ScheduledTask], units: usize) -> f64 {
     assert!(units > 0, "need at least one execution unit");
+    assert!(
+        tasks.iter().all(|t| t.duration.is_finite()),
+        "task durations must be finite times"
+    );
     let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].priority));
-    // Earliest-free unit via a simple min-scan (units are few: SM groups).
-    let mut free_at = vec![0.0f64; units];
+    order.sort_by_key(|&i| Reverse(tasks[i].priority));
+    // Units by (free time, index), earliest first. Finite sums from +0.0
+    // are never -0.0, so `total_cmp` orders them as `<` does.
+    let mut free: BinaryHeap<Reverse<FreeAt>> =
+        (0..units).map(|unit| Reverse(FreeAt(0.0, unit))).collect();
     for &i in &order {
-        let (slot, _) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .expect("units > 0");
-        free_at[slot] += tasks[i].duration;
+        let mut earliest = free.peek_mut().expect("units > 0");
+        earliest.0 .0 += tasks[i].duration;
     }
-    free_at.into_iter().fold(0.0, f64::max)
+    free.into_iter().map(|Reverse(FreeAt(t, _))| t).fold(0.0, f64::max)
+}
+
+/// A unit's free time and index, ordered by time and then index.
+struct FreeAt(f64, usize);
+
+impl PartialEq for FreeAt {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for FreeAt {}
+
+impl Ord for FreeAt {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for FreeAt {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Uniform execution: all tasks at equal priority, submission order.
@@ -49,7 +78,6 @@ pub fn makespan_uniform(durations: &[f64], units: usize) -> f64 {
         .collect();
     makespan(&tasks, units)
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -117,5 +145,63 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_units_panics() {
         makespan_uniform(&[1.0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite times")]
+    fn a_nan_duration_panics() {
+        makespan_uniform(&[1.0, f64::NAN, 2.0], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite times")]
+    fn an_infinite_duration_panics() {
+        makespan_uniform(&[f64::INFINITY], 1);
+    }
+
+    /// The schedule the heap replaced: a scan for the first unit with the
+    /// least free time, per task.
+    fn scanned_makespan(tasks: &[ScheduledTask], units: usize) -> f64 {
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        order.sort_by_key(|&i| Reverse(tasks[i].priority));
+        let mut free_at = vec![0.0f64; units];
+        for &i in &order {
+            let (slot, _) = free_at
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
+                .expect("units > 0");
+            free_at[slot] += tasks[i].duration;
+        }
+        free_at.into_iter().fold(0.0, f64::max)
+    }
+
+    wisegraph_testkit::proptest! {
+        #![proptest_config(wisegraph_testkit::prop::ProptestConfig::with_cases(256))]
+
+        /// The heap gives the scan's makespan, to the bit, with repeated
+        /// durations so that free times tie. Which of two units free at
+        /// the same time takes a task cannot change the result (the units
+        /// are interchangeable); the index in the key keeps the choice the
+        /// scan's.
+        fn heap_schedule_equals_the_scan(
+            n in 0usize..60,
+            units in 1usize..12,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
+            let tasks: Vec<ScheduledTask> = (0..n)
+                .map(|_| ScheduledTask {
+                    duration: [0.0, 0.1, 0.25, 1.0, 3.0][rng.below(5) as usize]
+                        + rng.below(2) as f64 * rng.f64(),
+                    priority: rng.below(3) as i32 - 1,
+                })
+                .collect();
+            wisegraph_testkit::prop_assert_eq!(
+                makespan(&tasks, units).to_bits(),
+                scanned_makespan(&tasks, units).to_bits(),
+                "{n} tasks on {units} units"
+            );
+        }
     }
 }

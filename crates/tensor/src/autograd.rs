@@ -179,7 +179,7 @@ impl Tape {
             assert_eq!(av.shape().rank(), 2, "matmul lhs must be rank-2");
             assert_eq!(bv.shape().rank(), 2, "matmul rhs must be rank-2");
             out = self.alloc(&[av.dims()[0], bv.dims()[1]]);
-            ops::matmul_into(av, bv, out.data_mut());
+            ops::matmul_split_into(av, bv, out.data_mut());
         }
         self.record(out, &[a, b], |needs, _| {
             // `dA = g · Bᵀ` reads only `B`, and `dB = Aᵀ · g` only `A`.
@@ -733,6 +733,43 @@ mod tests {
         }
         assert!(tape.grad(w).is_some());
         assert!(tape.grad(y).is_some());
+    }
+
+    #[test]
+    fn matmul_products_equal_the_serial_skipping_kernel() {
+        // Big enough for the products to split across the cores; ReLU
+        // zeros in `A` and zeros in the upstream gradient.
+        let (m, k, n) = (4099, 64, 33);
+        let draw = |len: usize, seed: u64| {
+            let mut t = crate::init::uniform_tensor(&[len], -1.0, 1.0, seed).into_vec();
+            t.iter_mut().skip(3).step_by(11).for_each(|x| *x = -0.0);
+            t
+        };
+        let a: Vec<f32> = draw(m * k, 1).into_iter().map(|x| x.max(0.0)).collect();
+        let (w, g) = (draw(k * n, 2), draw(m * n, 3));
+        let tape = Tape::new();
+        let av = tape.param(Tensor::from_vec(a.clone(), &[m, k]));
+        let wv = tape.param(Tensor::from_vec(w.clone(), &[k, n]));
+        let y = tape.matmul(av, wv);
+        // d(sum(y * g))/dy == g, bit for bit.
+        let loss = tape.sum(tape.mul(y, tape.input(Tensor::from_vec(g.clone(), &[m, n]))));
+        tape.backward(loss);
+
+        let serial = |x: &[f32], y: &[f32], [m, k, n]: [usize; 3]| {
+            let mut out = vec![0.0; m * n];
+            ops::matmul_strided_into(x, y, [m, k, n], &mut out, n);
+            out
+        };
+        let transpose = |x: &[f32], [rows, cols]: [usize; 2]| {
+            let t = (0..rows * cols).map(|i| x[(i % rows) * cols + i / rows]);
+            t.collect::<Vec<f32>>()
+        };
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(tape.value(y).data()), bits(&serial(&a, &w, [m, k, n])));
+        let da = serial(&g, &transpose(&w, [k, n]), [m, n, k]);
+        assert_eq!(bits(tape.grad(av).unwrap().data()), bits(&da));
+        let dw = serial(&transpose(&a, [m, k]), &g, [k, m, n]);
+        assert_eq!(bits(tape.grad(wv).unwrap().data()), bits(&dw));
     }
 
     #[test]

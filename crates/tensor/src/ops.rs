@@ -16,8 +16,24 @@
 //! [`matmul_strided_into`]'s: `a · b` runs it as is, `aᵀ · b` on transposed
 //! blocks of rows of `a`, and `a · bᵀ` on a transposed copy of `b` with
 //! every term added (it skips no zeros, so `0 · inf` stays NaN).
+//!
+//! The tape's three products — `Tape::matmul`'s `a · W` and its gradients
+//! [`matmul_a_bt_into`] and [`matmul_at_b_into`] — split their output rows
+//! across the cores ([`split_rows`]) and skip a zero of `a` only when the
+//! skip can change a bit. Into a zero-filled `out` and with every element
+//! of `b` finite, adding the skipped terms gives the same bits: an
+//! accumulator that starts at `+0.0` never becomes `-0.0` under
+//! round-to-nearest (`x + y` is `-0.0` only when both are), so adding
+//! `±0 · b == ±0` leaves every sum as it was. Only `0 · inf` and `0 · NaN`
+//! differ, so each call checks `b` once: a finite `b` runs the kernel that
+//! adds every term, and a non-finite one keeps the skip. Rows are
+//! independent outputs, so the split changes no bit either.
+//! [`matmul_into`] and [`matmul_strided_into`], the engine's kernel, stay
+//! serial and keep the skip.
 
 use crate::tensor::Tensor;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Rows × columns of the accumulator tile the blocked matmul keeps in
 /// registers across the `k` loop: 2 × 16 floats fill eight 128-bit SIMD
@@ -36,6 +52,106 @@ const AT_B_ROWS: usize = 128;
 /// chains overlap where one row's would stall.
 const NARROW_ROWS: usize = 8;
 
+/// Multiply-adds below which [`split_rows`] runs a job on the calling
+/// thread. A scope that spawns one thread costs ≈ 100 µs (ROADMAP
+/// *Settled*; 20–35 µs in a probe on the 2-vCPU box), and the blocked
+/// kernel does 2²¹ multiply-adds in ≈ 200 µs on one of its cores (dense
+/// `[8000, 64] · [64, 32]`: 10–11 G/s), so at the floor a two-way split
+/// saves about what its scope costs. A loop of dot products (GAT's `dα`)
+/// is slower per multiply-add and gains more. Training's `[8000, 64] ·
+/// [64, 32]` is 16 Mi; GAT's `[V, F] · [F, 1]` attention logits stay
+/// serial.
+const SPLIT_FLOOR: usize = 1 << 21;
+
+/// The cores [`split_rows`] splits across: `available_parallelism`, read
+/// once per process.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Row ranges a job of `work` multiply-adds splits into: one below
+/// [`SPLIT_FLOOR`], one per core above it.
+fn parts_for(work: usize) -> usize {
+    if work < SPLIT_FLOOR {
+        1
+    } else {
+        cores()
+    }
+}
+
+/// Runs `f(range, rows)` over contiguous ranges of the `rows × width`
+/// row-major `out`, where `rows` is `out`'s slice for `range`: one range on
+/// the calling thread when the job's `work` is under 2²¹ multiply-adds,
+/// else one per core, each but the first on a scoped thread. The ranges cover
+/// every row once and write disjoint rows, so when `f` computes each row
+/// from its index alone the result is the same bits at any core count.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold `rows × width` floats, or `f` panics.
+pub fn split_rows(
+    out: &mut [f32],
+    [rows, width]: [usize; 2],
+    work: usize,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    split_rows_in(out, [rows, width], parts_for(work), f);
+}
+
+/// [`split_rows`] into at most `parts` ranges.
+fn split_rows_in(
+    out: &mut [f32],
+    [rows, width]: [usize; 2],
+    parts: usize,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    assert_eq!(out.len(), rows * width, "split output buffer length mismatch");
+    if parts.min(rows) <= 1 || width == 0 {
+        f(0..rows, out);
+        return;
+    }
+    let chunk = rows.div_ceil(parts);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut pieces = out.chunks_mut(chunk * width).enumerate();
+        let (_, first) = pieces.next().expect("rows > 0");
+        for (i, piece) in pieces {
+            let start = i * chunk;
+            scope.spawn(move || f(start..start + piece.len() / width, piece));
+        }
+        f(0..chunk, first);
+    });
+}
+
+/// A blocked kernel's signature: [`blocked`] with `SKIP` chosen.
+type Kernel = fn(&[f32], &[f32], [usize; 3], &mut [f32], usize);
+
+/// The blocked kernel a product with operand `b` needs: the one that adds
+/// every term when every element of `b` is finite (the same bits into a
+/// zeroed `out`, see the module doc), the skipping one otherwise.
+fn kernel_for(b: &[f32]) -> Kernel {
+    // Chunks folded without short-circuit vectorise: 59 µs on a
+    // `[8000, 32]` gradient against 161 µs for a plain `all`.
+    let finite = b.chunks(1024).all(|c| c.iter().fold(true, |ok, x| ok & x.is_finite()));
+    if finite {
+        blocked::<false>
+    } else {
+        blocked::<true>
+    }
+}
+
+/// `[m, k, n]` of `a @ b` into `out`.
+fn matmul_dims(a: &Tensor, b: &Tensor, out: &[f32]) -> [usize; 3] {
+    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank-2");
+    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank-2");
+    let (m, k) = (a.dims()[0], a.dims()[1]);
+    let (k2, n) = (b.dims()[0], b.dims()[1]);
+    assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
+    assert_eq!(out.len(), m * n, "matmul output buffer length mismatch");
+    [m, k, n]
+}
+
 /// Computes `a @ b` into a zeroed `out` buffer of `m * n` elements.
 ///
 /// # Panics
@@ -43,13 +159,30 @@ const NARROW_ROWS: usize = 8;
 /// Panics if the inner dimensions do not match, either input is not rank-2,
 /// or `out` has the wrong length.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
-    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank-2");
-    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-    assert_eq!(out.len(), m * n, "matmul output buffer length mismatch");
+    let [m, k, n] = matmul_dims(a, b, out);
     matmul_strided_into(a.data(), b.data(), [m, k, n], out, n);
+}
+
+/// [`matmul_into`] as the tape runs it: the same bits, its rows split
+/// across the cores and no zero skipped when `b` is finite.
+pub(crate) fn matmul_split_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
+    let [m, k, n] = matmul_dims(a, b, out);
+    product_into(a.data(), b.data(), [m, k, n], out, parts_for(m * k * n));
+}
+
+/// `a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`) into a zeroed
+/// `out`, over at most `parts` row ranges.
+fn product_into(
+    a: &[f32],
+    b: &[f32],
+    [m, k, n]: [usize; 3],
+    out: &mut [f32],
+    parts: usize,
+) {
+    let kernel = kernel_for(&b[..k * n]);
+    split_rows_in(out, [m, n], parts, |rows, out| {
+        kernel(&a[rows.start * k..rows.end * k], b, [rows.len(), k, n], out, n);
+    });
 }
 
 /// The dense kernel behind every `x · W`: for row-major `a` (`[m, k]`) and
@@ -209,7 +342,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// Computes `aᵀ @ b` into a zeroed `out` buffer of `k * n` elements.
 ///
 /// Output `[p, j]` adds `a[i, p] * b[i, j]` for `i` ascending, skipping
-/// `a[i, p] == 0.0`: [`matmul_strided_into`] on the transpose of `a`.
+/// `a[i, p] == 0.0`: [`matmul_strided_into`] on the transpose of `a`. The
+/// output rows `p` are split across the cores, and the skip is dropped
+/// when `b` is finite (the same bits, see the module doc).
 ///
 /// # Panics
 ///
@@ -222,20 +357,37 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(m, m2, "matmul_at_b leading dimensions differ: {m} vs {m2}");
     assert_eq!(out.len(), k * n, "matmul_at_b output buffer length mismatch");
+    at_b_into(a.data(), b.data(), [m, k, n], out, parts_for(m * k * n));
+}
+
+/// `aᵀ · b` for row-major `a` (`[m, k]`) and `b` (`[m, n]`) into a zeroed
+/// `out`, over at most `parts` ranges of its rows (the columns of `a`).
+fn at_b_into(
+    a: &[f32],
+    b: &[f32],
+    [m, k, n]: [usize; 3],
+    out: &mut [f32],
+    parts: usize,
+) {
     if k == 0 || n == 0 {
         return;
     }
-    // Block by block of rows of `a` and `b`: each output resumes its sum
-    // where the previous block left it, so it still runs over all `i`
-    // ascending, while the block's transpose and rows of `b` stay cached.
-    let mut at = vec![0.0f32; k * AT_B_ROWS.min(m)];
-    let blocks = a.data().chunks(AT_B_ROWS * k);
-    for (ab, bb) in blocks.zip(b.data().chunks(AT_B_ROWS * n)) {
-        let rows = ab.len() / k;
-        let at = &mut at[..k * rows];
-        transpose_into(ab, [rows, k], at);
-        blocked::<true>(at, bb, [k, rows, n], out, n);
-    }
+    let (a, b) = (&a[..m * k], &b[..m * n]);
+    let kernel = kernel_for(b);
+    split_rows_in(out, [k, n], parts, |cols, out| {
+        // Block by block of rows of `a` and `b`: each output resumes its
+        // sum where the previous block left it, so it still runs over all
+        // `i` ascending, while the block's transpose (of this range's
+        // columns alone) and rows of `b` stay cached.
+        let width = cols.len();
+        let mut at = vec![0.0f32; width * AT_B_ROWS.min(m)];
+        for (ab, bb) in a.chunks(AT_B_ROWS * k).zip(b.chunks(AT_B_ROWS * n)) {
+            let rows = ab.len() / k;
+            let at = &mut at[..width * rows];
+            transpose_into(ab, [rows, k], cols.clone(), at);
+            kernel(at, bb, [width, rows, n], out, n);
+        }
+    });
 }
 
 /// Computes `aᵀ @ b`.
@@ -258,7 +410,8 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 /// Output `[i, j]` is the dot product of row `i` of `a` and row `j` of `b`,
 /// every term added in ascending order and no zero skipped (`0 * inf` is
 /// NaN): the no-skip kernel of [`matmul_strided_into`] on the transpose of
-/// `b`. On the training path `b` is a weight, so the transpose is small.
+/// `b`, its rows split across the cores. On the training path `b` is a
+/// weight, so the transpose is small.
 ///
 /// # Panics
 ///
@@ -271,9 +424,23 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_a_bt trailing dimensions differ: {k} vs {k2}");
     assert_eq!(out.len(), m * n, "matmul_a_bt output buffer length mismatch");
+    a_bt_into(a.data(), b.data(), [m, k, n], out, parts_for(m * k * n));
+}
+
+/// `a · bᵀ` for row-major `a` (`[m, k]`) and `b` (`[n, k]`) into a zeroed
+/// `out`, over at most `parts` row ranges.
+fn a_bt_into(
+    a: &[f32],
+    b: &[f32],
+    [m, k, n]: [usize; 3],
+    out: &mut [f32],
+    parts: usize,
+) {
     let mut bt = vec![0.0f32; n * k];
-    transpose_into(b.data(), [n, k], &mut bt);
-    blocked::<false>(a.data(), &bt, [m, k, n], out, n);
+    transpose_into(&b[..n * k], [n, k], 0..k, &mut bt);
+    split_rows_in(out, [m, n], parts, |rows, out| {
+        blocked::<false>(&a[rows.start * k..rows.end * k], &bt, [rows.len(), k, n], out, n);
+    });
 }
 
 /// Computes `a @ bᵀ`.
@@ -291,12 +458,12 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Writes the `[cols, rows]` transpose of the row-major `[rows, cols]`
-/// matrix `x` into `t`.
-fn transpose_into(x: &[f32], [rows, cols]: [usize; 2], t: &mut [f32]) {
+/// Writes the transpose of columns `keep` of the row-major `[rows, cols]`
+/// matrix `x` into `t`, as `[keep.len(), rows]`.
+fn transpose_into(x: &[f32], [rows, cols]: [usize; 2], keep: Range<usize>, t: &mut [f32]) {
     for i in 0..rows {
-        for j in 0..cols {
-            t[j * rows + i] = x[i * cols + j];
+        for j in keep.clone() {
+            t[(j - keep.start) * rows + i] = x[i * cols + j];
         }
     }
 }
@@ -1048,6 +1215,106 @@ mod tests {
             let got = matmul_at_b(&t2(&a, m, k), &t2(&b, m, n));
             let want = naive_at_b(&a, &b, [m, k, n]);
             assert_eq!(nan_class_bits(got.data()), nan_class_bits(&want), "seed {seed}");
+        }
+    }
+
+    /// `len` floats for a split product's operand: ReLU output (uniform
+    /// values with the negatives zeroed) where one draw in four is from
+    /// `specials`.
+    fn relu_salted(
+        rng: &mut wisegraph_testkit::rng::Rng,
+        len: usize,
+        specials: &[f32],
+    ) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 => specials[rng.below(specials.len() as u64) as usize],
+                _ => rng.range_f32(-1.0, 1.0).max(0.0),
+            })
+            .collect()
+    }
+
+    const FINITE: [f32; 4] = [0.0, -0.0, f32::from_bits(1), -f32::MIN_POSITIVE / 3.0];
+    const SALTED: [f32; 7] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::MIN_POSITIVE / 3.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+
+    wisegraph_testkit::proptest! {
+        #![proptest_config(wisegraph_testkit::prop::ProptestConfig::with_cases(256))]
+
+        /// The tape's products at 1, 2, 3 and 7 row ranges against the
+        /// naive loops, bit for bit, on shapes that are not multiples of
+        /// the tiles. `a` is ReLU output salted with ±0.0, subnormals, infs
+        /// and NaNs; `b` holds ±0.0 and subnormals, and in half the cases
+        /// infs and NaNs too, which must keep the skip (a zero of `a`
+        /// against an inf of `b` is NaN without it). `a · b` and `aᵀ · b`
+        /// match the zero-skipping loops, `a · bᵀ` the loop that adds
+        /// every term.
+        fn split_products_equal_the_skipping_loops(
+            mi in 0usize..8,
+            ni in 0usize..7,
+            ki in 0usize..4,
+            pi in 0usize..4,
+            salted_b in 0usize..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let (m, n, k, parts) = (
+                [0, 1, 2, 3, 7, 9, 33, 131][mi],
+                [1, 3, 15, 16, 17, 33, 40][ni],
+                [0, 1, 5, 64][ki],
+                [1, 2, 3, 7][pi],
+            );
+            let specials: &[f32] = if salted_b == 1 { &SALTED } else { &FINITE };
+            let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
+            let a = relu_salted(&mut rng, m * k, &SALTED);
+            let case = format!("m {m} n {n} k {k} parts {parts} salted b {salted_b}");
+
+            let b = relu_salted(&mut rng, k * n, specials);
+            let mut want = vec![0.0; m * n];
+            naive_matmul(&a, &b, [m, k, n], &mut want, n);
+            let mut got = vec![0.0; m * n];
+            product_into(&a, &b, [m, k, n], &mut got, parts);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(&got), nan_class_bits(&want), "a_b: {case}"
+            );
+
+            let b = relu_salted(&mut rng, m * n, specials);
+            let mut got = vec![0.0; k * n];
+            at_b_into(&a, &b, [m, k, n], &mut got, parts);
+            let want = naive_at_b(&a, &b, [m, k, n]);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(&got), nan_class_bits(&want), "at_b: {case}"
+            );
+
+            let b = relu_salted(&mut rng, n * k, specials);
+            let mut got = vec![0.0; m * n];
+            a_bt_into(&a, &b, [m, k, n], &mut got, parts);
+            let want = naive_a_bt(&a, &b, [m, k, n]);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(&got), nan_class_bits(&want), "a_bt: {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_products_skip_a_zero_against_an_inf() {
+        // Row 0 of `a` is zero where `b` holds an inf: skipped, not NaN.
+        let a = [0.0, 1.0, 2.0, 0.5, -0.0, 3.0, 1.0, 1.0];
+        let b = [f32::INFINITY, 1.0, 2.0, 1.0, 2.0, 3.0];
+        for parts in [1, 2] {
+            let mut out = vec![0.0; 12];
+            product_into(&a, &b, [4, 2, 3], &mut out, parts);
+            assert_eq!(&out[..3], &[1.0, 2.0, 3.0], "a_b, parts {parts}");
+            // Column 0 of `a` is zero where `b`'s row holds an inf.
+            let mut out = vec![0.0; 4];
+            at_b_into(&[0.0, 1.0], &[f32::INFINITY, 2.0], [1, 2, 2], &mut out, parts);
+            assert_eq!(out, [0.0, 0.0, f32::INFINITY, 2.0], "at_b, parts {parts}");
         }
     }
 
