@@ -42,8 +42,10 @@
 //! - [`PlacementKind::ProjectThenCommunicate`] (Fig. 11c): the
 //!   edge-independent prologue (projections) runs on each row's home
 //!   device, and only the *projected* halo rows travel — a win when the
-//!   projection shrinks the embedding. Exchanged bits are the owner's
-//!   bits verbatim, so the data-parallel bitwise argument carries over.
+//!   projection shrinks the embedding. What travels is every global a
+//!   `Gather` or `Gather2D` reads by a source-derived index stream.
+//!   Exchanged bits are the owner's bits verbatim, so the data-parallel
+//!   bitwise argument carries over.
 //! - [`PlacementKind::ComputeThenReduce`] (Fig. 11d): edges partition by
 //!   *source* into [`SrcGroups::CANONICAL`] fixed groups (independent of
 //!   the device count); each device accumulates its groups' partial
@@ -367,7 +369,7 @@ impl ClusterRun {
 ///
 /// Checked statically on the driver before any device thread starts, so
 /// an incompatible request fails fast instead of wedging a collective.
-pub fn placement_compatible(
+pub(crate) fn placement_compatible(
     program: &KernelProgram,
     globals: &HashMap<String, Tensor>,
     placement: PlacementKind,
@@ -452,7 +454,7 @@ pub fn compatible_placements(
 /// among the names the per-task program reads (sorted), the first whose
 /// last dimension equals the accumulator width. `"W"` sorts before `"h"`,
 /// so square-projection models slice the weight, not the embedding.
-pub fn tp_slice_global(
+pub(crate) fn tp_slice_global(
     program: &KernelProgram,
     globals: &HashMap<String, Tensor>,
 ) -> Option<String> {
@@ -482,22 +484,25 @@ fn vertex_rowed_inputs(dfg: &Dfg) -> BTreeSet<String> {
         .collect()
 }
 
-/// Every `GatherRows` of the edge pass or the per-task program that
-/// addresses its source by vertex id, paired with the provenance of its
-/// index stream. The compiled program carries no shapes, so the question
-/// [`vertex_rowed`] answers for a DFG node is answered here by the index
-/// stream: drawn from `src-id`/`dst-id` it holds vertex ids; of unknown
-/// provenance it has to be assumed to.
+/// Every `Gather` or `Gather2D` of a global, in the edge pass or the
+/// per-task program, that addresses its source by vertex id, paired with
+/// the provenance of its (first) index stream. The compiled program
+/// carries no shapes, so the question [`vertex_rowed`] answers for a DFG
+/// node is answered here by the index stream: drawn from `src-id`/`dst-id`
+/// it holds vertex ids; of unknown provenance it has to be assumed to.
 fn vertex_gather_origins(program: &KernelProgram) -> Vec<(String, Option<AttrKind>)> {
     let mut out = Vec::new();
     for ops in [&program.edge_ops, &program.ops] {
         let s = summarize(ops);
         for op in ops {
-            if let MicroKernel::GatherRows { src, idx, .. } = op {
-                let origin = s.stream_origin[idx.0];
-                if matches!(origin, None | Some(AttrKind::SrcId | AttrKind::DstId)) {
-                    out.push((src.clone(), origin));
-                }
+            let (src, idx) = match op {
+                MicroKernel::Gather { src, idx, .. } => (src, idx),
+                MicroKernel::Gather2D { src, idx1, .. } => (src, idx1),
+                _ => continue,
+            };
+            let origin = s.stream_origin[idx.0];
+            if let (Some(name), None | Some(AttrKind::SrcId | AttrKind::DstId)) = (src.global(), origin) {
+                out.push((name.to_string(), origin));
             }
         }
     }
@@ -788,9 +793,9 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if compilation fails, the placement is
-    /// incompatible with the compiled program
-    /// ([`placement_compatible`]), or an output is not vertex-rowed.
+    /// Returns an error if compilation fails, the placement is not among
+    /// the compiled program's [`compatible_placements`], or an output is
+    /// not vertex-rowed.
     ///
     /// # Panics
     ///

@@ -5,21 +5,22 @@
 //! materializing every intermediate register in pool buffers. For the
 //! six patterns that dominate GNN layers, that materialization is pure
 //! overhead — each edge's gathered row is consumed exactly once by the
-//! next instruction:
+//! next instruction. Below, `Gather(g)` is a `Gather` whose source is a
+//! global and `Gather2D(r)` a `Gather2D` whose source is a register:
 //!
-//! * **segment-reduce** (`GatherRows` → `ScatterAdd`): GCN/SAGE
+//! * **segment-reduce** (`Gather(g)` → `ScatterAdd`): GCN/SAGE
 //!   aggregation, `out[dst[i]] += h[src[i]]`.
-//! * **edge-batch matmul** (`GatherRows` → `MatMatGlobal` → `ScatterAdd`):
+//! * **edge-batch matmul** (`Gather(g)` → `MatMat` → `ScatterAdd`):
 //!   a shared projection applied per edge, `out[dst[i]] += h[src[i]] @ w`.
-//! * **per-type batched matmul** (`GatherRows` → `GatherWeight` →
-//!   `PerRowVecMat` → `ScatterAdd`): RGCN's relation-specific transform,
-//!   `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
-//! * **weighted segment-reduce** (`GatherRows` of an edge value →
-//!   `Squeeze` → `GatherRows` → `ScaleRows` → `ScatterAdd`): GAT's
+//! * **per-type batched matmul** (`Gather(g)` of rows → `Gather(g)` of
+//!   weight slices → `PerRowVecMat` → `ScatterAdd`): RGCN's
+//!   relation-specific transform, `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
+//! * **weighted segment-reduce** (`Gather(g)` of an edge value →
+//!   `Squeeze` → `Gather(g)` → `ScaleRows` → `ScatterAdd`): GAT's
 //!   attention-weighted aggregation, `out[dst[i]] += h[src[i]] * α[eid[i]]`.
-//! * **pairwise scatter** (`GatherReg2D` → `ScatterAdd`): RGCN's Fig. 9
+//! * **pairwise scatter** (`Gather2D(r)` → `ScatterAdd`): RGCN's Fig. 9
 //!   extract+swap form, `out[dst[i]] += P[m1[i], m2[i]]`.
-//! * **edge score** (`GatherRows`, `GatherRows` → `Add` → `LeakyRelu` →
+//! * **edge score** (`Gather(g)`, `Gather(g)` → `Add` → `LeakyRelu` →
 //!   `Squeeze`, one column): GAT's per-call score chain,
 //!   `s[i] = leaky_relu(a[ai[i]] + b[bi[i]])`.
 //!
@@ -66,7 +67,7 @@ use wisegraph_tensor::Tensor;
 
 use crate::micro::{
     reg_stream, reg_tensor, set_reg, summarize, AccessSummary, EwOp, Globals, KernelProgram,
-    MicroKernel, Reg, RegValue, TaskWorkspace,
+    MicroKernel, Reg, RegValue, Src, TaskWorkspace,
 };
 use wisegraph_dfg::op::LEAKY_SLOPE;
 
@@ -86,18 +87,18 @@ const COL_BLOCK: usize = 64;
 /// The recognized fusion patterns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FusedPattern {
-    /// `GatherRows` → `ScatterAdd`.
+    /// `Gather(g)` → `ScatterAdd`.
     SegmentReduce,
-    /// `GatherRows` → `MatMatGlobal` → `ScatterAdd`.
+    /// `Gather(g)` → `MatMat` → `ScatterAdd`.
     EdgeBatchMatmul,
-    /// `GatherRows` → `GatherWeight` → `PerRowVecMat` → `ScatterAdd`.
+    /// `Gather(g)` → `Gather(g)` → `PerRowVecMat` → `ScatterAdd`.
     PerTypeBatchedMatmul,
-    /// `GatherRows` (edge value) → `Squeeze` → `GatherRows` → `ScaleRows`
+    /// `Gather(g)` (edge value) → `Squeeze` → `Gather(g)` → `ScaleRows`
     /// → `ScatterAdd`.
     WeightedSegmentReduce,
-    /// `GatherReg2D` → `ScatterAdd`.
+    /// `Gather2D(r)` → `ScatterAdd`.
     PairwiseScatter,
-    /// `GatherRows`, `GatherRows` → `Add` → `LeakyRelu` → `Squeeze`.
+    /// `Gather(g)`, `Gather(g)` → `Add` → `LeakyRelu` → `Squeeze`.
     EdgeScore,
 }
 
@@ -312,7 +313,7 @@ fn covered(segments: &[Segment]) -> Vec<usize> {
 fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKernel> {
     let confined = |regs: &[Reg], len: usize| regs.iter().all(|r| u.confined(*r, pc, pc + len));
     if pc + 5 <= ops.len() {
-        if let [MicroKernel::GatherRows { src: alpha, idx: eid, out: g1 }, MicroKernel::Squeeze { x: sx, out: sq }, MicroKernel::GatherRows { src, idx: si, out: g2 }, MicroKernel::ScaleRows { x, s: sc, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather { src: Src::Global(alpha), idx: eid, out: g1 }, MicroKernel::Squeeze { x: sx, out: sq }, MicroKernel::Gather { src: Src::Global(src), idx: si, out: g2 }, MicroKernel::ScaleRows { x, s: sc, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 5]
         {
             if sx == g1 && x == g2 && sc == sq && data == m && confined(&[*g1, *sq, *g2, *m], 5) {
@@ -329,7 +330,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
                 });
             }
         }
-        if let [MicroKernel::GatherRows { src: a, idx: ai, out: ga }, MicroKernel::GatherRows { src: b, idx: bi, out: gb }, MicroKernel::Elementwise { op: EwOp::Add, a: x, b: Some(y), out: sum }, MicroKernel::Elementwise { op: EwOp::LeakyRelu, a: z, b: None, out: act }, MicroKernel::Squeeze { x: sx, out }] =
+        if let [MicroKernel::Gather { src: Src::Global(a), idx: ai, out: ga }, MicroKernel::Gather { src: Src::Global(b), idx: bi, out: gb }, MicroKernel::Elementwise { op: EwOp::Add, a: x, b: Some(y), out: sum }, MicroKernel::Elementwise { op: EwOp::LeakyRelu, a: z, b: None, out: act }, MicroKernel::Squeeze { x: sx, out }] =
             &ops[pc..pc + 5]
         {
             if x == ga && y == gb && z == sum && sx == act && confined(&[*ga, *gb, *sum, *act], 5) {
@@ -348,7 +349,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
         }
     }
     if pc + 4 <= ops.len() {
-        if let [MicroKernel::GatherRows { src: h, idx: si, out: g1 }, MicroKernel::GatherWeight { src: w, idx: ti, out: g2 }, MicroKernel::PerRowVecMat { x, w: wr, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather { src: Src::Global(h), idx: si, out: g1 }, MicroKernel::Gather { src: Src::Global(w), idx: ti, out: g2 }, MicroKernel::PerRowVecMat { x, w: wr, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 4]
         {
             if x == g1 && wr == g2 && data == m && confined(&[*g1, *g2, *m], 4) {
@@ -367,7 +368,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
         }
     }
     if pc + 3 <= ops.len() {
-        if let [MicroKernel::GatherRows { src, idx: si, out: g1 }, MicroKernel::MatMatGlobal { x, w, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather { src: Src::Global(src), idx: si, out: g1 }, MicroKernel::MatMat { x, w, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 3]
         {
             if x == g1 && data == m && confined(&[*g1, *m], 3) {
@@ -385,7 +386,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
         }
     }
     if pc + 2 <= ops.len() {
-        if let [MicroKernel::GatherRows { src, idx: si, out: g1 }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather { src: Src::Global(src), idx: si, out: g1 }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 2]
         {
             if data == g1 && confined(&[*g1], 2) {
@@ -400,7 +401,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
                 });
             }
         }
-        if let [MicroKernel::GatherReg2D { src, idx1, idx2, out: g }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather2D { src: Src::Reg(src), idx1, idx2, out: g }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 2]
         {
             if data == g && confined(&[*g], 2) {
@@ -508,7 +509,7 @@ pub(crate) fn run_fused(
                     add_row(out.row_mut(d as usize), srct.row(s as usize));
                 }
             }
-            // Same Work totals as GatherRows + ScatterAdd.
+            // Same Work totals as Gather + ScatterAdd.
             work.bytes_gathered += (4 * len * n) as u64;
             work.flops += (len * n) as u64;
             work.bytes_scattered += (4 * len * n) as u64;
@@ -552,7 +553,7 @@ pub(crate) fn run_fused(
                 }
             }
             ws.give(rowbuf);
-            // Same Work totals as GatherRows + MatMatGlobal + ScatterAdd.
+            // Same Work totals as Gather + MatMat + ScatterAdd.
             work.bytes_gathered += (4 * len * f) as u64;
             work.flops += (2 * len * f * n) as u64 + (len * n) as u64;
             work.bytes_scattered += (4 * len * n) as u64;
@@ -595,7 +596,7 @@ pub(crate) fn run_fused(
                 }
             }
             ws.give(rowbuf);
-            // Same Work totals as GatherRows + GatherWeight + PerRowVecMat
+            // Same Work totals as Gather + Gather + PerRowVecMat
             // + ScatterAdd (PerRowVecMat FLOPs are nominal: the zero-skip
             // is an execution shortcut, not less work in the model).
             work.bytes_gathered += (4 * len * f) as u64 + (4 * len * slice) as u64;
@@ -623,7 +624,7 @@ pub(crate) fn run_fused(
                     *o += x * a;
                 }
             }
-            // Same Work totals as GatherRows + Squeeze + GatherRows +
+            // Same Work totals as Gather + Squeeze + Gather +
             // ScaleRows + ScatterAdd.
             work.bytes_gathered += (4 * len) as u64 + (4 * len * n) as u64;
             work.flops += (2 * len * n) as u64;
@@ -646,7 +647,7 @@ pub(crate) fn run_fused(
                 let off = (a as usize * d1 + b as usize) * rest;
                 add_row(out.row_mut(d as usize), &t.data()[off..off + rest]);
             }
-            // Same Work totals as GatherReg2D + ScatterAdd.
+            // Same Work totals as Gather2D + ScatterAdd.
             work.bytes_gathered += (4 * len * rest) as u64;
             work.flops += (len * rest) as u64;
             work.bytes_scattered += (4 * len * rest) as u64;
@@ -672,7 +673,7 @@ pub(crate) fn run_fused(
                 *o = if v >= 0.0 { v } else { LEAKY_SLOPE * v };
             }
             set_reg(regs, ws, *score, RegValue::Tensor(Tensor::from_vec(buf, &[len])));
-            // Same Work totals as two GatherRows + Add + LeakyRelu +
+            // Same Work totals as two Gathers + Add + LeakyRelu +
             // Squeeze.
             work.bytes_gathered += (8 * len) as u64;
             work.flops += (2 * len) as u64;
@@ -768,7 +769,7 @@ mod tests {
         let program = transform::candidates(&ModelKind::Gcn.layer_dfg(4, 3), &Binding::from_graph(&g))
             .iter()
             .map(|dfg| compile(dfg, &g).unwrap())
-            .find(|p| p.ops.iter().any(|k| matches!(k, MicroKernel::GatherRegRows { .. })))
+            .find(|p| p.ops.iter().any(|k| matches!(k, MicroKernel::Gather { src: Src::Reg(_), .. })))
             .expect("GCN has an extract-only candidate");
         let fplan = plan_fusion(&program);
         assert_eq!(fplan.num_fused(), 0);

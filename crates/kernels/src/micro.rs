@@ -14,6 +14,12 @@
 //! plan's edges ([`KernelProgram::edge_ops`]), and the tasks read the
 //! result by edge id.
 //!
+//! The instruction set ([`MicroKernel`]) has one instruction per
+//! operation. A tensor operand that may be a global or a task register is
+//! one [`Src`]: a gather or a pairwise product reads either through the
+//! same instruction, and [`Src::reg`] / [`Src::global`] are where the two
+//! are told apart.
+//!
 //! The executor is numerically validated against the reference DFG
 //! interpreter; the cost model in [`crate::generate`] prices the same
 //! composition analytically.
@@ -46,6 +52,43 @@ pub enum EwOp {
     LeakyRelu,
 }
 
+/// Where an instruction's tensor operand lives: a named global tensor (a
+/// model input, a prologue pseudo-global or an edge value) or a task
+/// register. An instruction reads either through the same field.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Src {
+    /// A named global tensor.
+    Global(String),
+    /// A task register.
+    Reg(Reg),
+}
+
+impl Src {
+    /// The register this operand reads, if it is one.
+    pub fn reg(&self) -> Option<Reg> {
+        match self {
+            Src::Reg(r) => Some(*r),
+            Src::Global(_) => None,
+        }
+    }
+
+    /// The global tensor this operand names, if it is one.
+    pub fn global(&self) -> Option<&str> {
+        match self {
+            Src::Global(name) => Some(name),
+            Src::Reg(_) => None,
+        }
+    }
+
+    /// The tensor this operand reads in a task.
+    fn tensor<'r>(&self, regs: &'r [Option<RegValue>], globals: &'r Globals<'_>) -> &'r Tensor {
+        match self {
+            Src::Global(name) => &globals[name.as_str()],
+            Src::Reg(r) => reg_tensor(regs, *r),
+        }
+    }
+}
+
 /// One micro-kernel: a data-loading, compute, or store step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MicroKernel {
@@ -65,29 +108,21 @@ pub enum MicroKernel {
         /// Edge → position map (index stream).
         map: Reg,
     },
-    /// Gather rows of a global tensor by an index register.
-    GatherRows {
-        /// Global tensor name.
-        src: String,
-        /// Row indices.
+    /// Gather leading-axis slices by an index register: `out[i] =
+    /// src[idx[i]]` — rows of a rank-2 tensor, `[f, f']` slices of a
+    /// rank-3 weight. [`compile`] gathers from a register of rank 2 only.
+    Gather {
+        /// Source tensor.
+        src: Src,
+        /// Slice indices.
         idx: Reg,
-        /// Gathered rows.
+        /// Gathered slices.
         out: Reg,
     },
-    /// Gather rows of a rank-2 register tensor by an index register
-    /// ([`compile`] rejects a gather from a register of any other rank).
-    GatherRegRows {
-        /// Source tensor register.
-        src: Reg,
-        /// Row indices.
-        idx: Reg,
-        /// Gathered rows.
-        out: Reg,
-    },
-    /// 2-D gather from a register tensor (`out[i] = src[i1[i], i2[i]]`).
-    GatherReg2D {
-        /// Source rank-3 tensor register.
-        src: Reg,
+    /// 2-D gather from a rank-3 tensor: `out[i] = src[idx1[i], idx2[i]]`.
+    Gather2D {
+        /// Source rank-3 tensor.
+        src: Src,
         /// First index stream.
         idx1: Reg,
         /// Second index stream.
@@ -95,28 +130,17 @@ pub enum MicroKernel {
         /// Result.
         out: Reg,
     },
-    /// 2-D gather from a global rank-3 tensor.
-    Gather2DGlobal {
-        /// Global tensor name.
-        src: String,
-        /// First index stream.
-        idx1: Reg,
-        /// Second index stream.
-        idx2: Reg,
-        /// Result.
-        out: Reg,
-    },
-    /// All-pairs product with a register weight: `out[u, t] = x[u] @ w[t]`.
-    PairwiseReg {
+    /// All-pairs product: `out[u, t] = x[u] @ w[t]`.
+    Pairwise {
         /// Unique input rows `[u, f]`.
         x: Reg,
-        /// Per-task weights `[t, f, f']`.
-        w: Reg,
+        /// Weights `[t, f, f']`.
+        w: Src,
         /// Result `[u, t, f']`.
         out: Reg,
     },
     /// Dense product of a register with a global weight: `out = x @ W`.
-    MatMatGlobal {
+    MatMat {
         /// Input rows.
         x: Reg,
         /// Global weight name.
@@ -131,26 +155,6 @@ pub enum MicroKernel {
         /// Per-row weights `[n, f, f']`.
         w: Reg,
         /// Result `[n, f']`.
-        out: Reg,
-    },
-    /// All-pairs product `out[u, t] = x[u] @ w[t]` with a global rank-3
-    /// weight.
-    PairwiseGlobal {
-        /// Unique input rows `[u, f]`.
-        x: Reg,
-        /// Global weight name `[t, f, f']`.
-        w: String,
-        /// Result `[u, t, f']`.
-        out: Reg,
-    },
-    /// Gather the per-row slices of a global rank-3 tensor: `out[i] =
-    /// W[idx[i]]`.
-    GatherWeight {
-        /// Global rank-3 tensor name.
-        src: String,
-        /// Slice indices.
-        idx: Reg,
-        /// Result `[n, f, f']`.
         out: Reg,
     },
     /// Element-wise arithmetic.
@@ -211,7 +215,7 @@ pub struct KernelProgram {
     /// The per-call edge pass (`run_edge_pass`): micro-kernels run once
     /// per call, before any task, over all of the plan's edges. Each
     /// `SegmentSoftmax` here publishes its result to `ops` as the
-    /// `[|E|, 1]` pseudo-global [`edge_value_name`] of its output
+    /// `[|E|, 1]` pseudo-global `edge_value_name` of its output
     /// register. Empty unless the layer normalizes per destination.
     pub edge_ops: Vec<MicroKernel>,
     /// Number of virtual registers, shared by `edge_ops` and `ops`.
@@ -235,13 +239,13 @@ pub fn prologue_name(id: NodeId) -> String {
 
 /// Pseudo-global name of the edge-rowed value the per-call edge pass
 /// leaves in register `r`.
-pub fn edge_value_name(r: Reg) -> String {
+pub(crate) fn edge_value_name(r: Reg) -> String {
     format!("__edge_{}", r.0)
 }
 
 /// The named tensors a per-task program reads: the caller's globals and,
 /// beside them, the call's prologue pseudo-globals ([`prologue_name`]) and
-/// edge values ([`edge_value_name`]) — a borrowed view, so no call copies
+/// edge values (`edge_value_name`) — a borrowed view, so no call copies
 /// a global to add them.
 #[derive(Clone, Copy)]
 pub struct Globals<'a> {
@@ -251,7 +255,7 @@ pub struct Globals<'a> {
 }
 
 impl<'a> Globals<'a> {
-    /// `base` with the prologue tensors `pre` ([`eval_prologue`]'s pairs).
+    /// `base` with the prologue tensors `pre` (`eval_prologue`'s pairs).
     pub fn with_prologue(
         base: &'a HashMap<String, Tensor>,
         pre: &'a [(String, Tensor)],
@@ -527,14 +531,6 @@ struct Scope {
     unique_regs: HashMap<AttrKind, (Reg, Reg)>,
 }
 
-/// An operand of a scope: a global tensor (model input), a precomputed
-/// edge-independent intermediate (prologue pseudo-global), or a register
-/// of the scope.
-enum Operand {
-    Global(String),
-    Register(Reg),
-}
-
 /// What [`compile`]'s scopes share: one register numbering and one
 /// prologue.
 struct Lowering<'d> {
@@ -549,18 +545,20 @@ impl Lowering<'_> {
         Reg(self.next_reg - 1)
     }
 
-    fn resolve(&mut self, p: NodeId, s: &Scope) -> Operand {
+    /// Node `p` as an operand of scope `s`: its register there, a model
+    /// input, or an edge-independent intermediate precomputed once (a
+    /// prologue pseudo-global).
+    fn resolve(&mut self, p: NodeId, s: &Scope) -> Src {
         if let Some(&r) = s.reg_of.get(&p) {
-            return Operand::Register(r);
+            return Src::Reg(r);
         }
         if let OpKind::Input { name, .. } = &self.dfg.node(p).kind {
-            return Operand::Global(name.clone());
+            return Src::Global(name.clone());
         }
-        // Edge-independent intermediate: precompute once.
         if !self.prologue.contains(&p) {
             self.prologue.push(p);
         }
-        Operand::Global(prologue_name(p))
+        Src::Global(prologue_name(p))
     }
 
     /// Task scope `s` reads softmax node `id`, which the edge pass left in
@@ -569,7 +567,7 @@ impl Lowering<'_> {
     fn edge_value(&mut self, id: NodeId, r: Reg, s: &mut Scope) {
         let (eid, rows, out) = (self.alloc(), self.alloc(), self.alloc());
         s.ops.push(MicroKernel::LoadStream { attr: AttrKind::EdgeId, out: eid });
-        s.ops.push(MicroKernel::GatherRows { src: edge_value_name(r), idx: eid, out: rows });
+        s.ops.push(MicroKernel::Gather { src: Src::Global(edge_value_name(r)), idx: eid, out: rows });
         s.ops.push(MicroKernel::Squeeze { x: rows, out });
         s.reg_of.insert(id, out);
     }
@@ -611,60 +609,33 @@ impl Lowering<'_> {
                 let out = self.alloc();
                 let data = node.inputs[0];
                 let rank = dfg.node(data).shape.len();
-                match self.resolve(data, s) {
-                    Operand::Global(src) if rank == 2 => {
-                        s.ops.push(MicroKernel::GatherRows { src, idx, out });
-                    }
-                    Operand::Global(src) => {
-                        s.ops.push(MicroKernel::GatherWeight { src, idx, out });
-                    }
-                    Operand::Register(src) if rank == 2 => {
-                        s.ops.push(MicroKernel::GatherRegRows { src, idx, out });
-                    }
-                    Operand::Register(_) => {
-                        return Err(CompileError(format!(
-                            "no micro-kernel gathers from a rank-{rank} task register \
-                             (node {})",
-                            data.0
-                        )));
-                    }
+                let src = self.resolve(data, s);
+                if src.reg().is_some() && rank != 2 {
+                    return Err(CompileError(format!(
+                        "no micro-kernel gathers from a rank-{rank} task register (node {})",
+                        data.0
+                    )));
                 }
+                s.ops.push(MicroKernel::Gather { src, idx, out });
                 s.reg_of.insert(id, out);
             }
             OpKind::Index2D => {
                 let idx1 = s.reg_of[&node.inputs[1]];
                 let idx2 = s.reg_of[&node.inputs[2]];
                 let out = self.alloc();
-                match self.resolve(node.inputs[0], s) {
-                    Operand::Global(src) => s.ops.push(MicroKernel::Gather2DGlobal {
-                        src,
-                        idx1,
-                        idx2,
-                        out,
-                    }),
-                    Operand::Register(src) => s.ops.push(MicroKernel::GatherReg2D {
-                        src,
-                        idx1,
-                        idx2,
-                        out,
-                    }),
-                }
+                let src = self.resolve(node.inputs[0], s);
+                s.ops.push(MicroKernel::Gather2D { src, idx1, idx2, out });
                 s.reg_of.insert(id, out);
             }
             OpKind::Linear => {
                 let x = *s.reg_of.get(&node.inputs[0]).ok_or_else(|| {
                     CompileError("Linear lhs must be task-local".into())
                 })?;
-                let w = match self.resolve(node.inputs[1], s) {
-                    Operand::Global(name) => name,
-                    Operand::Register(_) => {
-                        return Err(CompileError(
-                            "Linear weight must be edge-independent".into(),
-                        ))
-                    }
+                let Src::Global(w) = self.resolve(node.inputs[1], s) else {
+                    return Err(CompileError("Linear weight must be edge-independent".into()));
                 };
                 let out = self.alloc();
-                s.ops.push(MicroKernel::MatMatGlobal { x, w, out });
+                s.ops.push(MicroKernel::MatMat { x, w, out });
                 s.reg_of.insert(id, out);
             }
             OpKind::PerEdgeLinear => {
@@ -679,14 +650,8 @@ impl Lowering<'_> {
                     CompileError("PairwiseLinear lhs must be task-local".into())
                 })?;
                 let out = self.alloc();
-                match self.resolve(node.inputs[1], s) {
-                    Operand::Global(w) => {
-                        s.ops.push(MicroKernel::PairwiseGlobal { x, w, out })
-                    }
-                    Operand::Register(w) => {
-                        s.ops.push(MicroKernel::PairwiseReg { x, w, out })
-                    }
-                }
+                let w = self.resolve(node.inputs[1], s);
+                s.ops.push(MicroKernel::Pairwise { x, w, out });
                 s.reg_of.insert(id, out);
             }
             OpKind::Add | OpKind::Mul | OpKind::Relu | OpKind::LeakyRelu => {
@@ -839,19 +804,22 @@ fn run_segments(
 /// Whether every row of `op`'s result is a function of the same row of its
 /// per-edge operands alone (and of globals): run over any contiguous
 /// chunk of the edges, it computes exactly those rows of the whole run.
+/// A gather is, exactly when its source is a global: a register source
+/// holds the task's values, not one row per edge.
 fn row_local(op: &MicroKernel) -> bool {
-    matches!(
-        op,
+    match op {
+        MicroKernel::Gather { src, .. } | MicroKernel::Gather2D { src, .. } => src.reg().is_none(),
         MicroKernel::LoadStream { .. }
-            | MicroKernel::GatherRows { .. }
-            | MicroKernel::GatherWeight { .. }
-            | MicroKernel::Gather2DGlobal { .. }
-            | MicroKernel::MatMatGlobal { .. }
-            | MicroKernel::PerRowVecMat { .. }
-            | MicroKernel::Elementwise { .. }
-            | MicroKernel::Squeeze { .. }
-            | MicroKernel::ScaleRows { .. }
-    )
+        | MicroKernel::MatMat { .. }
+        | MicroKernel::PerRowVecMat { .. }
+        | MicroKernel::Elementwise { .. }
+        | MicroKernel::Squeeze { .. }
+        | MicroKernel::ScaleRows { .. } => true,
+        MicroKernel::Unique { .. }
+        | MicroKernel::Pairwise { .. }
+        | MicroKernel::SegmentSoftmax { .. }
+        | MicroKernel::ScatterAdd { .. } => false,
+    }
 }
 
 /// The program's per-call edge pass ([`KernelProgram::edge_ops`]) under a
@@ -1089,6 +1057,14 @@ fn unique_into(stream: &[u32], ws: &mut Workspace) -> (Vec<u32>, Vec<u32>) {
     (uniq, map)
 }
 
+/// The `len`-long slices of `src` starting at `starts`, one after another
+/// into `out`.
+fn copy_slices(src: &[f32], len: usize, starts: impl Iterator<Item = usize>, out: &mut [f32]) {
+    for (n, at) in starts.enumerate() {
+        out[n * len..(n + 1) * len].copy_from_slice(&src[at..at + len]);
+    }
+}
+
 /// Executes a single micro-kernel instruction against the task workspace:
 /// the step [`run_task`] and [`run_edge_pass`] take for every
 /// instruction they interpret.
@@ -1102,261 +1078,136 @@ pub(crate) fn exec_op(
     tws: &mut TaskWorkspace,
 ) {
     let TaskWorkspace { regs, ws, work } = tws;
-    {
-        match op {
-            MicroKernel::LoadStream { attr, out } => {
-                let mut s = ws.take_u32(edges.len());
-                for (slot, &e) in s.iter_mut().zip(edges.iter()) {
-                    *slot = g.edge_attr(*attr, e as usize) as u32;
-                }
-                work.bytes_gathered += 4 * edges.len() as u64;
-                set_reg(regs, ws, *out, RegValue::Stream(s));
+    // Every arm but `ScatterAdd` yields the register it writes last.
+    let (dst, value) = match op {
+        MicroKernel::LoadStream { attr, out } => {
+            let mut s = ws.take_u32(edges.len());
+            for (slot, &e) in s.iter_mut().zip(edges.iter()) {
+                *slot = g.edge_attr(*attr, e as usize) as u32;
             }
-            MicroKernel::Unique {
-                stream: s,
-                values,
-                map,
-            } => {
-                let (u, m) = unique_into(reg_stream(regs, *s), ws);
-                set_reg(regs, ws, *values, RegValue::Stream(u));
-                set_reg(regs, ws, *map, RegValue::Stream(m));
-            }
-            MicroKernel::GatherRows { src, idx, out } => {
-                let t;
-                {
-                    let srct = &globals[src.as_str()];
-                    let i = reg_stream(regs, *idx);
-                    let n = srct.dims()[1];
-                    let mut buf = ws.take(i.len() * n);
-                    ops::gather_rows_into(srct, i, &mut buf);
-                    work.bytes_gathered += (4 * i.len() * n) as u64;
-                    t = Tensor::from_vec(buf, &[i.len(), n]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::GatherRegRows { src, idx, out } => {
-                let t;
-                {
-                    let srct = reg_tensor(regs, *src);
-                    let i = reg_stream(regs, *idx);
-                    let n = srct.dims()[1];
-                    let mut buf = ws.take(i.len() * n);
-                    ops::gather_rows_into(srct, i, &mut buf);
-                    work.bytes_gathered += (4 * i.len() * n) as u64;
-                    t = Tensor::from_vec(buf, &[i.len(), n]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::GatherReg2D {
-                src,
-                idx1,
-                idx2,
-                out,
-            } => {
-                let t;
-                {
-                    let srct = reg_tensor(regs, *src);
-                    let (d1, rest): (usize, usize) =
-                        (srct.dims()[1], srct.dims()[2..].iter().product());
-                    let i1 = reg_stream(regs, *idx1);
-                    let i2 = reg_stream(regs, *idx2);
-                    let mut data = ws.take(i1.len() * rest);
-                    for (i, (&a, &b)) in i1.iter().zip(i2.iter()).enumerate() {
-                        let off = (a as usize * d1 + b as usize) * rest;
-                        data[i * rest..(i + 1) * rest]
-                            .copy_from_slice(&srct.data()[off..off + rest]);
-                    }
-                    work.bytes_gathered += (4 * i1.len() * rest) as u64;
-                    t = Tensor::from_vec(data, &[i1.len(), rest]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::GatherWeight { src, idx, out } => {
-                let t;
-                {
-                    let w = &globals[src.as_str()];
-                    let slice: usize = w.dims()[1..].iter().product();
-                    let i = reg_stream(regs, *idx);
-                    let mut data = ws.take(i.len() * slice);
-                    for (n, &ti) in i.iter().enumerate() {
-                        let off = ti as usize * slice;
-                        data[n * slice..(n + 1) * slice]
-                            .copy_from_slice(&w.data()[off..off + slice]);
-                    }
-                    work.bytes_gathered += (4 * i.len() * slice) as u64;
-                    let mut dims = vec![i.len()];
-                    dims.extend_from_slice(&w.dims()[1..]);
-                    t = Tensor::from_vec(data, &dims);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::Gather2DGlobal {
-                src,
-                idx1,
-                idx2,
-                out,
-            } => {
-                let t;
-                {
-                    let srct = &globals[src.as_str()];
-                    let (d1, rest): (usize, usize) =
-                        (srct.dims()[1], srct.dims()[2..].iter().product());
-                    let i1 = reg_stream(regs, *idx1);
-                    let i2 = reg_stream(regs, *idx2);
-                    let mut data = ws.take(i1.len() * rest);
-                    for (i, (&a, &b)) in i1.iter().zip(i2.iter()).enumerate() {
-                        let off = (a as usize * d1 + b as usize) * rest;
-                        data[i * rest..(i + 1) * rest]
-                            .copy_from_slice(&srct.data()[off..off + rest]);
-                    }
-                    work.bytes_gathered += (4 * i1.len() * rest) as u64;
-                    t = Tensor::from_vec(data, &[i1.len(), rest]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::PairwiseReg { x, w, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let wv = reg_tensor(regs, *w);
-                    let (u, td, fo) = (xv.dims()[0], wv.dims()[0], wv.dims()[2]);
-                    let mut buf = ws.take(u * td * fo);
-                    pairwise_into(xv.into(), wv.into(), &mut buf);
-                    work.flops += (2 * u * xv.dims()[1] * td * fo) as u64;
-                    t = Tensor::from_vec(buf, &[u, td, fo]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::MatMatGlobal { x, w, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let wt = &globals[w.as_str()];
-                    let (m, n) = (xv.dims()[0], wt.dims()[1]);
-                    let mut buf = ws.take(m * n);
-                    ops::matmul_into(xv, wt, &mut buf);
-                    work.flops += (2 * m * xv.dims()[1] * n) as u64;
-                    t = Tensor::from_vec(buf, &[m, n]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::PerRowVecMat { x, w, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let wv = reg_tensor(regs, *w);
-                    let (n, f) = (xv.dims()[0], xv.dims()[1]);
-                    let fo = wv.dims()[2];
-                    let mut data = ws.take(n * fo);
-                    for i in 0..n {
-                        for k in 0..f {
-                            let x_ik = xv.data()[i * f + k];
-                            if x_ik == 0.0 {
-                                continue;
-                            }
-                            let wrow =
-                                &wv.data()[(i * f + k) * fo..(i * f + k + 1) * fo];
-                            for (o, &w_kj) in
-                                data[i * fo..(i + 1) * fo].iter_mut().zip(wrow)
-                            {
-                                *o += x_ik * w_kj;
-                            }
-                        }
-                    }
-                    // Nominal FLOPs (the zero-skip above is an execution
-                    // shortcut, not less work in the model).
-                    work.flops += (2 * n * f * fo) as u64;
-                    t = Tensor::from_vec(data, &[n, fo]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::PairwiseGlobal { x, w, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let wv = &globals[w.as_str()];
-                    let (u, td, fo) = (xv.dims()[0], wv.dims()[0], wv.dims()[2]);
-                    let mut buf = ws.take(u * td * fo);
-                    pairwise_into(xv.into(), wv.into(), &mut buf);
-                    work.flops += (2 * u * xv.dims()[1] * td * fo) as u64;
-                    t = Tensor::from_vec(buf, &[u, td, fo]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::Elementwise { op, a, b, out } => {
-                let t;
-                {
-                    let av = reg_tensor(regs, *a);
-                    let mut buf = ws.take(av.numel());
-                    match (op, b) {
-                        (EwOp::Add, Some(b)) => {
-                            ops::add_into(av, reg_tensor(regs, *b), &mut buf)
-                        }
-                        (EwOp::Mul, Some(b)) => {
-                            ops::mul_into(av, reg_tensor(regs, *b), &mut buf)
-                        }
-                        (EwOp::Relu, _) => ops::relu_into(av, &mut buf),
-                        (EwOp::LeakyRelu, _) => {
-                            ops::leaky_relu_into(av, LEAKY_SLOPE, &mut buf)
-                        }
-                        _ => panic!("binary elementwise without second operand"),
-                    }
-                    work.flops += av.numel() as u64;
-                    t = Tensor::from_vec(buf, av.dims());
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::Squeeze { x, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let mut buf = ws.take(xv.numel());
-                    buf.copy_from_slice(xv.data());
-                    t = Tensor::from_vec(buf, &[xv.dims()[0]]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::SegmentSoftmax { scores, seg, out } => {
-                let t;
-                {
-                    let sc = reg_tensor(regs, *scores);
-                    let segs = reg_stream(regs, *seg);
-                    let mut buf = ws.take(segs.len());
-                    ops::segment_softmax_into(sc, segs, g.num_vertices(), &mut buf);
-                    // max + exp + sum + divide passes, ~5 ops per element.
-                    work.flops += 5 * segs.len() as u64;
-                    t = Tensor::from_vec(buf, &[segs.len()]);
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::ScaleRows { x, s, out } => {
-                let t;
-                {
-                    let xv = reg_tensor(regs, *x);
-                    let sv = reg_tensor(regs, *s);
-                    let mut buf = ws.take(xv.numel());
-                    ops::scale_rows_into(xv, sv, &mut buf);
-                    work.flops += xv.numel() as u64;
-                    t = Tensor::from_vec(buf, xv.dims());
-                }
-                set_reg(regs, ws, *out, RegValue::Tensor(t));
-            }
-            MicroKernel::ScatterAdd { data, idx } => {
-                let d = reg_tensor(regs, *data);
-                let i = reg_stream(regs, *idx);
-                let width = program.out_width;
-                for (row, &dst) in i.iter().enumerate() {
-                    let orow = out.row_mut(dst as usize);
-                    let drow = &d.data()[row * width..(row + 1) * width];
-                    for (o, &v) in orow.iter_mut().zip(drow) {
-                        *o += v;
-                    }
-                }
-                work.flops += (i.len() * width) as u64;
-                work.bytes_scattered += (4 * i.len() * width) as u64;
-            }
+            work.bytes_gathered += 4 * edges.len() as u64;
+            (*out, RegValue::Stream(s))
         }
-    }
+        MicroKernel::Unique { stream, values, map } => {
+            let (u, m) = unique_into(reg_stream(regs, *stream), ws);
+            set_reg(regs, ws, *values, RegValue::Stream(u));
+            (*map, RegValue::Stream(m))
+        }
+        MicroKernel::Gather { src, idx, out } => {
+            let srct = src.tensor(regs, &globals);
+            let slice: usize = srct.dims()[1..].iter().product();
+            let i = reg_stream(regs, *idx);
+            let mut data = ws.take(i.len() * slice);
+            copy_slices(srct.data(), slice, i.iter().map(|&r| r as usize * slice), &mut data);
+            work.bytes_gathered += (4 * i.len() * slice) as u64;
+            let dims = [&[i.len()], &srct.dims()[1..]].concat();
+            (*out, RegValue::Tensor(Tensor::from_vec(data, &dims)))
+        }
+        MicroKernel::Gather2D { src, idx1, idx2, out } => {
+            let srct = src.tensor(regs, &globals);
+            let (d1, rest): (usize, usize) = (srct.dims()[1], srct.dims()[2..].iter().product());
+            let i1 = reg_stream(regs, *idx1);
+            let i2 = reg_stream(regs, *idx2);
+            let starts = i1.iter().zip(i2).map(|(&a, &b)| (a as usize * d1 + b as usize) * rest);
+            let mut data = ws.take(i1.len() * rest);
+            copy_slices(srct.data(), rest, starts, &mut data);
+            work.bytes_gathered += (4 * i1.len() * rest) as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(data, &[i1.len(), rest])))
+        }
+        MicroKernel::Pairwise { x, w, out } => {
+            let xv = reg_tensor(regs, *x);
+            let wv = w.tensor(regs, &globals);
+            let (u, td, fo) = (xv.dims()[0], wv.dims()[0], wv.dims()[2]);
+            let mut buf = ws.take(u * td * fo);
+            pairwise_into(xv.into(), wv.into(), &mut buf);
+            work.flops += (2 * u * xv.dims()[1] * td * fo) as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, &[u, td, fo])))
+        }
+        MicroKernel::MatMat { x, w, out } => {
+            let xv = reg_tensor(regs, *x);
+            let wt = &globals[w.as_str()];
+            let (m, n) = (xv.dims()[0], wt.dims()[1]);
+            let mut buf = ws.take(m * n);
+            ops::matmul_into(xv, wt, &mut buf);
+            work.flops += (2 * m * xv.dims()[1] * n) as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, &[m, n])))
+        }
+        MicroKernel::PerRowVecMat { x, w, out } => {
+            let xv = reg_tensor(regs, *x);
+            let wv = reg_tensor(regs, *w);
+            let (n, f) = (xv.dims()[0], xv.dims()[1]);
+            let fo = wv.dims()[2];
+            let mut data = ws.take(n * fo);
+            for i in 0..n {
+                for k in 0..f {
+                    let x_ik = xv.data()[i * f + k];
+                    if x_ik == 0.0 {
+                        continue;
+                    }
+                    let wrow = &wv.data()[(i * f + k) * fo..(i * f + k + 1) * fo];
+                    for (o, &w_kj) in data[i * fo..(i + 1) * fo].iter_mut().zip(wrow) {
+                        *o += x_ik * w_kj;
+                    }
+                }
+            }
+            // Nominal FLOPs (the zero-skip above is an execution
+            // shortcut, not less work in the model).
+            work.flops += (2 * n * f * fo) as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(data, &[n, fo])))
+        }
+        MicroKernel::Elementwise { op, a, b, out } => {
+            let av = reg_tensor(regs, *a);
+            let mut buf = ws.take(av.numel());
+            match (op, b) {
+                (EwOp::Add, Some(b)) => ops::add_into(av, reg_tensor(regs, *b), &mut buf),
+                (EwOp::Mul, Some(b)) => ops::mul_into(av, reg_tensor(regs, *b), &mut buf),
+                (EwOp::Relu, _) => ops::relu_into(av, &mut buf),
+                (EwOp::LeakyRelu, _) => ops::leaky_relu_into(av, LEAKY_SLOPE, &mut buf),
+                _ => panic!("binary elementwise without second operand"),
+            }
+            work.flops += av.numel() as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, av.dims())))
+        }
+        MicroKernel::Squeeze { x, out } => {
+            let xv = reg_tensor(regs, *x);
+            let mut buf = ws.take(xv.numel());
+            buf.copy_from_slice(xv.data());
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, &[xv.dims()[0]])))
+        }
+        MicroKernel::SegmentSoftmax { scores, seg, out } => {
+            let sc = reg_tensor(regs, *scores);
+            let segs = reg_stream(regs, *seg);
+            let mut buf = ws.take(segs.len());
+            ops::segment_softmax_into(sc, segs, g.num_vertices(), &mut buf);
+            // max + exp + sum + divide passes, ~5 ops per element.
+            work.flops += 5 * segs.len() as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, &[segs.len()])))
+        }
+        MicroKernel::ScaleRows { x, s, out } => {
+            let xv = reg_tensor(regs, *x);
+            let sv = reg_tensor(regs, *s);
+            let mut buf = ws.take(xv.numel());
+            ops::scale_rows_into(xv, sv, &mut buf);
+            work.flops += xv.numel() as u64;
+            (*out, RegValue::Tensor(Tensor::from_vec(buf, xv.dims())))
+        }
+        MicroKernel::ScatterAdd { data, idx } => {
+            let d = reg_tensor(regs, *data);
+            let i = reg_stream(regs, *idx);
+            let width = program.out_width;
+            for (row, &dst) in i.iter().enumerate() {
+                let orow = out.row_mut(dst as usize);
+                let drow = &d.data()[row * width..(row + 1) * width];
+                for (o, &v) in orow.iter_mut().zip(drow) {
+                    *o += v;
+                }
+            }
+            work.flops += (i.len() * width) as u64;
+            work.bytes_scattered += (4 * i.len() * width) as u64;
+            return;
+        }
+    };
+    set_reg(regs, ws, dst, value);
 }
 
 /// Register data-flow of one micro-kernel instruction: `(reads, writes)`.
@@ -1364,29 +1215,25 @@ pub(crate) fn exec_op(
 /// The single source of truth for which virtual registers an instruction
 /// consumes and produces, read through [`summarize`] by the fusion matcher
 /// in [`crate::fused`] and the cluster's placement rules.
-pub fn accesses(op: &MicroKernel) -> (Vec<Reg>, Vec<Reg>) {
+pub(crate) fn accesses(op: &MicroKernel) -> (Vec<Reg>, Vec<Reg>) {
     match op {
         MicroKernel::LoadStream { out, .. } => (vec![], vec![*out]),
         MicroKernel::Unique { stream, values, map } => {
             (vec![*stream], vec![*values, *map])
         }
-        MicroKernel::GatherRows { idx, out, .. }
-        | MicroKernel::GatherWeight { idx, out, .. } => (vec![*idx], vec![*out]),
-        MicroKernel::GatherRegRows { src, idx, out } => {
-            (vec![*src, *idx], vec![*out])
+        MicroKernel::Gather { src, idx, out } => {
+            (src.reg().into_iter().chain([*idx]).collect(), vec![*out])
         }
-        MicroKernel::GatherReg2D {
+        MicroKernel::Gather2D {
             src,
             idx1,
             idx2,
             out,
-        } => (vec![*src, *idx1, *idx2], vec![*out]),
-        MicroKernel::Gather2DGlobal {
-            idx1, idx2, out, ..
-        } => (vec![*idx1, *idx2], vec![*out]),
-        MicroKernel::PairwiseReg { x, w, out } => (vec![*x, *w], vec![*out]),
-        MicroKernel::MatMatGlobal { x, out, .. }
-        | MicroKernel::PairwiseGlobal { x, out, .. } => (vec![*x], vec![*out]),
+        } => (src.reg().into_iter().chain([*idx1, *idx2]).collect(), vec![*out]),
+        MicroKernel::Pairwise { x, w, out } => {
+            ([*x].into_iter().chain(w.reg()).collect(), vec![*out])
+        }
+        MicroKernel::MatMat { x, out, .. } => (vec![*x], vec![*out]),
         MicroKernel::PerRowVecMat { x, w, out } => (vec![*x, *w], vec![*out]),
         MicroKernel::Elementwise { a, b, out, .. } => {
             let mut r = vec![*a];
@@ -1402,18 +1249,16 @@ pub fn accesses(op: &MicroKernel) -> (Vec<Reg>, Vec<Reg>) {
     }
 }
 
-/// Names of the global tensors one instruction reads. Together with
+/// The global tensor one instruction reads, if any. Together with
 /// [`accesses`] this is the complete access set of a micro-kernel: named
 /// globals are read-only in task scope, and the only write target outside
 /// the register file is the task's accumulator (via `ScatterAdd`).
-pub fn global_inputs(op: &MicroKernel) -> Vec<&str> {
+pub(crate) fn global_inputs(op: &MicroKernel) -> Option<&str> {
     match op {
-        MicroKernel::GatherRows { src, .. }
-        | MicroKernel::Gather2DGlobal { src, .. }
-        | MicroKernel::GatherWeight { src, .. } => vec![src.as_str()],
-        MicroKernel::MatMatGlobal { w, .. }
-        | MicroKernel::PairwiseGlobal { w, .. } => vec![w.as_str()],
-        _ => vec![],
+        MicroKernel::Gather { src, .. } | MicroKernel::Gather2D { src, .. } => src.global(),
+        MicroKernel::Pairwise { w, .. } => w.global(),
+        MicroKernel::MatMat { w, .. } => Some(w),
+        _ => None,
     }
 }
 
@@ -1426,17 +1271,17 @@ pub fn global_inputs(op: &MicroKernel) -> Vec<&str> {
 /// placement rules — so they can never drift apart on what a program
 /// touches.
 #[derive(Clone, Debug, Default)]
-pub struct AccessSummary {
+pub(crate) struct AccessSummary {
     /// Program counters reading each register, ascending.
-    pub reads: Vec<Vec<usize>>,
+    pub(crate) reads: Vec<Vec<usize>>,
     /// Program counters writing each register, ascending.
-    pub writes: Vec<Vec<usize>>,
+    pub(crate) writes: Vec<Vec<usize>>,
     /// For registers holding index streams, the edge attribute their
     /// values are drawn from, when that provenance is statically exact:
     /// `LoadStream` loads the attribute directly and `Unique`'s `values`
     /// output keeps the value domain of its input stream. Anything else —
     /// including multiply-written registers — is `None`.
-    pub stream_origin: Vec<Option<AttrKind>>,
+    pub(crate) stream_origin: Vec<Option<AttrKind>>,
 }
 
 impl AccessSummary {
@@ -1444,7 +1289,7 @@ impl AccessSummary {
     /// and read only after that write and before `hi` — i.e. the value
     /// never escapes the window, so skipping its materialization is
     /// unobservable.
-    pub fn confined(&self, r: Reg, lo: usize, hi: usize) -> bool {
+    pub(crate) fn confined(&self, r: Reg, lo: usize, hi: usize) -> bool {
         let w = &self.writes[r.0];
         w.len() == 1
             && w[0] >= lo
@@ -1456,7 +1301,7 @@ impl AccessSummary {
 /// Builds the [`AccessSummary`] of a straight-line sequence of
 /// micro-kernels — a program's `ops` or its `edge_ops`. The tables cover
 /// every register the sequence names.
-pub fn summarize(ops: &[MicroKernel]) -> AccessSummary {
+pub(crate) fn summarize(ops: &[MicroKernel]) -> AccessSummary {
     let max_reg = ops
         .iter()
         .flat_map(|op| {
@@ -1821,7 +1666,7 @@ impl<'a> DenseEval<'a> {
 /// Panics if an epilogue node uses an unsupported operation (the per-task
 /// compiler accepts the DFG first, so this indicates an internal error) or
 /// a global tensor is missing.
-pub fn run_epilogue(
+pub(crate) fn run_epilogue(
     dfg: &Dfg,
     g: &Graph,
     globals: &HashMap<String, Tensor>,
@@ -1840,7 +1685,7 @@ pub fn run_epilogue(
 /// # Panics
 ///
 /// See [`run_epilogue`].
-pub fn run_epilogue_rows(
+pub(crate) fn run_epilogue_rows(
     dfg: &Dfg,
     g: &Graph,
     globals: &HashMap<String, Tensor>,
@@ -1891,7 +1736,7 @@ pub(crate) fn list_outputs(dfg: &Dfg, computed: &mut HashMap<NodeId, Tensor>) ->
 /// # Errors
 ///
 /// Fails if a prologue node is not evaluable from `globals` alone.
-pub fn eval_prologue(
+pub(crate) fn eval_prologue(
     program: &KernelProgram,
     dfg: &Dfg,
     g: &Graph,
@@ -2341,14 +2186,15 @@ mod tests {
         let dfg = ModelKind::Rgcn.layer_dfg(3, 2);
         let program = compile(&dfg, &g).unwrap();
         // Loads streams, gathers h and W, multiplies, scatters.
-        assert!(program
+        let gathered: Vec<_> = program
             .ops
             .iter()
-            .any(|k| matches!(k, MicroKernel::GatherRows { .. })));
-        assert!(program
-            .ops
-            .iter()
-            .any(|k| matches!(k, MicroKernel::GatherWeight { .. })));
+            .filter_map(|k| match k {
+                MicroKernel::Gather { src, .. } => src.global(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gathered, ["h", "W"]);
         assert!(program
             .ops
             .iter()
@@ -2358,5 +2204,58 @@ mod tests {
             Some(MicroKernel::ScatterAdd { .. })
         ));
         assert_eq!(program.out_width, 2);
+
+        // Every model × compiling rewrite: (model, candidate, [ops,
+        // edge_ops, prologue] lengths, num_regs, fused patterns,
+        // compatible placements).
+        let g = rmat(&RmatParams::standard(40, 300, 45).with_edge_types(3));
+        let (fi, fo) = (5, 4);
+        let mut globals = globals_for(&g, fi, fo);
+        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6));
+        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7));
+        let mut got = Vec::new();
+        for model in ModelKind::ALL {
+            let base = model.layer_dfg(fi, fo);
+            for (c, dfg) in transform::candidates(&base, &Binding::from_graph(&g)).iter().enumerate() {
+                let Ok(p) = compile(dfg, &g) else { continue };
+                let patterns: Vec<_> = crate::fused::plan_fusion(&p)
+                    .patterns()
+                    .into_iter()
+                    .map(|f| f.name())
+                    .collect();
+                let placements: Vec<_> = crate::cluster::compatible_placements(&p, &g, &globals)
+                    .into_iter()
+                    .map(|k| k.name())
+                    .collect();
+                let lens = [p.ops.len(), p.edge_ops.len(), p.prologue.len()];
+                got.push(format!(
+                    "{} {c} {lens:?} {} [{}] [{}]",
+                    model.name(),
+                    p.num_regs,
+                    patterns.join(", "),
+                    placements.join(", ")
+                ));
+            }
+        }
+        let (dp, ptc) = ("data_parallel", "project_then_communicate");
+        let (ctr, tp) = ("compute_then_reduce", "tensor_parallel");
+        let want = [
+            format!("RGCN 0 [7, 0, 0] 6 [per_type_batched_matmul] [{dp}, {ctr}, {tp}]"),
+            format!("RGCN 1 [5, 0, 1] 4 [] [{dp}, {ptc}]"),
+            format!("RGCN 3 [10, 0, 0] 11 [pairwise_scatter] [{dp}, {ctr}, {tp}]"),
+            format!("GAT 0 [8, 8, 3] 15 [edge_score, weighted_segment_reduce] [{dp}, {ptc}]"),
+            format!("GAT 1 [8, 8, 3] 15 [edge_score, weighted_segment_reduce] [{dp}, {ptc}]"),
+            format!("GAT 2 [10, 13, 3] 25 [] [{dp}, {ptc}]"),
+            format!("GAT 3 [10, 13, 3] 25 [] [{dp}, {ptc}]"),
+            format!("SAGE 0 [4, 0, 0] 3 [segment_reduce] [{dp}, {ctr}, {tp}]"),
+            format!("SAGE 1 [4, 0, 0] 3 [segment_reduce] [{dp}, {ctr}, {tp}]"),
+            format!("SAGE 2 [6, 0, 0] 6 [] [{dp}, {ctr}, {tp}]"),
+            format!("SAGE 3 [6, 0, 0] 6 [] [{dp}, {ctr}, {tp}]"),
+            format!("GCN 0 [4, 0, 0] 3 [segment_reduce] [{dp}, {ctr}, {tp}]"),
+            format!("GCN 1 [4, 0, 0] 3 [segment_reduce] [{dp}, {ctr}, {tp}]"),
+            format!("GCN 2 [6, 0, 0] 6 [] [{dp}, {ctr}, {tp}]"),
+            format!("GCN 3 [6, 0, 0] 6 [] [{dp}, {ctr}, {tp}]"),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -22,7 +22,7 @@ use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::fused::{plan_fusion, FusedPattern};
-use wisegraph::kernels::micro::{compile, MicroKernel};
+use wisegraph::kernels::micro::{compile, MicroKernel, Src};
 use wisegraph::models::ModelKind;
 use wisegraph::obs::{counters_to_json, keys, Class};
 use wisegraph::tensor::{init, Tensor};
@@ -154,7 +154,7 @@ fn default_mode_dispatch_is_bit_identical_and_observable() {
         .into_iter()
         .find(|d| {
             let program = compile(d, &g).unwrap();
-            program.ops.iter().any(|k| matches!(k, MicroKernel::GatherRegRows { .. }))
+            program.ops.iter().any(|k| matches!(k, MicroKernel::Gather { src: Src::Reg(_), .. }))
         })
         .expect("GCN has an extract-only rewrite");
     for (name, dfg, table, fuses) in [
@@ -185,7 +185,7 @@ fn default_mode_dispatch_is_bit_identical_and_observable() {
 }
 
 /// Registered parity test for [`FusedPattern::SegmentReduce`]
-/// (GatherRows → ScatterAdd; GCN/SAGE neighbor aggregation).
+/// (Gather of a global → ScatterAdd; GCN/SAGE neighbor aggregation).
 #[test]
 fn segment_reduce_fused_matches_interpreter() {
     let (fi, fo) = (6, 5);
@@ -215,7 +215,7 @@ fn segment_reduce_fused_matches_interpreter() {
 }
 
 /// Registered parity test for [`FusedPattern::EdgeBatchMatmul`]
-/// (GatherRows → MatMatGlobal → ScatterAdd). No built-in model keeps the
+/// (Gather of a global → MatMat → ScatterAdd). No built-in model keeps the
 /// projection on the edge stream — GCN/SAGE project after aggregation —
 /// so the chain is exercised with a hand-built gather→project→scatter
 /// layer, the batched-matmul workload of paper Figure 10.
@@ -253,8 +253,8 @@ fn edge_batch_matmul_fused_matches_interpreter() {
 }
 
 /// Registered parity test for [`FusedPattern::PerTypeBatchedMatmul`]
-/// (GatherRows → GatherWeight → PerRowVecMat → ScatterAdd; RGCN's
-/// per-edge-type projection).
+/// (Gather of rows → Gather of weight slices → PerRowVecMat → ScatterAdd;
+/// RGCN's per-edge-type projection).
 #[test]
 fn per_type_batched_matmul_fused_matches_interpreter() {
     let (fi, fo) = (6, 5);
@@ -279,10 +279,10 @@ fn per_type_batched_matmul_fused_matches_interpreter() {
 }
 
 /// Registered parity test for [`FusedPattern::WeightedSegmentReduce`]
-/// (GatherRows of the softmax's edge value → Squeeze → GatherRows →
-/// ScaleRows → ScatterAdd; GAT's attention-weighted aggregation) and
-/// [`FusedPattern::EdgeScore`] (GatherRows, GatherRows → Add → LeakyRelu
-/// → Squeeze; GAT's per-call score chain). One GAT layer has both, on
+/// (Gather of the softmax's edge value → Squeeze → Gather → ScaleRows →
+/// ScatterAdd; GAT's attention-weighted aggregation) and
+/// [`FusedPattern::EdgeScore`] (Gather, Gather → Add → LeakyRelu →
+/// Squeeze; GAT's per-call score chain). One GAT layer has both, on
 /// destination-complete and destination-splitting tables.
 #[test]
 fn gat_patterns_fused_match_interpreter() {
@@ -309,7 +309,7 @@ fn gat_patterns_fused_match_interpreter() {
 }
 
 /// Registered parity test for [`FusedPattern::PairwiseScatter`]
-/// (GatherReg2D → ScatterAdd; RGCN's Fig. 9 extract+swap form, the
+/// (Gather2D of a register → ScatterAdd; RGCN's Fig. 9 extract+swap form, the
 /// rewrite `transform::optimize` picks).
 #[test]
 fn pairwise_scatter_fused_matches_interpreter() {

@@ -20,10 +20,11 @@ use std::collections::HashMap;
 use wisegraph::dfg::analysis::indexing_attrs;
 use wisegraph::baselines::multi::MultiStack;
 use wisegraph::core::sharded::select_placement;
+use wisegraph::dfg::{transform, Binding, Dfg};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{Graph, ShardSpec};
 use wisegraph::gtask::restriction::enumerate_tables;
-use wisegraph::gtask::{partition, PartitionTable};
+use wisegraph::gtask::{partition, PartitionPlan, PartitionTable};
 use wisegraph::kernels::cluster::compatible_placements;
 use wisegraph::kernels::engine::Engine;
 use wisegraph::kernels::micro::compile;
@@ -84,6 +85,52 @@ fn allclose(a: &Tensor, b: &Tensor, tol: f32) -> bool {
             .all(|(x, y)| (x - y).abs() <= tol * (1.0 + y.abs()))
 }
 
+/// Runs `dfg` on a `devices`-device cluster under `placement` and checks
+/// the outputs against the single engine's `reference`: bit-for-bit for
+/// every schedule but compute-then-reduce, which is held numerically close
+/// and bit-stable across device counts (its first run is kept in `anchor`).
+#[allow(clippy::too_many_arguments)]
+fn check_cluster_run(
+    dfg: &Dfg,
+    g: &Graph,
+    plan: &PartitionPlan,
+    globals: &HashMap<String, Tensor>,
+    placement: PlacementKind,
+    devices: usize,
+    reference: &[Tensor],
+    anchor: &mut Option<Vec<Tensor>>,
+    ctx: &str,
+) {
+    let run = ClusterEngine::new(devices, THREADS)
+        .execute(dfg, g, plan, globals, placement)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert!(run.exchange.is_conserved(), "{ctx}: unbalanced exchange");
+    assert_eq!(reference.len(), run.outputs.len(), "{ctx}");
+    if placement != PlacementKind::ComputeThenReduce {
+        for (a, b) in reference.iter().zip(&run.outputs) {
+            let differ = a.data().iter().zip(b.data()).filter(|(x, y)| x.to_bits() != y.to_bits());
+            let (n, max) = differ.fold((0, 0.0f32), |(n, m), (x, y)| (n + 1, m.max((x - y).abs())));
+            assert!(
+                a.dims() == b.dims() && n == 0,
+                "{ctx}: {n} of {} elements differ from the single engine, max abs error {max}",
+                a.numel()
+            );
+        }
+        return;
+    }
+    for (a, b) in reference.iter().zip(&run.outputs) {
+        assert!(allclose(b, a, 1e-3), "{ctx}: diverged from the single engine");
+    }
+    match anchor {
+        None => *anchor = Some(run.outputs),
+        Some(first) => {
+            for (a, b) in first.iter().zip(&run.outputs) {
+                assert_eq!(a.data(), b.data(), "{ctx}: bits changed with the device count");
+            }
+        }
+    }
+}
+
 /// The full sweep: every model × every enumerable table × {1,2,4,8}
 /// devices × every placement the compiled program supports.
 #[test]
@@ -111,46 +158,55 @@ fn all_models_all_tables_all_devices_match_single_engine() {
                         kind.name(),
                         placement.name()
                     );
-                    let cluster = ClusterEngine::new(devices, THREADS);
-                    let run = cluster
-                        .execute(&dfg, &g, &plan, &globals, placement)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    assert!(run.exchange.is_conserved(), "{ctx}: unbalanced exchange");
-                    assert_eq!(reference.len(), run.outputs.len(), "{ctx}");
-                    if placement == PlacementKind::ComputeThenReduce {
-                        for (a, b) in reference.iter().zip(run.outputs.iter()) {
-                            assert!(
-                                allclose(b, a, 1e-3),
-                                "{ctx}: diverged from the single engine"
-                            );
-                        }
-                        match &anchor {
-                            None => anchor = Some(run.outputs),
-                            Some(first) => {
-                                for (a, b) in first.iter().zip(run.outputs.iter()) {
-                                    assert_eq!(
-                                        a.data(),
-                                        b.data(),
-                                        "{ctx}: bits changed with the device count"
-                                    );
-                                }
-                            }
-                        }
-                    } else {
-                        for (a, b) in reference.iter().zip(run.outputs.iter()) {
-                            assert_eq!(
-                                a.data(),
-                                b.data(),
-                                "{ctx}: not bit-identical to the single engine"
-                            );
-                        }
-                    }
+                    check_cluster_run(
+                        &dfg, &g, &plan, &globals, placement, devices, &reference, &mut anchor, &ctx,
+                    );
                     combos += 1;
                 }
             }
         }
     }
     // Every model must have contributed, with multiple placements each.
+    assert!(combos >= 60, "only {combos} combinations exercised");
+}
+
+/// Every compiling rewrite of every model (`transform::candidates`) ×
+/// every compatible placement × 2 and 4 devices on the vertex-centric
+/// plan. A rewrite moves work between the prologue and the per-task
+/// program, so the tensors whose halo rows travel differ from the
+/// untransformed DFG's: RGCN's prologue-table rewrite gathers its
+/// projected table only through a 2-D gather, whose halo rows
+/// project-then-communicate has to ship too.
+#[test]
+fn every_compiling_rewrite_matches_single_engine() {
+    let (fi, fo) = (6, 5);
+    let g = rmat(&RmatParams::standard(140, 1100, 71).with_edge_types(3));
+    let globals = globals_for(&g, fi, fo);
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let mut combos = 0usize;
+    for kind in MODELS {
+        let base = kind.layer_dfg(fi, fo);
+        for (c, dfg) in transform::candidates(&base, &Binding::from_graph(&g)).iter().enumerate() {
+            let Ok(program) = compile(dfg, &g) else { continue };
+            let reference = Engine::new(THREADS)
+                .execute(dfg, &g, &plan, &globals)
+                .unwrap_or_else(|e| panic!("{} candidate {c}: reference: {e}", kind.name()));
+            for placement in compatible_placements(&program, &g, &globals) {
+                let mut anchor = None;
+                for devices in [2, 4] {
+                    let ctx = format!(
+                        "{} candidate {c} × {} × {devices} devices",
+                        kind.name(),
+                        placement.name()
+                    );
+                    check_cluster_run(
+                        dfg, &g, &plan, &globals, placement, devices, &reference, &mut anchor, &ctx,
+                    );
+                    combos += 1;
+                }
+            }
+        }
+    }
     assert!(combos >= 60, "only {combos} combinations exercised");
 }
 
