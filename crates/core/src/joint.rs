@@ -13,7 +13,7 @@
 
 use crate::plan::ExecutionPlan;
 use wisegraph_graph::Graph;
-use wisegraph_gtask::outlier::{classify_outliers, summarize, OutlierConfig, OutlierSummary};
+use wisegraph_gtask::outlier::{classify_outliers, summarize, OutlierSummary};
 use wisegraph_gtask::OutlierKind;
 use wisegraph_sim::{schedule, DeviceSpec};
 
@@ -50,7 +50,7 @@ pub fn compare_scheduling(
     dev: &DeviceSpec,
 ) -> ScheduleComparison {
     let durations = plan.task_durations(&plan.kernels(g), dev);
-    let classes = classify_outliers(g, &plan.partition, &OutlierConfig::default());
+    let classes = classify_outliers(g, &plan.partition);
     let summary = summarize(&plan.partition, &classes);
     let uniform = schedule::makespan_uniform(&durations, dev.num_sms);
 

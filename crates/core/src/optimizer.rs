@@ -60,13 +60,14 @@ pub struct OptimizedModel {
     pub trace: SearchTrace,
 }
 
+/// `Exact(k)` batch sizes swept during plan enumeration.
+const BATCH_SIZES: [u64; 4] = [32, 64, 128, 256];
+
 /// The WiseGraph optimizer: searches the joint space of graph and operation
 /// partition plans for a model on a graph.
 pub struct WiseGraph {
     /// Device model used for pricing plans.
     pub device: DeviceSpec,
-    /// `Exact(k)` batch sizes swept during plan enumeration.
-    pub batch_sizes: Vec<u64>,
     cache: Mutex<HashMap<String, f64>>,
     stats: Mutex<SearchStats>,
 }
@@ -83,11 +84,10 @@ pub struct SearchStats {
 }
 
 impl WiseGraph {
-    /// Creates an optimizer for a device with the default batch sweep.
+    /// Creates an optimizer for a device; plans sweep the `BATCH_SIZES`.
     pub fn new(device: DeviceSpec) -> Self {
         Self {
             device,
-            batch_sizes: vec![32, 64, 128, 256],
             cache: Mutex::new(HashMap::new()),
             stats: Mutex::new(SearchStats::default()),
         }
@@ -150,7 +150,7 @@ impl WiseGraph {
     pub fn optimize(&self, g: &Graph, model: ModelKind, dims: &LayerDims) -> OptimizedModel {
         let repr_dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let attrs: Vec<_> = analysis::indexing_attrs(&repr_dfg).into_iter().collect();
-        let tables = enumerate_tables(&attrs, &self.batch_sizes);
+        let tables = enumerate_tables(&attrs, &BATCH_SIZES);
         let edges = g.num_edges() as f64;
         let graph = g.content_key();
         let mut trace = SearchTrace::default();

@@ -27,38 +27,19 @@ pub enum OutlierKind {
     FrequentValue,
 }
 
-/// Tunable thresholds for outlier classification.
-#[derive(Clone, Copy, Debug)]
-pub struct OutlierConfig {
-    /// Underfill when `uniq(attr) < bound / underfill_divisor` (default 2).
-    pub underfill_divisor: u64,
-    /// Overfill when `edges > overfill_factor × median edges` (default 4).
-    pub overfill_factor: usize,
-    /// Frequent when a value appears in more than this many tasks
-    /// (default 8).
-    pub frequent_task_count: usize,
-}
-
-impl Default for OutlierConfig {
-    fn default() -> Self {
-        Self {
-            underfill_divisor: 2,
-            overfill_factor: 4,
-            frequent_task_count: 8,
-        }
-    }
-}
+/// Underfill when `uniq(attr) < bound / UNDERFILL_DIVISOR`.
+const UNDERFILL_DIVISOR: u64 = 2;
+/// Overfill when `edges > OVERFILL_FACTOR × median edges`.
+const OVERFILL_FACTOR: usize = 4;
+/// Frequent when a value appears in more than this many tasks.
+const FREQUENT_TASK_COUNT: usize = 8;
 
 /// Classifies every task of a plan; `None` marks a regular task.
 ///
 /// A task can match several classes; the reported one follows the priority
 /// FrequentValue > Overfill > Underfill (a value recurring across tasks is
 /// the most specific diagnosis; plain size imbalance comes next).
-pub fn classify_outliers(
-    g: &Graph,
-    plan: &PartitionPlan,
-    cfg: &OutlierConfig,
-) -> Vec<Option<OutlierKind>> {
+pub fn classify_outliers(g: &Graph, plan: &PartitionPlan) -> Vec<Option<OutlierKind>> {
     let exact = plan.table.exact_attrs();
     let median = plan.median_task_edges().max(1);
 
@@ -88,20 +69,20 @@ pub fn classify_outliers(
                 vals.dedup();
                 if vals
                     .iter()
-                    .any(|&v| value_tasks[&(attr, v)] > cfg.frequent_task_count)
+                    .any(|&v| value_tasks[&(attr, v)] > FREQUENT_TASK_COUNT)
                 {
                     return Some(OutlierKind::FrequentValue);
                 }
             }
             // Overfill: size blowup relative to the plan's median.
-            if task.num_edges() > cfg.overfill_factor * median {
+            if task.num_edges() > OVERFILL_FACTOR * median {
                 return Some(OutlierKind::Overfill);
             }
             // Underfill: achieved uniqueness far below the bound.
             for &(attr, bound) in &exact {
                 if bound >= 2 {
                     let u = task.uniq_of(g, attr) as u64;
-                    if u < bound / cfg.underfill_divisor.max(1) {
+                    if u < bound / UNDERFILL_DIVISOR {
                         return Some(OutlierKind::Underfill);
                     }
                 }
@@ -193,7 +174,7 @@ mod tests {
     fn hub_creates_overfill_under_vertex_centric() {
         let g = star_graph(256);
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let classes = classify_outliers(&g, &plan, &OutlierConfig::default());
+        let classes = classify_outliers(&g, &plan);
         let overfill: Vec<usize> = classes
             .iter()
             .enumerate()
@@ -212,7 +193,7 @@ mod tests {
             .exact(AttrKind::DstId, 1)
             .exact(AttrKind::EdgeId, 8);
         let plan = partition(&g, &table);
-        let classes = classify_outliers(&g, &plan, &OutlierConfig::default());
+        let classes = classify_outliers(&g, &plan);
         let frequent = classes
             .iter()
             .filter(|c| **c == Some(OutlierKind::FrequentValue))
@@ -235,7 +216,7 @@ mod tests {
             .exact(AttrKind::DstId, 1)
             .exact(AttrKind::EdgeId, 64);
         let plan2 = partition(&g, &table2);
-        let classes = classify_outliers(&g, &plan2, &OutlierConfig::default());
+        let classes = classify_outliers(&g, &plan2);
         let underfill = classes
             .iter()
             .filter(|c| **c == Some(OutlierKind::Underfill))
@@ -253,7 +234,7 @@ mod tests {
         // Pure edge batching on a uniform-ish graph: balanced by design.
         let g = rmat(&RmatParams::standard(256, 4096, 43));
         let plan = partition(&g, &PartitionTable::edge_batch(32));
-        let classes = classify_outliers(&g, &plan, &OutlierConfig::default());
+        let classes = classify_outliers(&g, &plan);
         let s = summarize(&plan, &classes);
         assert!(
             s.regular as f64 >= 0.9 * plan.num_tasks() as f64,
@@ -266,7 +247,7 @@ mod tests {
     fn summary_counts_add_up() {
         let g = star_graph(128);
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let classes = classify_outliers(&g, &plan, &OutlierConfig::default());
+        let classes = classify_outliers(&g, &plan);
         let s = summarize(&plan, &classes);
         assert_eq!(
             s.regular + s.underfill + s.overfill + s.frequent,

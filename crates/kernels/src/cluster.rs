@@ -28,6 +28,12 @@
 //! are what the full epilogue computes), which makes assembling the
 //! outputs a concatenation.
 //!
+//! A device's work is calls into its own engine's blocked phases, the
+//! ones a single [`Engine`] runs, over the rows it holds and owns. What it
+//! holds that differs from the caller's globals (masked vertex-rowed
+//! inputs, prologue tensors and halo rows, a column slice) is a short list
+//! read through [`Globals::with_prologue`] over the caller's globals.
+//!
 //! The four placement schedules:
 //!
 //! - [`PlacementKind::DataParallel`] (Fig. 11b): each device owns a
@@ -64,8 +70,8 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    compile, eval_prologue, prologue_name, run_epilogue, run_epilogue_rows, summarize,
-    vertex_rowed, CompileError, KernelProgram, MicroKernel,
+    check_inputs, compile, summarize, vertex_rowed, CompileError, Globals, KernelProgram,
+    MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -519,36 +525,38 @@ fn src_gathered_names(program: &KernelProgram) -> BTreeSet<String> {
         .collect()
 }
 
-/// Copies of `globals` with every tensor named in `rowed` masked to the
-/// rows `keep` accepts (other rows zero); the rest are shared as-is.
-fn masked_globals(
+/// Device `dev`'s copies of the DFG's vertex-rowed inputs under a vertex
+/// schedule, in name order, before any exchange: each keeps the rows the
+/// device reads — its owned rows and, under compute-then-reduce, the
+/// source rows of its groups — and is zero elsewhere. Read through
+/// [`Globals::with_prologue`] over the caller's globals, they shadow the
+/// caller's tensors; every other global is read in place.
+fn held_inputs(
+    dfg: &Dfg,
     globals: &HashMap<String, Tensor>,
-    rowed: &BTreeSet<String>,
-    v: usize,
-    keep: impl Fn(usize) -> bool,
-) -> HashMap<String, Tensor> {
-    globals
-        .iter()
-        .map(|(name, t)| {
-            if !rowed.contains(name) {
-                return (name.clone(), t.clone());
+    shard: &ShardState,
+    placement: PlacementKind,
+    dev: usize,
+) -> Vec<(String, Tensor)> {
+    let v = shard.spec.num_vertices();
+    let own = shard.spec.owned_range(dev);
+    let src = match placement {
+        PlacementKind::ComputeThenReduce => shard.group_rows(dev),
+        _ => 0..0,
+    };
+    vertex_rowed_inputs(dfg)
+        .into_iter()
+        .filter_map(|name| {
+            let t = globals.get(&name)?;
+            let w = t.numel() / v.max(1);
+            let mut m = Tensor::zeros(t.dims());
+            for r in [own.clone(), src.clone()] {
+                let cells = r.start * w..r.end * w;
+                m.data_mut()[cells.clone()].copy_from_slice(&t.data()[cells]);
             }
-            (name.clone(), mask_rows(t, v, &keep))
+            Some((name, m))
         })
         .collect()
-}
-
-/// A copy of `t` keeping only the rows `keep` accepts.
-fn mask_rows(t: &Tensor, v: usize, keep: &impl Fn(usize) -> bool) -> Tensor {
-    let w = t.numel() / v.max(1);
-    let mut m = Tensor::zeros(t.dims());
-    for r in 0..v {
-        if keep(r) {
-            m.data_mut()[r * w..(r + 1) * w]
-                .copy_from_slice(&t.data()[r * w..(r + 1) * w]);
-        }
-    }
-    m
 }
 
 /// Gathers `rows` of `t` (row width `w`) into a flat payload.
@@ -631,6 +639,21 @@ impl ShardState {
             halos,
             group_plans: OnceLock::new(),
         }
+    }
+
+    /// The source rows of device `dev`'s canonical source groups (the
+    /// compute-then-reduce decomposition): one run, because groups are
+    /// contiguous. They need not align with the owned rows: groups split
+    /// evenly over [`SrcGroups::CANONICAL`], ownership by in-edges.
+    fn group_rows(&self, dev: usize) -> std::ops::Range<usize> {
+        let v = self.spec.num_vertices();
+        let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
+        let mine = groups.groups_of_device(dev, self.spec.num_shards());
+        if mine.is_empty() {
+            return 0..0;
+        }
+        let chunks = ShardSpec::new(v, groups.num_groups());
+        chunks.owned_range(mine.start).start..chunks.owned_range(mine.end - 1).end
     }
 
     /// The rows `from` sends `to` in a halo exchange: the part of `to`'s
@@ -793,9 +816,10 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if compilation fails, the placement is not among
-    /// the compiled program's [`compatible_placements`], or an output is
-    /// not vertex-rowed.
+    /// Returns an error if compilation fails, `globals` lacks an input the
+    /// DFG reads or binds one to a tensor of other extents, or the
+    /// placement is not among the compiled program's
+    /// [`compatible_placements`]; each is found before any device starts.
     ///
     /// # Panics
     ///
@@ -835,31 +859,20 @@ impl ClusterEngine {
             devices = self.devices(),
             tasks = plan.tasks.len()
         );
+        check_inputs(dfg, g, globals)?;
         placement_compatible(program, globals, placement).map_err(CompileError)?;
-        let (outputs, art) = if placement == PlacementKind::TensorParallel {
+        let (outputs, art) = match placement {
             // Splits columns, not vertices: no shard state involved.
-            self.run_tensor_parallel(program, dfg, g, plan, globals)?
-        } else {
-            let shard = self.shard_state(g, plan);
-            // Devices return their owned rows only; rows need an owner.
-            if let Some(o) = dfg.outputs().iter().find(|o| !vertex_rowed(dfg, **o)) {
-                return Err(CompileError(format!(
-                    "sharded execution requires vertex-rowed outputs, node {} is not",
-                    o.0
-                )));
+            PlacementKind::TensorParallel => {
+                self.run_tensor_parallel(program, dfg, g, plan, globals)?
             }
-            match placement {
-                PlacementKind::ComputeThenReduce => {
-                    self.run_compute_then_reduce(program, dfg, g, plan, globals, &shard)?
-                }
-                _ => self.run_halo_schedule(
-                    program,
-                    dfg,
-                    g,
-                    globals,
-                    &shard,
-                    placement == PlacementKind::ProjectThenCommunicate,
-                )?,
+            PlacementKind::ComputeThenReduce => {
+                let shard = self.shard_state(g, plan);
+                self.run_compute_then_reduce(program, dfg, g, plan, globals, &shard)?
+            }
+            _ => {
+                let shard = self.shard_state(g, plan);
+                self.run_halo_schedule(program, dfg, g, globals, &shard, placement)?
             }
         };
         {
@@ -972,7 +985,9 @@ impl ClusterEngine {
     /// all-to-all; they differ in *what* travels — raw vertex-rowed
     /// globals before a local prologue (data-parallel) versus prologue
     /// tensors projected on their home device (project-then-communicate).
-    /// Either way a device finishes with the epilogue of its owned rows.
+    /// Either way a device runs its engine's prologue phase over the rows
+    /// it holds and finishes with the task phase and the reduce + epilogue
+    /// phase over its owned rows.
     fn run_halo_schedule(
         &self,
         program: &KernelProgram,
@@ -980,56 +995,51 @@ impl ClusterEngine {
         g: &Graph,
         globals: &HashMap<String, Tensor>,
         shard: &ShardState,
-        project_first: bool,
+        placement: PlacementKind,
     ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
         let d = self.devices();
         let v = g.num_vertices();
-        let rowed = vertex_rowed_inputs(dfg);
+        let project_first = placement == PlacementKind::ProjectThenCommunicate;
         // The names whose halo rows travel. Data-parallel ships every
         // vertex-rowed *input* (remote × f_in); project-then-communicate
         // ships only the source-gathered tensors the per-task program
         // actually reads — which, with the prologue evaluated at home,
         // are the projected rows (remote × f_out).
         let exchange_names: Vec<String> = if project_first {
-            if let Some(id) = program.prologue.iter().find(|id| !vertex_rowed(dfg, **id)) {
-                return Err(CompileError(format!(
-                    "project_then_communicate: prologue tensor {} is not \
-                     vertex-rowed, its rows have no home device",
-                    prologue_name(*id)
-                )));
-            }
             src_gathered_names(program).into_iter().collect()
         } else {
-            rowed.iter().filter(|n| globals.contains_key(*n)).cloned().collect()
+            vertex_rowed_inputs(dfg).into_iter().filter(|n| globals.contains_key(n)).collect()
         };
         let (outs, art) = self.run_devices(|dev, mb| {
             let own = shard.spec.owned_range(dev);
             let engine = &self.engines[dev];
-            let mut dglobals = masked_globals(globals, &rowed, v, |r| own.contains(&r));
+            let mut held = held_inputs(dfg, globals, shard, placement, dev);
+            let prologue = |held: &[(String, Tensor)]| {
+                engine.prologue_phase(program, dfg, g, Globals::with_prologue(globals, held))
+            };
             if project_first {
                 let projected = mb.record_compute(
                     engine,
-                    || eval_prologue(program, dfg, g, &dglobals),
+                    || prologue(&held),
                     |m| m.iter().map(|(_, t)| (t.numel() / v.max(1) * own.len()) as u64).sum(),
                 )?;
-                dglobals.extend(projected);
+                held.extend(projected);
             }
             for name in &exchange_names {
-                let local = &dglobals[name];
-                let w = local.numel() / v.max(1);
+                // A tensor without vertex rows is replicated: read in place.
+                let Some(k) = held.iter().position(|(n, _)| n == name) else { continue };
+                let w = held[k].1.numel() / v.max(1);
                 let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
                     .map(|p| {
                         if p == dev {
                             return (Vec::new(), Vec::new());
                         }
                         let rows = shard.send_rows(dev, p);
-                        (rows.to_vec(), gather_payload(local, rows, w))
+                        (rows.to_vec(), gather_payload(&held[k].1, rows, w))
                     })
                     .collect();
-                let got = mb.exchange("all_to_all", outgoing);
-                let target = dglobals.get_mut(name).expect("exchanged name");
-                for m in got {
-                    scatter_payload(target, &m.rows, &m.payload, w);
+                for m in mb.exchange("all_to_all", outgoing) {
+                    scatter_payload(&mut held[k].1, &m.rows, &m.payload, w);
                 }
             }
             mb.record_compute(
@@ -1037,24 +1047,11 @@ impl ClusterEngine {
                 || {
                     if !project_first {
                         // Local prologue over the rows held: owned and halo.
-                        let pre = eval_prologue(program, dfg, g, &dglobals)?;
-                        dglobals.extend(pre);
+                        let pre = prologue(&held)?;
+                        held.extend(pre);
                     }
-                    let acc = engine.reduce_tasks(
-                        program,
-                        g,
-                        &shard.plans[dev],
-                        &dglobals,
-                        own.clone(),
-                    );
-                    Ok(run_epilogue_rows(
-                        dfg,
-                        g,
-                        &dglobals,
-                        program.reduce_node,
-                        acc,
-                        own.clone(),
-                    ))
+                    let view = Globals::with_prologue(globals, &held);
+                    Ok(engine.reduce_tasks(program, dfg, g, &shard.plans[dev], view, own.clone()))
                 },
                 |_| 0,
             )
@@ -1080,7 +1077,6 @@ impl ClusterEngine {
         let d = self.devices();
         let v = g.num_vertices();
         let spec = &shard.spec;
-        let rowed = vertex_rowed_inputs(dfg);
         let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
         let ngroups = groups.num_groups();
         let group_owner = ShardSpec::new(ngroups, d);
@@ -1093,41 +1089,27 @@ impl ClusterEngine {
         let (outs, art) = self.run_devices(|dev, mb| {
             let own = spec.owned_range(dev);
             let my_groups = groups.groups_of_device(dev, d);
+            let engine = &self.engines[dev];
             // Rows this device reads: its groups' source ranges (per-task
             // gathers are source-indexed — enforced by the compatibility
             // check) plus its owned rows (the epilogue may read them,
-            // e.g. self-features). The two ranges need not align: group
-            // chunking is even over CANONICAL, ownership in-edge-balanced
-            // over `d`.
-            let src_range = if my_groups.is_empty() {
-                0..0
-            } else {
-                let first = ShardSpec::new(v, ngroups).owned_range(my_groups.start);
-                let last = ShardSpec::new(v, ngroups).owned_range(my_groups.end - 1);
-                first.start..last.end
-            };
-            let dglobals = masked_globals(globals, &rowed, v, |r| {
-                src_range.contains(&r) || own.contains(&r)
-            });
+            // e.g. self-features).
+            let held = held_inputs(dfg, globals, shard, PlacementKind::ComputeThenReduce, dev);
+            let view = Globals::with_prologue(globals, &held);
             let partials: Vec<Tensor> = mb.record_compute(
-                &self.engines[dev],
+                engine,
                 || {
                     my_groups
                         .clone()
-                        .map(|grp| {
-                            self.engines[dev].accumulate_program(
-                                program,
-                                g,
-                                &group_plans[grp],
-                                &dglobals,
-                            )
-                        })
+                        .map(|grp| engine.accumulate_program(program, g, &group_plans[grp], view))
                         .collect()
                 },
                 |_| 0,
             )?;
-            // The owned rows of the reduction only.
-            let mut acc = Tensor::zeros(&[own.len(), w]);
+            // Full height, so the reduce + epilogue phase reads it like an
+            // engine partial; only the owned rows are summed and read.
+            let mut acc = Tensor::zeros(&[v, w]);
+            let cells = own.start * w..own.end * w;
             for grp in 0..ngroups {
                 let owner = group_owner.owner(grp as u32);
                 let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
@@ -1146,11 +1128,10 @@ impl ClusterEngine {
                 // Exactly one contribution per group, added in ascending
                 // global group order — same float sequence at every D.
                 mb.record_compute(
-                    &self.engines[dev],
+                    engine,
                     || {
                         let slice: &[f32] = if owner == dev {
-                            &partials[grp - my_groups.start].data()
-                                [own.start * w..own.end * w]
+                            &partials[grp - my_groups.start].data()[cells.clone()]
                         } else {
                             &got[if owner < dev { owner } else { owner - 1 }].payload
                         };
@@ -1159,7 +1140,7 @@ impl ClusterEngine {
                             own.len() * w,
                             "reduce-scatter slice width mismatch"
                         );
-                        for (a, b) in acc.data_mut().iter_mut().zip(slice) {
+                        for (a, b) in acc.data_mut()[cells.clone()].iter_mut().zip(slice) {
                             *a += *b;
                         }
                         Ok(())
@@ -1168,16 +1149,10 @@ impl ClusterEngine {
                 )?;
             }
             mb.record_compute(
-                &self.engines[dev],
+                engine,
                 || {
-                    Ok(run_epilogue_rows(
-                        dfg,
-                        g,
-                        &dglobals,
-                        program.reduce_node,
-                        acc,
-                        own.clone(),
-                    ))
+                    let acc = std::slice::from_ref(&acc);
+                    Ok(engine.epilogue_phase(program, dfg, g, view, acc, own.clone()))
                 },
                 |outs| outs.iter().map(|t| t.numel() as u64).sum(),
             )
@@ -1207,22 +1182,19 @@ impl ClusterEngine {
             .expect("compatibility check found a slice target");
         let (mut outs, art) = self.run_devices(|dev, mb| {
             let my_cols = cols.owned_range(dev);
+            let engine = &self.engines[dev];
             let payload: Vec<f32> = mb.record_compute(
-                &self.engines[dev],
+                engine,
                 || {
                     if my_cols.is_empty() {
                         return Ok(Vec::new());
                     }
                     let mut prog = program.clone();
                     prog.out_width = my_cols.len();
-                    let mut dglobals = globals.clone();
-                    dglobals.insert(
-                        slice_name.clone(),
-                        slice_last_dim(&globals[&slice_name], my_cols.clone()),
-                    );
-                    let part =
-                        self.engines[dev].accumulate_program(&prog, g, plan, &dglobals)?;
-                    Ok(part.data().to_vec())
+                    let sliced = slice_last_dim(&globals[&slice_name], my_cols.clone());
+                    let held = [(slice_name.clone(), sliced)];
+                    let view = Globals::with_prologue(globals, &held);
+                    Ok(engine.accumulate_program(&prog, g, plan, view)?.into_vec())
                 },
                 |_| 0,
             )?;
@@ -1237,7 +1209,7 @@ impl ClusterEngine {
                 .collect();
             let got = mb.exchange("all_gather", outgoing);
             mb.record_compute(
-                &self.engines[dev],
+                engine,
                 || {
                     let mut acc = Tensor::zeros(&[v, wtotal]);
                     for p in 0..d {
@@ -1260,7 +1232,8 @@ impl ClusterEngine {
                                 );
                         }
                     }
-                    Ok(run_epilogue(dfg, g, globals, program.reduce_node, acc))
+                    let acc = std::slice::from_ref(&acc);
+                    Ok(engine.epilogue_phase(program, dfg, g, globals.into(), acc, 0..v))
                 },
                 |outs| {
                     (v * wtotal) as u64
@@ -1295,59 +1268,31 @@ fn concat_vertex_outputs(v: usize, per_dev: Vec<Vec<Tensor>>) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::micro::tests::globals_for;
+    use wisegraph_dfg::Dim;
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
-    use wisegraph_tensor::init;
 
-    fn rgcn_setup() -> (Graph, Dfg, HashMap<String, Tensor>) {
-        let g = rmat(&RmatParams::standard(110, 900, 41).with_edge_types(3));
-        let (fi, fo) = (5, 4);
-        let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 21),
-        );
-        globals.insert(
-            "W".to_string(),
-            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 22),
-        );
-        (g, dfg, globals)
+    type Setup = (Graph, Dfg, HashMap<String, Tensor>);
+
+    /// `model`'s layer DFG at `fi → fo` on `g`, with a value for every
+    /// input.
+    fn setup(g: Graph, model: ModelKind, fi: usize, fo: usize) -> Setup {
+        let globals = globals_for(&g, fi, fo);
+        (g, model.layer_dfg(fi, fo), globals)
     }
 
-    fn gcn_setup() -> (Graph, Dfg, HashMap<String, Tensor>) {
-        let g = rmat(&RmatParams::standard(100, 800, 43));
-        let (fi, fo) = (6, 3);
-        let dfg = ModelKind::Gcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 23),
-        );
-        globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 24));
-        (g, dfg, globals)
+    fn rgcn_setup() -> Setup {
+        setup(rmat(&RmatParams::standard(110, 900, 41).with_edge_types(3)), ModelKind::Rgcn, 5, 4)
     }
 
-    fn gat_setup() -> (Graph, Dfg, HashMap<String, Tensor>) {
-        let g = rmat(&RmatParams::standard(80, 500, 47));
-        let (fi, fo) = (4, 3);
-        let dfg = ModelKind::Gat.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 25),
-        );
-        globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 26));
-        globals.insert(
-            "a_src".to_string(),
-            init::uniform_tensor(&[fo, 1], -1.0, 1.0, 27),
-        );
-        globals.insert(
-            "a_dst".to_string(),
-            init::uniform_tensor(&[fo, 1], -1.0, 1.0, 28),
-        );
-        (g, dfg, globals)
+    fn gcn_setup() -> Setup {
+        setup(rmat(&RmatParams::standard(100, 800, 43)), ModelKind::Gcn, 6, 3)
+    }
+
+    fn gat_setup() -> Setup {
+        setup(rmat(&RmatParams::standard(80, 500, 47)), ModelKind::Gat, 4, 3)
     }
 
     #[test]
@@ -1590,6 +1535,73 @@ mod tests {
         let repointed = Graph::untyped(g.num_vertices(), g.src().to_vec(), dst);
         check(&repointed, &moved, PlacementKind::DataParallel);
         assert_eq!(rebuilds(), 3);
+    }
+
+    /// A device reads a vertex-rowed input only in the rows it holds:
+    /// through its view, every vertex-rowed DFG input is the caller's
+    /// tensor in those rows and zero in every other. Outputs cannot show a
+    /// device reading rows it does not hold — under project-then-
+    /// communicate and compute-then-reduce they would keep the single
+    /// engine's bits — so the view itself is pinned.
+    #[test]
+    fn devices_read_vertex_rowed_inputs_only_in_the_rows_they_hold() {
+        let g = rmat(&RmatParams::standard(90, 700, 49).with_edge_types(3));
+        let (v, fi, fo) = (g.num_vertices(), 4, 3);
+        let globals = globals_for(&g, fi, fo);
+        let plan = partition(&g, &PartitionTable::vertex_centric());
+        let cluster = ClusterEngine::new(2, 1);
+        let shard = cluster.shard_state(&g, &plan);
+        let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
+        let mut checked = 0;
+        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
+            let dfg = model.layer_dfg(fi, fo);
+            let program = compile(&dfg, &g).unwrap();
+            let rowed: Vec<&String> = (dfg.nodes().iter())
+                .filter_map(|n| match &n.kind {
+                    OpKind::Input { name, shape } if shape[0] == Dim::Vertices => Some(name),
+                    _ => None,
+                })
+                .collect();
+            for placement in compatible_placements(&program, &g, &globals) {
+                // A tensor-parallel device runs every edge on every row.
+                if placement == PlacementKind::TensorParallel {
+                    continue;
+                }
+                for dev in 0..2 {
+                    let own = ShardSpec::balanced(&g, 2).owned_range(dev);
+                    let mine = groups.groups_of_device(dev, 2);
+                    let holds = |r: usize| {
+                        own.contains(&r)
+                            || placement == PlacementKind::ComputeThenReduce
+                                && mine.contains(&groups.group_of(r as u32))
+                    };
+                    let held = held_inputs(&dfg, &globals, &shard, placement, dev);
+                    let view = Globals::with_prologue(&globals, &held);
+                    for &name in &rowed {
+                        let (seen, caller) = (&view[name.as_str()], &globals[name]);
+                        let w = caller.numel() / v;
+                        assert_eq!(seen.dims(), caller.dims());
+                        let zeros = vec![0.0; w];
+                        for r in 0..v {
+                            let cells = r * w..(r + 1) * w;
+                            let want: &[f32] =
+                                if holds(r) { &caller.data()[cells.clone()] } else { &zeros };
+                            assert_eq!(
+                                &seen.data()[cells],
+                                want,
+                                "{} × {}: device {dev} row {r} of `{name}`",
+                                model.name(),
+                                placement.name()
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        // Every model runs data-parallel, GAT project-then-communicate and
+        // the others compute-then-reduce: `h` on 2 devices each.
+        assert_eq!(checked, 16);
     }
 
     #[test]

@@ -37,13 +37,16 @@
 //! [`Engine::execute`], [`Engine::execute_program`] and
 //! [`Engine::accumulate_program`] are the entry points; all three accept
 //! any plan and run every gTask through [`run_task`] under the plan the
-//! engine's [`ExecMode`] selects.
+//! engine's [`ExecMode`] selects. The prologue and reduce + epilogue
+//! phases read a [`Globals`] view and the latter takes a row range, so a
+//! cluster device (`crate::cluster`) runs the same phases over the rows
+//! it holds and owns.
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    compile, eval_prologue, fill, join_rows, list_outputs, not_evaluable, prologue_name,
-    recycle, row_dims, run_edge_pass, run_epilogue, run_task, CompileError, DenseEval,
-    EdgePass, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
+    check_inputs, compile, eval_prologue, fill, join_rows, list_outputs, not_evaluable,
+    prologue_name, recycle, row_dims, run_edge_pass, run_epilogue, run_task, CompileError,
+    DenseEval, EdgePass, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -159,7 +162,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn with_lane_base(threads: usize, mode: ExecMode, lane_base: u32) -> Self {
+    pub(crate) fn with_lane_base(threads: usize, mode: ExecMode, lane_base: u32) -> Self {
         assert!(threads > 0, "need at least one worker");
         Self {
             slots: (0..threads).map(|_| Mutex::new(WorkerSlot::default())).collect(),
@@ -201,7 +204,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the compile error if the DFG cannot run per task.
+    /// Returns the compile error if the DFG cannot run per task, or an
+    /// error naming a DFG input that `globals` lacks or binds to a tensor
+    /// of other extents (see [`Engine::execute_program`]).
     ///
     /// # Panics
     ///
@@ -226,7 +231,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns an error if a prologue node cannot be evaluated.
+    /// Returns an error, before any worker starts, if `globals` lacks an
+    /// input the DFG reads or binds one to a tensor whose extents differ
+    /// from the input's declared shape (names the DFG does not read are
+    /// allowed), or if a prologue node cannot be evaluated.
     ///
     /// # Panics
     ///
@@ -239,17 +247,15 @@ impl Engine {
         plan: &PartitionPlan,
         globals: &HashMap<String, Tensor>,
     ) -> Result<Vec<Tensor>, CompileError> {
+        check_inputs(dfg, g, globals)?;
         let _sp = span!(
             "engine.execute",
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        let pre = self.prologue_phase(program, dfg, g, globals)?;
-        let partials = self.task_phase(program, g, plan, Globals::with_prologue(globals, &pre));
-        drop(pre);
-        let outs = self.epilogue_phase(program, dfg, g, globals, &partials);
-        self.park(partials);
-        Ok(outs)
+        let pre = self.prologue_phase(program, dfg, g, globals.into())?;
+        let view = Globals::with_prologue(globals, &pre);
+        Ok(self.reduce_tasks(program, dfg, g, plan, view, 0..program.out_rows))
     }
 
     /// Runs the per-task portion of a compiled program and returns the raw
@@ -269,58 +275,50 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if a worker thread panics.
-    pub fn accumulate_program(
+    pub fn accumulate_program<'a>(
         &self,
         program: &KernelProgram,
         g: &Graph,
         plan: &PartitionPlan,
-        all_globals: &HashMap<String, Tensor>,
+        all_globals: impl Into<Globals<'a>>,
     ) -> Result<Tensor, CompileError> {
+        let all_globals = all_globals.into();
         let _sp = span!(
             "engine.accumulate",
             tasks = plan.tasks.len(),
             threads = self.threads()
         );
-        for id in &program.prologue {
-            if !all_globals.contains_key(&prologue_name(*id)) {
-                return Err(CompileError(format!(
-                    "prologue node {} not supplied",
-                    id.0
-                )));
-            }
+        if let Some(id) =
+            program.prologue.iter().find(|id| all_globals.get(&prologue_name(**id)).is_none())
+        {
+            return Err(CompileError(format!("prologue node {} not supplied", id.0)));
         }
-        Ok(self.reduce_tasks(program, g, plan, all_globals, 0..program.out_rows))
+        let partials = self.task_phase(program, g, plan, all_globals);
+        let outs = [(program.reduce_node, vec![program.out_width])];
+        let reduced = self
+            .dense_phase(&outs, 0..program.out_rows, Some((program, &partials)), None)
+            .expect("the reduction claims its own target")
+            .swap_remove(0);
+        self.park(partials);
+        Ok(reduced)
     }
 
-    /// The task phase followed by the reduce phase over vertex rows `rows`
-    /// alone: rows `rows` of the reduction accumulator (the cluster asks
-    /// each device for its owned rows).
+    /// The task phase, then the reduce + epilogue phase over vertex rows
+    /// `rows`: rows `rows` of the DFG outputs (a cluster device asks for
+    /// its owned rows).
     pub(crate) fn reduce_tasks(
         &self,
         program: &KernelProgram,
+        dfg: &Dfg,
         g: &Graph,
         plan: &PartitionPlan,
-        all_globals: &HashMap<String, Tensor>,
+        globals: Globals<'_>,
         rows: Range<usize>,
-    ) -> Tensor {
-        let partials = self.task_phase(program, g, plan, all_globals.into());
-        let reduced = self.reduce_phase(program, &partials, rows);
+    ) -> Vec<Tensor> {
+        let partials = self.task_phase(program, g, plan, globals);
+        let outs = self.epilogue_phase(program, dfg, g, globals, &partials, rows);
         self.park(partials);
-        reduced
-    }
-
-    /// The reduce phase alone: rows `rows` of the reduction accumulator,
-    /// from the partials.
-    fn reduce_phase(
-        &self,
-        program: &KernelProgram,
-        partials: &[Tensor],
-        rows: Range<usize>,
-    ) -> Tensor {
-        let outs = [(program.reduce_node, vec![program.out_width])];
-        self.dense_phase(&outs, rows, Some((program, partials)), None)
-            .expect("the reduction claims its own target")
-            .swap_remove(0)
+        outs
     }
 
     /// Runs `work(slot, share)` for every share on its own scoped thread —
@@ -352,27 +350,25 @@ impl Engine {
         })
     }
 
-    /// The prologue phase: the program's prologue tensors, evaluated in
-    /// row blocks on the workers.
-    fn prologue_phase(
+    /// The prologue phase: the program's prologue tensors over every
+    /// vertex row, evaluated in row blocks on the workers, as
+    /// `(`[`prologue_name`]`, tensor)` pairs in `program.prologue` order.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a prologue node is not evaluable from `globals` alone.
+    pub(crate) fn prologue_phase(
         &self,
         program: &KernelProgram,
         dfg: &Dfg,
         g: &Graph,
-        globals: &HashMap<String, Tensor>,
+        globals: Globals<'_>,
     ) -> Result<Vec<(String, Tensor)>, CompileError> {
         let ids = &program.prologue;
         if ids.is_empty() {
             return Ok(Vec::new());
         }
-        let dims: Option<Vec<_>> = ids.iter().map(|id| row_dims(dfg, g, *id)).collect();
-        let Some(dims) = dims else {
-            // A prologue tensor without vertex rows has no row ranges to
-            // hand out.
-            let _sp = span!("engine.prologue", rows = g.num_vertices());
-            return eval_prologue(program, dfg, g, globals);
-        };
-        let outs: Vec<_> = ids.iter().copied().zip(dims).collect();
+        let outs: Vec<_> = ids.iter().map(|id| (*id, vertex_row(dfg, g, *id))).collect();
         let eval = DenseEval::prologue(program, dfg, g, globals);
         let tensors = self
             .dense_phase(&outs, 0..g.num_vertices(), None, Some(&eval))
@@ -380,16 +376,18 @@ impl Engine {
         Ok(ids.iter().map(|id| prologue_name(*id)).zip(tensors).collect())
     }
 
-    /// The reduce + epilogue phase: the DFG outputs, from the partials.
-    fn epilogue_phase(
+    /// The reduce + epilogue phase over vertex rows `rows`: those rows of
+    /// every DFG output, from the full-height `partials` (added in slot
+    /// order as the reduction's rows).
+    pub(crate) fn epilogue_phase(
         &self,
         program: &KernelProgram,
         dfg: &Dfg,
         g: &Graph,
-        globals: &HashMap<String, Tensor>,
+        globals: Globals<'_>,
         partials: &[Tensor],
+        rows: Range<usize>,
     ) -> Vec<Tensor> {
-        let rows = 0..program.out_rows;
         // One allocation per distinct output node.
         let mut nodes: Vec<NodeId> = Vec::new();
         for o in dfg.outputs() {
@@ -397,14 +395,7 @@ impl Engine {
                 nodes.push(*o);
             }
         }
-        let dims: Option<Vec<_>> = nodes.iter().map(|o| row_dims(dfg, g, *o)).collect();
-        let Some(dims) = dims else {
-            // An output without vertex rows has no row ranges to hand out:
-            // reduce on the workers, finish on the driver.
-            let reduced = self.reduce_phase(program, partials, rows);
-            return run_epilogue(dfg, g, globals, program.reduce_node, reduced);
-        };
-        let outs: Vec<_> = nodes.iter().copied().zip(dims).collect();
+        let outs: Vec<_> = nodes.iter().map(|o| (*o, vertex_row(dfg, g, *o))).collect();
         let eval = DenseEval::epilogue(dfg, g, globals, program.reduce_node);
         let tensors = self
             .dense_phase(&outs, rows, Some((program, partials)), Some(&eval))
@@ -611,6 +602,12 @@ impl Engine {
     }
 }
 
+/// One vertex row's extents of prologue node or output `id`: [`compile`]
+/// admits no program without them, compiled from `dfg` against `g`.
+fn vertex_row(dfg: &Dfg, g: &Graph, id: NodeId) -> Vec<usize> {
+    row_dims(dfg, g, id).expect("`compile` admits only vertex-rowed prologue nodes and outputs")
+}
+
 /// Allocating reference executor: the same edge pass, the same
 /// [`deal_tasks`] distribution and the same [`run_task`] under the
 /// interpreted plan, but on the plain path — every task (and the edge
@@ -686,6 +683,7 @@ pub fn execute_parallel_alloc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::micro::tests::globals_for;
     use crate::micro::MicroKernel;
     use wisegraph_dfg::interp::execute;
     use wisegraph_dfg::{transform, Binding};
@@ -779,15 +777,7 @@ mod tests {
         let g = rmat(&RmatParams::standard(150, 1500, 51).with_edge_types(4));
         let (fi, fo) = (6, 5);
         let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 1),
-        );
-        globals.insert(
-            "W".to_string(),
-            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 2),
-        );
+        let globals = globals_for(&g, fi, fo);
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::src_batch_per_type(16));
         for threads in [1usize, 2, 4] {
@@ -805,12 +795,7 @@ mod tests {
         let g = rmat(&RmatParams::standard(120, 1000, 53));
         let (fi, fo) = (5, 4);
         let dfg = ModelKind::Gcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 3),
-        );
-        globals.insert("w".to_string(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 4));
+        let globals = globals_for(&g, fi, fo);
         let reference = &execute(&dfg, &g, &globals).unwrap()[0];
         let plan = partition(&g, &PartitionTable::edge_batch(64));
         let got = &Engine::new(3).execute(&dfg, &g, &plan, &globals).unwrap()[0];
@@ -821,12 +806,7 @@ mod tests {
     fn single_task_plan_runs() {
         let g = rmat(&RmatParams::standard(30, 200, 55));
         let dfg = ModelKind::Gcn.layer_dfg(3, 2);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), 3], -1.0, 1.0, 5),
-        );
-        globals.insert("w".to_string(), init::uniform_tensor(&[3, 2], -1.0, 1.0, 6));
+        let globals = globals_for(&g, 3, 2);
         let plan = partition(&g, &PartitionTable::new()); // one task
         assert_eq!(plan.num_tasks(), 1);
         let got = &Engine::new(4).execute(&dfg, &g, &plan, &globals).unwrap()[0];
@@ -850,15 +830,7 @@ mod tests {
             .ops
             .iter()
             .any(|k| matches!(k, MicroKernel::Unique { .. })));
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 7),
-        );
-        globals.insert(
-            "W".to_string(),
-            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 8),
-        );
+        let globals = globals_for(&g, fi, fo);
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
         for dfg in [base, transformed] {
             let engine = Engine::new(2);
@@ -889,20 +861,45 @@ mod tests {
         }
     }
 
+    /// The reduce + epilogue phase over a row range returns those rows of
+    /// the serial full epilogue, bit for bit, at two workers: what a
+    /// cluster device asks for its owned rows.
+    #[test]
+    fn row_range_epilogue_equals_the_full_epilogue_rows() {
+        let g = rmat(&RmatParams::standard(45, 320, 43).with_edge_types(2));
+        let (v, fi, fo) = (g.num_vertices(), 4, 3);
+        let globals = globals_for(&g, fi, fo);
+        let (engine, view) = (Engine::new(2), Globals::from(&globals));
+        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
+            let dfg = model.layer_dfg(fi, fo);
+            let program = compile(&dfg, &g).unwrap();
+            // Any accumulator will do: the epilogue is a function of it.
+            let acc = init::uniform_tensor(&[v, program.out_width], -1.0, 1.0, 8);
+            let full = run_epilogue(&dfg, &g, &globals, program.reduce_node, acc.clone());
+            for rows in [0..v, 0..0, 0..7, 7..31, 31..v] {
+                let partials = std::slice::from_ref(&acc);
+                let got = engine.epilogue_phase(&program, &dfg, &g, view, partials, rows.clone());
+                assert_eq!(got.len(), full.len());
+                for (a, b) in full.iter().zip(&got) {
+                    let w = a.numel() / v;
+                    assert_eq!(b.dims()[0], rows.len(), "{}", model.name());
+                    assert_eq!(
+                        &a.data()[rows.start * w..rows.end * w],
+                        b.data(),
+                        "{} rows {rows:?}",
+                        model.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn engine_matches_allocating_reference_bitwise() {
         let g = rmat(&RmatParams::standard(90, 700, 59).with_edge_types(2));
         let (fi, fo) = (4, 3);
         let dfg = ModelKind::Rgcn.layer_dfg(fi, fo);
-        let mut globals = HashMap::new();
-        globals.insert(
-            "h".to_string(),
-            init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 9),
-        );
-        globals.insert(
-            "W".to_string(),
-            init::uniform_tensor(&[g.num_edge_types(), fi, fo], -1.0, 1.0, 10),
-        );
+        let globals = globals_for(&g, fi, fo);
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
         for threads in [1usize, 2, 4] {
             let a = execute_parallel_alloc(&dfg, &g, &plan, &globals, threads)

@@ -14,6 +14,11 @@
 //! plan's edges ([`KernelProgram::edge_ops`]), and the tasks read the
 //! result by edge id.
 //!
+//! The prologue and the epilogue are dense phases evaluated by vertex row
+//! (`DenseEval`), which [`compile`] guarantees every prologue tensor and
+//! output has; `eval_prologue` / `run_epilogue` run them in one block for
+//! the allocating reference executor only.
+//!
 //! The instruction set ([`MicroKernel`]) has one instruction per
 //! operation. A tensor operand that may be a global or a task register is
 //! one [`Src`]: a gather or a pairwise product reads either through the
@@ -444,6 +449,12 @@ fn edge_dependence(dfg: &Dfg) -> Vec<bool> {
 /// pass; everything else (degree normalization, shared projections, joins
 /// with edge-independent branches) is the prologue or the epilogue,
 /// evaluated once.
+///
+/// # Errors
+///
+/// Fails if the DFG does not split at one live `IndexAdd` of literal
+/// width, or if a prologue tensor or an output has no vertex rows of fixed
+/// extents (literal widths, the edge-type count).
 pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
     let live = dfg.live_set();
     let edge_dep = edge_dependence(dfg);
@@ -509,6 +520,17 @@ pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
             ))
         }
     };
+    // The dense phases split a prologue tensor or an output by vertex row
+    // (the engine's workers, a device's owned rows), so each needs rows of
+    // extents known before any row exists.
+    if let Some(id) =
+        lower.prologue.iter().chain(dfg.outputs()).find(|id| row_dims(dfg, g, **id).is_none())
+    {
+        return Err(CompileError(format!(
+            "node {} is a prologue tensor or an output without vertex rows of fixed extents",
+            id.0
+        )));
+    }
     Ok(KernelProgram {
         ops: task.ops,
         edge_ops: call.ops,
@@ -1387,6 +1409,43 @@ pub(crate) fn row_dims(dfg: &Dfg, g: &Graph, id: NodeId) -> Option<Vec<usize>> {
         .collect()
 }
 
+/// Checks, on the calling thread, that `globals` binds every live input of
+/// `dfg` to a tensor of its declared extents, read from `g` without a
+/// `Binding`. Names `dfg` does not read are allowed.
+///
+/// # Errors
+///
+/// Names the first input that is missing or has other extents.
+pub(crate) fn check_inputs(
+    dfg: &Dfg,
+    g: &Graph,
+    globals: &HashMap<String, Tensor>,
+) -> Result<(), CompileError> {
+    let live = dfg.live_set();
+    for node in dfg.nodes().iter().zip(live).filter_map(|(n, l)| l.then_some(n)) {
+        let OpKind::Input { name, shape } = &node.kind else { continue };
+        let Some(t) = globals.get(name) else {
+            return Err(CompileError(format!("input `{name}` is not among the globals")));
+        };
+        let fits = t.dims().len() == shape.len()
+            && shape.iter().zip(t.dims()).all(|(d, &n)| match d {
+                Dim::Vertices => n == g.num_vertices(),
+                Dim::Edges => n == g.num_edges(),
+                Dim::EdgeTypes => n == g.num_edge_types(),
+                Dim::Lit(k) => n == *k,
+                // Per-task extents; no input is declared with one.
+                Dim::Unique(_) => true,
+            });
+        if !fits {
+            return Err(CompileError(format!(
+                "input `{name}` has extents {:?}, which its declared shape {shape:?} rules out",
+                t.dims()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Borrowed operand of a dense row kernel: `lead` rows of extents `rest`.
 #[derive(Clone, Copy)]
 struct View<'a> {
@@ -1507,7 +1566,7 @@ fn map_rows(a: View<'_>, out: &mut [f32], f: impl Fn(f32) -> f32) {
 pub(crate) struct DenseEval<'a> {
     dfg: &'a Dfg,
     g: &'a Graph,
-    globals: &'a HashMap<String, Tensor>,
+    globals: Globals<'a>,
     wanted: Vec<bool>,
 }
 
@@ -1518,7 +1577,7 @@ impl<'a> DenseEval<'a> {
         program: &KernelProgram,
         dfg: &'a Dfg,
         g: &'a Graph,
-        globals: &'a HashMap<String, Tensor>,
+        globals: Globals<'a>,
     ) -> Self {
         let wanted = ancestors_of(dfg, &program.prologue, &[]);
         DenseEval { dfg, g, globals, wanted }
@@ -1530,7 +1589,7 @@ impl<'a> DenseEval<'a> {
     pub(crate) fn epilogue(
         dfg: &'a Dfg,
         g: &'a Graph,
-        globals: &'a HashMap<String, Tensor>,
+        globals: Globals<'a>,
         reduce_node: NodeId,
     ) -> Self {
         let wanted = ancestors_of(dfg, dfg.outputs(), &[reduce_node]);
@@ -1658,8 +1717,11 @@ impl<'a> DenseEval<'a> {
     }
 }
 
-/// Evaluates the epilogue: the DFG nodes after (or independent of) the
-/// reduction, given the accumulated reduction value.
+/// Evaluates the epilogue — the DFG nodes after (or independent of) the
+/// reduction, given the accumulated reduction value — every row in one
+/// block on the calling thread: the serial reference the engine's
+/// row-blocked reduce + epilogue phase is pinned against. An output that
+/// is the reduction itself is `reduced`, moved.
 ///
 /// # Panics
 ///
@@ -1673,32 +1735,12 @@ pub(crate) fn run_epilogue(
     reduce_node: NodeId,
     reduced: Tensor,
 ) -> Vec<Tensor> {
-    run_epilogue_rows(dfg, g, globals, reduce_node, reduced, 0..g.num_vertices())
-}
-
-/// [`run_epilogue`] for the vertex rows `rows` alone, in one block on the
-/// calling thread: `reduced` holds those rows of the accumulator and every
-/// vertex-rowed output comes back with those rows only — bit-identical to
-/// the same rows of the full epilogue. An output that is the reduction
-/// itself is `reduced`, moved.
-///
-/// # Panics
-///
-/// See [`run_epilogue`].
-pub(crate) fn run_epilogue_rows(
-    dfg: &Dfg,
-    g: &Graph,
-    globals: &HashMap<String, Tensor>,
-    reduce_node: NodeId,
-    reduced: Tensor,
-    rows: Range<usize>,
-) -> Vec<Tensor> {
     let _sp = span!("kernel.epilogue");
-    let eval = DenseEval::epilogue(dfg, g, globals, reduce_node);
-    let mut values = eval.values();
+    let eval = DenseEval::epilogue(dfg, g, globals.into(), reduce_node);
     let dims = reduced.dims().to_vec();
+    let mut values = eval.values();
     values[reduce_node.0] = Some(DenseVal { data: Cow::Owned(reduced.into_vec()), dims });
-    eval.block(&rows, &mut values, &mut Vec::new(), &mut Vec::new());
+    let mut values = eval.all_rows(values);
     let mut computed: HashMap<NodeId, Tensor> = dfg
         .outputs()
         .iter()
@@ -1731,7 +1773,9 @@ pub(crate) fn list_outputs(dfg: &Dfg, computed: &mut HashMap<NodeId, Tensor>) ->
 /// Evaluates the program's prologue — the edge-independent intermediates
 /// the per-task program gathers from (e.g. the pairwise table, hoisted
 /// projections) — as `(`[`prologue_name`]`, tensor)` pairs in
-/// `program.prologue` order, every row in one block on the calling thread.
+/// `program.prologue` order, every row in one block on the calling thread:
+/// the serial reference the engine's row-blocked prologue phase is pinned
+/// against.
 ///
 /// # Errors
 ///
@@ -1742,7 +1786,7 @@ pub(crate) fn eval_prologue(
     g: &Graph,
     globals: &HashMap<String, Tensor>,
 ) -> Result<Vec<(String, Tensor)>, CompileError> {
-    let eval = DenseEval::prologue(program, dfg, g, globals);
+    let eval = DenseEval::prologue(program, dfg, g, globals.into());
     let mut values = eval.all_rows(eval.values());
     program
         .prologue
@@ -1768,7 +1812,7 @@ pub fn eval_edge_independent_public(
     let edge_dep = edge_dependence(dfg);
     let wanted: Vec<bool> =
         dfg.live_set().iter().zip(&edge_dep).map(|(&l, &e)| l && !e).collect();
-    let eval = DenseEval { dfg, g, globals, wanted };
+    let eval = DenseEval { dfg, g, globals: globals.into(), wanted };
     eval.all_rows(eval.values())
         .into_iter()
         .enumerate()
@@ -1777,7 +1821,7 @@ pub fn eval_edge_independent_public(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::Engine;
     use wisegraph_dfg::interp::execute;
@@ -1791,7 +1835,8 @@ mod tests {
     use wisegraph_testkit::prop::TestCaseError;
     use wisegraph_testkit::{prop_assert, proptest};
 
-    fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
+    /// A value for every input the four models' layer DFGs read.
+    pub(crate) fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
         let mut m = HashMap::new();
         m.insert(
             "h".to_string(),
@@ -1810,6 +1855,8 @@ mod tests {
             "w_neigh".to_string(),
             init::uniform_tensor(&[fi, fo], -1.0, 1.0, 5),
         );
+        m.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6));
+        m.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7));
         m
     }
 
@@ -1960,49 +2007,6 @@ mod tests {
     }
 
     #[test]
-    fn row_range_epilogue_equals_the_full_epilogue_rows() {
-        let g = rmat(&RmatParams::standard(45, 320, 43).with_edge_types(2));
-        let (fi, fo) = (4, 3);
-        let mut globals = globals_for(&g, fi, fo);
-        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6));
-        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7));
-        let v = g.num_vertices();
-        for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
-            let dfg = model.layer_dfg(fi, fo);
-            let program = compile(&dfg, &g).unwrap();
-            // Any accumulator will do: the epilogue is a function of it.
-            let acc = init::uniform_tensor(&[v, program.out_width], -1.0, 1.0, 8);
-            let full = run_epilogue(&dfg, &g, &globals, program.reduce_node, acc.clone());
-            for rows in [0..v, 0..0, 0..7, 7..31, 31..v] {
-                let w = program.out_width;
-                let part = Tensor::from_vec(
-                    acc.data()[rows.start * w..rows.end * w].to_vec(),
-                    &[rows.len(), w],
-                );
-                let got = run_epilogue_rows(
-                    &dfg,
-                    &g,
-                    &globals,
-                    program.reduce_node,
-                    part,
-                    rows.clone(),
-                );
-                assert_eq!(got.len(), full.len());
-                for (a, b) in full.iter().zip(&got) {
-                    let w = a.numel() / v;
-                    assert_eq!(b.dims()[0], rows.len(), "{}", model.name());
-                    assert_eq!(
-                        &a.data()[rows.start * w..rows.end * w],
-                        b.data(),
-                        "{} rows {rows:?}",
-                        model.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dense_row_kernels_replay_tensor_ops_bit_for_bit() {
         // One node per dense operation, evaluated by the row kernels in
         // one block and in ragged blocks, against the `tensor::ops` chain.
@@ -2060,7 +2064,7 @@ mod tests {
         let eval = DenseEval {
             dfg: &dfg,
             g: &g,
-            globals: &globals,
+            globals: (&globals).into(),
             wanted: vec![true; dfg.len()],
         };
         let (mut got_cat, mut got_pair) = (vec![0.0; v * 2 * fo], vec![0.0; v * types * fo]);
@@ -2210,9 +2214,7 @@ mod tests {
         // compatible placements).
         let g = rmat(&RmatParams::standard(40, 300, 45).with_edge_types(3));
         let (fi, fo) = (5, 4);
-        let mut globals = globals_for(&g, fi, fo);
-        globals.insert("a_src".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 6));
-        globals.insert("a_dst".into(), init::uniform_tensor(&[fo, 1], -1.0, 1.0, 7));
+        let globals = globals_for(&g, fi, fo);
         let mut got = Vec::new();
         for model in ModelKind::ALL {
             let base = model.layer_dfg(fi, fo);

@@ -370,3 +370,98 @@ fn degenerate_shards_match_the_single_engine() {
         }
     }
 }
+
+/// Malformed globals are an error on the calling thread, never a panic in
+/// a worker or device thread: a missing weight, and embeddings with too
+/// few rows or too many columns, each come back from both runners as an
+/// error that names the input.
+#[test]
+fn malformed_globals_are_errors_on_both_runners() {
+    use wisegraph::graph::generate::{rmat, RmatParams};
+    use wisegraph::kernels::engine::Engine;
+    use wisegraph::kernels::ClusterEngine;
+    use wisegraph::sim::PlacementKind;
+
+    let g = rmat(&RmatParams::standard(100, 800, 43));
+    let (v, fi, fo) = (g.num_vertices(), 6, 3);
+    let dfg = ModelKind::Gcn.layer_dfg(fi, fo);
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let mut good: HashMap<String, Tensor> = HashMap::new();
+    good.insert("h".into(), init::uniform_tensor(&[v, fi], -1.0, 1.0, 71));
+    good.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 72));
+    // A name the DFG does not read is allowed.
+    good.insert("unused".into(), Tensor::ones(&[2, 2]));
+    assert!(Engine::new(2).execute(&dfg, &g, &plan, &good).is_ok());
+
+    let mut no_w = good.clone();
+    no_w.remove("w");
+    let mut short_h = good.clone();
+    short_h.insert("h".into(), init::uniform_tensor(&[v - 10, fi], -1.0, 1.0, 73));
+    let mut wide_h = good.clone();
+    wide_h.insert("h".into(), init::uniform_tensor(&[v, fi + 1], -1.0, 1.0, 74));
+    let cases = [("no w", no_w, "`w`"), ("short h", short_h, "`h`"), ("wide h", wide_h, "`h`")];
+    for (case, globals, name) in cases {
+        let err = Engine::new(2)
+            .execute(&dfg, &g, &plan, &globals)
+            .expect_err(case);
+        assert!(err.to_string().contains(name), "{case}: {err}");
+        for placement in [PlacementKind::DataParallel, PlacementKind::TensorParallel] {
+            let err = ClusterEngine::new(2, 2)
+                .execute(&dfg, &g, &plan, &globals, placement)
+                .expect_err(case);
+            assert!(err.to_string().contains(name), "{case} × {}: {err}", placement.name());
+        }
+    }
+}
+
+/// The dense phases split prologue tensors and outputs by vertex row,
+/// so `compile` rejects a program with one that has no vertex rows of
+/// fixed extents, before any runner sees it.
+#[test]
+fn prologue_tensors_and_outputs_need_vertex_rows() {
+    use wisegraph::dfg::{Dfg, Dim, NodeId};
+    use wisegraph::graph::generate::{rmat, RmatParams};
+    use wisegraph::graph::AttrKind;
+    use wisegraph::kernels::engine::Engine;
+    use wisegraph::kernels::micro::compile;
+
+    let g = rmat(&RmatParams::standard(40, 300, 49));
+    let (v, fi, fo) = (g.num_vertices(), 4, 3);
+    let aggregate = |d: &mut Dfg, x: NodeId| {
+        let (src, dst) = (d.edge_attr(AttrKind::SrcId), d.edge_attr(AttrKind::DstId));
+        let rows = d.index(x, src);
+        let out = d.index_add(rows, dst, Dim::Vertices);
+        d.mark_output(out);
+    };
+    let mut globals: HashMap<String, Tensor> = HashMap::new();
+    globals.insert("h".into(), init::uniform_tensor(&[v, fi], -1.0, 1.0, 8));
+    globals.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 9));
+    globals.insert("x".into(), init::uniform_tensor(&[v, fi], -1.0, 1.0, 10));
+    globals.insert("u".into(), init::uniform_tensor(&[fo, fo], -1.0, 1.0, 11));
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let rejected = |d: &Dfg, id: NodeId| {
+        let err = compile(d, &g).unwrap_err();
+        assert!(err.to_string().contains(&format!("node {} ", id.0)), "{err}");
+        assert!(Engine::new(2).execute(d, &g, &plan, &globals).is_err());
+    };
+
+    // A second output that is a weight-only product.
+    let mut d = Dfg::new();
+    let h = d.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
+    aggregate(&mut d, h);
+    assert!(compile(&d, &g).is_ok());
+    let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
+    let u = d.input("u", vec![Dim::Lit(fo), Dim::Lit(fo)]);
+    let ww = d.linear(w, u);
+    d.mark_output(ww);
+    rejected(&d, ww);
+
+    // A per-task gather from a projection whose rows are a literal
+    // extent, not the vertices.
+    let mut d = Dfg::new();
+    let x = d.input("x", vec![Dim::Lit(v), Dim::Lit(fi)]);
+    let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
+    let xw = d.linear(x, w);
+    aggregate(&mut d, xw);
+    rejected(&d, xw);
+}

@@ -103,11 +103,7 @@ fn partition_outlier_schedule_composition() {
     ] {
         let plan = partition(&g, &table);
         assert_eq!(plan.total_edges(), g.num_edges(), "{table}");
-        let classes = classify_outliers(
-            &g,
-            &plan,
-            &wisegraph::gtask::outlier::OutlierConfig::default(),
-        );
+        let classes = classify_outliers(&g, &plan);
         assert_eq!(classes.len(), plan.num_tasks());
         let dfg = ModelKind::Gcn.layer_dfg(16, 16);
         let eplan = ExecutionPlan::new(&g, plan, dfg, OpPartitionKind::Fused);

@@ -15,6 +15,7 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::engine::{execute_parallel_alloc, Engine};
+use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
 use wisegraph::tensor::{init, Tensor};
 
@@ -295,9 +296,11 @@ fn destination_exclusive_plans_are_bit_identical_across_thread_counts() {
 #[should_panic(expected = "worker panicked")]
 fn a_panic_in_a_task_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 83));
-    let mut globals = globals_for(&g, 4, 3);
-    globals.remove("h"); // the per-task gather's source
-    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let globals = globals_for(&g, 4, 3);
+    // A plan of a larger graph: its edges and vertex ids fall outside `g`,
+    // which the globals check cannot see and the per-task gathers hit.
+    let big = rmat(&RmatParams::standard(80, 600, 83));
+    let plan = partition(&big, &PartitionTable::vertex_centric());
     let _ = Engine::new(2).execute(&ModelKind::Gcn.layer_dfg(4, 3), &g, &plan, &globals);
 }
 
@@ -305,8 +308,11 @@ fn a_panic_in_a_task_worker_surfaces() {
 #[should_panic(expected = "worker panicked")]
 fn a_panic_in_a_dense_phase_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 85));
-    let mut globals = globals_for(&g, 4, 3);
-    globals.remove("w_self"); // read by the epilogue only
+    let globals = globals_for(&g, 4, 3);
     let plan = partition(&g, &PartitionTable::vertex_centric());
-    let _ = Engine::new(2).execute(&ModelKind::Sage.layer_dfg(4, 3), &g, &plan, &globals);
+    let dfg = ModelKind::Sage.layer_dfg(4, 3);
+    // A program compiled against a larger graph: its reduce + epilogue
+    // phase reads rows of `h` (the self term) that `g` does not have.
+    let program = compile(&dfg, &rmat(&RmatParams::standard(80, 600, 85))).unwrap();
+    let _ = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
 }
