@@ -73,7 +73,7 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
 
     // --- P002/P003: per-task restriction satisfaction ----------------
     let mut restr_diags = Vec::new();
-    let mut recount = Recount::new(g, exact.iter().map(|&(attr, _)| attr));
+    let mut recount = Recount::new(g);
     for (ti, task) in plan.tasks.iter().enumerate() {
         if task.edges.is_empty() {
             out.push(
@@ -89,8 +89,8 @@ pub fn verify_plan(g: &Graph, plan: &PartitionPlan) -> Vec<Diagnostic> {
         if !task_in_range[ti] {
             continue;
         }
-        for (j, &(attr, k)) in exact.iter().enumerate() {
-            let actual = recount.unique(j, task.edges);
+        for &(attr, k) in &exact {
+            let actual = recount.unique(attr, task.edges);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(

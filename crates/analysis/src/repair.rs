@@ -58,7 +58,7 @@ pub fn verify_repair(
     }
 
     let live_set = LiveSet::new(g.num_edges(), live);
-    let mut recount = Recount::new(g, table.exact_attrs().into_iter().map(|(attr, _)| attr));
+    let mut recount = Recount::new(g);
     let own = subset_findings(g, table, &live_set, &mut recount, plan);
     let own_clean = own.is_empty();
     out.extend(own);
@@ -124,7 +124,7 @@ fn subset_findings(
     g: &Graph,
     table: &PartitionTable,
     live: &LiveSet,
-    recount: &mut Recount,
+    recount: &mut Recount<'_>,
     plan: &PartitionPlan,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -192,8 +192,8 @@ fn subset_findings(
         if task.edges.is_empty() || !task_in_range[ti] {
             continue;
         }
-        for (j, &(attr, k)) in exact.iter().enumerate() {
-            let actual = recount.unique(j, task.edges);
+        for &(attr, k) in &exact {
+            let actual = recount.unique(attr, task.edges);
             if actual as u64 > k {
                 restr_diags.push(
                     Diagnostic::error(

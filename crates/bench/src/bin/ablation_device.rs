@@ -11,12 +11,14 @@ use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
 use wisegraph_core::plan::ExecutionPlan;
 use wisegraph_core::WiseGraph;
+use wisegraph_dfg::Binding;
 use wisegraph_graph::DatasetKind;
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
 fn main() {
     let (g, spec) = build_dataset(DatasetKind::Arxiv);
+    let binding = Binding::from_graph(&g);
     let dims = LayerDims::paper_single(spec.feature_dim, spec.num_classes);
     let devices = [
         ("V100", DeviceSpec::v100()),
@@ -42,9 +44,9 @@ fn main() {
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, (_, p, _))| p.estimate(&g, &dev).time)
+                .map(|(_, (_, p, _))| p.estimate(&binding, &dev).time)
                 .fold(0.0f64, f64::max);
-            let own = plan.estimate(&g, &dev).time;
+            let own = plan.estimate(&binding, &dev).time;
             rows.push(vec![
                 name.clone(),
                 plan.partition.table.to_string(),

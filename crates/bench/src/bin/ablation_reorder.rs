@@ -10,10 +10,11 @@
 
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
-use wisegraph_core::plan::{plan_gather_dedup, ExecutionPlan, OpPartitionKind};
+use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind, Patterns};
+use wisegraph_dfg::{transform, Binding};
 use wisegraph_graph::reorder;
 use wisegraph_graph::DatasetKind;
-use wisegraph_gtask::{partition, PartitionTable};
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -40,16 +41,18 @@ fn main() {
     for (name, perm) in orders {
         let rg = g.relabel(&perm);
         let span = reorder::edge_span(&g, &perm);
+        let binding = Binding::from_graph(&rg);
         let plan = partition(&rg, &table);
-        let dedup = plan_gather_dedup(&rg, &plan);
-        let eplan =
-            ExecutionPlan::build(&rg, table.clone(), &dfg, OpPartitionKind::Fused);
-        let t = eplan.estimate(&rg, &dev).time;
+        let patterns = Patterns::count(&mut Recount::new(&rg), &plan, &dfg);
+        let tasks = plan.num_tasks();
+        let transformed = transform::optimize(&dfg, &binding).0;
+        let eplan = ExecutionPlan::new(&patterns, plan, transformed, OpPartitionKind::Fused);
+        let t = eplan.estimate(&binding, &dev).time;
         rows.push(vec![
             name.to_string(),
             format!("{span:.4}"),
-            plan.num_tasks().to_string(),
-            format!("{dedup:.3}"),
+            tasks.to_string(),
+            format!("{:.3}", patterns.gather_dedup),
             format!("{:.3} ms", t * 1e3),
         ]);
     }

@@ -12,21 +12,18 @@
 
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
-use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind};
+use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind, Patterns};
+use wisegraph_dfg::{analysis, transform, Binding};
 use wisegraph_graph::DatasetKind;
-use wisegraph_gtask::{partition, PartitionTable};
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
 /// Splits a plan's simulated time into (indexing, neural) components.
-fn breakdown(
-    plan: &ExecutionPlan,
-    g: &wisegraph_graph::Graph,
-    dev: &DeviceSpec,
-) -> (f64, f64) {
+fn breakdown(plan: &ExecutionPlan, binding: &Binding, dev: &DeviceSpec) -> (f64, f64) {
     let mut indexing = 0.0;
     let mut neural = 0.0;
-    for k in plan.kernels(g) {
+    for k in plan.kernels(binding) {
         let t = dev.kernel_time(&k.cost);
         // A kernel's time divides by its bottleneck: compute-side time is
         // "neural", the rest is data movement.
@@ -52,26 +49,24 @@ fn main() {
         let (g, spec) = build_dataset(kind);
         let dims = LayerDims::paper_single(spec.feature_dim, spec.num_classes);
         let (fi, fo) = dims.layer_io(1);
+        let binding = Binding::from_graph(&g);
+        let mut recount = Recount::new(&g);
         let mut rows = Vec::new();
         for model in [ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
             let dfg = model.layer_dfg(fi, fo);
-            let table = table_for(model);
-            let baseline = ExecutionPlan::new(
-                &g,
-                partition(&g, &table),
-                dfg.clone(),
-                OpPartitionKind::Fused,
-            );
+            let part = partition(&g, &table_for(model));
+            let patterns = Patterns::count(&mut recount, &part, &dfg);
+            let transformed = transform::optimize(&dfg, &binding).0;
             let optimized =
-                ExecutionPlan::build(&g, table, &dfg, OpPartitionKind::Fused);
-            let (bi, bn) = breakdown(&baseline, &g, &dev);
-            let (oi, on) = breakdown(&optimized, &g, &dev);
+                ExecutionPlan::new(&patterns, part.clone(), transformed, OpPartitionKind::Fused);
+            let baseline = ExecutionPlan::new(&patterns, part, dfg, OpPartitionKind::Fused);
+            let (bi, bn) = breakdown(&baseline, &binding, &dev);
+            let (oi, on) = breakdown(&optimized, &binding, &dev);
             let total_b = bi + bn;
             // Neural reduction measured in FLOPs: the share of neural
             // computation the transformation eliminates outright.
-            let binding = wisegraph_dfg::Binding::from_graph(&g);
-            let wf_b = wisegraph_dfg::analysis::workload(&baseline.dfg, &binding);
-            let wf_o = wisegraph_dfg::analysis::workload(&optimized.dfg, &binding);
+            let wf_b = analysis::workload(&baseline.dfg, &binding);
+            let wf_o = analysis::workload(&optimized.dfg, &binding);
             let neural_red = if wf_b.neural_flops > 0.0 {
                 100.0 * (1.0 - wf_o.neural_flops / wf_b.neural_flops)
             } else {

@@ -13,9 +13,10 @@
 
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
-use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind};
+use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind, Patterns};
+use wisegraph_dfg::{transform, Binding};
 use wisegraph_graph::{AttrKind, DatasetKind};
-use wisegraph_gtask::PartitionTable;
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -28,13 +29,16 @@ fn sweep(
     table_of: impl Fn(u64) -> PartitionTable,
     ks: &[u64],
 ) -> Vec<(String, f64)> {
-    let dfg = model.layer_dfg(fi, fo);
+    let binding = Binding::from_graph(g);
+    let dfg = transform::optimize(&model.layer_dfg(fi, fo), &binding).0;
+    let mut recount = Recount::new(g);
     let edges = g.num_edges() as f64;
     ks.iter()
         .map(|&k| {
-            let plan =
-                ExecutionPlan::build(g, table_of(k), &dfg, OpPartitionKind::Fused);
-            let t = plan.estimate(g, dev).time;
+            let part = partition(g, &table_of(k));
+            let patterns = Patterns::count(&mut recount, &part, &dfg);
+            let plan = ExecutionPlan::new(&patterns, part, dfg.clone(), OpPartitionKind::Fused);
+            let t = plan.estimate(&binding, dev).time;
             let label = if k >= g.num_edges() as u64 {
                 "INF".to_string()
             } else {

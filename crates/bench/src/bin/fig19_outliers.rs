@@ -12,8 +12,9 @@ use wisegraph_baselines::single::LayerDims;
 use wisegraph_bench::{build_dataset, print_table};
 use wisegraph_core::joint::compare_scheduling;
 use wisegraph_core::plan::{ExecutionPlan, OpPartitionKind};
+use wisegraph_dfg::Binding;
 use wisegraph_graph::{AttrKind, DatasetKind};
-use wisegraph_gtask::PartitionTable;
+use wisegraph_gtask::{PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -39,6 +40,8 @@ fn main() {
     let dev = DeviceSpec::a100_pcie();
     let dims = LayerDims::paper_single(spec.feature_dim, spec.num_classes);
     let (fi, fo) = dims.layer_io(1);
+    let binding = Binding::from_graph(&g);
+    let mut recount = Recount::new(&g);
     let mut rows = Vec::new();
     let mut outlier_fracs = Vec::new();
     let mut total_reductions = Vec::new();
@@ -46,7 +49,7 @@ fn main() {
         let dfg = model.layer_dfg(fi, fo);
         let plan =
             ExecutionPlan::build(&g, table_for(model), &dfg, OpPartitionKind::Fused);
-        let cmp = compare_scheduling(&plan, &g, &dev);
+        let cmp = compare_scheduling(&plan, &binding, &mut recount, &dev);
         let reduction = 100.0 * (1.0 - cmp.differentiated / cmp.uniform);
         rows.push(vec![
             model.name().to_string(),

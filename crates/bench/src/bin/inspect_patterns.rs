@@ -3,11 +3,12 @@
 //! Prints, for several partition tables on an AR-like graph, the
 //! distribution of the three data patterns across gTasks: duplication
 //! factors per attribute, batch sizes, and the changing-data-volume ratio.
-//! This is the raw signal the operation partitioner consumes.
+//! This is the raw signal the operation partitioner consumes. Distinct
+//! counts come from one `Recount` of the graph.
 
 use wisegraph_bench::{build_dataset, print_table};
 use wisegraph_graph::{AttrKind, DatasetKind};
-use wisegraph_gtask::{partition, PartitionTable};
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -26,6 +27,7 @@ fn main() {
         PartitionTable::dst_batch_min_degree(64),
         PartitionTable::edge_batch(64),
     ];
+    let mut recount = Recount::new(&g);
     let mut rows = Vec::new();
     for table in tables {
         let plan = partition(&g, &table);
@@ -33,10 +35,11 @@ fn main() {
         let mut batch_src = Vec::new();
         let mut volume = Vec::new();
         for task in &plan.tasks {
-            let p = task.data_patterns(&g);
-            dup_src.push(p.duplication[&AttrKind::SrcId]);
-            batch_src.push(p.batch[&AttrKind::SrcId] as f64);
-            volume.push(p.volume_ratio);
+            let src = recount.unique(AttrKind::SrcId, task.edges).max(1) as f64;
+            let dst = recount.unique(AttrKind::DstId, task.edges).max(1) as f64;
+            dup_src.push(task.num_edges() as f64 / src);
+            batch_src.push(src);
+            volume.push(dst / src);
         }
         dup_src.sort_by(|a, b| a.partial_cmp(b).unwrap());
         batch_src.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -12,9 +12,9 @@
 //!   halving their duration.
 
 use crate::plan::ExecutionPlan;
-use wisegraph_graph::Graph;
+use wisegraph_dfg::Binding;
 use wisegraph_gtask::outlier::{classify_outliers, summarize, OutlierSummary};
-use wisegraph_gtask::OutlierKind;
+use wisegraph_gtask::{OutlierKind, Recount};
 use wisegraph_sim::{schedule, DeviceSpec};
 
 // The three multipliers below are assumed, not measured — ROADMAP
@@ -43,14 +43,16 @@ pub struct ScheduleComparison {
 }
 
 /// Schedules the plan's per-task work uniformly and with differentiated
-/// outlier handling, returning both makespans.
+/// outlier handling, returning both makespans. `binding` and `recount` are
+/// the whole-scope binding and a recount of the plan's graph.
 pub fn compare_scheduling(
     plan: &ExecutionPlan,
-    g: &Graph,
+    binding: &Binding,
+    recount: &mut Recount<'_>,
     dev: &DeviceSpec,
 ) -> ScheduleComparison {
-    let durations = plan.task_durations(&plan.kernels(g), dev);
-    let classes = classify_outliers(g, &plan.partition);
+    let durations = plan.task_durations(&plan.kernels(binding), dev);
+    let classes = classify_outliers(recount, &plan.partition);
     let summary = summarize(&plan.partition, &classes);
     let uniform = schedule::makespan_uniform(&durations, dev.num_sms);
 
@@ -112,25 +114,29 @@ pub fn compare_scheduling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::OpPartitionKind;
+    use crate::plan::{OpPartitionKind, Patterns};
+    use wisegraph_dfg::Dfg;
     use wisegraph_graph::generate::{rmat, RmatParams};
+    use wisegraph_graph::Graph;
     use wisegraph_gtask::{partition, PartitionTable};
     use wisegraph_models::ModelKind;
+
+    /// `dfg`'s fused plan over `table`, compared on `g`.
+    fn compare(g: &Graph, table: &PartitionTable, dfg: Dfg) -> ScheduleComparison {
+        let mut recount = Recount::new(g);
+        let part = partition(g, table);
+        let patterns = Patterns::count(&mut recount, &part, &dfg);
+        let plan = ExecutionPlan::new(&patterns, part, dfg, OpPartitionKind::Fused);
+        let dev = DeviceSpec::a100_pcie();
+        compare_scheduling(&plan, &Binding::from_graph(g), &mut recount, &dev)
+    }
 
     #[test]
     fn differentiation_never_hurts_on_skewed_graphs() {
         // Power-law graph + vertex-centric: hub vertices create overfill
         // tasks and a long tail; differentiated execution shortens it.
         let g = rmat(&RmatParams::standard(4000, 60_000, 3).with_edge_types(4));
-        let dev = DeviceSpec::a100_pcie();
-        let dfg = ModelKind::Gat.layer_dfg(64, 64);
-        let plan = crate::plan::ExecutionPlan::new(
-            &g,
-            partition(&g, &PartitionTable::vertex_centric()),
-            dfg,
-            OpPartitionKind::Fused,
-        );
-        let cmp = compare_scheduling(&plan, &g, &dev);
+        let cmp = compare(&g, &PartitionTable::vertex_centric(), ModelKind::Gat.layer_dfg(64, 64));
         assert!(
             cmp.differentiated <= cmp.uniform * 1.001,
             "uniform {} vs differentiated {}",
@@ -145,20 +151,10 @@ mod tests {
         // §7.3: "52.9% of execution time is spent on outlier gTasks on
         // average" — a large share, driven by the degree skew.
         let g = rmat(&RmatParams::standard(4000, 60_000, 5).with_edge_types(4));
-        let dev = DeviceSpec::a100_pcie();
-        let dfg = ModelKind::Rgcn.layer_dfg(64, 64);
-        let plan = crate::plan::ExecutionPlan::new(
-            &g,
-            partition(
-                &g,
-                &PartitionTable::new()
-                    .exact(wisegraph_graph::AttrKind::DstId, 1)
-                    .exact(wisegraph_graph::AttrKind::EdgeId, 32),
-            ),
-            dfg,
-            OpPartitionKind::Fused,
-        );
-        let cmp = compare_scheduling(&plan, &g, &dev);
+        let table = PartitionTable::new()
+            .exact(wisegraph_graph::AttrKind::DstId, 1)
+            .exact(wisegraph_graph::AttrKind::EdgeId, 32);
+        let cmp = compare(&g, &table, ModelKind::Rgcn.layer_dfg(64, 64));
         assert!(
             cmp.outlier_time_fraction > 0.2,
             "outlier fraction {}",
@@ -169,15 +165,7 @@ mod tests {
     #[test]
     fn balanced_plans_see_little_change() {
         let g = rmat(&RmatParams::standard(2000, 30_000, 7));
-        let dev = DeviceSpec::a100_pcie();
-        let dfg = ModelKind::Gcn.layer_dfg(32, 32);
-        let plan = crate::plan::ExecutionPlan::new(
-            &g,
-            partition(&g, &PartitionTable::edge_batch(32)),
-            dfg,
-            OpPartitionKind::Fused,
-        );
-        let cmp = compare_scheduling(&plan, &g, &dev);
+        let cmp = compare(&g, &PartitionTable::edge_batch(32), ModelKind::Gcn.layer_dfg(32, 32));
         // Edge batching is balanced by construction: differentiation
         // changes the makespan by < 20%.
         let ratio = cmp.differentiated / cmp.uniform;

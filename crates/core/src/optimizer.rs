@@ -2,14 +2,14 @@
 //! (§6.3).
 
 use crate::joint::compare_scheduling;
-use crate::plan::{ExecutionPlan, OpPartitionKind};
+use crate::plan::{ExecutionPlan, OpPartitionKind, Patterns};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use wisegraph_baselines::single::{persistent_bytes, LayerDims, TRAIN_FACTOR};
 use wisegraph_dfg::{analysis, transform, Binding};
 use wisegraph_graph::Graph;
 use wisegraph_gtask::restriction::enumerate_tables;
-use wisegraph_gtask::{partition, PartitionPlan, PartitionTable};
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_sim::DeviceSpec;
 
@@ -61,7 +61,7 @@ pub struct OptimizedModel {
 }
 
 /// `Exact(k)` batch sizes swept during plan enumeration.
-const BATCH_SIZES: [u64; 4] = [32, 64, 128, 256];
+pub const BATCH_SIZES: [u64; 4] = [32, 64, 128, 256];
 
 /// The WiseGraph optimizer: searches the joint space of graph and operation
 /// partition plans for a model on a graph.
@@ -98,20 +98,16 @@ impl WiseGraph {
         *self.stats.lock().unwrap()
     }
 
-    /// The plan's estimated time, from the cache when `key` was priced
-    /// before. A key names the graph by its content key, so an optimizer
-    /// reused across graphs never answers with another graph's time.
-    fn cached_estimate(
-        &self,
-        key: String,
-        g: &Graph,
-        plan: &ExecutionPlan,
-    ) -> f64 {
+    /// The plan's estimated time under `binding`, from the cache when `key`
+    /// was priced before. A key names the graph by its content key, so an
+    /// optimizer reused across graphs never answers with another graph's
+    /// time.
+    fn cached_estimate(&self, key: String, binding: &Binding, plan: &ExecutionPlan) -> f64 {
         if let Some(&t) = self.cache.lock().unwrap().get(&key) {
             self.stats.lock().unwrap().cache_hits += 1;
             return t;
         }
-        let t = plan.estimate(g, &self.device).time;
+        let t = plan.estimate(binding, &self.device).time;
         self.cache.lock().unwrap().insert(key, t);
         self.stats.lock().unwrap().evaluated += 1;
         t
@@ -144,9 +140,11 @@ impl WiseGraph {
     }
 
     /// Runs the three-stage search and returns the optimized model plus
-    /// its trace. Each table that survives pruning is partitioned once;
-    /// stage 2's variants and the per-layer plans reuse the winner's
-    /// partition.
+    /// its trace. The graph's [`Binding`] is built once and one [`Recount`]
+    /// counts every partition, so each attribute's column is built once.
+    /// Each table that survives pruning is partitioned and its patterns
+    /// counted once; stage 2's variants and the per-layer plans reuse the
+    /// winner's partition and patterns.
     pub fn optimize(&self, g: &Graph, model: ModelKind, dims: &LayerDims) -> OptimizedModel {
         let repr_dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let attrs: Vec<_> = analysis::indexing_attrs(&repr_dfg).into_iter().collect();
@@ -159,8 +157,9 @@ impl WiseGraph {
         // model prunes tables whose predicted time is far above the best
         // score seen, without partitioning them.
         let binding = Binding::from_graph(g);
+        let mut recount = Recount::new(g);
         let base_workload = analysis::workload(&repr_dfg, &binding);
-        let mut best_table: Option<(PartitionPlan, f64)> = None;
+        let mut best_table = None;
         let mut best_score = f64::INFINITY;
         for table in tables {
             let score = self.table_score(&table, &base_workload);
@@ -176,19 +175,17 @@ impl WiseGraph {
                 dims.hidden,
                 dims.hidden
             );
-            let plan = ExecutionPlan::new(
-                g,
-                partition(g, &table),
-                repr_dfg.clone(),
-                OpPartitionKind::Fused,
-            );
-            let t = self.cached_estimate(key, g, &plan);
+            let part = partition(g, &table);
+            let patterns = Patterns::count(&mut recount, &part, &repr_dfg);
+            let plan =
+                ExecutionPlan::new(&patterns, part, repr_dfg.clone(), OpPartitionKind::Fused);
+            let t = self.cached_estimate(key, &binding, &plan);
             trace.points.push((SearchStage::GraphPartition, edges / t));
-            if best_table.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                best_table = Some((plan.partition, t));
+            if best_table.as_ref().is_none_or(|&(_, _, bt)| t < bt) {
+                best_table = Some((plan.partition, patterns, t));
             }
         }
-        let (part, _) = best_table.expect("at least one table survives");
+        let (part, patterns, _) = best_table.expect("at least one table survives");
         let table = &part.table;
 
         // Stage 2 — operation partition: DFG transformation × grouping.
@@ -214,8 +211,8 @@ impl WiseGraph {
                     op,
                     dims.hidden
                 );
-                let plan = ExecutionPlan::new(g, part.clone(), dfg.clone(), op);
-                let t = self.cached_estimate(key, g, &plan);
+                let plan = ExecutionPlan::new(&patterns, part.clone(), dfg.clone(), op);
+                let t = self.cached_estimate(key, &binding, &plan);
                 trace
                     .points
                     .push((SearchStage::OperationPartition, edges / t));
@@ -227,7 +224,7 @@ impl WiseGraph {
         let (best_plan, best_time) = best.expect("operation partition produced a plan");
 
         // Stage 3 — joint optimization: differentiated outlier scheduling.
-        let cmp = compare_scheduling(&best_plan, g, &self.device);
+        let cmp = compare_scheduling(&best_plan, &binding, &mut recount, &self.device);
         let joint_time = (best_time - cmp.uniform + cmp.differentiated).max(best_time * 0.05);
         trace
             .points
@@ -241,8 +238,8 @@ impl WiseGraph {
         for l in 0..dims.layers {
             let (fi, fo) = dims.layer_io(l);
             let dfg = transform::optimize(&model.layer_dfg(fi, fo), &binding).0;
-            let plan = ExecutionPlan::new(g, part.clone(), dfg, best_plan.op_partition);
-            let est = plan.estimate(g, &self.device);
+            let plan = ExecutionPlan::new(&patterns, part.clone(), dfg, best_plan.op_partition);
+            let est = plan.estimate(&binding, &self.device);
             total += est.time * joint_gain;
             transient = transient.max(est.transient_bytes);
             per_layer.push(plan);
@@ -363,19 +360,38 @@ mod tests {
         assert_eq!(bits(&reused.trace), bits(&fresh.trace));
     }
 
+    /// One search partitions and counts each surviving table once (stage 2
+    /// and the per-layer plans reuse the winner's pattern pass) and builds
+    /// each attribute's recount column once. Its one `Binding` is held by
+    /// signature: `estimate`, `kernels` and `compare_scheduling` take it.
     #[test]
-    fn each_surviving_table_is_partitioned_once() {
+    fn each_surviving_table_is_partitioned_and_counted_once() {
+        use wisegraph_obs::span::Phase;
         let g = small_graph(5);
-        let wg = WiseGraph::new(DeviceSpec::a100_pcie());
         let dims = LayerDims::paper_single(32, 8);
-        let (out, trace) = capture(|| wg.optimize(&g, ModelKind::Rgcn, &dims));
-        let tables = out
-            .trace
-            .points
-            .iter()
-            .filter(|&&(s, _)| s == SearchStage::GraphPartition)
-            .count();
-        assert_eq!(trace.span_count("gtask.partition"), tables);
+        for model in ModelKind::ALL {
+            let wg = WiseGraph::new(DeviceSpec::a100_pcie());
+            let (out, trace) = capture(|| wg.optimize(&g, model, &dims));
+            let tables = out
+                .trace
+                .points
+                .iter()
+                .filter(|&&(s, _)| s == SearchStage::GraphPartition)
+                .count();
+            assert_eq!(trace.span_count("gtask.partition"), tables, "{}", model.name());
+            assert_eq!(trace.span_count("core.plan.patterns"), tables, "{}", model.name());
+            let mut columns: Vec<u64> = trace
+                .events
+                .iter()
+                .filter(|e| e.phase == Phase::Begin && e.name == "gtask.recount.column")
+                .map(|e| e.args[0].1)
+                .collect();
+            let built = columns.len();
+            columns.sort_unstable();
+            columns.dedup();
+            assert!(built > 0, "{}", model.name());
+            assert_eq!(columns.len(), built, "{}: a column built twice", model.name());
+        }
     }
 
     #[test]

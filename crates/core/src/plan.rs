@@ -3,17 +3,17 @@
 //! An [`ExecutionPlan`] is the product of joint partitioning for one model
 //! layer: the graph partition (gTasks, with the table that made them), the
 //! (possibly transformed) DFG, the operation partition, and the kernel
-//! context derived from the plan's data patterns. A plan is built from a
-//! partition the caller holds ([`ExecutionPlan::new`]), so a search that
-//! prices many DFG and grouping variants of one table partitions it once.
-//! The data-pattern rules count distinct values with
-//! [`wisegraph_gtask::Recount`], the recount the plan verifier uses.
-//! Evaluating a plan prices its kernels on the device model and schedules
-//! its per-task work onto execution units.
+//! context derived from the plan's data patterns. The patterns are counted
+//! once per partition ([`Patterns::count`]) and the plan applies its DFG's
+//! rules on top of them ([`ExecutionPlan::new`]), so a search that prices
+//! many DFG and grouping variants of one table partitions and counts it
+//! once. Evaluating a plan prices its kernels on the device model under
+//! the caller's whole-graph [`Binding`] and schedules its per-task work
+//! onto execution units.
 
 use wisegraph_dfg::{transform, Binding, Dfg};
 use wisegraph_graph::{AttrKind, Graph};
-use wisegraph_gtask::{partition, PartitionPlan, PartitionTable, Recount};
+use wisegraph_gtask::{partition, GTask, PartitionPlan, PartitionTable, Recount, Restriction};
 use wisegraph_kernels::{
     generate::{boundary_bytes, generate_kernels},
     GeneratedKernel, KernelContext, OpPartition,
@@ -73,88 +73,101 @@ pub struct PlanEstimate {
     pub transient_bytes: f64,
 }
 
-/// The batch size the plan's gTasks offer to kernels: the median, over
-/// tasks, of the largest `Exact(k > 1)` attribute's achieved uniqueness
-/// (the *batched data* pattern of §5.1). Plans restricting everything to
-/// one value offer no batching.
-pub fn plan_batch_rows(g: &Graph, plan: &PartitionPlan) -> usize {
-    let batched_attrs: Vec<AttrKind> = plan
-        .table
-        .exact_attrs()
-        .iter()
-        .filter(|&&(_, k)| k > 1)
-        .map(|&(a, _)| a)
-        .collect();
-    if batched_attrs.is_empty() {
-        return 1;
-    }
-    let mut sizes: Vec<usize> = plan
-        .tasks
-        .iter()
-        .map(|t| {
-            batched_attrs
-                .iter()
-                .map(|&a| t.uniq_of(g, a))
-                .max()
-                .unwrap_or(1)
-        })
-        .collect();
-    sizes.sort_unstable();
-    sizes[sizes.len() / 2].max(1)
+/// The gTask data patterns of one partition (§5.1) that the kernel context
+/// reads, counted in one pass over its tasks. A task's distinct count of an
+/// attribute is its recorded `uniq` row when the plan tracks the attribute
+/// (every plan producer records its table's `Exact` attributes), a
+/// [`Recount`] otherwise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Patterns {
+    /// *Batched data*: the median, over tasks, of the largest `Exact(k > 1)`
+    /// attribute's achieved uniqueness; 1 when the table batches nothing or
+    /// the plan has no tasks.
+    pub batch_rows: usize,
+    /// *Duplicated data*: `Σ uniq(src) / edges`, the fraction of raw
+    /// per-edge source gathers left after per-task dedup (1 without edges).
+    pub gather_dedup: f64,
+    /// Scatter fragmentation: `Σ uniq(dst) / edges`, one read-modify-write
+    /// per (task, destination) fragment.
+    pub scatter_dedup: f64,
+    /// For a DFG with an LSTM aggregation, the padding a batched LSTM
+    /// pays: within one batch every sequence is padded to the longest, so
+    /// a task wastes `max(degree) / mean(degree)` over its destinations;
+    /// this is the edge-weighted mean of that over tasks, times the
+    /// destinations' fragmentation (a destination split across tasks
+    /// re-loads and serializes its LSTM state per fragment). Plans
+    /// restricting `uniq(dst-degree)` (exactly or to `min`) keep it near 1.
+    pub lstm_padding: Option<f64>,
 }
 
-/// `Σ uniq(attr)` over the plan's tasks: the recorded counts when the plan
-/// tracks `attr`, a recount from the graph otherwise.
-fn distinct_sum(g: &Graph, plan: &PartitionPlan, attr: AttrKind) -> usize {
-    if let Some(j) = plan.tasks.attrs().iter().position(|&a| a == attr) {
-        return plan.tasks.iter().map(|t| t.uniq_row()[j] as usize).sum();
-    }
-    let mut recount = Recount::new(g, [attr]);
-    plan.tasks.iter().map(|t| recount.unique(0, t.edges)).sum()
-}
-
-/// Gather-deduplication factor of a plan: the fraction of raw per-edge
-/// source gathers that remain after per-task dedup (the *duplicated data*
-/// pattern, §5.1). Plans grouping edges by source read each unique source
-/// row once per task.
-pub fn plan_gather_dedup(g: &Graph, plan: &PartitionPlan) -> f64 {
-    let total: usize = plan.total_edges();
-    if total == 0 {
-        return 1.0;
-    }
-    let unique_loads = distinct_sum(g, plan, AttrKind::SrcId);
-    (unique_loads as f64 / total as f64).clamp(0.0, 1.0)
-}
-
-/// Edge-weighted mean, over tasks, of the padding a batched LSTM pays:
-/// within one batch every sequence is padded to the longest, so the waste
-/// is `max(degree) / mean(degree)` over the task's destinations. Plans
-/// restricting `uniq(dst-degree)` (exactly or to `min`) keep this near 1.
-pub fn plan_lstm_padding(g: &Graph, plan: &PartitionPlan) -> f64 {
-    let mut recount = Recount::new(g, [AttrKind::DstId]);
-    let mut weighted = 0.0f64;
-    let mut total = 0.0f64;
-    let mut pairs = 0usize;
-    for task in &plan.tasks {
-        // Degrees are integers, so their sum is exact in any order.
-        let (mut max, mut sum) = (0.0f64, 0.0f64);
-        let dsts = recount.unique_by(0, task.edges, |e| {
-            let deg = g.in_degree()[g.dst()[e as usize] as usize] as f64;
-            max = max.max(deg);
-            sum += deg;
+impl Patterns {
+    /// Counts `plan`'s patterns for plans running `dfg` or another DFG of
+    /// its model (span `core.plan.patterns`); `recount` is a recount of the
+    /// plan's graph. The LSTM padding, the one pattern that needs its own
+    /// pass over the tasks, is counted only when `dfg` has an LSTM
+    /// aggregation.
+    pub fn count(recount: &mut Recount<'_>, plan: &PartitionPlan, dfg: &Dfg) -> Self {
+        let _sp = wisegraph_obs::span!("core.plan.patterns", tasks = plan.num_tasks());
+        let batched: Vec<AttrKind> = plan
+            .table
+            .exact_attrs()
+            .iter()
+            .filter(|&&(_, k)| k > 1)
+            .map(|&(a, _)| a)
+            .collect();
+        let lstm = has_lstm(dfg);
+        let uniq = |recount: &mut Recount<'_>, task: GTask<'_>, attr: AttrKind| {
+            task.uniq(attr).unwrap_or_else(|| recount.unique(attr, task.edges))
+        };
+        let mut rows = Vec::with_capacity(plan.num_tasks());
+        let (mut src_loads, mut fragments) = (0usize, 0usize);
+        let (mut weighted, mut total) = (0.0f64, 0.0f64);
+        for task in &plan.tasks {
+            rows.push(batched.iter().map(|&a| uniq(recount, task, a)).max().unwrap_or(1));
+            src_loads += uniq(recount, task, AttrKind::SrcId);
+            fragments += uniq(recount, task, AttrKind::DstId);
+            if lstm {
+                weighted += lstm_task_padding(recount, task) * task.num_edges() as f64;
+                total += task.num_edges() as f64;
+            }
+        }
+        rows.sort_unstable();
+        let edges = plan.total_edges();
+        let lstm_padding = lstm.then(|| {
+            let pad = if total > 0.0 { weighted / total } else { 1.0 };
+            let all_dsts = recount.unique(AttrKind::DstId, plan.tasks.edges());
+            pad * (fragments as f64 / all_dsts.max(1) as f64)
         });
-        let mean = sum / dsts as f64;
-        let pad = if mean > 0.0 { max / mean } else { 1.0 };
-        weighted += pad * task.num_edges() as f64;
-        total += task.num_edges() as f64;
-        pairs += dsts;
+        Self {
+            batch_rows: rows.get(rows.len() / 2).map_or(1, |&r| r.max(1)),
+            gather_dedup: if edges == 0 {
+                1.0
+            } else {
+                (src_loads as f64 / edges as f64).clamp(0.0, 1.0)
+            },
+            scatter_dedup: (fragments as f64 / edges.max(1) as f64).clamp(0.0, 1.0),
+            lstm_padding,
+        }
     }
-    let pad = if total > 0.0 { weighted / total } else { 1.0 };
-    // Fragmentation: if a destination's in-edges are split across tasks,
-    // its LSTM state must be re-loaded and serialized per fragment.
-    let all_dsts = recount.unique(0, plan.tasks.edges());
-    let frag = pairs as f64 / all_dsts.max(1) as f64;
-    pad * frag
+}
+
+/// `max(degree) / mean(degree)` over `task`'s destinations (1 for a task
+/// without edges).
+fn lstm_task_padding(recount: &mut Recount<'_>, task: GTask<'_>) -> f64 {
+    let g = recount.graph();
+    // Degrees are integers, so their sum is exact in any order.
+    let (mut max, mut sum) = (0.0f64, 0.0f64);
+    let dsts = recount.unique_by(AttrKind::DstId, task.edges, |e, _| {
+        let deg = g.in_degree()[g.dst()[e as usize] as usize] as f64;
+        max = max.max(deg);
+        sum += deg;
+    });
+    let mean = sum / dsts as f64;
+    if mean > 0.0 {
+        max / mean
+    } else {
+        1.0
+    }
 }
 
 fn has_lstm(dfg: &Dfg) -> bool {
@@ -170,35 +183,33 @@ fn has_per_edge_linear(dfg: &Dfg) -> bool {
     })
 }
 
-/// Builds the kernel context for a plan, applying the data-pattern rules
-/// the plan's gTasks reveal: batch size, gather dedup, LSTM padding, and
-/// the per-edge-weight constraint (a `PerEdgeLinear` batch needs a single
-/// weight per task, i.e. `uniq(edge-type) = 1`).
-fn derive_ctx(g: &Graph, plan: &PartitionPlan, dfg: &Dfg) -> KernelContext {
-    let mut batch = plan_batch_rows(g, plan);
-    if has_per_edge_linear(dfg)
-        && plan.table.restriction(AttrKind::EdgeType) != wisegraph_gtask::Restriction::Exact(1)
+/// The kernel context of running `dfg` over `plan`, whose patterns are
+/// `p`: the DFG's rules applied on top of the counted patterns. A
+/// `PerEdgeLinear` batch needs a single weight per task
+/// (`uniq(edge-type) = 1`); dedup is realized only for the unique rows
+/// that fit on chip; LSTM padding applies only to an LSTM aggregation.
+fn kernel_context(p: &Patterns, plan: &PartitionPlan, dfg: &Dfg) -> KernelContext {
+    let batch = if has_per_edge_linear(dfg)
+        && plan.table.restriction(AttrKind::EdgeType) != Restriction::Exact(1)
     {
         // Mixed weights within a task: no matrix batching possible.
-        batch = 1;
-    }
+        1
+    } else {
+        p.batch_rows
+    };
     // Dedup happens in shared memory: only the unique rows that fit on
     // chip are loaded once. Batches wider than the on-chip row budget
     // realize proportionally less of the plan's deduplication.
     let width = gather_width(dfg).max(1);
     let rows_fit = (49_152 / (4 * width)).max(1) as f64;
-    let dedup = plan_gather_dedup(g, plan);
     let realized = (rows_fit / batch.max(1) as f64).min(1.0);
-    let effective_dedup = dedup * realized + 1.0 * (1.0 - realized);
-    // Scatter fragmentation: one read-modify-write per (task, destination)
-    // fragment.
-    let fragments = distinct_sum(g, plan, AttrKind::DstId);
-    let scatter = (fragments as f64 / plan.total_edges().max(1) as f64).clamp(0.0, 1.0);
+    let effective_dedup = p.gather_dedup * realized + 1.0 * (1.0 - realized);
     let mut ctx = KernelContext::gtask(plan.num_tasks() as f64, batch)
         .with_gather_dedup(effective_dedup)
-        .with_scatter_dedup(scatter);
+        .with_scatter_dedup(p.scatter_dedup);
     if has_lstm(dfg) {
-        ctx = ctx.with_lstm_padding(plan_lstm_padding(g, plan));
+        let padding = p.lstm_padding.expect("patterns counted for an LSTM DFG");
+        ctx = ctx.with_lstm_padding(padding);
     }
     ctx
 }
@@ -226,18 +237,17 @@ fn gather_width(dfg: &Dfg) -> usize {
 }
 
 impl ExecutionPlan {
-    /// A plan running `dfg` over `partition`, a partition of `g`: derives
-    /// the kernel context from the gTask patterns. The context rules apply
-    /// to the DFG that will actually run (e.g. the per-edge-weight
-    /// constraint disappears once the transformation replaces
-    /// `PerEdgeLinear` with a pairwise table).
+    /// A plan running `dfg` over `partition`, whose patterns are `patterns`
+    /// ([`Patterns::count`]). The context rules apply to the DFG that will
+    /// actually run (e.g. the per-edge-weight constraint disappears once
+    /// the transformation replaces `PerEdgeLinear` with a pairwise table).
     pub fn new(
-        g: &Graph,
+        patterns: &Patterns,
         partition: PartitionPlan,
         dfg: Dfg,
         op_partition: OpPartitionKind,
     ) -> Self {
-        let ctx = derive_ctx(g, &partition, &dfg);
+        let ctx = kernel_context(patterns, &partition, &dfg);
         Self {
             partition,
             dfg,
@@ -255,14 +265,16 @@ impl ExecutionPlan {
         op_partition: OpPartitionKind,
     ) -> Self {
         let (dfg, _) = transform::optimize(base_dfg, &Binding::from_graph(g));
-        Self::new(g, partition(g, &table), dfg, op_partition)
+        let part = partition(g, &table);
+        let patterns = Patterns::count(&mut Recount::new(g), &part, &dfg);
+        Self::new(&patterns, part, dfg, op_partition)
     }
 
-    /// Generates this plan's kernels.
-    pub fn kernels(&self, g: &Graph) -> Vec<GeneratedKernel> {
-        let binding = Binding::from_graph(g);
+    /// Generates this plan's kernels under `binding`, its graph's
+    /// whole-scope binding.
+    pub fn kernels(&self, binding: &Binding) -> Vec<GeneratedKernel> {
         let part = self.op_partition.build(&self.dfg);
-        generate_kernels(&self.dfg, &binding, &part, &self.ctx)
+        generate_kernels(&self.dfg, binding, &part, &self.ctx)
     }
 
     /// Per-gTask durations of this plan's fused (per-task) `kernels` under
@@ -295,12 +307,12 @@ impl ExecutionPlan {
             .collect()
     }
 
-    /// Evaluates the plan: kernel roofline times, with the per-task kernels
-    /// replaced by a list-scheduled makespan so load imbalance is visible.
-    pub fn estimate(&self, g: &Graph, dev: &DeviceSpec) -> PlanEstimate {
-        let binding = Binding::from_graph(g);
+    /// Evaluates the plan under `binding`, its graph's whole-scope
+    /// binding: kernel roofline times, with the per-task kernels replaced
+    /// by a list-scheduled makespan so load imbalance is visible.
+    pub fn estimate(&self, binding: &Binding, dev: &DeviceSpec) -> PlanEstimate {
         let part = self.op_partition.build(&self.dfg);
-        let kernels = generate_kernels(&self.dfg, &binding, &part, &self.ctx);
+        let kernels = generate_kernels(&self.dfg, binding, &part, &self.ctx);
         let mut time = 0.0;
         for k in &kernels {
             time += dev.kernel_time(&k.cost);
@@ -315,7 +327,7 @@ impl ExecutionPlan {
         }
         PlanEstimate {
             time,
-            transient_bytes: boundary_bytes(&self.dfg, &binding, &part),
+            transient_bytes: boundary_bytes(&self.dfg, binding, &part),
         }
     }
 }
@@ -330,16 +342,18 @@ mod tests {
         rmat(&RmatParams::standard(2000, 30_000, 17).with_edge_types(4))
     }
 
+    fn patterns(g: &Graph, table: PartitionTable) -> Patterns {
+        let dfg = ModelKind::Gcn.layer_dfg(8, 8);
+        Patterns::count(&mut Recount::new(g), &partition(g, &table), &dfg)
+    }
+
     #[test]
     fn batch_rows_reflects_table() {
         let g = test_graph();
-        let vc = partition(&g, &PartitionTable::vertex_centric());
-        assert_eq!(plan_batch_rows(&g, &vc), 1);
-        let batched = partition(&g, &PartitionTable::src_batch_per_type(32));
-        let b = plan_batch_rows(&g, &batched);
+        assert_eq!(patterns(&g, PartitionTable::vertex_centric()).batch_rows, 1);
+        let b = patterns(&g, PartitionTable::src_batch_per_type(32)).batch_rows;
         assert!(b > 4 && b <= 32, "batch {b}");
-        let eb = partition(&g, &PartitionTable::edge_batch(64));
-        assert_eq!(plan_batch_rows(&g, &eb), 64);
+        assert_eq!(patterns(&g, PartitionTable::edge_batch(64)).batch_rows, 64);
     }
 
     #[test]
@@ -347,9 +361,10 @@ mod tests {
         let g = test_graph();
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Rgcn.layer_dfg(64, 64);
+        let vc_part = partition(&g, &PartitionTable::vertex_centric());
         let vc = ExecutionPlan::new(
-            &g,
-            partition(&g, &PartitionTable::vertex_centric()),
+            &Patterns::count(&mut Recount::new(&g), &vc_part, &dfg),
+            vc_part,
             dfg.clone(),
             OpPartitionKind::Fused,
         );
@@ -359,8 +374,9 @@ mod tests {
             &dfg,
             OpPartitionKind::DenseSeparateRestFused,
         );
-        let t_vc = vc.estimate(&g, &dev).time;
-        let t_ours = ours.estimate(&g, &dev).time;
+        let binding = Binding::from_graph(&g);
+        let t_vc = vc.estimate(&binding, &dev).time;
+        let t_ours = ours.estimate(&binding, &dev).time;
         assert!(
             t_ours < t_vc / 2.0,
             "ours {t_ours} vs vertex-centric {t_vc}"
@@ -372,6 +388,7 @@ mod tests {
         let g = test_graph();
         let dev = DeviceSpec::a100_pcie();
         let dfg = ModelKind::Gcn.layer_dfg(32, 32);
+        let binding = Binding::from_graph(&g);
         for kind in OpPartitionKind::ALL {
             let plan = ExecutionPlan::build(
                 &g,
@@ -379,7 +396,7 @@ mod tests {
                 &dfg,
                 kind,
             );
-            let est = plan.estimate(&g, &dev);
+            let est = plan.estimate(&binding, &dev);
             assert!(est.time > 0.0);
             assert!(est.transient_bytes >= 0.0);
         }
@@ -390,7 +407,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        assert_eq!(fused.estimate(&g, &dev).transient_bytes, 0.0);
+        assert_eq!(fused.estimate(&binding, &dev).transient_bytes, 0.0);
     }
 
     #[test]
@@ -404,7 +421,7 @@ mod tests {
             &dfg,
             OpPartitionKind::Fused,
         );
-        let d = plan.task_durations(&plan.kernels(&g), &dev);
+        let d = plan.task_durations(&plan.kernels(&Binding::from_graph(&g)), &dev);
         assert_eq!(d.len(), plan.partition.num_tasks());
         assert!(d.iter().all(|&t| t >= 0.0));
         assert!(d.iter().sum::<f64>() > 0.0);

@@ -8,13 +8,13 @@
 //! 2. graph partitioning by the chosen table can run on CPU threads
 //!    overlapped with training, so its overhead hides behind the epoch.
 
-use crate::plan::{ExecutionPlan, OpPartitionKind};
+use crate::plan::{ExecutionPlan, OpPartitionKind, Patterns};
 use crate::optimizer::WiseGraph;
 use wisegraph_baselines::single::LayerDims;
 use wisegraph_dfg::{transform, Binding};
 use wisegraph_graph::sample::{neighbor_sample, SampleConfig, SampledSubgraph};
 use wisegraph_graph::{Csr, Graph};
-use wisegraph_gtask::{partition, PartitionTable};
+use wisegraph_gtask::{partition, PartitionTable, Recount};
 use wisegraph_models::ModelKind;
 use wisegraph_obs::clock::Stopwatch;
 
@@ -56,7 +56,7 @@ pub fn plan_reuse_relative_perf(
         // Reused plan: same table + op partition, re-partition only.
         let dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let reused = ExecutionPlan::build(&sub.graph, table.clone(), &dfg, op);
-        let t_reused = reused.estimate(&sub.graph, &wg.device).time;
+        let t_reused = reused.estimate(&Binding::from_graph(&sub.graph), &wg.device).time;
         // Per-sample optimum.
         let opt = wg.optimize(&sub.graph, model, dims);
         let t_opt = opt.time_per_iter
@@ -115,13 +115,15 @@ pub fn sampled_iteration_estimate(
     let sub = neighbor_sample(g, &csr, &SampleConfig::paper_default(seed));
     let g = &sub.graph;
     let part = partition(g, table);
+    let repr_dfg = model.layer_dfg(dims.hidden, dims.hidden);
+    let patterns = Patterns::count(&mut Recount::new(g), &part, &repr_dfg);
     let binding = Binding::from_graph(g);
     let mut total = 0.0;
     for l in 0..dims.layers {
         let (fi, fo) = dims.layer_io(l);
         let dfg = transform::optimize(&model.layer_dfg(fi, fo), &binding).0;
-        let plan = ExecutionPlan::new(g, part.clone(), dfg, op);
-        total += plan.estimate(g, &wg.device).time;
+        let plan = ExecutionPlan::new(&patterns, part.clone(), dfg, op);
+        total += plan.estimate(&binding, &wg.device).time;
     }
     total * wisegraph_baselines::single::TRAIN_FACTOR
 }

@@ -23,7 +23,6 @@ pub mod dim;
 pub mod graph;
 pub mod interp;
 pub mod op;
-pub mod passes;
 pub mod transform;
 
 pub use dim::{Binding, Dim, SymShape};

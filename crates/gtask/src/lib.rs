@@ -14,10 +14,11 @@
 //!   the plan's flat arrays directly;
 //! - [`stamp`]: the epoch-stamped dense value set the scan counts distinct
 //!   attribute values with, the code columns that size it, and the
-//!   [`Recount`] the plan verifiers and the plan pricer count with;
-//! - [`task`]: the CSR-of-tasks [`PartitionPlan`], the [`GTask`] view of
-//!   one task and its gTask-level data patterns (duplicated data, batched
-//!   data, changing data volume);
+//!   [`Recount`] the plan verifiers, the plan pricer and the outlier
+//!   classifier count with (a task's distinct count is its recorded `uniq`
+//!   row or a `Recount`, nothing else);
+//! - [`task`]: the CSR-of-tasks [`PartitionPlan`] and the [`GTask`] view
+//!   of one task with its recorded `uniq` row;
 //! - [`outlier`]: identification of underfill / overfill / frequent-value
 //!   outlier gTasks.
 
@@ -33,4 +34,4 @@ pub use incremental::{DeltaStats, GraphDelta, IncrementalPlan};
 pub use partition::{partition, partition_edges};
 pub use restriction::{PartitionTable, Restriction};
 pub use stamp::{Column, Recount, StampSet};
-pub use task::{DataPatterns, GTask, PartitionPlan, TaskList, Tasks};
+pub use task::{GTask, PartitionPlan, TaskList, Tasks};

@@ -12,9 +12,8 @@
 //!   gTasks (a hub vertex split over tasks) — shared work and data races.
 
 use crate::restriction::Restriction;
+use crate::stamp::Recount;
 use crate::task::PartitionPlan;
-use std::collections::HashMap;
-use wisegraph_graph::{AttrKind, Graph};
 
 /// The outlier classes of §6.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,25 +34,31 @@ const OVERFILL_FACTOR: usize = 4;
 const FREQUENT_TASK_COUNT: usize = 8;
 
 /// Classifies every task of a plan; `None` marks a regular task.
+/// `recount` is a recount of the plan's graph: a task's distinct values of
+/// each `Exact` attribute are found with it, and the tasks holding each
+/// value are counted per value code.
 ///
 /// A task can match several classes; the reported one follows the priority
 /// FrequentValue > Overfill > Underfill (a value recurring across tasks is
 /// the most specific diagnosis; plain size imbalance comes next).
-pub fn classify_outliers(g: &Graph, plan: &PartitionPlan) -> Vec<Option<OutlierKind>> {
+pub fn classify_outliers(
+    recount: &mut Recount<'_>,
+    plan: &PartitionPlan,
+) -> Vec<Option<OutlierKind>> {
     let exact = plan.table.exact_attrs();
     let median = plan.median_task_edges().max(1);
 
-    // Count, per restricted attribute value, how many tasks contain it.
-    let mut value_tasks: HashMap<(AttrKind, u64), usize> = HashMap::new();
+    // Per restricted attribute, how many tasks hold each value code.
+    let mut value_tasks: Vec<Vec<usize>> = vec![Vec::new(); exact.len()];
     for task in &plan.tasks {
-        for &(attr, _) in &exact {
-            let mut vals: Vec<u64> =
-                task.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            for v in vals {
-                *value_tasks.entry((attr, v)).or_insert(0) += 1;
-            }
+        for (&(attr, _), counts) in exact.iter().zip(&mut value_tasks) {
+            recount.unique_by(attr, task.edges, |_, code| {
+                let code = code as usize;
+                if code >= counts.len() {
+                    counts.resize(code + 1, 0);
+                }
+                counts[code] += 1;
+            });
         }
     }
 
@@ -62,30 +67,30 @@ pub fn classify_outliers(g: &Graph, plan: &PartitionPlan) -> Vec<Option<OutlierK
         .map(|task| {
             // Frequent value: any of this task's restricted values is
             // shared by many tasks.
-            for &(attr, _) in &exact {
-                let mut vals: Vec<u64> =
-                    task.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
-                vals.sort_unstable();
-                vals.dedup();
-                if vals
-                    .iter()
-                    .any(|&v| value_tasks[&(attr, v)] > FREQUENT_TASK_COUNT)
-                {
-                    return Some(OutlierKind::FrequentValue);
-                }
+            let mut frequent = false;
+            let uniq: Vec<usize> = exact
+                .iter()
+                .zip(&value_tasks)
+                .map(|(&(attr, _), counts)| {
+                    recount.unique_by(attr, task.edges, |_, code| {
+                        frequent |= counts[code as usize] > FREQUENT_TASK_COUNT;
+                    })
+                })
+                .collect();
+            if frequent {
+                return Some(OutlierKind::FrequentValue);
             }
             // Overfill: size blowup relative to the plan's median.
             if task.num_edges() > OVERFILL_FACTOR * median {
                 return Some(OutlierKind::Overfill);
             }
             // Underfill: achieved uniqueness far below the bound.
-            for &(attr, bound) in &exact {
-                if bound >= 2 {
-                    let u = task.uniq_of(g, attr) as u64;
-                    if u < bound / UNDERFILL_DIVISOR {
-                        return Some(OutlierKind::Underfill);
-                    }
-                }
+            if exact
+                .iter()
+                .zip(&uniq)
+                .any(|(&(_, bound), &u)| bound >= 2 && (u as u64) < bound / UNDERFILL_DIVISOR)
+            {
+                return Some(OutlierKind::Underfill);
             }
             // Underfill also applies to Min-restricted batches that came
             // out with a single edge (no batching possible).
@@ -151,6 +156,7 @@ mod tests {
     use crate::partition::partition;
     use crate::restriction::PartitionTable;
     use wisegraph_graph::generate::{rmat, RmatParams};
+    use wisegraph_graph::{AttrKind, Graph};
 
     /// A star graph: one hub receiving edges from everyone, plus a sparse
     /// tail — maximal irregularity.
@@ -174,7 +180,7 @@ mod tests {
     fn hub_creates_overfill_under_vertex_centric() {
         let g = star_graph(256);
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let classes = classify_outliers(&g, &plan);
+        let classes = classify_outliers(&mut Recount::new(&g), &plan);
         let overfill: Vec<usize> = classes
             .iter()
             .enumerate()
@@ -193,7 +199,7 @@ mod tests {
             .exact(AttrKind::DstId, 1)
             .exact(AttrKind::EdgeId, 8);
         let plan = partition(&g, &table);
-        let classes = classify_outliers(&g, &plan);
+        let classes = classify_outliers(&mut Recount::new(&g), &plan);
         let frequent = classes
             .iter()
             .filter(|c| **c == Some(OutlierKind::FrequentValue))
@@ -216,7 +222,7 @@ mod tests {
             .exact(AttrKind::DstId, 1)
             .exact(AttrKind::EdgeId, 64);
         let plan2 = partition(&g, &table2);
-        let classes = classify_outliers(&g, &plan2);
+        let classes = classify_outliers(&mut Recount::new(&g), &plan2);
         let underfill = classes
             .iter()
             .filter(|c| **c == Some(OutlierKind::Underfill))
@@ -234,7 +240,7 @@ mod tests {
         // Pure edge batching on a uniform-ish graph: balanced by design.
         let g = rmat(&RmatParams::standard(256, 4096, 43));
         let plan = partition(&g, &PartitionTable::edge_batch(32));
-        let classes = classify_outliers(&g, &plan);
+        let classes = classify_outliers(&mut Recount::new(&g), &plan);
         let s = summarize(&plan, &classes);
         assert!(
             s.regular as f64 >= 0.9 * plan.num_tasks() as f64,
@@ -247,7 +253,7 @@ mod tests {
     fn summary_counts_add_up() {
         let g = star_graph(128);
         let plan = partition(&g, &PartitionTable::vertex_centric());
-        let classes = classify_outliers(&g, &plan);
+        let classes = classify_outliers(&mut Recount::new(&g), &plan);
         let s = summarize(&plan, &classes);
         assert_eq!(
             s.regular + s.underfill + s.overfill + s.frequent,

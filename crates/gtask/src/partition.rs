@@ -205,6 +205,11 @@ mod tests {
     use wisegraph_graph::generate::{rmat, RmatParams};
     use wisegraph_testkit::prelude::*;
 
+    /// `attr`'s distinct count over `t`, recounted from the graph.
+    fn uniq(g: &Graph, t: crate::GTask<'_>, attr: AttrKind) -> usize {
+        crate::Recount::new(g).unique(attr, t.edges)
+    }
+
     fn paper_graph() -> Graph {
         Graph::new(
             5,
@@ -237,7 +242,7 @@ mod tests {
         assert_eq!(plan.num_tasks(), 5);
         assert!(covers_all_edges_once(&plan, g.num_edges()));
         for t in &plan.tasks {
-            assert_eq!(t.uniq_of(&g, AttrKind::DstId), 1);
+            assert_eq!(uniq(&g, t, AttrKind::DstId), 1);
         }
     }
 
@@ -255,8 +260,8 @@ mod tests {
         let plan = partition(&g, &PartitionTable::dst_and_type());
         assert!(covers_all_edges_once(&plan, g.num_edges()));
         for t in &plan.tasks {
-            assert_eq!(t.uniq_of(&g, AttrKind::DstId), 1);
-            assert_eq!(t.uniq_of(&g, AttrKind::EdgeType), 1);
+            assert_eq!(uniq(&g, t, AttrKind::DstId), 1);
+            assert_eq!(uniq(&g, t, AttrKind::EdgeType), 1);
         }
         // Figure 7(d): destinations 1 and 2 each split into two tasks
         // (types a and b); 0, 3, 4 are single-type → 7 tasks total.
@@ -268,7 +273,7 @@ mod tests {
         let g = paper_graph();
         let plan = partition(&g, &PartitionTable::dst_degree_grouped());
         for t in &plan.tasks {
-            assert_eq!(t.uniq_of(&g, AttrKind::DstDegree), 1);
+            assert_eq!(uniq(&g, t, AttrKind::DstDegree), 1);
         }
         // In-degrees are [2, 3, 3, 2, 1] → three distinct degrees → 3 tasks.
         assert_eq!(plan.num_tasks(), 3);
@@ -280,12 +285,12 @@ mod tests {
         let plan = partition(&g, &PartitionTable::dst_batch_min_degree(3));
         assert!(covers_all_edges_once(&plan, g.num_edges()));
         for t in &plan.tasks {
-            assert!(t.uniq_of(&g, AttrKind::DstId) <= 3);
+            assert!(uniq(&g, t, AttrKind::DstId) <= 3);
         }
         // Sorting by degree first, the K=3 destination groups mix degrees
         // as little as possible: uniq(dst-degree) per task stays ≤ 2 here.
         for t in &plan.tasks {
-            assert!(t.uniq_of(&g, AttrKind::DstDegree) <= 2);
+            assert!(uniq(&g, t, AttrKind::DstDegree) <= 2);
         }
     }
 
@@ -295,8 +300,8 @@ mod tests {
         let plan = partition(&g, &PartitionTable::src_batch_per_type(8));
         assert!(covers_all_edges_once(&plan, g.num_edges()));
         for t in &plan.tasks {
-            assert!(t.uniq_of(&g, AttrKind::SrcId) <= 8);
-            assert_eq!(t.uniq_of(&g, AttrKind::EdgeType), 1);
+            assert!(uniq(&g, t, AttrKind::SrcId) <= 8);
+            assert_eq!(uniq(&g, t, AttrKind::EdgeType), 1);
         }
     }
 
@@ -305,8 +310,8 @@ mod tests {
         let g = rmat(&RmatParams::standard(64, 1000, 35));
         let plan = partition(&g, &PartitionTable::two_d(4));
         for t in &plan.tasks {
-            assert!(t.uniq_of(&g, AttrKind::DstId) <= 4);
-            assert!(t.uniq_of(&g, AttrKind::SrcId) <= 4);
+            assert!(uniq(&g, t, AttrKind::DstId) <= 4);
+            assert!(uniq(&g, t, AttrKind::SrcId) <= 4);
         }
     }
 
@@ -382,7 +387,7 @@ mod tests {
                 prop_assert!(t.num_edges() > 0);
                 for (attr, bound) in table.exact_attrs() {
                     prop_assert!(
-                        t.uniq_of(&g, attr) as u64 <= bound,
+                        uniq(&g, t, attr) as u64 <= bound,
                         "uniq({attr}) exceeded {bound} in task"
                     );
                 }

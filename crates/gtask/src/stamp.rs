@@ -15,7 +15,8 @@
 //! sized by its column's code range, never by a raw value.
 //!
 //! A [`Recount`] pairs the two over a whole graph: the distinct-value
-//! count of any edge list, in one pass over it.
+//! count of any edge list, in one pass over it, with each attribute's
+//! column built once.
 
 use wisegraph_graph::{AttrKind, Graph};
 
@@ -128,45 +129,59 @@ impl StampSet {
 
 /// Distinct-value recount over lists of a graph's edges, from the graph
 /// alone (never from a plan's recorded counts): the one count the plan
-/// verifiers (`P002`, `C001`) and the plan pricer share. It holds each
-/// attribute's [`Column`] over every edge of the graph, so a sparse value
-/// is dense-ranked before it can size a table, and one [`StampSet`] per
-/// attribute reused across lists, so recounting every task of a plan is
-/// O(E).
+/// verifiers (`P002`, `C001`), the plan pricer and the outlier classifier
+/// share. Each attribute's [`Column`] is built over every edge of the
+/// graph on its first use (span `gtask.recount.column`), so a sparse value
+/// is dense-ranked before it can size a table, and is kept with one
+/// [`StampSet`] reused across lists, so recounting every task of a plan is
+/// O(E) and one recount serves every plan of its graph.
 #[derive(Debug)]
-pub struct Recount {
-    cols: Vec<(Column, StampSet)>,
+pub struct Recount<'g> {
+    g: &'g Graph,
+    cols: Vec<(AttrKind, Column, StampSet)>,
 }
 
-impl Recount {
-    /// The recount of `attrs`' values on `g`; attribute `j` of `attrs` is
-    /// counted by index `j`.
-    pub fn new(g: &Graph, attrs: impl IntoIterator<Item = AttrKind>) -> Self {
-        let cols = attrs
-            .into_iter()
-            .map(|attr| {
-                let col = Column::new(g, attr, 0..g.num_edges());
+impl<'g> Recount<'g> {
+    /// A recount of `g`'s attributes; no column is built yet.
+    pub fn new(g: &'g Graph) -> Self {
+        Self { g, cols: Vec::new() }
+    }
+
+    /// The graph whose edges this recount counts.
+    pub fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    /// Distinct values of `attr` over `edges` (ids of the graph's edges).
+    pub fn unique(&mut self, attr: AttrKind, edges: &[u32]) -> usize {
+        self.unique_by(attr, edges, |_, _| {})
+    }
+
+    /// [`unique`](Self::unique), also calling `first(edge, code)` with each
+    /// edge whose value no earlier edge of `edges` holds and that value's
+    /// code in `attr`'s column.
+    pub fn unique_by(
+        &mut self,
+        attr: AttrKind,
+        edges: &[u32],
+        mut first: impl FnMut(u32, u32),
+    ) -> usize {
+        let i = match self.cols.iter().position(|c| c.0 == attr) {
+            Some(i) => i,
+            None => {
+                let _sp = wisegraph_obs::span!("gtask.recount.column", attr = attr as u8);
+                let col = Column::new(self.g, attr, 0..self.g.num_edges());
                 let seen = StampSet::with_len(col.len);
-                (col, seen)
-            })
-            .collect();
-        Self { cols }
-    }
-
-    /// Distinct values of attribute `j` over `edges` (ids of the graph's
-    /// edges).
-    pub fn unique(&mut self, j: usize, edges: &[u32]) -> usize {
-        self.unique_by(j, edges, |_| {})
-    }
-
-    /// [`unique`](Self::unique), also calling `first` with each edge whose
-    /// value no earlier edge of `edges` holds.
-    pub fn unique_by(&mut self, j: usize, edges: &[u32], mut first: impl FnMut(u32)) -> usize {
-        let (col, seen) = &mut self.cols[j];
+                self.cols.push((attr, col, seen));
+                self.cols.len() - 1
+            }
+        };
+        let (_, col, seen) = &mut self.cols[i];
         seen.clear();
         for &e in edges {
-            if seen.insert(col.codes[e as usize]) {
-                first(e);
+            let code = col.codes[e as usize];
+            if seen.insert(code) {
+                first(e, code);
             }
         }
         seen.len()

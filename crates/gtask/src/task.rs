@@ -1,4 +1,4 @@
-//! Partition plans, gTasks and their data patterns (paper §3, §5.1).
+//! Partition plans and gTasks (paper §3).
 //!
 //! A plan stores its gTasks CSR-of-tasks ([`Tasks`]): one `u32` edge-id
 //! array in plan order, `tasks + 1` offsets into it, the attributes the
@@ -8,9 +8,9 @@
 //! one contiguous index stream.
 
 use crate::restriction::PartitionTable;
-use std::collections::BTreeMap;
+use crate::stamp::Recount;
 use std::ops::Range;
-use wisegraph_graph::{AttrKind, Graph};
+use wisegraph_graph::AttrKind;
 
 /// Converts an edge id to the `u32` a plan stores. This is the one
 /// statement of the limit: plans address edges by `u32`, so a graph or
@@ -22,12 +22,6 @@ use wisegraph_graph::{AttrKind, Graph};
 /// Panics if `e` does not fit a `u32`.
 pub(crate) fn edge_id(e: usize) -> u32 {
     u32::try_from(e).expect("a plan addresses edge ids below 2^32")
-}
-
-/// Number of distinct values in `vals` (sorts it).
-fn count_distinct(vals: &mut [u64]) -> usize {
-    vals.sort_unstable();
-    vals.iter().enumerate().filter(|&(i, v)| i == 0 || vals[i - 1] != *v).count()
 }
 
 /// One gTask: a view of a range of its plan's edges plus the unique-value
@@ -57,54 +51,6 @@ impl<'a> GTask<'a> {
     pub fn uniq_row(&self) -> &'a [u32] {
         self.uniq
     }
-
-    /// `uniq(attr)` within this task, computing it from the graph if the
-    /// plan does not track the attribute.
-    pub fn uniq_of(&self, g: &Graph, attr: AttrKind) -> usize {
-        self.uniq(attr).unwrap_or_else(|| {
-            let mut vals: Vec<u64> =
-                self.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
-            count_distinct(&mut vals)
-        })
-    }
-
-    /// Extracts the gTask-level data patterns of §5.1.
-    pub fn data_patterns(&self, g: &Graph) -> DataPatterns {
-        let attrs = [
-            AttrKind::SrcId,
-            AttrKind::DstId,
-            AttrKind::EdgeType,
-        ];
-        let mut duplication = BTreeMap::new();
-        let mut batch = BTreeMap::new();
-        for a in attrs {
-            let u = self.uniq_of(g, a);
-            batch.insert(a, u);
-            duplication.insert(a, self.num_edges() as f64 / u.max(1) as f64);
-        }
-        let src_u = batch[&AttrKind::SrcId].max(1) as f64;
-        let dst_u = batch[&AttrKind::DstId].max(1) as f64;
-        DataPatterns {
-            duplication,
-            batch,
-            volume_ratio: dst_u / src_u,
-        }
-    }
-}
-
-/// gTask-level data patterns (paper §5.1, Figure 4c).
-#[derive(Clone, Debug)]
-pub struct DataPatterns {
-    /// *Duplicated data*: edges per unique value (`> 1` means computation
-    /// can be shared via DFG transformation).
-    pub duplication: BTreeMap<AttrKind, f64>,
-    /// *Batched data*: the number of unique values per attribute — the
-    /// batch size available to a generated kernel.
-    pub batch: BTreeMap<AttrKind, usize>,
-    /// *Changing data volume*: output rows (`uniq(dst)`) over input rows
-    /// (`uniq(src)`); `< 1` means computation shrinks data, so communication
-    /// should follow computation in multi-device placement.
-    pub volume_ratio: f64,
 }
 
 /// A plan's gTasks, CSR-of-tasks. Task `i` holds
@@ -349,21 +295,24 @@ impl PartitionPlan {
     /// device counts — the filtered plan has the same task count as the
     /// original, so the engine's chunk-to-worker mapping (and with it every
     /// accumulator's float addition order) is identical on every device to
-    /// the single-device run. `uniq` counts are recomputed over the
-    /// surviving edges for the plan's tracked attributes.
-    pub fn filtered<F: Fn(usize) -> bool>(&self, g: &Graph, keep: F) -> PartitionPlan {
+    /// the single-device run. `uniq` counts are recounted over the
+    /// surviving edges for the plan's tracked attributes, by `recount`, a
+    /// recount of the plan's graph.
+    pub fn filtered<F: Fn(usize) -> bool>(
+        &self,
+        recount: &mut Recount<'_>,
+        keep: F,
+    ) -> PartitionPlan {
         let mut tasks = Tasks::new(self.tasks.attrs.clone());
         tasks.uniq.reserve(self.tasks.uniq.len());
         tasks.offsets.reserve(self.tasks.len());
-        let (mut vals, mut row) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         for t in &self.tasks {
             let start = tasks.edges.len();
             tasks.edges.extend(t.edges.iter().copied().filter(|&e| keep(e as usize)));
             row.clear();
             for &attr in &self.tasks.attrs {
-                vals.clear();
-                vals.extend(tasks.edges[start..].iter().map(|&e| g.edge_attr(attr, e as usize)));
-                row.push(count_distinct(&mut vals) as u32);
+                row.push(recount.unique(attr, &tasks.edges[start..]) as u32);
             }
             tasks.close(row.iter().copied());
         }
@@ -389,6 +338,7 @@ impl PartitionPlan {
 mod tests {
     use super::*;
     use crate::partition::partition;
+    use wisegraph_graph::Graph;
 
     fn paper_graph() -> Graph {
         Graph::new(
@@ -398,36 +348,6 @@ mod tests {
             vec![0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4],
             vec![0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0],
         )
-    }
-
-    #[test]
-    fn data_patterns_on_type_restricted_task() {
-        let g = paper_graph();
-        let plan = partition(&g, &PartitionTable::src_batch_per_type(4));
-        // Every task: one edge type, up to 4 unique sources.
-        for task in &plan.tasks {
-            let p = task.data_patterns(&g);
-            assert_eq!(p.batch[&AttrKind::EdgeType], 1);
-            assert!(p.batch[&AttrKind::SrcId] <= 4);
-            if task.num_edges() > 1 {
-                // Type is duplicated across all edges of the task.
-                assert!(p.duplication[&AttrKind::EdgeType] >= 2.0);
-            }
-        }
-    }
-
-    #[test]
-    fn volume_ratio_reflects_reduction() {
-        let g = paper_graph();
-        // Vertex-centric: uniq(dst) = 1 per task, so volume shrinks for any
-        // task with more than one source.
-        let plan = partition(&g, &PartitionTable::vertex_centric());
-        for task in &plan.tasks {
-            let p = task.data_patterns(&g);
-            if p.batch[&AttrKind::SrcId] > 1 {
-                assert!(p.volume_ratio < 1.0);
-            }
-        }
     }
 
     #[test]
@@ -447,7 +367,8 @@ mod tests {
         let plan = partition(&g, &PartitionTable::src_batch_per_type(2));
         // Keep only edges into vertices 0..2; every slot must survive,
         // including slots left with zero edges.
-        let f = plan.filtered(&g, |e| g.dst()[e] < 2);
+        let mut recount = Recount::new(&g);
+        let f = plan.filtered(&mut recount, |e| g.dst()[e] < 2);
         assert_eq!(f.num_tasks(), plan.num_tasks());
         assert_eq!(f.table, plan.table);
         let kept: usize = (0..g.num_edges()).filter(|&e| g.dst()[e] < 2).count();
@@ -460,14 +381,13 @@ mod tests {
             assert_eq!(filt.edges, expect);
             // uniq recomputed over survivors, never larger than before.
             for &attr in f.tasks.attrs() {
+                let mut vals: Vec<u64> =
+                    filt.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
+                vals.sort_unstable();
+                vals.dedup();
                 let u = filt.uniq(attr).unwrap();
                 assert!(u <= orig.uniq(attr).unwrap());
-                let untracked = PartitionPlan::from_task_lists(
-                    f.table.clone(),
-                    Vec::new(),
-                    vec![(filt.edges.iter().map(|&e| e as usize).collect(), Vec::new())],
-                );
-                assert_eq!(u, untracked.tasks.task(0).uniq_of(&g, attr));
+                assert_eq!(u, vals.len());
             }
         }
     }

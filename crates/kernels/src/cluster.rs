@@ -70,7 +70,7 @@
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
-    check_inputs, compile, summarize, vertex_rowed, CompileError, Globals, KernelProgram,
+    check_call, compile, summarize, vertex_rowed, CompileError, Globals, KernelProgram,
     MicroKernel,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -79,7 +79,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use wisegraph_dfg::{Dfg, NodeId, OpKind};
 use wisegraph_graph::{AttrKind, Graph, ShardSpec, SrcGroups};
-use wisegraph_gtask::PartitionPlan;
+use wisegraph_gtask::{PartitionPlan, Recount};
 use wisegraph_obs::clock::Stopwatch;
 use wisegraph_obs::critical::{
     analyze, logical_cost, AttributionReport, DeviceTimeline, PhaseKind, Segment,
@@ -625,10 +625,11 @@ struct ShardState {
 impl ShardState {
     fn derive(g: &Graph, plan: &PartitionPlan, devices: usize, fingerprint: u64) -> Self {
         let spec = ShardSpec::balanced(g, devices);
+        let mut recount = Recount::new(g);
         let plans = (0..devices)
             .map(|dev| {
                 let own = spec.owned_range(dev);
-                plan.filtered(g, |e| own.contains(&(g.dst()[e] as usize)))
+                plan.filtered(&mut recount, |e| own.contains(&(g.dst()[e] as usize)))
             })
             .collect();
         let halos = (0..devices).map(|dev| spec.remote_unique_src(g, dev)).collect();
@@ -816,9 +817,10 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if compilation fails, `globals` lacks an input the
-    /// DFG reads or binds one to a tensor of other extents, or the
-    /// placement is not among the compiled program's
+    /// Returns an error if compilation fails, `plan` holds an edge id `g`
+    /// does not have, the program was compiled for another vertex count,
+    /// `globals` lacks an input the DFG reads or binds one to a tensor of
+    /// other extents, or the placement is not among the compiled program's
     /// [`compatible_placements`]; each is found before any device starts.
     ///
     /// # Panics
@@ -859,7 +861,7 @@ impl ClusterEngine {
             devices = self.devices(),
             tasks = plan.tasks.len()
         );
-        check_inputs(dfg, g, globals)?;
+        check_call(program, dfg, g, plan, globals)?;
         placement_compatible(program, globals, placement).map_err(CompileError)?;
         let (outputs, art) = match placement {
             // Splits columns, not vertices: no shard state involved.
@@ -1081,8 +1083,9 @@ impl ClusterEngine {
         let ngroups = groups.num_groups();
         let group_owner = ShardSpec::new(ngroups, d);
         let group_plans = shard.group_plans.get_or_init(|| {
+            let mut recount = Recount::new(g);
             (0..ngroups)
-                .map(|grp| plan.filtered(g, |e| groups.group_of(g.src()[e]) == grp))
+                .map(|grp| plan.filtered(&mut recount, |e| groups.group_of(g.src()[e]) == grp))
                 .collect()
         });
         let w = program.out_width;

@@ -44,7 +44,7 @@
 
 use crate::fused::{plan_fusion, FusedPlan};
 use crate::micro::{
-    check_inputs, compile, eval_prologue, fill, join_rows, list_outputs, not_evaluable,
+    check_call, compile, eval_prologue, fill, join_rows, list_outputs, not_evaluable,
     prologue_name, recycle, row_dims, run_edge_pass, run_epilogue, run_task, CompileError,
     DenseEval, EdgePass, Globals, KernelProgram, Scratch, Targets, TaskWorkspace,
 };
@@ -231,10 +231,12 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns an error, before any worker starts, if `globals` lacks an
-    /// input the DFG reads or binds one to a tensor whose extents differ
-    /// from the input's declared shape (names the DFG does not read are
-    /// allowed), or if a prologue node cannot be evaluated.
+    /// Returns an error, before any worker starts, if `plan` holds an edge
+    /// id `g` does not have, `program` was compiled for another vertex
+    /// count, `globals` lacks an input the DFG reads or binds one to a
+    /// tensor whose extents differ from the input's declared shape (names
+    /// the DFG does not read are allowed), or a prologue node cannot be
+    /// evaluated.
     ///
     /// # Panics
     ///
@@ -247,7 +249,7 @@ impl Engine {
         plan: &PartitionPlan,
         globals: &HashMap<String, Tensor>,
     ) -> Result<Vec<Tensor>, CompileError> {
-        check_inputs(dfg, g, globals)?;
+        check_call(program, dfg, g, plan, globals)?;
         let _sp = span!(
             "engine.execute",
             tasks = plan.tasks.len(),

@@ -6,7 +6,7 @@
 //! six patterns that dominate GNN layers, that materialization is pure
 //! overhead — each edge's gathered row is consumed exactly once by the
 //! next instruction. Below, `Gather(g)` is a `Gather` whose source is a
-//! global and `Gather2D(r)` a `Gather2D` whose source is a register:
+//! global; a `Gather2D` reads a register or a global:
 //!
 //! * **segment-reduce** (`Gather(g)` → `ScatterAdd`): GCN/SAGE
 //!   aggregation, `out[dst[i]] += h[src[i]]`.
@@ -18,8 +18,9 @@
 //! * **weighted segment-reduce** (`Gather(g)` of an edge value →
 //!   `Squeeze` → `Gather(g)` → `ScaleRows` → `ScatterAdd`): GAT's
 //!   attention-weighted aggregation, `out[dst[i]] += h[src[i]] * α[eid[i]]`.
-//! * **pairwise scatter** (`Gather2D(r)` → `ScatterAdd`): RGCN's Fig. 9
-//!   extract+swap form, `out[dst[i]] += P[m1[i], m2[i]]`.
+//! * **pairwise scatter** (`Gather2D` → `ScatterAdd`): RGCN's Fig. 9
+//!   forms, `out[dst[i]] += P[m1[i], m2[i]]`, with `P` a task register
+//!   (extract+swap) or a prologue table.
 //! * **edge score** (`Gather(g)`, `Gather(g)` → `Add` → `LeakyRelu` →
 //!   `Squeeze`, one column): GAT's per-call score chain,
 //!   `s[i] = leaky_relu(a[ai[i]] + b[bi[i]])`.
@@ -66,7 +67,7 @@ use std::ops::Range;
 use wisegraph_tensor::Tensor;
 
 use crate::micro::{
-    reg_stream, reg_tensor, set_reg, summarize, AccessSummary, EwOp, Globals, KernelProgram,
+    reg_stream, set_reg, summarize, AccessSummary, EwOp, Globals, KernelProgram,
     MicroKernel, Reg, RegValue, Src, TaskWorkspace,
 };
 use wisegraph_dfg::op::LEAKY_SLOPE;
@@ -96,7 +97,7 @@ pub enum FusedPattern {
     /// `Gather(g)` (edge value) → `Squeeze` → `Gather(g)` → `ScaleRows`
     /// → `ScatterAdd`.
     WeightedSegmentReduce,
-    /// `Gather2D(r)` → `ScatterAdd`.
+    /// `Gather2D` → `ScatterAdd`.
     PairwiseScatter,
     /// `Gather(g)`, `Gather(g)` → `Add` → `LeakyRelu` → `Squeeze`.
     EdgeScore,
@@ -188,8 +189,9 @@ pub enum FusedOp {
     },
     /// `out[dst[i]] += table[idx1[i], idx2[i]]`.
     PairwiseScatter {
-        /// Rank-3 register (`[u, t, f']`, a pairwise product).
-        table: Reg,
+        /// Rank-3 table (`[u, t, f']`, a pairwise product): a register, or
+        /// a global such as a prologue's.
+        table: Src,
         /// First-axis index stream.
         idx1: Reg,
         /// Second-axis index stream.
@@ -401,7 +403,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
                 });
             }
         }
-        if let [MicroKernel::Gather2D { src: Src::Reg(src), idx1, idx2, out: g }, MicroKernel::ScatterAdd { data, idx: di }] =
+        if let [MicroKernel::Gather2D { src, idx1, idx2, out: g }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 2]
         {
             if data == g && confined(&[*g], 2) {
@@ -409,7 +411,7 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
                     pattern: FusedPattern::PairwiseScatter,
                     pcs: pc..pc + 2,
                     op: FusedOp::PairwiseScatter {
-                        table: *src,
+                        table: src.clone(),
                         idx1: *idx1,
                         idx2: *idx2,
                         dst_idx: *di,
@@ -636,7 +638,7 @@ pub(crate) fn run_fused(
             idx2,
             dst_idx,
         } => {
-            let t = reg_tensor(regs, *table);
+            let t = table.tensor(regs, &globals);
             let (d1, rest) = (t.dims()[1], t.dims()[2..].iter().product::<usize>());
             assert_eq!(rest, program.out_width, "pairwise scatter width mismatch");
             let i1 = reg_stream(regs, *idx1);

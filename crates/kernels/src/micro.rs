@@ -86,7 +86,7 @@ impl Src {
     }
 
     /// The tensor this operand reads in a task.
-    fn tensor<'r>(&self, regs: &'r [Option<RegValue>], globals: &'r Globals<'_>) -> &'r Tensor {
+    pub(crate) fn tensor<'r>(&self, regs: &'r [Option<RegValue>], globals: &'r Globals<'_>) -> &'r Tensor {
         match self {
             Src::Global(name) => &globals[name.as_str()],
             Src::Reg(r) => reg_tensor(regs, *r),
@@ -1409,18 +1409,36 @@ pub(crate) fn row_dims(dfg: &Dfg, g: &Graph, id: NodeId) -> Option<Vec<usize>> {
         .collect()
 }
 
-/// Checks, on the calling thread, that `globals` binds every live input of
-/// `dfg` to a tensor of its declared extents, read from `g` without a
-/// `Binding`. Names `dfg` does not read are allowed.
+/// Checks, on the calling thread, that a call's plan and program belong to
+/// `g` — every edge id of `plan` is one of `g`'s edges and `program` has
+/// one output row per vertex of `g` — and that `globals` binds every live
+/// input of `dfg` to a tensor of its declared extents, read from `g`
+/// without a `Binding`. Names `dfg` does not read are allowed.
 ///
 /// # Errors
 ///
-/// Names the first input that is missing or has other extents.
-pub(crate) fn check_inputs(
+/// Names the out-of-range edge id, the mismatched row count, or the first
+/// input that is missing or has other extents.
+pub(crate) fn check_call(
+    program: &KernelProgram,
     dfg: &Dfg,
     g: &Graph,
+    plan: &PartitionPlan,
     globals: &HashMap<String, Tensor>,
 ) -> Result<(), CompileError> {
+    if let Some(&e) = plan.tasks.edges().iter().max().filter(|&&e| e as usize >= g.num_edges()) {
+        return Err(CompileError(format!(
+            "the plan holds edge id {e}, but the graph has {} edges",
+            g.num_edges()
+        )));
+    }
+    if program.out_rows != g.num_vertices() {
+        return Err(CompileError(format!(
+            "the program was compiled for {} vertex rows, but the graph has {} vertices",
+            program.out_rows,
+            g.num_vertices()
+        )));
+    }
     let live = dfg.live_set();
     for node in dfg.nodes().iter().zip(live).filter_map(|(n, l)| l.then_some(n)) {
         let OpKind::Input { name, shape } = &node.kind else { continue };
@@ -2243,7 +2261,7 @@ pub(crate) mod tests {
         let (ctr, tp) = ("compute_then_reduce", "tensor_parallel");
         let want = [
             format!("RGCN 0 [7, 0, 0] 6 [per_type_batched_matmul] [{dp}, {ctr}, {tp}]"),
-            format!("RGCN 1 [5, 0, 1] 4 [] [{dp}, {ptc}]"),
+            format!("RGCN 1 [5, 0, 1] 4 [pairwise_scatter] [{dp}, {ptc}]"),
             format!("RGCN 3 [10, 0, 0] 11 [pairwise_scatter] [{dp}, {ctr}, {tp}]"),
             format!("GAT 0 [8, 8, 3] 15 [edge_score, weighted_segment_reduce] [{dp}, {ptc}]"),
             format!("GAT 1 [8, 8, 3] 15 [edge_score, weighted_segment_reduce] [{dp}, {ptc}]"),

@@ -10,6 +10,7 @@
 use wisegraph::baselines::single::LayerDims;
 use wisegraph::core::plan::ExecutionPlan;
 use wisegraph::core::WiseGraph;
+use wisegraph::dfg::Binding;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::sample::{neighbor_sample, SampleConfig};
 use wisegraph::graph::Csr;
@@ -46,7 +47,7 @@ fn main() {
         let sub = neighbor_sample(&full, &csr, &SampleConfig::paper_default(it));
         let dfg = ModelKind::Rgcn.layer_dfg(dims.hidden, dims.hidden);
         let plan = ExecutionPlan::build(&sub.graph, table.clone(), &dfg, op);
-        let est = plan.estimate(&sub.graph, &device);
+        let est = plan.estimate(&Binding::from_graph(&sub.graph), &device);
         println!(
             "  iter {it}: subgraph {}V/{}E -> {} gTasks, {:.3} ms/layer",
             sub.graph.num_vertices(),

@@ -13,13 +13,13 @@
 use std::collections::HashMap;
 use wisegraph::analysis::prelude::*;
 use wisegraph::cache::PlanCache;
+use wisegraph::core::plan::Patterns;
 use wisegraph::core::{execute_sharded_layer, select_placement};
-use wisegraph::dfg::passes::{cse, prune_dead};
 use wisegraph::dfg::{Binding, Dfg, Dim, NodeId};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
 use wisegraph::gtask::{
-    partition, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable, TaskList,
+    partition, GraphDelta, IncrementalPlan, PartitionPlan, PartitionTable, Recount, TaskList,
 };
 use wisegraph::kernels::cluster::compatible_placements;
 use wisegraph::kernels::engine::Engine;
@@ -266,8 +266,9 @@ fn o001_shipped_sources_are_covered() {
         cache.compile_cached(&g, &transformed).unwrap()
     });
     assert_spans(&trace, &["cache.partition", "cache.transform", "cache.compile"], "PlanCache");
-    let (_, trace) = capture(|| (cse(&dfg), prune_dead(&dfg)));
-    assert_spans(&trace, &["dfg.cse", "dfg.prune_dead"], "DFG passes");
+    let (_, trace) = capture(|| Patterns::count(&mut Recount::new(&g), &plan, &dfg));
+    let names = ["core.plan.patterns", "gtask.recount.column"];
+    assert_spans(&trace, &names, "Patterns::count");
 }
 
 /// A cluster run's phase spans and timelines account for all of its
@@ -531,7 +532,8 @@ fn s001_duplicated_edge_across_device_plans() {
         let mut seen = vec![0u32; g.num_edges()];
         for dev in 0..devices {
             let own = spec.owned_range(dev);
-            let local = plan.filtered(&g, |e| own.contains(&(g.dst()[e] as usize)));
+            let local =
+                plan.filtered(&mut Recount::new(&g), |e| own.contains(&(g.dst()[e] as usize)));
             assert_eq!(local.num_tasks(), plan.num_tasks(), "device {dev} of {devices}");
             local.tasks.edges().iter().for_each(|&e| seen[e as usize] += 1);
         }

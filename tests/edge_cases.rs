@@ -7,6 +7,7 @@ use wisegraph::baselines::{Baseline, LayerDims};
 use wisegraph::core::plan::{ExecutionPlan, OpPartitionKind};
 use wisegraph::core::WiseGraph;
 use wisegraph::dfg::interp::execute;
+use wisegraph::dfg::Binding;
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::models::ModelKind;
@@ -155,7 +156,7 @@ fn sparse_type_usage() {
         &dfg,
         OpPartitionKind::Fused,
     );
-    let est = plan.estimate(&g, &dev);
+    let est = plan.estimate(&Binding::from_graph(&g), &dev);
     assert!(est.time.is_finite() && est.time > 0.0);
     // Baselines too.
     let dims = LayerDims {
@@ -297,6 +298,21 @@ fn optimizer_is_deterministic() {
     assert!((a.time_per_iter - b.time_per_iter).abs() < 1e-12);
 }
 
+/// An edgeless graph has plans without tasks: the plan search prices them
+/// (one batch row, no dedup) instead of indexing an empty task list, for
+/// every model.
+#[test]
+fn optimizer_searches_an_edgeless_graph() {
+    let g = Graph::untyped(10, vec![], vec![]);
+    let dims = LayerDims::paper_single(8, 4);
+    for model in ModelKind::ALL {
+        let out = WiseGraph::new(DeviceSpec::a100_pcie()).optimize(&g, model, &dims);
+        assert!(out.time_per_iter.is_finite(), "{}", model.name());
+        assert_eq!(out.per_layer.len(), dims.layers, "{}", model.name());
+        assert!(out.per_layer.iter().all(|p| p.partition.num_tasks() == 0));
+    }
+}
+
 /// Degenerate shards. In-edge-balanced boundaries make empty shards
 /// ordinary: a star's hub holds every device's share of the edges, a
 /// graph with few destinations leaves devices without an edge, and more
@@ -410,6 +426,49 @@ fn malformed_globals_are_errors_on_both_runners() {
                 .execute(&dfg, &g, &plan, &globals, placement)
                 .expect_err(case);
             assert!(err.to_string().contains(name), "{case} × {}: {err}", placement.name());
+        }
+    }
+}
+
+/// A plan or a program built for another graph is an error on the calling
+/// thread too: a plan holding edge ids past the graph's, and a program
+/// compiled for another vertex count, come back from both runners as an
+/// error that names the mismatch.
+#[test]
+fn plans_and_programs_of_another_graph_are_errors_on_both_runners() {
+    use wisegraph::graph::generate::{rmat, RmatParams};
+    use wisegraph::kernels::engine::Engine;
+    use wisegraph::kernels::micro::compile;
+    use wisegraph::kernels::ClusterEngine;
+    use wisegraph::sim::PlacementKind;
+
+    let g = rmat(&RmatParams::standard(50, 300, 83));
+    let big = rmat(&RmatParams::standard(80, 600, 83));
+    let (fi, fo) = (4, 3);
+    let dfg = ModelKind::Gcn.layer_dfg(fi, fo);
+    let mut globals: HashMap<String, Tensor> = HashMap::new();
+    globals.insert("h".into(), init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 75));
+    globals.insert("w".into(), init::uniform_tensor(&[fi, fo], -1.0, 1.0, 76));
+    let own = partition(&g, &PartitionTable::vertex_centric());
+    let program = compile(&dfg, &g).unwrap();
+    assert!(Engine::new(2).execute_program(&program, &dfg, &g, &own, &globals).is_ok());
+
+    let foreign_plan = partition(&big, &PartitionTable::vertex_centric());
+    let foreign_program = compile(&dfg, &big).unwrap();
+    let cases = [
+        ("foreign plan", &program, &foreign_plan, "edge id"),
+        ("foreign program", &foreign_program, &own, "vertex rows"),
+    ];
+    for (case, program, plan, what) in cases {
+        let err = Engine::new(2)
+            .execute_program(program, &dfg, &g, plan, &globals)
+            .expect_err(case);
+        assert!(err.to_string().contains(what), "{case}: {err}");
+        for placement in [PlacementKind::DataParallel, PlacementKind::TensorParallel] {
+            let err = ClusterEngine::new(2, 2)
+                .execute_program(program, &dfg, &g, plan, &globals, placement)
+                .expect_err(case);
+            assert!(err.to_string().contains(what), "{case} × {}: {err}", placement.name());
         }
     }
 }

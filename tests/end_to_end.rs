@@ -2,13 +2,13 @@
 //! data to optimized plans, execution, and training.
 
 use wisegraph::baselines::{Baseline, LayerDims};
-use wisegraph::core::plan::{ExecutionPlan, OpPartitionKind};
+use wisegraph::core::plan::{ExecutionPlan, OpPartitionKind, Patterns};
 use wisegraph::core::WiseGraph;
 use wisegraph::dfg::interp::execute;
 use wisegraph::dfg::Binding;
 use wisegraph::graph::generate::{labeled_graph, rmat, LabeledParams, RmatParams};
 use wisegraph::graph::Graph;
-use wisegraph::gtask::{classify_outliers, partition, PartitionTable};
+use wisegraph::gtask::{classify_outliers, partition, PartitionTable, Recount};
 use wisegraph::models::ModelKind;
 use wisegraph::sim::DeviceSpec;
 use wisegraph::tensor::{init, Tensor};
@@ -94,6 +94,8 @@ fn optimized_plans_execute_equivalently() {
 fn partition_outlier_schedule_composition() {
     let g = test_graph(3);
     let dev = DeviceSpec::a100_pcie();
+    let binding = Binding::from_graph(&g);
+    let mut recount = Recount::new(&g);
     for table in [
         PartitionTable::vertex_centric(),
         PartitionTable::src_batch_per_type(32),
@@ -103,11 +105,13 @@ fn partition_outlier_schedule_composition() {
     ] {
         let plan = partition(&g, &table);
         assert_eq!(plan.total_edges(), g.num_edges(), "{table}");
-        let classes = classify_outliers(&g, &plan);
+        let classes = classify_outliers(&mut recount, &plan);
         assert_eq!(classes.len(), plan.num_tasks());
         let dfg = ModelKind::Gcn.layer_dfg(16, 16);
-        let eplan = ExecutionPlan::new(&g, plan, dfg, OpPartitionKind::Fused);
-        let cmp = wisegraph::core::joint::compare_scheduling(&eplan, &g, &dev);
+        let patterns = Patterns::count(&mut recount, &plan, &dfg);
+        let eplan = ExecutionPlan::new(&patterns, plan, dfg, OpPartitionKind::Fused);
+        let cmp =
+            wisegraph::core::joint::compare_scheduling(&eplan, &binding, &mut recount, &dev);
         assert!(cmp.differentiated <= cmp.uniform * 1.001, "{table}");
     }
 }

@@ -17,7 +17,9 @@ use std::collections::{BTreeMap, HashSet};
 use wisegraph::cache::PlanCache;
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph, ShardSpec};
-use wisegraph::gtask::{partition, partition_edges, PartitionPlan, PartitionTable, TaskList};
+use wisegraph::gtask::{
+    partition, partition_edges, PartitionPlan, PartitionTable, Recount, TaskList,
+};
 use wisegraph_testkit::prelude::*;
 
 /// The comparison-sort partitioner as it stood before the radix rewrite,
@@ -254,7 +256,7 @@ proptest! {
                 for dev in 0..devices {
                     let own = spec.owned_range(dev);
                     let owned = |e: usize| own.contains(&(g.dst()[e] as usize));
-                    let local = plan.filtered(&g, owned);
+                    let local = plan.filtered(&mut Recount::new(&g), owned);
                     prop_assert_eq!(local.num_tasks(), plan.num_tasks());
                     for (a, b) in plan.tasks.iter().zip(local.tasks.iter()) {
                         let expect: Vec<u32> =
@@ -338,5 +340,110 @@ fn sparse_attribute_values_match_the_oracle_and_verify_clean() {
         let plan = partition(&g, &table);
         assert!(verify_plan(&g, &plan).is_empty(), "{table}");
         assert!(verify_repair(&g, &table, &all, &plan).is_empty(), "{table}");
+    }
+}
+
+/// The pricer's one pattern pass and the outlier classes equal a `HashSet`
+/// count per task — the recorded `uniq` row when the plan tracks the
+/// attribute, the graph's values otherwise — over every table the plan
+/// search enumerates at its batch sizes, plus vertex-type tables whose
+/// 3·10⁹ type code the recount must dense-rank.
+#[test]
+fn pattern_pass_and_outliers_match_a_hash_set_count() {
+    use std::collections::HashMap;
+    use wisegraph::core::optimizer::BATCH_SIZES;
+    use wisegraph::core::plan::Patterns;
+    use wisegraph::gtask::restriction::enumerate_tables;
+    use wisegraph::gtask::{classify_outliers, GTask, OutlierKind, Recount, Restriction};
+    use wisegraph::models::ModelKind;
+
+    let g = rmat(&RmatParams::standard(600, 6000, 91).with_edge_types(4));
+    let types = (0..g.num_vertices() as u32).map(|v| [0, 7, 3_000_000_000][v as usize % 3]);
+    let g = g.with_vertex_types(types.collect());
+    let count = |t: GTask<'_>, attr: AttrKind| -> usize {
+        let values: HashSet<u64> =
+            t.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect();
+        if let Some(recorded) = t.uniq(attr) {
+            assert_eq!(recorded, values.len(), "recorded uniq({attr})");
+        }
+        values.len()
+    };
+    let mut tables = enumerate_tables(&AttrKind::ALL, &BATCH_SIZES);
+    tables.extend([
+        PartitionTable::new().exact(AttrKind::DstVertexType, 2).exact(AttrKind::EdgeId, 32),
+        PartitionTable::new().exact(AttrKind::SrcVertexType, 1).exact(AttrKind::DstId, 64),
+    ]);
+    let lstm = ModelKind::SageLstm.layer_dfg(8, 8);
+    let mut recount = Recount::new(&g);
+    for table in tables {
+        let plan = partition(&g, &table);
+        let edges = plan.total_edges();
+        let exact = table.exact_attrs();
+        let batched: Vec<AttrKind> =
+            exact.iter().filter(|&&(_, k)| k > 1).map(|&(a, _)| a).collect();
+        let mut rows: Vec<usize> = plan
+            .tasks
+            .iter()
+            .map(|t| batched.iter().map(|&a| count(t, a)).max().unwrap_or(1))
+            .collect();
+        rows.sort_unstable();
+        let src: usize = plan.tasks.iter().map(|t| count(t, AttrKind::SrcId)).sum();
+        let fragments: usize = plan.tasks.iter().map(|t| count(t, AttrKind::DstId)).sum();
+        let (mut weighted, mut total) = (0.0f64, 0.0f64);
+        for t in &plan.tasks {
+            let dsts: HashSet<u32> = t.edges.iter().map(|&e| g.dst()[e as usize]).collect();
+            let degrees = dsts.iter().map(|&d| g.in_degree()[d as usize] as f64);
+            let max = degrees.clone().fold(0.0f64, f64::max);
+            let mean = degrees.sum::<f64>() / dsts.len() as f64;
+            let pad = if mean > 0.0 { max / mean } else { 1.0 };
+            weighted += pad * t.num_edges() as f64;
+            total += t.num_edges() as f64;
+        }
+        let all_dsts: HashSet<u32> = g.dst().iter().copied().collect();
+        let padding = weighted / total * (fragments as f64 / all_dsts.len() as f64);
+
+        let p = Patterns::count(&mut recount, &plan, &lstm);
+        assert_eq!(p.batch_rows, rows[rows.len() / 2].max(1), "{table}");
+        assert_eq!(p.gather_dedup.to_bits(), (src as f64 / edges as f64).to_bits(), "{table}");
+        let scatter = fragments as f64 / edges as f64;
+        assert_eq!(p.scatter_dedup.to_bits(), scatter.to_bits(), "{table}");
+        assert_eq!(p.lstm_padding.map(f64::to_bits), Some(padding.to_bits()), "{table}");
+
+        // The classes, from a per-(attribute, value) task count.
+        let mut value_tasks: HashMap<(AttrKind, u64), usize> = HashMap::new();
+        let values = |t: GTask<'_>, attr: AttrKind| -> HashSet<u64> {
+            t.edges.iter().map(|&e| g.edge_attr(attr, e as usize)).collect()
+        };
+        for t in &plan.tasks {
+            for &(attr, _) in &exact {
+                for v in values(t, attr) {
+                    *value_tasks.entry((attr, v)).or_default() += 1;
+                }
+            }
+        }
+        let median = plan.median_task_edges().max(1);
+        let batches = table
+            .restricted_attrs()
+            .iter()
+            .any(|&a| table.restriction(a) != Restriction::Exact(1));
+        let want: Vec<Option<OutlierKind>> = plan
+            .tasks
+            .iter()
+            .map(|t| {
+                let shared = |a: AttrKind| values(t, a).iter().any(|&v| value_tasks[&(a, v)] > 8);
+                if exact.iter().any(|&(a, _)| shared(a)) {
+                    Some(OutlierKind::FrequentValue)
+                } else if t.num_edges() > 4 * median {
+                    Some(OutlierKind::Overfill)
+                } else if exact.iter().any(|&(a, k)| k >= 2 && (count(t, a) as u64) < k / 2)
+                    || (t.num_edges() == 1 && batches && median > 1)
+                {
+                    Some(OutlierKind::Underfill)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(classify_outliers(&mut recount, &plan), want, "{table}");
     }
 }

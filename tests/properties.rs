@@ -4,12 +4,14 @@
 use wisegraph_testkit::prelude::*;
 use std::collections::HashMap;
 use wisegraph::dfg::interp::execute;
-use wisegraph::dfg::passes::{cse, prune_dead};
 use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{io, AttrKind, Graph, ShardSpec};
 use wisegraph::analysis::prelude::verify_repair;
-use wisegraph::gtask::{partition, GraphDelta, IncrementalPlan, PartitionTable, Restriction};
+use wisegraph::core::plan::Patterns;
+use wisegraph::gtask::{
+    partition, GraphDelta, IncrementalPlan, PartitionTable, Recount, Restriction,
+};
 use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::fused::{plan_fusion, FusedPattern};
 use wisegraph::kernels::micro::compile;
@@ -49,8 +51,8 @@ proptest! {
 
     /// Every §5.1 rewrite computes what the original DFG computes: each
     /// `transform::candidates` output (unique extraction, indexing swap and
-    /// both), `cse` and `prune_dead`, for every executable model and random
-    /// graph, matches the interpreter's outputs on the original.
+    /// both), for every executable model and random graph, matches the
+    /// interpreter's outputs on the original.
     fn transformations_preserve_semantics(
         g in arb_graph(60, 500),
         fi in 2usize..6,
@@ -71,14 +73,8 @@ proptest! {
         for model in [ModelKind::Gcn, ModelKind::Rgcn, ModelKind::Gat, ModelKind::Sage] {
             let dfg = model.layer_dfg(fi, fo);
             let base = execute(&dfg, &g, &inputs).unwrap();
-            let mut rewrites: Vec<(String, Dfg)> = transform::candidates(&dfg, &binding)
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| (format!("candidate #{i}"), d))
-                .collect();
-            rewrites.push(("cse".into(), cse(&dfg)));
-            rewrites.push(("prune_dead".into(), prune_dead(&dfg)));
-            for (pass, rewritten) in &rewrites {
+            for (i, rewritten) in transform::candidates(&dfg, &binding).iter().enumerate() {
+                let pass = format!("candidate #{i}");
                 let got = execute(rewritten, &g, &inputs).unwrap();
                 prop_assert_eq!(got.len(), base.len(), "{} {}: outputs", model.name(), pass);
                 for (b, t) in base.iter().zip(&got) {
@@ -153,6 +149,7 @@ proptest! {
         let plan = partition(&g, &table);
         prop_assert_eq!(plan.total_edges(), g.num_edges());
         let mut seen = vec![false; g.num_edges()];
+        let mut recount = Recount::new(&g);
         for t in &plan.tasks {
             prop_assert!(!t.edges.is_empty());
             for &e in t.edges {
@@ -161,14 +158,13 @@ proptest! {
                 seen[e] = true;
             }
             for (attr, bound) in table.exact_attrs() {
-                prop_assert!(t.uniq_of(&g, attr) as u64 <= bound);
+                prop_assert!(recount.unique(attr, t.edges) as u64 <= bound);
             }
         }
         // Derived statistics stay in range.
-        let dedup = wisegraph::core::plan::plan_gather_dedup(&g, &plan);
-        prop_assert!((0.0..=1.0).contains(&dedup));
-        let pad = wisegraph::core::plan::plan_lstm_padding(&g, &plan);
-        prop_assert!(pad >= 1.0 - 1e-9);
+        let p = Patterns::count(&mut recount, &plan, &ModelKind::SageLstm.layer_dfg(4, 4));
+        prop_assert!((0.0..=1.0).contains(&p.gather_dedup));
+        prop_assert!(p.lstm_padding.is_some_and(|pad| pad >= 1.0 - 1e-9));
         let _ = Restriction::Free;
     }
 

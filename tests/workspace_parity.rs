@@ -296,12 +296,15 @@ fn destination_exclusive_plans_are_bit_identical_across_thread_counts() {
 #[should_panic(expected = "worker panicked")]
 fn a_panic_in_a_task_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 83));
-    let globals = globals_for(&g, 4, 3);
-    // A plan of a larger graph: its edges and vertex ids fall outside `g`,
-    // which the globals check cannot see and the per-task gathers hit.
-    let big = rmat(&RmatParams::standard(80, 600, 83));
-    let plan = partition(&big, &PartitionTable::vertex_centric());
-    let _ = Engine::new(2).execute(&ModelKind::Gcn.layer_dfg(4, 3), &g, &plan, &globals);
+    let mut globals = globals_for(&g, 4, 3);
+    globals.remove("W");
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    // A program compiled from another model's DFG, which the entry check
+    // does not see: RGCN's per-task gathers read `W`, which the GCN
+    // call's globals lack.
+    let program = compile(&ModelKind::Rgcn.layer_dfg(4, 3), &g).unwrap();
+    let dfg = ModelKind::Gcn.layer_dfg(4, 3);
+    let _ = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
 }
 
 #[test]
@@ -310,9 +313,10 @@ fn a_panic_in_a_dense_phase_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 85));
     let globals = globals_for(&g, 4, 3);
     let plan = partition(&g, &PartitionTable::vertex_centric());
-    let dfg = ModelKind::Sage.layer_dfg(4, 3);
-    // A program compiled against a larger graph: its reduce + epilogue
-    // phase reads rows of `h` (the self term) that `g` does not have.
-    let program = compile(&dfg, &rmat(&RmatParams::standard(80, 600, 85))).unwrap();
+    // SAGE's program run as GAT's DFG: the reduce + epilogue phase walks
+    // GAT's epilogue from SAGE's reduction and multiplies operands whose
+    // inner extents differ.
+    let program = compile(&ModelKind::Sage.layer_dfg(4, 3), &g).unwrap();
+    let dfg = ModelKind::Gat.layer_dfg(4, 3);
     let _ = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
 }
