@@ -1,78 +1,55 @@
 //! Sharded multi-device execution with selectable placement schedules
 //! (paper §5.4, Figure 11).
 //!
-//! A [`ClusterEngine`] partitions work over `D` simulated devices, each
-//! backed by a real [`Engine`] running on its own OS thread with its own
-//! workspaces and a disjoint observability lane range. Devices move real
-//! buffers through deterministic point-to-point channels: every
-//! collective round sends exactly one (possibly empty) message to every
-//! peer, receivers drain their per-sender channels in ascending device
-//! order, and sequence/round tags are verified on receipt — the same
-//! `(lane, seq)` merge discipline the `obs` crate uses for spans. The
-//! result is bit-level reproducibility: for a fixed per-device thread
-//! count, outputs do not depend on OS scheduling, and for the
-//! data-parallel, project-then-communicate, and tensor-parallel schedules
-//! they are bit-identical to the single-device engine at *any* device
-//! count.
+//! A [`ClusterEngine`] runs a layer on `D` simulated devices, each a real
+//! [`Engine`] on its own OS thread with its own workspaces and a disjoint
+//! observability lane range. Devices move real buffers through
+//! deterministic point-to-point channels: every collective round sends
+//! exactly one (possibly empty) message to every peer, receivers drain
+//! their per-sender channels in ascending device order, and round and
+//! sequence tags are verified on receipt. For a fixed per-device thread
+//! count, outputs therefore do not depend on OS scheduling.
 //!
-//! A device pays for its shard, not for the graph. What a device count
-//! derives from a (graph, plan) pair — ownership boundaries, per-device
-//! filtered plans, per-peer halo row lists — is derived once and stays
-//! resident in the [`ClusterEngine`], validated on every call by a content
-//! fingerprint of the graph and plan (never by address), because a
-//! training loop presents the same pair every step.
-//! Vertex ownership is in-edge balanced ([`ShardSpec::balanced`]), so the
-//! per-task work of the halo schedules splits evenly however skewed the
-//! degrees are. And a device evaluates the epilogue for its owned rows
-//! only (every epilogue operation is row-independent, so each row's bits
-//! are what the full epilogue computes), which makes assembling the
-//! outputs a concatenation.
+//! Every placement runs the same device loop, which reads the placement's
+//! schedule — built once, by the one rule that also decides compatibility
+//! — in four steps:
 //!
-//! A device's work is calls into its own engine's blocked phases, the
-//! ones a single [`Engine`] runs, over the rows it holds and owns. What it
-//! holds that differs from the caller's globals (masked vertex-rowed
-//! inputs, prologue tensors and halo rows, a column slice) is a short list
-//! read through [`Globals::with_prologue`] over the caller's globals.
+//! 1. **Hold.** Copies of the DFG's vertex-rowed inputs that keep the
+//!    device's owned rows (plus, under compute-then-reduce, its source
+//!    groups' rows), or, under tensor-parallel, its column slice of the one
+//!    global that carries the accumulator width. Held tensors are read
+//!    through [`Globals::with_prologue`] over the caller's globals.
+//! 2. **Halo all-to-all.** Data-parallel (Fig. 11b) ships every held input
+//!    and then runs the prologue over the held rows; project-then-
+//!    communicate (Fig. 11c) runs the prologue at home and ships the
+//!    projected rows of every global a `Gather` or `Gather2D` reads by a
+//!    source-derived stream. The other schedules exchange nothing here.
+//! 3. **Accumulate.** The dst-filtered plan (halo schedules), the plans of
+//!    the device's [`SrcGroups::CANONICAL`] source groups
+//!    (compute-then-reduce, Fig. 11d), or the whole plan on the column
+//!    slice (tensor-parallel, NeutronTP-style).
+//! 4. **Bring the owned rows home.** Nothing for the halo schedules, whose
+//!    slot partials feed the epilogue directly; a reduce-scatter that adds
+//!    each owned row's group slices in ascending global group order; or an
+//!    all-gather of the column slices.
 //!
-//! The four placement schedules:
-//!
-//! - [`PlacementKind::DataParallel`] (Fig. 11b): each device owns a
-//!   contiguous destination-vertex range, halo rows of every vertex-rowed
-//!   global travel in an all-to-all, then each device executes its
-//!   dst-filtered plan. Bit-identical to single-device because the
-//!   filtered plan preserves task *slots* (identical chunk-to-worker
-//!   mapping) and scatter-adds to a row only ever come from that row's
-//!   own edges, in original order — wherever the contiguous boundaries
-//!   fall. The same holds for a per-call edge pass (GAT's softmax): a
-//!   device holds all of an owned destination's in-edges, in plan order.
-//! - [`PlacementKind::ProjectThenCommunicate`] (Fig. 11c): the
-//!   edge-independent prologue (projections) runs on each row's home
-//!   device, and only the *projected* halo rows travel — a win when the
-//!   projection shrinks the embedding. What travels is every global a
-//!   `Gather` or `Gather2D` reads by a source-derived index stream.
-//!   Exchanged bits are the owner's bits verbatim, so the data-parallel
-//!   bitwise argument carries over.
-//! - [`PlacementKind::ComputeThenReduce`] (Fig. 11d): edges partition by
-//!   *source* into [`SrcGroups::CANONICAL`] fixed groups (independent of
-//!   the device count); each device accumulates its groups' partial
-//!   aggregates, then a reduce-scatter sums them in ascending global
-//!   group order. The float summation sequence is a function of the
-//!   group decomposition only, so outputs are bit-identical across
-//!   device counts — but *not* to the single-device engine, whose
-//!   partials are per-worker rather than per-group.
-//! - [`PlacementKind::TensorParallel`] (NeutronTP-style): the hidden
-//!   dimension splits by column; every device runs *all* edges on its
-//!   column slice of the one width-carrying global, and the accumulator
-//!   slices all-gather before one epilogue. Per-output-element float
-//!   order is untouched (every kernel computes output columns
-//!   independently), so this is bit-identical to the single-device
-//!   engine at any device count, with zero graph-partition skew.
+//! Every device then runs its engine's epilogue over its owned rows —
+//! in-edge balanced ranges ([`ShardSpec::balanced`]), or an even split for
+//! tensor-parallel — and the driver concatenates them. The epilogue is
+//! row-independent, so each row's bits are the full epilogue's; with slot-
+//! preserving dst-filtered plans (halo schedules) and column-independent
+//! kernels (tensor-parallel) the outputs are the single engine's bits, and
+//! compute-then-reduce's, summed in group order, are the same at every
+//! device count. What a device count derives from a (graph, plan) pair
+//! stays resident in the [`ClusterEngine`], checked by a content
+//! fingerprint on every call.
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
     check_call, compile, summarize, vertex_rowed, CompileError, Globals, KernelProgram,
     MicroKernel,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -321,14 +298,6 @@ impl Mailbox {
     }
 }
 
-/// The per-run observability artifacts [`ClusterEngine::run_devices`]
-/// collects beside the device results: the merged exchange log and one
-/// phase timeline per device.
-struct RunArtifacts {
-    exchange: ExchangeLog,
-    timelines: Vec<DeviceTimeline>,
-}
-
 /// What one cluster execution produced.
 #[derive(Clone, Debug)]
 pub struct ClusterRun {
@@ -371,80 +340,146 @@ impl ClusterRun {
     }
 }
 
-/// Why a placement cannot run a given program.
-///
-/// Checked statically on the driver before any device thread starts, so
-/// an incompatible request fails fast instead of wedging a collective.
-pub(crate) fn placement_compatible(
+/// One placement schedule, stated as what a device does. The device loop
+/// in [`ClusterEngine::execute_program`] reads the four fields in order;
+/// then every device runs its engine's epilogue over its owned rows and
+/// the driver concatenates the devices' rows.
+struct Schedule {
+    /// What a device holds before any exchange.
+    hold: Hold,
+    /// What its halo all-to-all moves, and whether the prologue runs first.
+    halo: Halo,
+    /// Which plans it accumulates.
+    plans: Plans,
+    /// Which collective brings its owned accumulator rows home.
+    home: Home,
+}
+
+enum Hold {
+    /// Copies of the DFG's vertex-rowed inputs that keep the device's owned
+    /// rows and, with `groups`, its source groups' rows, and are zero
+    /// elsewhere.
+    Rows { groups: bool },
+    /// Its slice of this global's last dimension (an even split of the
+    /// accumulator width), read while it accumulates; every other input is
+    /// read in place.
+    Columns(String),
+}
+
+enum Halo {
+    /// Nothing travels.
+    None,
+    /// Every held input travels; the prologue then runs over the held rows.
+    Inputs,
+    /// The prologue runs over the owned rows; then these names travel.
+    Projected(BTreeSet<String>),
+}
+
+enum Plans {
+    /// The plan filtered to the edges whose destination the device owns.
+    DstFiltered,
+    /// The plans of its canonical source groups.
+    Groups,
+    /// The whole plan, on its column slice.
+    Whole,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Home {
+    /// None: the engine's slot partials feed the owned-row epilogue.
+    Local,
+    /// A reduce-scatter, adding each owned row's group slices in ascending
+    /// global group order.
+    ReduceScatter,
+    /// An all-gather of the column slices.
+    AllGather,
+}
+
+/// The schedule `placement` runs `program` by, or why it cannot: the one
+/// place a placement is stated. Checked on the driver before any device
+/// thread starts, so an incompatible request fails fast instead of wedging
+/// a collective.
+fn schedule(
     program: &KernelProgram,
     globals: &HashMap<String, Tensor>,
     placement: PlacementKind,
-) -> Result<(), String> {
+) -> Result<Schedule, String> {
+    let name = placement.name();
     let origins = vertex_gather_origins(program);
-    let unknown = origins.iter().any(|(_, o)| o.is_none());
+    // A destination split moves halo rows, so it must know every vertex
+    // gather's rows.
+    let owned = |halo| {
+        if origins.iter().any(|(_, o)| o.is_none()) {
+            return Err(format!(
+                "{name}: a vertex-rowed global is gathered by a stream of unknown \
+                 provenance, so halo rows cannot be determined"
+            ));
+        }
+        let (hold, plans) = (Hold::Rows { groups: false }, Plans::DstFiltered);
+        Ok(Schedule { hold, halo, plans, home: Home::Local })
+    };
+    let hoisted = !program.prologue.is_empty() || !program.edge_ops.is_empty();
     match placement {
-        PlacementKind::DataParallel | PlacementKind::ProjectThenCommunicate => {
-            if unknown {
-                return Err(format!(
-                    "{}: a vertex-rowed global is gathered by a stream of \
-                     unknown provenance, so halo rows cannot be determined",
-                    placement.name()
-                ));
-            }
-            if placement == PlacementKind::ProjectThenCommunicate
-                && program.prologue.is_empty()
-            {
-                return Err(
-                    "project_then_communicate: the program hoists no \
-                     edge-independent projection, so there is nothing to \
-                     project before communicating"
-                        .into(),
-                );
-            }
-            Ok(())
+        PlacementKind::DataParallel => owned(Halo::Inputs),
+        PlacementKind::ProjectThenCommunicate if program.prologue.is_empty() => Err(format!(
+            "{name}: the program hoists no edge-independent projection, so there \
+             is nothing to project before communicating"
+        )),
+        // The globals gathered by source-derived streams travel, projected.
+        PlacementKind::ProjectThenCommunicate => owned(Halo::Projected(
+            (origins.iter().filter(|(_, o)| *o != Some(AttrKind::DstId)))
+                .map(|(n, _)| n.clone())
+                .collect(),
+        )),
+        PlacementKind::ComputeThenReduce | PlacementKind::TensorParallel if hoisted => {
+            Err(format!(
+                "{name}: hoisted prologue tensors and the per-call edge pass are \
+                 not split by this schedule's decomposition"
+            ))
         }
         PlacementKind::ComputeThenReduce => {
-            if !program.prologue.is_empty() || !program.edge_ops.is_empty() {
-                return Err(
-                    "compute_then_reduce: hoisted prologue tensors and the \
-                     per-call edge pass are not redistributed by the \
-                     source-group decomposition"
-                        .into(),
-                );
-            }
             if origins.iter().any(|(_, o)| *o != Some(AttrKind::SrcId)) {
-                return Err(
-                    "compute_then_reduce: every vertex-rowed gather must be \
-                     source-indexed (devices hold source ranges only)"
-                        .into(),
-                );
+                return Err(format!(
+                    "{name}: every vertex-rowed gather must be source-indexed \
+                     (devices hold source ranges only)"
+                ));
             }
-            Ok(())
+            Ok(Schedule {
+                hold: Hold::Rows { groups: true },
+                halo: Halo::None,
+                plans: Plans::Groups,
+                home: Home::ReduceScatter,
+            })
         }
         PlacementKind::TensorParallel => {
-            if !program.prologue.is_empty() || !program.edge_ops.is_empty() {
-                return Err(
-                    "tensor_parallel: hoisted prologue projections and the \
-                     per-call edge pass are not column-sliced"
-                        .into(),
-                );
-            }
-            if tp_slice_global(program, globals).is_none() {
-                return Err(
-                    "tensor_parallel: no global tensor carries the \
-                     accumulator width in its last dimension"
-                        .into(),
-                );
-            }
-            Ok(())
+            // Among the names the per-task program reads (sorted), the first
+            // whose last dimension is the accumulator width. `"W"` sorts
+            // before `"h"`, so square-projection models slice the weight.
+            let mut names: Vec<&str> =
+                program.ops.iter().flat_map(crate::micro::global_inputs).collect();
+            names.sort_unstable();
+            let width = |n: &&str| globals.get(*n).and_then(|t| t.dims().last().copied());
+            let Some(slice) = names.into_iter().find(|n| width(n) == Some(program.out_width))
+            else {
+                return Err(format!(
+                    "{name}: no global tensor carries the accumulator width in its last dimension"
+                ));
+            };
+            Ok(Schedule {
+                hold: Hold::Columns(slice.to_string()),
+                halo: Halo::None,
+                plans: Plans::Whole,
+                home: Home::AllGather,
+            })
         }
     }
 }
 
-/// The placements able to run `program`, in [`PlacementKind::ALL`] order.
-/// Data-parallel is compatible with every program this workspace
-/// compiles, so the result is never empty. No rule reads the graph; the
-/// parameter stays for the benchmark, whose sources are frozen.
+/// The placements able to run `program`, in [`PlacementKind::ALL`] order:
+/// those whose `schedule` builds. Data-parallel is compatible with every
+/// program this workspace compiles, so the result is never empty. No rule
+/// reads the graph; the parameter stays for the benchmark, whose sources
+/// are frozen.
 pub fn compatible_placements(
     program: &KernelProgram,
     _g: &Graph,
@@ -452,41 +487,7 @@ pub fn compatible_placements(
 ) -> Vec<PlacementKind> {
     PlacementKind::ALL
         .into_iter()
-        .filter(|&p| placement_compatible(program, globals, p).is_ok())
-        .collect()
-}
-
-/// The global whose last dimension the tensor-parallel schedule slices:
-/// among the names the per-task program reads (sorted), the first whose
-/// last dimension equals the accumulator width. `"W"` sorts before `"h"`,
-/// so square-projection models slice the weight, not the embedding.
-pub(crate) fn tp_slice_global(
-    program: &KernelProgram,
-    globals: &HashMap<String, Tensor>,
-) -> Option<String> {
-    let mut names: Vec<&str> =
-        program.ops.iter().flat_map(crate::micro::global_inputs).collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-        .into_iter()
-        .find(|n| {
-            globals
-                .get(*n)
-                .is_some_and(|t| t.dims().last() == Some(&program.out_width))
-        })
-        .map(String::from)
-}
-
-/// Sorted names of the model inputs with one row per vertex — the globals
-/// a sharded run masks to the rows a device holds.
-fn vertex_rowed_inputs(dfg: &Dfg) -> BTreeSet<String> {
-    (0..dfg.len())
-        .filter(|&i| vertex_rowed(dfg, NodeId(i)))
-        .filter_map(|i| match &dfg.node(NodeId(i)).kind {
-            OpKind::Input { name, .. } => Some(name.clone()),
-            _ => None,
-        })
+        .filter(|&p| schedule(program, globals, p).is_ok())
         .collect()
 }
 
@@ -515,46 +516,46 @@ fn vertex_gather_origins(program: &KernelProgram) -> Vec<(String, Option<AttrKin
     out
 }
 
-/// The vertex-rowed tensors gathered by *source*-derived streams — the
-/// names whose halo rows must travel before per-task execution.
-fn src_gathered_names(program: &KernelProgram) -> BTreeSet<String> {
-    vertex_gather_origins(program)
-        .into_iter()
-        .filter(|(_, o)| *o != Some(AttrKind::DstId))
-        .map(|(n, _)| n)
-        .collect()
-}
-
-/// Device `dev`'s copies of the DFG's vertex-rowed inputs under a vertex
-/// schedule, in name order, before any exchange: each keeps the rows the
-/// device reads — its owned rows and, under compute-then-reduce, the
-/// source rows of its groups — and is zero elsewhere. Read through
-/// [`Globals::with_prologue`] over the caller's globals, they shadow the
-/// caller's tensors; every other global is read in place.
-fn held_inputs(
+/// What device `dev` holds under `hold` before any exchange, in name
+/// order. Read through [`Globals::with_prologue`] over the caller's
+/// globals, these tensors shadow the caller's; every other global is read
+/// in place.
+fn held(
+    hold: &Hold,
     dfg: &Dfg,
     globals: &HashMap<String, Tensor>,
-    shard: &ShardState,
-    placement: PlacementKind,
+    shard: Option<&ShardState>,
+    cols: &ShardSpec,
     dev: usize,
 ) -> Vec<(String, Tensor)> {
-    let v = shard.spec.num_vertices();
-    let own = shard.spec.owned_range(dev);
-    let src = match placement {
-        PlacementKind::ComputeThenReduce => shard.group_rows(dev),
-        _ => 0..0,
+    let groups = match hold {
+        Hold::Rows { groups } => *groups,
+        Hold::Columns(name) => {
+            return vec![(name.clone(), slice_last_dim(&globals[name], cols.owned_range(dev)))]
+        }
     };
-    vertex_rowed_inputs(dfg)
+    let shard = shard.expect("a row split derives shard state");
+    let v = shard.spec.num_vertices();
+    let rows = [shard.spec.owned_range(dev), if groups { shard.group_rows(dev) } else { 0..0 }];
+    // The model inputs with one row per vertex, in name order.
+    let inputs: BTreeSet<&String> = (0..dfg.len())
+        .filter(|&i| vertex_rowed(dfg, NodeId(i)))
+        .filter_map(|i| match &dfg.node(NodeId(i)).kind {
+            OpKind::Input { name, .. } => Some(name),
+            _ => None,
+        })
+        .collect();
+    inputs
         .into_iter()
         .filter_map(|name| {
-            let t = globals.get(&name)?;
+            let t = globals.get(name)?;
             let w = t.numel() / v.max(1);
             let mut m = Tensor::zeros(t.dims());
-            for r in [own.clone(), src.clone()] {
+            for r in &rows {
                 let cells = r.start * w..r.end * w;
                 m.data_mut()[cells.clone()].copy_from_slice(&t.data()[cells]);
             }
-            Some((name, m))
+            Some((name.clone(), m))
         })
         .collect()
 }
@@ -580,17 +581,10 @@ fn scatter_payload(t: &mut Tensor, rows: &[u32], payload: &[f32], w: usize) {
 
 /// A copy of `t` keeping columns `cols` of the last dimension.
 fn slice_last_dim(t: &Tensor, cols: std::ops::Range<usize>) -> Tensor {
-    let dims = t.dims();
-    let w = *dims.last().expect("sliced tensor has rank >= 1");
-    let outer = t.numel() / w.max(1);
-    let mut data = Vec::with_capacity(outer * cols.len());
-    for i in 0..outer {
-        let b = i * w;
-        data.extend_from_slice(&t.data()[b + cols.start..b + cols.end]);
-    }
-    let mut nd = dims.to_vec();
-    *nd.last_mut().expect("rank >= 1") = cols.len();
-    Tensor::from_vec(data, &nd)
+    let mut dims = t.dims().to_vec();
+    let w = std::mem::replace(dims.last_mut().expect("sliced tensor has rank >= 1"), cols.len());
+    let data = t.data().chunks(w.max(1)).flat_map(|row| &row[cols.clone()]).copied().collect();
+    Tensor::from_vec(data, &dims)
 }
 
 /// Running communication totals over a cluster's lifetime — what
@@ -640,6 +634,16 @@ impl ShardState {
             halos,
             group_plans: OnceLock::new(),
         }
+    }
+
+    fn group_plans(&self, g: &Graph, plan: &PartitionPlan) -> &[PartitionPlan] {
+        self.group_plans.get_or_init(|| {
+            let groups = SrcGroups::new(g.num_vertices(), SrcGroups::CANONICAL);
+            let mut recount = Recount::new(g);
+            (0..groups.num_groups())
+                .map(|grp| plan.filtered(&mut recount, |e| groups.group_of(g.src()[e]) == grp))
+                .collect()
+        })
     }
 
     /// The source rows of device `dev`'s canonical source groups (the
@@ -818,7 +822,8 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// Returns an error if compilation fails, `plan` holds an edge id `g`
-    /// does not have, the program was compiled for another vertex count,
+    /// does not have, the program was compiled from another DFG or for
+    /// another vertex count,
     /// `globals` lacks an input the DFG reads or binds one to a tensor of
     /// other extents, or the placement is not among the compiled program's
     /// [`compatible_placements`]; each is found before any device starts.
@@ -862,35 +867,177 @@ impl ClusterEngine {
             tasks = plan.tasks.len()
         );
         check_call(program, dfg, g, plan, globals)?;
-        placement_compatible(program, globals, placement).map_err(CompileError)?;
-        let (outputs, art) = match placement {
-            // Splits columns, not vertices: no shard state involved.
-            PlacementKind::TensorParallel => {
-                self.run_tensor_parallel(program, dfg, g, plan, globals)?
-            }
-            PlacementKind::ComputeThenReduce => {
-                let shard = self.shard_state(g, plan);
-                self.run_compute_then_reduce(program, dfg, g, plan, globals, &shard)?
-            }
-            _ => {
-                let shard = self.shard_state(g, plan);
-                self.run_halo_schedule(program, dfg, g, globals, &shard, placement)?
-            }
+        let s = schedule(program, globals, placement).map_err(CompileError)?;
+        let (d, v, w) = (self.devices(), g.num_vertices(), program.out_width);
+        // A column split derives no shard state: its owned rows split evenly.
+        let shard = match s.hold {
+            Hold::Rows { .. } => Some(self.shard_state(g, plan)),
+            Hold::Columns(_) => None,
         };
+        let sh = || shard.as_deref().expect("a row split derives shard state");
+        let rows = shard.as_ref().map_or_else(|| ShardSpec::new(v, d), |sh| sh.spec.clone());
+        let cols = ShardSpec::new(w, d);
+        let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
+        let project_first = matches!(s.halo, Halo::Projected(_));
+        let (outs, exchange, timelines) = self.run_devices(|dev, mb| {
+            let engine = &self.engines[dev];
+            let own = rows.owned_range(dev);
+            // What the device holds.
+            let mut held = held(&s.hold, dfg, globals, shard.as_deref(), &cols, dev);
+            // The halo all-to-all, one round per name, after the prologue
+            // (project-then-communicate) or before it.
+            let prologue = |held: &[(String, Tensor)]| {
+                engine.prologue_phase(program, dfg, g, Globals::with_prologue(globals, held))
+            };
+            let names: Vec<String> = match &s.halo {
+                Halo::None => Vec::new(),
+                Halo::Inputs => held.iter().map(|(n, _)| n.clone()).collect(),
+                Halo::Projected(names) => {
+                    let projected = mb.record_compute(
+                        engine,
+                        || prologue(&held),
+                        |m| m.iter().map(|(_, t)| (t.numel() / v.max(1) * own.len()) as u64).sum(),
+                    )?;
+                    held.extend(projected);
+                    names.iter().cloned().collect()
+                }
+            };
+            for name in &names {
+                // A tensor without vertex rows is replicated: read in place.
+                let Some(k) = held.iter().position(|(n, _)| n == name) else { continue };
+                let width = held[k].1.numel() / v.max(1);
+                let outgoing = (0..d)
+                    .map(|p| {
+                        let rows = if p == dev { &[][..] } else { sh().send_rows(dev, p) };
+                        (rows.to_vec(), gather_payload(&held[k].1, rows, width))
+                    })
+                    .collect();
+                for m in mb.exchange("all_to_all", outgoing) {
+                    scatter_payload(&mut held[k].1, &m.rows, &m.payload, width);
+                }
+            }
+            // Which plans the device accumulates; a column slice cuts the
+            // program to its width.
+            let mut prog = Cow::Borrowed(program);
+            let plans: &[PartitionPlan] = match s.plans {
+                Plans::DstFiltered => std::slice::from_ref(&sh().plans[dev]),
+                Plans::Groups => &sh().group_plans(g, plan)[groups.groups_of_device(dev, d)],
+                Plans::Whole => {
+                    prog.to_mut().out_width = cols.owned_range(dev).len();
+                    if prog.out_width == 0 { &[] } else { std::slice::from_ref(plan) }
+                }
+            };
+            if s.home == Home::Local {
+                return mb.record_compute(
+                    engine,
+                    || {
+                        if !project_first {
+                            let pre = prologue(&held)?;
+                            held.extend(pre);
+                        }
+                        let view = Globals::with_prologue(globals, &held);
+                        Ok(engine.reduce_tasks(program, dfg, g, &plans[0], view, own.clone()))
+                    },
+                    |_| 0,
+                );
+            }
+            let view = Globals::with_prologue(globals, &held);
+            let partials: Vec<Tensor> = mb.record_compute(
+                engine,
+                || plans.iter().map(|p| engine.accumulate_program(&prog, g, p, view)).collect(),
+                |_| 0,
+            )?;
+            // The epilogue reads owned rows of the caller's globals, which a
+            // masked copy keeps verbatim; a column slice served accumulation.
+            drop(held);
+            // Which collective brings the owned rows home, into a
+            // full-height accumulator that the epilogue phase reads like an
+            // engine partial: only the owned rows are filled and read.
+            let mut acc = Tensor::zeros(&[v, w]);
+            let cells = own.start * w..own.end * w;
+            let peer = |p: usize| p - usize::from(p > dev);
+            if s.home == Home::ReduceScatter {
+                let mine = groups.groups_of_device(dev, d);
+                let group_owner = ShardSpec::new(groups.num_groups(), d);
+                for grp in 0..groups.num_groups() {
+                    let owner = group_owner.owner(grp as u32);
+                    let outgoing = (0..d)
+                        .map(|p| {
+                            if owner != dev || p == dev {
+                                return (Vec::new(), Vec::new());
+                            }
+                            // The receiver's owned rows: no index vector.
+                            let r = rows.owned_range(p);
+                            let part = &partials[grp - mine.start];
+                            (Vec::new(), part.data()[r.start * w..r.end * w].to_vec())
+                        })
+                        .collect();
+                    let got = mb.exchange("reduce_scatter", outgoing);
+                    // One contribution per group, added in ascending global
+                    // group order: the same float sequence at every D.
+                    mb.record_compute(
+                        engine,
+                        || {
+                            let slice: &[f32] = if owner == dev {
+                                &partials[grp - mine.start].data()[cells.clone()]
+                            } else {
+                                &got[peer(owner)].payload
+                            };
+                            assert_eq!(slice.len(), own.len() * w, "reduce-scatter slice mismatch");
+                            for (a, b) in acc.data_mut()[cells.clone()].iter_mut().zip(slice) {
+                                *a += *b;
+                            }
+                            Ok(())
+                        },
+                        |()| (own.len() * w) as u64,
+                    )?;
+                }
+            } else {
+                let payload = partials.into_iter().next().map_or_else(Vec::new, Tensor::into_vec);
+                let outgoing = (0..d)
+                    .map(|p| (Vec::new(), if p == dev { Vec::new() } else { payload.clone() }))
+                    .collect();
+                let got = mb.exchange("all_gather", outgoing);
+                mb.record_compute(
+                    engine,
+                    || {
+                        for p in 0..d {
+                            let c = cols.owned_range(p);
+                            let src = if p == dev { &payload } else { &got[peer(p)].payload };
+                            assert_eq!(src.len(), v * c.len(), "all-gather slice mismatch");
+                            for r in own.clone() {
+                                acc.data_mut()[r * w + c.start..r * w + c.end]
+                                    .copy_from_slice(&src[r * c.len()..(r + 1) * c.len()]);
+                            }
+                        }
+                        Ok(())
+                    },
+                    |()| (own.len() * w) as u64,
+                )?;
+            }
+            mb.record_compute(
+                engine,
+                || {
+                    let acc = std::slice::from_ref(&acc);
+                    Ok(engine.epilogue_phase(program, dfg, g, globals.into(), acc, own.clone()))
+                },
+                |outs| outs.iter().map(|t| t.numel() as u64).sum(),
+            )
+        })?;
         {
             let mut comm = self.comm.lock().expect("cluster comm totals poisoned");
-            comm.bytes += art.exchange.bytes_sent();
-            comm.messages += art.exchange.messages_sent();
-            for (coll, b) in art.exchange.bytes_by_collective() {
+            comm.bytes += exchange.bytes_sent();
+            comm.messages += exchange.messages_sent();
+            for (coll, b) in exchange.bytes_by_collective() {
                 *comm.by_collective.entry(coll).or_insert(0) += b;
             }
         }
         Ok(ClusterRun {
-            outputs,
-            exchange: art.exchange,
+            outputs: concat_vertex_outputs(v, outs),
+            exchange,
             per_device: self.engines.iter().map(Engine::stats).collect(),
             placement,
-            timelines: art.timelines,
+            timelines,
         })
     }
 
@@ -898,7 +1045,10 @@ impl ClusterEngine {
     /// each, and returns the per-device results plus the merged
     /// observability artifacts (exchange log and phase timelines, both in
     /// ascending device order). Errors propagate in device order.
-    fn run_devices<T, F>(&self, f: F) -> Result<(Vec<T>, RunArtifacts), CompileError>
+    fn run_devices<T, F>(
+        &self,
+        f: F,
+    ) -> Result<(Vec<T>, ExchangeLog, Vec<DeviceTimeline>), CompileError>
     where
         T: Send,
         F: Fn(usize, &mut Mailbox) -> Result<T, CompileError> + Sync,
@@ -968,285 +1118,15 @@ impl ClusterEngine {
                     .map(|h| h.join().expect("device thread panicked"))
                     .collect()
             });
-        let mut outs = Vec::with_capacity(d);
-        let mut art = RunArtifacts {
-            exchange: ExchangeLog::default(),
-            timelines: Vec::with_capacity(d),
-        };
+        let (mut outs, mut exchange) = (Vec::new(), ExchangeLog::default());
+        let mut timelines = Vec::new();
         for r in results {
-            let (t, l, timeline) = r?;
+            let (t, log, timeline) = r?;
             outs.push(t);
-            art.exchange.events.extend(l.events);
-            art.timelines.push(timeline);
+            exchange.events.extend(log.events);
+            timelines.push(timeline);
         }
-        Ok((outs, art))
-    }
-
-    /// Data-parallel and project-then-communicate: both run the plan
-    /// filtered by destination ownership and halo-exchange rows in an
-    /// all-to-all; they differ in *what* travels — raw vertex-rowed
-    /// globals before a local prologue (data-parallel) versus prologue
-    /// tensors projected on their home device (project-then-communicate).
-    /// Either way a device runs its engine's prologue phase over the rows
-    /// it holds and finishes with the task phase and the reduce + epilogue
-    /// phase over its owned rows.
-    fn run_halo_schedule(
-        &self,
-        program: &KernelProgram,
-        dfg: &Dfg,
-        g: &Graph,
-        globals: &HashMap<String, Tensor>,
-        shard: &ShardState,
-        placement: PlacementKind,
-    ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
-        let d = self.devices();
-        let v = g.num_vertices();
-        let project_first = placement == PlacementKind::ProjectThenCommunicate;
-        // The names whose halo rows travel. Data-parallel ships every
-        // vertex-rowed *input* (remote × f_in); project-then-communicate
-        // ships only the source-gathered tensors the per-task program
-        // actually reads — which, with the prologue evaluated at home,
-        // are the projected rows (remote × f_out).
-        let exchange_names: Vec<String> = if project_first {
-            src_gathered_names(program).into_iter().collect()
-        } else {
-            vertex_rowed_inputs(dfg).into_iter().filter(|n| globals.contains_key(n)).collect()
-        };
-        let (outs, art) = self.run_devices(|dev, mb| {
-            let own = shard.spec.owned_range(dev);
-            let engine = &self.engines[dev];
-            let mut held = held_inputs(dfg, globals, shard, placement, dev);
-            let prologue = |held: &[(String, Tensor)]| {
-                engine.prologue_phase(program, dfg, g, Globals::with_prologue(globals, held))
-            };
-            if project_first {
-                let projected = mb.record_compute(
-                    engine,
-                    || prologue(&held),
-                    |m| m.iter().map(|(_, t)| (t.numel() / v.max(1) * own.len()) as u64).sum(),
-                )?;
-                held.extend(projected);
-            }
-            for name in &exchange_names {
-                // A tensor without vertex rows is replicated: read in place.
-                let Some(k) = held.iter().position(|(n, _)| n == name) else { continue };
-                let w = held[k].1.numel() / v.max(1);
-                let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
-                    .map(|p| {
-                        if p == dev {
-                            return (Vec::new(), Vec::new());
-                        }
-                        let rows = shard.send_rows(dev, p);
-                        (rows.to_vec(), gather_payload(&held[k].1, rows, w))
-                    })
-                    .collect();
-                for m in mb.exchange("all_to_all", outgoing) {
-                    scatter_payload(&mut held[k].1, &m.rows, &m.payload, w);
-                }
-            }
-            mb.record_compute(
-                engine,
-                || {
-                    if !project_first {
-                        // Local prologue over the rows held: owned and halo.
-                        let pre = prologue(&held)?;
-                        held.extend(pre);
-                    }
-                    let view = Globals::with_prologue(globals, &held);
-                    Ok(engine.reduce_tasks(program, dfg, g, &shard.plans[dev], view, own.clone()))
-                },
-                |_| 0,
-            )
-        })?;
-        Ok((concat_vertex_outputs(v, outs), art))
-    }
-
-    /// Compute-then-reduce: edges partition by source into the canonical
-    /// fixed groups; each device accumulates its groups' partials, then a
-    /// reduce-scatter delivers every owned row's per-group slices, summed
-    /// in ascending global group order. The summation sequence depends
-    /// only on the group decomposition, never on the device count or on
-    /// where the ownership boundaries fall.
-    fn run_compute_then_reduce(
-        &self,
-        program: &KernelProgram,
-        dfg: &Dfg,
-        g: &Graph,
-        plan: &PartitionPlan,
-        globals: &HashMap<String, Tensor>,
-        shard: &ShardState,
-    ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
-        let d = self.devices();
-        let v = g.num_vertices();
-        let spec = &shard.spec;
-        let groups = SrcGroups::new(v, SrcGroups::CANONICAL);
-        let ngroups = groups.num_groups();
-        let group_owner = ShardSpec::new(ngroups, d);
-        let group_plans = shard.group_plans.get_or_init(|| {
-            let mut recount = Recount::new(g);
-            (0..ngroups)
-                .map(|grp| plan.filtered(&mut recount, |e| groups.group_of(g.src()[e]) == grp))
-                .collect()
-        });
-        let w = program.out_width;
-        let (outs, art) = self.run_devices(|dev, mb| {
-            let own = spec.owned_range(dev);
-            let my_groups = groups.groups_of_device(dev, d);
-            let engine = &self.engines[dev];
-            // Rows this device reads: its groups' source ranges (per-task
-            // gathers are source-indexed — enforced by the compatibility
-            // check) plus its owned rows (the epilogue may read them,
-            // e.g. self-features).
-            let held = held_inputs(dfg, globals, shard, PlacementKind::ComputeThenReduce, dev);
-            let view = Globals::with_prologue(globals, &held);
-            let partials: Vec<Tensor> = mb.record_compute(
-                engine,
-                || {
-                    my_groups
-                        .clone()
-                        .map(|grp| engine.accumulate_program(program, g, &group_plans[grp], view))
-                        .collect()
-                },
-                |_| 0,
-            )?;
-            // Full height, so the reduce + epilogue phase reads it like an
-            // engine partial; only the owned rows are summed and read.
-            let mut acc = Tensor::zeros(&[v, w]);
-            let cells = own.start * w..own.end * w;
-            for grp in 0..ngroups {
-                let owner = group_owner.owner(grp as u32);
-                let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
-                    .map(|p| {
-                        if owner != dev || p == dev {
-                            return (Vec::new(), Vec::new());
-                        }
-                        // Row set implied by ownership: the receiver's
-                        // owned range, contiguous, so no index vector.
-                        let r = spec.owned_range(p);
-                        let part = &partials[grp - my_groups.start];
-                        (Vec::new(), part.data()[r.start * w..r.end * w].to_vec())
-                    })
-                    .collect();
-                let got = mb.exchange("reduce_scatter", outgoing);
-                // Exactly one contribution per group, added in ascending
-                // global group order — same float sequence at every D.
-                mb.record_compute(
-                    engine,
-                    || {
-                        let slice: &[f32] = if owner == dev {
-                            &partials[grp - my_groups.start].data()[cells.clone()]
-                        } else {
-                            &got[if owner < dev { owner } else { owner - 1 }].payload
-                        };
-                        assert_eq!(
-                            slice.len(),
-                            own.len() * w,
-                            "reduce-scatter slice width mismatch"
-                        );
-                        for (a, b) in acc.data_mut()[cells.clone()].iter_mut().zip(slice) {
-                            *a += *b;
-                        }
-                        Ok(())
-                    },
-                    |()| (own.len() * w) as u64,
-                )?;
-            }
-            mb.record_compute(
-                engine,
-                || {
-                    let acc = std::slice::from_ref(&acc);
-                    Ok(engine.epilogue_phase(program, dfg, g, view, acc, own.clone()))
-                },
-                |outs| outs.iter().map(|t| t.numel() as u64).sum(),
-            )
-        })?;
-        Ok((concat_vertex_outputs(v, outs), art))
-    }
-
-    /// Tensor parallelism: every device runs *all* edges on its column
-    /// slice of the width-carrying global, accumulator slices all-gather
-    /// in ascending device order, and each device finishes with the full
-    /// epilogue. Bit-identical to the single-device engine because every
-    /// kernel computes output columns independently and the column
-    /// concatenation is a bitwise copy.
-    fn run_tensor_parallel(
-        &self,
-        program: &KernelProgram,
-        dfg: &Dfg,
-        g: &Graph,
-        plan: &PartitionPlan,
-        globals: &HashMap<String, Tensor>,
-    ) -> Result<(Vec<Tensor>, RunArtifacts), CompileError> {
-        let d = self.devices();
-        let v = g.num_vertices();
-        let wtotal = program.out_width;
-        let cols = ShardSpec::new(wtotal, d);
-        let slice_name = tp_slice_global(program, globals)
-            .expect("compatibility check found a slice target");
-        let (mut outs, art) = self.run_devices(|dev, mb| {
-            let my_cols = cols.owned_range(dev);
-            let engine = &self.engines[dev];
-            let payload: Vec<f32> = mb.record_compute(
-                engine,
-                || {
-                    if my_cols.is_empty() {
-                        return Ok(Vec::new());
-                    }
-                    let mut prog = program.clone();
-                    prog.out_width = my_cols.len();
-                    let sliced = slice_last_dim(&globals[&slice_name], my_cols.clone());
-                    let held = [(slice_name.clone(), sliced)];
-                    let view = Globals::with_prologue(globals, &held);
-                    Ok(engine.accumulate_program(&prog, g, plan, view)?.into_vec())
-                },
-                |_| 0,
-            )?;
-            let outgoing: Vec<(Vec<u32>, Vec<f32>)> = (0..d)
-                .map(|p| {
-                    if p == dev {
-                        (Vec::new(), Vec::new())
-                    } else {
-                        (Vec::new(), payload.clone())
-                    }
-                })
-                .collect();
-            let got = mb.exchange("all_gather", outgoing);
-            mb.record_compute(
-                engine,
-                || {
-                    let mut acc = Tensor::zeros(&[v, wtotal]);
-                    for p in 0..d {
-                        let r = cols.owned_range(p);
-                        if r.is_empty() {
-                            continue;
-                        }
-                        let src: &[f32] = if p == dev {
-                            &payload
-                        } else {
-                            let idx = if p < dev { p } else { p - 1 };
-                            &got[idx].payload
-                        };
-                        assert_eq!(src.len(), v * r.len(), "all-gather slice mismatch");
-                        for row in 0..v {
-                            acc.data_mut()
-                                [row * wtotal + r.start..row * wtotal + r.end]
-                                .copy_from_slice(
-                                    &src[row * r.len()..(row + 1) * r.len()],
-                                );
-                        }
-                    }
-                    let acc = std::slice::from_ref(&acc);
-                    Ok(engine.epilogue_phase(program, dfg, g, globals.into(), acc, 0..v))
-                },
-                |outs| {
-                    (v * wtotal) as u64
-                        + outs.iter().map(|t| t.numel() as u64).sum::<u64>()
-                },
-            )
-        })?;
-        // Every device assembled the identical full accumulator and ran
-        // the identical epilogue; device 0's outputs are the outputs.
-        Ok((outs.swap_remove(0), art))
+        Ok((outs, exchange, timelines))
     }
 }
 
@@ -1370,6 +1250,13 @@ mod tests {
                 let (g, dfg, gl) = rgcn_setup();
                 (g, dfg, gl, PartitionTable::src_batch_per_type(8))
             },
+            // More devices than vertices and than columns: 8 devices on 5
+            // vertices, accumulating 3 columns.
+            {
+                let (g, dfg, gl) =
+                    setup(rmat(&RmatParams::standard(5, 12, 51)), ModelKind::Sage, 3, 2);
+                (g, dfg, gl, PartitionTable::vertex_centric())
+            },
         ] {
             let plan = partition(&g, &table);
             let reference = Engine::new(2).execute(&dfg, &g, &plan, &globals).unwrap();
@@ -1382,6 +1269,13 @@ mod tests {
                     assert_eq!(a.data(), b.data(), "devices {devices}");
                 }
                 assert!(run.exchange.is_conserved());
+                // A device's epilogue segment costs the output elements of
+                // its owned rows, so the devices' rows add up to |V|.
+                let epilogues: u64 =
+                    run.timelines.iter().map(|t| t.segments.last().unwrap().cost).sum();
+                let elements: u64 = run.outputs.iter().map(|t| t.numel() as u64).sum();
+                assert_eq!(epilogues, elements, "devices {devices}");
+                assert_eq!(run.outputs[0].dims()[0], g.num_vertices());
             }
         }
     }
@@ -1417,20 +1311,13 @@ mod tests {
         let (g, dfg, globals) = gcn_setup();
         let program = compile(&dfg, &g).unwrap();
         // GCN hoists no prologue: nothing to project before communicating.
-        assert!(
-            placement_compatible(&program, &globals, PlacementKind::ProjectThenCommunicate)
-                .is_err()
-        );
+        assert!(schedule(&program, &globals, PlacementKind::ProjectThenCommunicate).is_err());
         let (g, dfg, globals) = gat_setup();
         let program = compile(&dfg, &g).unwrap();
         // GAT's segment softmax forbids splitting a destination's
         // in-edges (compute-then-reduce) or its columns (tensor-parallel).
-        assert!(
-            placement_compatible(&program, &globals, PlacementKind::ComputeThenReduce).is_err()
-        );
-        assert!(
-            placement_compatible(&program, &globals, PlacementKind::TensorParallel).is_err()
-        );
+        assert!(schedule(&program, &globals, PlacementKind::ComputeThenReduce).is_err());
+        assert!(schedule(&program, &globals, PlacementKind::TensorParallel).is_err());
         assert_eq!(
             compatible_placements(&program, &g, &globals),
             vec![
@@ -1447,14 +1334,37 @@ mod tests {
 
     #[test]
     fn tp_slice_global_prefers_the_width_carrier() {
-        let (g, dfg, globals) = rgcn_setup();
-        let program = compile(&dfg, &g).unwrap();
+        let sliced = |(g, dfg, globals): Setup| {
+            let program = compile(&dfg, &g).unwrap();
+            match schedule(&program, &globals, PlacementKind::TensorParallel).map(|s| s.hold) {
+                Ok(Hold::Columns(name)) => name,
+                _ => panic!("tensor-parallel holds a column slice"),
+            }
+        };
         // RGCN accumulates at f_out: the rank-3 weight carries the width.
-        assert_eq!(tp_slice_global(&program, &globals).as_deref(), Some("W"));
-        let (g, dfg, globals) = gcn_setup();
-        let program = compile(&dfg, &g).unwrap();
+        assert_eq!(sliced(rgcn_setup()), "W");
         // GCN accumulates raw embeddings at f_in: h carries the width.
-        assert_eq!(tp_slice_global(&program, &globals).as_deref(), Some("h"));
+        assert_eq!(sliced(gcn_setup()), "h");
+    }
+
+    /// Which placements each model compiles for, stated once by
+    /// `schedule`: GAT's per-call edge pass and hoisted projections rule
+    /// out the source-group and column splits, and only GAT hoists a
+    /// projection to run before communicating.
+    #[test]
+    fn compatible_placements_are_pinned_per_model() {
+        use PlacementKind::*;
+        let g = rmat(&RmatParams::standard(60, 400, 53).with_edge_types(3));
+        let globals = globals_for(&g, 4, 3);
+        for (model, want) in [
+            (ModelKind::Gcn, vec![DataParallel, ComputeThenReduce, TensorParallel]),
+            (ModelKind::Sage, vec![DataParallel, ComputeThenReduce, TensorParallel]),
+            (ModelKind::Rgcn, vec![DataParallel, ComputeThenReduce, TensorParallel]),
+            (ModelKind::Gat, vec![DataParallel, ProjectThenCommunicate]),
+        ] {
+            let program = compile(&model.layer_dfg(4, 3), &g).unwrap();
+            assert_eq!(compatible_placements(&program, &g, &globals), want, "{}", model.name());
+        }
     }
 
     #[test]
@@ -1578,7 +1488,9 @@ mod tests {
                             || placement == PlacementKind::ComputeThenReduce
                                 && mine.contains(&groups.group_of(r as u32))
                     };
-                    let held = held_inputs(&dfg, &globals, &shard, placement, dev);
+                    let hold = schedule(&program, &globals, placement).unwrap().hold;
+                    let cols = ShardSpec::new(program.out_width, 2);
+                    let held = held(&hold, &dfg, &globals, Some(&shard), &cols, dev);
                     let view = Globals::with_prologue(&globals, &held);
                     for &name in &rowed {
                         let (seen, caller) = (&view[name.as_str()], &globals[name]);

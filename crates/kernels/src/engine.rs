@@ -232,11 +232,11 @@ impl Engine {
     /// # Errors
     ///
     /// Returns an error, before any worker starts, if `plan` holds an edge
-    /// id `g` does not have, `program` was compiled for another vertex
-    /// count, `globals` lacks an input the DFG reads or binds one to a
-    /// tensor whose extents differ from the input's declared shape (names
-    /// the DFG does not read are allowed), or a prologue node cannot be
-    /// evaluated.
+    /// id `g` does not have, `program` was compiled from another DFG or
+    /// for another vertex count, `globals` lacks an input the DFG reads or
+    /// binds one to a tensor whose extents differ from the input's declared
+    /// shape (names the DFG does not read are allowed), or a prologue node
+    /// cannot be evaluated.
     ///
     /// # Panics
     ///

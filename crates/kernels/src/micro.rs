@@ -32,9 +32,11 @@
 use crate::fused::{run_fused, FusedPlan, Segment};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::ops::Range;
 use wisegraph_dfg::{Dfg, Dim, NodeId, OpKind};
 use wisegraph_dfg::op::LEAKY_SLOPE;
+use wisegraph_graph::digest::Fnv64;
 use wisegraph_graph::{AttrKind, Graph};
 use wisegraph_gtask::PartitionPlan;
 use wisegraph_obs::{keys, span, Class, Counters};
@@ -235,6 +237,10 @@ pub struct KernelProgram {
     /// tasks run, exposed to the per-task program as pseudo-globals named
     /// `__pre_<node>`.
     pub prologue: Vec<NodeId>,
+    /// FNV-1a digest of the DFG the program was compiled from, over the
+    /// `Hash` impl the planning cache keys programs on: a call under any
+    /// other DFG is an error.
+    pub dfg_digest: u64,
 }
 
 /// Pseudo-global name of a precomputed (prologue) node.
@@ -539,7 +545,16 @@ pub fn compile(dfg: &Dfg, g: &Graph) -> Result<KernelProgram, CompileError> {
         out_width,
         reduce_node: reduce,
         prologue: lower.prologue,
+        dfg_digest: dfg_digest(dfg),
     })
+}
+
+/// FNV-1a of `dfg`'s `Hash` impl: what [`KernelProgram::dfg_digest`]
+/// records and [`check_call`] compares.
+fn dfg_digest(dfg: &Dfg) -> u64 {
+    let mut h = Fnv64::new();
+    dfg.hash(&mut h);
+    h.finish()
 }
 
 /// The micro-kernels of one scope of a program — the per-call edge pass
@@ -1411,14 +1426,16 @@ pub(crate) fn row_dims(dfg: &Dfg, g: &Graph, id: NodeId) -> Option<Vec<usize>> {
 
 /// Checks, on the calling thread, that a call's plan and program belong to
 /// `g` — every edge id of `plan` is one of `g`'s edges and `program` has
-/// one output row per vertex of `g` — and that `globals` binds every live
-/// input of `dfg` to a tensor of its declared extents, read from `g`
-/// without a `Binding`. Names `dfg` does not read are allowed.
+/// one output row per vertex of `g` — that `program` was compiled from
+/// `dfg`, and that `globals` binds every live input of `dfg` to a tensor of
+/// its declared extents, read from `g` without a `Binding`. Names `dfg`
+/// does not read are allowed.
 ///
 /// # Errors
 ///
-/// Names the out-of-range edge id, the mismatched row count, or the first
-/// input that is missing or has other extents.
+/// Names the out-of-range edge id, a program of another DFG, the
+/// mismatched row count, or the first input that is missing or has other
+/// extents.
 pub(crate) fn check_call(
     program: &KernelProgram,
     dfg: &Dfg,
@@ -1431,6 +1448,9 @@ pub(crate) fn check_call(
             "the plan holds edge id {e}, but the graph has {} edges",
             g.num_edges()
         )));
+    }
+    if program.dfg_digest != dfg_digest(dfg) {
+        return Err(CompileError("the program was compiled from another DFG".into()));
     }
     if program.out_rows != g.num_vertices() {
         return Err(CompileError(format!(

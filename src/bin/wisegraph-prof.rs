@@ -35,6 +35,8 @@
 //!   part lands in the baseline under
 //!   `critical.<model>.<placement>.d<devices>.`, the tables print, and
 //!   the deterministic report is written to `results/prof_critical.json`.
+//!   Its 4-device runs are the sharded section's: each model × placement
+//!   × device count executes once.
 //!
 //! Nothing here measures wall-clock time (`BENCHMARK.json` /
 //! `examples/perfbench` does, at a size where it means something), so
@@ -94,8 +96,9 @@ const DIMS: (usize, usize) = (8, 6);
 /// Simulated device count for the sharded multi-device section.
 const SHARD_DEVICES: usize = 4;
 
-/// Device counts the critical-path attribution section runs at.
-const CRITICAL_DEVICES: [usize; 2] = [2, 4];
+/// Device counts the critical-path attribution section runs at; the
+/// [`SHARD_DEVICES`] run also feeds the sharded section.
+const CRITICAL_DEVICES: [usize; 2] = [2, SHARD_DEVICES];
 
 fn models() -> [(ModelKind, &'static str); 4] {
     [
@@ -289,16 +292,21 @@ fn run_suite(threads: usize) -> SuiteRun {
         run.all.merge_prefixed(&format!("planning.{slug}"), &c);
     }
 
-    // Sharded multi-device section: per model, the vertex-centric plan
-    // executes on a
-    // [`SHARD_DEVICES`]-device cluster under every placement schedule the
-    // compiled program supports. Each run uses a fresh [`ClusterEngine`],
-    // so the merged counters — per-device `device.NN.*` work plus the
-    // `comm.*` exchange totals — describe exactly one execution under
-    // `sharded.<slug>.<placement>.`. The comm/work keys are Work-class
-    // pure functions of (graph, plan, device count, placement): gate (a)
-    // holds them bit-exactly and gate (b)'s thread sweep leaves them
-    // untouched by construction.
+    // Sharded multi-device and critical-path sections: per model, the
+    // vertex-centric plan runs on a fresh [`ClusterEngine`] at each
+    // [`CRITICAL_DEVICES`] count under every placement schedule the
+    // compiled program supports. The [`SHARD_DEVICES`]-device run feeds
+    // both sections. Its merged counters — per-device `device.NN.*` work
+    // plus the `comm.*` exchange totals — describe exactly one execution
+    // under `sharded.<slug>.<placement>.`. The replay
+    // ([`ClusterRun::attribution`]) prices every run's device timelines
+    // against its exchange log's messages: a critical path, busy/exchange/
+    // idle breakdown, straggler ranking, and per-layer overlap headroom;
+    // only its Work-class part lands in `run.all`, under
+    // `critical.<slug>.<placement>.d<devices>.`. Both key families are
+    // pure functions of (graph, plan, placement, device count): the gates
+    // hold them bit-exactly, and the wall-clock overlay stays out of the
+    // rerun-identity comparison.
     let fabric = Fabric::pcie4_quad();
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
@@ -306,52 +314,32 @@ fn run_suite(threads: usize) -> SuiteRun {
         let plan = partition(&g, &PartitionTable::vertex_centric());
         let choice =
             select_placement(&program, &g, &globals, SHARD_DEVICES, &fabric, fi, fo);
-        for placement in compatible_placements(&program, &g, &globals) {
-            let cluster = ClusterEngine::new(SHARD_DEVICES, threads);
-            let crun = cluster
-                .execute_program(&program, &dfg, &g, &plan, &globals, placement)
-                .expect("sharded combination executes");
-            run.all.merge_prefixed(
-                &format!("sharded.{slug}.{}", placement.name()),
-                &cluster.stats(),
-            );
-            let comm_time = choice
-                .candidates
-                .iter()
-                .find(|(p, _)| *p == placement)
-                .map(|(_, t)| *t)
-                .unwrap_or(f64::INFINITY);
-            run.sharded.push(ShardedRow {
-                model: slug,
-                placement,
-                device_skew: device_work_skew(&crun.per_device),
-                comm_bytes: crun.exchange.bytes_sent(),
-                comm_time,
-                selected: placement == choice.placement,
-            });
-        }
-    }
-
-    // Critical-path attribution section: per model, the vertex-centric
-    // plan runs at each [`CRITICAL_DEVICES`] count under every compatible
-    // placement, and the replay ([`ClusterRun::attribution`]) prices the
-    // device timelines against the exchange log's messages: a critical
-    // path, busy/exchange/idle breakdown, straggler ranking, and
-    // per-layer overlap headroom. Only the Work-class part of the report
-    // lands in `run.all` (under `critical.<slug>.<placement>.d<devices>.`):
-    // those keys are pure functions of (graph, plan, placement, device
-    // count), so all three gates hold them bit-exactly, while the
-    // wall-clock overlay stays out of the rerun-identity comparison.
-    for (model, slug) in models() {
-        let dfg = model.layer_dfg(fi, fo);
-        let program = compile(&dfg, &g).expect("profiled model compiles");
-        let plan = partition(&g, &PartitionTable::vertex_centric());
         for devices in CRITICAL_DEVICES {
             for placement in compatible_placements(&program, &g, &globals) {
                 let cluster = ClusterEngine::new(devices, threads);
                 let crun = cluster
                     .execute_program(&program, &dfg, &g, &plan, &globals, placement)
-                    .expect("critical-path combination executes");
+                    .expect("sharded combination executes");
+                if devices == SHARD_DEVICES {
+                    run.all.merge_prefixed(
+                        &format!("sharded.{slug}.{}", placement.name()),
+                        &cluster.stats(),
+                    );
+                    let comm_time = choice
+                        .candidates
+                        .iter()
+                        .find(|(p, _)| *p == placement)
+                        .map(|(_, t)| *t)
+                        .unwrap_or(f64::INFINITY);
+                    run.sharded.push(ShardedRow {
+                        model: slug,
+                        placement,
+                        device_skew: device_work_skew(&crun.per_device),
+                        comm_bytes: crun.exchange.bytes_sent(),
+                        comm_time,
+                        selected: placement == choice.placement,
+                    });
+                }
                 let report = crun.attribution().expect("attribution analyzes");
                 let mut c = Counters::new();
                 report.record_counters(&mut c);

@@ -15,8 +15,10 @@ use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::Graph;
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::kernels::engine::{execute_parallel_alloc, Engine};
-use wisegraph::kernels::micro::compile;
+use wisegraph::kernels::micro::{compile, MicroKernel, Src};
+use wisegraph::kernels::ClusterEngine;
 use wisegraph::models::ModelKind;
+use wisegraph::sim::PlacementKind;
 use wisegraph::tensor::{init, Tensor};
 
 fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
@@ -296,14 +298,17 @@ fn destination_exclusive_plans_are_bit_identical_across_thread_counts() {
 #[should_panic(expected = "worker panicked")]
 fn a_panic_in_a_task_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 83));
-    let mut globals = globals_for(&g, 4, 3);
-    globals.remove("W");
+    let globals = globals_for(&g, 4, 3);
     let plan = partition(&g, &PartitionTable::vertex_centric());
-    // A program compiled from another model's DFG, which the entry check
-    // does not see: RGCN's per-task gathers read `W`, which the GCN
-    // call's globals lack.
-    let program = compile(&ModelKind::Rgcn.layer_dfg(4, 3), &g).unwrap();
     let dfg = ModelKind::Gcn.layer_dfg(4, 3);
+    // A hand-edited program, which the entry check does not see: GCN's
+    // per-task gathers re-pointed at a global the call lacks.
+    let mut program = compile(&dfg, &g).unwrap();
+    for op in &mut program.ops {
+        if let MicroKernel::Gather { src: Src::Global(name), .. } = op {
+            *name = "absent".into();
+        }
+    }
     let _ = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
 }
 
@@ -313,10 +318,45 @@ fn a_panic_in_a_dense_phase_worker_surfaces() {
     let g = rmat(&RmatParams::standard(50, 300, 85));
     let globals = globals_for(&g, 4, 3);
     let plan = partition(&g, &PartitionTable::vertex_centric());
-    // SAGE's program run as GAT's DFG: the reduce + epilogue phase walks
-    // GAT's epilogue from SAGE's reduction and multiplies operands whose
-    // inner extents differ.
-    let program = compile(&ModelKind::Sage.layer_dfg(4, 3), &g).unwrap();
+    // SAGE's program, hand-relabelled with GAT's DFG digest so the entry
+    // check passes: the reduce + epilogue phase walks GAT's epilogue from
+    // SAGE's reduction and multiplies operands whose inner extents differ.
     let dfg = ModelKind::Gat.layer_dfg(4, 3);
+    let mut program = compile(&ModelKind::Sage.layer_dfg(4, 3), &g).unwrap();
+    program.dfg_digest = compile(&dfg, &g).unwrap().dfg_digest;
     let _ = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
+}
+
+/// A program runs only under the DFG it was compiled from: each of the 12
+/// mismatched program × DFG pairs of GCN, SAGE, RGCN and GAT is an error
+/// on the calling thread, from the engine and from the cluster alike.
+#[test]
+fn a_program_under_another_dfg_is_an_error_on_both_runners() {
+    let g = rmat(&RmatParams::standard(50, 300, 83));
+    let globals = globals_for(&g, 4, 3);
+    let plan = partition(&g, &PartitionTable::vertex_centric());
+    let models = [ModelKind::Gcn, ModelKind::Sage, ModelKind::Rgcn, ModelKind::Gat];
+    let mut pairs = 0;
+    for from in models {
+        let program = compile(&from.layer_dfg(4, 3), &g).unwrap();
+        for under in models.into_iter().filter(|&m| m != from) {
+            let dfg = under.layer_dfg(4, 3);
+            let case = format!("{} program under {}", from.name(), under.name());
+            let engine = Engine::new(2).execute_program(&program, &dfg, &g, &plan, &globals);
+            let cluster = ClusterEngine::new(2, 1).execute_program(
+                &program,
+                &dfg,
+                &g,
+                &plan,
+                &globals,
+                PlacementKind::DataParallel,
+            );
+            for err in [engine.map(|_| ()), cluster.map(|_| ())] {
+                let err = err.expect_err(&case);
+                assert!(err.to_string().contains("another DFG"), "{case}: {err}");
+            }
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 12);
 }
