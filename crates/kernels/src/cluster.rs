@@ -31,7 +31,8 @@
 //! 4. **Bring the owned rows home.** Nothing for the halo schedules, whose
 //!    slot partials feed the epilogue directly; a reduce-scatter that adds
 //!    each owned row's group slices in ascending global group order; or an
-//!    all-gather of the column slices.
+//!    all-gather of the column slices, in which each peer is sent only the
+//!    rows it owns.
 //!
 //! Every device then runs its engine's epilogue over its owned rows —
 //! in-edge balanced ranges ([`ShardSpec::balanced`]), or an even split for
@@ -41,8 +42,8 @@
 //! kernels (tensor-parallel) the outputs are the single engine's bits, and
 //! compute-then-reduce's, summed in group order, are the same at every
 //! device count. What a device count derives from a (graph, plan) pair
-//! stays resident in the [`ClusterEngine`], checked by a content
-//! fingerprint on every call.
+//! stays resident in the [`ClusterEngine`], checked on every call against
+//! the graph's memoised content key and a fingerprint of the plan.
 
 use crate::engine::{Engine, ExecMode};
 use crate::micro::{
@@ -391,7 +392,8 @@ enum Home {
     /// A reduce-scatter, adding each owned row's group slices in ascending
     /// global group order.
     ReduceScatter,
-    /// An all-gather of the column slices.
+    /// An all-gather of the column slices, each peer sent the rows it
+    /// owns of them.
     AllGather,
 }
 
@@ -600,9 +602,12 @@ struct CommTotals {
 /// Everything a device count derives from one (graph, plan) pair before
 /// any tensor is touched. A training loop presents the same pair on every
 /// call, so the cluster holds the last one derived and re-derives only
-/// when [`shard_fingerprint`] says the content changed.
+/// when the content changed ([`ShardState::derived_from`]).
 struct ShardState {
-    fingerprint: u64,
+    /// The graph's memoised [`Graph::content_key`].
+    graph: u64,
+    /// The plan's [`plan_fingerprint`].
+    plan: u64,
     /// Vertex ownership ([`ShardSpec::balanced`]).
     spec: ShardSpec,
     /// Per device, the plan filtered to the edges whose destination it
@@ -617,7 +622,7 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn derive(g: &Graph, plan: &PartitionPlan, devices: usize, fingerprint: u64) -> Self {
+    fn derive(g: &Graph, plan: &PartitionPlan, devices: usize) -> Self {
         let spec = ShardSpec::balanced(g, devices);
         let mut recount = Recount::new(g);
         let plans = (0..devices)
@@ -628,12 +633,20 @@ impl ShardState {
             .collect();
         let halos = (0..devices).map(|dev| spec.remote_unique_src(g, dev)).collect();
         Self {
-            fingerprint,
+            graph: g.content_key(),
+            plan: plan_fingerprint(plan),
             spec,
             plans,
             halos,
             group_plans: OnceLock::new(),
         }
+    }
+
+    /// Whether this state was derived from `g` and `plan`'s content: the
+    /// graph by its content key, which the graph computes once and then
+    /// reads from itself, and the plan by its fingerprint.
+    fn derived_from(&self, g: &Graph, plan: &PartitionPlan) -> bool {
+        self.graph == g.content_key() && self.plan == plan_fingerprint(plan)
     }
 
     fn group_plans(&self, g: &Graph, plan: &PartitionPlan) -> &[PartitionPlan] {
@@ -673,26 +686,19 @@ impl ShardState {
     }
 }
 
-/// Content fingerprint of everything [`ShardState`] is derived from: the
-/// graph's vertex count and edge arrays and the plan's task offsets and
-/// edge array.
+/// Content fingerprint of a plan's task offsets and edge array, the part
+/// of what [`ShardState`] is derived from that has no memoised key.
 /// One allocation-free pass. Each word is mixed with a key unique to its
 /// position and the mixed words are summed, so the loop carries no
 /// multiply chain; the per-word mix is a bijection, so two inputs that
 /// differ in a single word never collide.
-fn shard_fingerprint(g: &Graph, plan: &PartitionPlan) -> u64 {
+fn plan_fingerprint(plan: &PartitionPlan) -> u64 {
     let (mut sum, mut key) = (0u64, 0u64);
     let mut push = |x: u64| {
         key = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let m = (x ^ key).wrapping_mul(0xD6E8_FEB8_6659_FD93);
         sum = sum.wrapping_add(m ^ (m >> 32));
     };
-    push(g.num_vertices() as u64);
-    push(g.num_edges() as u64);
-    for ((&s, &t), &ty) in g.src().iter().zip(g.dst()).zip(g.etype()) {
-        push(u64::from(s) << 32 | u64::from(t));
-        push(u64::from(ty));
-    }
     for &o in plan.tasks.offsets() {
         push(u64::from(o));
     }
@@ -794,17 +800,16 @@ impl ClusterEngine {
     }
 
     /// The shard state for `(g, plan)` at this cluster's device count:
-    /// the resident one when its fingerprint matches, otherwise derived
-    /// now and held in its place.
+    /// the resident one when it was derived from the same content,
+    /// otherwise derived now and held in its place.
     fn shard_state(&self, g: &Graph, plan: &PartitionPlan) -> Arc<ShardState> {
-        let fingerprint = shard_fingerprint(g, plan);
         let mut held = self.shard.lock().expect("cluster shard state poisoned");
-        if let Some(state) = held.as_ref().filter(|s| s.fingerprint == fingerprint) {
+        if let Some(state) = held.as_ref().filter(|s| s.derived_from(g, plan)) {
             return Arc::clone(state);
         }
         let _sp = span!("cluster.shard.derive", devices = self.devices());
         self.shard_rebuilds.fetch_add(1, Ordering::Relaxed);
-        let state = Arc::new(ShardState::derive(g, plan, self.devices(), fingerprint));
+        let state = Arc::new(ShardState::derive(g, plan, self.devices()));
         *held = Some(Arc::clone(&state));
         state
     }
@@ -994,8 +999,14 @@ impl ClusterEngine {
                 }
             } else {
                 let payload = partials.into_iter().next().map_or_else(Vec::new, Tensor::into_vec);
+                // Each peer gets the rows it owns of this device's slice.
+                let width = cols.owned_range(dev).len();
+                let owned_rows = |p: usize| {
+                    let r = rows.owned_range(p);
+                    &payload[r.start * width..r.end * width]
+                };
                 let outgoing = (0..d)
-                    .map(|p| (Vec::new(), if p == dev { Vec::new() } else { payload.clone() }))
+                    .map(|p| (Vec::new(), if p == dev { Vec::new() } else { owned_rows(p).to_vec() }))
                     .collect();
                 let got = mb.exchange("all_gather", outgoing);
                 mb.record_compute(
@@ -1003,11 +1014,11 @@ impl ClusterEngine {
                     || {
                         for p in 0..d {
                             let c = cols.owned_range(p);
-                            let src = if p == dev { &payload } else { &got[peer(p)].payload };
-                            assert_eq!(src.len(), v * c.len(), "all-gather slice mismatch");
-                            for r in own.clone() {
+                            let src = if p == dev { owned_rows(dev) } else { &got[peer(p)].payload };
+                            assert_eq!(src.len(), own.len() * c.len(), "all-gather slice mismatch");
+                            for (i, r) in own.clone().enumerate() {
                                 acc.data_mut()[r * w + c.start..r * w + c.end]
-                                    .copy_from_slice(&src[r * c.len()..(r + 1) * c.len()]);
+                                    .copy_from_slice(&src[i * c.len()..(i + 1) * c.len()]);
                             }
                         }
                         Ok(())

@@ -15,6 +15,11 @@
 //! * **per-type batched matmul** (`Gather(g)` of rows → `Gather(g)` of
 //!   weight slices → `PerRowVecMat` → `ScatterAdd`): RGCN's
 //!   relation-specific transform, `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
+//!
+//!   Both products run the register-blocked per-row kernel
+//!   ([`ops::per_row_matmul_add_into`]) straight from the source rows and
+//!   weight slices to the destination rows, edge by edge in task order: no
+//!   gathered rows, no product buffer, and no grouping of edges by type.
 //! * **weighted segment-reduce** (`Gather(g)` of an edge value →
 //!   `Squeeze` → `Gather(g)` → `ScaleRows` → `ScatterAdd`): GAT's
 //!   attention-weighted aggregation, `out[dst[i]] += h[src[i]] * α[eid[i]]`.
@@ -42,17 +47,18 @@
 //! preserve the per-element floating-point sequence:
 //!
 //! * intermediate buffers are skipped, never reordered: a gather-then-add
-//!   is the same additions as an add-from-source; a matmul into a zeroed
-//!   row buffer followed by a row add is the same sequence as the
-//!   interpreter's matmul-into-buffer-then-scatter;
-//! * loops are unrolled across **independent output columns** in
-//!   [`LANES`]-wide chunks (separate accumulators, no re-association);
-//! * blocking (edge blocks, weight column panels) only regroups iterations
-//!   — for every output element, contributions still arrive in ascending
-//!   `k` order within ascending edge order;
+//!   is the same additions as an add-from-source; an edge's product summed
+//!   from `+0.0` in registers and then added to its destination row is the
+//!   same sequence as the interpreter's product-into-a-zeroed-buffer-then-
+//!   scatter;
+//! * loops are unrolled across **independent output columns** (separate
+//!   accumulators, no re-association): [`LANES`]-wide chunks for row adds,
+//!   register tiles for the products — for every output element,
+//!   contributions still arrive in ascending `k` order within ascending
+//!   edge order;
 //! * the interpreter's `x == 0.0` skip in `matmul_into`/`PerRowVecMat` is
-//!   replicated exactly (skipping `acc += 0.0 * w` does change bits for
-//!   NaN/-0.0 inputs, so the skip itself is part of the contract);
+//!   kept exactly (skipping `acc += 0.0 * w` does change bits for inf/NaN
+//!   weights, so the skip itself is part of the contract);
 //! * a product the interpreter rounds before adding (`ScaleRows` then
 //!   `ScatterAdd`) is rounded before adding here too: `o += x * a`, with
 //!   no fused multiply-add.
@@ -64,7 +70,7 @@
 //! found at its position.
 
 use std::ops::Range;
-use wisegraph_tensor::Tensor;
+use wisegraph_tensor::{ops, Tensor};
 
 use crate::micro::{
     reg_stream, set_reg, summarize, AccessSummary, EwOp, Globals, KernelProgram,
@@ -76,14 +82,6 @@ use wisegraph_dfg::op::LEAKY_SLOPE;
 /// map one unrolled group to a 128-bit SIMD lane; correctness never
 /// depends on it (remainders run scalar).
 pub const LANES: usize = 4;
-
-/// Edges processed per block: keeps the index-stream slices and (for the
-/// per-type pattern) the current weight slice hot while streaming rows.
-const EDGE_BLOCK: usize = 128;
-
-/// Column-panel width for the edge-batch matmul: the shared weight is
-/// walked in panels so a panel of `w` stays in L1 across the `k` loop.
-const COL_BLOCK: usize = 64;
 
 /// The recognized fusion patterns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -470,23 +468,6 @@ fn add_row(acc: &mut [f32], row: &[f32]) {
     }
 }
 
-/// `acc[j] += a * row[j]`, unrolled like [`add_row`]. Callers replicate
-/// the interpreter's `a == 0.0` skip *before* calling.
-#[inline]
-fn axpy(acc: &mut [f32], a: f32, row: &[f32]) {
-    let mut o4 = acc.chunks_exact_mut(LANES);
-    let mut r4 = row.chunks_exact(LANES);
-    for (o, r) in (&mut o4).zip(&mut r4) {
-        o[0] += a * r[0];
-        o[1] += a * r[1];
-        o[2] += a * r[2];
-        o[3] += a * r[3];
-    }
-    for (o, &r) in o4.into_remainder().iter_mut().zip(r4.remainder()) {
-        *o += a * r;
-    }
-}
-
 /// Executes one fused kernel against the task's streams, accumulating into
 /// `out` with the interpreter's exact Work accounting: the step
 /// [`crate::micro::run_task`] takes for every `Segment::Fused`.
@@ -506,10 +487,8 @@ pub(crate) fn run_fused(
             let si = reg_stream(regs, *src_idx);
             let di = reg_stream(regs, *dst_idx);
             let len = si.len();
-            for (sb, db) in si.chunks(EDGE_BLOCK).zip(di.chunks(EDGE_BLOCK)) {
-                for (&s, &d) in sb.iter().zip(db) {
-                    add_row(out.row_mut(d as usize), srct.row(s as usize));
-                }
+            for (&s, &d) in si.iter().zip(di) {
+                add_row(out.row_mut(d as usize), srct.row(s as usize));
             }
             // Same Work totals as Gather + ScatterAdd.
             work.bytes_gathered += (4 * len * n) as u64;
@@ -531,30 +510,9 @@ pub(crate) fn run_fused(
             let si = reg_stream(regs, *src_idx);
             let di = reg_stream(regs, *dst_idx);
             let len = si.len();
-            let mut rowbuf = ws.take(n);
-            for (sb, db) in si.chunks(EDGE_BLOCK).zip(di.chunks(EDGE_BLOCK)) {
-                for (&s, &d) in sb.iter().zip(db) {
-                    rowbuf.fill(0.0);
-                    let hrow = h.row(s as usize);
-                    let mut col = 0;
-                    while col < n {
-                        let cb = (n - col).min(COL_BLOCK);
-                        for (k, &av) in hrow.iter().enumerate() {
-                            if av == 0.0 {
-                                continue;
-                            }
-                            axpy(
-                                &mut rowbuf[col..col + cb],
-                                av,
-                                &wt.data()[k * n + col..k * n + col + cb],
-                            );
-                        }
-                        col += cb;
-                    }
-                    add_row(out.row_mut(d as usize), &rowbuf);
-                }
-            }
-            ws.give(rowbuf);
+            // Every edge's row reads the one shared weight.
+            let rows = si.iter().zip(di).map(|(&s, &d)| (h.row(s as usize), wt.data(), d as usize));
+            ops::per_row_matmul_add_into(rows, [f, n], out.data_mut());
             // Same Work totals as Gather + MatMat + ScatterAdd.
             work.bytes_gathered += (4 * len * f) as u64;
             work.flops += (2 * len * f * n) as u64 + (len * n) as u64;
@@ -578,26 +536,13 @@ pub(crate) fn run_fused(
             let ti = reg_stream(regs, *ty_idx);
             let di = reg_stream(regs, *dst_idx);
             let len = si.len();
-            let mut rowbuf = ws.take(fo);
-            for ((sb, tb), db) in si
-                .chunks(EDGE_BLOCK)
-                .zip(ti.chunks(EDGE_BLOCK))
-                .zip(di.chunks(EDGE_BLOCK))
-            {
-                for ((&s, &t), &d) in sb.iter().zip(tb).zip(db) {
-                    rowbuf.fill(0.0);
-                    let hrow = ht.row(s as usize);
-                    let wsl = &wt.data()[t as usize * slice..(t as usize + 1) * slice];
-                    for (k, &av) in hrow.iter().enumerate() {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        axpy(&mut rowbuf, av, &wsl[k * fo..(k + 1) * fo]);
-                    }
-                    add_row(out.row_mut(d as usize), &rowbuf);
-                }
-            }
-            ws.give(rowbuf);
+            // Each edge's row against its type's slice, added to its
+            // destination row in task order.
+            let rows = si.iter().zip(ti).zip(di).map(|((&s, &t), &d)| {
+                let t = t as usize;
+                (ht.row(s as usize), &wt.data()[t * slice..(t + 1) * slice], d as usize)
+            });
+            ops::per_row_matmul_add_into(rows, [f, fo], out.data_mut());
             // Same Work totals as Gather + Gather + PerRowVecMat
             // + ScatterAdd (PerRowVecMat FLOPs are nominal: the zero-skip
             // is an execution shortcut, not less work in the model).

@@ -1175,19 +1175,10 @@ pub(crate) fn exec_op(
             let (n, f) = (xv.dims()[0], xv.dims()[1]);
             let fo = wv.dims()[2];
             let mut data = ws.take(n * fo);
-            for i in 0..n {
-                for k in 0..f {
-                    let x_ik = xv.data()[i * f + k];
-                    if x_ik == 0.0 {
-                        continue;
-                    }
-                    let wrow = &wv.data()[(i * f + k) * fo..(i * f + k + 1) * fo];
-                    for (o, &w_kj) in data[i * fo..(i + 1) * fo].iter_mut().zip(wrow) {
-                        *o += x_ik * w_kj;
-                    }
-                }
-            }
-            // Nominal FLOPs (the zero-skip above is an execution
+            let (x, w) = (xv.data(), wv.data());
+            let rows = (0..n).map(|i| (&x[i * f..(i + 1) * f], &w[i * f * fo..(i + 1) * f * fo], i));
+            ops::per_row_matmul_add_into(rows, [f, fo], &mut data);
+            // Nominal FLOPs (the kernel's zero-skip is an execution
             // shortcut, not less work in the model).
             work.flops += (2 * n * f * fo) as u64;
             (*out, RegValue::Tensor(Tensor::from_vec(data, &[n, fo])))

@@ -47,12 +47,6 @@ impl Fabric {
         }
         self.latency + bytes * (d - 1.0) / d / self.link_bw
     }
-
-    /// All-gather of shards of total size `bytes`.
-    pub fn all_gather(&self, bytes: f64) -> f64 {
-        // Symmetric to reduce-scatter.
-        self.reduce_scatter(bytes)
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   long-tail effects from imbalanced gTasks and the benefit of
 //!   differentiated priorities (Figure 12, Figure 19);
 //! - [`fabric`]: a PCIe-like interconnect with collective cost formulas
-//!   (all-to-all, reduce-scatter, all-gather) for multi-device operation
+//!   (all-to-all, reduce-scatter) for multi-device operation
 //!   placement (Table 2, Figure 20);
 //! - [`volume`]: the Figure-11 placement-candidate payload arithmetic,
 //!   shared between the closed-form cost model and the sharded executor's

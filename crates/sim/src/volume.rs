@@ -31,9 +31,9 @@ pub enum PlacementKind {
     /// dimension (Fig. 11d).
     ComputeThenReduce,
     /// Tensor parallelism: the hidden dimension is split, every device
-    /// runs all edges on its column slice, and the accumulator
-    /// all-gathers (`V × acc_width`). No graph-partition skew by
-    /// construction.
+    /// runs all edges on its column slice, and each device then gathers
+    /// its owned rows of every peer's slice (`V × acc_width / D` sent per
+    /// device). No graph-partition skew by construction.
     TensorParallel,
 }
 
@@ -70,9 +70,11 @@ pub struct PlacementVolumes {
     /// Reduce-scatter payload of [`PlacementKind::ComputeThenReduce`]:
     /// `V × f_out` floats.
     pub output_side: f64,
-    /// All-gather payload of [`PlacementKind::TensorParallel`]:
-    /// `V × acc_width` floats, where `acc_width` is the width of the
-    /// reduction accumulator the column split divides.
+    /// Accumulator of [`PlacementKind::TensorParallel`]: `V × acc_width`
+    /// floats, where `acc_width` is the width of the reduction
+    /// accumulator the column split divides. Each of the `D` devices holds
+    /// a `1/D` column slice of it and sends every peer the rows that peer
+    /// owns: an all-to-all of `gathered_side / D` per device.
     pub gathered_side: f64,
 }
 
@@ -101,7 +103,9 @@ impl PlacementVolumes {
                 fabric.all_to_all(self.projected_side)
             }
             PlacementKind::ComputeThenReduce => fabric.reduce_scatter(self.output_side),
-            PlacementKind::TensorParallel => fabric.all_gather(self.gathered_side),
+            PlacementKind::TensorParallel => {
+                fabric.all_to_all(self.gathered_side / fabric.num_devices as f64)
+            }
         }
     }
 
@@ -158,10 +162,23 @@ mod tests {
         );
         assert_eq!(p, PlacementKind::ProjectThenCommunicate);
         assert!(t < v.comm_time(PlacementKind::DataParallel, &fab));
-        // Narrow input: shipping inputs wins.
+        // Narrow input: shipping inputs wins among the Figure-11 three.
         let v = PlacementVolumes::new(500.0, 600, 8, 1024, 8);
-        let (p, _) = v.best(&PlacementKind::ALL, &fab);
-        assert_eq!(p, PlacementKind::DataParallel);
+        let figure_11 = &PlacementKind::ALL[..3];
+        assert_eq!(v.best(figure_11, &fab).0, PlacementKind::DataParallel);
+    }
+
+    #[test]
+    fn tensor_parallel_is_priced_by_what_each_device_sends() {
+        let fab = Fabric::pcie4_quad();
+        // Each of 4 devices holds a 2-column slice of the 600 × 8
+        // accumulator and sends each of 3 peers its 150 owned rows of it.
+        let v = PlacementVolumes::new(500.0, 600, 8, 1024, 8);
+        let sent = 3.0 * 150.0 * 2.0 * 4.0;
+        let t = v.comm_time(PlacementKind::TensorParallel, &fab);
+        assert!((t - fab.latency - sent / fab.link_bw).abs() < 1e-15);
+        // That is less than the 500-row halo data-parallel ships.
+        assert_eq!(v.best(&PlacementKind::ALL, &fab).0, PlacementKind::TensorParallel);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! The three matrix products share one register-blocked kernel,
 //! [`matmul_strided_into`]'s: `a · b` runs it as is, `aᵀ · b` on transposed
 //! blocks of rows of `a`, and `a · bᵀ` on a transposed copy of `b` with
-//! every term added (it skips no zeros, so `0 · inf` stays NaN).
+//! every term added (it skips no zeros, so `0 · inf` stays NaN). Products
+//! whose rows each have their own matrix (RGCN's per-edge-type transform,
+//! and a shared projection applied edge by edge) run the other
+//! register-blocked kernel, [`per_row_matmul_add_into`], which adds each
+//! row's product to an output row of the caller's choosing.
 //!
 //! The tape's three products — `Tape::matmul`'s `a · W` and its gradients
 //! [`matmul_a_bt_into`] and [`matmul_at_b_into`] — split their output rows
@@ -40,6 +44,11 @@ use std::sync::OnceLock;
 /// registers, half of what the baseline x86-64 target has.
 const TILE_ROWS: usize = 2;
 const TILE_COLS: usize = 16;
+
+/// Columns of one row that [`per_row_matmul_add_into`] keeps in registers
+/// across the `k` loop: the eight 128-bit SIMD registers a
+/// `TILE_ROWS × TILE_COLS` tile fills.
+const ROW_TILE: usize = 32;
 
 /// Rows of `a` and `b` that [`matmul_at_b_into`] transposes and multiplies
 /// at a time: at training widths (≤ 64 columns each) a block's transpose
@@ -322,6 +331,94 @@ fn columns<const R: usize, const SKIP: bool>(
         for r in 0..R {
             out[(i + r) * ldo + c] = acc[r];
         }
+    }
+}
+
+/// The kernel behind every product whose rows each have their own matrix
+/// (RGCN's `h[src] @ W[type]`): for each `(x, w, o)` of `rows`, with `x` a
+/// row of `k` floats and `w` its own row-major `[k, n]` matrix, adds the
+/// product `x @ w` to output row `o`, the `n` floats at `out[o * n..]`.
+/// Rows may share an output row; they are added in the order given.
+///
+/// Register-blocked one row at a time: 32 columns of the row
+/// accumulate in registers over the whole `k` loop, then one tile each of
+/// 16, 8 and 4 columns, then the last columns together. Rows with their
+/// own matrices share no operand, so a tile of two rows (as in
+/// [`matmul_strided_into`]) would only buy the independent add chains a
+/// 32-column tile of one row has, and it would load each `x` once per
+/// 16 columns instead of once per 32. Every product element starts from
+/// `+0.0` and adds `x[p] * w[p, j]` for `p` ascending, skipping
+/// `x[p] == 0.0`, and is then added to its output element: the float
+/// sequence of a k-ascending loop into a zeroed row followed by a row add,
+/// bit for bit. So a gather, per-row product and scatter-add keep their
+/// bits when the product runs here with the scatter's destinations as
+/// output rows.
+///
+/// # Panics
+///
+/// Panics if an `x` is shorter than `k`, a `w` shorter than `k * n`, or an
+/// output row lies past the end of `out`.
+pub fn per_row_matmul_add_into<'a>(
+    rows: impl IntoIterator<Item = (&'a [f32], &'a [f32], usize)>,
+    [k, n]: [usize; 2],
+    out: &mut [f32],
+) {
+    for (x, w, o) in rows {
+        let (x, w, out) = (&x[..k], &w[..k * n], &mut out[o * n..(o + 1) * n]);
+        let mut j = 0;
+        while j + ROW_TILE <= n {
+            row_tile::<ROW_TILE>(x, w, j, out);
+            j += ROW_TILE;
+        }
+        if j + 16 <= n {
+            row_tile::<16>(x, w, j, out);
+            j += 16;
+        }
+        if j + 8 <= n {
+            row_tile::<8>(x, w, j, out);
+            j += 8;
+        }
+        if j + 4 <= n {
+            row_tile::<4>(x, w, j, out);
+            j += 4;
+        }
+        if j < n {
+            row_tail(x, w, j, out);
+        }
+    }
+}
+
+/// Columns `j..j + C` of one row's product (`x @ w`, `w` with `out.len()`
+/// columns), summed in registers over the `k` loop and added to `out`.
+#[inline(always)]
+fn row_tile<const C: usize>(x: &[f32], w: &[f32], j: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; C];
+    for (&av, wrow) in x.iter().zip(w.chunks_exact(out.len())) {
+        let wrow: &[f32; C] = wrow[j..j + C].try_into().expect("a tile-wide row");
+        if av != 0.0 {
+            for c in 0..C {
+                acc[c] += av * wrow[c];
+            }
+        }
+    }
+    for (y, a) in out[j..j + C].iter_mut().zip(acc) {
+        *y += a;
+    }
+}
+
+/// Columns `j..` (fewer than 4) of one row's product, as [`row_tile`].
+fn row_tail(x: &[f32], w: &[f32], j: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; 4];
+    let acc = &mut acc[..out.len() - j];
+    for (&av, wrow) in x.iter().zip(w.chunks_exact(out.len())) {
+        if av != 0.0 {
+            for (a, &b) in acc.iter_mut().zip(&wrow[j..]) {
+                *a += av * b;
+            }
+        }
+    }
+    for (y, a) in out[j..].iter_mut().zip(acc) {
+        *y += *a;
     }
 }
 
@@ -1098,6 +1195,53 @@ mod tests {
             matmul_strided_into(&a, &b, [m, k, n], &mut got, ldo);
             wisegraph_testkit::prop_assert_eq!(
                 nan_class_bits(&got), nan_class_bits(&want), "m {m} n {n} k {k} ldo {ldo}"
+            );
+        }
+    }
+
+    wisegraph_testkit::proptest! {
+        #![proptest_config(wisegraph_testkit::prop::ProptestConfig::with_cases(256))]
+
+        /// The per-row kernel against the naive loop, bit for bit: each
+        /// row's product run into a zeroed row on its own matrix and then
+        /// added to its output row. Widths that run every tile (32, 16, 8
+        /// and 4 columns) and the last columns alone, matrices and output
+        /// rows shared by some rows and not others, and salted operands on
+        /// a salted `out`.
+        fn per_row_matmul_equals_the_naive_loop_per_row(
+            mi in 0usize..6,
+            ni in 0usize..7,
+            ki in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let (m, n, k) = (
+                [0, 1, 2, 3, 7, 8][mi],
+                [1, 3, 15, 16, 17, 40, 64][ni],
+                [0, 1, 64][ki],
+            );
+            let mut rng = wisegraph_testkit::rng::Rng::seed_from_u64(seed);
+            let x = salted(&mut rng, m * k);
+            // Three matrices and three output rows; row `i` reads and
+            // writes one of each.
+            let w = salted(&mut rng, 3 * k * n);
+            let pick: Vec<[usize; 2]> =
+                (0..m).map(|_| [rng.below(3) as usize, rng.below(3) as usize]).collect();
+            let out0 = salted(&mut rng, 3 * n);
+            let (mut want, mut got) = (out0.clone(), out0);
+            for (i, &[wi, oi]) in pick.iter().enumerate() {
+                let mut product = vec![0.0; n];
+                naive_matmul(&x[i * k..(i + 1) * k], &w[wi * k * n..], [1, k, n], &mut product, n);
+                for (y, p) in want[oi * n..(oi + 1) * n].iter_mut().zip(product) {
+                    *y += p;
+                }
+            }
+            let rows = pick
+                .iter()
+                .enumerate()
+                .map(|(i, &[wi, oi])| (&x[i * k..(i + 1) * k], &w[wi * k * n..], oi));
+            per_row_matmul_add_into(rows, [k, n], &mut got);
+            wisegraph_testkit::prop_assert_eq!(
+                nan_class_bits(&got), nan_class_bits(&want), "m {m} n {n} k {k}"
             );
         }
     }

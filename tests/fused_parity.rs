@@ -15,17 +15,19 @@
 
 use std::collections::HashMap;
 use wisegraph::dfg::analysis::indexing_attrs;
+use wisegraph::dfg::interp;
 use wisegraph::dfg::{transform, Binding, Dfg, Dim};
 use wisegraph::graph::generate::{rmat, RmatParams};
 use wisegraph::graph::{AttrKind, Graph};
 use wisegraph::gtask::restriction::enumerate_tables;
-use wisegraph::gtask::{partition, PartitionTable};
+use wisegraph::gtask::{partition, PartitionPlan, PartitionTable};
 use wisegraph::kernels::engine::{Engine, ExecMode};
 use wisegraph::kernels::fused::{plan_fusion, FusedPattern};
 use wisegraph::kernels::micro::{compile, MicroKernel, Src};
 use wisegraph::models::ModelKind;
 use wisegraph::obs::{counters_to_json, keys, Class};
 use wisegraph::tensor::{init, Tensor};
+use wisegraph_testkit::rng::Rng;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const BATCH_SIZES: [u64; 2] = [4, 32];
@@ -60,32 +62,40 @@ fn globals_for(g: &Graph, fi: usize, fo: usize) -> HashMap<String, Tensor> {
     m
 }
 
-/// Runs `dfg` under both engines at `threads` and asserts byte-equal
+/// Bits with every NaN as one class: which NaN an add of two NaNs returns
+/// is unspecified, and the optimizer may swap an add's operands.
+fn nan_class_bits(t: &Tensor) -> Vec<u32> {
+    t.data()
+        .iter()
+        .map(|f| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() })
+        .collect()
+}
+
+/// Runs `dfg` under both engines at `threads` and asserts bit-identical
 /// outputs plus identical `Class::Work` counters. Returns the fused
 /// engine's outputs for further checks.
 fn assert_modes_match(
     dfg: &Dfg,
     g: &Graph,
-    table: &PartitionTable,
+    plan: &PartitionPlan,
     globals: &HashMap<String, Tensor>,
     threads: usize,
     ctx: &str,
 ) -> Vec<Tensor> {
-    let plan = partition(g, table);
     let ie = Engine::with_mode(threads, ExecMode::Interpret);
     let fe = Engine::with_mode(threads, ExecMode::Fused);
     let a = ie
-        .execute(dfg, g, &plan, globals)
+        .execute(dfg, g, plan, globals)
         .unwrap_or_else(|e| panic!("{ctx}: interpreter path: {e}"));
     let b = fe
-        .execute(dfg, g, &plan, globals)
+        .execute(dfg, g, plan, globals)
         .unwrap_or_else(|e| panic!("{ctx}: fused path: {e}"));
     assert_eq!(a.len(), b.len(), "{ctx}");
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.dims(), y.dims(), "{ctx}");
         assert_eq!(
-            x.data(),
-            y.data(),
+            nan_class_bits(x),
+            nan_class_bits(y),
             "{ctx}: fused output not bit-identical at {threads} threads"
         );
     }
@@ -107,6 +117,86 @@ fn shipped_dfgs(kind: ModelKind, g: &Graph, fi: usize, fo: usize) -> Vec<Dfg> {
         }
     }
     dfgs
+}
+
+/// Widths of the per-row product cases, each at a one-column and a
+/// 64-column input: one 16- or 32-column register tile, a 32-column tile
+/// and the last three columns, and a 32- and an 8-column tile.
+const WIDE_SHAPES: [(usize, usize); 8] =
+    [(1, 16), (1, 32), (1, 35), (1, 40), (64, 16), (64, 32), (64, 35), (64, 40)];
+
+/// `t` salted from `seed`: about one element in `nonfinite` is NaN or
+/// ±inf, and of the rest one in four is ±0.0 or a subnormal. Sparse
+/// non-finite values leave most sums finite, so a zero-skip dropped
+/// against an inf weight shows as a NaN where the sum is finite or inf.
+fn salted(t: &Tensor, seed: u64, nonfinite: u64) -> Tensor {
+    let mut rng = Rng::seed_from_u64(seed);
+    let data = (t.data().iter())
+        .map(|&x| {
+            if rng.below(nonfinite) == 0 {
+                return [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3) as usize];
+            }
+            match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => [f32::from_bits(1), -f32::MIN_POSITIVE / 3.0][rng.below(2) as usize],
+                _ => x,
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, t.dims())
+}
+
+/// A plan of ascending runs of edge ids, of 1, 2, 3, 5 and 7 edges in
+/// turn: a one-edge task and odd edge counts, and at one thread the
+/// engine adds every edge in id order, as the DFG interpreter does.
+fn ascending_runs(g: &Graph) -> PartitionPlan {
+    let (mut lists, mut e) = (Vec::new(), 0);
+    for len in [1, 2, 3, 5, 7].into_iter().cycle() {
+        if e == g.num_edges() {
+            break;
+        }
+        let end = (e + len).min(g.num_edges());
+        lists.push(((e..end).collect(), Vec::new()));
+        e = end;
+    }
+    PartitionPlan::from_task_lists(PartitionTable::edge_batch(7), Vec::new(), lists)
+}
+
+/// The per-row product `layer(fi, fo)` fuses to `pattern` at every
+/// [`WIDE_SHAPES`] width, with `h` and every weight salted, on the
+/// [`ascending_runs`] plan and on a vertex-centric one: fused against
+/// interpreted at every thread count, and at one thread against the DFG
+/// interpreter's own loops, the check a fault shared by both engine paths
+/// (the per-row kernel both call) cannot pass.
+fn assert_salted_wide_shapes_match(pattern: FusedPattern, layer: impl Fn(usize, usize) -> Dfg) {
+    let g = rmat(&RmatParams::standard(120, 900, 61).with_edge_types(3));
+    let runs = ascending_runs(&g);
+    let sizes: Vec<usize> = (0..runs.tasks.len()).map(|i| runs.tasks.task(i).edges.len()).collect();
+    assert!(sizes.contains(&1) && sizes.iter().any(|&n| n > 1 && n % 2 == 1));
+    for (fi, fo) in WIDE_SHAPES {
+        let dfg = layer(fi, fo);
+        // `h` gets about one non-finite value per 16 rows, each weight
+        // about one per 512 elements.
+        let globals: HashMap<String, Tensor> = (globals_for(&g, fi, fo).into_iter())
+            .map(|(name, t)| {
+                let seed = name.bytes().map(u64::from).sum();
+                let nonfinite = if name == "h" { 16 * fi as u64 } else { 512 };
+                (name, salted(&t, seed, nonfinite))
+            })
+            .collect();
+        let program = compile(&dfg, &g).unwrap();
+        assert_eq!(plan_fusion(&program).patterns(), vec![pattern]);
+        let ctx = format!("{} at fi {fi}, fo {fo}", pattern.name());
+        let want = interp::execute(&dfg, &g, &globals).unwrap();
+        let got = assert_modes_match(&dfg, &g, &runs, &globals, 1, &ctx);
+        assert_eq!(nan_class_bits(&got[0]), nan_class_bits(&want[0]), "{ctx}: against the DFG interpreter");
+        for plan in [&runs, &partition(&g, &PartitionTable::vertex_centric())] {
+            for threads in THREADS {
+                assert_modes_match(&dfg, &g, plan, &globals, threads, &ctx);
+            }
+        }
+    }
 }
 
 /// The full sweep: every model's layer and compiling rewrites × every
@@ -131,7 +221,7 @@ fn all_models_all_tables_all_threads_are_bit_identical() {
                         "{} dfg {c} × [{table}] × {threads} threads",
                         kind.name()
                     );
-                    assert_modes_match(dfg, &g, &table, &globals, threads, &ctx);
+                    assert_modes_match(dfg, &g, &partition(&g, &table), &globals, threads, &ctx);
                     combos += 1;
                 }
             }
@@ -208,7 +298,7 @@ fn segment_reduce_fused_matches_interpreter() {
         ] {
             for threads in THREADS {
                 let ctx = format!("segment_reduce {} × [{table}]", kind.name());
-                assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+                assert_modes_match(&dfg, &g, &partition(&g, &table), &globals, threads, &ctx);
             }
         }
     }
@@ -222,16 +312,7 @@ fn segment_reduce_fused_matches_interpreter() {
 #[test]
 fn edge_batch_matmul_fused_matches_interpreter() {
     let (fi, fo) = (6, 5);
-    let mut d = Dfg::new();
-    let h = d.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
-    let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
-    let src = d.edge_attr(AttrKind::SrcId);
-    let dst = d.edge_attr(AttrKind::DstId);
-    let hsrc = d.index(h, src);
-    let proj = d.linear(hsrc, w);
-    let out = d.index_add(proj, dst, Dim::Vertices);
-    d.mark_output(out);
-
+    let d = edge_batch_matmul_layer(fi, fo);
     let g = rmat(&RmatParams::standard(130, 1000, 69));
     let globals = globals_for(&g, fi, fo);
     let program = compile(&d, &g).unwrap();
@@ -247,9 +328,24 @@ fn edge_batch_matmul_fused_matches_interpreter() {
     ] {
         for threads in THREADS {
             let ctx = format!("edge_batch_matmul × [{table}]");
-            assert_modes_match(&d, &g, &table, &globals, threads, &ctx);
+            assert_modes_match(&d, &g, &partition(&g, &table), &globals, threads, &ctx);
         }
     }
+    assert_salted_wide_shapes_match(FusedPattern::EdgeBatchMatmul, edge_batch_matmul_layer);
+}
+
+/// `out[dst] += h[src] @ w`: a gather → project → scatter layer.
+fn edge_batch_matmul_layer(fi: usize, fo: usize) -> Dfg {
+    let mut d = Dfg::new();
+    let h = d.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
+    let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
+    let src = d.edge_attr(AttrKind::SrcId);
+    let dst = d.edge_attr(AttrKind::DstId);
+    let hsrc = d.index(h, src);
+    let proj = d.linear(hsrc, w);
+    let out = d.index_add(proj, dst, Dim::Vertices);
+    d.mark_output(out);
+    d
 }
 
 /// Registered parity test for [`FusedPattern::PerTypeBatchedMatmul`]
@@ -273,9 +369,12 @@ fn per_type_batched_matmul_fused_matches_interpreter() {
     ] {
         for threads in THREADS {
             let ctx = format!("per_type_batched_matmul × [{table}]");
-            assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+            assert_modes_match(&dfg, &g, &partition(&g, &table), &globals, threads, &ctx);
         }
     }
+    assert_salted_wide_shapes_match(FusedPattern::PerTypeBatchedMatmul, |fi, fo| {
+        ModelKind::Rgcn.layer_dfg(fi, fo)
+    });
 }
 
 /// Registered parity test for [`FusedPattern::WeightedSegmentReduce`]
@@ -303,7 +402,7 @@ fn gat_patterns_fused_match_interpreter() {
     ] {
         for threads in THREADS {
             let ctx = format!("gat patterns × [{table}]");
-            assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+            assert_modes_match(&dfg, &g, &partition(&g, &table), &globals, threads, &ctx);
         }
     }
 }
@@ -329,7 +428,7 @@ fn pairwise_scatter_fused_matches_interpreter() {
     ] {
         for threads in THREADS {
             let ctx = format!("pairwise_scatter × [{table}]");
-            assert_modes_match(&dfg, &g, &table, &globals, threads, &ctx);
+            assert_modes_match(&dfg, &g, &partition(&g, &table), &globals, threads, &ctx);
         }
     }
 }
