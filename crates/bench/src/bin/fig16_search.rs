@@ -26,8 +26,7 @@ fn main() {
         ModelKind::SageLstm,
         ModelKind::Gcn,
     ] {
-        let wg = WiseGraph::new(dev);
-        let out = wg.optimize(&g, model, &dims);
+        let out = WiseGraph::new(dev).optimize(&g, model, &dims);
         // DGL reference throughput (per-layer forward, same normalization
         // as the trace points).
         let dgl = Baseline::Dgl.estimate(&g, model, &dims, &dev);
@@ -70,11 +69,10 @@ fn main() {
                 "below the DGL line"
             }
         );
-        let s = wg.stats();
         println!(
-            "Search cost: {} plans evaluated, {} pruned by the cost model, \
-             {} cache hits",
-            s.evaluated, s.pruned, s.cache_hits
+            "Search cost: {} plans evaluated, {} pruned by the cost model",
+            out.trace.evaluated(),
+            out.trace.pruned
         );
     }
 }

@@ -53,13 +53,12 @@ fn main() {
         let t0 = Stopwatch::start();
         let out = wg.optimize(&g, ModelKind::Sage, &dims);
         let joint_cpu = t0.elapsed_seconds();
-        let stats = wg.stats();
 
         // GPU-parallel projection at paper scale: bandwidth-bound
         // sort-and-scan per evaluated plan + per-plan kernel tuning.
         let passes = 4.0;
         let bytes_per_edge = 24.0;
-        let joint_gpu = stats.evaluated as f64
+        let joint_gpu = out.trace.evaluated() as f64
             * (spec.paper_edges as f64 * bytes_per_edge * passes / (0.5 * dev.mem_bw)
                 + 0.05);
 

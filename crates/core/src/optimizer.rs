@@ -1,10 +1,10 @@
-//! The staged plan search (Figure 4e, Figure 16) with pruning and caching
-//! (§6.3).
+//! The staged plan search (Figure 4e, Figure 16) with cost-model pruning
+//! (§6.3). A search is a pure function of the graph, model, dimensions and
+//! device: each plan it keeps is priced once, and stage 2 prices exactly
+//! the DFG rewrite the returned plans carry.
 
 use crate::joint::compare_scheduling;
 use crate::plan::{ExecutionPlan, OpPartitionKind, Patterns};
-use std::collections::HashMap;
-use std::sync::Mutex;
 use wisegraph_baselines::single::{persistent_bytes, LayerDims, TRAIN_FACTOR};
 use wisegraph_dfg::{analysis, transform, Binding};
 use wisegraph_graph::Graph;
@@ -18,7 +18,7 @@ use wisegraph_sim::DeviceSpec;
 pub enum SearchStage {
     /// Trying graph partition tables.
     GraphPartition,
-    /// Trying DFG transformations and kernel groupings.
+    /// Trying kernel groupings of the rewritten DFG.
     OperationPartition,
     /// Differentiated outlier scheduling.
     JointOptimization,
@@ -29,6 +29,8 @@ pub enum SearchStage {
 pub struct SearchTrace {
     /// `(stage, throughput)` per tuning step, in search order.
     pub points: Vec<(SearchStage, f64)>,
+    /// Partition tables the cost model rejected without partitioning them.
+    pub pruned: usize,
 }
 
 impl SearchTrace {
@@ -42,6 +44,14 @@ impl SearchTrace {
                 best
             })
             .collect()
+    }
+
+    /// Plans priced in full: the stage-1 and stage-2 points.
+    pub fn evaluated(&self) -> usize {
+        self.points
+            .iter()
+            .filter(|&&(s, _)| s != SearchStage::JointOptimization)
+            .count()
     }
 }
 
@@ -68,49 +78,12 @@ pub const BATCH_SIZES: [u64; 4] = [32, 64, 128, 256];
 pub struct WiseGraph {
     /// Device model used for pricing plans.
     pub device: DeviceSpec,
-    cache: Mutex<HashMap<String, f64>>,
-    stats: Mutex<SearchStats>,
-}
-
-/// Counters for the tuning-cost analysis (§6.3, Table 3).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SearchStats {
-    /// Plans rejected by the cost model without full evaluation.
-    pub pruned: usize,
-    /// Evaluations answered from the plan cache.
-    pub cache_hits: usize,
-    /// Full plan evaluations performed.
-    pub evaluated: usize,
 }
 
 impl WiseGraph {
     /// Creates an optimizer for a device; plans sweep the `BATCH_SIZES`.
     pub fn new(device: DeviceSpec) -> Self {
-        Self {
-            device,
-            cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(SearchStats::default()),
-        }
-    }
-
-    /// Returns the accumulated search statistics.
-    pub fn stats(&self) -> SearchStats {
-        *self.stats.lock().unwrap()
-    }
-
-    /// The plan's estimated time under `binding`, from the cache when `key`
-    /// was priced before. A key names the graph by its content key, so an
-    /// optimizer reused across graphs never answers with another graph's
-    /// time.
-    fn cached_estimate(&self, key: String, binding: &Binding, plan: &ExecutionPlan) -> f64 {
-        if let Some(&t) = self.cache.lock().unwrap().get(&key) {
-            self.stats.lock().unwrap().cache_hits += 1;
-            return t;
-        }
-        let t = plan.estimate(binding, &self.device).time;
-        self.cache.lock().unwrap().insert(key, t);
-        self.stats.lock().unwrap().evaluated += 1;
-        t
+        Self { device }
     }
 
     /// Cost-model score of a partition table (§6.3): predicted time from
@@ -142,15 +115,14 @@ impl WiseGraph {
     /// Runs the three-stage search and returns the optimized model plus
     /// its trace. The graph's [`Binding`] is built once and one [`Recount`]
     /// counts every partition, so each attribute's column is built once.
-    /// Each table that survives pruning is partitioned and its patterns
-    /// counted once; stage 2's variants and the per-layer plans reuse the
-    /// winner's partition and patterns.
+    /// Each table that survives pruning is partitioned, its patterns
+    /// counted and its plan priced once; stage 2 and the per-layer plans
+    /// reuse the winner's partition and patterns.
     pub fn optimize(&self, g: &Graph, model: ModelKind, dims: &LayerDims) -> OptimizedModel {
         let repr_dfg = model.layer_dfg(dims.hidden, dims.hidden);
         let attrs: Vec<_> = analysis::indexing_attrs(&repr_dfg).into_iter().collect();
         let tables = enumerate_tables(&attrs, &BATCH_SIZES);
         let edges = g.num_edges() as f64;
-        let graph = g.content_key();
         let mut trace = SearchTrace::default();
 
         // Stage 1 — graph partition: original DFG, fused kernels. The cost
@@ -164,61 +136,34 @@ impl WiseGraph {
         for table in tables {
             let score = self.table_score(&table, &base_workload);
             if score > 4.0 * best_score {
-                self.stats.lock().unwrap().pruned += 1;
+                trace.pruned += 1;
                 continue;
             }
             best_score = best_score.min(score);
-            let key = format!(
-                "g|{graph:016x}|{}|{}|{}x{}",
-                table,
-                model.name(),
-                dims.hidden,
-                dims.hidden
-            );
             let part = partition(g, &table);
             let patterns = Patterns::count(&mut recount, &part, &repr_dfg);
             let plan =
                 ExecutionPlan::new(&patterns, part, repr_dfg.clone(), OpPartitionKind::Fused);
-            let t = self.cached_estimate(key, &binding, &plan);
+            let t = plan.estimate(&binding, &self.device).time;
             trace.points.push((SearchStage::GraphPartition, edges / t));
             if best_table.as_ref().is_none_or(|&(_, _, bt)| t < bt) {
                 best_table = Some((plan.partition, patterns, t));
             }
         }
         let (part, patterns, _) = best_table.expect("at least one table survives");
-        let table = &part.table;
 
-        // Stage 2 — operation partition: DFG transformation × grouping.
-        // Variants whose DFG-level workload (computation + memory volume)
-        // is far above the best candidate's are ruled out by the cost
-        // model without pricing (§6.3 pruning).
-        let transformed_dfg = transform::optimize(&repr_dfg, &binding).0;
+        // Stage 2 — operation partition: every kernel grouping of the
+        // rewritten DFG, the one every per-layer plan carries.
+        let dfg = transform::optimize(&repr_dfg, &binding).0;
         let mut best: Option<(ExecutionPlan, f64)> = None;
-        let mut best_stage2_cost = f64::INFINITY;
-        for (transformed, dfg) in [(true, &transformed_dfg), (false, &repr_dfg)] {
-            let cost = transform::transform_cost(&analysis::workload(dfg, &binding));
-            for op in OpPartitionKind::ALL {
-                if cost > 10.0 * best_stage2_cost {
-                    self.stats.lock().unwrap().pruned += 1;
-                    continue;
-                }
-                best_stage2_cost = best_stage2_cost.min(cost);
-                let key = format!(
-                    "o|{graph:016x}|{}|{}|{}|{:?}|{}",
-                    table,
-                    model.name(),
-                    transformed,
-                    op,
-                    dims.hidden
-                );
-                let plan = ExecutionPlan::new(&patterns, part.clone(), dfg.clone(), op);
-                let t = self.cached_estimate(key, &binding, &plan);
-                trace
-                    .points
-                    .push((SearchStage::OperationPartition, edges / t));
-                if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                    best = Some((plan, t));
-                }
+        for op in OpPartitionKind::ALL {
+            let plan = ExecutionPlan::new(&patterns, part.clone(), dfg.clone(), op);
+            let t = plan.estimate(&binding, &self.device).time;
+            trace
+                .points
+                .push((SearchStage::OperationPartition, edges / t));
+            if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+                best = Some((plan, t));
             }
         }
         let (best_plan, best_time) = best.expect("operation partition produced a plan");
@@ -310,46 +255,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cache_hits_on_repeated_optimization() {
-        let spec = DatasetKind::Arxiv.spec();
-        let g = spec.build();
-        let wg = WiseGraph::new(DeviceSpec::a100_pcie());
-        let dims = LayerDims::paper_single(spec.feature_dim, spec.num_classes);
-        let _ = wg.optimize(&g, ModelKind::Gcn, &dims);
-        let evaluated_first = wg.stats().evaluated;
-        let _ = wg.optimize(&g, ModelKind::Gcn, &dims);
-        let s = wg.stats();
-        assert!(s.cache_hits > 0, "second run should hit the cache");
-        assert_eq!(
-            s.evaluated, evaluated_first,
-            "second run should evaluate nothing new"
-        );
-    }
-
     fn small_graph(seed: u64) -> Graph {
         rmat(&RmatParams::standard(800, 9000, seed).with_edge_types(3))
     }
 
+    /// A search keeps nothing between calls: an optimizer that searched
+    /// another graph first returns the bits a fresh one does.
     #[test]
-    fn the_cache_tells_graphs_apart() {
+    fn a_reused_optimizer_matches_a_fresh_one() {
         let dims = LayerDims::paper_single(32, 8);
         let g = small_graph(77);
         let wg = WiseGraph::new(DeviceSpec::a100_pcie());
         let _ = wg.optimize(&small_graph(78), ModelKind::Rgcn, &dims);
-        let first = wg.stats();
         let reused = wg.optimize(&g, ModelKind::Rgcn, &dims);
-        let second = wg.stats();
-        let fresh_wg = WiseGraph::new(DeviceSpec::a100_pcie());
-        let fresh = fresh_wg.optimize(&g, ModelKind::Rgcn, &dims);
-        assert_eq!(
-            second.cache_hits, first.cache_hits,
-            "another graph's times answered"
-        );
-        assert_eq!(
-            second.evaluated - first.evaluated,
-            fresh_wg.stats().evaluated
-        );
+        let fresh = WiseGraph::new(DeviceSpec::a100_pcie()).optimize(&g, ModelKind::Rgcn, &dims);
+        assert_eq!(reused.trace.pruned, fresh.trace.pruned);
         assert_eq!(
             reused.time_per_iter.to_bits(),
             fresh.time_per_iter.to_bits()
@@ -358,6 +278,31 @@ mod tests {
         let bits =
             |t: &SearchTrace| -> Vec<u64> { t.points.iter().map(|&(_, p)| p.to_bits()).collect() };
         assert_eq!(bits(&reused.trace), bits(&fresh.trace));
+    }
+
+    /// Stage 2 prices each kernel grouping of one DFG, the rewrite every
+    /// returned per-layer plan carries.
+    #[test]
+    fn stage_two_prices_the_rewrite_the_plans_carry() {
+        let g = small_graph(5);
+        let binding = Binding::from_graph(&g);
+        let dims = LayerDims::paper_single(32, 8);
+        for model in ModelKind::ALL {
+            let out = WiseGraph::new(DeviceSpec::a100_pcie()).optimize(&g, model, &dims);
+            let stage2 = out
+                .trace
+                .points
+                .iter()
+                .filter(|&&(s, _)| s == SearchStage::OperationPartition)
+                .count();
+            assert_eq!(stage2, OpPartitionKind::ALL.len(), "{}", model.name());
+            assert_eq!(out.per_layer.len(), dims.layers);
+            for (l, plan) in out.per_layer.iter().enumerate() {
+                let (fi, fo) = dims.layer_io(l);
+                let want = transform::optimize(&model.layer_dfg(fi, fo), &binding).0;
+                assert!(plan.dfg == want, "{} layer {l}", model.name());
+            }
+        }
     }
 
     /// One search partitions and counts each surviving table once (stage 2
@@ -394,13 +339,15 @@ mod tests {
         }
     }
 
+    /// Stage 1 prunes a table by its score before partitioning it: on AR
+    /// one of GCN's tables scores above 4× the best seen before it.
     #[test]
     fn pruning_rejects_some_plans() {
         let spec = DatasetKind::Arxiv.spec();
         let g = spec.build();
         let wg = WiseGraph::new(DeviceSpec::a100_pcie());
         let dims = LayerDims::paper_single(spec.feature_dim, spec.num_classes);
-        let _ = wg.optimize(&g, ModelKind::Rgcn, &dims);
-        assert!(wg.stats().pruned > 0, "{:?}", wg.stats());
+        let trace = wg.optimize(&g, ModelKind::Gcn, &dims).trace;
+        assert!(trace.pruned > 0, "{trace:?}");
     }
 }

@@ -217,7 +217,7 @@ pub fn swap_indexing_fixpoint(dfg: &Dfg) -> Dfg {
 /// workload components the transformations trade against each other. (The
 /// full device-aware cost lives in `wisegraph-sim`; this ranking only needs
 /// monotonicity in both.)
-pub fn transform_cost(w: &Workload) -> f64 {
+fn transform_cost(w: &Workload) -> f64 {
     w.flops() + w.bytes()
 }
 

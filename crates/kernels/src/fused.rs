@@ -3,20 +3,18 @@
 //!
 //! The interpreter in [`crate::micro`] executes one instruction at a time,
 //! materializing every intermediate register in pool buffers. For the
-//! six patterns that dominate GNN layers, that materialization is pure
+//! five patterns that dominate GNN layers, that materialization is pure
 //! overhead — each edge's gathered row is consumed exactly once by the
 //! next instruction. Below, `Gather(g)` is a `Gather` whose source is a
 //! global; a `Gather2D` reads a register or a global:
 //!
 //! * **segment-reduce** (`Gather(g)` → `ScatterAdd`): GCN/SAGE
 //!   aggregation, `out[dst[i]] += h[src[i]]`.
-//! * **edge-batch matmul** (`Gather(g)` → `MatMat` → `ScatterAdd`):
-//!   a shared projection applied per edge, `out[dst[i]] += h[src[i]] @ w`.
 //! * **per-type batched matmul** (`Gather(g)` of rows → `Gather(g)` of
 //!   weight slices → `PerRowVecMat` → `ScatterAdd`): RGCN's
 //!   relation-specific transform, `out[dst[i]] += h[src[i]] @ W[ty[i]]`.
 //!
-//!   Both products run the register-blocked per-row kernel
+//!   The product runs the register-blocked per-row kernel
 //!   ([`ops::per_row_matmul_add_into`]) straight from the source rows and
 //!   weight slices to the destination rows, edge by edge in task order: no
 //!   gathered rows, no product buffer, and no grouping of edges by type.
@@ -88,8 +86,6 @@ pub const LANES: usize = 4;
 pub enum FusedPattern {
     /// `Gather(g)` → `ScatterAdd`.
     SegmentReduce,
-    /// `Gather(g)` → `MatMat` → `ScatterAdd`.
-    EdgeBatchMatmul,
     /// `Gather(g)` → `Gather(g)` → `PerRowVecMat` → `ScatterAdd`.
     PerTypeBatchedMatmul,
     /// `Gather(g)` (edge value) → `Squeeze` → `Gather(g)` → `ScaleRows`
@@ -103,9 +99,8 @@ pub enum FusedPattern {
 
 impl FusedPattern {
     /// Every pattern the matcher can emit.
-    pub const ALL: [FusedPattern; 6] = [
+    pub const ALL: [FusedPattern; 5] = [
         FusedPattern::SegmentReduce,
-        FusedPattern::EdgeBatchMatmul,
         FusedPattern::PerTypeBatchedMatmul,
         FusedPattern::WeightedSegmentReduce,
         FusedPattern::PairwiseScatter,
@@ -116,7 +111,6 @@ impl FusedPattern {
     pub fn name(self) -> &'static str {
         match self {
             FusedPattern::SegmentReduce => "segment_reduce",
-            FusedPattern::EdgeBatchMatmul => "edge_batch_matmul",
             FusedPattern::PerTypeBatchedMatmul => "per_type_batched_matmul",
             FusedPattern::WeightedSegmentReduce => "weighted_segment_reduce",
             FusedPattern::PairwiseScatter => "pairwise_scatter",
@@ -128,7 +122,6 @@ impl FusedPattern {
     pub fn window(self) -> usize {
         match self {
             FusedPattern::SegmentReduce | FusedPattern::PairwiseScatter => 2,
-            FusedPattern::EdgeBatchMatmul => 3,
             FusedPattern::PerTypeBatchedMatmul => 4,
             FusedPattern::WeightedSegmentReduce | FusedPattern::EdgeScore => 5,
         }
@@ -145,17 +138,6 @@ pub enum FusedOp {
         src: String,
         /// Source-row stream register.
         src_idx: Reg,
-        /// Destination-row stream register.
-        dst_idx: Reg,
-    },
-    /// `out[dst[i]] += src[src_idx[i]] @ w`.
-    EdgeBatchMatmul {
-        /// Gathered global tensor name.
-        src: String,
-        /// Source-row stream register.
-        src_idx: Reg,
-        /// Shared `[f, f']` weight name.
-        w: String,
         /// Destination-row stream register.
         dst_idx: Reg,
     },
@@ -367,24 +349,6 @@ fn match_at(ops: &[MicroKernel], u: &AccessSummary, pc: usize) -> Option<FusedKe
             }
         }
     }
-    if pc + 3 <= ops.len() {
-        if let [MicroKernel::Gather { src: Src::Global(src), idx: si, out: g1 }, MicroKernel::MatMat { x, w, out: m }, MicroKernel::ScatterAdd { data, idx: di }] =
-            &ops[pc..pc + 3]
-        {
-            if x == g1 && data == m && confined(&[*g1, *m], 3) {
-                return Some(FusedKernel {
-                    pattern: FusedPattern::EdgeBatchMatmul,
-                    pcs: pc..pc + 3,
-                    op: FusedOp::EdgeBatchMatmul {
-                        src: src.clone(),
-                        src_idx: *si,
-                        w: w.clone(),
-                        dst_idx: *di,
-                    },
-                });
-            }
-        }
-    }
     if pc + 2 <= ops.len() {
         if let [MicroKernel::Gather { src: Src::Global(src), idx: si, out: g1 }, MicroKernel::ScatterAdd { data, idx: di }] =
             &ops[pc..pc + 2]
@@ -493,29 +457,6 @@ pub(crate) fn run_fused(
             // Same Work totals as Gather + ScatterAdd.
             work.bytes_gathered += (4 * len * n) as u64;
             work.flops += (len * n) as u64;
-            work.bytes_scattered += (4 * len * n) as u64;
-        }
-        FusedOp::EdgeBatchMatmul {
-            src,
-            src_idx,
-            w,
-            dst_idx,
-        } => {
-            let h = &globals[src.as_str()];
-            let wt = &globals[w.as_str()];
-            let f = h.dims()[1];
-            let n = wt.dims()[1];
-            assert_eq!(f, wt.dims()[0], "edge-batch matmul inner-dim mismatch");
-            assert_eq!(n, program.out_width, "edge-batch matmul width mismatch");
-            let si = reg_stream(regs, *src_idx);
-            let di = reg_stream(regs, *dst_idx);
-            let len = si.len();
-            // Every edge's row reads the one shared weight.
-            let rows = si.iter().zip(di).map(|(&s, &d)| (h.row(s as usize), wt.data(), d as usize));
-            ops::per_row_matmul_add_into(rows, [f, n], out.data_mut());
-            // Same Work totals as Gather + MatMat + ScatterAdd.
-            work.bytes_gathered += (4 * len * f) as u64;
-            work.flops += (2 * len * f * n) as u64 + (len * n) as u64;
             work.bytes_scattered += (4 * len * n) as u64;
         }
         FusedOp::PerTypeBatchedMatmul {

@@ -16,9 +16,8 @@
 //! [`matmul_strided_into`]'s: `a · b` runs it as is, `aᵀ · b` on transposed
 //! blocks of rows of `a`, and `a · bᵀ` on a transposed copy of `b` with
 //! every term added (it skips no zeros, so `0 · inf` stays NaN). Products
-//! whose rows each have their own matrix (RGCN's per-edge-type transform,
-//! and a shared projection applied edge by edge) run the other
-//! register-blocked kernel, [`per_row_matmul_add_into`], which adds each
+//! whose rows each have their own matrix (RGCN's per-edge-type transform)
+//! run the other register-blocked kernel, [`per_row_matmul_add_into`], which adds each
 //! row's product to an output row of the caller's choosing.
 //!
 //! The tape's three products — `Tape::matmul`'s `a · W` and its gradients

@@ -64,9 +64,9 @@ fn main() {
         optimized.time_per_iter * 1e3
     );
 
-    let s = wisegraph.stats();
     println!(
         "\nsearch: {} plans evaluated, {} pruned by the cost model",
-        s.evaluated, s.pruned
+        optimized.trace.evaluated(),
+        optimized.trace.pruned
     );
 }

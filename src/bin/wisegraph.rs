@@ -7,7 +7,9 @@
 //! wisegraph datasets
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use wisegraph::baselines::{Baseline, LayerDims};
 use wisegraph::core::WiseGraph;
 use wisegraph::graph::generate::{rmat, RmatParams};
@@ -32,57 +34,68 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of numeric flag `name`, or `default` when it is absent. A
+/// flag without a value, a value that does not parse and one below `min`
+/// are errors.
+fn flag_num<T: FromStr + PartialOrd + Display>(
+    args: &[String],
+    name: &str,
+    default: T,
+    min: T,
+) -> Result<T, String> {
+    if !args.iter().any(|a| a == name) {
+        return Ok(default);
+    }
+    let v = flag(args, name).ok_or_else(|| format!("{name} needs a value"))?;
+    match v.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("{name} must be an integer >= {min}, got '{v}'")),
+    }
 }
 
-fn load_graph(path: &str) -> Result<Graph, ExitCode> {
-    io::load(path).map_err(|e| {
-        eprintln!("error: cannot load graph from {path}: {e}");
-        ExitCode::FAILURE
-    })
+fn load_graph(path: &str) -> Result<Graph, String> {
+    io::load(path).map_err(|e| format!("cannot load graph from {path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(command) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
     match command.as_str() {
         "generate" => {
-            let v = flag_num(&args, "--vertices", 10_000usize);
-            let e = flag_num(&args, "--edges", 100_000usize);
-            let t = flag_num(&args, "--types", 1usize);
-            let seed = flag_num(&args, "--seed", 42u64);
-            let Some(out) = flag(&args, "--out") else {
+            let v = flag_num(args, "--vertices", 10_000usize, 1)?;
+            let e = flag_num(args, "--edges", 100_000usize, 1)?;
+            let t = flag_num(args, "--types", 1usize, 1)?;
+            let seed = flag_num(args, "--seed", 42u64, 0)?;
+            let Some(out) = flag(args, "--out") else {
                 eprintln!("error: --out PATH is required");
-                return usage();
+                return Ok(usage());
             };
             let g = rmat(&RmatParams::standard(v, e, seed).with_edge_types(t));
-            if let Err(err) = io::save(&g, &out) {
-                eprintln!("error: cannot write {out}: {err}");
-                return ExitCode::FAILURE;
-            }
+            io::save(&g, &out).map_err(|err| format!("cannot write {out}: {err}"))?;
             println!(
                 "wrote {out}: {} vertices, {} edges, {} types",
                 g.num_vertices(),
                 g.num_edges(),
                 g.num_edge_types()
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "partition" => {
             let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
+                return Ok(usage());
             };
-            let g = match load_graph(path) {
-                Ok(g) => g,
-                Err(c) => return c,
-            };
-            let k = flag_num(&args, "--k", 64u64);
-            let table = match flag(&args, "--table").as_deref().unwrap_or("vertex") {
+            let g = load_graph(path)?;
+            let k = flag_num(args, "--k", 64u64, 1)?;
+            let table = match flag(args, "--table").as_deref().unwrap_or("vertex") {
                 "vertex" => PartitionTable::vertex_centric(),
                 "edge" => PartitionTable::edge_centric(),
                 "2d" => PartitionTable::two_d(k),
@@ -91,7 +104,7 @@ fn main() -> ExitCode {
                 "edge-batch" => PartitionTable::edge_batch(k),
                 other => {
                     eprintln!("error: unknown table '{other}'");
-                    return usage();
+                    return Ok(usage());
                 }
             };
             let plan = partition(&g, &table);
@@ -99,17 +112,14 @@ fn main() -> ExitCode {
             println!("gTasks:       {}", plan.num_tasks());
             println!("median edges: {}", plan.median_task_edges());
             println!("max edges:    {}", plan.max_task_edges());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "optimize" => {
             let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
+                return Ok(usage());
             };
-            let g = match load_graph(path) {
-                Ok(g) => g,
-                Err(c) => return c,
-            };
-            let model = match flag(&args, "--model").as_deref().unwrap_or("gcn") {
+            let g = load_graph(path)?;
+            let model = match flag(args, "--model").as_deref().unwrap_or("gcn") {
                 "gcn" => ModelKind::Gcn,
                 "sage" => ModelKind::Sage,
                 "sage-lstm" => ModelKind::SageLstm,
@@ -117,18 +127,17 @@ fn main() -> ExitCode {
                 "rgcn" => ModelKind::Rgcn,
                 other => {
                     eprintln!("error: unknown model '{other}'");
-                    return usage();
+                    return Ok(usage());
                 }
             };
             let dims = LayerDims {
-                f_in: flag_num(&args, "--features", 128usize),
-                hidden: flag_num(&args, "--hidden", 256usize),
-                classes: flag_num(&args, "--classes", 40usize),
-                layers: flag_num(&args, "--layers", 3usize),
+                f_in: flag_num(args, "--features", 128usize, 1)?,
+                hidden: flag_num(args, "--hidden", 256usize, 1)?,
+                classes: flag_num(args, "--classes", 40usize, 1)?,
+                layers: flag_num(args, "--layers", 3usize, 1)?,
             };
             let device = DeviceSpec::a100_pcie();
-            let wg = WiseGraph::new(device);
-            let out = wg.optimize(&g, model, &dims);
+            let out = WiseGraph::new(device).optimize(&g, model, &dims);
             println!("model:        {}", model.name());
             println!("graph plan:   {}", out.per_layer[0].partition.table);
             println!("op partition: {:?}", out.per_layer[0].op_partition);
@@ -151,12 +160,12 @@ fn main() -> ExitCode {
                     if est.oom { "  [OOM]" } else { "" }
                 );
             }
-            let s = wg.stats();
             println!(
-                "search:       {} evaluated, {} pruned, {} cache hits",
-                s.evaluated, s.pruned, s.cache_hits
+                "search:       {} evaluated, {} pruned",
+                out.trace.evaluated(),
+                out.trace.pruned
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "datasets" => {
             println!(
@@ -175,8 +184,8 @@ fn main() -> ExitCode {
                     s.feature_dim
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }

@@ -473,20 +473,6 @@ fn k006_missing_parity_harness() {
     for pattern in FusedPattern::ALL {
         let dfg = match pattern {
             FusedPattern::SegmentReduce => ModelKind::Gcn.layer_dfg(fi, fo),
-            FusedPattern::EdgeBatchMatmul => {
-                // Gather → project → scatter: no built-in model keeps the
-                // projection on the edge stream.
-                let mut d = Dfg::new();
-                let h = d.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
-                let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
-                let src = d.edge_attr(AttrKind::SrcId);
-                let dst = d.edge_attr(AttrKind::DstId);
-                let hsrc = d.index(h, src);
-                let proj = d.linear(hsrc, w);
-                let out = d.index_add(proj, dst, Dim::Vertices);
-                d.mark_output(out);
-                d
-            }
             FusedPattern::PerTypeBatchedMatmul => ModelKind::Rgcn.layer_dfg(fi, fo),
             FusedPattern::WeightedSegmentReduce | FusedPattern::EdgeScore => {
                 ModelKind::Gat.layer_dfg(fi, fo)

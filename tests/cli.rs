@@ -1,0 +1,135 @@
+//! The `wisegraph` command line, driven as a process: a generated graph
+//! optimizes and reports its search, and bad input (a truncated graph
+//! file, a zero or unparsable numeric flag) exits 1 with an error message
+//! instead of a panic.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn wisegraph(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_wisegraph"))
+        .args(args)
+        .output()
+        .expect("the wisegraph binary runs")
+}
+
+/// A scratch file path under the test target directory, unique per test.
+fn scratch(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{}-{name}", std::process::id()))
+}
+
+/// Writes a small typed RMAT graph to `path` through `generate`.
+fn generate(path: &str) {
+    let out = wisegraph(&[
+        "generate",
+        "--vertices",
+        "300",
+        "--edges",
+        "2400",
+        "--types",
+        "3",
+        "--seed",
+        "7",
+        "--out",
+        path,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Asserts `out` is a clean failure: exit code 1, an `error:` line whose
+/// text contains `want`, and no panic.
+fn assert_error(out: &Output, want: &str, ctx: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{ctx}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{ctx}: {stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains(want),
+        "{ctx}: {stderr}"
+    );
+}
+
+#[test]
+fn generate_then_optimize_reports_the_search() {
+    let path = scratch("g.bin");
+    let path = path.to_str().unwrap();
+    generate(path);
+    let out = wisegraph(&[
+        "optimize",
+        path,
+        "--model",
+        "rgcn",
+        "--features",
+        "16",
+        "--hidden",
+        "16",
+        "--classes",
+        "4",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let search = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("search:"))
+        .unwrap_or_else(|| panic!("no search line in:\n{stdout}"));
+    let words: Vec<&str> = search.split_whitespace().collect();
+    let [evaluated, "evaluated,", pruned, "pruned"] = words[..] else {
+        panic!("unexpected search line: {search}");
+    };
+    assert!(evaluated.parse::<usize>().unwrap() > 0, "{search}");
+    pruned.parse::<usize>().unwrap();
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn a_truncated_graph_file_is_an_error() {
+    let full = scratch("full.bin");
+    let cut = scratch("cut.bin");
+    generate(full.to_str().unwrap());
+    let bytes = std::fs::read(&full).unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
+    for command in ["optimize", "partition"] {
+        let out = wisegraph(&[command, cut.to_str().unwrap()]);
+        assert_error(&out, "cannot load graph", command);
+    }
+    std::fs::remove_file(&full).unwrap();
+    std::fs::remove_file(&cut).unwrap();
+}
+
+#[test]
+fn zero_missing_and_unparsable_flags_are_errors() {
+    let path = scratch("flags.bin");
+    let path = path.to_str().unwrap();
+    generate(path);
+    let out_path = scratch("never-written.bin");
+    let never = out_path.to_str().unwrap();
+    let cases: [&[&str]; 12] = [
+        &["generate", "--vertices", "0", "--out", never],
+        &["generate", "--edges", "0", "--out", never],
+        &["generate", "--types", "0", "--out", never],
+        &["generate", "--vertices", "ten", "--out", never],
+        &["generate", "--out", never, "--seed"],
+        &["partition", path, "--table", "2d", "--k", "0"],
+        &["partition", path, "--k", "-4"],
+        &["optimize", path, "--hidden", "0"],
+        &["optimize", path, "--features", "0"],
+        &["optimize", path, "--classes", "0"],
+        &["optimize", path, "--layers", "0"],
+        &["optimize", path, "--hidden", "1.5"],
+    ];
+    for args in cases {
+        let flag = args
+            .iter()
+            .find(|a| a.starts_with("--") && **a != "--out" && **a != "--table");
+        assert_error(&wisegraph(args), flag.unwrap(), &args.join(" "));
+    }
+    assert!(!out_path.exists(), "a rejected generate wrote its output");
+    std::fs::remove_file(path).unwrap();
+}

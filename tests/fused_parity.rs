@@ -16,9 +16,9 @@
 use std::collections::HashMap;
 use wisegraph::dfg::analysis::indexing_attrs;
 use wisegraph::dfg::interp;
-use wisegraph::dfg::{transform, Binding, Dfg, Dim};
+use wisegraph::dfg::{transform, Binding, Dfg};
 use wisegraph::graph::generate::{rmat, RmatParams};
-use wisegraph::graph::{AttrKind, Graph};
+use wisegraph::graph::Graph;
 use wisegraph::gtask::restriction::enumerate_tables;
 use wisegraph::gtask::{partition, PartitionPlan, PartitionTable};
 use wisegraph::kernels::engine::{Engine, ExecMode};
@@ -304,50 +304,6 @@ fn segment_reduce_fused_matches_interpreter() {
     }
 }
 
-/// Registered parity test for [`FusedPattern::EdgeBatchMatmul`]
-/// (Gather of a global → MatMat → ScatterAdd). No built-in model keeps the
-/// projection on the edge stream — GCN/SAGE project after aggregation —
-/// so the chain is exercised with a hand-built gather→project→scatter
-/// layer, the batched-matmul workload of paper Figure 10.
-#[test]
-fn edge_batch_matmul_fused_matches_interpreter() {
-    let (fi, fo) = (6, 5);
-    let d = edge_batch_matmul_layer(fi, fo);
-    let g = rmat(&RmatParams::standard(130, 1000, 69));
-    let globals = globals_for(&g, fi, fo);
-    let program = compile(&d, &g).unwrap();
-    assert_eq!(
-        plan_fusion(&program).patterns(),
-        vec![FusedPattern::EdgeBatchMatmul]
-    );
-    for table in [
-        PartitionTable::vertex_centric(),
-        PartitionTable::edge_batch(4),
-        PartitionTable::edge_batch(32),
-        PartitionTable::two_d(4),
-    ] {
-        for threads in THREADS {
-            let ctx = format!("edge_batch_matmul × [{table}]");
-            assert_modes_match(&d, &g, &partition(&g, &table), &globals, threads, &ctx);
-        }
-    }
-    assert_salted_wide_shapes_match(FusedPattern::EdgeBatchMatmul, edge_batch_matmul_layer);
-}
-
-/// `out[dst] += h[src] @ w`: a gather → project → scatter layer.
-fn edge_batch_matmul_layer(fi: usize, fo: usize) -> Dfg {
-    let mut d = Dfg::new();
-    let h = d.input("h", vec![Dim::Vertices, Dim::Lit(fi)]);
-    let w = d.input("w", vec![Dim::Lit(fi), Dim::Lit(fo)]);
-    let src = d.edge_attr(AttrKind::SrcId);
-    let dst = d.edge_attr(AttrKind::DstId);
-    let hsrc = d.index(h, src);
-    let proj = d.linear(hsrc, w);
-    let out = d.index_add(proj, dst, Dim::Vertices);
-    d.mark_output(out);
-    d
-}
-
 /// Registered parity test for [`FusedPattern::PerTypeBatchedMatmul`]
 /// (Gather of rows → Gather of weight slices → PerRowVecMat → ScatterAdd;
 /// RGCN's per-edge-type projection).
@@ -441,7 +397,6 @@ fn every_fused_pattern_is_registered_here() {
     for p in FusedPattern::ALL {
         let _parity_test: fn() = match p {
             FusedPattern::SegmentReduce => segment_reduce_fused_matches_interpreter,
-            FusedPattern::EdgeBatchMatmul => edge_batch_matmul_fused_matches_interpreter,
             FusedPattern::PerTypeBatchedMatmul => {
                 per_type_batched_matmul_fused_matches_interpreter
             }
