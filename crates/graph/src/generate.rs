@@ -49,6 +49,10 @@ impl RmatParams {
     }
 }
 
+/// The most vertices [`rmat`] generates: vertex ids are `u32`, so a
+/// graph has at most the `2^32` ids `0..=u32::MAX`.
+pub const MAX_RMAT_VERTICES: u64 = 1 << 32;
+
 /// Generates a power-law graph with the RMAT recursive procedure.
 ///
 /// Vertices outside the requested range (an artifact of the power-of-two
@@ -58,9 +62,14 @@ impl RmatParams {
 ///
 /// # Panics
 ///
-/// Panics if `num_vertices` or `num_edges` is zero.
+/// Panics if `num_vertices` or `num_edges` is zero, or `num_vertices`
+/// exceeds [`MAX_RMAT_VERTICES`].
 pub fn rmat(params: &RmatParams) -> Graph {
     assert!(params.num_vertices > 0, "need at least one vertex");
+    assert!(
+        params.num_vertices as u64 <= MAX_RMAT_VERTICES,
+        "at most 2^32 vertices: vertex ids are u32"
+    );
     assert!(params.num_edges > 0, "need at least one edge");
     let mut rng = Rng::seed_from_u64(params.seed);
     let levels = (params.num_vertices as f64).log2().ceil() as u32;

@@ -1,4 +1,5 @@
-//! Graph aggregation on the training path: one autograd op the engine runs.
+//! Graph aggregation on the training path: autograd ops over the graph's
+//! vertex-centric plans.
 //!
 //! A GNN layer's aggregation `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]`
 //! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one custom node, so
@@ -20,17 +21,28 @@
 //!   has no backward when none of its inputs needs a gradient: aggregating
 //!   a first layer's features runs no reversed pass.
 //!
+//! RGCN's per-relation sums are one typed node, [`aggregate_typed`]:
+//! `out[dst, t·F..(t + 1)·F] += h[src]` into `[V, T·F]` (§5.1's Index-2D),
+//! not one engine call per edge type. It walks the same two plans itself:
+//! contiguous ranges of destinations, one per engine worker, each
+//! destination's row written once by one worker, so there are no
+//! per-worker slots, no zero-fill pass and no reduce. Its backward is one
+//! pass over the reversed plan that reads `grad[dst, type]` and writes
+//! `dh[src]`, adding each type's terms apart and the per-type partials
+//! from the last type to the first — the order the tape added one
+//! node's gradient per type — so `dh` keeps those bits too.
+//!
 //! Vertex-centric plans sort a destination's edges by edge id and put them
 //! in one task, so every destination (and, reversed, every source) sums in
 //! ascending edge-id order — the order of `ops::index_add_rows` — whichever
 //! worker runs the task. The results are therefore bit-identical to the
-//! tensor-centric reference at any thread count, and the engine uses every
+//! tensor-centric reference at any thread count, and both ops use every
 //! available core without that becoming a setting.
 //!
-//! The engine and the plans of both directions (for all edges and per edge
-//! type) are built once per graph and kept in a one-entry memo per thread,
-//! keyed by [`Graph::content_key`]: a training loop re-plans nothing after
-//! its first forward.
+//! The engine and the all-edge plans of both directions are built once per
+//! graph and kept in a one-entry memo per thread, keyed by
+//! [`Graph::content_key`]: a training loop re-plans nothing after its first
+//! forward.
 
 use crate::engine::Engine;
 use crate::micro::compile;
@@ -54,7 +66,7 @@ const ALPHA: &str = "alpha";
 ///
 /// Panics if `h` is not `[|V|, F]`.
 pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
-    memo(g).record(tape, g, None, h, None)
+    memo(g).record(tape, g, h, None)
 }
 
 /// `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]` for per-edge weights `α`
@@ -65,29 +77,25 @@ pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
 ///
 /// Panics if `h` is not `[|V|, F]` or `α` does not hold one value per edge.
 pub fn aggregate_weighted(tape: &Tape, g: &Graph, h: Var, alpha: Var) -> Var {
-    memo(g).record(tape, g, None, h, Some(alpha))
+    memo(g).record(tape, g, h, Some(alpha))
 }
 
-/// [`aggregate`] over each edge type's edges alone: entry `t` sums the
-/// type-`t` in-edges of every vertex, `None` for a type without edges
-/// (RGCN's per-relation aggregation).
+/// RGCN's per-relation aggregation in one typed pass:
+/// `out[v, t·F..(t + 1)·F] = Σ_{e : dst_e = v, type_e = t} h[src_e]`, a
+/// `[|V|, T·F]` node whose column block `t` is [`aggregate`] over the
+/// type-`t` edges alone, bit for bit. Each destination's row is written
+/// once, by one worker; the backward is one pass on the reversed graph.
 ///
 /// # Panics
 ///
 /// Panics if `h` is not `[|V|, F]`.
-pub fn aggregate_by_type(tape: &Tape, g: &Graph, h: Var) -> Vec<Option<Var>> {
-    let op = memo(g);
-    (0..g.num_edge_types())
-        .map(|t| {
-            op.by_type[t]
-                .is_some()
-                .then(|| op.record(tape, g, Some(t), h, None))
-        })
-        .collect()
+pub fn aggregate_typed(tape: &Tape, g: &Graph, h: Var) -> Var {
+    memo(g).record_typed(tape, g, h)
 }
 
-/// The vertex-centric plans of one edge set: on the graph (forward) and on
-/// the reversed graph (backward).
+/// The vertex-centric plans of all edges: on the graph (forward) and on
+/// the reversed graph (backward). Each lists every destination's edges
+/// together, destinations ascending, each destination's edges by id.
 struct Plans {
     forward: PartitionPlan,
     backward: PartitionPlan,
@@ -98,9 +106,7 @@ struct Aggregate {
     key: u64,
     engine: Engine,
     reversed: Graph,
-    all: Plans,
-    /// Per edge type; `None` for a type without edges.
-    by_type: Vec<Option<Plans>>,
+    plans: Plans,
 }
 
 thread_local! {
@@ -143,35 +149,57 @@ fn aggregation_dfg(width: usize, weighted: bool) -> Dfg {
     d
 }
 
+/// Runs `f(state, row, run)` for every destination with edges, over
+/// `parts` contiguous ranges of the destination rows of the
+/// `[rows, width]` `out` (one range per scoped thread, each with its own
+/// `state()`): `run` is the destination's run of `edges`, which list every
+/// destination's edges together, destinations ascending (`dst` maps an
+/// edge to its destination), and `row` is its row of `out`. Every row has
+/// one writer, so when `f` computes a row from its run alone the result is
+/// the same bits at any part count.
+fn by_destination<S>(
+    edges: &[u32],
+    dst: &[u32],
+    out: &mut [f32],
+    [rows, width]: [usize; 2],
+    parts: usize,
+    state: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &mut [f32], &[u32]) + Sync,
+) {
+    let dst_of = |e: &u32| dst[*e as usize] as usize;
+    ops::split_rows_in(out, [rows, width], parts, |range, out| {
+        let first = |v: usize| edges.partition_point(|e| dst_of(e) < v);
+        let edges = &edges[first(range.start)..first(range.end)];
+        let mut state = state();
+        for run in edges.chunk_by(|a, b| dst_of(a) == dst_of(b)) {
+            let v = dst_of(&run[0]) - range.start;
+            f(&mut state, &mut out[v * width..(v + 1) * width], run);
+        }
+    });
+}
+
 impl Aggregate {
     fn new(g: &Graph, threads: usize) -> Self {
         let reversed = g.reversed();
         let table = PartitionTable::vertex_centric();
-        let plans = |edges: &[usize]| Plans {
-            forward: partition_edges(g, &table, edges),
-            backward: partition_edges(&reversed, &table, edges),
-        };
-        let mut of_type = vec![Vec::new(); g.num_edge_types()];
-        for (e, &t) in g.etype().iter().enumerate() {
-            of_type[t as usize].push(e);
-        }
         let all: Vec<usize> = (0..g.num_edges()).collect();
+        let plans = Plans {
+            forward: partition_edges(g, &table, &all),
+            backward: partition_edges(&reversed, &table, &all),
+        };
+        for (plan, graph) in [(&plans.forward, g), (&plans.backward, &reversed)] {
+            let dst = graph.dst();
+            let key = |e: u32| (dst[e as usize], e);
+            assert!(
+                plan.tasks.edges().windows(2).all(|w| key(w[0]) < key(w[1])),
+                "a vertex-centric plan lists edges by destination, then id"
+            );
+        }
         Aggregate {
             key: g.content_key(),
             engine: Engine::new(threads),
-            all: plans(&all),
-            by_type: of_type
-                .iter()
-                .map(|edges| (!edges.is_empty()).then(|| plans(edges)))
-                .collect(),
             reversed,
-        }
-    }
-
-    fn plans(&self, edge_type: Option<usize>) -> &Plans {
-        match edge_type {
-            None => &self.all,
-            Some(t) => self.by_type[t].as_ref().expect("a type with edges"),
+            plans,
         }
     }
 
@@ -194,21 +222,18 @@ impl Aggregate {
     }
 
     /// Runs the forward pass and records it on `tape` with its backward.
-    fn record(
-        self: &Rc<Self>,
-        tape: &Tape,
-        g: &Graph,
-        edge_type: Option<usize>,
-        h: Var,
-        alpha: Option<Var>,
-    ) -> Var {
+    fn record(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var, alpha: Option<Var>) -> Var {
         let mut globals = HashMap::from([(H.to_string(), tape.value(h))]);
         if let Some(a) = alpha {
             let a = tape.value(a);
             assert_eq!(a.dims(), [g.num_edges()], "one weight per edge");
             globals.insert(ALPHA.to_string(), a.reshape(&[g.num_edges(), 1]));
         }
-        let out = self.forward(g, edge_type, &globals);
+        let out = {
+            let plan = &self.plans.forward;
+            let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
+            self.run(g, plan, &globals)
+        };
         // Only the weighted op's `dα` reads the forward operands again.
         let operands = alpha.map(|a| {
             let alpha_t = globals.remove(ALPHA).expect("inserted above");
@@ -217,19 +242,8 @@ impl Aggregate {
         let op = Rc::clone(self);
         let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
         tape.custom(out, &inputs, move |grad| {
-            op.backward(grad, edge_type, h, operands.as_ref())
+            op.backward(grad, h, operands.as_ref())
         })
-    }
-
-    fn forward(
-        &self,
-        g: &Graph,
-        edge_type: Option<usize>,
-        globals: &HashMap<String, Tensor>,
-    ) -> Tensor {
-        let plan = &self.plans(edge_type).forward;
-        let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
-        self.run(g, plan, globals)
     }
 
     /// Gradients of the op: `dh` from the program on the reversed graph,
@@ -238,11 +252,10 @@ impl Aggregate {
     fn backward(
         &self,
         grad: &Tensor,
-        edge_type: Option<usize>,
         h: Var,
         weighted: Option<&(Var, Tensor, Tensor)>,
     ) -> Vec<(Var, Tensor)> {
-        let plan = &self.plans(edge_type).backward;
+        let plan = &self.plans.backward;
         let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
         let mut globals = HashMap::from([(H.to_string(), grad.clone())]);
         let Some((alpha, alpha_t, rows)) = weighted else {
@@ -266,6 +279,88 @@ impl Aggregate {
             }
         });
         vec![(h, dh), (*alpha, Tensor::from_vec(dalpha, &[src.len()]))]
+    }
+
+    /// The typed forward, recorded on `tape` with its backward: each
+    /// destination's `[T·F]` row sums its in-edges' source rows into their
+    /// types' blocks, in edge-id order.
+    fn record_typed(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var) -> Var {
+        let h_t = tape.value(h);
+        assert_eq!(h_t.shape().rank(), 2, "aggregated rows must be rank-2");
+        let (v, f, types) = (g.num_vertices(), h_t.dims()[1], g.num_edge_types());
+        assert_eq!(h_t.dims()[0], v, "one aggregated row per vertex");
+        let mut out = tape.zeros(&[v, types * f]);
+        {
+            let plan = &self.plans.forward;
+            let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
+            let (src, etype) = (g.src(), g.etype());
+            by_destination(
+                plan.tasks.edges(),
+                g.dst(),
+                out.data_mut(),
+                [v, types * f],
+                self.engine.threads(),
+                || (),
+                |_, row, run| {
+                    for &e in run {
+                        let e = e as usize;
+                        let block = &mut row[etype[e] as usize * f..][..f];
+                        for (o, &x) in block.iter_mut().zip(h_t.row(src[e] as usize)) {
+                            *o += x;
+                        }
+                    }
+                },
+            );
+        }
+        let op = Rc::clone(self);
+        tape.custom(out, &[h], move |grad| vec![(h, op.typed_backward(grad))])
+    }
+
+    /// The typed backward, `dh[src_e] += grad[dst_e, type_e·F..]`: one pass
+    /// over the reversed graph's plan, each forward source's row written by
+    /// one worker. A row sums each type's terms apart, in edge-id order,
+    /// and adds the per-type partials from the last type to the first: the
+    /// order in which the tape added the gradients of one aggregation node
+    /// per type, so `dh` keeps those bits.
+    fn typed_backward(&self, grad: &Tensor) -> Tensor {
+        let r = &self.reversed;
+        let (v, types) = (r.num_vertices(), r.num_edge_types());
+        let f = grad.dims()[1] / types;
+        let plan = &self.plans.backward;
+        let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
+        let (src, etype) = (r.src(), r.etype());
+        let mut dh = vec![0.0f32; v * f];
+        let partials = || (vec![0.0f32; types * f], vec![false; types]);
+        by_destination(
+            plan.tasks.edges(),
+            r.dst(),
+            &mut dh,
+            [v, f],
+            self.engine.threads(),
+            partials,
+            |scratch, row, run| {
+                let (partial, touched) = scratch;
+                touched.fill(false);
+                for &e in run {
+                    let e = e as usize;
+                    let t = etype[e] as usize;
+                    let sum = &mut partial[t * f..][..f];
+                    if !touched[t] {
+                        touched[t] = true;
+                        sum.fill(0.0);
+                    }
+                    for (o, &x) in sum.iter_mut().zip(&grad.row(src[e] as usize)[t * f..][..f]) {
+                        *o += x;
+                    }
+                }
+                for t in (0..types).rev().filter(|&t| touched[t]) {
+                    for (o, &x) in row.iter_mut().zip(&partial[t * f..][..f]) {
+                        *o += x;
+                    }
+                }
+            },
+        );
+        Tensor::from_vec(dh, &[v, f])
     }
 }
 
@@ -347,13 +442,26 @@ mod tests {
         (out, dh, dalpha)
     }
 
-    /// Records the op for `edge_type` on a tape with `loss = Σ out ⊙ grad`
-    /// (so `grad` is the upstream gradient, bit for bit) and returns
+    /// Records `record(tape, h)` on a tape with `loss = Σ out ⊙ grad` (so
+    /// `grad` is the upstream gradient, bit for bit) and returns
+    /// `(out, dh)`.
+    fn through(
+        h: &Tensor,
+        grad: &Tensor,
+        record: impl FnOnce(&Tape, Var) -> Var,
+    ) -> (Tensor, Tensor) {
+        let tape = Tape::new();
+        let hv = tape.param(h.clone());
+        let out = record(&tape, hv);
+        tape.backward(tape.sum(tape.mul(out, tape.input(grad.clone()))));
+        (tape.value(out), tape.grad(hv).expect("h reaches the loss"))
+    }
+
+    /// Records the op on a tape as [`through`] does and returns
     /// `(out, dh, dα)`.
     fn through_the_op(
         op: &Rc<Aggregate>,
         g: &Graph,
-        edge_type: Option<usize>,
         h: &Tensor,
         alpha: Option<&Tensor>,
         grad: &Tensor,
@@ -361,7 +469,7 @@ mod tests {
         let tape = Tape::new();
         let hv = tape.param(h.clone());
         let av = alpha.map(|a| tape.param(a.clone()));
-        let out = op.record(&tape, g, edge_type, hv, av);
+        let out = op.record(&tape, g, hv, av);
         let weighted = tape.mul(out, tape.input(grad.clone()));
         tape.backward(tape.sum(weighted));
         let dh = tape.grad(hv).expect("h reaches the loss");
@@ -387,7 +495,7 @@ mod tests {
                         "{v} V / {e} E, {threads} threads, weighted {}",
                         alpha.is_some()
                     );
-                    let (out, dh, da) = through_the_op(&op, &g, None, &h, alpha, &grad);
+                    let (out, dh, da) = through_the_op(&op, &g, &h, alpha, &grad);
                     let (want, want_dh, want_da) = reference(&g, &all, &h, alpha, &grad);
                     assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
                     assert_eq!(bits(&dh), bits(&want_dh), "{ctx}: dh");
@@ -399,25 +507,56 @@ mod tests {
                         );
                     }
                 }
-                for t in 0..g.num_edge_types() {
-                    let edges: Vec<usize> = all
-                        .iter()
-                        .copied()
-                        .filter(|&i| g.etype()[i] as usize == t)
-                        .collect();
-                    if edges.is_empty() {
-                        assert!(op.by_type[t].is_none());
-                        continue;
-                    }
-                    let (out, dh, _) = through_the_op(&op, &g, Some(t), &h, None, &grad);
-                    let (want, want_dh, _) = reference(&g, &edges, &h, None, &grad);
-                    assert_eq!(
-                        bits(&out),
-                        bits(&want),
-                        "type {t}, {threads} threads: forward"
-                    );
-                    assert_eq!(bits(&dh), bits(&want_dh), "type {t}, {threads} threads: dh");
+            }
+        }
+    }
+
+    /// Columns `cols` of the rank-2 `t`.
+    fn columns(t: &Tensor, cols: std::ops::Range<usize>) -> Tensor {
+        let rows = t.dims()[0];
+        let data = (0..rows)
+            .flat_map(|i| t.row(i)[cols.clone()].to_vec())
+            .collect();
+        Tensor::from_vec(data, &[rows, cols.len()])
+    }
+
+    /// The typed op against the per-type composition it replaces, on
+    /// every graph (a type without edges, no edges, one vertex, self-loops
+    /// and multi-edges) at 1, 2 and 4 threads: its forward is each type's
+    /// tensor-centric sum laid side by side in `[V, T·F]`, and its `dh`
+    /// is the per-type `dh`s added as the tape adds them, from the last
+    /// type to the first — bit for bit.
+    #[test]
+    fn typed_op_is_the_per_type_composition_bit_for_bit() {
+        for g in graphs() {
+            let (v, e, f, types) = (g.num_vertices(), g.num_edges(), 5, g.num_edge_types());
+            let h = rows(v, f, 1);
+            let grad = rows(v, types * f, 2);
+            let mut want = vec![0.0f32; v * types * f];
+            let mut want_dh: Option<Tensor> = None;
+            for t in (0..types).rev() {
+                let edges: Vec<usize> = (0..e).filter(|&i| g.etype()[i] as usize == t).collect();
+                if edges.is_empty() {
+                    continue;
                 }
+                let block = columns(&grad, t * f..(t + 1) * f);
+                let (out, dh, _) = reference(&g, &edges, &h, None, &block);
+                for i in 0..v {
+                    want[(i * types + t) * f..][..f].copy_from_slice(out.row(i));
+                }
+                want_dh = Some(match want_dh {
+                    None => dh,
+                    Some(acc) => ops::add(&acc, &dh),
+                });
+            }
+            let want = Tensor::from_vec(want, &[v, types * f]);
+            let want_dh = want_dh.unwrap_or_else(|| Tensor::zeros(&[v, f]));
+            for threads in [1, 2, 4] {
+                let op = Rc::new(Aggregate::new(&g, threads));
+                let (out, dh) = through(&h, &grad, |tape, hv| op.record_typed(tape, &g, hv));
+                let ctx = format!("{v} V / {e} E / {types} types, {threads} threads");
+                assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
+                assert_eq!(bits(&dh), bits(&want_dh), "{ctx}: dh");
             }
         }
     }
@@ -431,10 +570,13 @@ mod tests {
         let (h, grad) = (rows(v, f, 1), rows(v, f, 2));
         let alpha = init::uniform_tensor(&[e], -1.0, 1.0, 3);
         let op = Rc::new(Aggregate::new(&g, 2));
-        let (_, _, da) = through_the_op(&op, &g, None, &h, Some(&alpha), &grad);
+        let (_, _, da) = through_the_op(&op, &g, &h, Some(&alpha), &grad);
         let all: Vec<usize> = (0..e).collect();
         let (_, _, want) = reference(&g, &all, &h, Some(&alpha), &grad);
-        assert_eq!(bits(&da.expect("α reaches the loss")), bits(&Tensor::from_vec(want, &[e])));
+        assert_eq!(
+            bits(&da.expect("α reaches the loss")),
+            bits(&Tensor::from_vec(want, &[e]))
+        );
     }
 
     #[test]
@@ -451,14 +593,14 @@ mod tests {
         let grad = init::uniform_tensor(&[5, 3], -1.0, 1.0, 8);
         let alpha = init::uniform_tensor(&[7], 0.1, 1.0, 9);
         let loss = |a: &Tensor| {
-            let (out, _, _) = through_the_op(&op, &g, None, &h, Some(a), &grad);
+            let (out, _, _) = through_the_op(&op, &g, &h, Some(a), &grad);
             out.data()
                 .iter()
                 .zip(grad.data())
                 .map(|(&x, &y)| f64::from(x) * f64::from(y))
                 .sum::<f64>()
         };
-        let (_, _, da) = through_the_op(&op, &g, None, &h, Some(&alpha), &grad);
+        let (_, _, da) = through_the_op(&op, &g, &h, Some(&alpha), &grad);
         let da = da.expect("weighted");
         let eps = 1e-2f32;
         for i in 0..alpha.numel() {

@@ -2,14 +2,19 @@
 
 use crate::trainable::{GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
-use wisegraph_kernels::train::aggregate_by_type;
+use wisegraph_kernels::train::aggregate_typed;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
 
 /// Multi-layer RGCN: each layer computes, per edge type `t`,
 /// `h'[dst] += h[src] @ W_t` (Equation 1), plus a self-loop projection.
-/// It aggregates each type's in-edges first and projects the `[V, F]`
-/// result (§5's Linear/aggregation swap), so `|V|` rows per type go
-/// through `W_t` instead of one per edge.
+/// It aggregates first and projects after (§5's Linear/aggregation swap),
+/// so `|V|` rows per type go through `W_t` instead of one per edge: one
+/// typed pass sums every type's in-edges into its column block of a
+/// `[V, T·F]` tensor ([`aggregate_typed`]), one node scales its rows by
+/// `1/in-degree`, and one [`Tape::matmul_sum`] node multiplies each
+/// `W_t` with its column slice and adds the products to `h · W_self` in
+/// type order — the float sequence of one aggregation, scaling, product
+/// and add per type, bit for bit.
 pub struct Rgcn {
     layers: Vec<RgcnLayer>,
     num_types: usize,
@@ -79,22 +84,19 @@ impl GnnModel for Rgcn {
         let mut params = Vec::new();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut acc = {
-                let ws = tape.param(layer.w_self.clone());
-                params.push(ws);
-                tape.matmul(h, ws)
-            };
-            let aggs = aggregate_by_type(tape, g, h);
-            for (w_t, agg) in layer.w_rel.iter().zip(aggs) {
+            let ws = tape.param(layer.w_self.clone());
+            params.push(ws);
+            let f = layer.w_self.dims()[0];
+            let agg = tape.scale_rows_const(aggregate_typed(tape, g, h), deg.clone());
+            let mut terms = vec![(h, 0, ws)];
+            for (t, w_t) in layer.w_rel.iter().enumerate() {
                 let wv = tape.param(w_t.clone());
                 params.push(wv);
-                let Some(agg) = agg else { continue };
-                let norm = tape.scale_rows_const(agg, deg.clone());
-                acc = tape.add(acc, tape.matmul(norm, wv));
+                terms.push((agg, t * f, wv));
             }
             let bv = tape.param(layer.bias.clone());
             params.push(bv);
-            h = tape.add_bias(acc, bv);
+            h = tape.add_bias(tape.matmul_sum(&terms), bv);
             if i != last {
                 h = tape.relu(h);
             }
@@ -120,7 +122,7 @@ mod tests {
     use super::*;
     use crate::trainable::{accuracy, features_tensor, train_epoch};
     use wisegraph_graph::generate::{labeled_graph, LabeledParams};
-    use wisegraph_tensor::Adam;
+    use wisegraph_tensor::{ops, Adam};
 
     #[test]
     fn rgcn_learns_on_typed_graph() {
@@ -151,6 +153,74 @@ mod tests {
         assert!(losses[29] < losses[0] * 0.8, "losses: {losses:?}");
         let acc = accuracy(&model, &lg.graph, &feats, &lg.labels, &lg.test_idx);
         assert!(acc > 0.55, "accuracy {acc}");
+    }
+
+    /// RGCN's logits as the model composed them before its typed pass:
+    /// per edge type with edges, a tensor-centric sum over that type's
+    /// in-edges, scaled by `1/deg`, projected and added to `h · W_self`
+    /// in type order.
+    fn per_type_logits(model: &Rgcn, g: &Graph, x: &Tensor) -> Tensor {
+        let v = g.num_vertices();
+        let deg: Vec<f32> = g
+            .in_degree()
+            .iter()
+            .map(|&d| 1.0 / (d.max(1) as f32))
+            .collect();
+        let deg = Tensor::from_vec(deg, &[v]);
+        let mut h = x.clone();
+        for (i, layer) in model.layers.iter().enumerate() {
+            let mut acc = ops::matmul(&h, &layer.w_self);
+            for (t, w_t) in layer.w_rel.iter().enumerate() {
+                let edges: Vec<usize> = (0..g.num_edges())
+                    .filter(|&e| g.etype()[e] as usize == t)
+                    .collect();
+                if edges.is_empty() {
+                    continue;
+                }
+                let src: Vec<u32> = edges.iter().map(|&e| g.src()[e]).collect();
+                let dst: Vec<u32> = edges.iter().map(|&e| g.dst()[e]).collect();
+                let agg = ops::index_add_rows(v, &ops::gather_rows(&h, &src), &dst);
+                acc = ops::add(&acc, &ops::matmul(&ops::scale_rows(&agg, &deg), w_t));
+            }
+            h = ops::add_bias(&acc, &layer.bias);
+            if i + 1 != model.layers.len() {
+                h = ops::relu(&h);
+            }
+        }
+        h
+    }
+
+    /// The typed pass and one projection node per layer keep the logits'
+    /// bits, before and after training steps, on a graph whose type 2 has
+    /// no edges.
+    #[test]
+    fn logits_are_the_per_type_composition_bit_for_bit() {
+        let lg = labeled_graph(&LabeledParams {
+            num_vertices: 250,
+            num_classes: 4,
+            feature_dim: 12,
+            num_edge_types: 3,
+            seed: 5,
+            ..Default::default()
+        });
+        let g0 = &lg.graph;
+        let etype = g0
+            .etype()
+            .iter()
+            .map(|&t| if t == 2 { 3 } else { t })
+            .collect();
+        let g = Graph::new(250, 4, g0.src().to_vec(), g0.dst().to_vec(), etype);
+        let feats = features_tensor(&lg.features, 250, 12);
+        let mut model = Rgcn::new(&[12, 16, 4], 4, 3);
+        let mut opt = Adam::new(0.01);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for epoch in 0..3 {
+            let tape = Tape::new();
+            let logits = model.forward(&tape, &g, tape.input(feats.clone())).logits;
+            let want = per_type_logits(&model, &g, &feats);
+            assert_eq!(bits(&tape.value(logits)), bits(&want), "epoch {epoch}");
+            train_epoch(&mut model, &mut opt, &g, &feats, &lg.labels, &lg.train_idx);
+        }
     }
 
     #[test]

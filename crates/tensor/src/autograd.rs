@@ -9,16 +9,18 @@
 //! Backward does only the work a parameter's gradient depends on. A node
 //! *needs a gradient* when it is a parameter or one of its inputs needs
 //! one, so an [`Tape::input`] and everything computed from inputs alone
-//! need none. Only a node that needs a gradient records a backward closure;
-//! the closure captures just the operands that its inputs' gradients read
-//! and returns gradients for the inputs that need them. A GNN's first
+//! need none. Only a node that needs a gradient records a backward closure,
+//! and it returns gradients for the inputs that need them. A GNN's first
 //! layer, whose operand is the feature matrix, thus computes no `dX` and
-//! runs no aggregation on the reversed graph.
+//! runs no aggregation on the reversed graph. A closure copies no operand
+//! when it is recorded: it reads the forward values its gradients need
+//! from the tape when backward runs.
 //!
-//! Each tape owns a [`Workspace`]: node outputs are written into pooled
-//! buffers, and [`Tape::finish`] recycles every node value and gradient back
-//! into the pool so the next iteration's tape (built with
-//! [`Tape::with_workspace`]) allocates almost nothing. Because pooled
+//! Each tape owns a [`Workspace`]: node outputs (and the widest gradients,
+//! RGCN's `[V, T·F]` ones) are written into pooled buffers, and
+//! [`Tape::finish`] recycles every node value and gradient back into the
+//! pool so the next iteration's tape (built with [`Tape::with_workspace`])
+//! allocates almost nothing. Because pooled
 //! buffers are zero-filled on checkout and all ops route through the same
 //! `_into` kernels, a workspace-fed tape is bit-identical to a fresh one.
 
@@ -40,7 +42,27 @@ impl Var {
     }
 }
 
-type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
+type BackwardFn = Box<dyn Fn(&Tensor, &Ctx) -> Vec<(usize, Tensor)>>;
+
+/// What a backward closure reads besides the upstream gradient: the
+/// forward values of the tape's nodes, by id, and zeroed buffers from the
+/// tape's workspace for the gradients it returns.
+struct Ctx<'a> {
+    nodes: &'a [Node],
+    ws: &'a RefCell<Workspace>,
+}
+
+impl Ctx<'_> {
+    /// The forward value of node `id`.
+    fn value(&self, id: usize) -> &Tensor {
+        &self.nodes[id].value
+    }
+
+    /// A zeroed tensor from the tape's workspace.
+    fn zeros(&self, dims: &[usize]) -> Tensor {
+        self.ws.borrow_mut().take_tensor(dims)
+    }
+}
 
 struct Node {
     value: Tensor,
@@ -122,16 +144,17 @@ impl Tape {
 
     /// Records `value`, the output of an op over `inputs`. The node needs a
     /// gradient when one of `inputs` does, and only then is `backward`
-    /// called — with which inputs need one, and the output — to build its
-    /// closure, which returns gradients for those inputs alone.
+    /// called — with which inputs need one, and the node's own id — to
+    /// build its closure, which returns gradients for those inputs alone.
     fn record(
         &self,
         value: Tensor,
         inputs: &[Var],
-        backward: impl FnOnce(&[bool], &Tensor) -> BackwardFn,
+        backward: impl FnOnce(&[bool], usize) -> BackwardFn,
     ) -> Var {
         let needs: Vec<bool> = inputs.iter().map(|&v| self.needs_grad(v)).collect();
-        let backward = needs.contains(&true).then(|| backward(&needs, &value));
+        let id = self.nodes.borrow().len();
+        let backward = needs.contains(&true).then(|| backward(&needs, id));
         self.push(value, backward, false)
     }
 
@@ -144,6 +167,14 @@ impl Tape {
     /// Records a trainable parameter; its gradient is kept after `backward`.
     pub fn param(&self, value: Tensor) -> Var {
         self.push(value, None, true)
+    }
+
+    /// A zeroed tensor from the tape's workspace: the buffer a
+    /// [`Tape::custom`] node writes its value into, so that the value is
+    /// recycled into the pool with the tape's own and the next tape reuses
+    /// it.
+    pub fn zeros(&self, dims: &[usize]) -> Tensor {
+        self.alloc(dims)
     }
 
     /// Returns a clone of the current value of `v`.
@@ -182,18 +213,75 @@ impl Tape {
             ops::matmul_split_into(av, bv, out.data_mut());
         }
         self.record(out, &[a, b], |needs, _| {
-            // `dA = g · Bᵀ` reads only `B`, and `dB = Aᵀ · g` only `A`.
-            let bv = needs[0].then(|| self.value(b));
-            let av = needs[1].then(|| self.value(a));
-            let (aid, bid) = (a.id, b.id);
-            Box::new(move |g| {
+            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            Box::new(move |g, ctx| {
                 [
-                    bv.as_ref().map(|bv| (aid, ops::matmul_a_bt(g, bv))),
-                    av.as_ref().map(|av| (bid, ops::matmul_at_b(av, g))),
+                    da.then(|| (aid, ops::matmul_a_bt(g, ctx.value(bid)))),
+                    db.then(|| (bid, ops::matmul_at_b(ctx.value(aid), g))),
                 ]
                 .into_iter()
                 .flatten()
                 .collect()
+            })
+        })
+    }
+
+    /// `Σᵢ aᵢ[:, cᵢ..cᵢ + kᵢ] · wᵢ` over `terms` `(aᵢ, cᵢ, wᵢ)`, `wᵢ`
+    /// `[kᵢ, n]`: each product reads its column slice of `aᵢ` in place, is
+    /// computed from zero as [`Tape::matmul`] computes it, and is added to
+    /// the sum of the ones before. So the value, and each gradient slice,
+    /// has the bits of that chain of `matmul` and [`Tape::add`] nodes, in
+    /// one node. RGCN's projection `h · W_self + Σ_t agg[:, t·F..] · W_t`
+    /// is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty or a shape does not fit.
+    pub fn matmul_sum(&self, terms: &[(Var, usize, Var)]) -> Var {
+        let mut out;
+        // Per term: the width of `A` and the rows of `W`.
+        let shapes: Vec<[usize; 2]>;
+        {
+            let nodes = self.nodes.borrow();
+            let values: Vec<(&Tensor, usize, &Tensor)> = terms
+                .iter()
+                .map(|&(a, col, w)| (&nodes[a.id].value, col, &nodes[w.id].value))
+                .collect();
+            let (a, _, w) = values.first().expect("a sum of at least one product");
+            out = self.alloc(&[a.dims()[0], w.dims()[1]]);
+            ops::matmul_sum_into(&values, out.data_mut());
+            shapes = values
+                .iter()
+                .map(|(a, _, w)| [a.dims()[1], w.dims()[0]])
+                .collect();
+        }
+        let inputs: Vec<Var> = terms.iter().flat_map(|&(a, _, w)| [a, w]).collect();
+        let terms = terms.to_vec();
+        self.record(out, &inputs, |needs, _| {
+            let (da, dw): (Vec<bool>, Vec<bool>) = needs.chunks(2).map(|n| (n[0], n[1])).unzip();
+            Box::new(move |g, ctx| {
+                let mut grads = Vec::new();
+                // One gradient per distinct `A`: its terms' column slices,
+                // filled by one split of its rows.
+                for (i, &(a, _, _)) in terms.iter().enumerate() {
+                    if da[i] && !terms[..i].iter().any(|(b, _, _)| b.id == a.id) {
+                        let slices: Vec<(usize, &Tensor)> = terms
+                            .iter()
+                            .filter(|(b, _, _)| b.id == a.id)
+                            .map(|&(_, col, w)| (col, ctx.value(w.id)))
+                            .collect();
+                        let mut d = ctx.zeros(&[g.dims()[0], shapes[i][0]]);
+                        ops::matmul_a_bt_cols_into(g, &slices, &mut d);
+                        grads.push((a.id, d));
+                    }
+                }
+                for (i, &(a, col, w)) in terms.iter().enumerate() {
+                    if dw[i] {
+                        let cols = col..col + shapes[i][1];
+                        grads.push((w.id, ops::matmul_at_b_cols(ctx.value(a.id), cols, g)));
+                    }
+                }
+                grads
             })
         })
     }
@@ -209,7 +297,7 @@ impl Tape {
         }
         self.record(out, &[a, b], |needs, _| {
             let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
-            Box::new(move |g| {
+            Box::new(move |g, _| {
                 [da.then(|| (aid, g.clone())), db.then(|| (bid, g.clone()))]
                     .into_iter()
                     .flatten()
@@ -228,13 +316,11 @@ impl Tape {
             ops::mul_into(av, bv, out.data_mut());
         }
         self.record(out, &[a, b], |needs, _| {
-            let bv = needs[0].then(|| self.value(b));
-            let av = needs[1].then(|| self.value(a));
-            let (aid, bid) = (a.id, b.id);
-            Box::new(move |g| {
+            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            Box::new(move |g, ctx| {
                 [
-                    bv.as_ref().map(|bv| (aid, ops::mul(g, bv))),
-                    av.as_ref().map(|av| (bid, ops::mul(g, av))),
+                    da.then(|| (aid, ops::mul(g, ctx.value(bid)))),
+                    db.then(|| (bid, ops::mul(g, ctx.value(aid)))),
                 ]
                 .into_iter()
                 .flatten()
@@ -248,7 +334,7 @@ impl Tape {
         let out = self.elementwise(a, |av, out| ops::scale_into(av, s, out));
         let aid = a.id;
         self.record(out, &[a], |_, _| {
-            Box::new(move |g| vec![(aid, ops::scale(g, s))])
+            Box::new(move |g, _| vec![(aid, ops::scale(g, s))])
         })
     }
 
@@ -263,7 +349,7 @@ impl Tape {
         }
         self.record(out, &[x, bias], |needs, _| {
             let (dx, db, xid, bid) = (needs[0], needs[1], x.id, bias.id);
-            Box::new(move |g| {
+            Box::new(move |g, _| {
                 [
                     dx.then(|| (xid, g.clone())),
                     db.then(|| (bid, ops::sum_rows(g))),
@@ -278,10 +364,11 @@ impl Tape {
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::relu_into);
+        let aid = a.id;
         self.record(out, &[a], |_, _| {
-            let (av, aid) = (self.value(a), a.id);
-            Box::new(move |g| {
-                let d = ops::zip_map(g, &av, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+            Box::new(move |g, ctx| {
+                let relu = |g: f32, x: f32| g * if x > 0.0 { 1.0 } else { 0.0 };
+                let d = ops::zip_map(g, ctx.value(aid), relu);
                 vec![(aid, d)]
             })
         })
@@ -290,10 +377,11 @@ impl Tape {
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, a: Var, slope: f32) -> Var {
         let out = self.elementwise(a, |av, out| ops::leaky_relu_into(av, slope, out));
+        let aid = a.id;
         self.record(out, &[a], |_, _| {
-            let (av, aid) = (self.value(a), a.id);
-            Box::new(move |g| {
-                let d = ops::zip_map(g, &av, |g, x| g * if x >= 0.0 { 1.0 } else { slope });
+            Box::new(move |g, ctx| {
+                let leaky = |g: f32, x: f32| g * if x >= 0.0 { 1.0 } else { slope };
+                let d = ops::zip_map(g, ctx.value(aid), leaky);
                 vec![(aid, d)]
             })
         })
@@ -302,18 +390,24 @@ impl Tape {
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::sigmoid_into);
-        self.record(out, &[a], |_, out| {
-            let (outv, aid) = (out.clone(), a.id);
-            Box::new(move |g| vec![(aid, ops::zip_map(g, &outv, |g, y| g * (y * (1.0 - y))))])
+        let aid = a.id;
+        self.record(out, &[a], |_, id| {
+            Box::new(move |g, ctx| {
+                let d = ops::zip_map(g, ctx.value(id), |g, y| g * (y * (1.0 - y)));
+                vec![(aid, d)]
+            })
         })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::tanh_into);
-        self.record(out, &[a], |_, out| {
-            let (outv, aid) = (out.clone(), a.id);
-            Box::new(move |g| vec![(aid, ops::zip_map(g, &outv, |g, y| g * (1.0 - y * y)))])
+        let aid = a.id;
+        self.record(out, &[a], |_, id| {
+            Box::new(move |g, ctx| {
+                let d = ops::zip_map(g, ctx.value(id), |g, y| g * (1.0 - y * y));
+                vec![(aid, d)]
+            })
         })
     }
 
@@ -331,7 +425,7 @@ impl Tape {
         }
         let xid = x.id;
         self.record(out, &[x], |_, _| {
-            Box::new(move |g| vec![(xid, ops::index_add_rows(rows, g, &idx))])
+            Box::new(move |g, _| vec![(xid, ops::index_add_rows(rows, g, &idx))])
         })
     }
 
@@ -356,7 +450,7 @@ impl Tape {
                 .filter(|&(_, &n)| n)
                 .map(|(v, _)| v.id)
                 .collect();
-            Box::new(move |g| {
+            Box::new(move |g, _| {
                 backward(g)
                     .into_iter()
                     .map(|(v, t)| (v.id, t))
@@ -371,7 +465,11 @@ impl Tape {
         let out = self.elementwise(x, |xv, out| ops::scale_rows_into(xv, &s, out));
         let xid = x.id;
         self.record(out, &[x], |_, _| {
-            Box::new(move |g| vec![(xid, ops::scale_rows(g, &s))])
+            Box::new(move |g, ctx| {
+                let mut d = ctx.zeros(g.dims());
+                ops::scale_rows_into(g, &s, d.data_mut());
+                vec![(xid, d)]
+            })
         })
     }
 
@@ -385,11 +483,10 @@ impl Tape {
             ops::segment_softmax_into(sv, &seg, num_segments, out.data_mut());
         }
         let sid = scores.id;
-        self.record(out, &[scores], |_, out| {
-            let outv = out.clone();
-            Box::new(move |g| {
+        self.record(out, &[scores], |_, id| {
+            Box::new(move |g, ctx| {
                 // dL/ds_i = y_i * (g_i - Σ_{j∈seg(i)} y_j g_j)
-                let y = outv.data();
+                let y = ctx.value(id).data();
                 let gd = g.data();
                 let mut segdot = vec![0.0f32; num_segments];
                 for (i, &s) in seg.iter().enumerate() {
@@ -400,7 +497,7 @@ impl Tape {
                     .enumerate()
                     .map(|(i, &s)| y[i] * (gd[i] - segdot[s as usize]))
                     .collect();
-                vec![(sid, Tensor::from_vec(grad, outv.dims()))]
+                vec![(sid, Tensor::from_vec(grad, g.dims()))]
             })
         })
     }
@@ -420,7 +517,7 @@ impl Tape {
         }
         self.record(out, &[a, b], |needs, _| {
             let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
-            Box::new(move |g| {
+            Box::new(move |g, _| {
                 // Columns `from..from + width` of `g`.
                 let columns = |from: usize, width: usize| {
                     let m = g.dims()[0];
@@ -450,7 +547,7 @@ impl Tape {
         };
         let aid = a.id;
         self.record(out, &[a], |_, _| {
-            Box::new(move |g| vec![(aid, Tensor::full(&dims, g.item()))])
+            Box::new(move |g, _| vec![(aid, Tensor::full(&dims, g.item()))])
         })
     }
 
@@ -463,7 +560,7 @@ impl Tape {
         let n = dims.iter().product::<usize>() as f32;
         let aid = a.id;
         self.record(out, &[a], |_, _| {
-            Box::new(move |g| vec![(aid, Tensor::full(&dims, g.item() / n))])
+            Box::new(move |g, _| vec![(aid, Tensor::full(&dims, g.item() / n))])
         })
     }
 
@@ -473,7 +570,7 @@ impl Tape {
             ops::cross_entropy_with_grad(&self.nodes.borrow()[logits.id].value, &labels);
         let lid = logits.id;
         self.record(Tensor::scalar(loss), &[logits], |_, _| {
-            Box::new(move |g| vec![(lid, ops::scale(&dlogits, g.item()))])
+            Box::new(move |g, _| vec![(lid, ops::scale(&dlogits, g.item()))])
         })
     }
 
@@ -485,7 +582,7 @@ impl Tape {
         };
         let aid = a.id;
         self.record(out, &[a], |_, _| {
-            Box::new(move |g| vec![(aid, g.reshape(&orig))])
+            Box::new(move |g, _| vec![(aid, g.reshape(&orig))])
         })
     }
 
@@ -519,7 +616,11 @@ impl Tape {
                 continue;
             };
             if let Some(backward) = &nodes[id].backward {
-                for (pid, pg) in backward(&g) {
+                let ctx = Ctx {
+                    nodes: &nodes,
+                    ws: &self.ws,
+                };
+                for (pid, pg) in backward(&g, &ctx) {
                     match &mut grads[pid] {
                         Some(existing) => {
                             ops::add_assign(existing, &pg);
@@ -770,6 +871,73 @@ mod tests {
         assert_eq!(bits(tape.grad(av).unwrap().data()), bits(&da));
         let dw = serial(&transpose(&a, [m, k]), &g, [k, m, n]);
         assert_eq!(bits(tape.grad(wv).unwrap().data()), bits(&dw));
+    }
+
+    /// `matmul_sum` against the chain of `matmul` and `add` nodes it
+    /// replaces, on column-slice copies, bit for bit: the value, each
+    /// weight's gradient and each operand's gradient, its slices laid side
+    /// by side. One operand feeds two terms, the other one; the first
+    /// shape splits across the cores, the second does not.
+    #[test]
+    fn matmul_sum_is_the_chain_of_products_and_adds() {
+        for (m, k, n) in [(4099, 24, 33), (5, 3, 2)] {
+            let draw = |dims: &[usize], seed: u64| {
+                let mut t = crate::init::uniform_tensor(dims, -1.0, 1.0, seed);
+                t.data_mut()
+                    .iter_mut()
+                    .step_by(3)
+                    .for_each(|x| *x = x.max(0.0));
+                t
+            };
+            let (x, a) = (draw(&[m, k], 1), draw(&[m, 2 * k + 1], 2));
+            let ws = [draw(&[k, n], 3), draw(&[k, n], 4), draw(&[k, n], 5)];
+            let g = draw(&[m, n], 6);
+            let cols = |t: &Tensor, from: usize| {
+                let data = (0..m)
+                    .flat_map(|i| t.row(i)[from..from + k].to_vec())
+                    .collect();
+                Tensor::from_vec(data, &[m, k])
+            };
+            // `loss = Σ y ⊙ g` over `y(tape, x, a, [W])`; returns
+            // `(y, [dW], dx, da)`.
+            type Y<'a> = &'a dyn Fn(&Tape, Var, Var, [Var; 3]) -> Var;
+            let run = |y: Y| {
+                let tape = Tape::new();
+                let (xv, av) = (tape.param(x.clone()), tape.param(a.clone()));
+                let wv = ws.clone().map(|w| tape.param(w));
+                let y = y(&tape, xv, av, wv);
+                tape.backward(tape.sum(tape.mul(y, tape.input(g.clone()))));
+                let dw = wv.map(|w| tape.grad(w).unwrap());
+                let (y, dx, da) = (tape.value(y), tape.grad(xv).unwrap(), tape.grad(av));
+                (y, dw, dx, da)
+            };
+            let fused = run(&|tape, xv, av, wv| {
+                tape.matmul_sum(&[(xv, 0, wv[0]), (av, 1, wv[1]), (av, k + 1, wv[2])])
+            });
+            let chain = run(&|tape, xv, _, wv| {
+                let a1 = tape.input(cols(&a, 1));
+                let a2 = tape.input(cols(&a, k + 1));
+                let sum = tape.add(tape.matmul(xv, wv[0]), tape.matmul(a1, wv[1]));
+                tape.add(sum, tape.matmul(a2, wv[2]))
+            });
+            // The chain's gradient of each slice, `g · Wᵀ`, laid side by side.
+            let (d1, d2) = (ops::matmul_a_bt(&g, &ws[1]), ops::matmul_a_bt(&g, &ws[2]));
+            let mut da = vec![0.0f32; m * (2 * k + 1)];
+            for i in 0..m {
+                da[i * (2 * k + 1) + 1..][..k].copy_from_slice(d1.row(i));
+                da[i * (2 * k + 1) + k + 1..][..k].copy_from_slice(d2.row(i));
+            }
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&fused.0), bits(&chain.0), "{m}x{n}: value");
+            for (i, (f, c)) in fused.1.iter().zip(&chain.1).enumerate() {
+                assert_eq!(bits(f), bits(c), "{m}x{n}: dW{i}");
+            }
+            assert_eq!(bits(&fused.2), bits(&chain.2), "{m}x{n}: dx");
+            assert_eq!(
+                bits(&fused.3.unwrap()),
+                bits(&Tensor::from_vec(da, &[m, 2 * k + 1]))
+            );
+        }
     }
 
     #[test]

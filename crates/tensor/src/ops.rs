@@ -31,8 +31,10 @@
 //! differ, so each call checks `b` once: a finite `b` runs the kernel that
 //! adds every term, and a non-finite one keeps the skip. Rows are
 //! independent outputs, so the split changes no bit either.
-//! [`matmul_into`] and [`matmul_strided_into`], the engine's kernel, stay
-//! serial and keep the skip.
+//! `Tape::matmul_sum` (RGCN's projection) runs the same kernels on column
+//! slices of a wider operand, read in place through the kernel's row
+//! stride `lda`. [`matmul_into`] and [`matmul_strided_into`], the engine's
+//! kernel, stay serial and keep the skip.
 
 use crate::tensor::Tensor;
 use std::ops::Range;
@@ -107,8 +109,8 @@ pub fn split_rows(
     split_rows_in(out, [rows, width], parts_for(work), f);
 }
 
-/// [`split_rows`] into at most `parts` ranges.
-fn split_rows_in(
+/// [`split_rows`] into at most `parts` ranges, whatever the work.
+pub fn split_rows_in(
     out: &mut [f32],
     [rows, width]: [usize; 2],
     parts: usize,
@@ -133,7 +135,7 @@ fn split_rows_in(
 }
 
 /// A blocked kernel's signature: [`blocked`] with `SKIP` chosen.
-type Kernel = fn(&[f32], &[f32], [usize; 3], &mut [f32], usize);
+type Kernel = fn(&[f32], usize, &[f32], [usize; 3], &mut [f32], usize);
 
 /// The blocked kernel a product with operand `b` needs: the one that adds
 /// every term when every element of `b` is finite (the same bits into a
@@ -189,7 +191,7 @@ fn product_into(
 ) {
     let kernel = kernel_for(&b[..k * n]);
     split_rows_in(out, [m, n], parts, |rows, out| {
-        kernel(&a[rows.start * k..rows.end * k], b, [rows.len(), k, n], out, n);
+        kernel(&a[rows.start * k..rows.end * k], k, b, [rows.len(), k, n], out, n);
     });
 }
 
@@ -217,46 +219,51 @@ pub fn matmul_strided_into(
     out: &mut [f32],
     ldo: usize,
 ) {
-    blocked::<true>(a, b, [m, k, n], out, ldo);
+    blocked::<true>(a, k, b, [m, k, n], out, ldo);
 }
 
-/// [`matmul_strided_into`] with the zero skip chosen at compile time:
-/// with `SKIP == false` every term `a[i, p] * b[p, j]` is added, which is
-/// the float sequence of a dot product started from `out[i, j]`.
+/// [`matmul_strided_into`] with the zero skip chosen at compile time and
+/// row `i` of `a` read from `a[i * lda..]`, so `a` may be a column slice
+/// of a wider matrix: with `SKIP == false` every term `a[i, p] * b[p, j]`
+/// is added, which is the float sequence of a dot product started from
+/// `out[i, j]`.
 fn blocked<const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     [m, k, n]: [usize; 3],
     out: &mut [f32],
     ldo: usize,
 ) {
     assert!(ldo >= n, "matmul output stride {ldo} below width {n}");
-    assert!(a.len() >= m * k && b.len() >= k * n, "matmul operand too short");
+    assert!(lda >= k, "matmul operand stride {lda} below depth {k}");
+    assert!(b.len() >= k * n, "matmul operand too short");
     if m == 0 || n == 0 {
         return;
     }
+    assert!(a.len() >= (m - 1) * lda + k, "matmul operand too short");
     assert!(out.len() >= (m - 1) * ldo + n, "matmul output buffer too short");
     let wide = n - n % TILE_COLS;
     let mut i = 0;
     while i + TILE_ROWS <= m {
         for j in (0..wide).step_by(TILE_COLS) {
-            tile::<TILE_ROWS, SKIP>(a, b, [i, j, k, n], out, ldo);
+            tile::<TILE_ROWS, SKIP>(a, lda, b, [i, j, k, n], out, ldo);
         }
         i += TILE_ROWS;
     }
     for i in i..m {
         for j in (0..wide).step_by(TILE_COLS) {
-            tile::<1, SKIP>(a, b, [i, j, k, n], out, ldo);
+            tile::<1, SKIP>(a, lda, b, [i, j, k, n], out, ldo);
         }
     }
     if wide < n {
         let mut i = 0;
         while i + NARROW_ROWS <= m {
-            columns::<NARROW_ROWS, SKIP>(a, b, [i, wide, k, n], out, ldo);
+            columns::<NARROW_ROWS, SKIP>(a, lda, b, [i, wide, k, n], out, ldo);
             i += NARROW_ROWS;
         }
         for i in i..m {
-            columns::<1, SKIP>(a, b, [i, wide, k, n], out, ldo);
+            columns::<1, SKIP>(a, lda, b, [i, wide, k, n], out, ldo);
         }
     }
 }
@@ -272,6 +279,7 @@ fn blocked<const SKIP: bool>(
 #[allow(clippy::needless_range_loop)]
 fn tile<const R: usize, const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     [i, j, k, n]: [usize; 4],
     out: &mut [f32],
@@ -283,7 +291,7 @@ fn tile<const R: usize, const SKIP: bool>(
     }
     // The R rows of `a`, walked in lock step with the rows of `b`.
     let mut arows: [std::slice::Iter<'_, f32>; R] =
-        std::array::from_fn(|r| a[(i + r) * k..(i + r + 1) * k].iter());
+        std::array::from_fn(|r| a[(i + r) * lda..][..k].iter());
     for brow in b.chunks_exact(n).take(k) {
         let brow: &[f32; TILE_COLS] =
             brow[j..j + TILE_COLS].try_into().expect("a tile-wide row");
@@ -308,12 +316,13 @@ fn tile<const R: usize, const SKIP: bool>(
 #[allow(clippy::needless_range_loop)]
 fn columns<const R: usize, const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     [i, j, k, n]: [usize; 4],
     out: &mut [f32],
     ldo: usize,
 ) {
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * lda..][..k]);
     let b = &b[..k * n];
     for c in j..n {
         let mut acc = [0.0f32; R];
@@ -453,37 +462,60 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(m, m2, "matmul_at_b leading dimensions differ: {m} vs {m2}");
     assert_eq!(out.len(), k * n, "matmul_at_b output buffer length mismatch");
-    at_b_into(a.data(), b.data(), [m, k, n], out, parts_for(m * k * n));
+    at_b_into(a.data(), [m, k], 0..k, b.data(), n, out, parts_for(m * k * n));
 }
 
-/// `aᵀ · b` for row-major `a` (`[m, k]`) and `b` (`[m, n]`) into a zeroed
-/// `out`, over at most `parts` ranges of its rows (the columns of `a`).
+/// `a[:, cols]ᵀ · b` for row-major `a` (`[m, lda]`) and `b` (`[m, n]`)
+/// into a zeroed `[cols.len(), n]` `out`, over at most `parts` ranges of
+/// its rows (the columns of `a`).
 fn at_b_into(
     a: &[f32],
+    [m, lda]: [usize; 2],
+    cols: Range<usize>,
     b: &[f32],
-    [m, k, n]: [usize; 3],
+    n: usize,
     out: &mut [f32],
     parts: usize,
 ) {
-    if k == 0 || n == 0 {
+    if cols.is_empty() || n == 0 {
         return;
     }
-    let (a, b) = (&a[..m * k], &b[..m * n]);
+    let (a, b) = (&a[..m * lda], &b[..m * n]);
     let kernel = kernel_for(b);
-    split_rows_in(out, [k, n], parts, |cols, out| {
+    split_rows_in(out, [cols.len(), n], parts, |rows, out| {
         // Block by block of rows of `a` and `b`: each output resumes its
         // sum where the previous block left it, so it still runs over all
         // `i` ascending, while the block's transpose (of this range's
         // columns alone) and rows of `b` stay cached.
-        let width = cols.len();
+        let keep = cols.start + rows.start..cols.start + rows.end;
+        let width = rows.len();
         let mut at = vec![0.0f32; width * AT_B_ROWS.min(m)];
-        for (ab, bb) in a.chunks(AT_B_ROWS * k).zip(b.chunks(AT_B_ROWS * n)) {
-            let rows = ab.len() / k;
-            let at = &mut at[..width * rows];
-            transpose_into(ab, [rows, k], cols.clone(), at);
-            kernel(at, bb, [width, rows, n], out, n);
+        for (ab, bb) in a.chunks(AT_B_ROWS * lda).zip(b.chunks(AT_B_ROWS * n)) {
+            let block = ab.len() / lda;
+            let at = &mut at[..width * block];
+            transpose_into(ab, [block, lda], keep.clone(), at);
+            kernel(at, block, bb, [width, block, n], out, n);
         }
     });
+}
+
+/// `a[:, cols]ᵀ · b` for rank-2 `a` and `b` with the same row count: the
+/// gradient of one product of [`matmul_sum_into`] w.r.t. its weight, the
+/// bits of [`matmul_at_b`] on that column slice.
+pub(crate) fn matmul_at_b_cols(a: &Tensor, cols: Range<usize>, b: &Tensor) -> Tensor {
+    let ([m, lda], [m2, n]) = (dims2(a), dims2(b));
+    assert_eq!(m, m2, "matmul_at_b leading dimensions differ: {m} vs {m2}");
+    assert!(cols.end <= lda, "columns {cols:?} past the operand's {lda}");
+    let mut out = vec![0.0f32; cols.len() * n];
+    let work = m * cols.len() * n;
+    at_b_into(a.data(), [m, lda], cols.clone(), b.data(), n, &mut out, parts_for(work));
+    Tensor::from_vec(out, &[cols.len(), n])
+}
+
+/// The dimensions of a rank-2 tensor.
+fn dims2(t: &Tensor) -> [usize; 2] {
+    assert_eq!(t.shape().rank(), 2, "a product operand must be rank-2");
+    [t.dims()[0], t.dims()[1]]
 }
 
 /// Computes `aᵀ @ b`.
@@ -520,22 +552,106 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_a_bt trailing dimensions differ: {k} vs {k2}");
     assert_eq!(out.len(), m * n, "matmul_a_bt output buffer length mismatch");
-    a_bt_into(a.data(), b.data(), [m, k, n], out, parts_for(m * k * n));
+    a_bt_into(a.data(), [m, k], &[(0, b.data(), n)], out, n, parts_for(m * k * n));
 }
 
-/// `a · bᵀ` for row-major `a` (`[m, k]`) and `b` (`[n, k]`) into a zeroed
-/// `out`, over at most `parts` row ranges.
+/// `a · bᵢᵀ` for row-major `a` (`[m, k]`) and each `(c, bᵢ, nᵢ)` of
+/// `terms` (`bᵢ` row-major `[nᵢ, k]`), added to columns `c..c + nᵢ` of
+/// the zeroed row-major `[m, ldo]` `out`, over at most `parts` row ranges.
 fn a_bt_into(
     a: &[f32],
-    b: &[f32],
-    [m, k, n]: [usize; 3],
+    [m, k]: [usize; 2],
+    terms: &[(usize, &[f32], usize)],
     out: &mut [f32],
+    ldo: usize,
     parts: usize,
 ) {
-    let mut bt = vec![0.0f32; n * k];
-    transpose_into(&b[..n * k], [n, k], 0..k, &mut bt);
-    split_rows_in(out, [m, n], parts, |rows, out| {
-        blocked::<false>(&a[rows.start * k..rows.end * k], &bt, [rows.len(), k, n], out, n);
+    let bts: Vec<Vec<f32>> = terms
+        .iter()
+        .map(|&(_, b, n)| {
+            let mut bt = vec![0.0f32; n * k];
+            transpose_into(&b[..n * k], [n, k], 0..k, &mut bt);
+            bt
+        })
+        .collect();
+    split_rows_in(out, [m, ldo], parts, |rows, out| {
+        if rows.is_empty() {
+            return;
+        }
+        let a = &a[rows.start * k..rows.end * k];
+        for (&(col, _, n), bt) in terms.iter().zip(&bts) {
+            blocked::<false>(a, k, bt, [rows.len(), k, n], &mut out[col..], ldo);
+        }
+    });
+}
+
+/// For each `(c, wᵢ)` of `terms`, `g · wᵢᵀ` into columns `c..c + kᵢ` of
+/// the zeroed `[m, width]` `out` (`g` `[m, n]`, `wᵢ` `[kᵢ, n]`):
+/// the gradient of [`matmul_sum_into`] w.r.t. one operand, each column
+/// slice with the bits of [`matmul_a_bt`]. The row ranges of one split run
+/// every term.
+///
+/// # Panics
+///
+/// Panics if a shape does not fit.
+pub(crate) fn matmul_a_bt_cols_into(g: &Tensor, terms: &[(usize, &Tensor)], out: &mut Tensor) {
+    let ([m, n], [m2, width]) = (dims2(g), dims2(out));
+    assert_eq!(m, m2, "matmul_a_bt row counts differ: {m} vs {m2}");
+    let mut work = 0;
+    let slices: Vec<(usize, &[f32], usize)> = terms
+        .iter()
+        .map(|&(col, w)| {
+            let [k, n2] = dims2(w);
+            assert_eq!(n, n2, "matmul_a_bt trailing dimensions differ: {n} vs {n2}");
+            assert!(col + k <= width, "columns {col}..{} past the width {width}", col + k);
+            work += m * n * k;
+            (col, w.data(), k)
+        })
+        .collect();
+    a_bt_into(g.data(), [m, n], &slices, out.data_mut(), width, parts_for(work));
+}
+
+/// `Σᵢ aᵢ[:, cᵢ..cᵢ + kᵢ] · wᵢ` into a zeroed `[m, n]` `out`, for `terms`
+/// `(aᵢ, cᵢ, wᵢ)` with `aᵢ` `[m, ·]` and `wᵢ` `[kᵢ, n]`. Each product is
+/// computed from zero as [`matmul_into`] computes it and added to the sum
+/// of the ones before, so the result has the bits of the chain of products
+/// and [`add`]s, at any core count: one split of the output rows runs
+/// every term, reading each column slice in place.
+///
+/// # Panics
+///
+/// Panics if `terms` is empty, a shape does not fit, or `out` has the
+/// wrong length.
+pub(crate) fn matmul_sum_into(terms: &[(&Tensor, usize, &Tensor)], out: &mut [f32]) {
+    let (first, _, w) = terms.first().expect("a sum of at least one product");
+    let (m, n) = (dims2(first)[0], dims2(w)[1]);
+    let mut work = 0;
+    for &(a, col, w) in terms {
+        let ([m2, lda], [k, n2]) = (dims2(a), dims2(w));
+        assert_eq!((m2, n2), (m, n), "matmul_sum operand shapes differ");
+        assert!(col + k <= lda, "columns {col}..{} past the operand's {lda}", col + k);
+        work += m * k * n;
+    }
+    assert_eq!(out.len(), m * n, "matmul_sum output buffer length mismatch");
+    let kernels: Vec<Kernel> = terms.iter().map(|(_, _, w)| kernel_for(w.data())).collect();
+    split_rows_in(out, [m, n], parts_for(work), |rows, out| {
+        if rows.is_empty() {
+            return;
+        }
+        let mut part = vec![0.0f32; if terms.len() > 1 { out.len() } else { 0 }];
+        for (i, (&(a, col, w), kernel)) in terms.iter().zip(&kernels).enumerate() {
+            let (lda, k) = (a.dims()[1], w.dims()[0]);
+            let a = &a.data()[rows.start * lda + col..];
+            if i == 0 {
+                kernel(a, lda, w.data(), [rows.len(), k, n], out, n);
+            } else {
+                part.fill(0.0);
+                kernel(a, lda, w.data(), [rows.len(), k, n], &mut part, n);
+                for (o, p) in out.iter_mut().zip(&part) {
+                    *o += p;
+                }
+            }
+        }
     });
 }
 
@@ -1429,7 +1545,7 @@ mod tests {
 
             let b = relu_salted(&mut rng, m * n, specials);
             let mut got = vec![0.0; k * n];
-            at_b_into(&a, &b, [m, k, n], &mut got, parts);
+            at_b_into(&a, [m, k], 0..k, &b, n, &mut got, parts);
             let want = naive_at_b(&a, &b, [m, k, n]);
             wisegraph_testkit::prop_assert_eq!(
                 nan_class_bits(&got), nan_class_bits(&want), "at_b: {case}"
@@ -1437,7 +1553,7 @@ mod tests {
 
             let b = relu_salted(&mut rng, n * k, specials);
             let mut got = vec![0.0; m * n];
-            a_bt_into(&a, &b, [m, k, n], &mut got, parts);
+            a_bt_into(&a, [m, k], &[(0, &b, n)], &mut got, n, parts);
             let want = naive_a_bt(&a, &b, [m, k, n]);
             wisegraph_testkit::prop_assert_eq!(
                 nan_class_bits(&got), nan_class_bits(&want), "a_bt: {case}"
@@ -1456,7 +1572,7 @@ mod tests {
             assert_eq!(&out[..3], &[1.0, 2.0, 3.0], "a_b, parts {parts}");
             // Column 0 of `a` is zero where `b`'s row holds an inf.
             let mut out = vec![0.0; 4];
-            at_b_into(&[0.0, 1.0], &[f32::INFINITY, 2.0], [1, 2, 2], &mut out, parts);
+            at_b_into(&[0.0, 1.0], [1, 2], 0..2, &[f32::INFINITY, 2.0], 2, &mut out, parts);
             assert_eq!(out, [0.0, 0.0, f32::INFINITY, 2.0], "at_b, parts {parts}");
         }
     }

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use wisegraph::baselines::{Baseline, LayerDims};
 use wisegraph::core::WiseGraph;
-use wisegraph::graph::generate::{rmat, RmatParams};
+use wisegraph::graph::generate::{rmat, RmatParams, MAX_RMAT_VERTICES};
 use wisegraph::graph::{io, DatasetKind, Graph};
 use wisegraph::gtask::{partition, PartitionTable};
 use wisegraph::models::ModelKind;
@@ -28,10 +28,16 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value of flag `name`: `None` when the flag is absent, and an error
+/// when it is given without a value (last, or followed by another flag).
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{name} needs a value")),
+    }
 }
 
 /// The value of numeric flag `name`, or `default` when it is absent. A
@@ -43,10 +49,9 @@ fn flag_num<T: FromStr + PartialOrd + Display>(
     default: T,
     min: T,
 ) -> Result<T, String> {
-    if !args.iter().any(|a| a == name) {
+    let Some(v) = flag(args, name)? else {
         return Ok(default);
-    }
-    let v = flag(args, name).ok_or_else(|| format!("{name} needs a value"))?;
+    };
     match v.parse::<T>() {
         Ok(n) if n >= min => Ok(n),
         _ => Err(format!("{name} must be an integer >= {min}, got '{v}'")),
@@ -72,10 +77,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match command.as_str() {
         "generate" => {
             let v = flag_num(args, "--vertices", 10_000usize, 1)?;
+            if v as u64 > MAX_RMAT_VERTICES {
+                return Err(format!(
+                    "--vertices must be at most {MAX_RMAT_VERTICES} (vertex ids are 32-bit), got {v}"
+                ));
+            }
             let e = flag_num(args, "--edges", 100_000usize, 1)?;
             let t = flag_num(args, "--types", 1usize, 1)?;
             let seed = flag_num(args, "--seed", 42u64, 0)?;
-            let Some(out) = flag(args, "--out") else {
+            let Some(out) = flag(args, "--out")? else {
                 eprintln!("error: --out PATH is required");
                 return Ok(usage());
             };
@@ -95,7 +105,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             let g = load_graph(path)?;
             let k = flag_num(args, "--k", 64u64, 1)?;
-            let table = match flag(args, "--table").as_deref().unwrap_or("vertex") {
+            let table = match flag(args, "--table")?.as_deref().unwrap_or("vertex") {
                 "vertex" => PartitionTable::vertex_centric(),
                 "edge" => PartitionTable::edge_centric(),
                 "2d" => PartitionTable::two_d(k),
@@ -119,7 +129,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(usage());
             };
             let g = load_graph(path)?;
-            let model = match flag(args, "--model").as_deref().unwrap_or("gcn") {
+            let model = match flag(args, "--model")?.as_deref().unwrap_or("gcn") {
                 "gcn" => ModelKind::Gcn,
                 "sage" => ModelKind::Sage,
                 "sage-lstm" => ModelKind::SageLstm,

@@ -24,7 +24,7 @@ use wisegraph::gtask::{
 use wisegraph::kernels::cluster::compatible_placements;
 use wisegraph::kernels::engine::Engine;
 use wisegraph::kernels::micro::compile;
-use wisegraph::kernels::train::aggregate;
+use wisegraph::kernels::train::{aggregate, aggregate_typed};
 use wisegraph::kernels::ClusterEngine;
 use wisegraph::models::ModelKind;
 use wisegraph::obs::critical::logical_cost;
@@ -242,17 +242,19 @@ fn o001_shipped_sources_are_covered() {
     });
     assert_spans(&trace, &["sharded.execute"], "execute_sharded_layer");
 
-    let (_, trace) = capture(|| {
-        let tape = Tape::new();
-        let h = tape.param(init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 8));
-        let out = aggregate(&tape, &g, h);
-        tape.backward(tape.sum(out));
-    });
-    assert_spans(
-        &trace,
-        &["train.aggregate.forward", "train.aggregate.backward"],
-        "training aggregation",
-    );
+    for (typed, ctx) in [(false, "training aggregation"), (true, "typed training aggregation")] {
+        let (_, trace) = capture(|| {
+            let tape = Tape::new();
+            let h = tape.param(init::uniform_tensor(&[g.num_vertices(), fi], -1.0, 1.0, 8));
+            let out = if typed {
+                aggregate_typed(&tape, &g, h)
+            } else {
+                aggregate(&tape, &g, h)
+            };
+            tape.backward(tape.sum(out));
+        });
+        assert_spans(&trace, &["train.aggregate.forward", "train.aggregate.backward"], ctx);
+    }
 
     let (_, trace) = capture(|| partition(&g, &PartitionTable::edge_batch(32)));
     assert_spans(&trace, &["gtask.partition"], "partition");

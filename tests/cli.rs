@@ -1,7 +1,8 @@
 //! The `wisegraph` command line, driven as a process: a generated graph
 //! optimizes and reports its search, and bad input (a truncated graph
-//! file, a zero or unparsable numeric flag) exits 1 with an error message
-//! instead of a panic.
+//! file, a zero or unparsable numeric flag, a flag without its value, more
+//! vertices than 32-bit ids address) exits 1 with an error message instead
+//! of a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -132,4 +133,60 @@ fn zero_missing_and_unparsable_flags_are_errors() {
     }
     assert!(!out_path.exists(), "a rejected generate wrote its output");
     std::fs::remove_file(path).unwrap();
+}
+
+/// A flag given last, with no value, is an error rather than its default,
+/// and so is one followed by another flag.
+#[test]
+fn a_flag_without_its_value_is_an_error() {
+    let path = scratch("valueless.bin");
+    let path = path.to_str().unwrap();
+    generate(path);
+    let cases: [(&[&str], &str); 5] = [
+        (&["optimize", path, "--model"], "--model"),
+        (&["partition", path, "--table"], "--table"),
+        (
+            &["generate", "--vertices", "30", "--edges", "90", "--out"],
+            "--out",
+        ),
+        (
+            &["generate", "--out", "--vertices", "30", "--edges", "90"],
+            "--out",
+        ),
+        (
+            &["optimize", path, "--features", "16", "--model"],
+            "--model",
+        ),
+    ];
+    for (args, flag) in cases {
+        assert_error(
+            &wisegraph(args),
+            &format!("{flag} needs a value"),
+            &args.join(" "),
+        );
+    }
+    std::fs::remove_file(path).unwrap();
+}
+
+/// Vertex ids are 32-bit: `generate` rejects more than 2^32 vertices
+/// before it allocates anything (the edge count asked for is one).
+#[test]
+fn more_vertices_than_32_bit_ids_is_an_error() {
+    let out_path = scratch("too-many-vertices.bin");
+    let never = out_path.to_str().unwrap();
+    let args = [
+        "generate",
+        "--vertices",
+        "4294967297",
+        "--edges",
+        "1",
+        "--out",
+        never,
+    ];
+    assert_error(
+        &wisegraph(&args),
+        "--vertices must be at most 4294967296",
+        "2^32 + 1",
+    );
+    assert!(!out_path.exists(), "a rejected generate wrote its output");
 }
