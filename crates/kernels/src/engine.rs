@@ -31,8 +31,8 @@
 //! bit-identical to the allocating reference ([`execute_parallel_alloc`]).
 //!
 //! An [`Engine`] owns one [`TaskWorkspace`] and one partial per worker
-//! slot, both persisting across calls: a training loop executing the same
-//! plan every epoch re-uses every buffer after the first call.
+//! slot, both persisting across calls: a caller executing the same plan
+//! on every step re-uses every buffer after the first call.
 //!
 //! [`Engine::execute`], [`Engine::execute_program`] and
 //! [`Engine::accumulate_program`] are the entry points; all three accept

@@ -27,8 +27,9 @@
 //! - [`cluster`]: sharded multi-device execution — one real [`engine`]
 //!   per simulated device, deterministic collectives, and the paper's
 //!   placement schedules (§5.4, Figure 11) as executable strategies;
-//! - [`train`]: graph aggregation as one autograd op, run by the
-//!   [`engine`] forward on the graph and backward on the reversed graph.
+//! - [`train`]: graph aggregation as one autograd op, a walk over the
+//!   vertex-centric plan forward on the graph and backward on the
+//!   reversed graph.
 
 pub mod cluster;
 pub mod engine;

@@ -1,66 +1,48 @@
-//! Graph aggregation on the training path: autograd ops over the graph's
-//! vertex-centric plans.
+//! Graph aggregation on the training path: autograd ops that walk the
+//! graph's vertex-centric plans.
 //!
 //! A GNN layer's aggregation `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]`
 //! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one custom node, so
-//! no `[E, F]` tensor exists on either pass:
+//! no `[E, F]` tensor exists on either pass. RGCN's per-relation sums are
+//! one typed node, [`aggregate_typed`], which adds each edge's term into
+//! its type's column block of a `[|V|, T·F]` row (§5.1's Index-2D); the
+//! other ops have one block. All three run the same two walks:
 //!
-//! - **forward** is [`Engine::execute_program`] of the three-node DFG
-//!   `index_add(index(h, SrcId), DstId)` (with `α` gathered by `EdgeId`
-//!   and row-scaling the messages when weighted) on the graph's
-//!   vertex-centric plan;
-//! - **backward** w.r.t. `h` is the *same* program on the
-//!   [`reversed`](Graph::reversed) graph's vertex-centric plan. The adjoint
-//!   of a gather by source and a scatter by destination is a gather by
-//!   destination and a scatter by source, which is what the reversed graph's
-//!   source and destination columns are; edge ids are kept, so `α` is read
-//!   by the same ids. The weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is
-//!   a plain edge loop writing `E` scalars, in edge ranges on every core
-//!   ([`ops::split_rows`]): an edge-rowed output is the one thing a
-//!   per-task program cannot produce. Like every tape node, the op
-//!   has no backward when none of its inputs needs a gradient: aggregating
-//!   a first layer's features runs no reversed pass.
+//! - **forward**, `out[dst_e, block_e] += α_e · h[src_e]`, walks the plan
+//!   in contiguous ranges of destinations, one per core, so each row is
+//!   written once by one thread: no per-thread slots, zero-fill or reduce;
+//! - **backward** w.r.t. `h` is the same walk on the
+//!   [`reversed`](Graph::reversed) graph's plan (the adjoint of a gather by
+//!   source and a scatter by destination; edge ids are kept, so `α` and
+//!   the types are read by the same ids). A row sums each block's terms
+//!   apart and adds the per-block partials from the last block to the
+//!   first, the order in which the tape added one node's gradient per
+//!   type. With one block that is the plain sum's bits: a sum that starts
+//!   at `+0.0` is never `-0.0`, so adding it to a zeroed row changes no bit.
 //!
-//! RGCN's per-relation sums are one typed node, [`aggregate_typed`]:
-//! `out[dst, t·F..(t + 1)·F] += h[src]` into `[V, T·F]` (§5.1's Index-2D),
-//! not one engine call per edge type. It walks the same two plans itself:
-//! contiguous ranges of destinations, one per engine worker, each
-//! destination's row written once by one worker, so there are no
-//! per-worker slots, no zero-fill pass and no reduce. Its backward is one
-//! pass over the reversed plan that reads `grad[dst, type]` and writes
-//! `dh[src]`, adding each type's terms apart and the per-type partials
-//! from the last type to the first — the order the tape added one
-//! node's gradient per type — so `dh` keeps those bits too.
+//! The weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is an edge loop
+//! writing `E` scalars in edge ranges on every core ([`ops::split_rows`]).
+//! Like every tape node, an op has no backward when none of its inputs
+//! needs a gradient: aggregating a first layer's features walks nothing
+//! reversed.
 //!
-//! Vertex-centric plans sort a destination's edges by edge id and put them
-//! in one task, so every destination (and, reversed, every source) sums in
-//! ascending edge-id order — the order of `ops::index_add_rows` — whichever
-//! worker runs the task. The results are therefore bit-identical to the
-//! tensor-centric reference at any thread count, and both ops use every
-//! available core without that becoming a setting.
-//!
-//! The engine and the all-edge plans of both directions are built once per
-//! graph and kept in a one-entry memo per thread, keyed by
-//! [`Graph::content_key`]: a training loop re-plans nothing after its first
-//! forward.
+//! A vertex-centric plan puts each destination's edges in one task, by
+//! edge id, so every row sums in ascending edge-id order, the order of
+//! `ops::index_add_rows`: the results are bit-identical to the
+//! tensor-centric reference at any thread count. Both plans are built once
+//! per graph and kept in a one-entry memo per thread, keyed by
+//! [`Graph::content_key`], so a training loop re-plans nothing after its
+//! first forward.
 
-use crate::engine::Engine;
-use crate::micro::compile;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use wisegraph_dfg::{Dfg, Dim};
-use wisegraph_graph::{AttrKind, Graph};
+use wisegraph_graph::Graph;
 use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
 use wisegraph_obs::span;
 use wisegraph_tensor::{ops, Tape, Tensor, Var};
 
-/// Global names of the gathered rows and the per-edge weights.
-const H: &str = "h";
-const ALPHA: &str = "alpha";
-
 /// `out[v] = Σ_{e : dst_e = v} h[src_e]`: the sum aggregation of GCN and
-/// SAGE, recorded on `tape` as one engine-run node.
+/// SAGE, recorded on `tape` as one node.
 ///
 /// # Panics
 ///
@@ -70,8 +52,8 @@ pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
 }
 
 /// `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]` for per-edge weights `α`
-/// of shape `[|E|]` (GAT's attention), recorded on `tape` as one
-/// engine-run node with gradients for both `h` and `α`.
+/// of shape `[|E|]` (GAT's attention), recorded on `tape` as one node with
+/// gradients for both `h` and `α`.
 ///
 /// # Panics
 ///
@@ -83,8 +65,7 @@ pub fn aggregate_weighted(tape: &Tape, g: &Graph, h: Var, alpha: Var) -> Var {
 /// RGCN's per-relation aggregation in one typed pass:
 /// `out[v, t·F..(t + 1)·F] = Σ_{e : dst_e = v, type_e = t} h[src_e]`, a
 /// `[|V|, T·F]` node whose column block `t` is [`aggregate`] over the
-/// type-`t` edges alone, bit for bit. Each destination's row is written
-/// once, by one worker; the backward is one pass on the reversed graph.
+/// type-`t` edges alone, bit for bit.
 ///
 /// # Panics
 ///
@@ -93,28 +74,24 @@ pub fn aggregate_typed(tape: &Tape, g: &Graph, h: Var) -> Var {
     memo(g).record_typed(tape, g, h)
 }
 
-/// The vertex-centric plans of all edges: on the graph (forward) and on
-/// the reversed graph (backward). Each lists every destination's edges
-/// together, destinations ascending, each destination's edges by id.
-struct Plans {
-    forward: PartitionPlan,
-    backward: PartitionPlan,
-}
-
-/// Everything the op needs for one graph, built once.
+/// Everything the ops need for one graph, built once: the vertex-centric
+/// plans of all edges on the graph (`forward`) and on the reversed graph
+/// (`backward`), each listing every destination's edges together,
+/// destinations ascending, each destination's edges by id.
 struct Aggregate {
     key: u64,
-    engine: Engine,
+    threads: usize,
     reversed: Graph,
-    plans: Plans,
+    forward: PartitionPlan,
+    backward: PartitionPlan,
 }
 
 thread_local! {
     static MEMO: RefCell<Option<Rc<Aggregate>>> = const { RefCell::new(None) };
 }
 
-/// The op for `g`: the memoised one when it was built for `g`'s content,
-/// otherwise a new one on all available cores, which replaces it.
+/// The ops for `g`: the memoised ones when they were built for `g`'s
+/// content, otherwise new ones on all available cores, which replace them.
 fn memo(g: &Graph) -> Rc<Aggregate> {
     MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
@@ -130,23 +107,37 @@ fn memo(g: &Graph) -> Rc<Aggregate> {
     })
 }
 
-/// The aggregation DFG over `width`-wide rows, weighted or not.
-fn aggregation_dfg(width: usize, weighted: bool) -> Dfg {
-    let mut d = Dfg::new();
-    let h = d.input(H, vec![Dim::Vertices, Dim::Lit(width)]);
-    let src = d.edge_attr(AttrKind::SrcId);
-    let dst = d.edge_attr(AttrKind::DstId);
-    let mut msg = d.index(h, src);
-    if weighted {
-        let alpha = d.input(ALPHA, vec![Dim::Edges, Dim::Lit(1)]);
-        let eid = d.edge_attr(AttrKind::EdgeId);
-        let alpha_e = d.index(alpha, eid);
-        let scale = d.squeeze_col(alpha_e);
-        msg = d.scale_rows(msg, scale);
+/// One op's per-edge terms: the weights `α` (1 when `None`) and, for the
+/// typed op, each edge's type as its column block (block 0 otherwise) out
+/// of `blocks`.
+struct Terms<'a> {
+    alpha: Option<&'a [f32]>,
+    types: Option<&'a [u32]>,
+    blocks: usize,
+}
+
+impl<'a> Terms<'a> {
+    /// The terms of an op on `g` (or on its reversed graph, which keeps
+    /// edge ids and types).
+    fn new(g: &'a Graph, alpha: Option<&'a Tensor>, typed: bool) -> Self {
+        Terms {
+            alpha: alpha.map(Tensor::data),
+            types: typed.then_some(g.etype()),
+            blocks: if typed { g.num_edge_types() } else { 1 },
+        }
     }
-    let out = d.index_add(msg, dst, Dim::Vertices);
-    d.mark_output(out);
-    d
+
+    fn block(&self, e: usize) -> usize {
+        self.types.map_or(0, |t| t[e] as usize)
+    }
+
+    /// `acc += α_e · x`.
+    fn add(&self, acc: &mut [f32], e: usize, x: &[f32]) {
+        match self.alpha {
+            None => acc.iter_mut().zip(x).for_each(|(o, &x)| *o += x),
+            Some(a) => acc.iter_mut().zip(x).for_each(|(o, &x)| *o += a[e] * x),
+        }
+    }
 }
 
 /// Runs `f(state, row, run)` for every destination with edges, over
@@ -183,11 +174,9 @@ impl Aggregate {
         let reversed = g.reversed();
         let table = PartitionTable::vertex_centric();
         let all: Vec<usize> = (0..g.num_edges()).collect();
-        let plans = Plans {
-            forward: partition_edges(g, &table, &all),
-            backward: partition_edges(&reversed, &table, &all),
-        };
-        for (plan, graph) in [(&plans.forward, g), (&plans.backward, &reversed)] {
+        let forward = partition_edges(g, &table, &all);
+        let backward = partition_edges(&reversed, &table, &all);
+        for (plan, graph) in [(&forward, g), (&backward, &reversed)] {
             let dst = graph.dst();
             let key = |e: u32| (dst[e as usize], e);
             assert!(
@@ -197,75 +186,122 @@ impl Aggregate {
         }
         Aggregate {
             key: g.content_key(),
-            engine: Engine::new(threads),
+            threads,
             reversed,
-            plans,
+            forward,
+            backward,
         }
     }
 
-    /// Runs the aggregation program on `graph` under `plan`, reading the
-    /// globals `h` (and `alpha`, when weighted).
-    fn run(
-        &self,
-        graph: &Graph,
-        plan: &PartitionPlan,
-        globals: &HashMap<String, Tensor>,
-    ) -> Tensor {
-        let h = &globals[H];
-        assert_eq!(h.shape().rank(), 2, "aggregated rows must be rank-2");
-        let dfg = aggregation_dfg(h.dims()[1], globals.contains_key(ALPHA));
-        let program = compile(&dfg, graph).expect("the aggregation DFG compiles");
-        self.engine
-            .execute_program(&program, &dfg, graph, plan, globals)
-            .expect("the aggregation program runs on any plan")
-            .swap_remove(0)
-    }
-
-    /// Runs the forward pass and records it on `tape` with its backward.
+    /// The sum or weighted op, recorded on `tape` with its backward.
     fn record(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var, alpha: Option<Var>) -> Var {
-        let mut globals = HashMap::from([(H.to_string(), tape.value(h))]);
-        if let Some(a) = alpha {
-            let a = tape.value(a);
-            assert_eq!(a.dims(), [g.num_edges()], "one weight per edge");
-            globals.insert(ALPHA.to_string(), a.reshape(&[g.num_edges(), 1]));
-        }
-        let out = {
-            let plan = &self.plans.forward;
-            let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
-            self.run(g, plan, &globals)
+        self.record_walk(tape, g, h, alpha, false)
+    }
+
+    /// The typed op, recorded on `tape` with its backward.
+    fn record_typed(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var) -> Var {
+        self.record_walk(tape, g, h, None, true)
+    }
+
+    /// Checks the operands on the calling thread, runs the forward walk
+    /// into a buffer from `tape`'s pool and records the node.
+    fn record_walk(
+        self: &Rc<Self>,
+        tape: &Tape,
+        g: &Graph,
+        h: Var,
+        alpha: Option<Var>,
+        typed: bool,
+    ) -> Var {
+        let (h_t, v) = (tape.value(h), g.num_vertices());
+        let &[_, f] = h_t.dims() else {
+            panic!("aggregated rows must be rank-2")
         };
+        assert_eq!(h_t.dims()[0], v, "one aggregated row per vertex");
+        let alpha_t = alpha.map(|a| tape.value(a));
+        if let Some(a) = &alpha_t {
+            assert_eq!(a.dims(), [g.num_edges()], "one weight per edge");
+        }
+        let terms = Terms::new(g, alpha_t.as_ref(), typed);
+        let mut out = tape.zeros(&[v, terms.blocks * f]);
+        let (plan, src) = (&self.forward, g.src());
+        let sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
+        by_destination(
+            plan.tasks.edges(),
+            g.dst(),
+            out.data_mut(),
+            [v, terms.blocks * f],
+            self.threads,
+            || (),
+            |_, row, run| {
+                for &e in run {
+                    let e = e as usize;
+                    let block = &mut row[terms.block(e) * f..][..f];
+                    terms.add(block, e, h_t.row(src[e] as usize));
+                }
+            },
+        );
+        drop(sp);
         // Only the weighted op's `dα` reads the forward operands again.
-        let operands = alpha.map(|a| {
-            let alpha_t = globals.remove(ALPHA).expect("inserted above");
-            (a, alpha_t, globals.remove(H).expect("inserted above"))
-        });
+        let weighted = alpha.zip(alpha_t).map(|(a, a_t)| (a, a_t, h_t));
         let op = Rc::clone(self);
         let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
         tape.custom(out, &inputs, move |grad| {
-            op.backward(grad, h, operands.as_ref())
+            op.backward(grad, h, weighted.as_ref(), typed)
         })
     }
 
-    /// Gradients of the op: `dh` from the program on the reversed graph,
-    /// and for the weighted op `dα` from an edge loop. `weighted` holds the
-    /// weight variable with the forward's `[|E|, 1]` weights and rows.
+    /// Gradients of an op: `dh` from the walk on the reversed graph,
+    /// `dh[src_e] += α_e · grad[dst_e, block_e]`, and for the weighted op
+    /// `dα` from an edge loop. `weighted` holds the weight variable with
+    /// the forward's weights and rows.
     fn backward(
         &self,
         grad: &Tensor,
         h: Var,
         weighted: Option<&(Var, Tensor, Tensor)>,
+        typed: bool,
     ) -> Vec<(Var, Tensor)> {
-        let plan = &self.plans.backward;
+        let r = &self.reversed;
+        let plan = &self.backward;
         let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
-        let mut globals = HashMap::from([(H.to_string(), grad.clone())]);
-        let Some((alpha, alpha_t, rows)) = weighted else {
-            return vec![(h, self.run(&self.reversed, plan, &globals))];
+        let terms = Terms::new(r, weighted.map(|(_, a, _)| a), typed);
+        let (v, blocks, src) = (r.num_vertices(), terms.blocks, r.src());
+        let f = grad.dims()[1] / blocks;
+        let mut dh = vec![0.0f32; v * f];
+        by_destination(
+            plan.tasks.edges(),
+            r.dst(),
+            &mut dh,
+            [v, f],
+            self.threads,
+            || (vec![0.0f32; blocks * f], vec![false; blocks]),
+            |(partial, touched), row, run| {
+                touched.fill(false);
+                for &e in run {
+                    let e = e as usize;
+                    let b = terms.block(e);
+                    let sum = &mut partial[b * f..][..f];
+                    if !touched[b] {
+                        touched[b] = true;
+                        sum.fill(0.0);
+                    }
+                    terms.add(sum, e, &grad.row(src[e] as usize)[b * f..][..f]);
+                }
+                for b in (0..blocks).rev().filter(|&b| touched[b]) {
+                    for (o, &x) in row.iter_mut().zip(&partial[b * f..][..f]) {
+                        *o += x;
+                    }
+                }
+            },
+        );
+        let dh = (h, Tensor::from_vec(dh, &[v, f]));
+        let Some((alpha, _, rows)) = weighted else {
+            return vec![dh];
         };
-        globals.insert(ALPHA.to_string(), alpha_t.clone());
-        let dh = self.run(&self.reversed, plan, &globals);
         // Reversed columns: `dst` here is the forward source. Each `dα_e`
         // is its own output, so edge ranges run on every core.
-        let (src, dst) = (self.reversed.dst(), self.reversed.src());
+        let (src, dst) = (r.dst(), r.src());
         let mut dalpha = vec![0.0f32; src.len()];
         let work = src.len() * grad.dims()[1];
         ops::split_rows(&mut dalpha, [src.len(), 1], work, |edges, out| {
@@ -278,89 +314,7 @@ impl Aggregate {
                     .sum();
             }
         });
-        vec![(h, dh), (*alpha, Tensor::from_vec(dalpha, &[src.len()]))]
-    }
-
-    /// The typed forward, recorded on `tape` with its backward: each
-    /// destination's `[T·F]` row sums its in-edges' source rows into their
-    /// types' blocks, in edge-id order.
-    fn record_typed(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var) -> Var {
-        let h_t = tape.value(h);
-        assert_eq!(h_t.shape().rank(), 2, "aggregated rows must be rank-2");
-        let (v, f, types) = (g.num_vertices(), h_t.dims()[1], g.num_edge_types());
-        assert_eq!(h_t.dims()[0], v, "one aggregated row per vertex");
-        let mut out = tape.zeros(&[v, types * f]);
-        {
-            let plan = &self.plans.forward;
-            let _sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
-            let (src, etype) = (g.src(), g.etype());
-            by_destination(
-                plan.tasks.edges(),
-                g.dst(),
-                out.data_mut(),
-                [v, types * f],
-                self.engine.threads(),
-                || (),
-                |_, row, run| {
-                    for &e in run {
-                        let e = e as usize;
-                        let block = &mut row[etype[e] as usize * f..][..f];
-                        for (o, &x) in block.iter_mut().zip(h_t.row(src[e] as usize)) {
-                            *o += x;
-                        }
-                    }
-                },
-            );
-        }
-        let op = Rc::clone(self);
-        tape.custom(out, &[h], move |grad| vec![(h, op.typed_backward(grad))])
-    }
-
-    /// The typed backward, `dh[src_e] += grad[dst_e, type_e·F..]`: one pass
-    /// over the reversed graph's plan, each forward source's row written by
-    /// one worker. A row sums each type's terms apart, in edge-id order,
-    /// and adds the per-type partials from the last type to the first: the
-    /// order in which the tape added the gradients of one aggregation node
-    /// per type, so `dh` keeps those bits.
-    fn typed_backward(&self, grad: &Tensor) -> Tensor {
-        let r = &self.reversed;
-        let (v, types) = (r.num_vertices(), r.num_edge_types());
-        let f = grad.dims()[1] / types;
-        let plan = &self.plans.backward;
-        let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
-        let (src, etype) = (r.src(), r.etype());
-        let mut dh = vec![0.0f32; v * f];
-        let partials = || (vec![0.0f32; types * f], vec![false; types]);
-        by_destination(
-            plan.tasks.edges(),
-            r.dst(),
-            &mut dh,
-            [v, f],
-            self.engine.threads(),
-            partials,
-            |scratch, row, run| {
-                let (partial, touched) = scratch;
-                touched.fill(false);
-                for &e in run {
-                    let e = e as usize;
-                    let t = etype[e] as usize;
-                    let sum = &mut partial[t * f..][..f];
-                    if !touched[t] {
-                        touched[t] = true;
-                        sum.fill(0.0);
-                    }
-                    for (o, &x) in sum.iter_mut().zip(&grad.row(src[e] as usize)[t * f..][..f]) {
-                        *o += x;
-                    }
-                }
-                for t in (0..types).rev().filter(|&t| touched[t]) {
-                    for (o, &x) in row.iter_mut().zip(&partial[t * f..][..f]) {
-                        *o += x;
-                    }
-                }
-            },
-        );
-        Tensor::from_vec(dh, &[v, f])
+        vec![dh, (*alpha, Tensor::from_vec(dalpha, &[src.len()]))]
     }
 }
 
@@ -487,14 +441,15 @@ mod tests {
             let h = rows(v, f, 1);
             let grad = rows(v, f, 2);
             let alpha = init::uniform_tensor(&[e], -1.0, 1.0, 3);
+            // Exact zeros of both signs (so some products are `-0.0`) and
+            // a large magnitude among the uniform weights.
+            let signed = (0..e).map(|i| [0.0, -0.0, 1.0e30, alpha.data()[i]][i % 4]);
+            let signed = Tensor::from_vec(signed.collect(), &[e]);
             let all: Vec<usize> = (0..e).collect();
             for threads in [1, 2, 4] {
                 let op = Rc::new(Aggregate::new(&g, threads));
-                for alpha in [None, Some(&alpha)] {
-                    let ctx = format!(
-                        "{v} V / {e} E, {threads} threads, weighted {}",
-                        alpha.is_some()
-                    );
+                for (i, alpha) in [None, Some(&alpha), Some(&signed)].into_iter().enumerate() {
+                    let ctx = format!("{v} V / {e} E, {threads} threads, weights {i}");
                     let (out, dh, da) = through_the_op(&op, &g, &h, alpha, &grad);
                     let (want, want_dh, want_da) = reference(&g, &all, &h, alpha, &grad);
                     assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
@@ -614,6 +569,27 @@ mod tests {
                 "dα[{i}]: {analytic} vs {numeric}"
             );
         }
+    }
+
+    /// The ops check their operands before any thread starts, so a bad
+    /// shape panics on the calling thread with the documented message.
+    #[test]
+    #[should_panic(expected = "one aggregated row per vertex")]
+    fn rows_that_are_not_one_per_vertex_panic_on_the_calling_thread() {
+        let g = &graphs()[0];
+        let tape = Tape::new();
+        let h = tape.param(rows(g.num_vertices() + 1, 4, 1));
+        aggregate(&tape, g, h);
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per edge")]
+    fn weights_that_are_not_one_per_edge_panic_on_the_calling_thread() {
+        let g = &graphs()[0];
+        let tape = Tape::new();
+        let h = tape.param(rows(g.num_vertices(), 4, 1));
+        let alpha = tape.param(init::uniform_tensor(&[g.num_edges() - 1], -1.0, 1.0, 3));
+        aggregate_weighted(&tape, g, h, alpha);
     }
 
     #[test]

@@ -298,7 +298,17 @@ impl Trace {
     }
 
     /// Number of `Begin` events with the given span name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capture dropped events: past the sink's cap a count
+    /// would silently read low.
     pub fn span_count(&self, name: &str) -> usize {
+        assert_eq!(
+            self.dropped, 0,
+            "the capture dropped {} events past its cap of {SINK_CAP}: `{name}` cannot be counted",
+            self.dropped
+        );
         self.events
             .iter()
             .filter(|e| e.phase == Phase::Begin && e.name == name)
@@ -491,6 +501,16 @@ mod tests {
             .collect();
         lanes.sort_unstable();
         assert_eq!(lanes, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past its cap of 1048576")]
+    fn a_truncated_trace_cannot_count_spans() {
+        let cut = Trace {
+            dropped: 1,
+            ..Trace::default()
+        };
+        cut.span_count("unit.any");
     }
 
     #[test]

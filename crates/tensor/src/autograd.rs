@@ -435,7 +435,7 @@ impl Tape {
     /// the node keeps `backward` only when one of `inputs` needs a gradient,
     /// and the tape keeps only the pairs of inputs that need one.
     /// The extension point for operations the tape does not implement
-    /// itself — graph aggregation, which an execution engine runs on both
+    /// itself — graph aggregation, which walks the graph's edges on both
     /// passes, is the one that uses it.
     pub fn custom(
         &self,
