@@ -12,8 +12,8 @@ use wisegraph_sim::{ComputeClass, DeviceSpec, KernelCost};
 /// Forward + backward cost multiplier, assumed rather than measured: the
 /// backward pass replays roughly the forward workload twice (gradients
 /// w.r.t. inputs and weights). On the training path each aggregation's
-/// input gradient is one more walk of its forward, on the reversed graph
-/// (`wisegraph_kernels::train`).
+/// input gradient is one more walk of its forward, over the out-edge CSR
+/// rows instead of the in-edge ones (`wisegraph_kernels::train`).
 pub const TRAIN_FACTOR: f64 = 3.0;
 
 /// Layer configuration of the evaluated models (paper: 3 layers, hidden 256

@@ -134,34 +134,34 @@ mod tests {
         assert!(stats[24].test_accuracy > stats[0].test_accuracy);
     }
 
+    /// Every model's warm epochs draw each buffer from the pool, the
+    /// aggregations' values, `dh` and `dα` included: after one warm-up
+    /// epoch fills the pool with every shape the loop needs, three more
+    /// epochs create no buffer.
     #[test]
     fn workspace_recycles_across_training_epochs() {
-        let data = dataset();
-        let mut model = Sage::new(&[16, 32, 4], 4);
-        let mut ws = Workspace::new();
-        // One warm-up epoch fills the pool with every shape the loop needs.
-        train_full_graph_ws(&mut model, &data, 1, 0.01, &mut ws);
-        let warm = ws.stats();
-        train_full_graph_ws(&mut model, &data, 3, 0.01, &mut ws);
-        let after = ws.stats();
         use wisegraph_obs::{keys, pool_reuse_ratio};
-        assert!(
-            after.count(keys::POOL_REUSED) > warm.count(keys::POOL_REUSED),
-            "later epochs must draw from the pool"
-        );
-        // Bounded creation: three more epochs of identical shapes must not
-        // grow the pool.
-        assert_eq!(
-            after.count(keys::POOL_CREATED),
-            warm.count(keys::POOL_CREATED),
-            "steady-state epochs must not allocate new buffers"
-        );
-        assert!(after.count(keys::POOL_PEAK) > 0);
-        assert!(
-            pool_reuse_ratio(&after) > 0.5,
-            "ratio {}",
-            pool_reuse_ratio(&after)
-        );
+        let data = dataset();
+        for mut model in every_model(&data) {
+            let mut ws = Workspace::new();
+            train_full_graph_ws(model.as_mut(), &data, 1, 0.01, &mut ws);
+            let warm = ws.stats();
+            train_full_graph_ws(model.as_mut(), &data, 3, 0.01, &mut ws);
+            let after = ws.stats();
+            let name = model.name();
+            assert!(
+                after.count(keys::POOL_REUSED) > warm.count(keys::POOL_REUSED),
+                "{name}: later epochs must draw from the pool"
+            );
+            assert_eq!(
+                after.count(keys::POOL_CREATED),
+                warm.count(keys::POOL_CREATED),
+                "{name}: steady-state epochs must not allocate new buffers"
+            );
+            assert!(after.count(keys::POOL_PEAK) > 0);
+            let ratio = pool_reuse_ratio(&after);
+            assert!(ratio > 0.5, "{name}: ratio {ratio}");
+        }
     }
 
     fn every_model(data: &LabeledGraph) -> Vec<Box<dyn GnnModel>> {

@@ -2,11 +2,15 @@
 
 use crate::graph::Graph;
 
-/// CSR adjacency indexed by destination vertex (in-edges).
+/// CSR adjacency: one row per vertex, listing its in-edges
+/// ([`Csr::in_of`]) or its out-edges ([`Csr::out_of`]).
 ///
-/// `Csr::in_edges(v)` returns, for each edge arriving at `v`, the pair
-/// `(source vertex, original edge id)`. An out-edge CSR can be built with
-/// [`Csr::out_of`].
+/// [`Csr::row`]`(v)` pairs each edge of row `v` with the vertex at its
+/// other end. Each row lists its edges by ascending edge id, in both
+/// CSRs: the rows laid end to end are the edge list sorted by `(row, edge
+/// id)`. A row of `in_of` is thus the paper's vertex-centric gTask
+/// (`uniq(dst-id) = 1`), and a walk of it sums in the order of a
+/// scatter-add by edge id.
 #[derive(Clone, Debug)]
 pub struct Csr {
     offsets: Vec<usize>,
@@ -89,6 +93,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::{rmat, RmatParams};
 
     fn paper_graph() -> Graph {
         Graph::new(
@@ -129,6 +134,34 @@ mod tests {
         // Round trip: every out-edge appears exactly once.
         let total: usize = (0..5).map(|v| out.degree(v)).sum();
         assert_eq!(total, g.num_edges());
+    }
+
+    /// The order stated on [`Csr`], on a typed RMAT with duplicate edges
+    /// and self-loops: both CSRs' rows, laid end to end, are a
+    /// `(row, edge id)` sort of the edge list.
+    #[test]
+    fn rows_list_their_edges_by_ascending_id() {
+        let g = rmat(&RmatParams::standard(90, 700, 61).with_edge_types(3));
+        let edges: Vec<_> = g.src().iter().zip(g.dst()).collect();
+        assert!(edges.iter().any(|(s, d)| s == d), "a self-loop");
+        let unique: std::collections::HashSet<_> = edges.iter().collect();
+        assert!(unique.len() < edges.len(), "a duplicate edge");
+        for (csr, rows, cols) in [
+            (Csr::in_of(&g), g.dst(), g.src()),
+            (Csr::out_of(&g), g.src(), g.dst()),
+        ] {
+            let mut want: Vec<(u32, u32, u32)> = (0..g.num_edges())
+                .map(|e| (rows[e], e as u32, cols[e]))
+                .collect();
+            want.sort_unstable();
+            let got: Vec<(u32, u32, u32)> = (0..g.num_vertices())
+                .flat_map(|v| {
+                    let (ends, ids) = csr.row(v);
+                    ends.iter().zip(ids).map(move |(&c, &e)| (v as u32, e, c))
+                })
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -225,26 +225,6 @@ impl Graph {
         g
     }
 
-    /// Returns the graph with every edge turned around: the `src` and `dst`
-    /// columns swapped (and with them the in- and out-degrees), while edge
-    /// positions, edge types and vertex types are kept. Edge `e` of the
-    /// result is edge `e` of `self` reversed, so a tensor indexed by edge id
-    /// means the same on both — the adjoint of a gather by source is the
-    /// same gather by source on the reversed graph.
-    pub fn reversed(&self) -> Graph {
-        Graph {
-            num_vertices: self.num_vertices,
-            num_edge_types: self.num_edge_types,
-            src: self.dst.clone(),
-            dst: self.src.clone(),
-            etype: self.etype.clone(),
-            vertex_type: self.vertex_type.clone(),
-            in_degree: self.out_degree.clone(),
-            out_degree: self.in_degree.clone(),
-            content_key: OnceLock::new(),
-        }
-    }
-
     /// Returns the subgraph induced by the given edge subset, with vertices
     /// renumbered compactly. Returns `(subgraph, vertex_map)` where
     /// `vertex_map[new_id] = old_id`.
@@ -375,22 +355,6 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints_and_keeps_positions() {
-        let g = paper_graph().with_vertex_types(vec![0, 1, 2, 3, 4]);
-        let r = g.reversed();
-        assert_eq!((r.src(), r.dst(), r.etype()), (g.dst(), g.src(), g.etype()));
-        assert_eq!(
-            (r.in_degree(), r.out_degree()),
-            (g.out_degree(), g.in_degree())
-        );
-        assert_eq!(r.vertex_types(), g.vertex_types());
-        assert_eq!(r.edge_attr(AttrKind::SrcVertexType, 4), 1);
-        assert_eq!(r.edge_attr(AttrKind::DstDegree, 4), 2);
-        assert_ne!(r.content_key(), g.content_key());
-        assert_eq!(r.reversed().content_key(), g.content_key());
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!   per simulated device, deterministic collectives, and the paper's
 //!   placement schedules (§5.4, Figure 11) as executable strategies;
 //! - [`train`]: graph aggregation as one autograd op, a walk over the
-//!   vertex-centric plan forward on the graph and backward on the
-//!   reversed graph.
+//!   graph's in-edge CSR rows forward and its out-edge CSR rows backward.
 
 pub mod cluster;
 pub mod engine;

@@ -1,5 +1,5 @@
 //! Graph aggregation on the training path: autograd ops that walk the
-//! graph's vertex-centric plans.
+//! graph's CSR rows.
 //!
 //! A GNN layer's aggregation `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]`
 //! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one custom node, so
@@ -8,38 +8,40 @@
 //! its type's column block of a `[|V|, T·F]` row (§5.1's Index-2D); the
 //! other ops have one block. All three run the same two walks:
 //!
-//! - **forward**, `out[dst_e, block_e] += α_e · h[src_e]`, walks the plan
-//!   in contiguous ranges of destinations, one per core, so each row is
-//!   written once by one thread: no per-thread slots, zero-fill or reduce;
-//! - **backward** w.r.t. `h` is the same walk on the
-//!   [`reversed`](Graph::reversed) graph's plan (the adjoint of a gather by
-//!   source and a scatter by destination; edge ids are kept, so `α` and
-//!   the types are read by the same ids). A row sums each block's terms
-//!   apart and adds the per-block partials from the last block to the
-//!   first, the order in which the tape added one node's gradient per
-//!   type. With one block that is the plain sum's bits: a sum that starts
-//!   at `+0.0` is never `-0.0`, so adding it to a zeroed row changes no bit.
+//! - **forward**, `out[dst_e, block_e] += α_e · h[src_e]`, walks the rows
+//!   of [`Csr::in_of`] (a destination's in-edges: the paper's
+//!   vertex-centric gTask, `uniq(dst-id) = 1`) in contiguous ranges of
+//!   destinations, one per core, so each row is written once by one
+//!   thread: no per-thread slots, zero-fill or reduce;
+//! - **backward** w.r.t. `h`, `dh[src_e] += α_e · grad[dst_e, block_e]`,
+//!   is the same walk over the rows of [`Csr::out_of`] (the adjoint of a
+//!   gather by source and a scatter by destination). A row sums each
+//!   block's terms apart and adds the per-block partials from the last
+//!   block to the first, the order in which the tape added one node's
+//!   gradient per type. With one block that is the plain sum's bits: a sum
+//!   that starts at `+0.0` is never `-0.0`, so adding it to a zeroed row
+//!   changes no bit.
 //!
-//! The weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is an edge loop
-//! writing `E` scalars in edge ranges on every core ([`ops::split_rows`]).
-//! Like every tape node, an op has no backward when none of its inputs
-//! needs a gradient: aggregating a first layer's features walks nothing
-//! reversed.
+//! Both walks read `α` and the edge types by the row's edge ids. The
+//! weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is an edge loop writing
+//! `E` scalars in edge ranges on every core ([`ops::split_rows`]). Like
+//! every tape node, an op reads its operands in place, takes its value and
+//! gradients from the tape's pool, and has no backward when none of its
+//! inputs needs a gradient: aggregating a first layer's features walks
+//! nothing backward.
 //!
-//! A vertex-centric plan puts each destination's edges in one task, by
-//! edge id, so every row sums in ascending edge-id order, the order of
-//! `ops::index_add_rows`: the results are bit-identical to the
-//! tensor-centric reference at any thread count. Both plans are built once
+//! A CSR row lists its edges by ascending id, so every row sums in the
+//! order of `ops::index_add_rows`: the results are bit-identical to the
+//! tensor-centric reference at any thread count. Both CSRs are built once
 //! per graph and kept in a one-entry memo per thread, keyed by
-//! [`Graph::content_key`], so a training loop re-plans nothing after its
+//! [`Graph::content_key`], so a training loop builds nothing after its
 //! first forward.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use wisegraph_graph::Graph;
-use wisegraph_gtask::{partition_edges, PartitionPlan, PartitionTable};
+use wisegraph_graph::{Csr, Graph};
 use wisegraph_obs::span;
-use wisegraph_tensor::{ops, Tape, Tensor, Var};
+use wisegraph_tensor::{ops, Ctx, Tape, Tensor, Var};
 
 /// `out[v] = Σ_{e : dst_e = v} h[src_e]`: the sum aggregation of GCN and
 /// SAGE, recorded on `tape` as one node.
@@ -48,7 +50,7 @@ use wisegraph_tensor::{ops, Tape, Tensor, Var};
 ///
 /// Panics if `h` is not `[|V|, F]`.
 pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
-    memo(g).record(tape, g, h, None)
+    memo(g).record(tape, h, None, false)
 }
 
 /// `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]` for per-edge weights `α`
@@ -59,7 +61,7 @@ pub fn aggregate(tape: &Tape, g: &Graph, h: Var) -> Var {
 ///
 /// Panics if `h` is not `[|V|, F]` or `α` does not hold one value per edge.
 pub fn aggregate_weighted(tape: &Tape, g: &Graph, h: Var, alpha: Var) -> Var {
-    memo(g).record(tape, g, h, Some(alpha))
+    memo(g).record(tape, h, Some(alpha), false)
 }
 
 /// RGCN's per-relation aggregation in one typed pass:
@@ -71,19 +73,17 @@ pub fn aggregate_weighted(tape: &Tape, g: &Graph, h: Var, alpha: Var) -> Var {
 ///
 /// Panics if `h` is not `[|V|, F]`.
 pub fn aggregate_typed(tape: &Tape, g: &Graph, h: Var) -> Var {
-    memo(g).record_typed(tape, g, h)
+    memo(g).record(tape, h, None, true)
 }
 
-/// Everything the ops need for one graph, built once: the vertex-centric
-/// plans of all edges on the graph (`forward`) and on the reversed graph
-/// (`backward`), each listing every destination's edges together,
-/// destinations ascending, each destination's edges by id.
+/// Everything the ops need for one graph, built once: its in-edge CSR
+/// (`forward`, a row per destination), its out-edge CSR (`backward`, a
+/// row per source), and the graph, whose columns are read by edge id.
 struct Aggregate {
-    key: u64,
     threads: usize,
-    reversed: Graph,
-    forward: PartitionPlan,
-    backward: PartitionPlan,
+    graph: Graph,
+    forward: Csr,
+    backward: Csr,
 }
 
 thread_local! {
@@ -96,7 +96,7 @@ fn memo(g: &Graph) -> Rc<Aggregate> {
     MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
         match &*memo {
-            Some(op) if op.key == g.content_key() => Rc::clone(op),
+            Some(op) if op.graph.content_key() == g.content_key() => Rc::clone(op),
             _ => {
                 let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
                 let op = Rc::new(Aggregate::new(g, threads));
@@ -117,8 +117,6 @@ struct Terms<'a> {
 }
 
 impl<'a> Terms<'a> {
-    /// The terms of an op on `g` (or on its reversed graph, which keeps
-    /// edge ids and types).
     fn new(g: &'a Graph, alpha: Option<&'a Tensor>, typed: bool) -> Self {
         Terms {
             alpha: alpha.map(Tensor::data),
@@ -140,145 +138,110 @@ impl<'a> Terms<'a> {
     }
 }
 
-/// Runs `f(state, row, run)` for every destination with edges, over
-/// `parts` contiguous ranges of the destination rows of the
-/// `[rows, width]` `out` (one range per scoped thread, each with its own
-/// `state()`): `run` is the destination's run of `edges`, which list every
-/// destination's edges together, destinations ascending (`dst` maps an
-/// edge to its destination), and `row` is its row of `out`. Every row has
-/// one writer, so when `f` computes a row from its run alone the result is
-/// the same bits at any part count.
-fn by_destination<S>(
-    edges: &[u32],
-    dst: &[u32],
+/// Runs `f(state, row, endpoints, ids)` for every row `v` of `csr`, over
+/// `parts` contiguous ranges of the rows of the `[rows, width]` `out` (one
+/// range per scoped thread, each with its own `state()`): `(endpoints,
+/// ids)` is [`Csr::row`]`(v)` and `row` is row `v` of `out`. Every row has
+/// one writer, so when `f` computes a row from its CSR row alone the
+/// result is the same bits at any part count.
+fn by_row<S>(
+    csr: &Csr,
     out: &mut [f32],
     [rows, width]: [usize; 2],
     parts: usize,
     state: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, &mut [f32], &[u32]) + Sync,
+    f: impl Fn(&mut S, &mut [f32], &[u32], &[u32]) + Sync,
 ) {
-    let dst_of = |e: &u32| dst[*e as usize] as usize;
     ops::split_rows_in(out, [rows, width], parts, |range, out| {
-        let first = |v: usize| edges.partition_point(|e| dst_of(e) < v);
-        let edges = &edges[first(range.start)..first(range.end)];
         let mut state = state();
-        for run in edges.chunk_by(|a, b| dst_of(a) == dst_of(b)) {
-            let v = dst_of(&run[0]) - range.start;
-            f(&mut state, &mut out[v * width..(v + 1) * width], run);
+        for (i, v) in range.enumerate() {
+            let (endpoints, ids) = csr.row(v);
+            let row = &mut out[i * width..(i + 1) * width];
+            f(&mut state, row, endpoints, ids);
         }
     });
 }
 
 impl Aggregate {
     fn new(g: &Graph, threads: usize) -> Self {
-        let reversed = g.reversed();
-        let table = PartitionTable::vertex_centric();
-        let all: Vec<usize> = (0..g.num_edges()).collect();
-        let forward = partition_edges(g, &table, &all);
-        let backward = partition_edges(&reversed, &table, &all);
-        for (plan, graph) in [(&forward, g), (&backward, &reversed)] {
-            let dst = graph.dst();
-            let key = |e: u32| (dst[e as usize], e);
-            assert!(
-                plan.tasks.edges().windows(2).all(|w| key(w[0]) < key(w[1])),
-                "a vertex-centric plan lists edges by destination, then id"
-            );
-        }
         Aggregate {
-            key: g.content_key(),
             threads,
-            reversed,
-            forward,
-            backward,
+            graph: g.clone(),
+            forward: Csr::in_of(g),
+            backward: Csr::out_of(g),
         }
     }
 
-    /// The sum or weighted op, recorded on `tape` with its backward.
-    fn record(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var, alpha: Option<Var>) -> Var {
-        self.record_walk(tape, g, h, alpha, false)
+    /// Records the op over `h` (and `α`) on `tape`: the weighted op when
+    /// `alpha` is given, the typed op when `typed`.
+    fn record(self: &Rc<Self>, tape: &Tape, h: Var, alpha: Option<Var>, typed: bool) -> Var {
+        let op = Rc::clone(self);
+        let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
+        tape.custom(
+            &inputs,
+            |ctx| self.forward(ctx, h, alpha, typed),
+            move |grad, ctx| op.backward(grad, ctx, h, alpha, typed),
+        )
     }
 
-    /// The typed op, recorded on `tape` with its backward.
-    fn record_typed(self: &Rc<Self>, tape: &Tape, g: &Graph, h: Var) -> Var {
-        self.record_walk(tape, g, h, None, true)
-    }
-
-    /// Checks the operands on the calling thread, runs the forward walk
-    /// into a buffer from `tape`'s pool and records the node.
-    fn record_walk(
-        self: &Rc<Self>,
-        tape: &Tape,
-        g: &Graph,
-        h: Var,
-        alpha: Option<Var>,
-        typed: bool,
-    ) -> Var {
-        let (h_t, v) = (tape.value(h), g.num_vertices());
-        let &[_, f] = h_t.dims() else {
+    /// Checks the operands on the calling thread and runs the forward walk
+    /// into a buffer from the tape's pool.
+    fn forward(&self, ctx: &Ctx, h: Var, alpha: Option<Var>, typed: bool) -> Tensor {
+        let (g, h) = (&self.graph, ctx.value(h));
+        let &[v, f] = h.dims() else {
             panic!("aggregated rows must be rank-2")
         };
-        assert_eq!(h_t.dims()[0], v, "one aggregated row per vertex");
-        let alpha_t = alpha.map(|a| tape.value(a));
-        if let Some(a) = &alpha_t {
+        assert_eq!(v, g.num_vertices(), "one aggregated row per vertex");
+        let alpha = alpha.map(|a| ctx.value(a));
+        if let Some(a) = alpha {
             assert_eq!(a.dims(), [g.num_edges()], "one weight per edge");
         }
-        let terms = Terms::new(g, alpha_t.as_ref(), typed);
-        let mut out = tape.zeros(&[v, terms.blocks * f]);
-        let (plan, src) = (&self.forward, g.src());
-        let sp = span!("train.aggregate.forward", tasks = plan.tasks.len());
-        by_destination(
-            plan.tasks.edges(),
-            g.dst(),
+        let terms = Terms::new(g, alpha, typed);
+        let width = terms.blocks * f;
+        let mut out = ctx.zeros(&[v, width]);
+        let _sp = span!("train.aggregate.forward", rows = v);
+        by_row(
+            &self.forward,
             out.data_mut(),
-            [v, terms.blocks * f],
+            [v, width],
             self.threads,
             || (),
-            |_, row, run| {
-                for &e in run {
+            |_, row, src, ids| {
+                for (&u, &e) in src.iter().zip(ids) {
                     let e = e as usize;
-                    let block = &mut row[terms.block(e) * f..][..f];
-                    terms.add(block, e, h_t.row(src[e] as usize));
+                    terms.add(&mut row[terms.block(e) * f..][..f], e, h.row(u as usize));
                 }
             },
         );
-        drop(sp);
-        // Only the weighted op's `dα` reads the forward operands again.
-        let weighted = alpha.zip(alpha_t).map(|(a, a_t)| (a, a_t, h_t));
-        let op = Rc::clone(self);
-        let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
-        tape.custom(out, &inputs, move |grad| {
-            op.backward(grad, h, weighted.as_ref(), typed)
-        })
+        out
     }
 
-    /// Gradients of an op: `dh` from the walk on the reversed graph,
+    /// Gradients of an op: `dh` from the walk over the out-edge rows,
     /// `dh[src_e] += α_e · grad[dst_e, block_e]`, and for the weighted op
-    /// `dα` from an edge loop. `weighted` holds the weight variable with
-    /// the forward's weights and rows.
+    /// `dα` from an edge loop.
     fn backward(
         &self,
         grad: &Tensor,
+        ctx: &Ctx,
         h: Var,
-        weighted: Option<&(Var, Tensor, Tensor)>,
+        alpha: Option<Var>,
         typed: bool,
     ) -> Vec<(Var, Tensor)> {
-        let r = &self.reversed;
-        let plan = &self.backward;
-        let _sp = span!("train.aggregate.backward", tasks = plan.tasks.len());
-        let terms = Terms::new(r, weighted.map(|(_, a, _)| a), typed);
-        let (v, blocks, src) = (r.num_vertices(), terms.blocks, r.src());
+        let g = &self.graph;
+        let _sp = span!("train.aggregate.backward", rows = g.num_vertices());
+        let terms = Terms::new(g, alpha.map(|a| ctx.value(a)), typed);
+        let (v, blocks) = (g.num_vertices(), terms.blocks);
         let f = grad.dims()[1] / blocks;
-        let mut dh = vec![0.0f32; v * f];
-        by_destination(
-            plan.tasks.edges(),
-            r.dst(),
-            &mut dh,
+        let mut dh = ctx.zeros(&[v, f]);
+        by_row(
+            &self.backward,
+            dh.data_mut(),
             [v, f],
             self.threads,
             || (vec![0.0f32; blocks * f], vec![false; blocks]),
-            |(partial, touched), row, run| {
+            |(partial, touched), row, dst, ids| {
                 touched.fill(false);
-                for &e in run {
+                for (&w, &e) in dst.iter().zip(ids) {
                     let e = e as usize;
                     let b = terms.block(e);
                     let sum = &mut partial[b * f..][..f];
@@ -286,7 +249,7 @@ impl Aggregate {
                         touched[b] = true;
                         sum.fill(0.0);
                     }
-                    terms.add(sum, e, &grad.row(src[e] as usize)[b * f..][..f]);
+                    terms.add(sum, e, &grad.row(w as usize)[b * f..][..f]);
                 }
                 for b in (0..blocks).rev().filter(|&b| touched[b]) {
                     for (o, &x) in row.iter_mut().zip(&partial[b * f..][..f]) {
@@ -295,16 +258,14 @@ impl Aggregate {
                 }
             },
         );
-        let dh = (h, Tensor::from_vec(dh, &[v, f]));
-        let Some((alpha, _, rows)) = weighted else {
-            return vec![dh];
+        let Some(alpha) = alpha else {
+            return vec![(h, dh)];
         };
-        // Reversed columns: `dst` here is the forward source. Each `dα_e`
-        // is its own output, so edge ranges run on every core.
-        let (src, dst) = (r.dst(), r.src());
-        let mut dalpha = vec![0.0f32; src.len()];
-        let work = src.len() * grad.dims()[1];
-        ops::split_rows(&mut dalpha, [src.len(), 1], work, |edges, out| {
+        // Each `dα_e` is its own output, so edge ranges run on every core.
+        let (src, dst, rows, e) = (g.src(), g.dst(), ctx.value(h), g.num_edges());
+        let mut dalpha = ctx.zeros(&[e]);
+        let work = e * grad.dims()[1];
+        ops::split_rows(dalpha.data_mut(), [e, 1], work, |edges, out| {
             for (o, e) in out.iter_mut().zip(edges) {
                 *o = grad
                     .row(dst[e] as usize)
@@ -314,7 +275,7 @@ impl Aggregate {
                     .sum();
             }
         });
-        vec![dh, (*alpha, Tensor::from_vec(dalpha, &[src.len()]))]
+        vec![(h, dh), (alpha, dalpha)]
     }
 }
 
@@ -415,7 +376,6 @@ mod tests {
     /// `(out, dh, dα)`.
     fn through_the_op(
         op: &Rc<Aggregate>,
-        g: &Graph,
         h: &Tensor,
         alpha: Option<&Tensor>,
         grad: &Tensor,
@@ -423,7 +383,7 @@ mod tests {
         let tape = Tape::new();
         let hv = tape.param(h.clone());
         let av = alpha.map(|a| tape.param(a.clone()));
-        let out = op.record(&tape, g, hv, av);
+        let out = op.record(&tape, hv, av, false);
         let weighted = tape.mul(out, tape.input(grad.clone()));
         tape.backward(tape.sum(weighted));
         let dh = tape.grad(hv).expect("h reaches the loss");
@@ -450,7 +410,7 @@ mod tests {
                 let op = Rc::new(Aggregate::new(&g, threads));
                 for (i, alpha) in [None, Some(&alpha), Some(&signed)].into_iter().enumerate() {
                     let ctx = format!("{v} V / {e} E, {threads} threads, weights {i}");
-                    let (out, dh, da) = through_the_op(&op, &g, &h, alpha, &grad);
+                    let (out, dh, da) = through_the_op(&op, &h, alpha, &grad);
                     let (want, want_dh, want_da) = reference(&g, &all, &h, alpha, &grad);
                     assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
                     assert_eq!(bits(&dh), bits(&want_dh), "{ctx}: dh");
@@ -508,7 +468,7 @@ mod tests {
             let want_dh = want_dh.unwrap_or_else(|| Tensor::zeros(&[v, f]));
             for threads in [1, 2, 4] {
                 let op = Rc::new(Aggregate::new(&g, threads));
-                let (out, dh) = through(&h, &grad, |tape, hv| op.record_typed(tape, &g, hv));
+                let (out, dh) = through(&h, &grad, |tape, hv| op.record(tape, hv, None, true));
                 let ctx = format!("{v} V / {e} E / {types} types, {threads} threads");
                 assert_eq!(bits(&out), bits(&want), "{ctx}: forward");
                 assert_eq!(bits(&dh), bits(&want_dh), "{ctx}: dh");
@@ -525,7 +485,7 @@ mod tests {
         let (h, grad) = (rows(v, f, 1), rows(v, f, 2));
         let alpha = init::uniform_tensor(&[e], -1.0, 1.0, 3);
         let op = Rc::new(Aggregate::new(&g, 2));
-        let (_, _, da) = through_the_op(&op, &g, &h, Some(&alpha), &grad);
+        let (_, _, da) = through_the_op(&op, &h, Some(&alpha), &grad);
         let all: Vec<usize> = (0..e).collect();
         let (_, _, want) = reference(&g, &all, &h, Some(&alpha), &grad);
         assert_eq!(
@@ -548,14 +508,14 @@ mod tests {
         let grad = init::uniform_tensor(&[5, 3], -1.0, 1.0, 8);
         let alpha = init::uniform_tensor(&[7], 0.1, 1.0, 9);
         let loss = |a: &Tensor| {
-            let (out, _, _) = through_the_op(&op, &g, &h, Some(a), &grad);
+            let (out, _, _) = through_the_op(&op, &h, Some(a), &grad);
             out.data()
                 .iter()
                 .zip(grad.data())
                 .map(|(&x, &y)| f64::from(x) * f64::from(y))
                 .sum::<f64>()
         };
-        let (_, _, da) = through_the_op(&op, &g, &h, Some(&alpha), &grad);
+        let (_, _, da) = through_the_op(&op, &h, Some(&alpha), &grad);
         let da = da.expect("weighted");
         let eps = 1e-2f32;
         for i in 0..alpha.numel() {
@@ -592,6 +552,24 @@ mod tests {
         aggregate_weighted(&tape, g, h, alpha);
     }
 
+    /// The op reads its operands in place and takes its value, `dh` and
+    /// `dα` from the tape's pool: a tape holding only the weighted op and
+    /// a sum (whose value and gradient are not pooled) leases exactly
+    /// those three buffers.
+    #[test]
+    fn value_and_gradients_are_leased_from_the_pool() {
+        use wisegraph_obs::keys;
+        let g = &graphs()[0];
+        let tape = Tape::new();
+        let h = tape.param(rows(g.num_vertices(), 4, 1));
+        let alpha = tape.param(init::uniform_tensor(&[g.num_edges()], -1.0, 1.0, 3));
+        let out = aggregate_weighted(&tape, g, h, alpha);
+        tape.backward(tape.sum(out));
+        let stats = tape.finish().stats();
+        let leases = stats.count(keys::POOL_CREATED) + stats.count(keys::POOL_REUSED);
+        assert_eq!(leases, 3);
+    }
+
     #[test]
     fn both_passes_open_their_spans_and_the_memo_holds_one_graph() {
         let (g, other) = (&graphs()[0], &graphs()[4]);
@@ -605,7 +583,7 @@ mod tests {
         assert_eq!(trace.span_count("train.aggregate.backward"), 1);
         assert!(Rc::ptr_eq(&memo(g), &memo(&g.clone())));
         let first = memo(g);
-        assert_eq!(memo(other).key, other.content_key());
+        assert_eq!(memo(other).graph.content_key(), other.content_key());
         assert!(
             !Rc::ptr_eq(&first, &memo(g)),
             "one entry: the other graph replaced it"

@@ -1,6 +1,6 @@
 //! Trainable GCN.
 
-use crate::trainable::{GnnModel, ModelOutput};
+use crate::trainable::{inverse_in_degrees, GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
 use wisegraph_kernels::train::aggregate;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
@@ -31,15 +31,6 @@ impl Gcn {
             .collect();
         Self { layers }
     }
-
-    fn degree_scales(g: &Graph) -> Tensor {
-        let scales: Vec<f32> = g
-            .in_degree()
-            .iter()
-            .map(|&d| 1.0 / (d.max(1) as f32))
-            .collect();
-        Tensor::from_vec(scales, &[g.num_vertices()])
-    }
 }
 
 impl GnnModel for Gcn {
@@ -48,7 +39,7 @@ impl GnnModel for Gcn {
     }
 
     fn forward(&self, tape: &Tape, g: &Graph, x: Var) -> ModelOutput {
-        let deg = Self::degree_scales(g);
+        let deg = inverse_in_degrees(g);
         let mut h = x;
         let mut params = Vec::new();
         let last = self.layers.len() - 1;

@@ -10,8 +10,8 @@
 //!   the autograd tape, used by the accuracy experiments of Figure 14. The
 //!   dense gates (projections, bias, activations, softmax, degree scaling)
 //!   are tape operations; every graph aggregation is one
-//!   `wisegraph_kernels::train` op, a walk over the graph's
-//!   destination-grouped edges forward and the reversed graph's backward.
+//!   `wisegraph_kernels::train` op, a walk over the graph's in-edge CSR
+//!   rows forward and its out-edge CSR rows backward.
 //!   SAGE-LSTM is forward-only (executed through the DFG interpreter), as
 //!   the paper's accuracy study covers GAT and SAGE.
 //!

@@ -1,6 +1,6 @@
 //! Trainable relational GCN.
 
-use crate::trainable::{GnnModel, ModelOutput};
+use crate::trainable::{inverse_in_degrees, GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
 use wisegraph_kernels::train::aggregate_typed;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
@@ -71,15 +71,8 @@ impl GnnModel for Rgcn {
             g.num_edge_types(),
             self.num_types
         );
-        let v = g.num_vertices();
         // Normalize by in-degree to keep magnitudes stable across layers.
-        let deg = Tensor::from_vec(
-            g.in_degree()
-                .iter()
-                .map(|&d| 1.0 / (d.max(1) as f32))
-                .collect(),
-            &[v],
-        );
+        let deg = inverse_in_degrees(g);
         let mut h = x;
         let mut params = Vec::new();
         let last = self.layers.len() - 1;

@@ -1,6 +1,6 @@
 //! Trainable GraphSAGE (mean aggregator).
 
-use crate::trainable::{GnnModel, ModelOutput};
+use crate::trainable::{inverse_in_degrees, GnnModel, ModelOutput};
 use wisegraph_graph::Graph;
 use wisegraph_kernels::train::aggregate;
 use wisegraph_tensor::{init, Tape, Tensor, Var};
@@ -43,13 +43,7 @@ impl GnnModel for Sage {
     }
 
     fn forward(&self, tape: &Tape, g: &Graph, x: Var) -> ModelOutput {
-        let deg = Tensor::from_vec(
-            g.in_degree()
-                .iter()
-                .map(|&d| 1.0 / (d.max(1) as f32))
-                .collect(),
-            &[g.num_vertices()],
-        );
+        let deg = inverse_in_degrees(g);
         let mut h = x;
         let mut params = Vec::new();
         let last = self.layers.len() - 1;

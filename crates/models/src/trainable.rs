@@ -32,6 +32,14 @@ pub trait GnnModel {
     }
 }
 
+/// `1 / max(in-degree, 1)` per vertex, as a `[|V|]` tensor: the row
+/// scales that turn a sum aggregation into a mean (an isolated vertex's
+/// zero sum stays zero).
+pub(crate) fn inverse_in_degrees(g: &Graph) -> Tensor {
+    let scales = g.in_degree().iter().map(|&d| 1.0 / (d.max(1) as f32));
+    Tensor::from_vec(scales.collect(), &[g.num_vertices()])
+}
+
 /// Runs one full-graph training epoch; returns the training loss.
 ///
 /// Allocating wrapper around [`train_epoch_ws`] — the epoch's tape storage

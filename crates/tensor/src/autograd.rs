@@ -12,9 +12,9 @@
 //! need none. Only a node that needs a gradient records a backward closure,
 //! and it returns gradients for the inputs that need them. A GNN's first
 //! layer, whose operand is the feature matrix, thus computes no `dX` and
-//! runs no aggregation on the reversed graph. A closure copies no operand
-//! when it is recorded: it reads the forward values its gradients need
-//! from the tape when backward runs.
+//! runs no backward aggregation. A closure copies no operand when it is
+//! recorded: it reads the forward values its gradients need from the tape
+//! when backward runs, through a [`Ctx`].
 //!
 //! Each tape owns a [`Workspace`]: node outputs (and the widest gradients,
 //! RGCN's `[V, T·F]` ones) are written into pooled buffers, and
@@ -44,22 +44,24 @@ impl Var {
 
 type BackwardFn = Box<dyn Fn(&Tensor, &Ctx) -> Vec<(usize, Tensor)>>;
 
-/// What a backward closure reads besides the upstream gradient: the
-/// forward values of the tape's nodes, by id, and zeroed buffers from the
-/// tape's workspace for the gradients it returns.
-struct Ctx<'a> {
+/// What an op reads besides the upstream gradient: the forward values of
+/// the tape's nodes, in place, and zeroed buffers from the tape's
+/// workspace for the values and gradients it returns. Every backward
+/// closure gets one, and so do both closures of a [`Tape::custom`] node.
+pub struct Ctx<'a> {
     nodes: &'a [Node],
     ws: &'a RefCell<Workspace>,
 }
 
 impl Ctx<'_> {
-    /// The forward value of node `id`.
-    fn value(&self, id: usize) -> &Tensor {
-        &self.nodes[id].value
+    /// The forward value of `v`.
+    pub fn value(&self, v: Var) -> &Tensor {
+        &self.nodes[v.id].value
     }
 
-    /// A zeroed tensor from the tape's workspace.
-    fn zeros(&self, dims: &[usize]) -> Tensor {
+    /// A zeroed tensor from the tape's workspace, recycled into the pool
+    /// with the tape's own buffers.
+    pub fn zeros(&self, dims: &[usize]) -> Tensor {
         self.ws.borrow_mut().take_tensor(dims)
     }
 }
@@ -144,17 +146,17 @@ impl Tape {
 
     /// Records `value`, the output of an op over `inputs`. The node needs a
     /// gradient when one of `inputs` does, and only then is `backward`
-    /// called — with which inputs need one, and the node's own id — to
+    /// called — with which inputs need one, and the node itself — to
     /// build its closure, which returns gradients for those inputs alone.
     fn record(
         &self,
         value: Tensor,
         inputs: &[Var],
-        backward: impl FnOnce(&[bool], usize) -> BackwardFn,
+        backward: impl FnOnce(&[bool], Var) -> BackwardFn,
     ) -> Var {
         let needs: Vec<bool> = inputs.iter().map(|&v| self.needs_grad(v)).collect();
         let id = self.nodes.borrow().len();
-        let backward = needs.contains(&true).then(|| backward(&needs, id));
+        let backward = needs.contains(&true).then(|| backward(&needs, Var { id }));
         self.push(value, backward, false)
     }
 
@@ -167,14 +169,6 @@ impl Tape {
     /// Records a trainable parameter; its gradient is kept after `backward`.
     pub fn param(&self, value: Tensor) -> Var {
         self.push(value, None, true)
-    }
-
-    /// A zeroed tensor from the tape's workspace: the buffer a
-    /// [`Tape::custom`] node writes its value into, so that the value is
-    /// recycled into the pool with the tape's own and the next tape reuses
-    /// it.
-    pub fn zeros(&self, dims: &[usize]) -> Tensor {
-        self.alloc(dims)
     }
 
     /// Returns a clone of the current value of `v`.
@@ -213,11 +207,11 @@ impl Tape {
             ops::matmul_split_into(av, bv, out.data_mut());
         }
         self.record(out, &[a, b], |needs, _| {
-            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            let (da, db) = (needs[0], needs[1]);
             Box::new(move |g, ctx| {
                 [
-                    da.then(|| (aid, ops::matmul_a_bt(g, ctx.value(bid)))),
-                    db.then(|| (bid, ops::matmul_at_b(ctx.value(aid), g))),
+                    da.then(|| (a.id, ops::matmul_a_bt(g, ctx.value(b)))),
+                    db.then(|| (b.id, ops::matmul_at_b(ctx.value(a), g))),
                 ]
                 .into_iter()
                 .flatten()
@@ -268,7 +262,7 @@ impl Tape {
                         let slices: Vec<(usize, &Tensor)> = terms
                             .iter()
                             .filter(|(b, _, _)| b.id == a.id)
-                            .map(|&(_, col, w)| (col, ctx.value(w.id)))
+                            .map(|&(_, col, w)| (col, ctx.value(w)))
                             .collect();
                         let mut d = ctx.zeros(&[g.dims()[0], shapes[i][0]]);
                         ops::matmul_a_bt_cols_into(g, &slices, &mut d);
@@ -278,7 +272,7 @@ impl Tape {
                 for (i, &(a, col, w)) in terms.iter().enumerate() {
                     if dw[i] {
                         let cols = col..col + shapes[i][1];
-                        grads.push((w.id, ops::matmul_at_b_cols(ctx.value(a.id), cols, g)));
+                        grads.push((w.id, ops::matmul_at_b_cols(ctx.value(a), cols, g)));
                     }
                 }
                 grads
@@ -316,11 +310,11 @@ impl Tape {
             ops::mul_into(av, bv, out.data_mut());
         }
         self.record(out, &[a, b], |needs, _| {
-            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
+            let (da, db) = (needs[0], needs[1]);
             Box::new(move |g, ctx| {
                 [
-                    da.then(|| (aid, ops::mul(g, ctx.value(bid)))),
-                    db.then(|| (bid, ops::mul(g, ctx.value(aid)))),
+                    da.then(|| (a.id, ops::mul(g, ctx.value(b)))),
+                    db.then(|| (b.id, ops::mul(g, ctx.value(a)))),
                 ]
                 .into_iter()
                 .flatten()
@@ -364,12 +358,11 @@ impl Tape {
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::relu_into);
-        let aid = a.id;
         self.record(out, &[a], |_, _| {
             Box::new(move |g, ctx| {
                 let relu = |g: f32, x: f32| g * if x > 0.0 { 1.0 } else { 0.0 };
-                let d = ops::zip_map(g, ctx.value(aid), relu);
-                vec![(aid, d)]
+                let d = ops::zip_map(g, ctx.value(a), relu);
+                vec![(a.id, d)]
             })
         })
     }
@@ -377,12 +370,11 @@ impl Tape {
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, a: Var, slope: f32) -> Var {
         let out = self.elementwise(a, |av, out| ops::leaky_relu_into(av, slope, out));
-        let aid = a.id;
         self.record(out, &[a], |_, _| {
             Box::new(move |g, ctx| {
                 let leaky = |g: f32, x: f32| g * if x >= 0.0 { 1.0 } else { slope };
-                let d = ops::zip_map(g, ctx.value(aid), leaky);
-                vec![(aid, d)]
+                let d = ops::zip_map(g, ctx.value(a), leaky);
+                vec![(a.id, d)]
             })
         })
     }
@@ -390,11 +382,10 @@ impl Tape {
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::sigmoid_into);
-        let aid = a.id;
-        self.record(out, &[a], |_, id| {
+        self.record(out, &[a], |_, y| {
             Box::new(move |g, ctx| {
-                let d = ops::zip_map(g, ctx.value(id), |g, y| g * (y * (1.0 - y)));
-                vec![(aid, d)]
+                let d = ops::zip_map(g, ctx.value(y), |g, y| g * (y * (1.0 - y)));
+                vec![(a.id, d)]
             })
         })
     }
@@ -402,11 +393,10 @@ impl Tape {
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
         let out = self.elementwise(a, ops::tanh_into);
-        let aid = a.id;
-        self.record(out, &[a], |_, id| {
+        self.record(out, &[a], |_, y| {
             Box::new(move |g, ctx| {
-                let d = ops::zip_map(g, ctx.value(id), |g, y| g * (1.0 - y * y));
-                vec![(aid, d)]
+                let d = ops::zip_map(g, ctx.value(y), |g, y| g * (1.0 - y * y));
+                vec![(a.id, d)]
             })
         })
     }
@@ -429,20 +419,25 @@ impl Tape {
         })
     }
 
-    /// Records a node computed off the tape: `value` is its output,
-    /// `inputs` are the variables it was computed from, and `backward` maps
-    /// the upstream gradient to `(input, gradient)` pairs. Like every op,
-    /// the node keeps `backward` only when one of `inputs` needs a gradient,
-    /// and the tape keeps only the pairs of inputs that need one.
-    /// The extension point for operations the tape does not implement
-    /// itself — graph aggregation, which walks the graph's edges on both
-    /// passes, is the one that uses it.
+    /// Records an op over `inputs` that the tape does not implement
+    /// itself: graph aggregation, which walks the graph's CSR rows on both
+    /// passes, is the one that uses it. `forward` returns the node's value
+    /// and `backward` maps the upstream gradient to `(input, gradient)`
+    /// pairs; both get the [`Ctx`] the tape's own ops get, so they read
+    /// their operands in place and take what they return from
+    /// [`Ctx::zeros`]. Like every op, the node keeps `backward` only when
+    /// one of `inputs` needs a gradient, and the tape keeps only the pairs
+    /// of inputs that need one. `forward` must not record on the tape.
     pub fn custom(
         &self,
-        value: Tensor,
         inputs: &[Var],
-        backward: impl Fn(&Tensor) -> Vec<(Var, Tensor)> + 'static,
+        forward: impl FnOnce(&Ctx) -> Tensor,
+        backward: impl Fn(&Tensor, &Ctx) -> Vec<(Var, Tensor)> + 'static,
     ) -> Var {
+        let value = forward(&Ctx {
+            nodes: &self.nodes.borrow(),
+            ws: &self.ws,
+        });
         self.record(value, inputs, |needs, _| {
             let needed: Vec<usize> = inputs
                 .iter()
@@ -450,8 +445,8 @@ impl Tape {
                 .filter(|&(_, &n)| n)
                 .map(|(v, _)| v.id)
                 .collect();
-            Box::new(move |g, _| {
-                backward(g)
+            Box::new(move |g, ctx| {
+                backward(g, ctx)
                     .into_iter()
                     .map(|(v, t)| (v.id, t))
                     .filter(|(id, _)| needed.contains(id))
@@ -483,10 +478,10 @@ impl Tape {
             ops::segment_softmax_into(sv, &seg, num_segments, out.data_mut());
         }
         let sid = scores.id;
-        self.record(out, &[scores], |_, id| {
+        self.record(out, &[scores], |_, y| {
             Box::new(move |g, ctx| {
                 // dL/ds_i = y_i * (g_i - Σ_{j∈seg(i)} y_j g_j)
-                let y = ctx.value(id).data();
+                let y = ctx.value(y).data();
                 let gd = g.data();
                 let mut segdot = vec![0.0f32; num_segments];
                 for (i, &s) in seg.iter().enumerate() {
@@ -728,8 +723,15 @@ mod tests {
         finite_diff_check(
             |t, p| {
                 let idx = [0u32, 1, 0];
-                let value = ops::index_add_rows(2, &t.value(p), &idx);
-                let s = t.custom(value, &[p], move |g| vec![(p, ops::gather_rows(g, &idx))]);
+                let s = t.custom(
+                    &[p],
+                    |ctx| {
+                        let mut out = ctx.zeros(&[2, 2]);
+                        ops::index_add_rows_into(2, ctx.value(p), &idx, out.data_mut());
+                        out
+                    },
+                    move |g, _| vec![(p, ops::gather_rows(g, &idx))],
+                );
                 let sq = t.mul(s, s);
                 t.sum(sq)
             },
@@ -818,9 +820,11 @@ mod tests {
         let x = tape.input(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], &[2, 2]));
         let w = tape.param(Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.0], &[2, 2]));
         let h = tape.relu(tape.scale(x, 2.0));
-        let c = tape.custom(tape.value(x), &[x, h], |_| {
-            panic!("a node over inputs alone runs no backward")
-        });
+        let c = tape.custom(
+            &[x, h],
+            |ctx| ctx.value(x).clone(),
+            |_, _| panic!("a node over inputs alone runs no backward"),
+        );
         let y = tape.matmul(tape.add(h, c), w);
         let loss = tape.sum(y);
         let nodes = tape.nodes.borrow();

@@ -36,7 +36,7 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
-pub use autograd::{Tape, Var};
+pub use autograd::{Ctx, Tape, Var};
 pub use init::{kaiming_uniform, xavier_uniform, zeros_like};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use shape::Shape;
