@@ -169,7 +169,7 @@ mod tests {
         vec![
             Box::new(Gcn::new(&[16, 32, 4], 5)),
             Box::new(Sage::new(&[16, 32, 4], 5)),
-            Box::new(Gat::with_heads(&[16, 32, 4], 2, 5)),
+            Box::new(Gat::new(&[16, 32, 4], 5)),
             Box::new(Rgcn::new(&[16, 32, 4], types, 5)),
         ]
     }

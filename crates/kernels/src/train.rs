@@ -2,8 +2,9 @@
 //! graph's CSR rows.
 //!
 //! A GNN layer's aggregation `out[v] = Σ_{e : dst_e = v} α_e · h[src_e]`
-//! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one custom node, so
-//! no `[E, F]` tensor exists on either pass. RGCN's per-relation sums are
+//! (α ≡ 1 unweighted) is recorded on the [`Tape`] as one node, through
+//! [`Tape::record`] as the tape's own ops are, so no `[E, F]` tensor exists
+//! on either pass. RGCN's per-relation sums are
 //! one typed node, [`aggregate_typed`], which adds each edge's term into
 //! its type's column block of a `[|V|, T·F]` row (§5.1's Index-2D); the
 //! other ops have one block. All three run the same two walks:
@@ -26,9 +27,9 @@
 //! weighted op's `dα_e = ⟨grad[dst_e], h[src_e]⟩` is an edge loop writing
 //! `E` scalars in edge ranges on every core ([`ops::split_rows`]). Like
 //! every tape node, an op reads its operands in place, takes its value and
-//! gradients from the tape's pool, and has no backward when none of its
-//! inputs needs a gradient: aggregating a first layer's features walks
-//! nothing backward.
+//! gradients from the tape's pool, has no backward when none of its inputs
+//! needs a gradient, and computes a gradient only for an input that needs
+//! one: aggregating a first layer's features walks nothing backward.
 //!
 //! A CSR row lists its edges by ascending id, so every row sums in the
 //! order of `ops::index_add_rows`: the results are bit-identical to the
@@ -175,13 +176,12 @@ impl Aggregate {
     /// Records the op over `h` (and `α`) on `tape`: the weighted op when
     /// `alpha` is given, the typed op when `typed`.
     fn record(self: &Rc<Self>, tape: &Tape, h: Var, alpha: Option<Var>, typed: bool) -> Var {
-        let op = Rc::clone(self);
         let inputs: Vec<Var> = std::iter::once(h).chain(alpha).collect();
-        tape.custom(
-            &inputs,
-            |ctx| self.forward(ctx, h, alpha, typed),
-            move |grad, ctx| op.backward(grad, ctx, h, alpha, typed),
-        )
+        tape.record(&inputs, |ctx| {
+            let op = Rc::clone(self);
+            let backward = move |grad: &Tensor, ctx: &Ctx| op.backward(grad, ctx, h, alpha, typed);
+            (self.forward(ctx, h, alpha, typed), backward)
+        })
     }
 
     /// Checks the operands on the calling thread and runs the forward walk
@@ -216,9 +216,9 @@ impl Aggregate {
         out
     }
 
-    /// Gradients of an op: `dh` from the walk over the out-edge rows,
-    /// `dh[src_e] += α_e · grad[dst_e, block_e]`, and for the weighted op
-    /// `dα` from an edge loop.
+    /// Gradients of an op, for the inputs that need one: `dh` from the walk
+    /// over the out-edge rows, `dh[src_e] += α_e · grad[dst_e, block_e]`,
+    /// and for the weighted op `dα` from an edge loop.
     fn backward(
         &self,
         grad: &Tensor,
@@ -232,50 +232,51 @@ impl Aggregate {
         let terms = Terms::new(g, alpha.map(|a| ctx.value(a)), typed);
         let (v, blocks) = (g.num_vertices(), terms.blocks);
         let f = grad.dims()[1] / blocks;
-        let mut dh = ctx.zeros(&[v, f]);
-        by_row(
-            &self.backward,
-            dh.data_mut(),
-            [v, f],
-            self.threads,
-            || (vec![0.0f32; blocks * f], vec![false; blocks]),
-            |(partial, touched), row, dst, ids| {
-                touched.fill(false);
-                for (&w, &e) in dst.iter().zip(ids) {
-                    let e = e as usize;
-                    let b = terms.block(e);
-                    let sum = &mut partial[b * f..][..f];
-                    if !touched[b] {
-                        touched[b] = true;
-                        sum.fill(0.0);
+        let dh = ctx.grad(h, |dh| {
+            by_row(
+                &self.backward,
+                dh,
+                [v, f],
+                self.threads,
+                || (vec![0.0f32; blocks * f], vec![false; blocks]),
+                |(partial, touched), row, dst, ids| {
+                    touched.fill(false);
+                    for (&w, &e) in dst.iter().zip(ids) {
+                        let e = e as usize;
+                        let b = terms.block(e);
+                        let sum = &mut partial[b * f..][..f];
+                        if !touched[b] {
+                            touched[b] = true;
+                            sum.fill(0.0);
+                        }
+                        terms.add(sum, e, &grad.row(w as usize)[b * f..][..f]);
                     }
-                    terms.add(sum, e, &grad.row(w as usize)[b * f..][..f]);
-                }
-                for b in (0..blocks).rev().filter(|&b| touched[b]) {
-                    for (o, &x) in row.iter_mut().zip(&partial[b * f..][..f]) {
-                        *o += x;
+                    for b in (0..blocks).rev().filter(|&b| touched[b]) {
+                        for (o, &x) in row.iter_mut().zip(&partial[b * f..][..f]) {
+                            *o += x;
+                        }
                     }
-                }
-            },
-        );
-        let Some(alpha) = alpha else {
-            return vec![(h, dh)];
-        };
+                },
+            )
+        });
         // Each `dα_e` is its own output, so edge ranges run on every core.
         let (src, dst, rows, e) = (g.src(), g.dst(), ctx.value(h), g.num_edges());
-        let mut dalpha = ctx.zeros(&[e]);
-        let work = e * grad.dims()[1];
-        ops::split_rows(dalpha.data_mut(), [e, 1], work, |edges, out| {
-            for (o, e) in out.iter_mut().zip(edges) {
-                *o = grad
-                    .row(dst[e] as usize)
-                    .iter()
-                    .zip(rows.row(src[e] as usize))
-                    .map(|(&a, &b)| a * b)
-                    .sum();
-            }
+        let dalpha = alpha.and_then(|alpha| {
+            ctx.grad(alpha, |dalpha| {
+                let work = e * grad.dims()[1];
+                ops::split_rows(dalpha, [e, 1], work, |edges, out| {
+                    for (o, e) in out.iter_mut().zip(edges) {
+                        *o = grad
+                            .row(dst[e] as usize)
+                            .iter()
+                            .zip(rows.row(src[e] as usize))
+                            .map(|(&a, &b)| a * b)
+                            .sum();
+                    }
+                })
+            })
         });
-        vec![(h, dh), (alpha, dalpha)]
+        dh.into_iter().chain(dalpha).collect()
     }
 }
 
@@ -554,8 +555,8 @@ mod tests {
 
     /// The op reads its operands in place and takes its value, `dh` and
     /// `dα` from the tape's pool: a tape holding only the weighted op and
-    /// a sum (whose value and gradient are not pooled) leases exactly
-    /// those three buffers.
+    /// a sum leases exactly six buffers, those three and the sum's value,
+    /// the loss seed and the sum's gradient.
     #[test]
     fn value_and_gradients_are_leased_from_the_pool() {
         use wisegraph_obs::keys;
@@ -567,7 +568,7 @@ mod tests {
         tape.backward(tape.sum(out));
         let stats = tape.finish().stats();
         let leases = stats.count(keys::POOL_CREATED) + stats.count(keys::POOL_REUSED);
-        assert_eq!(leases, 3);
+        assert_eq!(leases, 6);
     }
 
     #[test]

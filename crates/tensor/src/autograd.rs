@@ -6,23 +6,31 @@
 //! while the parameter tensors themselves live in the model and are fed in
 //! via [`Tape::param`].
 //!
+//! Every op node is recorded one way, by [`Tape::record`]: the tape's own
+//! ops and the graph aggregations of `wisegraph-kernels` alike. An op reads
+//! its operands in place and returns its value with its backward closure;
+//! the closure reads the forward values its gradients need from the tape
+//! when backward runs, so no operand is copied.
+//!
 //! Backward does only the work a parameter's gradient depends on. A node
 //! *needs a gradient* when it is a parameter or one of its inputs needs
 //! one, so an [`Tape::input`] and everything computed from inputs alone
-//! need none. Only a node that needs a gradient records a backward closure,
-//! and it returns gradients for the inputs that need them. A GNN's first
-//! layer, whose operand is the feature matrix, thus computes no `dX` and
-//! runs no backward aggregation. A closure copies no operand when it is
-//! recorded: it reads the forward values its gradients need from the tape
-//! when backward runs, through a [`Ctx`].
+//! need none. Only a node that needs a gradient keeps its backward closure,
+//! and the closure returns gradients for the inputs that need them
+//! ([`Ctx::grad`]). A GNN's first layer, whose operand is the feature
+//! matrix, thus computes no `dX` and runs no backward aggregation.
 //!
-//! Each tape owns a [`Workspace`]: node outputs (and the widest gradients,
-//! RGCN's `[V, T·F]` ones) are written into pooled buffers, and
-//! [`Tape::finish`] recycles every node value and gradient back into the
-//! pool so the next iteration's tape (built with [`Tape::with_workspace`])
-//! allocates almost nothing. Because pooled
-//! buffers are zero-filled on checkout and all ops route through the same
-//! `_into` kernels, a workspace-fed tape is bit-identical to a fresh one.
+//! Each tape owns a [`Workspace`], and every tensor the tape keeps — node
+//! values, gradients, the loss seed — is leased from it through a [`Ctx`];
+//! only the tensors passed to [`Tape::input`] and [`Tape::param`] are not.
+//! Backward hands an op node's gradient back to the pool as soon as it has
+//! reached the node's inputs, so the rest of the pass leases it again, and
+//! keeps the parameters' alone. [`Tape::finish`] recycles the rest into the
+//! pool, so the next iteration's tape (built with
+//! [`Tape::with_workspace`]) finds every buffer it needs parked. Because
+//! pooled buffers are zero-filled on checkout and every op writes through
+//! the `ops` `_into` kernels, a workspace-fed tape is bit-identical to a
+//! fresh one.
 
 use crate::ops;
 use crate::tensor::Tensor;
@@ -42,15 +50,17 @@ impl Var {
     }
 }
 
-type BackwardFn = Box<dyn Fn(&Tensor, &Ctx) -> Vec<(usize, Tensor)>>;
+type BackwardFn = Box<dyn Fn(&Tensor, &Ctx) -> Vec<(Var, Tensor)>>;
 
-/// What an op reads besides the upstream gradient: the forward values of
+/// What an op reads and where it takes its tensors: the forward values of
 /// the tape's nodes, in place, and zeroed buffers from the tape's
-/// workspace for the values and gradients it returns. Every backward
-/// closure gets one, and so do both closures of a [`Tape::custom`] node.
+/// workspace. [`Tape::record`] hands one to an op when it runs forward and
+/// one to its backward closure.
 pub struct Ctx<'a> {
     nodes: &'a [Node],
     ws: &'a RefCell<Workspace>,
+    /// The node being recorded (not on the tape yet) or differentiated.
+    node: usize,
 }
 
 impl Ctx<'_> {
@@ -59,10 +69,31 @@ impl Ctx<'_> {
         &self.nodes[v.id].value
     }
 
+    /// The op's own forward value, for its backward closure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called while the op runs forward.
+    pub fn output(&self) -> &Tensor {
+        let node = self.nodes.get(self.node);
+        &node.expect("an op reads its output only in backward").value
+    }
+
     /// A zeroed tensor from the tape's workspace, recycled into the pool
     /// with the tape's own buffers.
     pub fn zeros(&self, dims: &[usize]) -> Tensor {
         self.ws.borrow_mut().take_tensor(dims)
+    }
+
+    /// The gradient for the input `v`, paired with it, when `v` needs one:
+    /// a zeroed tensor from the workspace shaped like `v`'s value, filled
+    /// by `fill`. `None`, and `fill` is not run, when it needs none.
+    pub fn grad(&self, v: Var, fill: impl FnOnce(&mut [f32])) -> Option<(Var, Tensor)> {
+        self.nodes[v.id].needs_grad().then(|| {
+            let mut d = self.zeros(self.value(v).dims());
+            fill(d.data_mut());
+            (v, d)
+        })
     }
 }
 
@@ -71,6 +102,19 @@ struct Node {
     /// `Some` exactly for an op node that needs a gradient.
     backward: Option<BackwardFn>,
     is_param: bool,
+}
+
+impl Node {
+    /// Whether the node needs a gradient: it is a parameter, or an op
+    /// node with an input that needs one.
+    fn needs_grad(&self) -> bool {
+        self.is_param || self.backward.is_some()
+    }
+}
+
+/// The gradients a backward closure returns, one per input that needs one.
+fn grads<const N: usize>(grads: [Option<(Var, Tensor)>; N]) -> Vec<(Var, Tensor)> {
+    grads.into_iter().flatten().collect()
 }
 
 /// A gradient tape: records operations eagerly and replays them in reverse.
@@ -88,7 +132,8 @@ impl Tape {
     }
 
     /// Creates an empty tape backed by an existing workspace, so node
-    /// outputs reuse buffers recycled by a previous tape's [`Tape::finish`].
+    /// values and gradients reuse buffers recycled by a previous tape's
+    /// [`Tape::finish`].
     pub fn with_workspace(ws: Workspace) -> Self {
         Self {
             nodes: RefCell::new(Vec::new()),
@@ -111,64 +156,64 @@ impl Tape {
         ws
     }
 
-    /// Checks out a zeroed output tensor from the tape workspace.
-    fn alloc(&self, dims: &[usize]) -> Tensor {
-        self.ws.borrow_mut().take_tensor(dims)
-    }
-
-    /// Checks out an output shaped like `a` and fills it with `f(a, out)`.
-    fn elementwise(&self, a: Var, f: impl FnOnce(&Tensor, &mut [f32])) -> Tensor {
-        let nodes = self.nodes.borrow();
-        let av = &nodes[a.id].value;
-        let mut out = self.alloc(av.dims());
-        f(av, out.data_mut());
-        out
-    }
-
-    fn push(&self, value: Tensor, backward: Option<BackwardFn>, is_param: bool) -> Var {
+    fn push(&self, node: Node) -> Var {
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node {
-            value,
-            backward,
-            is_param,
-        });
+        nodes.push(node);
         Var {
             id: nodes.len() - 1,
         }
     }
 
-    /// Whether `v` needs a gradient: it is a parameter, or an op node with
-    /// an input that needs one.
-    fn needs_grad(&self, v: Var) -> bool {
-        let node = &self.nodes.borrow()[v.id];
-        node.is_param || node.backward.is_some()
-    }
-
-    /// Records `value`, the output of an op over `inputs`. The node needs a
-    /// gradient when one of `inputs` does, and only then is `backward`
-    /// called — with which inputs need one, and the node itself — to
-    /// build its closure, which returns gradients for those inputs alone.
-    fn record(
-        &self,
-        value: Tensor,
-        inputs: &[Var],
-        backward: impl FnOnce(&[bool], Var) -> BackwardFn,
-    ) -> Var {
-        let needs: Vec<bool> = inputs.iter().map(|&v| self.needs_grad(v)).collect();
-        let id = self.nodes.borrow().len();
-        let backward = needs.contains(&true).then(|| backward(&needs, Var { id }));
-        self.push(value, backward, false)
+    /// Records an op over `inputs`: every op node gets on the tape this
+    /// way, the tape's own ops and the graph aggregations of
+    /// `wisegraph-kernels` alike.
+    ///
+    /// `op` reads its operands through the [`Ctx`] it is given and returns
+    /// the node's value, taken from [`Ctx::zeros`], with its backward
+    /// closure. The closure maps the upstream gradient to `(input,
+    /// gradient)` pairs, each from [`Ctx::grad`], so it returns gradients
+    /// for the inputs that need one alone; it may read the node's own
+    /// value ([`Ctx::output`]). The node keeps the closure only when one of
+    /// `inputs` needs a gradient. `op` must not record on the tape.
+    pub fn record<B>(&self, inputs: &[Var], op: impl FnOnce(&Ctx) -> (Tensor, B)) -> Var
+    where
+        B: Fn(&Tensor, &Ctx) -> Vec<(Var, Tensor)> + 'static,
+    {
+        let (value, backward) = {
+            let nodes = self.nodes.borrow();
+            let ctx = Ctx {
+                nodes: &nodes,
+                ws: &self.ws,
+                node: nodes.len(),
+            };
+            let (value, backward) = op(&ctx);
+            let needs = inputs.iter().any(|v| nodes[v.id].needs_grad());
+            (value, needs.then(|| Box::new(backward) as BackwardFn))
+        };
+        self.push(Node {
+            value,
+            backward,
+            is_param: false,
+        })
     }
 
     /// Records a constant input: it needs no gradient, and neither does a
     /// node computed from inputs alone.
     pub fn input(&self, value: Tensor) -> Var {
-        self.push(value, None, false)
+        self.push(Node {
+            value,
+            backward: None,
+            is_param: false,
+        })
     }
 
     /// Records a trainable parameter; its gradient is kept after `backward`.
     pub fn param(&self, value: Tensor) -> Var {
-        self.push(value, None, true)
+        self.push(Node {
+            value,
+            backward: None,
+            is_param: true,
+        })
     }
 
     /// Returns a clone of the current value of `v`.
@@ -176,9 +221,9 @@ impl Tape {
         self.nodes.borrow()[v.id].value.clone()
     }
 
-    /// Returns the gradient of the last `backward` call with respect to `v`:
-    /// `None` unless a parameter flows into `v` (or `v` is one) and `v`
-    /// flows into the loss.
+    /// Returns the gradient of the last `backward` call with respect to the
+    /// parameter `v`: `None` if `v` does not flow into the loss, and for
+    /// any node that is not a parameter.
     pub fn grad(&self, v: Var) -> Option<Tensor> {
         self.grads.borrow().get(v.id).cloned().flatten()
     }
@@ -197,26 +242,19 @@ impl Tape {
 
     /// Matrix product of two rank-2 variables.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
+        self.record(&[a, b], |ctx| {
+            let (av, bv) = (ctx.value(a), ctx.value(b));
             assert_eq!(av.shape().rank(), 2, "matmul lhs must be rank-2");
             assert_eq!(bv.shape().rank(), 2, "matmul rhs must be rank-2");
-            out = self.alloc(&[av.dims()[0], bv.dims()[1]]);
+            let mut out = ctx.zeros(&[av.dims()[0], bv.dims()[1]]);
             ops::matmul_split_into(av, bv, out.data_mut());
-        }
-        self.record(out, &[a, b], |needs, _| {
-            let (da, db) = (needs[0], needs[1]);
-            Box::new(move |g, ctx| {
-                [
-                    da.then(|| (a.id, ops::matmul_a_bt(g, ctx.value(b)))),
-                    db.then(|| (b.id, ops::matmul_at_b(ctx.value(a), g))),
-                ]
-                .into_iter()
-                .flatten()
-                .collect()
-            })
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([
+                    ctx.grad(a, |d| ops::matmul_a_bt_into(g, ctx.value(b), d)),
+                    ctx.grad(b, |d| ops::matmul_at_b_into(ctx.value(a), g, d)),
+                ])
+            };
+            (out, backward)
         })
     }
 
@@ -232,352 +270,213 @@ impl Tape {
     ///
     /// Panics if `terms` is empty or a shape does not fit.
     pub fn matmul_sum(&self, terms: &[(Var, usize, Var)]) -> Var {
-        let mut out;
-        // Per term: the width of `A` and the rows of `W`.
-        let shapes: Vec<[usize; 2]>;
-        {
-            let nodes = self.nodes.borrow();
-            let values: Vec<(&Tensor, usize, &Tensor)> = terms
-                .iter()
-                .map(|&(a, col, w)| (&nodes[a.id].value, col, &nodes[w.id].value))
-                .collect();
-            let (a, _, w) = values.first().expect("a sum of at least one product");
-            out = self.alloc(&[a.dims()[0], w.dims()[1]]);
-            ops::matmul_sum_into(&values, out.data_mut());
-            shapes = values
-                .iter()
-                .map(|(a, _, w)| [a.dims()[1], w.dims()[0]])
-                .collect();
-        }
         let inputs: Vec<Var> = terms.iter().flat_map(|&(a, _, w)| [a, w]).collect();
         let terms = terms.to_vec();
-        self.record(out, &inputs, |needs, _| {
-            let (da, dw): (Vec<bool>, Vec<bool>) = needs.chunks(2).map(|n| (n[0], n[1])).unzip();
-            Box::new(move |g, ctx| {
+        self.record(&inputs, |ctx| {
+            let values: Vec<(&Tensor, usize, &Tensor)> = terms
+                .iter()
+                .map(|&(a, col, w)| (ctx.value(a), col, ctx.value(w)))
+                .collect();
+            let (a, _, w) = values.first().expect("a sum of at least one product");
+            let mut out = ctx.zeros(&[a.dims()[0], w.dims()[1]]);
+            ops::matmul_sum_into(&values, out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
                 let mut grads = Vec::new();
                 // One gradient per distinct `A`: its terms' column slices,
                 // filled by one split of its rows.
                 for (i, &(a, _, _)) in terms.iter().enumerate() {
-                    if da[i] && !terms[..i].iter().any(|(b, _, _)| b.id == a.id) {
-                        let slices: Vec<(usize, &Tensor)> = terms
-                            .iter()
-                            .filter(|(b, _, _)| b.id == a.id)
-                            .map(|&(_, col, w)| (col, ctx.value(w)))
-                            .collect();
-                        let mut d = ctx.zeros(&[g.dims()[0], shapes[i][0]]);
-                        ops::matmul_a_bt_cols_into(g, &slices, &mut d);
-                        grads.push((a.id, d));
+                    if terms[..i].iter().any(|&(b, _, _)| b == a) {
+                        continue;
                     }
+                    let slices: Vec<(usize, &Tensor)> = terms
+                        .iter()
+                        .filter(|&&(b, _, _)| b == a)
+                        .map(|&(_, col, w)| (col, ctx.value(w)))
+                        .collect();
+                    let width = ctx.value(a).dims()[1];
+                    grads.extend(ctx.grad(a, |d| ops::matmul_a_bt_cols_into(g, &slices, d, width)));
                 }
-                for (i, &(a, col, w)) in terms.iter().enumerate() {
-                    if dw[i] {
-                        let cols = col..col + shapes[i][1];
-                        grads.push((w.id, ops::matmul_at_b_cols(ctx.value(a), cols, g)));
-                    }
+                for &(a, col, w) in &terms {
+                    let cols = col..col + ctx.value(w).dims()[0];
+                    let fill = |d: &mut [f32]| ops::matmul_at_b_cols_into(ctx.value(a), cols, g, d);
+                    grads.extend(ctx.grad(w, fill));
                 }
                 grads
-            })
+            };
+            (out, backward)
         })
     }
 
     /// Element-wise sum of two same-shaped variables.
     pub fn add(&self, a: Var, b: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
-            out = self.alloc(av.dims());
-            ops::add_into(av, bv, out.data_mut());
-        }
-        self.record(out, &[a, b], |needs, _| {
-            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
-            Box::new(move |g, _| {
-                [da.then(|| (aid, g.clone())), db.then(|| (bid, g.clone()))]
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            })
+        self.record(&[a, b], |ctx| {
+            let mut out = ctx.zeros(ctx.value(a).dims());
+            ops::add_into(ctx.value(a), ctx.value(b), out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([
+                    ctx.grad(a, |d| d.copy_from_slice(g.data())),
+                    ctx.grad(b, |d| d.copy_from_slice(g.data())),
+                ])
+            };
+            (out, backward)
         })
     }
 
     /// Element-wise product of two same-shaped variables.
     pub fn mul(&self, a: Var, b: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
-            out = self.alloc(av.dims());
-            ops::mul_into(av, bv, out.data_mut());
-        }
-        self.record(out, &[a, b], |needs, _| {
-            let (da, db) = (needs[0], needs[1]);
-            Box::new(move |g, ctx| {
-                [
-                    da.then(|| (a.id, ops::mul(g, ctx.value(b)))),
-                    db.then(|| (b.id, ops::mul(g, ctx.value(a)))),
-                ]
-                .into_iter()
-                .flatten()
-                .collect()
-            })
-        })
-    }
-
-    /// Multiplies a variable by a scalar constant.
-    pub fn scale(&self, a: Var, s: f32) -> Var {
-        let out = self.elementwise(a, |av, out| ops::scale_into(av, s, out));
-        let aid = a.id;
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, _| vec![(aid, ops::scale(g, s))])
+        self.record(&[a, b], |ctx| {
+            let mut out = ctx.zeros(ctx.value(a).dims());
+            ops::mul_into(ctx.value(a), ctx.value(b), out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([
+                    ctx.grad(a, |d| ops::mul_into(g, ctx.value(b), d)),
+                    ctx.grad(b, |d| ops::mul_into(g, ctx.value(a), d)),
+                ])
+            };
+            (out, backward)
         })
     }
 
     /// Adds a rank-1 bias to every row of a rank-2 variable.
     pub fn add_bias(&self, x: Var, bias: Var) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let (xv, bv) = (&nodes[x.id].value, &nodes[bias.id].value);
-            out = self.alloc(xv.dims());
-            ops::add_bias_into(xv, bv, out.data_mut());
-        }
-        self.record(out, &[x, bias], |needs, _| {
-            let (dx, db, xid, bid) = (needs[0], needs[1], x.id, bias.id);
-            Box::new(move |g, _| {
-                [
-                    dx.then(|| (xid, g.clone())),
-                    db.then(|| (bid, ops::sum_rows(g))),
-                ]
-                .into_iter()
-                .flatten()
-                .collect()
-            })
+        self.record(&[x, bias], |ctx| {
+            let mut out = ctx.zeros(ctx.value(x).dims());
+            ops::add_bias_into(ctx.value(x), ctx.value(bias), out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([
+                    ctx.grad(x, |d| d.copy_from_slice(g.data())),
+                    ctx.grad(bias, |d| ops::sum_rows_into(g, d)),
+                ])
+            };
+            (out, backward)
         })
     }
 
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
-        let out = self.elementwise(a, ops::relu_into);
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, ctx| {
+        self.record(&[a], |ctx| {
+            let mut out = ctx.zeros(ctx.value(a).dims());
+            ops::relu_into(ctx.value(a), out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
                 let relu = |g: f32, x: f32| g * if x > 0.0 { 1.0 } else { 0.0 };
-                let d = ops::zip_map(g, ctx.value(a), relu);
-                vec![(a.id, d)]
-            })
+                grads([ctx.grad(a, |d| ops::zip_map_into(g, ctx.value(a), d, relu))])
+            };
+            (out, backward)
         })
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, a: Var, slope: f32) -> Var {
-        let out = self.elementwise(a, |av, out| ops::leaky_relu_into(av, slope, out));
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, ctx| {
+        self.record(&[a], |ctx| {
+            let mut out = ctx.zeros(ctx.value(a).dims());
+            ops::leaky_relu_into(ctx.value(a), slope, out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
                 let leaky = |g: f32, x: f32| g * if x >= 0.0 { 1.0 } else { slope };
-                let d = ops::zip_map(g, ctx.value(a), leaky);
-                vec![(a.id, d)]
-            })
-        })
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self, a: Var) -> Var {
-        let out = self.elementwise(a, ops::sigmoid_into);
-        self.record(out, &[a], |_, y| {
-            Box::new(move |g, ctx| {
-                let d = ops::zip_map(g, ctx.value(y), |g, y| g * (y * (1.0 - y)));
-                vec![(a.id, d)]
-            })
-        })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self, a: Var) -> Var {
-        let out = self.elementwise(a, ops::tanh_into);
-        self.record(out, &[a], |_, y| {
-            Box::new(move |g, ctx| {
-                let d = ops::zip_map(g, ctx.value(y), |g, y| g * (1.0 - y * y));
-                vec![(a.id, d)]
-            })
+                grads([ctx.grad(a, |d| ops::zip_map_into(g, ctx.value(a), d, leaky))])
+            };
+            (out, backward)
         })
     }
 
     /// Gathers rows by index: the indexing operation of a GNN layer.
     pub fn gather_rows(&self, x: Var, idx: Vec<u32>) -> Var {
-        let mut out;
-        let rows;
-        {
-            let nodes = self.nodes.borrow();
-            let xv = &nodes[x.id].value;
+        self.record(&[x], |ctx| {
+            let xv = ctx.value(x);
             assert_eq!(xv.shape().rank(), 2, "gather_rows input must be rank-2");
-            rows = xv.dims()[0];
-            out = self.alloc(&[idx.len(), xv.dims()[1]]);
+            let mut out = ctx.zeros(&[idx.len(), xv.dims()[1]]);
             ops::gather_rows_into(xv, &idx, out.data_mut());
-        }
-        let xid = x.id;
-        self.record(out, &[x], |_, _| {
-            Box::new(move |g, _| vec![(xid, ops::index_add_rows(rows, g, &idx))])
-        })
-    }
-
-    /// Records an op over `inputs` that the tape does not implement
-    /// itself: graph aggregation, which walks the graph's CSR rows on both
-    /// passes, is the one that uses it. `forward` returns the node's value
-    /// and `backward` maps the upstream gradient to `(input, gradient)`
-    /// pairs; both get the [`Ctx`] the tape's own ops get, so they read
-    /// their operands in place and take what they return from
-    /// [`Ctx::zeros`]. Like every op, the node keeps `backward` only when
-    /// one of `inputs` needs a gradient, and the tape keeps only the pairs
-    /// of inputs that need one. `forward` must not record on the tape.
-    pub fn custom(
-        &self,
-        inputs: &[Var],
-        forward: impl FnOnce(&Ctx) -> Tensor,
-        backward: impl Fn(&Tensor, &Ctx) -> Vec<(Var, Tensor)> + 'static,
-    ) -> Var {
-        let value = forward(&Ctx {
-            nodes: &self.nodes.borrow(),
-            ws: &self.ws,
-        });
-        self.record(value, inputs, |needs, _| {
-            let needed: Vec<usize> = inputs
-                .iter()
-                .zip(needs)
-                .filter(|&(_, &n)| n)
-                .map(|(v, _)| v.id)
-                .collect();
-            Box::new(move |g, ctx| {
-                backward(g, ctx)
-                    .into_iter()
-                    .map(|(v, t)| (v.id, t))
-                    .filter(|(id, _)| needed.contains(id))
-                    .collect()
-            })
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                let rows = ctx.value(x).dims()[0];
+                grads([ctx.grad(x, |d| ops::index_add_rows_into(rows, g, &idx, d))])
+            };
+            (out, backward)
         })
     }
 
     /// Scales row `i` by the constant `s[i]` (e.g. 1/degree normalization).
     pub fn scale_rows_const(&self, x: Var, s: Tensor) -> Var {
-        let out = self.elementwise(x, |xv, out| ops::scale_rows_into(xv, &s, out));
-        let xid = x.id;
-        self.record(out, &[x], |_, _| {
-            Box::new(move |g, ctx| {
-                let mut d = ctx.zeros(g.dims());
-                ops::scale_rows_into(g, &s, d.data_mut());
-                vec![(xid, d)]
-            })
+        self.record(&[x], |ctx| {
+            let mut out = ctx.zeros(ctx.value(x).dims());
+            ops::scale_rows_into(ctx.value(x), &s, out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([ctx.grad(x, |d| ops::scale_rows_into(g, &s, d))])
+            };
+            (out, backward)
         })
     }
 
     /// Per-segment softmax of a rank-1 score vector (GAT edge attention).
     pub fn segment_softmax(&self, scores: Var, seg: Vec<u32>, num_segments: usize) -> Var {
-        let mut out;
-        {
-            let nodes = self.nodes.borrow();
-            let sv = &nodes[scores.id].value;
-            out = self.alloc(&[sv.numel()]);
+        self.record(&[scores], |ctx| {
+            let sv = ctx.value(scores);
+            let mut out = ctx.zeros(&[sv.numel()]);
             ops::segment_softmax_into(sv, &seg, num_segments, out.data_mut());
-        }
-        let sid = scores.id;
-        self.record(out, &[scores], |_, y| {
-            Box::new(move |g, ctx| {
+            let backward = move |g: &Tensor, ctx: &Ctx| {
                 // dL/ds_i = y_i * (g_i - Σ_{j∈seg(i)} y_j g_j)
-                let y = ctx.value(y).data();
-                let gd = g.data();
+                let (y, gd) = (ctx.output().data(), g.data());
                 let mut segdot = vec![0.0f32; num_segments];
                 for (i, &s) in seg.iter().enumerate() {
                     segdot[s as usize] += y[i] * gd[i];
                 }
-                let grad: Vec<f32> = seg
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| y[i] * (gd[i] - segdot[s as usize]))
-                    .collect();
-                vec![(sid, Tensor::from_vec(grad, g.dims()))]
-            })
-        })
-    }
-
-    /// Concatenates two rank-2 variables along the column dimension.
-    pub fn concat_cols(&self, a: Var, b: Var) -> Var {
-        let mut out;
-        let (n1, n2);
-        {
-            let nodes = self.nodes.borrow();
-            let (av, bv) = (&nodes[a.id].value, &nodes[b.id].value);
-            assert_eq!(av.shape().rank(), 2, "concat_cols lhs must be rank-2");
-            assert_eq!(bv.shape().rank(), 2, "concat_cols rhs must be rank-2");
-            (n1, n2) = (av.dims()[1], bv.dims()[1]);
-            out = self.alloc(&[av.dims()[0], n1 + n2]);
-            ops::concat_cols_into(av, bv, out.data_mut());
-        }
-        self.record(out, &[a, b], |needs, _| {
-            let (da, db, aid, bid) = (needs[0], needs[1], a.id, b.id);
-            Box::new(move |g, _| {
-                // Columns `from..from + width` of `g`.
-                let columns = |from: usize, width: usize| {
-                    let m = g.dims()[0];
-                    let mut part = vec![0.0f32; m * width];
-                    for i in 0..m {
-                        part[i * width..(i + 1) * width]
-                            .copy_from_slice(&g.row(i)[from..from + width]);
+                grads([ctx.grad(scores, |d| {
+                    for (i, (o, &s)) in d.iter_mut().zip(&seg).enumerate() {
+                        *o = y[i] * (gd[i] - segdot[s as usize]);
                     }
-                    Tensor::from_vec(part, &[m, width])
-                };
-                [
-                    da.then(|| (aid, columns(0, n1))),
-                    db.then(|| (bid, columns(n1, n2))),
-                ]
-                .into_iter()
-                .flatten()
-                .collect()
-            })
+                })])
+            };
+            (out, backward)
         })
     }
 
     /// Sums all elements into a scalar.
     pub fn sum(&self, a: Var) -> Var {
-        let (out, dims) = {
-            let av = &self.nodes.borrow()[a.id].value;
-            (ops::sum(av), av.dims().to_vec())
-        };
-        let aid = a.id;
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, _| vec![(aid, Tensor::full(&dims, g.item()))])
-        })
-    }
-
-    /// Averages all elements into a scalar.
-    pub fn mean(&self, a: Var) -> Var {
-        let (out, dims) = {
-            let av = &self.nodes.borrow()[a.id].value;
-            (ops::mean(av), av.dims().to_vec())
-        };
-        let n = dims.iter().product::<usize>() as f32;
-        let aid = a.id;
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, _| vec![(aid, Tensor::full(&dims, g.item() / n))])
+        self.record(&[a], |ctx| {
+            let mut out = ctx.zeros(&[]);
+            out.data_mut()[0] = ctx.value(a).data().iter().sum();
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([ctx.grad(a, |d| d.fill(g.item()))])
+            };
+            (out, backward)
         })
     }
 
     /// Mean cross-entropy loss over rows of `logits` against integer labels.
     pub fn cross_entropy(&self, logits: Var, labels: Vec<u32>) -> Var {
-        let (loss, dlogits) =
-            ops::cross_entropy_with_grad(&self.nodes.borrow()[logits.id].value, &labels);
-        let lid = logits.id;
-        self.record(Tensor::scalar(loss), &[logits], |_, _| {
-            Box::new(move |g, _| vec![(lid, ops::scale(&dlogits, g.item()))])
+        self.record(&[logits], |ctx| {
+            let mut out = ctx.zeros(&[]);
+            out.data_mut()[0] = ops::cross_entropy(ctx.value(logits), &labels);
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                let scale = g.item();
+                let grad = |d: &mut [f32]| {
+                    ops::cross_entropy_grad_into(ctx.value(logits), &labels, scale, d)
+                };
+                grads([ctx.grad(logits, grad)])
+            };
+            (out, backward)
         })
     }
 
     /// Reshapes a variable (gradient is reshaped back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
     pub fn reshape(&self, a: Var, dims: &[usize]) -> Var {
-        let (out, orig) = {
-            let av = &self.nodes.borrow()[a.id].value;
-            (av.reshape(dims), av.dims().to_vec())
-        };
-        let aid = a.id;
-        self.record(out, &[a], |_, _| {
-            Box::new(move |g, _| vec![(aid, g.reshape(&orig))])
+        self.record(&[a], |ctx| {
+            let av = ctx.value(a);
+            let mut out = ctx.zeros(dims);
+            assert_eq!(
+                out.numel(),
+                av.numel(),
+                "cannot reshape {} elements into shape {}",
+                av.numel(),
+                out.shape()
+            );
+            out.data_mut().copy_from_slice(av.data());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([ctx.grad(a, |d| d.copy_from_slice(g.data()))])
+            };
+            (out, backward)
         })
     }
 
@@ -585,10 +484,12 @@ impl Tape {
 
     /// Runs reverse-mode differentiation from the scalar `loss` node.
     ///
-    /// Only nodes that a parameter flows into get gradients: after this
-    /// call, [`Tape::grad`] returns one for every parameter and every op
-    /// node between a parameter and `loss`, and `None` for an input or a
-    /// node computed from inputs alone, whose gradient no parameter reads.
+    /// Only nodes that a parameter flows into get gradients, and only a
+    /// parameter's is kept: after this call, [`Tape::grad`] returns one for
+    /// every parameter that flows into `loss`. An op node's gradient goes
+    /// back to the pool as soon as it has been propagated to the node's
+    /// inputs, and an input or a node computed from inputs alone, whose
+    /// gradient no parameter reads, gets none.
     ///
     /// # Panics
     ///
@@ -601,8 +502,10 @@ impl Tape {
             "backward() requires a scalar loss"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        if self.needs_grad(loss) {
-            grads[loss.id] = Some(Tensor::scalar(1.0));
+        if nodes[loss.id].needs_grad() {
+            let mut seed = self.ws.borrow_mut().take_tensor(&[]);
+            seed.data_mut()[0] = 1.0;
+            grads[loss.id] = Some(seed);
         }
         for id in (0..=loss.id).rev() {
             // Take the gradient out instead of cloning it; the backward
@@ -614,18 +517,27 @@ impl Tape {
                 let ctx = Ctx {
                     nodes: &nodes,
                     ws: &self.ws,
+                    node: id,
                 };
-                for (pid, pg) in backward(&g, &ctx) {
-                    match &mut grads[pid] {
-                        Some(existing) => {
-                            ops::add_assign(existing, &pg);
-                            self.ws.borrow_mut().recycle(pg);
+                for (v, d) in backward(&g, &ctx) {
+                    match &mut grads[v.id] {
+                        Some(acc) => {
+                            ops::add_assign(acc, &d);
+                            self.ws.borrow_mut().recycle(d);
                         }
-                        slot @ None => *slot = Some(pg),
+                        slot @ None => *slot = Some(d),
                     }
                 }
             }
-            grads[id] = Some(g);
+            // Every consumer of node `id` comes after it, so its gradient is
+            // complete here and, once propagated, read again only if it is
+            // a parameter's: an op node's goes back to the pool, where the
+            // rest of the pass can lease it again.
+            if nodes[id].is_param {
+                grads[id] = Some(g);
+            } else {
+                self.ws.borrow_mut().recycle(g);
+            }
         }
         let old = std::mem::replace(&mut *self.grads.borrow_mut(), grads);
         let mut ws = self.ws.borrow_mut();
@@ -640,11 +552,7 @@ mod tests {
     use super::*;
 
     /// Numerically checks d(loss)/d(param) by central differences.
-    fn finite_diff_check(
-        build: impl Fn(&Tape, Var) -> Var,
-        param: Tensor,
-        tol: f32,
-    ) {
+    fn finite_diff_check(name: &str, build: impl Fn(&Tape, Var) -> Var, param: Tensor) {
         let tape = Tape::new();
         let p = tape.param(param.clone());
         let loss = build(&tape, p);
@@ -664,132 +572,116 @@ mod tests {
             let numeric = (tp.value(lp).item() - tm.value(lm).item()) / (2.0 * eps);
             let a = analytic.data()[i];
             assert!(
-                (a - numeric).abs() < tol * (1.0 + numeric.abs()),
-                "grad[{i}]: analytic {a} vs numeric {numeric}"
+                (a - numeric).abs() < 1e-2 * (1.0 + numeric.abs()),
+                "{name}: grad[{i}]: analytic {a} vs numeric {numeric}"
             );
         }
     }
 
-    #[test]
-    fn matmul_gradient() {
-        let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.3, 1.5, -0.7], &[2, 3]);
-        finite_diff_check(
-            |t, p| {
-                let x = t.input(Tensor::from_vec(
-                    vec![1.0, 2.0, -1.0, 0.5, 0.0, 1.0],
-                    &[2, 3],
-                ));
-                let prod = t.matmul(x, t.reshape(p, &[3, 2]));
-                t.sum(prod)
-            },
-            x.reshape(&[6]),
-            1e-2,
-        );
+    /// `[rows, cols]` of `data` as a tensor on `t`'s tape, an input.
+    fn input(t: &Tape, data: &[f32], dims: &[usize]) -> Var {
+        t.input(Tensor::from_vec(data.to_vec(), dims))
     }
 
-    #[test]
-    fn elementwise_chain_gradient() {
-        let p = Tensor::from_vec(vec![0.2, -0.4, 1.1, 0.9], &[2, 2]);
-        finite_diff_check(
-            |t, p| {
-                let s = t.sigmoid(p);
-                let h = t.tanh(s);
-                let r = t.leaky_relu(h, 0.2);
-                t.mean(r)
-            },
-            p,
-            1e-2,
-        );
+    /// `Σ y ⊙ y`: a loss whose gradient w.r.t. `y` is `2y`.
+    fn square_sum(t: &Tape, y: Var) -> Var {
+        t.sum(t.mul(y, y))
     }
 
-    #[test]
-    fn gather_gradient() {
-        let p = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        finite_diff_check(
-            |t, p| {
-                let g = t.gather_rows(p, vec![0, 2, 2, 1]);
-                let sq = t.mul(g, g);
-                t.sum(sq)
-            },
-            p,
-            1e-2,
-        );
+    /// A scatter-add recorded through [`Tape::record`]: its adjoint is a
+    /// gather.
+    fn scatter(t: &Tape, p: Var) -> Var {
+        let idx = [0u32, 1, 0];
+        t.record(&[p], |ctx| {
+            let mut out = ctx.zeros(&[2, 2]);
+            ops::index_add_rows_into(2, ctx.value(p), &idx, out.data_mut());
+            let backward = move |g: &Tensor, ctx: &Ctx| {
+                grads([ctx.grad(p, |d| ops::gather_rows_into(g, &idx, d))])
+            };
+            (out, backward)
+        })
     }
 
-    #[test]
-    fn custom_node_gradient() {
-        // A scatter-add recorded as a custom node: its adjoint is a gather.
-        let p = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        finite_diff_check(
-            |t, p| {
-                let idx = [0u32, 1, 0];
-                let s = t.custom(
-                    &[p],
-                    |ctx| {
-                        let mut out = ctx.zeros(&[2, 2]);
-                        ops::index_add_rows_into(2, ctx.value(p), &idx, out.data_mut());
-                        out
-                    },
-                    move |g, _| vec![(p, ops::gather_rows(g, &idx))],
-                );
-                let sq = t.mul(s, s);
-                t.sum(sq)
-            },
-            p,
-            1e-2,
-        );
-    }
+    type Build = fn(&Tape, Var) -> Var;
 
+    /// Every op the tape records, each differentiated w.r.t. the parameter
+    /// in its row (both operands of the binary ops), against central
+    /// differences.
     #[test]
-    fn segment_softmax_gradient() {
-        let p = Tensor::from_vec(vec![0.1, 0.7, -0.3, 0.5, 0.2], &[5]);
-        finite_diff_check(
-            |t, p| {
-                let sm = t.segment_softmax(p, vec![0, 0, 1, 1, 1], 2);
-                let w = t.input(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5, 1.5], &[5]));
-                let prod = t.mul(sm, w);
-                t.sum(prod)
-            },
-            p,
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn scale_rows_const_gradient() {
-        let p = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5, 3.0, -2.0], &[3, 2]);
-        finite_diff_check(
-            |t, p| {
+    fn every_op_matches_finite_differences() {
+        // Away from ReLU's kink by more than the step.
+        const M23: &[f32] = &[0.5, -1.0, 2.0, 0.3, 1.5, -0.7];
+        let cases: [(&str, Build, &[f32], &[usize]); 17] = [
+            ("matmul lhs", |t, p| {
+                let w = input(t, &[1.0, 2.0, -1.0, 0.5, 0.0, 1.0], &[3, 2]);
+                square_sum(t, t.matmul(p, w))
+            }, M23, &[2, 3]),
+            ("matmul rhs", |t, p| {
+                let x = input(t, &[1.0, 2.0, -1.0, 0.5, 0.0, 1.0], &[2, 3]);
+                square_sum(t, t.matmul(x, p))
+            }, M23, &[3, 2]),
+            ("matmul_sum operand", |t, p| {
+                // Two column slices of `p` and another operand.
+                let w1 = input(t, &[1.0, -0.5, 0.25, 2.0], &[2, 2]);
+                let w2 = input(t, &[0.5, 1.0, -1.0, 0.75], &[2, 2]);
+                let x = input(t, &[0.2, -0.3, 0.4, 0.1], &[2, 2]);
+                square_sum(t, t.matmul_sum(&[(p, 0, w1), (x, 0, w2), (p, 1, w2)]))
+            }, M23, &[2, 3]),
+            ("matmul_sum weight", |t, p| {
+                let a = input(t, &[1.0, 2.0, -1.0, 0.5, 0.0, 1.0], &[2, 3]);
+                let w = input(t, &[0.3, 0.1, -0.2, 0.4], &[2, 2]);
+                square_sum(t, t.matmul_sum(&[(a, 1, p), (a, 0, w)]))
+            }, &[0.5, -1.0, 2.0, 0.3], &[2, 2]),
+            ("add", |t, p| {
+                let x = input(t, M23, &[2, 3]);
+                square_sum(t, t.add(x, p))
+            }, &[1.0, 2.0, -1.0, 0.5, 0.0, 1.0], &[2, 3]),
+            ("mul", |t, p| {
+                let x = input(t, M23, &[2, 3]);
+                square_sum(t, t.mul(p, x))
+            }, &[1.0, 2.0, -1.0, 0.5, 0.0, 1.0], &[2, 3]),
+            ("add_bias input", |t, p| {
+                let b = input(t, &[0.5, -0.5, 1.0], &[3]);
+                square_sum(t, t.add_bias(p, b))
+            }, M23, &[2, 3]),
+            ("add_bias bias", |t, p| {
+                let x = input(t, M23, &[2, 3]);
+                square_sum(t, t.add_bias(x, p))
+            }, &[0.5, -0.5, 1.0], &[3]),
+            ("relu", |t, p| {
+                let w = input(t, &[1.0, -2.0, 3.0, 0.5, 1.5, -1.0], &[2, 3]);
+                t.sum(t.mul(t.relu(p), w))
+            }, M23, &[2, 3]),
+            ("leaky_relu", |t, p| {
+                let w = input(t, &[1.0, -2.0, 3.0, 0.5, 1.5, -1.0], &[2, 3]);
+                t.sum(t.mul(t.leaky_relu(p, 0.2), w))
+            }, M23, &[2, 3]),
+            ("gather_rows", |t, p| {
+                square_sum(t, t.gather_rows(p, vec![0, 2, 2, 1]))
+            }, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]),
+            ("scale_rows_const", |t, p| {
                 let s = Tensor::from_vec(vec![0.5, -1.5, 2.0], &[3]);
-                let scaled = t.scale_rows_const(p, s);
-                let sq = t.mul(scaled, scaled);
-                t.sum(sq)
-            },
-            p,
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn cross_entropy_gradient() {
-        let p = Tensor::from_vec(vec![0.3, -0.2, 0.8, -0.5, 0.1, 0.4], &[2, 3]);
-        finite_diff_check(|t, p| t.cross_entropy(p, vec![2, 0]), p, 1e-2);
-    }
-
-    #[test]
-    fn bias_and_concat_gradient() {
-        let p = Tensor::from_vec(vec![0.5, -0.5], &[2]);
-        finite_diff_check(
-            |t, p| {
-                let x = t.input(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
-                let y = t.add_bias(x, p);
-                let c = t.concat_cols(y, x);
-                let sq = t.mul(c, c);
-                t.sum(sq)
-            },
-            p,
-            1e-2,
-        );
+                square_sum(t, t.scale_rows_const(p, s))
+            }, &[1.0, 2.0, -1.0, 0.5, 3.0, -2.0], &[3, 2]),
+            ("segment_softmax", |t, p| {
+                let sm = t.segment_softmax(p, vec![0, 0, 1, 1, 1], 2);
+                let w = input(t, &[1.0, -2.0, 3.0, 0.5, 1.5], &[5]);
+                t.sum(t.mul(sm, w))
+            }, &[0.1, 0.7, -0.3, 0.5, 0.2], &[5]),
+            ("reshape", |t, p| {
+                let w = input(t, &[1.0, -2.0, 3.0, 0.5, 1.5, -1.0], &[3, 2]);
+                square_sum(t, t.mul(t.reshape(p, &[3, 2]), w))
+            }, M23, &[2, 3]),
+            ("sum", |t, p| t.sum(p), M23, &[2, 3]),
+            ("cross_entropy", |t, p| {
+                t.cross_entropy(p, vec![2, 0])
+            }, &[0.3, -0.2, 0.8, -0.5, 0.1, 0.4], &[2, 3]),
+            ("record", |t, p| square_sum(t, scatter(t, p)),
+                &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]),
+        ];
+        for (name, build, data, dims) in cases {
+            finite_diff_check(name, build, Tensor::from_vec(data.to_vec(), dims));
+        }
     }
 
     #[test]
@@ -819,12 +711,13 @@ mod tests {
         let tape = Tape::new();
         let x = tape.input(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], &[2, 2]));
         let w = tape.param(Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.0], &[2, 2]));
-        let h = tape.relu(tape.scale(x, 2.0));
-        let c = tape.custom(
-            &[x, h],
-            |ctx| ctx.value(x).clone(),
-            |_, _| panic!("a node over inputs alone runs no backward"),
-        );
+        let h = tape.relu(tape.mul(x, x));
+        let c = tape.record(&[x, h], |ctx| {
+            let backward = |_: &Tensor, _: &Ctx| -> Vec<(Var, Tensor)> {
+                panic!("a node over inputs alone runs no backward")
+            };
+            (ctx.value(x).clone(), backward)
+        });
         let y = tape.matmul(tape.add(h, c), w);
         let loss = tape.sum(y);
         let nodes = tape.nodes.borrow();
@@ -837,7 +730,30 @@ mod tests {
             assert!(tape.grad(v).is_none(), "node {} has a gradient", v.id);
         }
         assert!(tape.grad(w).is_some());
-        assert!(tape.grad(y).is_some());
+        // `y` needed a gradient, which went back to the pool once `w`'s
+        // was computed from it.
+        assert!(tape.grad(y).is_none());
+    }
+
+    /// Every tensor the tape keeps, apart from the caller's input and
+    /// parameters, is leased from its workspace: on a fresh pool, the
+    /// four values of `matmul → add_bias → relu → cross_entropy` and the
+    /// six gradients (the loss seed, the ReLU output's, the biased
+    /// product's, the product's, `dW` and `db`; the input needs none) are
+    /// ten leases. Nine buffers are made: the product's gradient reuses
+    /// the ReLU output's, which went back to the pool once propagated.
+    #[test]
+    fn every_tensor_the_tape_keeps_is_leased() {
+        use wisegraph_obs::keys;
+        let tape = Tape::new();
+        let x = input(&tape, &[1.0, -2.0, 3.0, 0.5, 0.0, 1.0, -1.0, 2.0], &[4, 2]);
+        let w = tape.param(Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.0, 0.25, -0.5], &[2, 3]));
+        let b = tape.param(Tensor::from_vec(vec![0.1, -0.2, 0.3], &[3]));
+        let logits = tape.relu(tape.add_bias(tape.matmul(x, w), b));
+        tape.backward(tape.cross_entropy(logits, vec![0, 2, 1, 2]));
+        let stats = tape.finish().stats();
+        let leases = [keys::POOL_CREATED, keys::POOL_REUSED].map(|k| stats.count(k));
+        assert_eq!(leases, [9, 1]);
     }
 
     #[test]
@@ -925,7 +841,12 @@ mod tests {
                 tape.add(sum, tape.matmul(a2, wv[2]))
             });
             // The chain's gradient of each slice, `g · Wᵀ`, laid side by side.
-            let (d1, d2) = (ops::matmul_a_bt(&g, &ws[1]), ops::matmul_a_bt(&g, &ws[2]));
+            let a_bt = |w: &Tensor| {
+                let mut d = Tensor::zeros(&[m, k]);
+                ops::matmul_a_bt_into(&g, w, d.data_mut());
+                d
+            };
+            let (d1, d2) = (a_bt(&ws[1]), a_bt(&ws[2]));
             let mut da = vec![0.0f32; m * (2 * k + 1)];
             for i in 0..m {
                 da[i * (2 * k + 1) + 1..][..k].copy_from_slice(d1.row(i));

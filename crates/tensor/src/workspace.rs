@@ -22,10 +22,10 @@
 //! A size class parks at most as many buffers as it ever had leases open
 //! at once; a returned buffer beyond that is freed. A loop that repeats the
 //! same checkouts therefore finds every buffer it needs parked, while
-//! buffers the pool never leased — tensors born in allocating `ops`
-//! wrappers and handed in by [`Workspace::recycle`] — cannot pile up
-//! round after round. The bound is a pure function of the checkout
-//! sequence: no clock, no cap to tune.
+//! buffers the pool never leased — on a tape, the tensors passed to
+//! `Tape::input` and `Tape::param`, handed in by [`Workspace::recycle`]
+//! when the tape finishes — cannot pile up round after round. The bound is
+//! a pure function of the checkout sequence: no clock, no cap to tune.
 //!
 //! [`Workspace::stats`] reports into the shared [`Counters`] registry
 //! under the `pool.*` keys ([`wisegraph_obs::keys`]), including a peak
