@@ -32,15 +32,15 @@
 # (examples/perfbench --smoke: every workload's calls into the library
 # compile, run and pass their output checks, so a library change cannot
 # silently break BENCHMARK.json), and
-# wisegraph-prof --check (the counter-regression gate:
-# run-to-run and cross-thread determinism plus tolerance
-# bands against results/prof_baseline.json, covering the Work-class
-# critical-path attribution, with the deterministic report regenerated
-# into results/prof_critical.json). Every file under results/ that a step
-# regenerates is byte-stable, so the script checksums results/ first and
-# last: a file that is not what its producer prints, or an artifact that
-# appears during the run, fails it, and `git diff results` shows the new
-# bytes.
+# wisegraph-prof --check (the determinism gate: run-to-run and
+# cross-thread identity of the counters; every run rewrites
+# results/prof_*.json, including prof_baseline.json with every counter
+# family and prof_critical.json with the critical-path report). Every
+# file under results/ that a step regenerates is byte-stable, so the
+# script checksums results/ first and last: a file that is not what its
+# producer prints, or an artifact that appears during the run, fails it,
+# and `git diff results` shows the new bytes. That checksum is the one
+# check on counter values, exact for every class.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,4 +1,4 @@
-//! `wisegraph-prof`: the workload profiler and counter-regression gate.
+//! `wisegraph-prof`: the workload profiler and its determinism gate.
 //!
 //! Runs one layer of each built-in model (GCN, RGCN, GAT, SAGE) under
 //! every partition table on a fixed synthetic RMAT graph,
@@ -6,6 +6,9 @@
 //!
 //! * `results/prof_<model>.json` — the deterministic work/resource
 //!   counters of that model's runs (`wisegraph-obs` metrics JSON);
+//! * `results/prof_baseline.json` — every counter of the run in one
+//!   snapshot: the per-model keys under `<model>.<table>.` and the
+//!   `planning.`, `sharded.` and `critical.` families below;
 //! * `results/prof_trace.json` — the merged span timeline in Chrome
 //!   trace-event format (open in `chrome://tracing` or Perfetto);
 //! * a per-gTask workload-skew table on stdout — the paper's Figure 7/15
@@ -14,8 +17,8 @@
 //! * the content-addressed [`PlanCache`]'s Resource-class hit/miss/
 //!   hit-rate counters of one cold and one warm planning pass (partition +
 //!   transform + compile) per model, under `planning.<model>.` —
-//!   deterministic, so the baseline gate holds the warm path to a 100% hit
-//!   rate;
+//!   deterministic, so the checksummed baseline holds the warm path to a
+//!   100% hit rate;
 //! * a sharded multi-device section: per model, the
 //!   vertex-centric plan runs on a [`SHARD_DEVICES`]-device
 //!   [`ClusterEngine`] under every compatible placement schedule; the
@@ -38,23 +41,18 @@
 //!   Its 4-device runs are the sharded section's: each model × placement
 //!   × device count executes once.
 //!
-//! Nothing here measures wall-clock time (`BENCHMARK.json` /
-//! `examples/perfbench` does, at a size where it means something), so
-//! every tracked file this tool regenerates is byte-stable.
+//! Only `prof_trace.json` carries wall-clock time (its events' `ts`), so
+//! it is the one artifact left untracked (`.gitignore`); every tracked
+//! file this tool writes is byte-stable, and `scripts/verify.sh`'s
+//! checksum over `results/` holds each of them exactly, so a changed,
+//! added or missing counter is a byte change there. Timing belongs to
+//! `BENCHMARK.json` / `examples/perfbench`, at a size where it means
+//! something.
 //!
-//! Modes:
-//!
-//! * `--check` — regression gate for `scripts/verify.sh`: re-runs the
-//!   suite and asserts (a) counter snapshots are bit-identical across
-//!   two consecutive runs, (b) `Work`-class counters are bit-identical
-//!   across 1/2/4 engine threads, and (c) counters match
-//!   `results/prof_baseline.json` within the per-class tolerance bands
-//!   (`Work` exact, `Resource` within [`RESOURCE_BAND`]), with no counter
-//!   recorded on one side only. Each drift names its counter's class and
-//!   the FAIL line counts drifts per class, so a Resource-only drift (a
-//!   pool or fused-dispatch change) reads apart from a Work one;
-//! * `--write-baseline` — rewrites `results/prof_baseline.json` from the
-//!   current run (commit the result deliberately).
+//! `--check` (run by `scripts/verify.sh`) also re-runs the suite and
+//! asserts (a) counter snapshots are bit-identical across two
+//! consecutive runs and (b) `Work`-class counters are bit-identical
+//! across 1/2/4 engine threads.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -72,8 +70,7 @@ use wisegraph::kernels::micro::compile;
 use wisegraph::models::ModelKind;
 use wisegraph::obs::json::Json;
 use wisegraph::obs::{
-    capture, counters_from_json, counters_to_json, keys, trace_to_chrome_json,
-    AttributionReport, Class, Counters,
+    capture, counters_to_json, keys, trace_to_chrome_json, AttributionReport, Class, Counters,
 };
 use wisegraph::tensor::{init, Tensor};
 
@@ -82,12 +79,6 @@ const PROFILE_THREADS: usize = 2;
 
 /// Thread counts the `Work`-invariance gate runs at.
 const CHECK_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Relative tolerance band for `Resource`-class counters in `--check`.
-/// They are deterministic at a fixed thread count, but the band keeps the
-/// gate from blocking legitimate pool-behavior changes on noise-free but
-/// incidental values (e.g. one extra warm-up buffer).
-const RESOURCE_BAND: f64 = 0.25;
 
 /// Layer feature sizes (input, output) — same as the verifier's clean sweep
 /// in `tests/analysis_diagnostics.rs`.
@@ -304,9 +295,9 @@ fn run_suite(threads: usize) -> SuiteRun {
     // idle breakdown, straggler ranking, and per-layer overlap headroom;
     // only its Work-class part lands in `run.all`, under
     // `critical.<slug>.<placement>.d<devices>.`. Both key families are
-    // pure functions of (graph, plan, placement, device count): the gates
-    // hold them bit-exactly, and the wall-clock overlay stays out of the
-    // rerun-identity comparison.
+    // pure functions of (graph, plan, placement, device count): the
+    // checksummed baseline holds them bit-exactly, and the wall-clock
+    // overlay stays out of it.
     let fabric = Fabric::pcie4_quad();
     for (model, slug) in models() {
         let dfg = model.layer_dfg(fi, fo);
@@ -388,81 +379,27 @@ fn critical_to_json(rows: &[CriticalRow]) -> String {
     Json::Obj(doc).to_string_compact()
 }
 
-/// Compares a run's counters against the committed baseline with
-/// per-class tolerance bands, in both directions: a counter on one side
-/// only is a violation too (Timing counters are never compared). Returns
-/// the violations, each with the class of its counter.
-fn check_against_baseline(current: &Counters, baseline: &Counters) -> Vec<(Class, String)> {
-    let mut errs = Vec::new();
-    for (name, got) in current.iter() {
-        if got.class != Class::Timing && baseline.get(name).is_none() {
-            let class = got.class;
-            errs.push((class, format!("`{name}` was recorded but is not in the baseline ({class:?})")));
-        }
-    }
-    for (name, want) in baseline.iter() {
-        let Some(got) = current.get(name) else {
-            let class = want.class;
-            errs.push((class, format!("`{name}` is in the baseline but was not recorded ({class:?})")));
-            continue;
-        };
-        let (w, g) = (want.value.as_f64(), got.value.as_f64());
-        match want.class {
-            Class::Work => {
-                // Work counters are pure functions of the inputs: exact.
-                if w.to_bits() != g.to_bits() {
-                    errs.push((Class::Work, format!("`{name}` (Work): baseline {w}, got {g}")));
-                }
-            }
-            Class::Resource => {
-                let band = RESOURCE_BAND * w.abs().max(1.0);
-                if (g - w).abs() > band {
-                    errs.push((
-                        Class::Resource,
-                        format!(
-                            "`{name}` (Resource): baseline {w}, got {g} \
-                             (band ±{band:.1})"
-                        ),
-                    ));
-                }
-            }
-            Class::Timing => {}
-        }
-    }
-    errs
-}
-
-/// Violation counts per counter class, for the FAIL line: `Work 0,
-/// Resource 215`.
-fn counts_by_class(errs: &[(Class, String)]) -> String {
-    [Class::Work, Class::Resource, Class::Timing]
-        .iter()
-        .map(|c| (c, errs.iter().filter(|(k, _)| k == c).count()))
-        .filter(|&(c, n)| n > 0 || *c != Class::Timing)
-        .map(|(c, n)| format!("{c:?} {n}"))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn write(path: &Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(path, contents)
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+/// Writes one artifact into the already created `results/`.
+fn write(path: &Path, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("wisegraph-prof: wrote {}", path.display());
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
-    let write_baseline = args.iter().any(|a| a == "--write-baseline");
-    if let Some(a) = args.iter().find(|a| *a != "--check" && *a != "--write-baseline") {
+    if let Some(a) = args.iter().find(|a| *a != "--check") {
         eprintln!("wisegraph-prof: unknown argument {a}");
-        eprintln!("usage: wisegraph-prof [--check] [--write-baseline]");
+        eprintln!("usage: wisegraph-prof [--check]");
         return ExitCode::FAILURE;
     }
+    // Created before the suite runs, so an unwritable `results/` fails fast.
     let results = Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(results) {
+        eprintln!("wisegraph-prof: cannot write {}: {e}", results.display());
+        return ExitCode::FAILURE;
+    }
 
     // The profiled run: counters + spans captured together.
     let (run, trace) = capture(|| run_suite(PROFILE_THREADS));
@@ -613,21 +550,20 @@ fn main() -> ExitCode {
         }
     }
     println!();
-    write(
-        &results.join("prof_critical.json"),
-        &critical_to_json(&run.critical),
-    );
-
+    let mut artifacts = vec![(
+        "prof_critical.json".to_string(),
+        critical_to_json(&run.critical),
+    )];
     for (slug, c) in &run.per_model {
-        write(&results.join(format!("prof_{slug}.json")), &counters_to_json(c));
+        artifacts.push((format!("prof_{slug}.json"), counters_to_json(c)));
     }
-    write(&results.join("prof_trace.json"), &trace_to_chrome_json(&trace));
-
-    if write_baseline {
-        write(
-            &results.join("prof_baseline.json"),
-            &counters_to_json(&run.all),
-        );
+    artifacts.push(("prof_trace.json".to_string(), trace_to_chrome_json(&trace)));
+    artifacts.push(("prof_baseline.json".to_string(), counters_to_json(&run.all)));
+    for (name, contents) in &artifacts {
+        if let Err(e) = write(&results.join(name), contents) {
+            eprintln!("wisegraph-prof: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if !check {
@@ -660,79 +596,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!(
-        "wisegraph-prof: Work counters bit-identical across {CHECK_THREADS:?} threads"
-    );
-
-    // Gate (c): tolerance bands against the committed baseline.
-    let baseline_path = results.join("prof_baseline.json");
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "wisegraph-prof: FAIL — cannot read {} ({e}); run \
-                 `wisegraph-prof --write-baseline` and commit the result",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match counters_from_json(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("wisegraph-prof: FAIL — malformed baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let errs = check_against_baseline(&run.all, &baseline);
-    if !errs.is_empty() {
-        for (_, e) in &errs {
-            eprintln!("wisegraph-prof: baseline drift: {e}");
-        }
-        eprintln!(
-            "wisegraph-prof: FAIL — {} counter(s) outside tolerance ({}); if \
-             the change is intended, rerun with --write-baseline and commit",
-            errs.len(),
-            counts_by_class(&errs)
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wisegraph-prof: {} baseline counters within tolerance — PASS",
-        baseline.len()
-    );
+    println!("wisegraph-prof: Work counters bit-identical across {CHECK_THREADS:?} threads — PASS");
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_check_flags_a_counter_on_either_side_only() {
-        let mut shared = Counters::new();
-        shared.add_class("kernel.edges", 7, Class::Work);
-        shared.add_class("pool.buffers_reused", 3, Class::Resource);
-        let mut extra = shared.clone();
-        extra.add_class("kernel.flops", 5, Class::Work);
-        assert!(check_against_baseline(&shared, &shared).is_empty());
-        let recorded_only = check_against_baseline(&extra, &shared);
-        assert_eq!(recorded_only.len(), 1, "{recorded_only:?}");
-        assert_eq!(recorded_only[0].0, Class::Work);
-        assert!(recorded_only[0].1.contains("`kernel.flops` was recorded"));
-        assert!(recorded_only[0].1.ends_with("(Work)"), "{recorded_only:?}");
-        let baseline_only = check_against_baseline(&shared, &extra);
-        assert_eq!(baseline_only.len(), 1, "{baseline_only:?}");
-        assert!(baseline_only[0].1.contains("`kernel.flops` is in the baseline"));
-        assert!(baseline_only[0].1.ends_with("(Work)"), "{baseline_only:?}");
-        // The FAIL line counts violations per class.
-        let mut drifted = shared.clone();
-        drifted.add_class("pool.buffers_reused", 100, Class::Resource);
-        let mixed = check_against_baseline(&drifted, &extra);
-        assert_eq!(counts_by_class(&mixed), "Work 1, Resource 1", "{mixed:?}");
-        // Timing counters are never compared.
-        let mut timed = shared.clone();
-        timed.set_gauge("wall.busy_ns", 1.0, Class::Timing);
-        assert!(check_against_baseline(&timed, &shared).is_empty());
-    }
 }

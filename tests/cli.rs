@@ -2,9 +2,10 @@
 //! optimizes and reports its search, and bad input (a truncated graph
 //! file, a zero or unparsable numeric flag, a flag without its value, more
 //! vertices than 32-bit ids address) exits 1 with an error message instead
-//! of a panic.
+//! of a panic. `wisegraph-prof` does the same for an unknown flag and an
+//! unwritable `results/`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn wisegraph(args: &[&str]) -> Output {
@@ -189,4 +190,72 @@ fn more_vertices_than_32_bit_ids_is_an_error() {
         "2^32 + 1",
     );
     assert!(!out_path.exists(), "a rejected generate wrote its output");
+}
+
+/// Runs `wisegraph-prof` in `dir`, where it writes its `results/`.
+fn wisegraph_prof(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_wisegraph-prof"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("the wisegraph-prof binary runs")
+}
+
+/// A fresh, empty directory under the test target directory.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = scratch(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Asserts `out` is a clean `wisegraph-prof` failure: exit code 1, no
+/// panic, and stderr containing each of `want`.
+fn assert_prof_error(out: &Output, want: &[&str], ctx: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{ctx}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{ctx}: {stderr}");
+    for w in want {
+        assert!(stderr.contains(w), "{ctx}: no `{w}` in {stderr}");
+    }
+}
+
+/// The retired `--write-baseline` is an unknown flag like any other: it
+/// exits 1 with the usage line before anything runs or is written.
+#[test]
+fn wisegraph_prof_rejects_unknown_flags_before_writing() {
+    for flag in ["--write-baseline", "--verbose"] {
+        let dir = fresh_dir(&format!("prof{flag}"));
+        let out = wisegraph_prof(&dir, &[flag]);
+        let unknown = format!("unknown argument {flag}");
+        assert_prof_error(&out, &[&unknown, "usage: wisegraph-prof [--check]"], flag);
+        assert!(!dir.join("results").exists(), "{flag} created results/");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A `results` that is a regular file fails the directory's creation, and
+/// a directory where an artifact goes fails its write: each is an exit-1
+/// error naming the path.
+#[test]
+fn wisegraph_prof_reports_an_unwritable_results_dir() {
+    let dir = fresh_dir("prof-results-file");
+    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    let out = wisegraph_prof(&dir, &[]);
+    assert_prof_error(
+        &out,
+        &["wisegraph-prof: cannot write results: "],
+        "results file",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = fresh_dir("prof-artifact-dir");
+    std::fs::create_dir_all(dir.join("results/prof_critical.json")).unwrap();
+    let out = wisegraph_prof(&dir, &[]);
+    assert_prof_error(
+        &out,
+        &["wisegraph-prof: cannot write results/prof_critical.json: "],
+        "artifact directory",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
